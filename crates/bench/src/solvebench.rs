@@ -295,14 +295,11 @@ pub fn component_profile(fixtures: &[SolveFixture]) -> ComponentProfile {
         std::collections::BTreeMap::new(),
     ];
     for f in fixtures {
+        let mut enc = encode(&f.observations, &EncodeOptions::default());
         for (slot, relaxed) in hist.iter_mut().zip([false, true]) {
-            let enc = encode(
-                &f.observations,
-                &EncodeOptions {
-                    relaxed,
-                    ..EncodeOptions::default()
-                },
-            );
+            if relaxed {
+                enc.relax();
+            }
             let red = reduce_model(&enc.model);
             for comp in &red.components {
                 *slot.entry(comp.vars.len()).or_insert(0u64) += 1;

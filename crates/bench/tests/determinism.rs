@@ -6,10 +6,8 @@
 
 use std::path::PathBuf;
 
-use tableseg_bench::{run_sites, run_sites_robust, table4_report, tables123_report};
-use tableseg_sitegen::chaos::{apply_chaos, ChaosConfig};
+use tableseg_bench::{run_sites, table4_report, tables123_report};
 use tableseg_sitegen::paper_sites;
-use tableseg_sitegen::site::generate;
 use tableseg_template::induction_count;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -24,8 +22,8 @@ fn read_golden(name: &str) -> String {
         .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()))
 }
 
-/// One test (not several) so the process-global induction counter deltas
-/// are not interleaved by the parallel test harness within this binary.
+/// The only test in this binary, so no other test's template inductions
+/// can land in the process-global induction counter's deltas.
 #[test]
 fn reports_are_deterministic_across_threads_and_match_goldens() {
     let specs = paper_sites::all();
@@ -78,42 +76,4 @@ fn reports_are_deterministic_across_threads_and_match_goldens() {
         "tables123 report drifted from tests/golden/tables123.txt \
          (regenerate with `cargo run -p tableseg-bench --bin tables123 > tests/golden/tables123.txt`)"
     );
-}
-
-/// Differential: with every fault probability at zero, the chaos wrapper
-/// is byte-identical to the plain generator on all twelve paper sites,
-/// and the fallible batch path reproduces the same golden Table 4 report
-/// at 1, 2 and N threads.
-#[test]
-fn robust_path_at_zero_chaos_matches_goldens() {
-    let specs = paper_sites::all();
-    let cfg = ChaosConfig::uniform(0.0, 0xC0DE);
-    assert!(cfg.is_noop());
-
-    for spec in &specs {
-        let clean = generate(spec);
-        let (wrapped, log) = apply_chaos(&clean, &cfg);
-        assert!(log.is_empty(), "{}", spec.name);
-        assert_eq!(
-            wrapped, clean,
-            "{}: chaos at p=0 must be the identity",
-            spec.name
-        );
-    }
-
-    let golden = read_golden("table4.txt");
-    let n = tableseg::batch::default_threads().max(3);
-    for threads in [1usize, 2, n] {
-        let outcome = run_sites_robust(&specs, &cfg, threads);
-        assert_eq!(
-            outcome.report.failed, 0,
-            "no page may fail on clean input ({threads} threads)"
-        );
-        assert!(outcome.fault_counts.iter().all(|&(_, c)| c == 0));
-        assert_eq!(
-            table4_report(&outcome.runs, false),
-            golden,
-            "robust path drifted from tests/golden/table4.txt at {threads} threads"
-        );
-    }
 }

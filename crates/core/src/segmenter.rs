@@ -103,6 +103,7 @@ impl Segmenter for CspSegmenter {
         let out = segment_csp(obs, &self.options);
         let mut solver_times = StageTimes::new();
         solver_times.add(Stage::SolveCsp, start.elapsed());
+        solver_times.add(Stage::SolveEncode, Duration::from_nanos(out.encode_ns));
         solver_times.add(Stage::SolveReduce, Duration::from_nanos(out.reduce_ns));
         let mut metrics = Recorder::new();
         metrics.bump(Counter::WsatFlips, out.flips);

@@ -34,6 +34,9 @@ pub enum Stage {
     Solve,
     /// Decoding the solution: truth alignment, classification, assembly.
     Decode,
+    /// Sub-stage of `Solve`: building the CSP encoding and deriving its
+    /// relaxation.
+    SolveEncode,
     /// Sub-stage of `Solve`: instance reduction (propagation, entailment
     /// elimination, component split) ahead of the CSP search.
     SolveReduce,
@@ -71,7 +74,8 @@ impl Stage {
     ];
 
     /// The sub-stages splitting `Solve` by method, in report order.
-    pub const SOLVE_SPLIT: [Stage; 6] = [
+    pub const SOLVE_SPLIT: [Stage; 7] = [
+        Stage::SolveEncode,
         Stage::SolveReduce,
         Stage::SolveCsp,
         Stage::SolveProb,
@@ -97,6 +101,7 @@ impl Stage {
             Stage::Matching => "match",
             Stage::Solve => "solve",
             Stage::Decode => "decode",
+            Stage::SolveEncode => "solve.encode",
             Stage::SolveReduce => "solve.reduce",
             Stage::SolveCsp => "solve.csp",
             Stage::SolveProb => "solve.prob",
@@ -117,15 +122,16 @@ impl Stage {
             Stage::Matching => 3,
             Stage::Solve => 4,
             Stage::Decode => 5,
-            Stage::SolveReduce => 6,
-            Stage::SolveCsp => 7,
-            Stage::SolveProb => 8,
-            Stage::SolveEmEStep => 9,
-            Stage::SolveEmMStep => 10,
-            Stage::SolveViterbi => 11,
-            Stage::InduceHistogram => 12,
-            Stage::Detect => 13,
-            Stage::SolveNested => 14,
+            Stage::SolveEncode => 6,
+            Stage::SolveReduce => 7,
+            Stage::SolveCsp => 8,
+            Stage::SolveProb => 9,
+            Stage::SolveEmEStep => 10,
+            Stage::SolveEmMStep => 11,
+            Stage::SolveViterbi => 12,
+            Stage::InduceHistogram => 13,
+            Stage::Detect => 14,
+            Stage::SolveNested => 15,
         }
     }
 }
@@ -186,11 +192,11 @@ fn nanos_to_duration(n: u128) -> Duration {
 
 /// Converts one scope's [`StageTimes`] into observability stage spans:
 /// the six top-level stages in execution order, with the solver
-/// sub-stages nested under `solve` (`solve.csp`, `solve.prob`, the
-/// recursive `solve.nested` pass), the EM phases under `solve.prob`,
-/// the histogram fold (`induce.histogram`) under `template`, and
-/// region detection (`detect.regions`) under `extract`. Every stage is
-/// always emitted
+/// sub-stages nested under `solve` (`solve.encode`, `solve.reduce`,
+/// `solve.csp`, `solve.prob`, the recursive `solve.nested` pass), the EM
+/// phases under `solve.prob`, the histogram fold (`induce.histogram`)
+/// under `template`, and region detection (`detect.regions`) under
+/// `extract`. Every stage is always emitted
 /// — zeros included — so the span-tree *shape* depends only on the
 /// corpus, never on what happened to take measurable time.
 pub fn stage_spans(times: &StageTimes) -> Vec<SpanNode> {
@@ -208,6 +214,7 @@ pub fn stage_spans(times: &StageTimes) -> Vec<SpanNode> {
                 node.push(span(Stage::Detect, SpanKind::SolverSubstage));
             }
             if stage == Stage::Solve {
+                node.push(span(Stage::SolveEncode, SpanKind::SolverSubstage));
                 node.push(span(Stage::SolveReduce, SpanKind::SolverSubstage));
                 node.push(span(Stage::SolveCsp, SpanKind::SolverSubstage));
                 let mut prob = span(Stage::SolveProb, SpanKind::SolverSubstage);

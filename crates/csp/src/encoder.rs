@@ -15,8 +15,6 @@
 //!   `j` compete for one field occurrence: exactly one of them may be
 //!   assigned to `r_j` (`Σ x_ij = 1`, relaxable to `≤ 1`).
 
-use std::collections::{HashMap, HashSet};
-
 use tableseg_extract::positions::position_groups;
 use tableseg_extract::Observations;
 
@@ -25,9 +23,6 @@ use crate::model::{Constraint, Model, Relation, Term};
 /// Options controlling the encoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EncodeOptions {
-    /// Relax equalities to `≤` inequalities and maximize the number of
-    /// assigned extracts (the paper's response to unsatisfiable data).
-    pub relaxed: bool,
     /// Include the Section 4.2 position constraints.
     pub position_constraints: bool,
 }
@@ -35,7 +30,6 @@ pub struct EncodeOptions {
 impl Default for EncodeOptions {
     fn default() -> EncodeOptions {
         EncodeOptions {
-            relaxed: false,
             position_constraints: true,
         }
     }
@@ -48,15 +42,43 @@ pub struct Encoding {
     /// The model to solve.
     pub model: Model,
     /// `vars[v] = (i, j)`: model variable `v` is the paper's `x_ij`.
+    /// Variables run extract by extract, each extract's in ascending
+    /// record order.
     pub vars: Vec<(usize, u32)>,
-    /// Reverse lookup from `(i, j)` to the variable index.
-    pub var_of: HashMap<(usize, u32), usize>,
+    /// `first[i]` is extract `i`'s first variable; one extra entry closes
+    /// the last extract's range.
+    first: Vec<usize>,
+}
+
+/// The variable for `x_ij` in a layout given by `vars` and `first`.
+fn lookup(vars: &[(usize, u32)], first: &[usize], extract: usize, record: u32) -> Option<usize> {
+    let start = *first.get(extract)?;
+    let end = *first.get(extract + 1)?;
+    vars[start..end]
+        .binary_search_by_key(&record, |&(_, j)| j)
+        .ok()
+        .map(|k| start + k)
 }
 
 impl Encoding {
     /// The variable for `x_ij`, if `r_j ∈ D_i`.
     pub fn var(&self, extract: usize, record: u32) -> Option<usize> {
-        self.var_of.get(&(extract, record)).copied()
+        lookup(&self.vars, &self.first, extract, record)
+    }
+
+    /// Relaxes the encoding in place, the paper's response to
+    /// unsatisfiable data (Section 6.3): the uniqueness and position
+    /// equalities become `≤` and the objective maximizes the number of
+    /// assigned extracts. The variable layout is unchanged, so an
+    /// assignment of the strict model carries over to the relaxed one
+    /// variable for variable.
+    pub fn relax(&mut self) {
+        for c in &mut self.model.constraints {
+            if c.rel == Relation::Eq {
+                c.rel = Relation::Le;
+            }
+        }
+        self.model.maximize_sum(0..self.vars.len());
     }
 
     /// Upper bound on the objective, derived from the relaxation itself:
@@ -68,77 +90,56 @@ impl Encoding {
         if self.model.objective.is_empty() {
             return None;
         }
-        let extracts: HashSet<usize> = self.vars.iter().map(|&(i, _)| i).collect();
-        Some(extracts.len() as i64)
+        Some(self.first.windows(2).filter(|w| w[0] < w[1]).count() as i64)
     }
 }
 
-/// Builds the encoding of an observation table.
+/// Builds the strict encoding of an observation table; [`Encoding::relax`]
+/// derives the relaxed one from it.
 pub fn encode(obs: &Observations, opts: &EncodeOptions) -> Encoding {
     let mut vars = Vec::new();
-    let mut var_of = HashMap::new();
+    let mut first = Vec::with_capacity(obs.items.len() + 1);
+    // Per record `j`: its candidate extracts in ascending order, each with
+    // its variable `x_ij`.
+    let mut members: Vec<Vec<(usize, usize)>> = vec![Vec::new(); obs.num_records];
     for (i, item) in obs.items.iter().enumerate() {
+        first.push(vars.len());
         for &j in &item.pages {
-            var_of.insert((i, j), vars.len());
+            if let Some(m) = members.get_mut(j as usize) {
+                m.push((i, vars.len()));
+            }
             vars.push((i, j));
         }
     }
+    first.push(vars.len());
     let mut model = Model::new(vars.len());
-    let uniq_rel = if opts.relaxed {
-        Relation::Le
-    } else {
-        Relation::Eq
-    };
 
     // Uniqueness.
-    for (i, item) in obs.items.iter().enumerate() {
-        let vs: Vec<usize> = item.pages.iter().map(|&j| var_of[&(i, j)]).collect();
-        model.add(Constraint::sum(vs, uniq_rel, 1).labeled(format!("uniq(E{})", i + 1)));
+    for w in first.windows(2) {
+        model.add(Constraint::sum(w[0]..w[1], Relation::Eq, 1));
     }
 
     // Consecutiveness, per record.
-    let mut seen_pairs: HashSet<(usize, usize, u32)> = HashSet::new();
-    for j in 0..obs.num_records as u32 {
-        let members: Vec<usize> = (0..obs.items.len())
-            .filter(|&i| obs.items[i].on_page(j))
-            .collect();
-        for (a_idx, &k) in members.iter().enumerate() {
-            for &i in &members[a_idx + 1..] {
-                // Any in-between extract that cannot be in r_j makes the
-                // pair mutually exclusive.
-                let blocked = (k + 1..i).any(|n| !obs.items[n].on_page(j));
-                if blocked {
-                    if seen_pairs.insert((k, i, j)) {
-                        let vs = [var_of[&(k, j)], var_of[&(i, j)]];
-                        model.add(Constraint::sum(vs, Relation::Le, 1).labeled(format!(
-                            "consec(E{},E{}|r{})",
-                            k + 1,
-                            i + 1,
-                            j + 1
-                        )));
-                    }
+    for members in &members {
+        for (a, &(k, xk)) in members.iter().enumerate() {
+            for (b, &(i, xi)) in members.iter().enumerate().skip(a + 1) {
+                if i - k != b - a {
+                    // Fewer candidates than extracts lie between the two:
+                    // an in-between extract cannot be in r_j, which makes
+                    // the pair mutually exclusive.
+                    model.add(Constraint::sum([xk, xi], Relation::Le, 1));
                 } else {
                     // Every in-between extract is a candidate: the pair may
                     // co-exist only if each middle is also assigned to r_j.
-                    for n in k + 1..i {
+                    for &(_, xn) in &members[a + 1..b] {
                         model.add(Constraint {
                             terms: vec![
-                                Term {
-                                    var: var_of[&(k, j)],
-                                    coef: 1,
-                                },
-                                Term {
-                                    var: var_of[&(i, j)],
-                                    coef: 1,
-                                },
-                                Term {
-                                    var: var_of[&(n, j)],
-                                    coef: -1,
-                                },
+                                Term { var: xk, coef: 1 },
+                                Term { var: xi, coef: 1 },
+                                Term { var: xn, coef: -1 },
                             ],
                             rel: Relation::Le,
                             rhs: 1,
-                            label: format!("consec(E{},E{}-E{}|r{})", k + 1, i + 1, n + 1, j + 1),
                         });
                     }
                 }
@@ -148,34 +149,16 @@ pub fn encode(obs: &Observations, opts: &EncodeOptions) -> Encoding {
 
     // Position constraints (Section 4.2).
     if opts.position_constraints {
-        let pos_rel = if opts.relaxed {
-            Relation::Le
-        } else {
-            Relation::Eq
-        };
         for group in position_groups(obs) {
-            let vs: Vec<usize> = group
-                .extracts
-                .iter()
-                .map(|&i| var_of[&(i, group.page)])
-                .collect();
-            model.add(Constraint::sum(vs, pos_rel, 1).labeled(format!(
-                "pos(r{}@{})",
-                group.page + 1,
-                group.pos
-            )));
+            let vs = group.extracts.iter().map(|&i| {
+                lookup(&vars, &first, i, group.page)
+                    .expect("an extract is a candidate of every page it was observed on")
+            });
+            model.add(Constraint::sum(vs, Relation::Eq, 1));
         }
     }
 
-    if opts.relaxed {
-        model.maximize_sum(0..vars.len());
-    }
-
-    Encoding {
-        model,
-        vars,
-        var_of,
-    }
+    Encoding { model, vars, first }
 }
 
 #[cfg(test)]
@@ -213,37 +196,57 @@ pub(crate) mod tests {
         // E2 "221 Washington" only on r1.
         assert!(enc.var(1, 0).is_some());
         assert!(enc.var(1, 1).is_none());
-        // Total variables = Σ |D_i|.
+        assert!(enc.var(obs.items.len(), 0).is_none());
+        // Total variables = Σ |D_i|, and the lookup inverts `vars`.
         let expected: usize = obs.items.iter().map(|it| it.pages.len()).sum();
         assert_eq!(enc.vars.len(), expected);
+        for (v, &(i, j)) in enc.vars.iter().enumerate() {
+            assert_eq!(enc.var(i, j), Some(v));
+        }
     }
 
     #[test]
-    fn uniqueness_constraints_present() {
+    fn uniqueness_constraints_lead_the_model() {
         let obs = superpages_obs();
         let enc = encode(&obs, &EncodeOptions::default());
-        let uniq: Vec<&Constraint> = enc
+        for (i, c) in enc.model.constraints[..obs.items.len()].iter().enumerate() {
+            assert!(c.rel == Relation::Eq && c.rhs == 1);
+            let vars: Vec<usize> = c.terms.iter().map(|t| t.var).collect();
+            let expected: Vec<usize> = obs.items[i]
+                .pages
+                .iter()
+                .map(|&j| enc.var(i, j).unwrap())
+                .collect();
+            assert_eq!(vars, expected);
+        }
+    }
+
+    #[test]
+    fn relaxing_turns_equalities_into_inequalities_and_adds_the_objective() {
+        let obs = superpages_obs();
+        let strict = encode(&obs, &EncodeOptions::default());
+        let mut relaxed = strict.clone();
+        relaxed.relax();
+        assert!(relaxed
             .model
             .constraints
             .iter()
-            .filter(|c| c.label.starts_with("uniq"))
-            .collect();
-        assert_eq!(uniq.len(), obs.items.len());
-        assert!(uniq.iter().all(|c| c.rel == Relation::Eq && c.rhs == 1));
-    }
-
-    #[test]
-    fn relaxed_encoding_uses_inequalities_and_objective() {
-        let obs = superpages_obs();
-        let enc = encode(
-            &obs,
-            &EncodeOptions {
-                relaxed: true,
-                position_constraints: true,
-            },
+            .all(|c| c.rel == Relation::Le));
+        assert_eq!(relaxed.model.objective.len(), relaxed.vars.len());
+        assert_eq!(relaxed.vars, strict.vars);
+        for (r, s) in relaxed
+            .model
+            .constraints
+            .iter()
+            .zip(&strict.model.constraints)
+        {
+            assert_eq!((&r.terms, r.rhs), (&s.terms, s.rhs));
+        }
+        assert_eq!(strict.objective_upper_bound(), None);
+        assert_eq!(
+            relaxed.objective_upper_bound(),
+            Some(obs.items.len() as i64)
         );
-        assert!(enc.model.constraints.iter().all(|c| c.rel == Relation::Le));
-        assert_eq!(enc.model.objective.len(), enc.vars.len());
     }
 
     #[test]
@@ -253,41 +256,30 @@ pub(crate) mod tests {
         let without = encode(
             &obs,
             &EncodeOptions {
-                relaxed: false,
                 position_constraints: false,
             },
         );
-        let count = |e: &Encoding| {
-            e.model
-                .constraints
-                .iter()
-                .filter(|c| c.label.starts_with("pos"))
-                .count()
-        };
-        assert!(count(&with) > 0);
-        assert_eq!(count(&without), 0);
+        let groups = position_groups(&obs).len();
+        assert!(groups > 0);
+        assert_eq!(
+            with.model.constraints.len(),
+            without.model.constraints.len() + groups
+        );
+        assert_eq!(
+            with.model.constraints[..without.model.constraints.len()],
+            without.model.constraints[..]
+        );
     }
 
     #[test]
     fn consecutiveness_blocks_non_contiguous_pairs() {
         let obs = superpages_obs();
         let enc = encode(&obs, &EncodeOptions::default());
-        // E1 (John Smith, candidate r2) and E8 (phone, candidate r2):
-        // between them sit E2/E3 which cannot be in r2... in this fixture
-        // E1..E4 are row 1, E5..E8 row 2. E1 and E8 are both candidates of
-        // r1 and r2, with blocked middles for r1 (E6, E7 not on r1).
-        let has_pair = enc
-            .model
-            .constraints
-            .iter()
-            .any(|c| c.label.starts_with("consec") && c.terms.len() == 2);
-        assert!(has_pair);
-        let has_triple = enc
-            .model
-            .constraints
-            .iter()
-            .any(|c| c.label.starts_with("consec") && c.terms.len() == 3);
-        assert!(has_triple);
+        // Past the uniqueness rows, consecutiveness emits both pairwise
+        // exclusions (blocked middles) and triples (candidate middles).
+        let consec = &enc.model.constraints[obs.items.len()..];
+        assert!(consec.iter().any(|c| c.terms.len() == 2));
+        assert!(consec.iter().any(|c| c.terms.len() == 3));
     }
 
     #[test]
@@ -305,58 +297,59 @@ pub(crate) mod tests {
         let obs = superpages_obs();
         let enc = encode(&obs, &EncodeOptions::default());
         let m = &enc.model;
-
-        // A helper: the uniqueness constraint for extract i must contain
-        // exactly the variables x_ij for j in D_i, with "=1".
-        let uniq = |i: usize| {
-            m.constraints
-                .iter()
-                .find(|c| c.label == format!("uniq(E{})", i + 1))
-                .expect("uniqueness constraint")
+        let x = |i: usize, j: u32| enc.var(i, j).expect("candidate");
+        let has = |vars: &[usize], coefs: &[i32], rel: Relation| {
+            m.constraints.iter().any(|c| {
+                c.rel == rel
+                    && c.rhs == 1
+                    && c.terms.len() == vars.len()
+                    && c.terms
+                        .iter()
+                        .zip(vars.iter().zip(coefs))
+                        .all(|(t, (&v, &coef))| t.var == v && t.coef == coef)
+            })
         };
-        // x11 + x12 = 1 (the paper's first listed constraint).
-        let c = uniq(0);
-        assert_eq!(c.rel, Relation::Eq);
-        assert_eq!(c.rhs, 1);
-        let vars: Vec<usize> = c.terms.iter().map(|t| t.var).collect();
-        assert_eq!(vars, vec![enc.var(0, 0).unwrap(), enc.var(0, 1).unwrap()]);
-        // x21 = 1 (E2 can only be in r1).
-        let c = uniq(1);
-        assert_eq!(c.terms.len(), 1);
-        assert_eq!(c.terms[0].var, enc.var(1, 0).unwrap());
-        // x62 = 1 (E6 can only be in r2).
-        let c = uniq(5);
-        assert_eq!(c.terms.len(), 1);
-        assert_eq!(c.terms[0].var, enc.var(5, 1).unwrap());
 
-        // The paper's consecutiveness example: x11 + x81 <= 1 — E1 and E8
-        // cannot both be in r1... actually the paper lists pairs with
-        // blocked middles for r1/r2 crossing rows; verify the r2 version:
-        // E1 (row 1) and E8 (row 2 phone) for record r1 are blocked by the
-        // middles E6, E7 which cannot be in r1.
-        let blocked = m.constraints.iter().any(|c| {
-            c.label == "consec(E1,E8|r1)"
-                && c.rel == Relation::Le
-                && c.rhs == 1
-                && c.terms.len() == 2
-        });
-        assert!(blocked, "expected pairwise consecutiveness for E1/E8 on r1");
+        // The uniqueness constraint of extract i contains exactly the
+        // variables x_ij for j in D_i, with "= 1".
+        let uniq = &m.constraints[..obs.items.len()];
+        // x11 + x12 = 1 (the paper's first listed constraint).
+        let vars: Vec<usize> = uniq[0].terms.iter().map(|t| t.var).collect();
+        assert_eq!(vars, vec![x(0, 0), x(0, 1)]);
+        // x21 = 1 (E2 can only be in r1).
+        assert_eq!(uniq[1].terms.len(), 1);
+        assert_eq!(uniq[1].terms[0].var, x(1, 0));
+        // x62 = 1 (E6 can only be in r2).
+        assert_eq!(uniq[5].terms.len(), 1);
+        assert_eq!(uniq[5].terms[0].var, x(5, 1));
+
+        // Consecutiveness: E1 (row 1) and E8 (row 2 phone) for record r1
+        // are blocked by the middles E6, E7, which cannot be in r1:
+        // x11 + x81 ≤ 1.
+        assert!(
+            has(&[x(0, 0), x(7, 0)], &[1, 1], Relation::Le),
+            "expected pairwise consecutiveness for E1/E8 on r1"
+        );
+        // E1 and E4 on r1 have only candidate middles: x11 + x41 − x21 ≤ 1.
+        assert!(has(&[x(0, 0), x(3, 0), x(1, 0)], &[1, 1, -1], Relation::Le));
 
         // The paper's position constraints: x11 + x51 = 1 and x41 + x81 = 1
         // (shared name at position 0 of r1, shared phone at its tail).
-        let has_pos = |a: usize, b: usize, j: u32| {
-            m.constraints.iter().any(|c| {
-                c.label.starts_with("pos")
-                    && c.rel == Relation::Eq
-                    && c.rhs == 1
-                    && c.terms.len() == 2
-                    && c.terms.iter().any(|t| t.var == enc.var(a, j).unwrap())
-                    && c.terms.iter().any(|t| t.var == enc.var(b, j).unwrap())
-            })
-        };
-        assert!(has_pos(0, 4, 0), "x11 + x51 = 1");
-        assert!(has_pos(0, 4, 1), "x12 + x52 = 1");
-        assert!(has_pos(3, 7, 0), "x41 + x81 = 1");
-        assert!(has_pos(3, 7, 1), "x42 + x82 = 1");
+        assert!(
+            has(&[x(0, 0), x(4, 0)], &[1, 1], Relation::Eq),
+            "x11 + x51 = 1"
+        );
+        assert!(
+            has(&[x(0, 1), x(4, 1)], &[1, 1], Relation::Eq),
+            "x12 + x52 = 1"
+        );
+        assert!(
+            has(&[x(3, 0), x(7, 0)], &[1, 1], Relation::Eq),
+            "x41 + x81 = 1"
+        );
+        assert!(
+            has(&[x(3, 1), x(7, 1)], &[1, 1], Relation::Eq),
+            "x42 + x82 = 1"
+        );
     }
 }

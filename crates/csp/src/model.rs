@@ -39,8 +39,6 @@ pub struct Constraint {
     pub rel: Relation,
     /// The right-hand side.
     pub rhs: i32,
-    /// A short label for diagnostics (e.g. `uniq(E3)`).
-    pub label: String,
 }
 
 impl Constraint {
@@ -50,14 +48,7 @@ impl Constraint {
             terms: vars.into_iter().map(|var| Term { var, coef: 1 }).collect(),
             rel,
             rhs,
-            label: String::new(),
         }
-    }
-
-    /// Attaches a diagnostic label.
-    pub fn labeled(mut self, label: impl Into<String>) -> Constraint {
-        self.label = label.into();
-        self
     }
 
     /// The left-hand-side value under `assignment`.
@@ -199,7 +190,6 @@ mod tests {
             ],
             rel: Relation::Le,
             rhs: 1,
-            label: String::new(),
         };
         assert!(con.satisfied(&[true, true, true]));
         assert!(!con.satisfied(&[true, true, false]));
@@ -223,11 +213,5 @@ mod tests {
         assert!(!m.feasible(&b));
         assert_eq!(m.violated_count(&b), 2);
         assert_eq!(m.total_violation(&b), 2);
-    }
-
-    #[test]
-    fn labels() {
-        let con = c(&[0], Relation::Eq, 1).labeled("uniq(E1)");
-        assert_eq!(con.label, "uniq(E1)");
     }
 }

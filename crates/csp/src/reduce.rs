@@ -328,7 +328,6 @@ pub fn reduce_model(model: &Model) -> Reduction {
             terms,
             rel: c.rel,
             rhs,
-            label: c.label.clone(),
         });
     }
     for t in &model.objective {
@@ -382,13 +381,8 @@ mod tests {
     #[test]
     fn relaxed_encoding_decomposes_without_forcing() {
         let obs = crate::encoder::tests::superpages_obs();
-        let enc = encode(
-            &obs,
-            &EncodeOptions {
-                relaxed: true,
-                position_constraints: true,
-            },
-        );
+        let mut enc = encode(&obs, &EncodeOptions::default());
+        enc.relax();
         let red = reduce_model(&enc.model);
         assert!(!red.infeasible);
         assert_eq!(red.forced, 0, "pure ≤ constraints cannot force");
@@ -471,7 +465,6 @@ mod tests {
             ],
             rel: Relation::Le,
             rhs: 1,
-            label: "triple".into(),
         });
         let red = reduce_model(&m);
         assert!(!red.infeasible);

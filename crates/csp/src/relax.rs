@@ -16,11 +16,12 @@
 //! 2. a component the stochastic search fails is cross-checked by the
 //!    exact branch-and-bound: if it finds a solution, use it; if it
 //!    *proves* infeasibility (or runs out of budget), fall through;
-//! 3. re-encode with relaxed `≤` constraints, reduce again, and solve each
-//!    component with the warm-started portfolio ([`solve_warm`]), seeded
-//!    from the strict rung's best assignment — the strict and relaxed
-//!    encodings share their variable layout, so the previous rung's
-//!    solution projects directly onto each component.
+//! 3. relax the same encoding in place
+//!    ([`Encoding::relax`](crate::Encoding::relax): equalities
+//!    become `≤`), reduce again, and solve each component with the
+//!    warm-started portfolio ([`solve_warm`]), seeded from the strict
+//!    rung's best assignment — relaxing keeps the variable layout, so the
+//!    previous rung's solution projects directly onto each component.
 //!
 //! Setting [`CspOptions::reduce`] to `false` restores the whole-instance
 //! ladder (encode → solve → BnB → relax), which doubles as the
@@ -121,6 +122,9 @@ pub struct CspOutcome {
     /// Warm-started component solves whose best assignment came from a
     /// warm seed.
     pub warm_start_hits: u64,
+    /// Wall-clock nanoseconds spent building the encoding and deriving
+    /// its relaxation — the `solve.encode` timing sub-stage.
+    pub encode_ns: u64,
     /// Wall-clock nanoseconds spent in [`reduce_model`] — the
     /// `solve.reduce` timing sub-stage.
     pub reduce_ns: u64,
@@ -141,6 +145,7 @@ struct SolveStats {
     components: usize,
     pruned_vars: usize,
     warm_start_hits: u64,
+    encode_ns: u64,
     reduce_ns: u64,
 }
 
@@ -156,6 +161,7 @@ pub fn segment_csp(obs: &Observations, opts: &CspOptions) -> CspOutcome {
             components: 0,
             pruned_vars: 0,
             warm_start_hits: 0,
+            encode_ns: 0,
             reduce_ns: 0,
         };
     }
@@ -220,15 +226,16 @@ fn segment_reduced(obs: &Observations, opts: &CspOptions) -> CspOutcome {
     let mut stats = SolveStats::default();
 
     // Rung 1: strict problem, reduced.
-    let strict_enc = encode(
+    let t = Instant::now();
+    let mut enc = encode(
         obs,
         &EncodeOptions {
-            relaxed: false,
             position_constraints: opts.position_constraints,
         },
     );
+    stats.encode_ns += t.elapsed().as_nanos() as u64;
     let t = Instant::now();
-    let red = reduce_model(&strict_enc.model);
+    let red = reduce_model(&enc.model);
     stats.reduce_ns += t.elapsed().as_nanos() as u64;
     stats.components += red.components.len();
     stats.pruned_vars += red.pruned_vars();
@@ -273,9 +280,9 @@ fn segment_reduced(obs: &Observations, opts: &CspOptions) -> CspOutcome {
         (red.stitch(&parts), all_ok)
     };
     if strict_solved {
-        debug_assert!(strict_enc.model.feasible(&strict_best));
+        debug_assert!(enc.model.feasible(&strict_best));
         return CspOutcome {
-            segmentation: decode(&strict_enc, &strict_best, obs),
+            segmentation: decode(&enc, &strict_best, obs),
             status: CspStatus::Solved,
             strict_violation: 0,
             flips: stats.flips,
@@ -283,25 +290,20 @@ fn segment_reduced(obs: &Observations, opts: &CspOptions) -> CspOutcome {
             components: stats.components,
             pruned_vars: stats.pruned_vars,
             warm_start_hits: stats.warm_start_hits,
+            encode_ns: stats.encode_ns,
             reduce_ns: stats.reduce_ns,
         };
     }
-    let strict_violation = strict_enc.model.total_violation(&strict_best);
+    let strict_violation = enc.model.total_violation(&strict_best);
 
-    // Rung 2: relaxed optimization, reduced and warm-started.
-    let relaxed_enc = encode(
-        obs,
-        &EncodeOptions {
-            relaxed: true,
-            position_constraints: opts.position_constraints,
-        },
-    );
-    // Both encodings enumerate variables from the observation table's
-    // occurrence lists alone, so the strict rung's best assignment maps
-    // var-for-var onto the relaxed model — the warm seed below.
-    debug_assert_eq!(strict_enc.vars, relaxed_enc.vars);
+    // Rung 2: relaxed optimization, reduced and warm-started. Relaxing
+    // keeps the variable layout, so the strict rung's best assignment
+    // maps var-for-var onto the relaxed model — the warm seed below.
     let t = Instant::now();
-    let red = reduce_model(&relaxed_enc.model);
+    enc.relax();
+    stats.encode_ns += t.elapsed().as_nanos() as u64;
+    let t = Instant::now();
+    let red = reduce_model(&enc.model);
     stats.reduce_ns += t.elapsed().as_nanos() as u64;
     stats.components += red.components.len();
     stats.pruned_vars += red.pruned_vars();
@@ -315,6 +317,7 @@ fn segment_reduced(obs: &Observations, opts: &CspOptions) -> CspOutcome {
             components: stats.components,
             pruned_vars: stats.pruned_vars,
             warm_start_hits: stats.warm_start_hits,
+            encode_ns: stats.encode_ns,
             reduce_ns: stats.reduce_ns,
         };
     }
@@ -347,7 +350,7 @@ fn segment_reduced(obs: &Observations, opts: &CspOptions) -> CspOutcome {
         // assignment (its uniqueness constraint lives in this component
         // too).
         let warm: Vec<Vec<bool>> = vec![comp.vars.iter().map(|&v| strict_best[v]).collect()];
-        let mut extracts: Vec<usize> = comp.vars.iter().map(|&v| relaxed_enc.vars[v].0).collect();
+        let mut extracts: Vec<usize> = comp.vars.iter().map(|&v| enc.vars[v].0).collect();
         extracts.dedup();
         let target = match &exact {
             Some((_, objective)) => *objective,
@@ -396,12 +399,13 @@ fn segment_reduced(obs: &Observations, opts: &CspOptions) -> CspOutcome {
             components: stats.components,
             pruned_vars: stats.pruned_vars,
             warm_start_hits: stats.warm_start_hits,
+            encode_ns: stats.encode_ns,
             reduce_ns: stats.reduce_ns,
         };
     }
     let stitched = red.stitch(&parts);
     CspOutcome {
-        segmentation: decode(&relaxed_enc, &stitched, obs),
+        segmentation: decode(&enc, &stitched, obs),
         status: CspStatus::SolvedRelaxed,
         strict_violation,
         flips: stats.flips,
@@ -409,6 +413,7 @@ fn segment_reduced(obs: &Observations, opts: &CspOptions) -> CspOutcome {
         components: stats.components,
         pruned_vars: stats.pruned_vars,
         warm_start_hits: stats.warm_start_hits,
+        encode_ns: stats.encode_ns,
         reduce_ns: stats.reduce_ns,
     }
 }
@@ -423,17 +428,18 @@ fn segment_whole(obs: &Observations, opts: &CspOptions) -> CspOutcome {
     };
 
     // Step 1: strict problem via stochastic search.
-    let strict_enc = encode(
+    let t = Instant::now();
+    let mut enc = encode(
         obs,
         &EncodeOptions {
-            relaxed: false,
             position_constraints: opts.position_constraints,
         },
     );
-    let strict = solver(&strict_enc.model, &opts.wsat);
+    let mut encode_ns = t.elapsed().as_nanos() as u64;
+    let strict = solver(&enc.model, &opts.wsat);
     if strict.feasible {
         return CspOutcome {
-            segmentation: decode(&strict_enc, &strict.assignment, obs),
+            segmentation: decode(&enc, &strict.assignment, obs),
             status: CspStatus::Solved,
             strict_violation: 0,
             flips: strict.flips,
@@ -441,20 +447,21 @@ fn segment_whole(obs: &Observations, opts: &CspOptions) -> CspOutcome {
             components: 0,
             pruned_vars: 0,
             warm_start_hits: 0,
+            encode_ns,
             reduce_ns: 0,
         };
     }
 
     // Step 2: exact cross-check (skipped for oversized encodings).
-    let strict_bnb = if strict_enc.model.num_vars <= opts.bnb_var_cap {
-        solve_bnb(&strict_enc.model, opts.bnb_budget)
+    let strict_bnb = if enc.model.num_vars <= opts.bnb_var_cap {
+        solve_bnb(&enc.model, opts.bnb_budget)
     } else {
         BnbOutcome::Unknown
     };
     match strict_bnb {
         BnbOutcome::Optimal { assignment, .. } => {
             return CspOutcome {
-                segmentation: decode(&strict_enc, &assignment, obs),
+                segmentation: decode(&enc, &assignment, obs),
                 status: CspStatus::Solved,
                 strict_violation: 0,
                 flips: strict.flips,
@@ -462,6 +469,7 @@ fn segment_whole(obs: &Observations, opts: &CspOptions) -> CspOutcome {
                 components: 0,
                 pruned_vars: 0,
                 warm_start_hits: 0,
+                encode_ns,
                 reduce_ns: 0,
             };
         }
@@ -469,13 +477,9 @@ fn segment_whole(obs: &Observations, opts: &CspOptions) -> CspOutcome {
     }
 
     // Step 3: relaxed optimization.
-    let relaxed_enc = encode(
-        obs,
-        &EncodeOptions {
-            relaxed: true,
-            position_constraints: opts.position_constraints,
-        },
-    );
+    let t = Instant::now();
+    enc.relax();
+    encode_ns += t.elapsed().as_nanos() as u64;
     // The relaxed problem is solved by stochastic search alone, exactly as
     // the paper did with WSAT(OIP): the resulting partial assignment is a
     // good local optimum but not necessarily the global maximum — which is
@@ -485,10 +489,10 @@ fn segment_whole(obs: &Observations, opts: &CspOptions) -> CspOutcome {
     // per extract), letting the search stop as soon as every extract is
     // assigned rather than burning the remaining restart budget.
     let relaxed_cfg = WsatConfig {
-        objective_target: relaxed_enc.objective_upper_bound(),
+        objective_target: enc.objective_upper_bound(),
         ..opts.wsat
     };
-    let relaxed = solver(&relaxed_enc.model, &relaxed_cfg);
+    let relaxed = solver(&enc.model, &relaxed_cfg);
     let flips = strict.flips + relaxed.flips;
     let tries = strict.tries + relaxed.tries;
     if !relaxed.feasible {
@@ -501,13 +505,14 @@ fn segment_whole(obs: &Observations, opts: &CspOptions) -> CspOutcome {
             components: 0,
             pruned_vars: 0,
             warm_start_hits: 0,
+            encode_ns,
             reduce_ns: 0,
         };
     }
     let best_assignment = relaxed.assignment;
 
     CspOutcome {
-        segmentation: decode(&relaxed_enc, &best_assignment, obs),
+        segmentation: decode(&enc, &best_assignment, obs),
         status: CspStatus::SolvedRelaxed,
         strict_violation: strict.violation,
         flips,
@@ -515,6 +520,7 @@ fn segment_whole(obs: &Observations, opts: &CspOptions) -> CspOutcome {
         components: 0,
         pruned_vars: 0,
         warm_start_hits: 0,
+        encode_ns,
         reduce_ns: 0,
     }
 }

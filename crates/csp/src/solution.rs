@@ -52,13 +52,8 @@ mod tests {
         let d2 = tokenize("<p>B</p>");
         let details: Vec<&[Token]> = vec![&d1, &d2];
         let obs = build_observations(&list, &[], &details);
-        let enc = encode(
-            &obs,
-            &EncodeOptions {
-                relaxed: true,
-                position_constraints: true,
-            },
-        );
+        let mut enc = encode(&obs, &EncodeOptions::default());
+        enc.relax();
         let mut assignment = vec![false; enc.model.num_vars];
         assignment[enc.var(1, 1).unwrap()] = true;
         let seg = decode(&enc, &assignment, &obs);

@@ -155,21 +155,90 @@ struct Problem {
     occurs: Vec<Vec<(usize, i32)>>,
     /// Objective coefficient of each variable.
     obj_coef: Vec<i64>,
+    /// Objective-term positions of each variable, in CSR form: those of
+    /// `x` are `obj_terms[obj_start[x]..obj_start[x + 1]]`.
+    obj_start: Vec<usize>,
+    obj_terms: Vec<usize>,
 }
 
 impl Problem {
     fn new(model: &Model) -> Problem {
-        let mut occurs: Vec<Vec<(usize, i32)>> = vec![Vec::new(); model.num_vars];
+        let n = model.num_vars;
+        let mut occurs: Vec<Vec<(usize, i32)>> = vec![Vec::new(); n];
         for (ci, c) in model.constraints.iter().enumerate() {
             for t in &c.terms {
                 occurs[t.var].push((ci, t.coef));
             }
         }
-        let mut obj_coef = vec![0i64; model.num_vars];
+        let mut obj_coef = vec![0i64; n];
+        let mut obj_start = vec![0usize; n + 1];
         for &Term { var, coef } in &model.objective {
             obj_coef[var] += i64::from(coef);
+            obj_start[var + 1] += 1;
         }
-        Problem { occurs, obj_coef }
+        for x in 0..n {
+            obj_start[x + 1] += obj_start[x];
+        }
+        let mut obj_terms: Vec<usize> = (0..model.objective.len()).collect();
+        obj_terms.sort_by_key(|&pos| model.objective[pos].var);
+        Problem {
+            occurs,
+            obj_coef,
+            obj_start,
+            obj_terms,
+        }
+    }
+}
+
+/// A set of objective-term positions: a bitset plus its size, so that a
+/// uniform draw in `0..len` picks the draw-th member in term order.
+struct TermSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl TermSet {
+    fn new(terms: usize) -> TermSet {
+        TermSet {
+            words: vec![0; terms.div_ceil(64)],
+            len: 0,
+        }
+    }
+
+    fn set(&mut self, pos: usize, member: bool) {
+        let (word, bit) = (&mut self.words[pos / 64], 1u64 << (pos % 64));
+        if (*word & bit != 0) != member {
+            *word ^= bit;
+            if member {
+                self.len += 1;
+            } else {
+                self.len -= 1;
+            }
+        }
+    }
+
+    /// The `k`-th member in ascending order; requires `k < len`.
+    fn nth(&self, mut k: usize) -> usize {
+        for (w, &word) in self.words.iter().enumerate() {
+            let ones = word.count_ones() as usize;
+            if k < ones {
+                let mut word = word;
+                for _ in 0..k {
+                    word &= word - 1;
+                }
+                return w * 64 + word.trailing_zeros() as usize;
+            }
+            k -= ones;
+        }
+        unreachable!("TermSet::nth past the last member")
+    }
+
+    /// Every member in ascending order.
+    #[cfg(any(test, feature = "wsat-paranoid"))]
+    fn members(&self) -> Vec<usize> {
+        (0..self.words.len() * 64)
+            .filter(|&p| self.words[p / 64] & (1u64 << (p % 64)) != 0)
+            .collect()
     }
 }
 
@@ -191,6 +260,15 @@ struct SearchState<'a> {
     occurs: &'a [Vec<(usize, i32)>],
     /// Objective coefficient of each variable.
     obj_coef: &'a [i64],
+    /// Objective-term positions of each variable (see [`Problem`]).
+    obj_start: &'a [usize],
+    obj_terms: &'a [usize],
+    /// Objective-term positions whose variable's flip improves the
+    /// objective. Patched in [`SearchState::flip`] alongside `vdelta`.
+    improving: TermSet,
+    /// The `improving` positions whose flip leaves the total violation
+    /// unchanged.
+    harmless: TermSet,
     /// Flip counter at the time each variable was last flipped.
     last_flip: Vec<u64>,
     /// Total violation.
@@ -209,6 +287,10 @@ impl<'a> SearchState<'a> {
             vdelta: vec![0; model.num_vars],
             occurs: &problem.occurs,
             obj_coef: &problem.obj_coef,
+            obj_start: &problem.obj_start,
+            obj_terms: &problem.obj_terms,
+            improving: TermSet::new(model.objective.len()),
+            harmless: TermSet::new(model.objective.len()),
             last_flip: vec![0; model.num_vars],
             total_violation: 0,
             objective: 0,
@@ -232,7 +314,25 @@ impl<'a> SearchState<'a> {
             }
         }
         state.objective = model.objective_value(&state.assign);
+        for var in 0..model.num_vars {
+            state.refresh_pools(var);
+        }
         state
+    }
+
+    /// Re-derives the pool membership of `var`'s objective terms from its
+    /// current objective and violation deltas.
+    fn refresh_pools(&mut self, var: usize) {
+        let terms = &self.obj_terms[self.obj_start[var]..self.obj_start[var + 1]];
+        if terms.is_empty() {
+            return;
+        }
+        let improving = self.objective_delta(var) > 0;
+        let harmless = improving && self.vdelta[var] == 0;
+        for &pos in terms {
+            self.improving.set(pos, improving);
+            self.harmless.set(pos, harmless);
+        }
     }
 
     /// Change in total violation if `var` were flipped (cached).
@@ -250,12 +350,13 @@ impl<'a> SearchState<'a> {
     }
 
     fn flip(&mut self, var: usize, flip_no: u64) {
+        let (model, occurs) = (self.model, self.occurs);
         let dir: i32 = if self.assign[var] { -1 } else { 1 };
         // The objective delta is defined relative to the pre-flip state.
         self.objective += self.objective_delta(var);
         self.assign[var] = !self.assign[var];
-        for &(ci, coef) in &self.occurs[var] {
-            let c = &self.model.constraints[ci];
+        for &(ci, coef) in &occurs[var] {
+            let c = &model.constraints[ci];
             let old_lhs = self.lhs[ci];
             let new_lhs = old_lhs + dir * coef;
             let old_v = violation_of(c.rel, old_lhs, c.rhs);
@@ -284,9 +385,14 @@ impl<'a> SearchState<'a> {
                 let old_du = if t.var == var { -du } else { du };
                 let old_contrib = violation_of(c.rel, old_lhs + old_du * t.coef, c.rhs) - old_v;
                 let new_contrib = violation_of(c.rel, new_lhs + du * t.coef, c.rhs) - new_v;
-                self.vdelta[t.var] += i64::from(new_contrib) - i64::from(old_contrib);
+                if new_contrib != old_contrib {
+                    self.vdelta[t.var] += i64::from(new_contrib) - i64::from(old_contrib);
+                    self.refresh_pools(t.var);
+                }
             }
         }
+        // The flip negated `var`'s objective delta.
+        self.refresh_pools(var);
         self.last_flip[var] = flip_no;
         self.paranoid_audit();
     }
@@ -312,6 +418,11 @@ impl<'a> SearchState<'a> {
             }
             assert_eq!(self.vdelta[var], delta, "stale vdelta for x{var}");
         }
+        let (improving, harmless) = scan_pools(self);
+        assert_eq!(self.improving.members(), improving, "stale improving pool");
+        assert_eq!(self.improving.len, improving.len());
+        assert_eq!(self.harmless.members(), harmless, "stale harmless pool");
+        assert_eq!(self.harmless.len, harmless.len());
     }
 
     #[cfg(not(feature = "wsat-paranoid"))]
@@ -409,7 +520,7 @@ fn run_try_from(
                 flips -= 1;
                 break;
             }
-            match pick_objective_move(&state, model, &mut rng) {
+            match pick_objective_move(&state, &mut rng) {
                 Some(v) => v,
                 None => {
                     flips -= 1;
@@ -628,31 +739,37 @@ fn pick_constraint_move(
     best_var.or_else(|| Some(terms[rng.random_range(0..terms.len())].var))
 }
 
-/// Chooses an objective-improving move when the state is feasible.
-fn pick_objective_move(state: &SearchState<'_>, model: &Model, rng: &mut StdRng) -> Option<usize> {
-    // Candidate moves: objective variables whose flip improves the
-    // objective.
-    let improving: Vec<usize> = model
-        .objective
-        .iter()
-        .map(|t| t.var)
-        .filter(|&v| state.objective_delta(v) > 0)
-        .collect();
-    if improving.is_empty() {
+/// Chooses an objective-improving move when the state is feasible: a
+/// uniform draw over the objective terms whose flip improves the
+/// objective, preferring those that also keep feasibility.
+fn pick_objective_move(state: &SearchState<'_>, rng: &mut StdRng) -> Option<usize> {
+    let pool = if state.harmless.len > 0 {
+        &state.harmless
+    } else {
+        &state.improving
+    };
+    if pool.len == 0 {
         return None;
     }
-    // Prefer a move that keeps feasibility if one exists.
+    let pos = pool.nth(rng.random_range(0..pool.len));
+    Some(state.model.objective[pos].var)
+}
+
+/// The improving and harmless objective-term positions, in term order,
+/// found by scanning every objective term — the construction the
+/// incremental pools replace, kept as their oracle.
+#[cfg(any(test, feature = "wsat-paranoid"))]
+fn scan_pools(state: &SearchState<'_>) -> (Vec<usize>, Vec<usize>) {
+    let objective = &state.model.objective;
+    let improving: Vec<usize> = (0..objective.len())
+        .filter(|&p| state.objective_delta(objective[p].var) > 0)
+        .collect();
     let harmless: Vec<usize> = improving
         .iter()
         .copied()
-        .filter(|&v| state.violation_delta(v) == 0)
+        .filter(|&p| state.violation_delta(objective[p].var) == 0)
         .collect();
-    let pool = if harmless.is_empty() {
-        &improving
-    } else {
-        &harmless
-    };
-    Some(pool[rng.random_range(0..pool.len())])
+    (improving, harmless)
 }
 
 /// The pre-overhaul sequential solver, kept verbatim as the `solvebench`
@@ -1053,7 +1170,6 @@ mod tests {
             ],
             rel: Relation::Le,
             rhs: 1,
-            label: String::new(),
         });
         let r = solve(&m, &cfg());
         assert!(r.feasible, "{r:?}");
@@ -1116,6 +1232,77 @@ mod tests {
             let r = solve_warm(&m, &WsatConfig { threads, ..cfg() }, &warm);
             assert_eq!(r, base, "warm result changed at threads={threads}");
         }
+    }
+
+    /// The scan-and-filter objective pick the incremental pools replaced.
+    fn scan_pick(state: &SearchState<'_>, rng: &mut StdRng) -> Option<usize> {
+        let (improving, harmless) = scan_pools(state);
+        let pool = if harmless.is_empty() {
+            &improving
+        } else {
+            &harmless
+        };
+        if pool.is_empty() {
+            return None;
+        }
+        Some(state.model.objective[pool[rng.random_range(0..pool.len())]].var)
+    }
+
+    #[test]
+    fn pool_pick_matches_scan_pick_at_every_objective_move() {
+        // The relaxed Superpages encoding, plus a model whose objective
+        // repeats a variable and carries a negative coefficient.
+        let obs = crate::encoder::tests::superpages_obs();
+        let mut relaxed = crate::encoder::encode(&obs, &Default::default());
+        relaxed.relax();
+        let mut dup = Model::new(6);
+        dup.add(Constraint::sum([0, 1, 2], Relation::Le, 1));
+        dup.add(Constraint::sum([2, 3], Relation::Eq, 1));
+        dup.add(Constraint::sum([3, 4, 5], Relation::Le, 2));
+        dup.maximize_sum([0, 1, 2, 3, 4, 5, 0, 4]);
+        dup.objective.push(crate::model::Term { var: 5, coef: -1 });
+        let mut objective_moves = 0;
+        for model in [&relaxed.model, &dup] {
+            let problem = Problem::new(model);
+            for seed in 0..8u64 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let init = (0..model.num_vars).map(|_| rng.random_bool(0.5)).collect();
+                let mut state = SearchState::new(model, &problem, init);
+                for flip_no in 1..=400u64 {
+                    let var = if state.violated.is_empty() {
+                        let mut scan_rng = rng.clone();
+                        let picked = pick_objective_move(&state, &mut rng);
+                        assert_eq!(picked, scan_pick(&state, &mut scan_rng), "seed {seed}");
+                        assert_eq!(
+                            rng.random_range(0..u64::MAX),
+                            scan_rng.random_range(0..u64::MAX)
+                        );
+                        match picked {
+                            Some(v) => {
+                                objective_moves += 1;
+                                v
+                            }
+                            // Local maximum: perturb and keep going.
+                            None => rng.random_range(0..model.num_vars),
+                        }
+                    } else {
+                        let ci = state.violated[rng.random_range(0..state.violated.len())];
+                        match pick_constraint_move(&state, ci, &cfg(), flip_no, 0, &mut rng) {
+                            Some(v) => v,
+                            None => continue,
+                        }
+                    };
+                    state.flip(var, flip_no);
+                    let (improving, harmless) = scan_pools(&state);
+                    assert_eq!(state.improving.members(), improving);
+                    assert_eq!(state.harmless.members(), harmless);
+                }
+            }
+        }
+        assert!(
+            objective_moves > 200,
+            "only {objective_moves} objective moves"
+        );
     }
 
     #[test]

@@ -1,12 +1,190 @@
 //! Property tests cross-checking the stochastic WSAT(OIP) solver against
-//! the exact branch-and-bound, and validating the ordered DP's invariants.
+//! the exact branch-and-bound, validating the ordered DP's invariants,
+//! and checking the encoder against its oracle.
+
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 
 use tableseg_csp::exact::{solve_bnb, solve_ordered, BnbOutcome};
 use tableseg_csp::model::{Constraint, Model, Relation, Term};
-use tableseg_csp::reduce_model;
 use tableseg_csp::wsat::{solve, WsatConfig};
+use tableseg_csp::{encode, reduce_model, EncodeOptions};
+use tableseg_extract::positions::position_groups;
+use tableseg_extract::{Extract, ObsItem, Observations, PagePos};
+
+/// One constraint row as the encoder oracle emits it.
+type Row = (Vec<Term>, Relation, i32);
+
+/// The encoder oracle: the direct construction of Sections 4.1–4.2, with
+/// a hash map from `(i, j)` to variables and, for every candidate pair, a
+/// scan of the extracts between them. Returns the variable layout, the
+/// rows and the objective of the strict (or relaxed) model.
+fn oracle_encode(
+    obs: &Observations,
+    relaxed: bool,
+    position_constraints: bool,
+) -> (Vec<(usize, u32)>, Vec<Row>, Vec<Term>) {
+    let mut vars = Vec::new();
+    let mut var_of = HashMap::new();
+    for (i, item) in obs.items.iter().enumerate() {
+        for &j in &item.pages {
+            var_of.insert((i, j), vars.len());
+            vars.push((i, j));
+        }
+    }
+    let unit = |vs: Vec<usize>| vs.into_iter().map(|var| Term { var, coef: 1 }).collect();
+    let eq = if relaxed { Relation::Le } else { Relation::Eq };
+    let mut rows: Vec<Row> = Vec::new();
+    for (i, item) in obs.items.iter().enumerate() {
+        rows.push((
+            unit(item.pages.iter().map(|&j| var_of[&(i, j)]).collect()),
+            eq,
+            1,
+        ));
+    }
+    for j in 0..obs.num_records as u32 {
+        let members: Vec<usize> = (0..obs.items.len())
+            .filter(|&i| obs.items[i].on_page(j))
+            .collect();
+        for (a, &k) in members.iter().enumerate() {
+            for &i in &members[a + 1..] {
+                if (k + 1..i).any(|n| !obs.items[n].on_page(j)) {
+                    rows.push((
+                        unit(vec![var_of[&(k, j)], var_of[&(i, j)]]),
+                        Relation::Le,
+                        1,
+                    ));
+                } else {
+                    for n in k + 1..i {
+                        let terms = vec![
+                            Term {
+                                var: var_of[&(k, j)],
+                                coef: 1,
+                            },
+                            Term {
+                                var: var_of[&(i, j)],
+                                coef: 1,
+                            },
+                            Term {
+                                var: var_of[&(n, j)],
+                                coef: -1,
+                            },
+                        ];
+                        rows.push((terms, Relation::Le, 1));
+                    }
+                }
+            }
+        }
+    }
+    if position_constraints {
+        for group in position_groups(obs) {
+            let vs = group
+                .extracts
+                .iter()
+                .map(|&i| var_of[&(i, group.page)])
+                .collect();
+            rows.push((unit(vs), eq, 1));
+        }
+    }
+    let objective = if relaxed {
+        unit((0..vars.len()).collect())
+    } else {
+        Vec::new()
+    };
+    (vars, rows, objective)
+}
+
+/// Asserts that `encode` (strict) and `encode` + `relax` (relaxed) match
+/// the oracle row for row.
+fn assert_encoder_matches_oracle(obs: &Observations, position_constraints: bool) {
+    let mut enc = encode(
+        obs,
+        &EncodeOptions {
+            position_constraints,
+        },
+    );
+    for relaxed in [false, true] {
+        if relaxed {
+            enc.relax();
+        }
+        let (vars, rows, objective) = oracle_encode(obs, relaxed, position_constraints);
+        assert_eq!(enc.vars, vars, "relaxed={relaxed}");
+        assert_eq!(enc.model.num_vars, vars.len());
+        let got: Vec<Row> = enc
+            .model
+            .constraints
+            .iter()
+            .map(|c| (c.terms.clone(), c.rel, c.rhs))
+            .collect();
+        assert_eq!(got.len(), rows.len(), "relaxed={relaxed}");
+        for (r, (g, o)) in got.iter().zip(&rows).enumerate() {
+            assert_eq!(g, o, "row {r}, relaxed={relaxed}");
+        }
+        assert_eq!(enc.model.objective, objective, "relaxed={relaxed}");
+    }
+}
+
+/// A random observation table: `D_i` drawn per extract, and one or two
+/// observed positions per candidate page from a narrow range, so that
+/// position groups form often.
+fn arb_observations() -> impl Strategy<Value = Observations> {
+    (1usize..6).prop_flat_map(|records| {
+        let item = (
+            proptest::collection::btree_set(0..records as u32, 0..=records),
+            proptest::collection::vec(0u32..3, 2),
+        );
+        proptest::collection::vec(item, 0..14).prop_map(move |items| Observations {
+            num_records: records,
+            items: items
+                .into_iter()
+                .enumerate()
+                .map(|(index, (pages, pos))| {
+                    let pages: Vec<u32> = pages.into_iter().collect();
+                    let positions = pages
+                        .iter()
+                        .enumerate()
+                        .flat_map(|(k, &page)| {
+                            let first = PagePos { page, pos: pos[0] };
+                            let second = PagePos {
+                                page,
+                                pos: pos[1] + 3,
+                            };
+                            std::iter::once(first).chain((k % 2 == 1).then_some(second))
+                        })
+                        .collect();
+                    let extract = Extract {
+                        index,
+                        tokens: Vec::new(),
+                        start: index,
+                    };
+                    ObsItem::new(extract, pages, positions)
+                })
+                .collect(),
+            skipped: Vec::new(),
+        })
+    })
+}
+
+/// The encoder matches its oracle on every list page of the twelve
+/// simulated paper sites.
+#[test]
+fn encoder_matches_oracle_on_paper_pages() {
+    let mut pages = 0;
+    for spec in tableseg_sitegen::paper_sites::all() {
+        let site = tableseg_sitegen::site::generate(&spec);
+        let template = tableseg::SiteTemplate::build(&site.list_htmls());
+        for (page, generated) in site.pages.iter().enumerate() {
+            let details: Vec<&str> = generated.detail_html.iter().map(String::as_str).collect();
+            let obs = tableseg::prepare_with_template(&template, page, &details).observations;
+            for position_constraints in [true, false] {
+                assert_encoder_matches_oracle(&obs, position_constraints);
+            }
+            pages += 1;
+        }
+    }
+    assert_eq!(pages, 24);
+}
 
 /// A random small pseudo-boolean model.
 fn arb_model() -> impl Strategy<Value = Model> {
@@ -49,12 +227,7 @@ fn arb_weighted_model() -> impl Strategy<Value = Model> {
                     .filter(|&(var, _)| !std::mem::replace(&mut seen[var], true))
                     .map(|(var, coef)| Term { var, coef })
                     .collect();
-                m.add(Constraint {
-                    terms,
-                    rel,
-                    rhs,
-                    label: String::new(),
-                });
+                m.add(Constraint { terms, rel, rhs });
             }
             m
         })
@@ -110,7 +283,6 @@ fn ordered_instance_model(cands: &[&[u32]]) -> (Model, Vec<(usize, u32)>) {
                             ],
                             rel: Relation::Le,
                             rhs: 1,
-                            label: String::new(),
                         });
                     }
                 } else {
@@ -145,6 +317,16 @@ fn ordered_instance_model(cands: &[&[u32]]) -> (Model, Vec<(usize, u32)>) {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The encoder matches its oracle row for row on random observation
+    /// tables, strict and relaxed, with and without position constraints.
+    #[test]
+    fn encoder_matches_oracle_on_random_tables(
+        obs in arb_observations(),
+        position_constraints in any::<bool>(),
+    ) {
+        assert_encoder_matches_oracle(&obs, position_constraints);
+    }
 
     /// If B&B proves the model satisfiable, WSAT must find a feasible
     /// assignment too (these models are tiny); if B&B proves infeasibility,
