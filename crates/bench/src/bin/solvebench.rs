@@ -3,7 +3,7 @@
 //! uncached WSAT, log-space EM) and the previous optimized generation
 //! (whole-instance cached-delta WSAT, unmemoized scaled EM) vs. the
 //! production solvers (reduced + warm-started component WSAT, memoized
-//! CSR E-step) — plus the corpus-wide per-stage totals of a full batch
+//! structured E-step) — plus the corpus-wide per-stage totals of a full batch
 //! run, with the solve stage split by method.
 //!
 //! Before anything is written, the batch run's Table 4 report is checked

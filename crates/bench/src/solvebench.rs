@@ -10,7 +10,7 @@
 //!   ` = false`;
 //! * **optimized** — the production path: instance reduction with
 //!   component decomposition and warm-started WSAT, plus the memoized
-//!   CSR E-step.
+//!   structured E-step.
 //!
 //! `solve_speedup` is optimized-vs-**prev** — the gain of the current
 //! round over the already-optimized solvers, not over the ancient

@@ -1,4 +1,7 @@
-//! The chain over `(R, C)` states and the log-space forward–backward pass.
+//! The chain over `(R, C)` states and its forward–backward passes: the
+//! production structured pass ([`forward_backward_struct`]), the scaled
+//! pass over the materialized chain ([`forward_backward_scaled`]) and the
+//! log-space oracle ([`forward_backward`]).
 //!
 //! This is the "variant of the forward-backward algorithm that exploits the
 //! hierarchical nature of the record segmentation problem" (Section 5.2.3):
@@ -392,12 +395,13 @@ pub fn forward_backward(chain: &Chain, emits: &[Vec<f64>], evidence: &[Evidence]
     }
 }
 
-/// Reusable flat arenas for the scaled forward–backward pass.
+/// Reusable flat arenas for the scaled forward–backward passes.
 ///
-/// Every table is a contiguous row-major `Vec<f64>` with stride
-/// `num_states` (`table[i * ns + s]`), sized once per instance and reused
-/// across EM iterations — after the first iteration no table grows (see
-/// the arena regression test in `tests/fb_props.rs`).
+/// Every per-extract table is a contiguous row-major `Vec<f64>` (stride
+/// `num_states`, or `num_columns` for `col_post`), sized once per
+/// instance and reused across EM iterations — after the first iteration
+/// no table grows (see the arena regression test in
+/// `tests/scaled_fb_props.rs`).
 #[derive(Debug, Clone, Default)]
 pub struct FbWorkspace {
     /// Linear emissions, each row scaled so its maximum is 1.
@@ -406,9 +410,12 @@ pub struct FbWorkspace {
     pub emit_scale: Vec<f64>,
     /// Scaled forward variables α̂.
     pub alpha: Vec<f64>,
-    /// Scaled backward variables β̂.
+    /// Scaled backward variables β̂ (filled by [`forward_backward_scaled`]
+    /// only; the structured pass keeps a single row).
     pub beta: Vec<f64>,
-    /// State posteriors γ (linear, each row sums to 1).
+    /// State posteriors γ, each row summing to 1 (filled by
+    /// [`forward_backward_scaled`] only; the structured pass keeps
+    /// per-column sums in `col_post`).
     pub gamma: Vec<f64>,
     /// Per-step normalizers `c_i` (the forward row sums before scaling).
     pub scale: Vec<f64>,
@@ -427,30 +434,26 @@ pub struct FbWorkspace {
     /// Memo occupancy: `memo_seen[key]` is `true` once `memo_col`'s row for
     /// `key` holds the current iteration's parameters.
     memo_seen: Vec<bool>,
-    /// CSR row offsets into the flattened edge arrays (`num_states + 1`).
-    edge_start: Vec<u32>,
-    /// CSR: target state per edge.
-    edge_to: Vec<u32>,
-    /// CSR: linear transition probability per edge.
-    edge_p: Vec<f64>,
-    /// CSR: packed [`EdgeKind`] — `from_c · k + to_c` for `Continue`,
-    /// `k² + from_c` for `NewRecord`, `u32::MAX` for `Fallback`.
-    edge_kind: Vec<u32>,
     /// Scratch for the structured pass: per-column hazard `hz(c)`.
     hz: Vec<f64>,
     /// Scratch: continue weights `(1 − hz(c)) · trans[c][c']`, row-major
-    /// `k × k`.
+    /// `k × k` (`cont[c * k + c']`).
     cont: Vec<f64>,
+    /// Scratch: `cont` transposed (`cont_t[c' * k + c]`), so the forward
+    /// pull over source columns reads one contiguous row.
+    cont_t: Vec<f64>,
     /// Scratch: `1 / Σ_{j<nk−r−1} q^j` per source record (0 for the last
     /// record, which has no record-boundary edges).
     skip_inv: Vec<f64>,
-    /// Scratch: the geometric record-boundary recurrence (`S` forward,
-    /// `T` backward), one slot per record.
+    /// Scratch: the backward sweep's record-boundary term per source
+    /// record, `skip_inv(r) · T(r)` with `T` the suffix flow.
     rec_flow: Vec<f64>,
-    /// Scratch: per-record boundary mass `m(r)` feeding the recurrence.
-    rec_mass: Vec<f64>,
-    /// Scratch: per-column posterior sums for one extract.
-    col_gamma: Vec<f64>,
+    /// Scratch: the structured pass's one β̂ row, overwritten in place
+    /// from extract `n − 1` down to 0.
+    beta_row: Vec<f64>,
+    /// Per-extract column posteriors `Σ_r γ_i(r, c)`, row-major `n × k`
+    /// (structured pass).
+    col_post: Vec<f64>,
 }
 
 /// Number of distinct [`TypeSet`](tableseg_html::TypeSet) bit patterns
@@ -463,18 +466,15 @@ impl FbWorkspace {
         FbWorkspace::default()
     }
 
-    /// Sizes every table for `n` extracts, `ns` states and `k` columns,
-    /// reusing existing capacity.
+    /// Sizes the emission and forward tables for `n` extracts, `ns` states
+    /// and `k` columns, reusing existing capacity. Each pass sizes its own
+    /// backward and posterior tables.
     pub fn prepare(&mut self, n: usize, ns: usize, k: usize) {
         let cells = n * ns;
         self.emits.clear();
         self.emits.resize(cells, 0.0);
         self.alpha.clear();
         self.alpha.resize(cells, 0.0);
-        self.beta.clear();
-        self.beta.resize(cells, 0.0);
-        self.gamma.clear();
-        self.gamma.resize(cells, 0.0);
         self.emit_scale.clear();
         self.emit_scale.resize(n, 0.0);
         self.scale.clear();
@@ -490,30 +490,6 @@ impl FbWorkspace {
         self.counts.reset(k);
     }
 
-    /// Flattens the chain's per-state edge lists into the CSR arrays,
-    /// preserving edge order exactly (the flat pass must accumulate in the
-    /// same order as the nested one to stay bit-identical).
-    fn build_csr(&mut self, chain: &Chain) {
-        let k = chain.dims.num_columns;
-        self.edge_start.clear();
-        self.edge_to.clear();
-        self.edge_p.clear();
-        self.edge_kind.clear();
-        self.edge_start.push(0);
-        for out in &chain.edges {
-            for e in out {
-                self.edge_to.push(e.to as u32);
-                self.edge_p.push(e.p);
-                self.edge_kind.push(match e.kind {
-                    EdgeKind::Continue { from_c, to_c } => (from_c * k + to_c) as u32,
-                    EdgeKind::NewRecord { from_c } => (k * k + from_c) as u32,
-                    EdgeKind::Fallback => u32::MAX,
-                });
-            }
-            self.edge_start.push(self.edge_to.len() as u32);
-        }
-    }
-
     /// Total reserved capacity of the per-extract tables, in `f64` cells —
     /// the regression-test observable for "the arena stops growing".
     pub fn table_capacity(&self) -> usize {
@@ -523,6 +499,8 @@ impl FbWorkspace {
             + self.gamma.capacity()
             + self.emit_scale.capacity()
             + self.scale.capacity()
+            + self.beta_row.capacity()
+            + self.col_post.capacity()
     }
 }
 
@@ -643,6 +621,10 @@ pub fn forward_backward_scaled(chain: &Chain, ws: &mut FbWorkspace, evidence: &[
         ws.counts.reset(k);
         return 0.0;
     }
+    ws.beta.clear();
+    ws.beta.resize(n * ns, 0.0);
+    ws.gamma.clear();
+    ws.gamma.resize(n * ns, 0.0);
 
     // Forward.
     for s in 0..ns {
@@ -738,125 +720,16 @@ pub fn forward_backward_scaled(chain: &Chain, ws: &mut FbWorkspace, evidence: &[
     log_likelihood
 }
 
-/// [`forward_backward_scaled`] over a flattened CSR copy of the chain:
-/// the per-state `Vec<Edge>` lists become four contiguous arrays walked by
-/// index, the γ rows are computed as a flat elementwise product, and the
-/// count loops index `(r, c)` blocks directly instead of unpacking each
-/// state. Every accumulation runs in the same order as the nested pass, so
-/// the results are bit-identical — pinned by the differential test below.
-pub fn forward_backward_flat(chain: &Chain, ws: &mut FbWorkspace, evidence: &[Evidence]) -> f64 {
-    let n = evidence.len();
-    let ns = chain.dims.num_states();
-    let k = chain.dims.num_columns;
-    let nr = chain.dims.num_records;
-    debug_assert_eq!(ws.emits.len(), n * ns, "emissions must be filled first");
-    if n == 0 {
-        ws.counts.reset(k);
-        return 0.0;
-    }
-    ws.build_csr(chain);
-
-    // Forward.
-    for s in 0..ns {
-        ws.alpha[s] = chain.init_linear[s] * ws.emits[s];
-    }
-    normalize_step(&mut ws.alpha[..ns], &mut ws.scale[0]);
-    for i in 1..n {
-        let (prev_rows, cur_rows) = ws.alpha.split_at_mut(i * ns);
-        let prev = &prev_rows[(i - 1) * ns..];
-        let cur = &mut cur_rows[..ns];
-        cur.fill(0.0);
-        for (s, &a) in prev.iter().enumerate() {
-            if a == 0.0 {
-                continue;
-            }
-            let (lo, hi) = (ws.edge_start[s] as usize, ws.edge_start[s + 1] as usize);
-            for (&to, &p) in ws.edge_to[lo..hi].iter().zip(&ws.edge_p[lo..hi]) {
-                cur[to as usize] += a * p;
-            }
-        }
-        let emit_row = &ws.emits[i * ns..(i + 1) * ns];
-        for (slot, &em) in cur.iter_mut().zip(emit_row) {
-            *slot *= em;
-        }
-        normalize_step(cur, &mut ws.scale[i]);
-    }
-    let log_likelihood: f64 =
-        ws.scale.iter().map(|c| c.ln()).sum::<f64>() + ws.emit_scale.iter().sum::<f64>();
-
-    // Backward sweep with edge-posterior accumulation (see
-    // [`forward_backward_scaled`] for the recurrences).
-    ws.counts.reset(k);
-    ws.beta[(n - 1) * ns..].fill(1.0);
-    let kk = (k * k) as u32;
-    for i in (0..n - 1).rev() {
-        let inv_c = 1.0 / ws.scale[i + 1];
-        for t in 0..ns {
-            ws.tmp[t] = ws.emits[(i + 1) * ns + t] * ws.beta[(i + 1) * ns + t] * inv_c;
-        }
-        for s in 0..ns {
-            let (lo, hi) = (ws.edge_start[s] as usize, ws.edge_start[s + 1] as usize);
-            let mut b = 0.0;
-            for (&to, &p) in ws.edge_to[lo..hi].iter().zip(&ws.edge_p[lo..hi]) {
-                b += p * ws.tmp[to as usize];
-            }
-            ws.beta[i * ns + s] = b;
-            let a = ws.alpha[i * ns + s];
-            if a == 0.0 {
-                continue;
-            }
-            for j in lo..hi {
-                let xi = a * ws.edge_p[j] * ws.tmp[ws.edge_to[j] as usize];
-                if xi <= 0.0 {
-                    continue;
-                }
-                let code = ws.edge_kind[j];
-                if code < kk {
-                    let (fc, tc) = ((code / k as u32) as usize, (code % k as u32) as usize);
-                    ws.counts.trans[fc][tc] += xi;
-                    ws.counts.cont[fc] += xi;
-                } else if code != u32::MAX {
-                    ws.counts.end[(code - kk) as usize] += xi;
-                }
-            }
-        }
-    }
-
-    // Posteriors as one flat elementwise product per extract, then node
-    // counts walked in `(r, c)` block order (the same state order as the
-    // nested pass).
-    for (i, ev) in evidence.iter().enumerate() {
-        let feats = ev.features();
-        let row = i * ns;
-        for s in 0..ns {
-            ws.gamma[row + s] = ws.alpha[row + s] * ws.beta[row + s];
-        }
-        let mut s = row;
-        for _r in 0..nr {
-            for c in 0..k {
-                let g = ws.gamma[s];
-                s += 1;
-                if g > 0.0 {
-                    ws.counts.col[c] += g;
-                    for (t, &on) in feats.iter().enumerate() {
-                        if on {
-                            ws.counts.types[c][t] += g;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    // The last extract ends its record at its column.
-    let last = (n - 1) * ns;
-    for r in 0..nr {
-        for c in 0..k {
-            ws.counts.end[c] += ws.gamma[last + r * k + c];
-        }
-    }
-
-    log_likelihood
-}
+/// Scaled mass below which the structured pass flushes a cell to exactly
+/// zero: each forward α̂ cell after its row is normalized (the row sums to
+/// 1), and each backward `tmp` cell. Such a cell sits about 134 orders of
+/// magnitude below its row's f64 resolution. Kept, it only decays further
+/// — records the page has passed hold mass through the fallback times ε
+/// at every step — into subnormal products, each of which costs the CPU
+/// a microcode assist. The EM golden (`tests/golden/em_paper.txt`) pins
+/// every paper page's EM outcome to the bit with the flush in place, and
+/// the differential tests pin the flushed pass to the log-space oracle.
+const NEGLIGIBLE: f64 = 1e-150;
 
 /// The scaled forward–backward pass computed from the transition
 /// *structure* instead of materialized edges.
@@ -877,14 +750,27 @@ pub fn forward_backward_flat(chain: &Chain, ws: &mut FbWorkspace, evidence: &[Ev
 /// `O(ns)` fallback self-loops. The backward sweep uses the mirrored
 /// suffix recurrence `T(r) = tmp(r+1, 0) + q · T(r+1)`, which also
 /// collapses the per-state boundary ξ sum (all targets share `from_c`,
-/// so only the total ever reaches the M-step counts). Node counts
-/// accumulate per-extract column sums first and fan out to the type
-/// counts once per column.
+/// so only the total ever reaches the M-step counts).
+///
+/// Both sweeps are fused per record. The forward step *pulls* each
+/// `(r, c′)` from its fallback term plus `Σ_{c<c′} α̂(r, c) · cont(c, c′)`
+/// in ascending `c` (the addition order of a push over source states),
+/// and runs the boundary flow, the emission multiply and the row sum in
+/// the same loop. The backward sweep keeps one β̂ row, accumulates edge
+/// counts straight into the workspace's count tables, and folds each
+/// extract's posteriors into per-column sums `col_post` as it goes; node
+/// counts then fan out to the type counts once per column. Cells below
+/// `NEGLIGIBLE` (1e-150) are flushed to zero, and the records a flush has
+/// emptied — passed records in the forward sweep, records too far ahead
+/// in the backward one — are skipped, since every product they would
+/// add is +0.0.
 ///
 /// Algebraically identical to [`forward_backward_scaled`] on the chain
 /// built from the same `(dims, params, opts)`; floating-point results
-/// differ only by summation order (the differential tests below pin the
-/// agreement). Expects the emission arena to be filled first.
+/// differ by summation order and the flush (the differential tests pin
+/// the agreement to 1e-9). Expects the emission arena to be filled
+/// first. Expected counts land in `ws.counts`; returns the
+/// log-likelihood.
 pub fn forward_backward_struct(
     dims: Dims,
     params: &Params,
@@ -899,37 +785,56 @@ pub fn forward_backward_struct(
     let q = opts.skip_penalty;
     let fb = LOG_FALLBACK.exp();
     debug_assert_eq!(ws.emits.len(), n * ns, "emissions must be filled first");
+    ws.counts.reset(k);
     if n == 0 {
-        ws.counts.reset(k);
         return 0.0;
     }
+    let FbWorkspace {
+        emits,
+        emit_scale,
+        alpha,
+        scale,
+        counts,
+        tmp,
+        hz,
+        cont,
+        cont_t,
+        skip_inv,
+        rec_flow,
+        beta_row,
+        col_post,
+        ..
+    } = ws;
 
-    // Per-iteration structure tables: hazards, continue weights, inverse
-    // skip normalizers.
-    ws.hz.clear();
-    ws.hz
-        .extend((0..k).map(|c| params.hazard_for(c, opts.period_model)));
-    ws.cont.clear();
-    ws.cont.resize(k * k, 0.0);
+    // Per-iteration structure tables: hazards, continue weights (both
+    // orientations), inverse skip normalizers.
+    hz.clear();
+    hz.extend((0..k).map(|c| params.hazard_for(c, opts.period_model)));
+    cont.clear();
+    cont.resize(k * k, 0.0);
+    cont_t.clear();
+    cont_t.resize(k * k, 0.0);
     for c in 0..k {
         for cp in c + 1..k {
-            ws.cont[c * k + cp] = (1.0 - ws.hz[c]) * params.trans[c][cp];
+            let w = (1.0 - hz[c]) * params.trans[c][cp];
+            cont[c * k + cp] = w;
+            cont_t[cp * k + c] = w;
         }
     }
-    ws.skip_inv.clear();
-    ws.skip_inv.resize(nk, 0.0);
+    skip_inv.clear();
+    skip_inv.resize(nk, 0.0);
     // skip_total(r) = Σ_{j=0}^{nk−r−2} q^j by suffix recurrence.
     let mut total = 0.0f64;
     for r in (0..nk.saturating_sub(1)).rev() {
         total = 1.0 + q * total;
-        ws.skip_inv[r] = 1.0 / total;
+        skip_inv[r] = 1.0 / total;
     }
-    ws.rec_flow.clear();
-    ws.rec_flow.resize(nk, 0.0);
-    ws.rec_mass.clear();
-    ws.rec_mass.resize(nk, 0.0);
-    ws.col_gamma.clear();
-    ws.col_gamma.resize(k, 0.0);
+    rec_flow.clear();
+    rec_flow.resize(nk, 0.0);
+    beta_row.clear();
+    beta_row.resize(ns, 1.0);
+    col_post.clear();
+    col_post.resize(n * k, 0.0);
 
     // Forward. The initial distribution is the geometric over skipped
     // leading records, mass only at the `(r, 0)` states.
@@ -939,131 +844,168 @@ pub fn forward_backward_struct(
         init_total += w;
         w *= q;
     }
-    ws.alpha[..ns].fill(0.0);
+    let first = &mut alpha[..ns];
+    first.fill(0.0);
     let mut w = 1.0;
     for r in 0..nk {
-        ws.alpha[r * k] = w / init_total * ws.emits[r * k];
+        first[r * k] = w / init_total * emits[r * k];
         w *= q;
     }
-    normalize_step(&mut ws.alpha[..ns], &mut ws.scale[0]);
+    let sum = first.iter().sum();
+    scale[0] = normalize_flush(first, sum);
+    // Records before `lo` hold no mass: every cell was flushed, and a
+    // record draws only on itself and on earlier records, so they stay
+    // zero and each step skips them (their products and row-sum terms
+    // would all be +0.0).
+    let mut lo = first_live_record(first, k, nk);
     for i in 1..n {
-        let (prev_rows, cur_rows) = ws.alpha.split_at_mut(i * ns);
+        let (prev_rows, cur_rows) = alpha.split_at_mut(i * ns);
         let prev = &prev_rows[(i - 1) * ns..];
         let cur = &mut cur_rows[..ns];
-        // Fallback self-loops seed the row; everything else accumulates.
-        for (slot, &a) in cur.iter_mut().zip(prev.iter()) {
-            *slot = a * fb;
-        }
-        for r in 0..nk {
-            let row = &prev[r * k..(r + 1) * k];
-            let mut boundary = 0.0;
-            for (c, &a) in row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
+        let emit_row = &emits[i * ns..(i + 1) * ns];
+        cur[..lo * k].fill(0.0);
+        // `flow` is S(r), the boundary mass entering `(r, 0)`.
+        let mut flow = 0.0;
+        let mut sum = 0.0;
+        for r in lo..nk {
+            let a = &prev[r * k..(r + 1) * k];
+            let em = &emit_row[r * k..(r + 1) * k];
+            let out = &mut cur[r * k..(r + 1) * k];
+            let v = (a[0] * fb + flow) * em[0];
+            out[0] = v;
+            sum += v;
+            for cp in 1..k {
+                let mut acc = a[cp] * fb;
+                for (&x, &wt) in a[..cp].iter().zip(&cont_t[cp * k..cp * k + cp]) {
+                    acc += x * wt;
                 }
-                boundary += a * ws.hz[c];
-                let cont = &ws.cont[c * k..(c + 1) * k];
-                for cp in c + 1..k {
-                    cur[r * k + cp] += a * cont[cp];
-                }
+                let v = acc * em[cp];
+                out[cp] = v;
+                sum += v;
             }
-            ws.rec_mass[r] = boundary * ws.skip_inv[r];
+            let mut boundary = 0.0;
+            for (&x, &h) in a.iter().zip(hz.iter()) {
+                boundary += x * h;
+            }
+            flow = q * flow + boundary * skip_inv[r];
         }
-        let mut s = 0.0;
-        for rp in 1..nk {
-            s = q * s + ws.rec_mass[rp - 1];
-            cur[rp * k] += s;
-        }
-        let emit_row = &ws.emits[i * ns..(i + 1) * ns];
-        for (slot, &em) in cur.iter_mut().zip(emit_row) {
-            *slot *= em;
-        }
-        normalize_step(cur, &mut ws.scale[i]);
+        scale[i] = normalize_flush(&mut cur[lo * k..], sum);
+        lo = first_live_record(cur, k, nk);
     }
     let log_likelihood: f64 =
-        ws.scale.iter().map(|c| c.ln()).sum::<f64>() + ws.emit_scale.iter().sum::<f64>();
+        scale.iter().map(|c| c.ln()).sum::<f64>() + emit_scale.iter().sum::<f64>();
 
-    // Backward sweep with edge-posterior accumulation (recurrences as in
-    // [`forward_backward_scaled`]; boundary edges via the suffix flow).
-    ws.counts.reset(k);
-    ws.beta[(n - 1) * ns..].fill(1.0);
+    // Backward sweep with edge-posterior accumulation: with
+    // tmp[t] = b_{i+1}(t) · β̂_{i+1}(t) / c_{i+1}, both
+    // β̂_i(s) = Σ_e p_e · tmp[e.to] and ξ_i(s, e.to) = α̂_i(s) · p_e · tmp[e.to];
+    // boundary edges go through the suffix flow T. Records from `hi` on
+    // have all-zero `tmp` cells: every cell was flushed, and β̂ of a
+    // record draws only on itself and on later records, so they stay
+    // zero and each step skips them.
+    let mut hi = nk;
     for i in (0..n - 1).rev() {
-        let inv_c = 1.0 / ws.scale[i + 1];
-        for t in 0..ns {
-            ws.tmp[t] = ws.emits[(i + 1) * ns + t] * ws.beta[(i + 1) * ns + t] * inv_c;
+        let inv_c = 1.0 / scale[i + 1];
+        let live = hi * k;
+        for ((t, &em), &b) in tmp[..live]
+            .iter_mut()
+            .zip(&emits[(i + 1) * ns..(i + 1) * ns + live])
+            .zip(&beta_row[..live])
+        {
+            let v = em * b * inv_c;
+            *t = if v < NEGLIGIBLE { 0.0 } else { v };
         }
-        // T(r) = Σ_{r' > r} q^{r'−r−1} · tmp(r', 0).
+        hi = tmp[..live]
+            .iter()
+            .rposition(|&x| x != 0.0)
+            .map_or(0, |p| p / k + 1);
+        // `rec_flow[r]` = skip_inv(r) · T(r), T(r) = Σ_{r' > r} q^{r'−r−1} · tmp(r', 0).
         let mut t_flow = 0.0;
-        for r in (0..nk).rev() {
-            ws.rec_flow[r] = t_flow;
-            t_flow = ws.tmp[r * k] + q * t_flow;
+        for r in (0..hi).rev() {
+            rec_flow[r] = skip_inv[r] * t_flow;
+            t_flow = tmp[r * k] + q * t_flow;
         }
-        for r in 0..nk {
-            let boundary = ws.skip_inv[r] * ws.rec_flow[r];
-            for c in 0..k {
-                let s = r * k + c;
-                let cont = &ws.cont[c * k..(c + 1) * k];
-                let tmp_row = &ws.tmp[r * k..(r + 1) * k];
+        // Column-major over the live records, so each column's count
+        // accumulators stay in registers; every accumulator still sums
+        // in ascending record, then target-column order.
+        let a_row = &alpha[i * ns..(i + 1) * ns];
+        let post = &mut col_post[i * k..(i + 1) * k];
+        for c in 0..k {
+            let w = &cont[c * k + c + 1..(c + 1) * k];
+            let trans_row = &mut counts.trans[c][c + 1..];
+            let h = hz[c];
+            let mut xi_cont = counts.cont[c];
+            let mut xi_end = counts.end[c];
+            let mut g = post[c];
+            for r in 0..hi {
+                let boundary = rec_flow[r];
+                let t_row = &tmp[r * k..(r + 1) * k];
+                let a = a_row[r * k + c];
                 let mut b = 0.0;
-                for cp in c + 1..k {
-                    b += cont[cp] * tmp_row[cp];
+                let targets = w.iter().zip(&t_row[c + 1..]).zip(trans_row.iter_mut());
+                for ((&wt, &t), xi_trans) in targets {
+                    b += wt * t;
+                    let xi = a * wt * t;
+                    *xi_trans += xi;
+                    xi_cont += xi;
                 }
-                b += ws.hz[c] * boundary;
-                b += fb * tmp_row[c];
-                ws.beta[i * ns + s] = b;
-                let a = ws.alpha[i * ns + s];
-                if a == 0.0 {
-                    continue;
-                }
-                for cp in c + 1..k {
-                    let xi = a * cont[cp] * tmp_row[cp];
-                    if xi > 0.0 {
-                        ws.counts.trans[c][cp] += xi;
-                        ws.counts.cont[c] += xi;
-                    }
-                }
-                let xi_boundary = a * ws.hz[c] * boundary;
-                if xi_boundary > 0.0 {
-                    ws.counts.end[c] += xi_boundary;
-                }
+                b += h * boundary;
+                b += fb * t_row[c];
+                beta_row[r * k + c] = b;
+                xi_end += a * h * boundary;
+                g += a * b;
             }
+            counts.cont[c] = xi_cont;
+            counts.end[c] = xi_end;
+            post[c] = g;
         }
     }
 
-    // Posteriors, then node counts via per-extract column sums: the type
-    // fan-out runs once per column instead of once per state.
-    for (i, ev) in evidence.iter().enumerate() {
-        let feats = ev.features();
-        let row = i * ns;
-        for s in 0..ns {
-            ws.gamma[row + s] = ws.alpha[row + s] * ws.beta[row + s];
-        }
-        ws.col_gamma.fill(0.0);
-        for r in 0..nk {
-            for c in 0..k {
-                ws.col_gamma[c] += ws.gamma[row + r * k + c];
-            }
-        }
-        for (c, &g) in ws.col_gamma.iter().enumerate() {
-            if g > 0.0 {
-                ws.counts.col[c] += g;
-                for (t, &on) in feats.iter().enumerate() {
-                    if on {
-                        ws.counts.types[c][t] += g;
-                    }
-                }
-            }
-        }
-    }
-    // The last extract ends its record at its column.
-    let last = (n - 1) * ns;
+    // The last extract's β̂ is 1, so its posteriors are its α̂ row; it
+    // ends its record at its column.
+    let last = &alpha[(n - 1) * ns..];
+    let post = &mut col_post[(n - 1) * k..];
     for r in 0..nk {
         for c in 0..k {
-            ws.counts.end[c] += ws.gamma[last + r * k + c];
+            let g = last[r * k + c];
+            post[c] += g;
+            counts.end[c] += g;
+        }
+    }
+    // Node counts from the per-extract column sums: the type fan-out runs
+    // once per column instead of once per state.
+    for (ev, post) in evidence.iter().zip(col_post.chunks_exact(k)) {
+        let feats = ev.features();
+        for (c, &g) in post.iter().enumerate() {
+            counts.col[c] += g;
+            for (t, &on) in feats.iter().enumerate() {
+                if on {
+                    counts.types[c][t] += g;
+                }
+            }
         }
     }
 
     log_likelihood
+}
+
+/// The first record with a nonzero cell in one scaled row (`nk` if none).
+#[inline]
+fn first_live_record(row: &[f64], k: usize, nk: usize) -> usize {
+    row.iter().position(|&x| x != 0.0).map_or(nk, |p| p / k)
+}
+
+/// Divides one α̂ row by its precomputed `sum` and flushes cells below
+/// [`NEGLIGIBLE`] to zero; returns the step's normalizer. A zero row
+/// (impossible while the fallback edge exists) normalizes by 1 to keep
+/// the pass finite.
+#[inline]
+fn normalize_flush(row: &mut [f64], sum: f64) -> f64 {
+    let c = if sum > 0.0 { sum } else { 1.0 };
+    for x in row.iter_mut() {
+        let v = *x / c;
+        *x = if v < NEGLIGIBLE { 0.0 } else { v };
+    }
+    c
 }
 
 /// Divides one α row by its sum, recording the sum as that step's
@@ -1231,45 +1173,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_pass_is_bit_identical_to_scaled() {
-        let (ev, dims, params, opts) = small_setup();
-        let chain = build_chain(dims, &params, &opts);
-
-        let mut scaled = FbWorkspace::new();
-        emissions_into(&ev, &params, dims, &opts, &mut scaled);
-        let ll_scaled = forward_backward_scaled(&chain, &mut scaled, &ev);
-
-        let mut flat = FbWorkspace::new();
-        emissions_into_memoized(&ev, &params, dims, &opts, &mut flat);
-        let ll_flat = forward_backward_flat(&chain, &mut flat, &ev);
-
-        assert_eq!(ll_scaled.to_bits(), ll_flat.to_bits());
-        for (a, b) in scaled.gamma.iter().zip(&flat.gamma) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        let pairs = [
-            (&scaled.counts.col, &flat.counts.col),
-            (&scaled.counts.end, &flat.counts.end),
-            (&scaled.counts.cont, &flat.counts.cont),
-        ];
-        for (a, b) in pairs {
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-        for (ra, rb) in scaled.counts.trans.iter().zip(&flat.counts.trans) {
-            for (x, y) in ra.iter().zip(rb) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-        for (ra, rb) in scaled.counts.types.iter().zip(&flat.counts.types) {
-            for (x, y) in ra.iter().zip(rb) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn struct_pass_matches_scaled_within_rounding() {
         let (ev, dims, params, opts) = small_setup();
         let chain = build_chain(dims, &params, &opts);
@@ -1286,9 +1189,6 @@ mod tests {
         // so agreement is to rounding, not to the bit.
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0);
         assert!(close(ll_scaled, ll_struct), "{ll_scaled} vs {ll_struct}");
-        for (a, b) in scaled.gamma.iter().zip(&st.gamma) {
-            assert!(close(*a, *b), "{a} vs {b}");
-        }
         let pairs = [
             (&scaled.counts.col, &st.counts.col),
             (&scaled.counts.end, &st.counts.end),
@@ -1309,37 +1209,6 @@ mod tests {
                 assert!(close(*x, *y), "{x} vs {y}");
             }
         }
-    }
-
-    #[test]
-    fn csr_packing_round_trips_edge_kinds() {
-        let (_, dims, params, opts) = small_setup();
-        let chain = build_chain(dims, &params, &opts);
-        let mut ws = FbWorkspace::new();
-        ws.prepare(1, dims.num_states(), dims.num_columns);
-        ws.build_csr(&chain);
-        let k = dims.num_columns as u32;
-        let mut j = 0;
-        for out in &chain.edges {
-            for e in out {
-                assert_eq!(ws.edge_to[j] as usize, e.to);
-                assert_eq!(ws.edge_p[j].to_bits(), e.p.to_bits());
-                let code = ws.edge_kind[j];
-                match e.kind {
-                    EdgeKind::Continue { from_c, to_c } => {
-                        assert_eq!(code, from_c as u32 * k + to_c as u32);
-                        assert!(code < k * k);
-                    }
-                    EdgeKind::NewRecord { from_c } => {
-                        assert_eq!(code, k * k + from_c as u32);
-                    }
-                    EdgeKind::Fallback => assert_eq!(code, u32::MAX),
-                }
-                j += 1;
-            }
-        }
-        assert_eq!(j, ws.edge_to.len());
-        assert_eq!(*ws.edge_start.last().unwrap() as usize, j);
     }
 
     #[test]

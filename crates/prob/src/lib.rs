@@ -21,10 +21,13 @@
 //!   length into a duration distribution whose hazard drives the
 //!   start-of-record transitions ([`params::Params::hazard`]).
 //!
-//! Learning is EM with a log-space forward–backward pass
-//! ([`forward_backward`], [`em`]); the final segmentation is the Viterbi
-//! MAP assignment of `(R, C)` ([`viterbi`]), which also yields the *column
-//! extraction* of Section 3.4.
+//! Learning is EM with a scaled linear-space forward–backward pass that
+//! walks the chain's transition structure instead of materialized edges
+//! ([`forward_backward::forward_backward_struct`], [`em`]); the log-space
+//! pass ([`forward_backward::forward_backward`]) is its differential
+//! oracle. The final segmentation is the Viterbi MAP assignment of
+//! `(R, C)` ([`viterbi`]), which also yields the *column extraction* of
+//! Section 3.4.
 //!
 //! Unlike the CSP, impossible record assignments (`r ∉ D_i`) get a small
 //! probability ε rather than zero — this is exactly why "the probabilistic
@@ -63,10 +66,15 @@ pub struct ProbOptions {
     /// differential oracle for the scaled implementation and as the
     /// `solvebench` baseline.
     pub log_space: bool,
-    /// Memoize per-type-vector emission rows and run the forward–backward
-    /// inner loops over the flattened CSR chain. Bit-identical to the
-    /// unmemoized scaled pass; `false` restores it (the `solvebench`
-    /// prev leg). Ignored when `log_space` is set.
+    /// Memoize per-type-vector emission rows and run the structured
+    /// E-step ([`forward_backward::forward_backward_struct`]); `false`
+    /// runs the scaled pass over the materialized chain instead (the
+    /// `solvebench` prev leg). The two differ in summation order and in
+    /// the structured pass's flush of negligible scaled mass. Tests pin
+    /// both to the log-space oracle within 1e-9 (log-likelihood and every
+    /// expected count), their EM outcomes to the bit on small fixtures,
+    /// and their decoded segmentations to each other on the paper corpus
+    /// (`solvebench`). Ignored when `log_space` is set.
     #[serde(default = "default_memo_e_step")]
     pub memo_e_step: bool,
 }

@@ -1,14 +1,17 @@
 //! Differential property tests for the scaled linear-space inference
-//! path: the production `emissions_into` + `forward_backward_scaled` +
-//! `viterbi_scaled` pipeline against the log-space originals, plus the
-//! arena-reuse regression of the workspace.
+//! paths against the log-space oracle: the production structured E-step
+//! (`emissions_into_memoized` + `forward_backward_struct`, negligible-mass
+//! flush included), the chain pass (`emissions_into` +
+//! `forward_backward_scaled`) and `viterbi_scaled`; plus the arena-reuse
+//! regression of the workspace.
 
 use proptest::prelude::*;
 
 use tableseg_html::TypeSet;
 use tableseg_prob::forward_backward::{
-    build_chain, emissions_into, forward_backward, forward_backward_scaled, log_emissions,
-    refresh_chain, FbWorkspace,
+    build_chain, emissions_into, emissions_into_memoized, forward_backward,
+    forward_backward_scaled, forward_backward_struct, log_emissions, refresh_chain, Counts,
+    FbResult, FbWorkspace,
 };
 use tableseg_prob::model::{Dims, Evidence};
 use tableseg_prob::params::Params;
@@ -40,6 +43,31 @@ fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
 }
 
+/// Log-likelihood and every expected count of a scaled pass within
+/// [`close`] of the log-space oracle's; the first mismatch, if any.
+fn counts_mismatch(ll: f64, counts: &Counts, oracle: &FbResult) -> Option<String> {
+    if !close(ll, oracle.log_likelihood) {
+        return Some(format!("ll {ll} vs {}", oracle.log_likelihood));
+    }
+    let flat = |c: &Counts| -> Vec<(&'static str, f64)> {
+        let mut v = Vec::new();
+        v.extend(c.col.iter().map(|&x| ("col", x)));
+        v.extend(c.types.iter().flatten().map(|&x| ("types", x)));
+        v.extend(c.trans.iter().flatten().map(|&x| ("trans", x)));
+        v.extend(c.end.iter().map(|&x| ("end", x)));
+        v.extend(c.cont.iter().map(|&x| ("cont", x)));
+        v
+    };
+    let (got, want) = (flat(counts), flat(&oracle.counts));
+    if got.len() != want.len() {
+        return Some(format!("{} counts vs {}", got.len(), want.len()));
+    }
+    got.iter()
+        .zip(&want)
+        .find(|((_, a), (_, b))| !close(*a, *b))
+        .map(|((name, a), (_, b))| format!("{name} count {a} vs {b}"))
+}
+
 /// One EM iteration's worth of parameter drift, so differential checks
 /// also run on non-uniform parameters.
 fn drifted_params(ev: &[Evidence], dims: Dims, opts: &ProbOptions) -> Params {
@@ -55,6 +83,25 @@ fn drifted_params(ev: &[Evidence], dims: Dims, opts: &ProbOptions) -> Params {
         &fb.counts.cont,
     );
     params
+}
+
+/// Runs the production structured pass and the log-space oracle on the
+/// same parameters; returns the structured workspace and the first
+/// mismatch, if any.
+fn struct_vs_oracle(
+    ev: &[Evidence],
+    dims: Dims,
+    params: &Params,
+    opts: &ProbOptions,
+) -> (FbWorkspace, Option<String>) {
+    let chain = build_chain(dims, params, opts);
+    let emits = log_emissions(ev, params, dims, opts);
+    let fb = forward_backward(&chain, &emits, ev);
+    let mut ws = FbWorkspace::new();
+    emissions_into_memoized(ev, params, dims, opts, &mut ws);
+    let ll = forward_backward_struct(dims, params, opts, &mut ws, ev);
+    let mismatch = counts_mismatch(ll, &ws.counts, &fb);
+    (ws, mismatch)
 }
 
 proptest! {
@@ -81,7 +128,6 @@ proptest! {
         emissions_into(&ev, &params, dims, &opts, &mut ws);
         let ll = forward_backward_scaled(&chain, &mut ws, &ev);
 
-        prop_assert!(close(ll, fb.log_likelihood), "ll {} vs {}", ll, fb.log_likelihood);
         let ns = dims.num_states();
         for (i, row) in fb.gamma.iter().enumerate() {
             for (s, &g) in row.iter().enumerate() {
@@ -89,25 +135,24 @@ proptest! {
                 prop_assert!(close(sg, g), "gamma[{i}][{s}]: {sg} vs {g}");
             }
         }
-        for (a, b) in ws.counts.col.iter().zip(&fb.counts.col) {
-            prop_assert!(close(*a, *b), "col count {a} vs {b}");
-        }
-        for (ar, br) in ws.counts.types.iter().zip(&fb.counts.types) {
-            for (a, b) in ar.iter().zip(br) {
-                prop_assert!(close(*a, *b), "types count {a} vs {b}");
-            }
-        }
-        for (ar, br) in ws.counts.trans.iter().zip(&fb.counts.trans) {
-            for (a, b) in ar.iter().zip(br) {
-                prop_assert!(close(*a, *b), "trans count {a} vs {b}");
-            }
-        }
-        for (a, b) in ws.counts.end.iter().zip(&fb.counts.end) {
-            prop_assert!(close(*a, *b), "end count {a} vs {b}");
-        }
-        for (a, b) in ws.counts.cont.iter().zip(&fb.counts.cont) {
-            prop_assert!(close(*a, *b), "cont count {a} vs {b}");
-        }
+        let mismatch = counts_mismatch(ll, &ws.counts, &fb);
+        prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
+    }
+
+    /// The production structured E-step, negligible-mass flush included,
+    /// reproduces the log-space oracle within 1e-9: log-likelihood and
+    /// every expected count, on uniform and on EM-drifted parameters.
+    #[test]
+    fn struct_fb_matches_log_space(ev in arb_evidence(4), drift in proptest::bool::ANY) {
+        let dims = Dims { num_records: 4, num_columns: 3 };
+        let opts = ProbOptions::default();
+        let params = if drift {
+            drifted_params(&ev, dims, &opts)
+        } else {
+            Params::uniform(3, vec![1.0; 3])
+        };
+        let mismatch = struct_vs_oracle(&ev, dims, &params, &opts).1;
+        prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
     }
 
     /// The scaled Viterbi decodes a MAP path of the same score as the
@@ -176,8 +221,8 @@ proptest! {
     }
 
     /// The workspace arenas stop growing after the first iteration: EM
-    /// re-runs on the same instance never reallocate the tables
-    /// (satellite regression for the per-iteration `Vec<Vec<f64>>` churn).
+    /// re-runs on the same instance never reallocate the tables, under
+    /// either the chain pass or the structured pass.
     #[test]
     fn workspace_arenas_do_not_grow_across_iterations(ev in arb_evidence(4)) {
         let dims = Dims { num_records: 4, num_columns: 3 };
@@ -185,10 +230,14 @@ proptest! {
         let mut params = Params::uniform(3, vec![1.0; 3]);
         let mut chain = build_chain(dims, &params, &opts);
         let mut ws = FbWorkspace::new();
+        let mut st = FbWorkspace::new();
 
         emissions_into(&ev, &params, dims, &opts, &mut ws);
         forward_backward_scaled(&chain, &mut ws, &ev);
+        emissions_into_memoized(&ev, &params, dims, &opts, &mut st);
+        forward_backward_struct(dims, &params, &opts, &mut st, &ev);
         let cap_after_first = ws.table_capacity();
+        let st_cap_after_first = st.table_capacity();
         for _ in 0..5 {
             params.update(
                 &ws.counts.types,
@@ -201,7 +250,51 @@ proptest! {
             emissions_into(&ev, &params, dims, &opts, &mut ws);
             forward_backward_scaled(&chain, &mut ws, &ev);
             prop_assert_eq!(ws.table_capacity(), cap_after_first, "arena grew");
+            emissions_into_memoized(&ev, &params, dims, &opts, &mut st);
+            forward_backward_struct(dims, &params, &opts, &mut st, &ev);
+            prop_assert_eq!(st.table_capacity(), st_cap_after_first, "structured arena grew");
         }
+    }
+}
+
+/// Adversarial fixture for the negligible-mass flush: the page walks
+/// records 0–6 with three extracts each, then shows three extracts whose
+/// `D_i` point back to record 0. By then the forward pass has decayed
+/// record 0's α̂ cells far below the flush threshold (each step costs
+/// them the fallback times ε relative to the advancing records), so the
+/// structured pass zeroes them — and must still match the unflushed
+/// log-space oracle on uniform and on EM-drifted parameters.
+#[test]
+fn flush_fixture_with_backward_pointing_evidence_matches_log_space() {
+    let dims = Dims {
+        num_records: 8,
+        num_columns: 3,
+    };
+    let opts = ProbOptions::default();
+    let record = |page: u32| {
+        [0b001, 0b010, 0b100].map(|bits| Evidence {
+            types: TypeSet::from_bits(bits),
+            pages: vec![page],
+        })
+    };
+    let ev: Vec<Evidence> = (0..7).chain([0]).flat_map(record).collect();
+
+    for params in [
+        Params::uniform(3, vec![1.0; 3]),
+        drifted_params(&ev, dims, &opts),
+    ] {
+        let (ws, mismatch) = struct_vs_oracle(&ev, dims, &params, &opts);
+        assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
+        // The flush fired: record 0's cells at the last extract are
+        // exactly zero (every state is reachable from extract 1 on, so
+        // without the flush no α̂ cell would be).
+        let ns = dims.num_states();
+        let last = &ws.alpha[(ev.len() - 1) * ns..];
+        assert_eq!(
+            &last[..dims.num_columns],
+            [0.0; 3],
+            "record 0 was never flushed"
+        );
     }
 }
 
