@@ -1,24 +1,26 @@
-//! Emits `BENCH_solver.json`: the solver-layer microbenchmark over the
-//! twelve simulated paper sites — pre-overhaul baselines (sequential
-//! uncached WSAT, log-space EM) and the previous optimized generation
-//! (whole-instance cached-delta WSAT, unmemoized scaled EM) vs. the
-//! production solvers (reduced + warm-started component WSAT, memoized
-//! structured E-step) — plus the corpus-wide per-stage totals of a full batch
-//! run, with the solve stage split by method.
+//! Emits `BENCH_solver.json`: the solver-layer microbenchmark of the
+//! production solvers (reduced + warm-started component WSAT, structured
+//! E-step EM) over the twelve simulated paper sites, plus the corpus-wide
+//! per-stage totals of a full batch run, with the solve stage split by
+//! method.
 //!
-//! Before anything is written, the batch run's Table 4 report is checked
-//! against `tests/golden/table4.txt` — a speedup that changes results is
-//! not a speedup.
+//! Before anything is written, two golden checks run: the batch run's
+//! Table 4 report must equal `tests/golden/table4.txt`, and the
+//! benchmark's deterministic work counts (CSP flips, EM iterations,
+//! reduction components, pruned variables, warm-start hits) must equal
+//! those in the committed `BENCH_solver.json` — a speedup that changes
+//! results is not a speedup. Wall times are printed next to the
+//! committed ones for information only.
 //!
 //! Flags:
 //!
-//! * `--iters N` — corpus passes per solver path (default 3; the fastest
-//!   pass is reported);
+//! * `--iters N` — corpus passes per method (default 3; the fastest pass
+//!   is reported);
 //! * `--threads N` — batch worker threads for the stage-total run
 //!   (default: available parallelism);
 //! * `--out PATH` — where to write the JSON (default `BENCH_solver.json`);
-//! * `--skip-golden` — skip the golden Table 4 comparison (for runs
-//!   outside the repository checkout);
+//! * `--skip-golden` — skip both golden checks (for runs outside the
+//!   repository checkout);
 //! * `--manifest PATH` — enable the observability layer and write the
 //!   batch run's manifest (summary JSON plus `.jsonl`/`.prom` sidecars);
 //! * `--profile` — include per-component size histograms (strict and
@@ -120,6 +122,30 @@ fn main() -> ExitCode {
         }
     }
 
+    eprintln!("running solver microbenchmark ({iters} pass(es) per method) ...");
+    let bench = solvebench::run_solve_bench(iters);
+    let committed_path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_solver.json");
+    let committed = std::fs::read_to_string(&committed_path);
+    if check_golden {
+        let committed = match &committed {
+            Ok(doc) => doc,
+            Err(e) => {
+                eprintln!("cannot read {}: {e}", committed_path.display());
+                return ExitCode::FAILURE;
+            }
+        };
+        let mismatches = solvebench::work_count_mismatches(&bench, committed);
+        if !mismatches.is_empty() {
+            for m in &mismatches {
+                eprintln!("FAIL: {m}");
+            }
+            eprintln!("work counts differ from {}", committed_path.display());
+            return ExitCode::FAILURE;
+        }
+        eprintln!("work counts match {}", committed_path.display());
+    }
+
     if let Some(path) = &manifest_path {
         let manifest = outcome
             .manifest("solvebench", threads)
@@ -139,8 +165,6 @@ fn main() -> ExitCode {
         }
     }
 
-    eprintln!("running solver microbenchmark ({iters} pass(es) per path) ...");
-    let bench = solvebench::run_solve_bench(iters);
     let component_profile = profile.then(|| {
         let fixtures = solvebench::corpus();
         solvebench::component_profile(&fixtures)
@@ -153,22 +177,25 @@ fn main() -> ExitCode {
         eprintln!("cannot write {out_path}: {e}");
         return ExitCode::FAILURE;
     }
+    let committed_ms = |method: &str| {
+        committed
+            .as_deref()
+            .ok()
+            .and_then(|doc| solvebench::committed_number(doc, &[method, "wall_ns"]))
+            .map_or("n/a".to_string(), |ns| format!("{:.2} ms", ns / 1e6))
+    };
     eprintln!(
-        "csp: whole-instance {:.2} ms vs reduced {:.2} ms → {:.2}x \
-         (reference {:.2} ms, {:.0} flips/s)",
-        bench.csp.prev_ns as f64 / 1e6,
-        bench.csp.optimized_ns as f64 / 1e6,
-        bench.csp.speedup_over_prev(),
-        bench.csp.baseline_ns as f64 / 1e6,
+        "csp: {:.2} ms (committed {}), {} flips, {:.0} flips/s",
+        bench.csp.wall_ns as f64 / 1e6,
+        committed_ms("csp"),
+        bench.csp.work_units,
         bench.csp.units_per_sec()
     );
     eprintln!(
-        "prob: unmemoized {:.2} ms vs memoized {:.2} ms → {:.2}x \
-         (log-space {:.2} ms, {:.0} EM iters/s)",
-        bench.prob.prev_ns as f64 / 1e6,
-        bench.prob.optimized_ns as f64 / 1e6,
-        bench.prob.speedup_over_prev(),
-        bench.prob.baseline_ns as f64 / 1e6,
+        "prob: {:.2} ms (committed {}), {} EM iters, {:.0} EM iters/s",
+        bench.prob.wall_ns as f64 / 1e6,
+        committed_ms("prob"),
+        bench.prob.work_units,
         bench.prob.units_per_sec()
     );
     eprintln!(
@@ -184,12 +211,6 @@ fn main() -> ExitCode {
             eprintln!("components ({name}): {}", cells.join(", "));
         }
     }
-    eprintln!(
-        "solve stage: {:.2}x over prev ({:.2}x over reference) across {} pages \
-         (written to {out_path})",
-        bench.solve_speedup(),
-        bench.reference_speedup(),
-        bench.pages
-    );
+    eprintln!("{} pages (written to {out_path})", bench.pages);
     ExitCode::SUCCESS
 }

@@ -25,7 +25,7 @@ use crate::{prepare_site, PreparedSite};
 
 /// Version tag stamped into every `BENCH_*.json` document as the
 /// `"schema"` field. Bump when a writer changes field names or layout.
-pub const SCHEMA: &str = "tableseg.bench/v2";
+pub const SCHEMA: &str = "tableseg.bench/v3";
 
 /// Generates every simulated paper site and builds its cached
 /// [`SiteTemplate`](tableseg::SiteTemplate) — the shared site-level
@@ -149,7 +149,7 @@ mod tests {
             .stage_totals(&[("tokenize".into(), 42u128), ("solve".into(), 7u128)]);
         let json = j.finish();
         assert!(json
-            .starts_with("{\n  \"schema\": \"tableseg.bench/v2\",\n  \"bench\": \"example\",\n"));
+            .starts_with("{\n  \"schema\": \"tableseg.bench/v3\",\n  \"bench\": \"example\",\n"));
         assert!(json.contains("\"corpus\": { \"sites\": 12, \"pages\": 24, \"extracts\": 100 }"));
         assert!(json.contains("\"speedup\": 3.50"));
         assert!(json.contains("\"stage_totals_ns\": { \"tokenize\": 42, \"solve\": 7 }"));

@@ -374,7 +374,7 @@ mod tests {
             paper_pass_through: 24,
         };
         let json = render_json(&bench, 0.9, 0.8);
-        assert!(json.contains("\"schema\": \"tableseg.bench/v2\""));
+        assert!(json.contains("\"schema\": \"tableseg.bench/v3\""));
         assert!(json.contains("\"bench\": \"detect\""));
         assert!(json.contains("\"region\": { \"cor\": 4"));
         assert!(json.contains("\"pass\": true"));

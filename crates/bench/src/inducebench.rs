@@ -389,7 +389,7 @@ mod tests {
         assert!((bench.pair.speedup() - 4.0).abs() < 1e-9);
         assert!(bench.quality_non_degrading());
         let json = render_json(&bench);
-        assert!(json.contains("\"schema\": \"tableseg.bench/v2\""));
+        assert!(json.contains("\"schema\": \"tableseg.bench/v3\""));
         assert!(json.contains("\"speedup\": 4.00"));
         assert!(json.contains("\"pages\": 10"));
         assert!(json.contains("\"quality_non_degrading\": true"));

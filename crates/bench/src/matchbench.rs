@@ -239,7 +239,7 @@ mod tests {
             iters: 2,
         };
         let json = render_json(&bench, &[("tokenize".into(), 42)]);
-        assert!(json.contains("\"schema\": \"tableseg.bench/v2\""));
+        assert!(json.contains("\"schema\": \"tableseg.bench/v3\""));
         assert!(json.contains("\"speedup\": 3.00"));
         assert!(json.contains("\"tokenize\": 42"));
         assert!(json.starts_with('{') && json.ends_with("}\n"));

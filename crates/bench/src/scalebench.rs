@@ -568,7 +568,7 @@ mod tests {
         assert_eq!(bench.rss_flat(0.10), Some(true));
         assert_eq!(bench.rss_flat(0.001), Some(false));
         let json = render_json(&bench);
-        assert!(json.contains("\"schema\": \"tableseg.bench/v2\""));
+        assert!(json.contains("\"schema\": \"tableseg.bench/v3\""));
         assert!(json.contains("\"bench\": \"frontend_scale\""));
         assert!(json.contains("\"speedup\": 3.00"));
         assert!(json.contains("\"pages_per_sec\": 125000"));

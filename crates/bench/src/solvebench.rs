@@ -1,26 +1,16 @@
-//! The solver microbenchmark behind `BENCH_solver.json`: three solver
-//! generations over the twelve simulated paper sites.
+//! The solver microbenchmark behind `BENCH_solver.json`: the production
+//! CSP and probabilistic solvers over the twelve simulated paper sites.
 //!
-//! * **baseline** — the pre-overhaul algorithms, kept in-tree verbatim:
-//!   [`CspOptions::reference_solver`] selects the sequential uncached WSAT
-//!   and [`ProbOptions::log_space`] the per-cell log-space EM loop;
-//! * **prev** — the previously optimized solvers (cached-delta parallel
-//!   WSAT on the whole instance, arena-based scaled EM), selected with
-//!   [`CspOptions::reduce`]` = false` and [`ProbOptions::memo_e_step`]
-//!   ` = false`;
-//! * **optimized** — the production path: instance reduction with
-//!   component decomposition and warm-started WSAT, plus the memoized
-//!   structured E-step.
-//!
-//! `solve_speedup` is optimized-vs-**prev** — the gain of the current
-//! round over the already-optimized solvers, not over the ancient
-//! baseline. All three paths solve the *same* observation tables, so the
-//! comparison isolates the solver layer — front-end preparation is done
-//! once, outside every timed region.
+//! Each method is timed on the *same* observation tables — front-end
+//! preparation is done once, outside every timed region — so the figures
+//! isolate the solver layer. The baseline is the committed
+//! `BENCH_solver.json`: the `solvebench` binary fails when a run's
+//! deterministic work counts ([`work_count_mismatches`]) differ from it, and prints
+//! wall times next to the committed ones.
 
 use std::time::Instant;
 
-use tableseg_csp::{encode, reduce_model, segment_csp, CspOptions, CspStatus, EncodeOptions};
+use tableseg_csp::{encode, reduce_model, segment_csp, CspOptions, EncodeOptions};
 use tableseg_extract::Observations;
 use tableseg_prob::{segment_prob, ProbOptions};
 
@@ -55,35 +45,22 @@ pub fn corpus() -> Vec<SolveFixture> {
     fixtures
 }
 
-/// Wall clock for one solver method across its three generations.
+/// Wall clock and work for one solver method.
 #[derive(Debug, Clone, Copy)]
 pub struct MethodBench {
-    /// Best (minimum) nanoseconds of one baseline corpus pass.
-    pub baseline_ns: u128,
-    /// Best (minimum) nanoseconds of one previously-optimized corpus pass.
-    pub prev_ns: u128,
-    /// Best (minimum) nanoseconds of one optimized corpus pass.
-    pub optimized_ns: u128,
-    /// Method-specific work units performed by one optimized pass
-    /// (WSAT flips for the CSP, EM iterations for the probabilistic
-    /// approach) — the throughput numerator.
+    /// Best (minimum) nanoseconds of one corpus pass.
+    pub wall_ns: u128,
+    /// Method-specific work units performed by one pass (WSAT flips for
+    /// the CSP, EM iterations for the probabilistic approach) — the
+    /// throughput numerator, and deterministic, so it is gated against
+    /// the committed `BENCH_solver.json`.
     pub work_units: u64,
 }
 
 impl MethodBench {
-    /// baseline / optimized wall-clock ratio.
-    pub fn speedup(&self) -> f64 {
-        self.baseline_ns as f64 / self.optimized_ns.max(1) as f64
-    }
-
-    /// prev / optimized wall-clock ratio: the current round's gain.
-    pub fn speedup_over_prev(&self) -> f64 {
-        self.prev_ns as f64 / self.optimized_ns.max(1) as f64
-    }
-
-    /// Work units per second of the optimized pass.
+    /// Work units per second of one pass.
     pub fn units_per_sec(&self) -> f64 {
-        self.work_units as f64 / (self.optimized_ns.max(1) as f64 / 1e9)
+        self.work_units as f64 / (self.wall_ns.max(1) as f64 / 1e9)
     }
 }
 
@@ -100,7 +77,7 @@ pub struct ReductionStats {
     pub reduce_ns: u64,
 }
 
-/// The corpus-level result of the solver comparison.
+/// The corpus-level result of the solver benchmark.
 #[derive(Debug, Clone, Copy)]
 pub struct SolveBench {
     /// Number of sites in the corpus.
@@ -113,153 +90,54 @@ pub struct SolveBench {
     pub csp: MethodBench,
     /// The probabilistic approach.
     pub prob: MethodBench,
-    /// Reduction-layer totals of one optimized CSP pass.
+    /// Reduction-layer totals of one CSP pass.
     pub reduction: ReductionStats,
-    /// Corpus passes each path ran; the reported time is the fastest
+    /// Corpus passes each method ran; the reported time is the fastest
     /// pass, which is robust to interference from other load.
     pub iters: usize,
 }
 
-impl SolveBench {
-    /// Whole-solve-stage speedup over the **previously optimized**
-    /// solvers: summed prev over summed optimized.
-    pub fn solve_speedup(&self) -> f64 {
-        (self.csp.prev_ns + self.prob.prev_ns) as f64
-            / (self.csp.optimized_ns + self.prob.optimized_ns).max(1) as f64
-    }
-
-    /// Whole-solve-stage speedup over the pre-overhaul baselines.
-    pub fn reference_speedup(&self) -> f64 {
-        (self.csp.baseline_ns + self.prob.baseline_ns) as f64
-            / (self.csp.optimized_ns + self.prob.optimized_ns).max(1) as f64
-    }
-}
-
-/// Times all six solver paths over the full corpus, `iters` times each,
-/// verifying up front that each optimized path reproduces its
-/// predecessor's results on every page:
-///
-/// * the memoized scaled EM and the unmemoized one must decode the same
-///   path as the log-space oracle;
-/// * the reduced+decomposed CSP must report the same status as the
-///   whole-instance solver, and the same segmentation wherever the
-///   instance is exactly solvable (relaxed instances have non-unique
-///   optima, so only the status is compared there).
+/// Times the production CSP and probabilistic solvers over the full
+/// corpus, `iters` passes each. A first untimed pass collects the CSP
+/// reduction totals.
 pub fn run_solve_bench(iters: usize) -> SolveBench {
     let fixtures = corpus();
     let sites = site_count(fixtures.iter().map(|f| f.site.as_str()));
     let extracts = fixtures.iter().map(|f| f.observations.len()).sum();
+    let csp_opts = CspOptions::default();
+    let prob_opts = ProbOptions::default();
 
-    let csp_base = CspOptions {
-        reference_solver: true,
-        ..CspOptions::default()
-    };
-    let csp_prev = CspOptions {
-        reduce: false,
-        ..CspOptions::default()
-    };
-    let csp_opt = CspOptions::default();
-    let prob_base = ProbOptions {
-        log_space: true,
-        ..ProbOptions::default()
-    };
-    let prob_prev = ProbOptions {
-        memo_e_step: false,
-        ..ProbOptions::default()
-    };
-    let prob_opt = ProbOptions::default();
-
-    // Verification pass (also collects the reduction stats).
     let mut reduction = ReductionStats::default();
     for f in &fixtures {
-        let slow = segment_prob(&f.observations, &prob_base);
-        let prev = segment_prob(&f.observations, &prob_prev);
-        let fast = segment_prob(&f.observations, &prob_opt);
-        assert_eq!(
-            slow.segmentation.assignments, prev.segmentation.assignments,
-            "{} page {}: scaled EM diverged from log-space oracle",
-            f.site, f.page
-        );
-        assert_eq!(
-            prev.segmentation.assignments, fast.segmentation.assignments,
-            "{} page {}: memoized E-step diverged from the unmemoized pass",
-            f.site, f.page
-        );
-        let slow = segment_csp(&f.observations, &csp_base);
-        let whole = segment_csp(&f.observations, &csp_prev);
-        let reduced = segment_csp(&f.observations, &csp_opt);
-        assert!(
-            !(slow.status == CspStatus::Solved && whole.status != CspStatus::Solved),
-            "{} page {}: cached-delta WSAT lost a solution the reference found",
-            f.site,
-            f.page
-        );
-        assert_eq!(
-            whole.status, reduced.status,
-            "{} page {}: reduced solve changed the outcome status",
-            f.site, f.page
-        );
-        if whole.status == CspStatus::Solved {
-            assert_eq!(
-                whole.segmentation.assignments, reduced.segmentation.assignments,
-                "{} page {}: reduced solve diverged from the whole-instance solver",
-                f.site, f.page
-            );
-        }
-        reduction.components += reduced.components as u64;
-        reduction.pruned_vars += reduced.pruned_vars as u64;
-        reduction.warm_start_hits += reduced.warm_start_hits;
-        reduction.reduce_ns += reduced.reduce_ns;
+        let out = segment_csp(&f.observations, &csp_opts);
+        reduction.components += out.components as u64;
+        reduction.pruned_vars += out.pruned_vars as u64;
+        reduction.warm_start_hits += out.warm_start_hits;
+        reduction.reduce_ns += out.reduce_ns;
     }
 
     let blank = MethodBench {
-        baseline_ns: u128::MAX,
-        prev_ns: u128::MAX,
-        optimized_ns: u128::MAX,
+        wall_ns: u128::MAX,
         work_units: 0,
     };
     let mut csp = blank;
     let mut prob = blank;
     for _ in 0..iters {
         let t = Instant::now();
-        for f in &fixtures {
-            std::hint::black_box(segment_csp(&f.observations, &csp_base));
-        }
-        csp.baseline_ns = csp.baseline_ns.min(t.elapsed().as_nanos());
-
-        let t = Instant::now();
-        for f in &fixtures {
-            std::hint::black_box(segment_csp(&f.observations, &csp_prev));
-        }
-        csp.prev_ns = csp.prev_ns.min(t.elapsed().as_nanos());
-
-        let t = Instant::now();
         let mut flips = 0u64;
         for f in &fixtures {
-            flips += std::hint::black_box(segment_csp(&f.observations, &csp_opt)).flips;
+            flips += std::hint::black_box(segment_csp(&f.observations, &csp_opts)).flips;
         }
-        csp.optimized_ns = csp.optimized_ns.min(t.elapsed().as_nanos());
+        csp.wall_ns = csp.wall_ns.min(t.elapsed().as_nanos());
         csp.work_units = flips;
-
-        let t = Instant::now();
-        for f in &fixtures {
-            std::hint::black_box(segment_prob(&f.observations, &prob_base));
-        }
-        prob.baseline_ns = prob.baseline_ns.min(t.elapsed().as_nanos());
-
-        let t = Instant::now();
-        for f in &fixtures {
-            std::hint::black_box(segment_prob(&f.observations, &prob_prev));
-        }
-        prob.prev_ns = prob.prev_ns.min(t.elapsed().as_nanos());
 
         let t = Instant::now();
         let mut em_iters = 0u64;
         for f in &fixtures {
             em_iters +=
-                std::hint::black_box(segment_prob(&f.observations, &prob_opt)).iterations as u64;
+                std::hint::black_box(segment_prob(&f.observations, &prob_opts)).iterations as u64;
         }
-        prob.optimized_ns = prob.optimized_ns.min(t.elapsed().as_nanos());
+        prob.wall_ns = prob.wall_ns.min(t.elapsed().as_nanos());
         prob.work_units = em_iters;
     }
 
@@ -272,6 +150,52 @@ pub fn run_solve_bench(iters: usize) -> SolveBench {
         reduction,
         iters,
     }
+}
+
+/// Reads the number at `path` in a `BENCH_solver.json` document: each
+/// segment is the next `"key":` after the previous one, so
+/// `["prob", "wall_ns"]` finds the `wall_ns` of the `prob` object. The
+/// documents are hand-rendered by [`render_json`], whose key order this
+/// relies on.
+pub fn committed_number(doc: &str, path: &[&str]) -> Option<f64> {
+    let mut rest = doc;
+    for key in path {
+        let needle = format!("\"{key}\":");
+        rest = &rest[rest.find(&needle)? + needle.len()..];
+    }
+    let rest = rest.trim_start();
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | 'e' | 'E' | '+')))
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
+/// Compares a run's deterministic work counts — the figures a solver
+/// change must repeat unless it means to change behaviour — with a
+/// committed `BENCH_solver.json` document; returns one line per count
+/// that differs or is missing.
+pub fn work_count_mismatches(bench: &SolveBench, committed: &str) -> Vec<String> {
+    let counts: [(&[&str], u64); 5] = [
+        (&["csp", "flips"], bench.csp.work_units),
+        (&["prob", "em_iters"], bench.prob.work_units),
+        (&["reduction", "components"], bench.reduction.components),
+        (&["reduction", "pruned_vars"], bench.reduction.pruned_vars),
+        (
+            &["reduction", "warm_start_hits"],
+            bench.reduction.warm_start_hits,
+        ),
+    ];
+    counts
+        .iter()
+        .filter_map(|(path, got)| {
+            let name = path.join(".");
+            match committed_number(committed, path) {
+                Some(want) if want == *got as f64 => None,
+                Some(want) => Some(format!("{name}: {got} vs committed {want}")),
+                None => Some(format!("{name}: {got}, missing from the committed file")),
+            }
+        })
+        .collect()
 }
 
 /// Per-component size histograms over the corpus: how the reduction
@@ -336,14 +260,8 @@ pub fn render_json(
         .raw(
             "csp",
             format!(
-                "{{ \"baseline_ns\": {}, \"prev_ns\": {}, \"optimized_ns\": {}, \
-                 \"speedup\": {:.2}, \"speedup_over_prev\": {:.2}, \
-                 \"flips\": {}, \"flips_per_sec\": {:.0} }}",
-                bench.csp.baseline_ns,
-                bench.csp.prev_ns,
-                bench.csp.optimized_ns,
-                bench.csp.speedup(),
-                bench.csp.speedup_over_prev(),
+                "{{ \"wall_ns\": {}, \"flips\": {}, \"flips_per_sec\": {:.0} }}",
+                bench.csp.wall_ns,
                 bench.csp.work_units,
                 bench.csp.units_per_sec()
             ),
@@ -351,14 +269,8 @@ pub fn render_json(
         .raw(
             "prob",
             format!(
-                "{{ \"baseline_ns\": {}, \"prev_ns\": {}, \"optimized_ns\": {}, \
-                 \"speedup\": {:.2}, \"speedup_over_prev\": {:.2}, \
-                 \"em_iters\": {}, \"em_iters_per_sec\": {:.0} }}",
-                bench.prob.baseline_ns,
-                bench.prob.prev_ns,
-                bench.prob.optimized_ns,
-                bench.prob.speedup(),
-                bench.prob.speedup_over_prev(),
+                "{{ \"wall_ns\": {}, \"em_iters\": {}, \"em_iters_per_sec\": {:.0} }}",
+                bench.prob.wall_ns,
                 bench.prob.work_units,
                 bench.prob.units_per_sec()
             ),
@@ -373,11 +285,6 @@ pub fn render_json(
                 bench.reduction.warm_start_hits,
                 bench.reduction.reduce_ns
             ),
-        )
-        .raw("solve_speedup", format!("{:.2}", bench.solve_speedup()))
-        .raw(
-            "reference_speedup",
-            format!("{:.2}", bench.reference_speedup()),
         );
     if let Some(p) = profile {
         j.raw(
@@ -415,15 +322,11 @@ mod tests {
             pages: 24,
             extracts: 500,
             csp: MethodBench {
-                baseline_ns: 9000,
-                prev_ns: 6000,
-                optimized_ns: 3000,
+                wall_ns: 3000,
                 work_units: 60,
             },
             prob: MethodBench {
-                baseline_ns: 6000,
-                prev_ns: 3000,
-                optimized_ns: 2000,
+                wall_ns: 2000,
                 work_units: 40,
             },
             reduction: ReductionStats {
@@ -437,22 +340,39 @@ mod tests {
     }
 
     #[test]
-    fn speedups_compare_the_right_generations() {
+    fn work_counts_gate_on_the_committed_file() {
         let bench = bench_fixture();
-        // prev / optimized = 9000/5000; baseline / optimized = 15000/5000.
-        assert!((bench.solve_speedup() - 1.8).abs() < 1e-9);
-        assert!((bench.reference_speedup() - 3.0).abs() < 1e-9);
-        assert!((bench.csp.speedup_over_prev() - 2.0).abs() < 1e-9);
+        let committed = render_json(&bench, &[], None);
+        assert!(work_count_mismatches(&bench, &committed).is_empty());
+        assert_eq!(
+            committed_number(&committed, &["csp", "wall_ns"]),
+            Some(3000.0)
+        );
+        assert_eq!(
+            committed_number(&committed, &["prob", "wall_ns"]),
+            Some(2000.0)
+        );
+
+        let mut drifted = bench;
+        drifted.prob.work_units = 41;
+        drifted.reduction.warm_start_hits = 4;
+        assert_eq!(
+            work_count_mismatches(&drifted, &committed),
+            [
+                "prob.em_iters: 41 vs committed 40",
+                "reduction.warm_start_hits: 4 vs committed 5"
+            ]
+        );
+        assert_eq!(work_count_mismatches(&bench, "{ }").len(), 5);
     }
 
     #[test]
     fn json_shape() {
         let bench = bench_fixture();
         let json = render_json(&bench, &[("solve.csp".into(), 42)], None);
-        assert!(json.contains("\"schema\": \"tableseg.bench/v2\""));
-        assert!(json.contains("\"solve_speedup\": 1.80"));
-        assert!(json.contains("\"reference_speedup\": 3.00"));
-        assert!(json.contains("\"prev_ns\": 6000"));
+        assert!(json.contains("\"schema\": \"tableseg.bench/v3\""));
+        assert!(json.contains("\"csp\": { \"wall_ns\": 3000,"));
+        assert!(!json.contains("speedup"));
         assert!(json.contains("\"flips\": 60"));
         assert!(json.contains("\"em_iters\": 40"));
         assert!(json.contains("\"components\": 7"));

@@ -80,18 +80,6 @@ impl Encoding {
         }
         self.model.maximize_sum(0..self.vars.len());
     }
-
-    /// Upper bound on the objective, derived from the relaxation itself:
-    /// the objective counts assigned extracts and uniqueness caps each
-    /// extract at one record, so no assignment can exceed the number of
-    /// distinct extracts with at least one candidate record. `None` when
-    /// the encoding has no objective (the strict, pure-satisfaction case).
-    pub fn objective_upper_bound(&self) -> Option<i64> {
-        if self.model.objective.is_empty() {
-            return None;
-        }
-        Some(self.first.windows(2).filter(|w| w[0] < w[1]).count() as i64)
-    }
 }
 
 /// Builds the strict encoding of an observation table; [`Encoding::relax`]
@@ -242,11 +230,6 @@ pub(crate) mod tests {
         {
             assert_eq!((&r.terms, r.rhs), (&s.terms, s.rhs));
         }
-        assert_eq!(strict.objective_upper_bound(), None);
-        assert_eq!(
-            relaxed.objective_upper_bound(),
-            Some(obs.items.len() as i64)
-        );
     }
 
     #[test]

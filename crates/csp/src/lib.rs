@@ -15,8 +15,9 @@
 //!   implementation of the same strategy — violated-constraint selection,
 //!   greedy score-driven flips with noise, tabu memory and restarts;
 //! * [`exact`] — two exact solvers: a branch-and-bound over the general
-//!   model (used as an oracle in tests) and an ordered dynamic program
-//!   specialized to the segmentation structure;
+//!   model (the ladder's per-component cross-check, and on the whole
+//!   strict encoding the one CSP oracle in tests) and an ordered dynamic
+//!   program specialized to the segmentation structure;
 //! * [`encoder`] — builds the uniqueness, consecutiveness and position
 //!   constraints of Sections 4.1–4.2 from an observation table;
 //! * [`reduce`] — instance reduction ahead of any search: bounds

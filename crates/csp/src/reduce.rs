@@ -28,9 +28,10 @@
 //!    fixed-term-adjusted right-hand sides, solvable in isolation (and in
 //!    parallel). [`Reduction::stitch`] reassembles a full assignment.
 //!
-//! The whole-instance solver stays available as a differential oracle:
-//! stitching component solutions must reproduce exactly the feasibility
-//! the unreduced model has (see `tests/solver_props.rs`).
+//! Exact branch-and-bound over the whole, unreduced model is the
+//! differential oracle: stitching component solutions must reproduce
+//! exactly the feasibility and optimum the unreduced model has (see
+//! `tests/solver_props.rs`).
 
 use std::collections::VecDeque;
 

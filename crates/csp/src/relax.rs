@@ -23,9 +23,8 @@
 //!    rung's best assignment — relaxing keeps the variable layout, so the
 //!    previous rung's solution projects directly onto each component.
 //!
-//! Setting [`CspOptions::reduce`] to `false` restores the whole-instance
-//! ladder (encode → solve → BnB → relax), which doubles as the
-//! differential oracle for the reduced path in tests and `solvebench`.
+//! The exact branch-and-bound over the whole strict encoding
+//! ([`solve_bnb`]) is the differential oracle for this ladder in tests.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -36,10 +35,9 @@ use tableseg_extract::{Observations, Segmentation};
 
 use crate::encoder::{encode, EncodeOptions};
 use crate::exact::{solve_bnb, BnbOutcome};
-use crate::model::Model;
 use crate::reduce::{reduce_model, Component};
 use crate::solution::decode;
-use crate::wsat::{reference::solve_reference, solve, solve_warm, WsatConfig, WsatResult};
+use crate::wsat::{solve, solve_warm, WsatConfig, WsatResult};
 
 /// Node cap for the exact-first pass over relaxed components. Small
 /// components finish in well under this; anything that does not is
@@ -59,15 +57,6 @@ pub struct CspOptions {
     /// larger than this skip branch-and-bound entirely (treated as
     /// `Unknown`) and go straight to the stochastic relaxation path.
     pub bnb_var_cap: usize,
-    /// Use the pre-overhaul sequential WSAT implementation instead of the
-    /// cached-delta parallel one. The `solvebench` baseline; leave `false`
-    /// everywhere else. Implies the whole-instance (unreduced) ladder.
-    pub reference_solver: bool,
-    /// Reduce each encoding (propagation + entailment + decomposition)
-    /// and solve components independently with warm starts. `false`
-    /// restores the whole-instance ladder — the differential oracle and
-    /// the `solvebench` "prev" leg.
-    pub reduce: bool,
 }
 
 impl Default for CspOptions {
@@ -77,8 +66,6 @@ impl Default for CspOptions {
             position_constraints: true,
             bnb_budget: 2_000_000,
             bnb_var_cap: 220,
-            reference_solver: false,
-            reduce: true,
         }
     }
 }
@@ -113,8 +100,7 @@ pub struct CspOutcome {
     /// Total WSAT restarts (tries) across the strict and relaxed solves.
     pub tries: u64,
     /// Constraint-graph components solved independently, summed over the
-    /// strict and relaxed phases (0 when reduction is off or propagation
-    /// solved everything).
+    /// strict and relaxed phases (0 when propagation solved everything).
     pub components: usize,
     /// Variables removed from the search space by reduction (forced by
     /// propagation + assigned free), summed over phases.
@@ -137,7 +123,7 @@ impl CspOutcome {
     }
 }
 
-/// Running totals across the two rungs of the reduced ladder.
+/// Running totals across the two rungs of the ladder.
 #[derive(Default)]
 struct SolveStats {
     flips: u64,
@@ -149,7 +135,9 @@ struct SolveStats {
     reduce_ns: u64,
 }
 
-/// Runs the CSP approach of Section 4 on an observation table.
+/// Runs the CSP approach of Section 4 on an observation table: reduce →
+/// solve components → (BnB per failed component) → relax → reduce →
+/// warm-started components.
 pub fn segment_csp(obs: &Observations, opts: &CspOptions) -> CspOutcome {
     if obs.items.is_empty() {
         return CspOutcome {
@@ -165,64 +153,6 @@ pub fn segment_csp(obs: &Observations, opts: &CspOptions) -> CspOutcome {
             reduce_ns: 0,
         };
     }
-    if opts.reduce && !opts.reference_solver {
-        segment_reduced(obs, opts)
-    } else {
-        segment_whole(obs, opts)
-    }
-}
-
-/// Solves every component (work-stealing over scoped threads when
-/// `threads != 1`), returning results in component order. `solve_one`
-/// must be a pure function of `(index, component)`, so scheduling never
-/// shows in the output.
-fn solve_components(
-    components: &[Component],
-    threads: usize,
-    solve_one: impl Fn(usize, &Component) -> WsatResult + Sync,
-) -> Vec<WsatResult> {
-    let workers = match threads {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
-    }
-    .min(components.len());
-    if workers <= 1 {
-        return components
-            .iter()
-            .enumerate()
-            .map(|(i, c)| solve_one(i, c))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, WsatResult)>();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let solve_one = &solve_one;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(c) = components.get(i) else { break };
-                if tx.send((i, solve_one(i, c))).is_err() {
-                    break;
-                }
-            });
-        }
-    });
-    drop(tx);
-    let mut slots: Vec<Option<WsatResult>> = components.iter().map(|_| None).collect();
-    for (i, r) in rx {
-        slots[i] = Some(r);
-    }
-    slots
-        .into_iter()
-        .map(|o| o.expect("every component produced a result"))
-        .collect()
-}
-
-/// The reduced ladder: reduce → solve components → (BnB per failed
-/// component) → relax → reduce → warm-started components.
-fn segment_reduced(obs: &Observations, opts: &CspOptions) -> CspOutcome {
     let mut stats = SolveStats::default();
 
     // Rung 1: strict problem, reduced.
@@ -418,111 +348,52 @@ fn segment_reduced(obs: &Observations, opts: &CspOptions) -> CspOutcome {
     }
 }
 
-/// The pre-reduction whole-instance ladder, kept as the differential
-/// oracle (and the `reference_solver` path).
-fn segment_whole(obs: &Observations, opts: &CspOptions) -> CspOutcome {
-    let solver: fn(&Model, &WsatConfig) -> WsatResult = if opts.reference_solver {
-        solve_reference
-    } else {
-        solve
-    };
-
-    // Step 1: strict problem via stochastic search.
-    let t = Instant::now();
-    let mut enc = encode(
-        obs,
-        &EncodeOptions {
-            position_constraints: opts.position_constraints,
-        },
-    );
-    let mut encode_ns = t.elapsed().as_nanos() as u64;
-    let strict = solver(&enc.model, &opts.wsat);
-    if strict.feasible {
-        return CspOutcome {
-            segmentation: decode(&enc, &strict.assignment, obs),
-            status: CspStatus::Solved,
-            strict_violation: 0,
-            flips: strict.flips,
-            tries: strict.tries,
-            components: 0,
-            pruned_vars: 0,
-            warm_start_hits: 0,
-            encode_ns,
-            reduce_ns: 0,
-        };
+/// Solves every component (work-stealing over scoped threads when
+/// `threads != 1`), returning results in component order. `solve_one`
+/// must be a pure function of `(index, component)`, so scheduling never
+/// shows in the output.
+fn solve_components(
+    components: &[Component],
+    threads: usize,
+    solve_one: impl Fn(usize, &Component) -> WsatResult + Sync,
+) -> Vec<WsatResult> {
+    let workers = match threads {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
     }
-
-    // Step 2: exact cross-check (skipped for oversized encodings).
-    let strict_bnb = if enc.model.num_vars <= opts.bnb_var_cap {
-        solve_bnb(&enc.model, opts.bnb_budget)
-    } else {
-        BnbOutcome::Unknown
-    };
-    match strict_bnb {
-        BnbOutcome::Optimal { assignment, .. } => {
-            return CspOutcome {
-                segmentation: decode(&enc, &assignment, obs),
-                status: CspStatus::Solved,
-                strict_violation: 0,
-                flips: strict.flips,
-                tries: strict.tries,
-                components: 0,
-                pruned_vars: 0,
-                warm_start_hits: 0,
-                encode_ns,
-                reduce_ns: 0,
-            };
+    .min(components.len());
+    if workers <= 1 {
+        return components
+            .iter()
+            .enumerate()
+            .map(|(i, c)| solve_one(i, c))
+            .collect();
+    }
+    let next = AtomicUsize::new(0);
+    let (tx, rx) = mpsc::channel::<(usize, WsatResult)>();
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            let tx = tx.clone();
+            let next = &next;
+            let solve_one = &solve_one;
+            scope.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(c) = components.get(i) else { break };
+                if tx.send((i, solve_one(i, c))).is_err() {
+                    break;
+                }
+            });
         }
-        BnbOutcome::Infeasible | BnbOutcome::Unknown => {}
+    });
+    drop(tx);
+    let mut slots: Vec<Option<WsatResult>> = components.iter().map(|_| None).collect();
+    for (i, r) in rx {
+        slots[i] = Some(r);
     }
-
-    // Step 3: relaxed optimization.
-    let t = Instant::now();
-    enc.relax();
-    encode_ns += t.elapsed().as_nanos() as u64;
-    // The relaxed problem is solved by stochastic search alone, exactly as
-    // the paper did with WSAT(OIP): the resulting partial assignment is a
-    // good local optimum but not necessarily the global maximum — which is
-    // precisely why the paper's relaxed solutions on dirty sites were
-    // partial ("not every extract was assigned to a record", Section 6.3).
-    // The relaxation itself yields an objective upper bound (one record
-    // per extract), letting the search stop as soon as every extract is
-    // assigned rather than burning the remaining restart budget.
-    let relaxed_cfg = WsatConfig {
-        objective_target: enc.objective_upper_bound(),
-        ..opts.wsat
-    };
-    let relaxed = solver(&enc.model, &relaxed_cfg);
-    let flips = strict.flips + relaxed.flips;
-    let tries = strict.tries + relaxed.tries;
-    if !relaxed.feasible {
-        return CspOutcome {
-            segmentation: Segmentation::unassigned(obs.num_records, obs.items.len()),
-            status: CspStatus::Failed,
-            strict_violation: strict.violation,
-            flips,
-            tries,
-            components: 0,
-            pruned_vars: 0,
-            warm_start_hits: 0,
-            encode_ns,
-            reduce_ns: 0,
-        };
-    }
-    let best_assignment = relaxed.assignment;
-
-    CspOutcome {
-        segmentation: decode(&enc, &best_assignment, obs),
-        status: CspStatus::SolvedRelaxed,
-        strict_violation: strict.violation,
-        flips,
-        tries,
-        components: 0,
-        pruned_vars: 0,
-        warm_start_hits: 0,
-        encode_ns,
-        reduce_ns: 0,
-    }
+    slots
+        .into_iter()
+        .map(|o| o.expect("every component produced a result"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -531,12 +402,15 @@ mod tests {
     use tableseg_extract::build_observations;
     use tableseg_html::{lexer::tokenize, Token};
 
-    fn segment(list: &str, details: &[&str]) -> (Observations, CspOutcome) {
+    fn observations(list: &str, details: &[&str]) -> Observations {
         let list_toks = tokenize(list);
-        let detail_toks: Vec<Vec<tableseg_html::Token>> =
-            details.iter().map(|d| tokenize(d)).collect();
+        let detail_toks: Vec<Vec<Token>> = details.iter().map(|d| tokenize(d)).collect();
         let refs: Vec<&[Token]> = detail_toks.iter().map(Vec::as_slice).collect();
-        let obs = build_observations(&list_toks, &[], &refs);
+        build_observations(&list_toks, &[], &refs)
+    }
+
+    fn segment(list: &str, details: &[&str]) -> (Observations, CspOutcome) {
+        let obs = observations(list, details);
         let out = segment_csp(&obs, &CspOptions::default());
         (obs, out)
     }
@@ -612,35 +486,48 @@ mod tests {
 
     #[test]
     fn reduced_path_agrees_with_whole_instance_oracle() {
-        // The differential gate of the PR 9 tentpole: on every fixture the
-        // reduced/decomposed/warm-started ladder must reach the same status
-        // as the whole-instance ladder, with a valid segmentation.
-        let fixtures: Vec<Observations> = vec![crate::encoder::tests::superpages_obs(), {
-            let list =
-                tokenize("<td>Alpha One</td><td>Parole</td><td>Beta Two</td><td>Parole</td>");
-            let d1 = tokenize("<p>Alpha One</p><p>Parole</p>");
-            let d2 = tokenize("<p>Beta Two</p><p>Parolee</p>");
-            let refs: Vec<&[Token]> = vec![&d1, &d2];
-            build_observations(&list, &[], &refs)
-        }];
+        // The differential gate for the reduced/decomposed/warm-started
+        // ladder: exact branch-and-bound over the whole strict encoding
+        // decides satisfiability, and `Solved` must match it exactly.
+        let fixtures: Vec<Observations> = vec![
+            crate::encoder::tests::superpages_obs(),
+            observations(
+                "<td>Alpha One</td><td>100 Main</td><td>Beta Two</td><td>200 Oak</td>",
+                &[
+                    "<p>Alpha One</p><p>100 Main</p>",
+                    "<p>Beta Two</p><p>200 Oak</p>",
+                ],
+            ),
+            observations(
+                "<td>Alpha One</td><td>Parole</td><td>Beta Two</td><td>Parole</td>",
+                &[
+                    "<p>Alpha One</p><p>Parole</p>",
+                    "<p>Beta Two</p><p>Parolee</p>",
+                ],
+            ),
+        ];
         for obs in &fixtures {
-            let reduced = segment_csp(obs, &CspOptions::default());
-            let whole = segment_csp(
-                obs,
-                &CspOptions {
-                    reduce: false,
-                    ..CspOptions::default()
-                },
+            let out = segment_csp(obs, &CspOptions::default());
+            let enc = encode(obs, &EncodeOptions::default());
+            let oracle = solve_bnb(&enc.model, CspOptions::default().bnb_budget);
+            assert!(!matches!(oracle, BnbOutcome::Unknown), "{obs:?}");
+            assert_eq!(
+                out.status == CspStatus::Solved,
+                matches!(oracle, BnbOutcome::Optimal { .. }),
+                "{out:?}"
             );
-            assert_eq!(reduced.status, whole.status);
-            assert_eq!(reduced.strict_violation > 0, whole.strict_violation > 0);
-            for (i, &a) in reduced.segmentation.assignments.iter().enumerate() {
+            for (i, &a) in out.segmentation.assignments.iter().enumerate() {
                 if let Some(r) = a {
                     assert!(obs.items[i].on_page(r));
                 }
             }
-            if reduced.status == CspStatus::Solved {
-                assert_eq!(reduced.segmentation, whole.segmentation);
+            if out.status == CspStatus::Solved {
+                let mut assignment = vec![false; enc.model.num_vars];
+                for (i, &a) in out.segmentation.assignments.iter().enumerate() {
+                    let r = a.expect("a strict solution assigns every extract");
+                    assignment[enc.var(i, r).expect("assigned records are candidates")] = true;
+                }
+                assert!(enc.model.feasible(&assignment), "{out:?}");
             }
         }
     }

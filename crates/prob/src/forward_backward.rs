@@ -1,7 +1,7 @@
 //! The chain over `(R, C)` states and its forward–backward passes: the
-//! production structured pass ([`forward_backward_struct`]), the scaled
-//! pass over the materialized chain ([`forward_backward_scaled`]) and the
-//! log-space oracle ([`forward_backward`]).
+//! production structured pass ([`forward_backward_struct`]), which learns
+//! from the parameters directly, and the log-space pass over the
+//! materialized chain ([`forward_backward`]), its differential oracle.
 //!
 //! This is the "variant of the forward-backward algorithm that exploits the
 //! hierarchical nature of the record segmentation problem" (Section 5.2.3):
@@ -38,34 +38,27 @@ pub enum EdgeKind {
     Fallback,
 }
 
-/// One outgoing edge: target state, transition probability (both linear
-/// and log scale), kind.
+/// One outgoing edge: target state, log transition probability, kind.
 #[derive(Debug, Clone, Copy)]
 pub struct Edge {
     /// Target state index.
     pub to: usize,
-    /// Linear transition probability (used by the scaled pass).
-    pub p: f64,
-    /// Log transition probability (used by the log-space oracle).
+    /// Log transition probability.
     pub logp: f64,
     /// Edge kind.
     pub kind: EdgeKind,
 }
 
-/// The transition structure for one parameter setting.
-///
-/// The edge *topology* depends only on the dimensions and options (the
-/// M-step smoothing and hazard clamps keep every transition probability
-/// strictly positive), so a chain is built once per instance and only its
-/// probabilities are refreshed each EM iteration via [`refresh_chain`].
+/// The transition structure for one parameter setting, materialized as
+/// per-state edge lists: the Viterbi decode and the log-space oracle walk
+/// it, while learning reads the same structure from the parameters
+/// ([`forward_backward_struct`]).
 #[derive(Debug, Clone)]
 pub struct Chain {
     /// State-space dimensions.
     pub dims: Dims,
     /// Initial log-distribution over states (record starts).
     pub init: Vec<f64>,
-    /// Initial linear distribution (exp of `init`).
-    pub init_linear: Vec<f64>,
     /// Outgoing edges per state.
     pub edges: Vec<Vec<Edge>>,
 }
@@ -100,7 +93,6 @@ pub fn build_chain(dims: Dims, params: &Params, opts: &ProbOptions) -> Chain {
             if p > 0.0 {
                 out.push(Edge {
                     to: dims.state(r, cp),
-                    p,
                     logp: p.ln(),
                     kind: EdgeKind::Continue {
                         from_c: c,
@@ -124,7 +116,6 @@ pub fn build_chain(dims: Dims, params: &Params, opts: &ProbOptions) -> Chain {
                 if p > 0.0 {
                     out.push(Edge {
                         to: dims.state(rp, 0),
-                        p,
                         logp: p.ln(),
                         kind: EdgeKind::NewRecord { from_c: c },
                     });
@@ -134,53 +125,13 @@ pub fn build_chain(dims: Dims, params: &Params, opts: &ProbOptions) -> Chain {
         // Escape hatch.
         out.push(Edge {
             to: s,
-            p: LOG_FALLBACK.exp(),
             logp: LOG_FALLBACK,
             kind: EdgeKind::Fallback,
         });
         edges.push(out);
     }
 
-    let init_linear = init.iter().map(|&l| l.exp()).collect();
-    Chain {
-        dims,
-        init,
-        init_linear,
-        edges,
-    }
-}
-
-/// Recomputes edge probabilities in place for updated parameters, keeping
-/// the topology built by [`build_chain`]. The initial distribution depends
-/// only on the options, so it is untouched.
-pub fn refresh_chain(chain: &mut Chain, params: &Params, opts: &ProbOptions) {
-    let nk = chain.dims.num_records;
-    // Geometric skip weights 1, q, q², … normalized over the remaining
-    // records; precompute the normalizer for every source record.
-    let mut skip_total = vec![0.0f64; nk];
-    for (r, slot) in skip_total.iter_mut().enumerate() {
-        let mut g = 1.0;
-        for _ in r + 1..nk {
-            *slot += g;
-            g *= opts.skip_penalty;
-        }
-    }
-    for s in 0..chain.edges.len() {
-        let (r, c) = chain.dims.unpack(s);
-        let hz = params.hazard_for(c, opts.period_model);
-        for e in &mut chain.edges[s] {
-            let p = match e.kind {
-                EdgeKind::Continue { from_c, to_c } => (1.0 - hz) * params.trans[from_c][to_c],
-                EdgeKind::NewRecord { .. } => {
-                    let (rp, _) = chain.dims.unpack(e.to);
-                    hz * opts.skip_penalty.powi((rp - r - 1) as i32) / skip_total[r]
-                }
-                EdgeKind::Fallback => continue,
-            };
-            e.p = p;
-            e.logp = p.ln();
-        }
-    }
+    Chain { dims, init, edges }
 }
 
 impl Params {
@@ -395,7 +346,7 @@ pub fn forward_backward(chain: &Chain, emits: &[Vec<f64>], evidence: &[Evidence]
     }
 }
 
-/// Reusable flat arenas for the scaled forward–backward passes.
+/// Reusable flat arenas for the structured forward–backward pass.
 ///
 /// Every per-extract table is a contiguous row-major `Vec<f64>` (stride
 /// `num_states`, or `num_columns` for `col_post`), sized once per
@@ -410,19 +361,10 @@ pub struct FbWorkspace {
     pub emit_scale: Vec<f64>,
     /// Scaled forward variables α̂.
     pub alpha: Vec<f64>,
-    /// Scaled backward variables β̂ (filled by [`forward_backward_scaled`]
-    /// only; the structured pass keeps a single row).
-    pub beta: Vec<f64>,
-    /// State posteriors γ, each row summing to 1 (filled by
-    /// [`forward_backward_scaled`] only; the structured pass keeps
-    /// per-column sums in `col_post`).
-    pub gamma: Vec<f64>,
     /// Per-step normalizers `c_i` (the forward row sums before scaling).
     pub scale: Vec<f64>,
     /// Expected counts for the M-step.
     pub counts: Counts,
-    /// Scratch: per-column emission probabilities for one extract.
-    per_col: Vec<f64>,
     /// Scratch: `b_{i+1}(s) · β̂_{i+1}(s) / c_{i+1}` during the backward
     /// sweep.
     tmp: Vec<f64>,
@@ -467,8 +409,8 @@ impl FbWorkspace {
     }
 
     /// Sizes the emission and forward tables for `n` extracts, `ns` states
-    /// and `k` columns, reusing existing capacity. Each pass sizes its own
-    /// backward and posterior tables.
+    /// and `k` columns, reusing existing capacity. The structured pass
+    /// sizes its own backward row and posterior table.
     pub fn prepare(&mut self, n: usize, ns: usize, k: usize) {
         let cells = n * ns;
         self.emits.clear();
@@ -479,8 +421,6 @@ impl FbWorkspace {
         self.emit_scale.resize(n, 0.0);
         self.scale.clear();
         self.scale.resize(n, 1.0);
-        self.per_col.clear();
-        self.per_col.resize(k, 0.0);
         self.tmp.clear();
         self.tmp.resize(ns, 0.0);
         self.memo_col.clear();
@@ -495,8 +435,6 @@ impl FbWorkspace {
     pub fn table_capacity(&self) -> usize {
         self.emits.capacity()
             + self.alpha.capacity()
-            + self.beta.capacity()
-            + self.gamma.capacity()
             + self.emit_scale.capacity()
             + self.scale.capacity()
             + self.beta_row.capacity()
@@ -507,55 +445,12 @@ impl FbWorkspace {
 /// Fills the workspace's emission arena with *linear* emissions
 /// `P(T_i | c) · P(D_i | r)`, each row scaled by its maximum (recorded as
 /// `emit_scale[i] = ln max`) so the scaled pass works near 1.0.
-pub fn emissions_into(
-    evidence: &[Evidence],
-    params: &Params,
-    dims: Dims,
-    opts: &ProbOptions,
-    ws: &mut FbWorkspace,
-) {
-    let ns = dims.num_states();
-    let k = dims.num_columns;
-    ws.prepare(evidence.len(), ns, k);
-    for (i, ev) in evidence.iter().enumerate() {
-        let feats = ev.features();
-        for c in 0..k {
-            ws.per_col[c] = params.emission(c, &feats);
-        }
-        let inv_pages = 1.0 / ev.pages.len().max(1) as f64;
-        let row = &mut ws.emits[i * ns..(i + 1) * ns];
-        let mut max = 0.0f64;
-        for (s, slot) in row.iter_mut().enumerate() {
-            let (r, c) = dims.unpack(s);
-            let d = if ev.on_page(r) {
-                inv_pages
-            } else {
-                opts.epsilon
-            };
-            let v = ws.per_col[c] * d;
-            *slot = v;
-            if v > max {
-                max = v;
-            }
-        }
-        if max > 0.0 {
-            for slot in row.iter_mut() {
-                *slot /= max;
-            }
-            ws.emit_scale[i] = max.ln();
-        } else {
-            ws.emit_scale[i] = 0.0;
-        }
-    }
-}
-
-/// [`emissions_into`] with the per-column emission products memoized by
+///
+/// The per-column products are memoized by
 /// [`TypeSet`](tableseg_html::TypeSet) bit pattern: extracts sharing a type
 /// vector (the common case — sites reuse a handful of token shapes) pay for
-/// `params.emission` once per iteration. Bit-identical to
-/// [`emissions_into`]: the row fill walks states in the same `(r, c)` order
-/// with the same per-cell products and running maximum.
-pub fn emissions_into_memoized(
+/// `params.emission` once per iteration.
+pub fn emissions_into(
     evidence: &[Evidence],
     params: &Params,
     dims: Dims,
@@ -603,123 +498,6 @@ pub fn emissions_into_memoized(
     }
 }
 
-/// The scaled linear-space forward–backward pass (Rabiner scaling): the
-/// same posteriors and expected counts as [`forward_backward`] without a
-/// single `ln`/`exp` per cell; the log-likelihood is recovered from the
-/// per-step normalizers and the emission row scales,
-/// `ll = Σᵢ ln cᵢ + Σᵢ emit_scale[i]`.
-///
-/// Expects [`emissions_into`] to have filled `ws` for this evidence.
-/// Posteriors land in `ws.gamma`, expected counts in `ws.counts`; returns
-/// the log-likelihood.
-pub fn forward_backward_scaled(chain: &Chain, ws: &mut FbWorkspace, evidence: &[Evidence]) -> f64 {
-    let n = evidence.len();
-    let ns = chain.dims.num_states();
-    let k = chain.dims.num_columns;
-    debug_assert_eq!(ws.emits.len(), n * ns, "emissions_into must run first");
-    if n == 0 {
-        ws.counts.reset(k);
-        return 0.0;
-    }
-    ws.beta.clear();
-    ws.beta.resize(n * ns, 0.0);
-    ws.gamma.clear();
-    ws.gamma.resize(n * ns, 0.0);
-
-    // Forward.
-    for s in 0..ns {
-        ws.alpha[s] = chain.init_linear[s] * ws.emits[s];
-    }
-    normalize_step(&mut ws.alpha[..ns], &mut ws.scale[0]);
-    for i in 1..n {
-        let (prev_rows, cur_rows) = ws.alpha.split_at_mut(i * ns);
-        let prev = &prev_rows[(i - 1) * ns..];
-        let cur = &mut cur_rows[..ns];
-        cur.fill(0.0);
-        for (s, out) in chain.edges.iter().enumerate() {
-            let a = prev[s];
-            if a == 0.0 {
-                continue;
-            }
-            for e in out {
-                cur[e.to] += a * e.p;
-            }
-        }
-        let emit_row = &ws.emits[i * ns..(i + 1) * ns];
-        for (slot, &em) in cur.iter_mut().zip(emit_row) {
-            *slot *= em;
-        }
-        normalize_step(cur, &mut ws.scale[i]);
-    }
-    let log_likelihood: f64 =
-        ws.scale.iter().map(|c| c.ln()).sum::<f64>() + ws.emit_scale.iter().sum::<f64>();
-
-    // Backward sweep with edge-posterior accumulation: at step i we have
-    // tmp[t] = b_{i+1}(t) · β̂_{i+1}(t) / c_{i+1}, giving both
-    // β̂_i(s) = Σ_e p_e · tmp[e.to] and ξ_i(s, e.to) = α̂_i(s) · p_e · tmp[e.to].
-    ws.counts.reset(k);
-    ws.beta[(n - 1) * ns..].fill(1.0);
-    for i in (0..n - 1).rev() {
-        let inv_c = 1.0 / ws.scale[i + 1];
-        for t in 0..ns {
-            ws.tmp[t] = ws.emits[(i + 1) * ns + t] * ws.beta[(i + 1) * ns + t] * inv_c;
-        }
-        for (s, out) in chain.edges.iter().enumerate() {
-            let mut b = 0.0;
-            for e in out {
-                b += e.p * ws.tmp[e.to];
-            }
-            ws.beta[i * ns + s] = b;
-            let a = ws.alpha[i * ns + s];
-            if a == 0.0 {
-                continue;
-            }
-            for e in out {
-                let xi = a * e.p * ws.tmp[e.to];
-                if xi <= 0.0 {
-                    continue;
-                }
-                match e.kind {
-                    EdgeKind::Continue { from_c, to_c } => {
-                        ws.counts.trans[from_c][to_c] += xi;
-                        ws.counts.cont[from_c] += xi;
-                    }
-                    EdgeKind::NewRecord { from_c } => {
-                        ws.counts.end[from_c] += xi;
-                    }
-                    EdgeKind::Fallback => {}
-                }
-            }
-        }
-    }
-
-    // Posteriors and node counts: γ_i(s) = α̂_i(s) · β̂_i(s) already sums
-    // to 1 per row under this scaling.
-    for (i, ev) in evidence.iter().enumerate() {
-        let feats = ev.features();
-        for s in 0..ns {
-            let g = ws.alpha[i * ns + s] * ws.beta[i * ns + s];
-            ws.gamma[i * ns + s] = g;
-            if g > 0.0 {
-                let (_, c) = chain.dims.unpack(s);
-                ws.counts.col[c] += g;
-                for (t, &on) in feats.iter().enumerate() {
-                    if on {
-                        ws.counts.types[c][t] += g;
-                    }
-                }
-            }
-        }
-    }
-    // The last extract ends its record at its column.
-    for s in 0..ns {
-        let (_, c) = chain.dims.unpack(s);
-        ws.counts.end[c] += ws.gamma[(n - 1) * ns + s];
-    }
-
-    log_likelihood
-}
-
 /// Scaled mass below which the structured pass flushes a cell to exactly
 /// zero: each forward α̂ cell after its row is normalized (the row sums to
 /// 1), and each backward `tmp` cell. Such a cell sits about 134 orders of
@@ -765,12 +543,14 @@ const NEGLIGIBLE: f64 = 1e-150;
 /// in the backward one — are skipped, since every product they would
 /// add is +0.0.
 ///
-/// Algebraically identical to [`forward_backward_scaled`] on the chain
-/// built from the same `(dims, params, opts)`; floating-point results
-/// differ by summation order and the flush (the differential tests pin
-/// the agreement to 1e-9). Expects the emission arena to be filled
-/// first. Expected counts land in `ws.counts`; returns the
-/// log-likelihood.
+/// Scaling is Rabiner's: the log-likelihood is recovered from the
+/// per-step normalizers and the emission row scales,
+/// `ll = Σᵢ ln cᵢ + Σᵢ emit_scale[i]`. Algebraically identical to the
+/// log-space [`forward_backward`] on the chain built from the same
+/// `(dims, params, opts)`; floating-point results differ by summation
+/// order and the flush (the differential tests pin the agreement to
+/// 1e-9). Expects [`emissions_into`] to have filled the arena first.
+/// Expected counts land in `ws.counts`; returns the log-likelihood.
 pub fn forward_backward_struct(
     dims: Dims,
     params: &Params,
@@ -1008,19 +788,6 @@ fn normalize_flush(row: &mut [f64], sum: f64) -> f64 {
     c
 }
 
-/// Divides one α row by its sum, recording the sum as that step's
-/// normalizer. A zero row (impossible while the fallback edge exists)
-/// normalizes by 1 to keep the pass finite.
-#[inline]
-fn normalize_step(row: &mut [f64], scale: &mut f64) {
-    let c: f64 = row.iter().sum();
-    let c = if c > 0.0 { c } else { 1.0 };
-    for x in row.iter_mut() {
-        *x /= c;
-    }
-    *scale = c;
-}
-
 /// `ln(e^a + e^b)` with care for negative infinity.
 #[inline]
 pub fn log_add(a: f64, b: f64) -> f64 {
@@ -1157,56 +924,21 @@ mod tests {
     }
 
     #[test]
-    fn memoized_emissions_are_bit_identical() {
+    fn emission_arena_matches_log_emissions() {
         let (ev, dims, params, opts) = small_setup();
-        let mut plain = FbWorkspace::new();
-        emissions_into(&ev, &params, dims, &opts, &mut plain);
-        let mut memo = FbWorkspace::new();
-        emissions_into_memoized(&ev, &params, dims, &opts, &mut memo);
-        assert_eq!(plain.emits.len(), memo.emits.len());
-        for (a, b) in plain.emits.iter().zip(&memo.emits) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        for (a, b) in plain.emit_scale.iter().zip(&memo.emit_scale) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn struct_pass_matches_scaled_within_rounding() {
-        let (ev, dims, params, opts) = small_setup();
-        let chain = build_chain(dims, &params, &opts);
-
-        let mut scaled = FbWorkspace::new();
-        emissions_into(&ev, &params, dims, &opts, &mut scaled);
-        let ll_scaled = forward_backward_scaled(&chain, &mut scaled, &ev);
-
-        let mut st = FbWorkspace::new();
-        emissions_into_memoized(&ev, &params, dims, &opts, &mut st);
-        let ll_struct = forward_backward_struct(dims, &params, &opts, &mut st, &ev);
-
-        // The structured pass reassociates the geometric boundary sums,
-        // so agreement is to rounding, not to the bit.
-        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0);
-        assert!(close(ll_scaled, ll_struct), "{ll_scaled} vs {ll_struct}");
-        let pairs = [
-            (&scaled.counts.col, &st.counts.col),
-            (&scaled.counts.end, &st.counts.end),
-            (&scaled.counts.cont, &st.counts.cont),
-        ];
-        for (a, b) in pairs {
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert!(close(*x, *y), "{x} vs {y}");
-            }
-        }
-        for (ra, rb) in scaled.counts.trans.iter().zip(&st.counts.trans) {
-            for (x, y) in ra.iter().zip(rb) {
-                assert!(close(*x, *y), "{x} vs {y}");
-            }
-        }
-        for (ra, rb) in scaled.counts.types.iter().zip(&st.counts.types) {
-            for (x, y) in ra.iter().zip(rb) {
-                assert!(close(*x, *y), "{x} vs {y}");
+        let mut ws = FbWorkspace::new();
+        emissions_into(&ev, &params, dims, &opts, &mut ws);
+        let logs = log_emissions(&ev, &params, dims, &opts);
+        let ns = dims.num_states();
+        assert_eq!(ws.emits.len(), logs.len() * ns);
+        for (i, row) in logs.iter().enumerate() {
+            let scale = ws.emit_scale[i].exp();
+            for (s, &l) in row.iter().enumerate() {
+                let (linear, oracle) = (ws.emits[i * ns + s] * scale, l.exp());
+                assert!(
+                    (linear - oracle).abs() <= 1e-12 * oracle,
+                    "extract {i} state {s}: {linear} vs {oracle}"
+                );
             }
         }
     }

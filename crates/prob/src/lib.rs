@@ -61,26 +61,6 @@ pub struct ProbOptions {
     /// Disable the hierarchical period model π (Figure 2 instead of
     /// Figure 3); used by the ablation experiments.
     pub period_model: bool,
-    /// Run EM with the original per-cell log-space forward–backward pass
-    /// instead of the scaled linear-space one. Slower; kept as the
-    /// differential oracle for the scaled implementation and as the
-    /// `solvebench` baseline.
-    pub log_space: bool,
-    /// Memoize per-type-vector emission rows and run the structured
-    /// E-step ([`forward_backward::forward_backward_struct`]); `false`
-    /// runs the scaled pass over the materialized chain instead (the
-    /// `solvebench` prev leg). The two differ in summation order and in
-    /// the structured pass's flush of negligible scaled mass. Tests pin
-    /// both to the log-space oracle within 1e-9 (log-likelihood and every
-    /// expected count), their EM outcomes to the bit on small fixtures,
-    /// and their decoded segmentations to each other on the paper corpus
-    /// (`solvebench`). Ignored when `log_space` is set.
-    #[serde(default = "default_memo_e_step")]
-    pub memo_e_step: bool,
-}
-
-fn default_memo_e_step() -> bool {
-    true
 }
 
 impl Default for ProbOptions {
@@ -91,8 +71,6 @@ impl Default for ProbOptions {
             epsilon: 1e-6,
             skip_penalty: 0.1,
             period_model: true,
-            log_space: false,
-            memo_e_step: default_memo_e_step(),
         }
     }
 }
@@ -104,7 +82,7 @@ impl Default for ProbOptions {
 pub struct EmTiming {
     /// Emissions + forward–backward, summed over iterations.
     pub e_step_ns: u64,
-    /// Parameter updates + chain refreshes, summed over iterations.
+    /// Parameter updates, summed over iterations.
     pub m_step_ns: u64,
     /// Final MAP decode (including its emission refresh).
     pub viterbi_ns: u64,

@@ -1,16 +1,14 @@
 //! Differential property tests for the scaled linear-space inference
 //! paths against the log-space oracle: the production structured E-step
-//! (`emissions_into_memoized` + `forward_backward_struct`, negligible-mass
-//! flush included), the chain pass (`emissions_into` +
-//! `forward_backward_scaled`) and `viterbi_scaled`; plus the arena-reuse
-//! regression of the workspace.
+//! (`emissions_into` + `forward_backward_struct`, negligible-mass flush
+//! included) and `viterbi_scaled`; plus the arena-reuse regression of the
+//! workspace.
 
 use proptest::prelude::*;
 
 use tableseg_html::TypeSet;
 use tableseg_prob::forward_backward::{
-    build_chain, emissions_into, emissions_into_memoized, forward_backward,
-    forward_backward_scaled, forward_backward_struct, log_emissions, refresh_chain, Counts,
+    build_chain, emissions_into, forward_backward, forward_backward_struct, log_emissions, Counts,
     FbResult, FbWorkspace,
 };
 use tableseg_prob::model::{Dims, Evidence};
@@ -98,7 +96,7 @@ fn struct_vs_oracle(
     let emits = log_emissions(ev, params, dims, opts);
     let fb = forward_backward(&chain, &emits, ev);
     let mut ws = FbWorkspace::new();
-    emissions_into_memoized(ev, params, dims, opts, &mut ws);
+    emissions_into(ev, params, dims, opts, &mut ws);
     let ll = forward_backward_struct(dims, params, opts, &mut ws, ev);
     let mismatch = counts_mismatch(ll, &ws.counts, &fb);
     (ws, mismatch)
@@ -106,38 +104,6 @@ fn struct_vs_oracle(
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The scaled linear-space forward–backward reproduces the log-space
-    /// oracle within 1e-9: log-likelihood, posteriors and every expected
-    /// count, on uniform and on EM-drifted parameters.
-    #[test]
-    fn scaled_fb_matches_log_space(ev in arb_evidence(4), drift in proptest::bool::ANY) {
-        let dims = Dims { num_records: 4, num_columns: 3 };
-        let opts = ProbOptions::default();
-        let params = if drift {
-            drifted_params(&ev, dims, &opts)
-        } else {
-            Params::uniform(3, vec![1.0; 3])
-        };
-
-        let chain = build_chain(dims, &params, &opts);
-        let emits = log_emissions(&ev, &params, dims, &opts);
-        let fb = forward_backward(&chain, &emits, &ev);
-
-        let mut ws = FbWorkspace::new();
-        emissions_into(&ev, &params, dims, &opts, &mut ws);
-        let ll = forward_backward_scaled(&chain, &mut ws, &ev);
-
-        let ns = dims.num_states();
-        for (i, row) in fb.gamma.iter().enumerate() {
-            for (s, &g) in row.iter().enumerate() {
-                let sg = ws.gamma[i * ns + s];
-                prop_assert!(close(sg, g), "gamma[{i}][{s}]: {sg} vs {g}");
-            }
-        }
-        let mismatch = counts_mismatch(ll, &ws.counts, &fb);
-        prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
-    }
 
     /// The production structured E-step, negligible-mass flush included,
     /// reproduces the log-space oracle within 1e-9: log-likelihood and
@@ -193,51 +159,18 @@ proptest! {
         prop_assert!(close(a, b), "scaled path scores {a}, log path {b}");
     }
 
-    /// `refresh_chain` on a once-built chain reproduces `build_chain` on
-    /// the same parameters: identical topology and edge probabilities.
-    #[test]
-    fn refresh_chain_matches_rebuild(ev in arb_evidence(4)) {
-        let dims = Dims { num_records: 4, num_columns: 3 };
-        let opts = ProbOptions::default();
-        let uniform = Params::uniform(3, vec![1.0; 3]);
-        let drifted = drifted_params(&ev, dims, &opts);
-
-        let mut refreshed = build_chain(dims, &uniform, &opts);
-        refresh_chain(&mut refreshed, &drifted, &opts);
-        let rebuilt = build_chain(dims, &drifted, &opts);
-
-        prop_assert_eq!(refreshed.init, rebuilt.init);
-        for (a_out, b_out) in refreshed.edges.iter().zip(&rebuilt.edges) {
-            prop_assert_eq!(a_out.len(), b_out.len());
-            for (a, b) in a_out.iter().zip(b_out) {
-                prop_assert_eq!(a.to, b.to);
-                prop_assert!(close(a.p, b.p), "edge p {} vs {}", a.p, b.p);
-                prop_assert!(
-                    close(a.logp, b.logp) || (a.logp == f64::NEG_INFINITY && b.logp == f64::NEG_INFINITY),
-                    "edge logp {} vs {}", a.logp, b.logp
-                );
-            }
-        }
-    }
-
     /// The workspace arenas stop growing after the first iteration: EM
-    /// re-runs on the same instance never reallocate the tables, under
-    /// either the chain pass or the structured pass.
+    /// re-runs on the same instance never reallocate the tables.
     #[test]
     fn workspace_arenas_do_not_grow_across_iterations(ev in arb_evidence(4)) {
         let dims = Dims { num_records: 4, num_columns: 3 };
         let opts = ProbOptions::default();
         let mut params = Params::uniform(3, vec![1.0; 3]);
-        let mut chain = build_chain(dims, &params, &opts);
         let mut ws = FbWorkspace::new();
-        let mut st = FbWorkspace::new();
 
         emissions_into(&ev, &params, dims, &opts, &mut ws);
-        forward_backward_scaled(&chain, &mut ws, &ev);
-        emissions_into_memoized(&ev, &params, dims, &opts, &mut st);
-        forward_backward_struct(dims, &params, &opts, &mut st, &ev);
+        forward_backward_struct(dims, &params, &opts, &mut ws, &ev);
         let cap_after_first = ws.table_capacity();
-        let st_cap_after_first = st.table_capacity();
         for _ in 0..5 {
             params.update(
                 &ws.counts.types,
@@ -246,13 +179,9 @@ proptest! {
                 &ws.counts.end,
                 &ws.counts.cont,
             );
-            refresh_chain(&mut chain, &params, &opts);
             emissions_into(&ev, &params, dims, &opts, &mut ws);
-            forward_backward_scaled(&chain, &mut ws, &ev);
+            forward_backward_struct(dims, &params, &opts, &mut ws, &ev);
             prop_assert_eq!(ws.table_capacity(), cap_after_first, "arena grew");
-            emissions_into_memoized(&ev, &params, dims, &opts, &mut st);
-            forward_backward_struct(dims, &params, &opts, &mut st, &ev);
-            prop_assert_eq!(st.table_capacity(), st_cap_after_first, "structured arena grew");
         }
     }
 }
@@ -309,7 +238,7 @@ fn empty_sequence_edge_case() {
     let chain = build_chain(dims, &params, &opts);
     let mut ws = FbWorkspace::new();
     emissions_into(&[], &params, dims, &opts, &mut ws);
-    let ll = forward_backward_scaled(&chain, &mut ws, &[]);
+    let ll = forward_backward_struct(dims, &params, &opts, &mut ws, &[]);
     assert_eq!(ll, 0.0);
     assert!(viterbi_scaled(&chain, &ws).is_empty());
     let fb = forward_backward(&chain, &[], &[]);
@@ -342,13 +271,10 @@ fn single_state_edge_case() {
 
     let mut ws = FbWorkspace::new();
     emissions_into(&ev, &params, dims, &opts, &mut ws);
-    let ll = forward_backward_scaled(&chain, &mut ws, &ev);
-    assert!(
-        close(ll, fb.log_likelihood),
-        "{ll} vs {}",
-        fb.log_likelihood
-    );
-    assert!(close(ws.gamma[0], 1.0));
-    assert!(close(ws.gamma[1], 1.0));
+    let ll = forward_backward_struct(dims, &params, &opts, &mut ws, &ev);
+    let mismatch = counts_mismatch(ll, &ws.counts, &fb);
+    assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
+    // Both extracts sit in the one state with posterior 1.
+    assert!(close(ws.counts.col[0], 2.0), "{:?}", ws.counts.col);
     assert_eq!(viterbi_scaled(&chain, &ws), viterbi(&chain, &emits));
 }
