@@ -6,10 +6,11 @@
 //!
 //! Before anything is written, two golden checks run: the batch run's
 //! Table 4 report must equal `tests/golden/table4.txt`, and the
-//! benchmark's deterministic work counts (CSP flips, EM iterations,
-//! reduction components, pruned variables, warm-start hits) must equal
-//! those in the committed `BENCH_solver.json` — a speedup that changes
-//! results is not a speedup. Wall times are printed next to the
+//! benchmark's deterministic work counts (CSP flips and branch-and-bound
+//! nodes, EM iterations, reduction components, pruned variables,
+//! warm-start hits) must equal those in the committed
+//! `BENCH_solver.json` — a speedup that changes results is not a
+//! speedup. Wall times are printed next to the
 //! committed ones for information only.
 //!
 //! Flags:
@@ -185,11 +186,12 @@ fn main() -> ExitCode {
             .map_or("n/a".to_string(), |ns| format!("{:.2} ms", ns / 1e6))
     };
     eprintln!(
-        "csp: {:.2} ms (committed {}), {} flips, {:.0} flips/s",
+        "csp: {:.2} ms (committed {}), {} flips, {:.0} flips/s, {} BnB nodes",
         bench.csp.wall_ns as f64 / 1e6,
         committed_ms("csp"),
         bench.csp.work_units,
-        bench.csp.units_per_sec()
+        bench.csp.units_per_sec(),
+        bench.bnb_nodes
     );
     eprintln!(
         "prob: {:.2} ms (committed {}), {} EM iters, {:.0} EM iters/s",

@@ -90,6 +90,8 @@ pub struct SolveBench {
     pub csp: MethodBench,
     /// The probabilistic approach.
     pub prob: MethodBench,
+    /// Branch-and-bound nodes of one CSP pass, over both rungs.
+    pub bnb_nodes: u64,
     /// Reduction-layer totals of one CSP pass.
     pub reduction: ReductionStats,
     /// Corpus passes each method ran; the reported time is the fastest
@@ -99,7 +101,7 @@ pub struct SolveBench {
 
 /// Times the production CSP and probabilistic solvers over the full
 /// corpus, `iters` passes each. A first untimed pass collects the CSP
-/// reduction totals.
+/// branch-and-bound and reduction totals.
 pub fn run_solve_bench(iters: usize) -> SolveBench {
     let fixtures = corpus();
     let sites = site_count(fixtures.iter().map(|f| f.site.as_str()));
@@ -108,8 +110,10 @@ pub fn run_solve_bench(iters: usize) -> SolveBench {
     let prob_opts = ProbOptions::default();
 
     let mut reduction = ReductionStats::default();
+    let mut bnb_nodes = 0;
     for f in &fixtures {
         let out = segment_csp(&f.observations, &csp_opts);
+        bnb_nodes += out.bnb_nodes;
         reduction.components += out.components as u64;
         reduction.pruned_vars += out.pruned_vars as u64;
         reduction.warm_start_hits += out.warm_start_hits;
@@ -147,6 +151,7 @@ pub fn run_solve_bench(iters: usize) -> SolveBench {
         extracts,
         csp,
         prob,
+        bnb_nodes,
         reduction,
         iters,
     }
@@ -175,8 +180,9 @@ pub fn committed_number(doc: &str, path: &[&str]) -> Option<f64> {
 /// committed `BENCH_solver.json` document; returns one line per count
 /// that differs or is missing.
 pub fn work_count_mismatches(bench: &SolveBench, committed: &str) -> Vec<String> {
-    let counts: [(&[&str], u64); 5] = [
+    let counts: [(&[&str], u64); 6] = [
         (&["csp", "flips"], bench.csp.work_units),
+        (&["csp", "bnb_nodes"], bench.bnb_nodes),
         (&["prob", "em_iters"], bench.prob.work_units),
         (&["reduction", "components"], bench.reduction.components),
         (&["reduction", "pruned_vars"], bench.reduction.pruned_vars),
@@ -260,10 +266,11 @@ pub fn render_json(
         .raw(
             "csp",
             format!(
-                "{{ \"wall_ns\": {}, \"flips\": {}, \"flips_per_sec\": {:.0} }}",
+                "{{ \"wall_ns\": {}, \"flips\": {}, \"flips_per_sec\": {:.0}, \"bnb_nodes\": {} }}",
                 bench.csp.wall_ns,
                 bench.csp.work_units,
-                bench.csp.units_per_sec()
+                bench.csp.units_per_sec(),
+                bench.bnb_nodes
             ),
         )
         .raw(
@@ -329,6 +336,7 @@ mod tests {
                 wall_ns: 2000,
                 work_units: 40,
             },
+            bnb_nodes: 90,
             reduction: ReductionStats {
                 components: 7,
                 pruned_vars: 321,
@@ -355,15 +363,17 @@ mod tests {
 
         let mut drifted = bench;
         drifted.prob.work_units = 41;
+        drifted.bnb_nodes = 91;
         drifted.reduction.warm_start_hits = 4;
         assert_eq!(
             work_count_mismatches(&drifted, &committed),
             [
+                "csp.bnb_nodes: 91 vs committed 90",
                 "prob.em_iters: 41 vs committed 40",
                 "reduction.warm_start_hits: 4 vs committed 5"
             ]
         );
-        assert_eq!(work_count_mismatches(&bench, "{ }").len(), 5);
+        assert_eq!(work_count_mismatches(&bench, "{ }").len(), 6);
     }
 
     #[test]
@@ -374,6 +384,7 @@ mod tests {
         assert!(json.contains("\"csp\": { \"wall_ns\": 3000,"));
         assert!(!json.contains("speedup"));
         assert!(json.contains("\"flips\": 60"));
+        assert!(json.contains("\"bnb_nodes\": 90"));
         assert!(json.contains("\"em_iters\": 40"));
         assert!(json.contains("\"components\": 7"));
         assert!(json.contains("\"pruned_vars\": 321"));

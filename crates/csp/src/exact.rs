@@ -2,13 +2,19 @@
 //!
 //! Two complementary tools:
 //!
-//! * [`solve_bnb`] — a depth-first branch-and-bound over any
-//!   [`Model`], with constraint-bound pruning and an optimistic objective
-//!   bound. It is used as an *oracle*: it can prove a hard encoding
-//!   infeasible (which drives the relaxation ladder) and cross-checks the
-//!   stochastic solver in tests. Worst-case exponential, so it takes a node
-//!   budget; segmentation encodings are small enough (tens of variables)
-//!   that the budget is rarely reached.
+//! * [`solve_bnb`] — a depth-first branch-and-bound over any [`Model`]
+//!   with forward checking. The relaxation ladder runs it on every
+//!   relaxed component, and its proven optimum becomes the stochastic
+//!   search's objective target; it also proves strict components
+//!   infeasible and is the whole-encoding oracle in tests. Its objective
+//!   bound reads at-most-one groups off the model (the encoder's
+//!   uniqueness rows, Section 4.1): each group still open can add at most
+//!   its best *live* variable, one that can still be set to 1 without
+//!   breaking a row. Branching on the smallest groups first settles the
+//!   extracts with few candidate records early, and the bound then proves
+//!   the paper corpus's relaxed optima within two nodes per variable. The
+//!   search is still worst-case exponential, so it takes a node budget
+//!   and reports [`BnbOutcome::Unknown`] when the budget ends it.
 //!
 //! * [`solve_ordered`] — a polynomial dynamic program specialized to the
 //!   segmentation structure. It relies on the paper's horizontal-layout
@@ -24,7 +30,7 @@ use crate::model::{Model, Relation};
 /// Result of branch-and-bound.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BnbOutcome {
-    /// An optimal feasible assignment (maximal objective).
+    /// A feasible assignment, proven optimal: the search finished.
     Optimal {
         /// The assignment.
         assignment: Vec<bool>,
@@ -33,195 +39,360 @@ pub enum BnbOutcome {
     },
     /// The model was proven infeasible.
     Infeasible,
-    /// The node budget was exhausted before a conclusion.
+    /// The node budget ended the search before a proof, whether or not
+    /// it had found a feasible assignment.
     Unknown,
 }
 
 /// Branch-and-bound over a pseudo-boolean model, exploring at most
 /// `node_budget` nodes.
 pub fn solve_bnb(model: &Model, node_budget: u64) -> BnbOutcome {
-    let n = model.num_vars;
-    // Per-constraint state: current lhs of assigned vars, and the min/max
-    // contribution still possible from unassigned vars.
-    let mut lhs = vec![0i32; model.constraints.len()];
-    let mut min_rest = vec![0i32; model.constraints.len()];
-    let mut max_rest = vec![0i32; model.constraints.len()];
-    for (ci, c) in model.constraints.iter().enumerate() {
-        for t in &c.terms {
-            if t.coef > 0 {
-                max_rest[ci] += t.coef;
-            } else {
-                min_rest[ci] += t.coef;
-            }
-        }
-    }
-    let mut obj_coef = vec![0i64; n];
-    for t in &model.objective {
-        obj_coef[t.var] += i64::from(t.coef);
-    }
-    // Occurrence lists.
-    let mut occurs: Vec<Vec<(usize, i32)>> = vec![Vec::new(); n];
-    for (ci, c) in model.constraints.iter().enumerate() {
-        for t in &c.terms {
-            occurs[t.var].push((ci, t.coef));
-        }
-    }
+    branch_and_bound(model, node_budget).0
+}
 
-    struct Search<'a> {
-        model: &'a Model,
-        occurs: &'a [Vec<(usize, i32)>],
-        obj_coef: &'a [i64],
-        /// `pos_suffix[d]` = Σ over vars `v ≥ d` of `max(obj_coef[v], 0)`.
-        pos_suffix: Vec<i64>,
-        /// Objective contribution of the variables assigned so far.
-        fixed_obj: i64,
-        lhs: Vec<i32>,
-        min_rest: Vec<i32>,
-        max_rest: Vec<i32>,
-        assign: Vec<bool>,
-        best: Option<(Vec<bool>, i64)>,
-        nodes: u64,
-        budget: u64,
-        exhausted: bool,
-    }
-
-    impl Search<'_> {
-        /// Can constraint `ci` still be satisfied under the current bounds?
-        #[inline]
-        fn constraint_bad(&self, ci: usize) -> bool {
-            let c = &self.model.constraints[ci];
-            let lo = self.lhs[ci] + self.min_rest[ci];
-            let hi = self.lhs[ci] + self.max_rest[ci];
-            match c.rel {
-                Relation::Le => lo > c.rhs,
-                Relation::Ge => hi < c.rhs,
-                Relation::Eq => lo > c.rhs || hi < c.rhs,
-            }
-        }
-
-        /// Full bound check; used once at the root. Deeper nodes only check
-        /// the constraints touched by the variable just assigned.
-        fn pruned_full(&self) -> bool {
-            (0..self.model.constraints.len()).any(|ci| self.constraint_bad(ci))
-        }
-
-        /// Incremental bound check: only the constraints of `var`.
-        fn pruned_after(&self, var: usize) -> bool {
-            self.occurs[var]
-                .iter()
-                .any(|&(ci, _)| self.constraint_bad(ci))
-        }
-
-        /// Upper bound on the objective: fixed part (maintained
-        /// incrementally in `fixed_obj`) plus the positive mass of the
-        /// unassigned suffix.
-        fn optimistic_objective(&self, depth: usize) -> i64 {
-            self.fixed_obj + self.pos_suffix[depth]
-        }
-
-        fn recurse(&mut self, depth: usize) {
-            self.nodes += 1;
-            if self.nodes > self.budget {
-                self.exhausted = true;
-                return;
-            }
-            if let Some((_, best_obj)) = &self.best {
-                if self.optimistic_objective(depth) <= *best_obj {
-                    return;
-                }
-            }
-            if depth == self.assign.len() {
-                debug_assert!(self.model.feasible(&self.assign));
-                let obj = self.fixed_obj;
-                let improves = self
-                    .best
-                    .as_ref()
-                    .is_none_or(|(_, best_obj)| obj > *best_obj);
-                if improves {
-                    self.best = Some((self.assign.clone(), obj));
-                }
-                return;
-            }
-            // Branch: try value order that favors the objective.
-            let first = self.obj_coef[depth] >= 0;
-            for value in [first, !first] {
-                self.set(depth, value);
-                if !self.pruned_after(depth) {
-                    self.recurse(depth + 1);
-                }
-                self.unset(depth, value);
-                if self.exhausted {
-                    return;
-                }
-            }
-        }
-
-        fn set(&mut self, var: usize, value: bool) {
-            self.assign[var] = value;
-            if value {
-                self.fixed_obj += self.obj_coef[var];
-            }
-            for &(ci, coef) in &self.occurs[var] {
-                if value {
-                    self.lhs[ci] += coef;
-                }
-                if coef > 0 {
-                    self.max_rest[ci] -= coef;
-                } else {
-                    self.min_rest[ci] -= coef;
-                }
-            }
-        }
-
-        fn unset(&mut self, var: usize, value: bool) {
-            if value {
-                self.fixed_obj -= self.obj_coef[var];
-            }
-            for &(ci, coef) in &self.occurs[var] {
-                if value {
-                    self.lhs[ci] -= coef;
-                }
-                if coef > 0 {
-                    self.max_rest[ci] += coef;
-                } else {
-                    self.min_rest[ci] += coef;
-                }
-            }
-            self.assign[var] = false;
-        }
-    }
-
-    let mut pos_suffix = vec![0i64; n + 1];
-    for v in (0..n).rev() {
-        pos_suffix[v] = pos_suffix[v + 1] + obj_coef[v].max(0);
-    }
-
-    let mut search = Search {
-        model,
-        occurs: &occurs,
-        obj_coef: &obj_coef,
-        pos_suffix,
-        fixed_obj: 0,
-        lhs: std::mem::take(&mut lhs),
-        min_rest: std::mem::take(&mut min_rest),
-        max_rest: std::mem::take(&mut max_rest),
-        assign: vec![false; n],
-        best: None,
-        nodes: 0,
-        budget: node_budget,
-        exhausted: false,
+/// [`solve_bnb`], also returning the number of nodes it explored.
+pub(crate) fn branch_and_bound(model: &Model, node_budget: u64) -> (BnbOutcome, u64) {
+    let Some(mut search) = Search::new(model, node_budget) else {
+        return (BnbOutcome::Infeasible, 0);
     };
-    if !search.pruned_full() {
-        search.recurse(0);
-    }
-
-    match (search.best, search.exhausted) {
-        (Some((assignment, objective)), _) => BnbOutcome::Optimal {
+    search.recurse(0);
+    let outcome = match (search.best, search.exhausted) {
+        (_, true) => BnbOutcome::Unknown,
+        (Some((assignment, objective)), false) => BnbOutcome::Optimal {
             assignment,
             objective,
         },
         (None, false) => BnbOutcome::Infeasible,
-        (None, true) => BnbOutcome::Unknown,
+    };
+    (outcome, search.nodes)
+}
+
+/// The objective bound [`solve_bnb`] starts from: no feasible assignment
+/// scores above it. `None` when the constraint bounds alone refute the
+/// model.
+pub fn bnb_root_bound(model: &Model) -> Option<i64> {
+    Search::new(model, 0).map(|s| s.fixed_obj + s.rest)
+}
+
+/// Marks a variable without an at-most-one group.
+const NO_GROUP: usize = usize::MAX;
+
+/// The branch-and-bound state. Occurrences are flat CSR arrays next to
+/// the model's own rows; setting a variable touches only
+/// its own rows (and, where a row's slack shrank, that row's terms), and
+/// a trail of killed variables undoes it.
+struct Search<'a> {
+    model: &'a Model,
+    /// Rows of variable `v`: `occ_row`/`occ_coef[occ_start[v]..occ_start[v + 1]]`.
+    occ_start: Vec<usize>,
+    occ_row: Vec<u32>,
+    occ_coef: Vec<i32>,
+    /// Per row: the least and the greatest value its left-hand side can
+    /// still take, given the assigned terms.
+    lo: Vec<i32>,
+    hi: Vec<i32>,
+    obj_coef: Vec<i64>,
+    /// `group[v]`: the at-most-one group `v` belongs to, or [`NO_GROUP`].
+    group: Vec<usize>,
+    /// The row that formed each group; its members are the terms of that
+    /// row whose variable belongs to the group.
+    group_row: Vec<usize>,
+    /// Live members per group, and the largest positive objective
+    /// coefficient among them (0 when none is live).
+    group_live: Vec<u32>,
+    group_best: Vec<i64>,
+    /// `live[v]`: unassigned, and setting it to 1 leaves every `≤`/`=`
+    /// row it is in satisfiable.
+    live: Vec<bool>,
+    /// Killed variables in order, each with its group's best before it
+    /// died.
+    trail: Vec<(usize, i64)>,
+    /// The most the unassigned variables can add to the objective: every
+    /// group's best plus each live ungrouped variable's positive
+    /// coefficient.
+    rest: i64,
+    /// Objective contribution of the variables assigned so far.
+    fixed_obj: i64,
+    /// Branching order: ascending group size, stable by index.
+    order: Vec<usize>,
+    assign: Vec<bool>,
+    best: Option<(Vec<bool>, i64)>,
+    nodes: u64,
+    budget: u64,
+    exhausted: bool,
+}
+
+impl<'a> Search<'a> {
+    /// The root state, or `None` when a row is already unsatisfiable.
+    fn new(model: &'a Model, budget: u64) -> Option<Search<'a>> {
+        let n = model.num_vars;
+        let rows = &model.constraints;
+        let mut occ_start = vec![0usize; n + 1];
+        for t in rows.iter().flat_map(|c| &c.terms) {
+            occ_start[t.var + 1] += 1;
+        }
+        for v in 0..n {
+            occ_start[v + 1] += occ_start[v];
+        }
+        let mut fill = occ_start.clone();
+        let mut occ_row = vec![0u32; occ_start[n]];
+        let mut occ_coef = vec![0i32; occ_start[n]];
+        let mut lo = vec![0i32; rows.len()];
+        let mut hi = vec![0i32; rows.len()];
+        for (r, c) in rows.iter().enumerate() {
+            for t in &c.terms {
+                occ_row[fill[t.var]] = u32::try_from(r).expect("fewer than 2^32 rows");
+                occ_coef[fill[t.var]] = t.coef;
+                fill[t.var] += 1;
+                if t.coef > 0 {
+                    hi[r] += t.coef;
+                } else {
+                    lo[r] += t.coef;
+                }
+            }
+        }
+        let mut obj_coef = vec![0i64; n];
+        for t in &model.objective {
+            obj_coef[t.var] += i64::from(t.coef);
+        }
+
+        // At-most-one groups: each variable joins the first unit `≤ 1` or
+        // `= 1` row that holds it. The encoder emits the uniqueness rows
+        // first, so on segmentation models a group is one extract's
+        // candidate records.
+        let mut group = vec![NO_GROUP; n];
+        let mut group_row = Vec::new();
+        let mut group_size = Vec::new();
+        for (r, c) in rows.iter().enumerate() {
+            let at_most_one = matches!(c.rel, Relation::Le | Relation::Eq)
+                && c.rhs == 1
+                && c.terms.iter().all(|t| t.coef == 1);
+            if !at_most_one {
+                continue;
+            }
+            let g = group_row.len();
+            let mut size = 0;
+            for t in &c.terms {
+                if group[t.var] == NO_GROUP {
+                    group[t.var] = g;
+                    size += 1;
+                }
+            }
+            if size > 0 {
+                group_row.push(r);
+                group_size.push(size);
+            }
+        }
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&v| group_size.get(group[v]).copied().unwrap_or(1));
+        let groups = group_row.len();
+
+        let mut search = Search {
+            model,
+            occ_start,
+            occ_row,
+            occ_coef,
+            lo,
+            hi,
+            obj_coef,
+            group,
+            group_row,
+            group_live: vec![0; groups],
+            group_best: vec![0; groups],
+            live: vec![false; n],
+            trail: Vec::new(),
+            rest: 0,
+            fixed_obj: 0,
+            order,
+            assign: vec![false; n],
+            best: None,
+            nodes: 0,
+            budget,
+            exhausted: false,
+        };
+        if (0..rows.len()).any(|r| search.constraint_bad(r)) {
+            return None;
+        }
+        for v in 0..n {
+            let live = (search.occ_start[v]..search.occ_start[v + 1]).all(|k| {
+                let r = search.occ_row[k] as usize;
+                !search.caps(r) || search.occ_coef[k] <= search.slack(r)
+            });
+            if !live {
+                continue;
+            }
+            search.live[v] = true;
+            let gain = search.obj_coef[v].max(0);
+            match search.group[v] {
+                NO_GROUP => search.rest += gain,
+                g => {
+                    search.group_live[g] += 1;
+                    search.group_best[g] = search.group_best[g].max(gain);
+                }
+            }
+        }
+        search.rest += search.group_best.iter().sum::<i64>();
+        Some(search)
+    }
+
+    /// Can row `r` still be satisfied under the current bounds?
+    #[inline]
+    fn constraint_bad(&self, r: usize) -> bool {
+        let c = &self.model.constraints[r];
+        match c.rel {
+            Relation::Le => self.lo[r] > c.rhs,
+            Relation::Ge => self.hi[r] < c.rhs,
+            Relation::Eq => self.lo[r] > c.rhs || self.hi[r] < c.rhs,
+        }
+    }
+
+    /// Does row `r` cap its left-hand side (`≤` or `=`)?
+    #[inline]
+    fn caps(&self, r: usize) -> bool {
+        self.model.constraints[r].rel != Relation::Ge
+    }
+
+    /// How far row `r`'s least reachable value sits below its right-hand
+    /// side: an unassigned positive term fits iff its coefficient does
+    /// not exceed this.
+    #[inline]
+    fn slack(&self, r: usize) -> i32 {
+        self.model.constraints[r].rhs - self.lo[r]
+    }
+
+    /// Incremental bound check: only the rows of `var`.
+    fn pruned_after(&self, var: usize) -> bool {
+        (self.occ_start[var]..self.occ_start[var + 1])
+            .any(|k| self.constraint_bad(self.occ_row[k] as usize))
+    }
+
+    /// Marks live variable `v` dead and lowers the bound to match.
+    fn kill(&mut self, v: usize) {
+        self.live[v] = false;
+        let g = self.group[v];
+        if g == NO_GROUP {
+            self.rest -= self.obj_coef[v].max(0);
+            self.trail.push((v, 0));
+            return;
+        }
+        self.group_live[g] -= 1;
+        let old = self.group_best[g];
+        if old > 0 && self.obj_coef[v] == old {
+            let new = if self.group_live[g] == 0 {
+                0
+            } else {
+                self.model.constraints[self.group_row[g]]
+                    .terms
+                    .iter()
+                    .filter(|t| self.group[t.var] == g && self.live[t.var])
+                    .map(|t| self.obj_coef[t.var].max(0))
+                    .max()
+                    .unwrap_or(0)
+            };
+            self.group_best[g] = new;
+            self.rest += new - old;
+        }
+        self.trail.push((v, old));
+    }
+
+    /// Undoes the kills recorded after trail position `mark`.
+    fn revive_to(&mut self, mark: usize) {
+        while self.trail.len() > mark {
+            let (v, old) = self.trail.pop().expect("trail is longer than the mark");
+            self.live[v] = true;
+            match self.group[v] {
+                NO_GROUP => self.rest += self.obj_coef[v].max(0),
+                g => {
+                    self.group_live[g] += 1;
+                    self.rest += old - self.group_best[g];
+                    self.group_best[g] = old;
+                }
+            }
+        }
+    }
+
+    fn set(&mut self, var: usize, value: bool) {
+        if self.live[var] {
+            self.kill(var);
+        }
+        self.assign[var] = value;
+        if value {
+            self.fixed_obj += self.obj_coef[var];
+        }
+        for k in self.occ_start[var]..self.occ_start[var + 1] {
+            let (r, coef) = (self.occ_row[k] as usize, self.occ_coef[k]);
+            // A term taking the value that adds more raises the row's
+            // least value; the other value lowers its greatest.
+            let raises_lo = value == (coef > 0);
+            if raises_lo {
+                self.lo[r] += coef.abs();
+            } else {
+                self.hi[r] -= coef.abs();
+            }
+            // Positive terms that no longer fit under the cap die.
+            if raises_lo && self.caps(r) {
+                let slack = self.slack(r);
+                let model = self.model;
+                for t in &model.constraints[r].terms {
+                    if self.live[t.var] && t.coef > slack {
+                        self.kill(t.var);
+                    }
+                }
+            }
+        }
+    }
+
+    fn unset(&mut self, var: usize, value: bool, mark: usize) {
+        for k in self.occ_start[var]..self.occ_start[var + 1] {
+            let (r, coef) = (self.occ_row[k] as usize, self.occ_coef[k]);
+            if value == (coef > 0) {
+                self.lo[r] -= coef.abs();
+            } else {
+                self.hi[r] += coef.abs();
+            }
+        }
+        if value {
+            self.fixed_obj -= self.obj_coef[var];
+        }
+        self.assign[var] = false;
+        self.revive_to(mark);
+    }
+
+    fn recurse(&mut self, depth: usize) {
+        if let Some((_, best_obj)) = &self.best {
+            if self.fixed_obj + self.rest <= *best_obj {
+                return;
+            }
+        }
+        self.nodes += 1;
+        if self.nodes > self.budget {
+            self.exhausted = true;
+            return;
+        }
+        let Some(&var) = self.order.get(depth) else {
+            // Every variable is assigned (and dead), so the bound above is
+            // this leaf's objective and it beats the incumbent.
+            debug_assert!(self.model.feasible(&self.assign));
+            self.best = Some((self.assign.clone(), self.fixed_obj));
+            return;
+        };
+        // Value order favors the objective; a dead variable's 1-branch
+        // would break a row, so it is skipped.
+        let first = self.obj_coef[var] >= 0;
+        for value in [first, !first] {
+            if value && !self.live[var] {
+                continue;
+            }
+            let mark = self.trail.len();
+            self.set(var, value);
+            if !self.pruned_after(var) {
+                self.recurse(depth + 1);
+            }
+            self.unset(var, value, mark);
+            if self.exhausted {
+                return;
+            }
+        }
     }
 }
 
@@ -346,7 +517,7 @@ pub fn solve_ordered(candidates: &[&[u32]], num_records: usize) -> OrderedSoluti
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Constraint, Model, Relation};
+    use crate::model::{Constraint, Model, Relation, Term};
 
     // ---- branch and bound ----
 
@@ -395,6 +566,42 @@ mod tests {
         assert_eq!(solve_bnb(&m, 2), BnbOutcome::Unknown);
         // With enough budget it is proven infeasible.
         assert_eq!(solve_bnb(&m, 1_000), BnbOutcome::Infeasible);
+    }
+
+    #[test]
+    fn bnb_budget_exhaustion_with_an_incumbent_is_not_optimal() {
+        // x0 and x1 exclude each other, and x1 is worth more. The search
+        // sets x0 = 1 first and holds the incumbent 1 after 3 nodes; only
+        // the x0 = 0 branch reaches the optimum 5.
+        let mut m = Model::new(2);
+        m.add(Constraint::sum([0, 1], Relation::Le, 1));
+        m.objective = vec![Term { var: 0, coef: 1 }, Term { var: 1, coef: 5 }];
+        assert_eq!(solve_bnb(&m, 3), BnbOutcome::Unknown);
+        assert_eq!(
+            solve_bnb(&m, 100),
+            BnbOutcome::Optimal {
+                assignment: vec![false, true],
+                objective: 5
+            }
+        );
+    }
+
+    #[test]
+    fn root_bound_counts_one_live_variable_per_group() {
+        // Two at-most-one groups over four variables score one each; a
+        // third row then rules out x2 and x3, so only the first can.
+        let mut m = Model::new(4);
+        m.add(Constraint::sum([0, 1], Relation::Le, 1));
+        m.add(Constraint::sum([2, 3], Relation::Eq, 1));
+        m.maximize_sum([0, 1, 2, 3]);
+        assert_eq!(bnb_root_bound(&m), Some(2));
+        m.constraints[1].rel = Relation::Le;
+        m.add(Constraint::sum([2, 3], Relation::Le, 0));
+        assert_eq!(bnb_root_bound(&m), Some(1));
+        assert!(matches!(
+            solve_bnb(&m, 100),
+            BnbOutcome::Optimal { objective: 1, .. }
+        ));
     }
 
     // ---- ordered DP ----

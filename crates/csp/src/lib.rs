@@ -14,10 +14,11 @@
 //!   paper licensed is closed source, so this is a from-scratch
 //!   implementation of the same strategy — violated-constraint selection,
 //!   greedy score-driven flips with noise, tabu memory and restarts;
-//! * [`exact`] — two exact solvers: a branch-and-bound over the general
-//!   model (the ladder's per-component cross-check, and on the whole
-//!   strict encoding the one CSP oracle in tests) and an ordered dynamic
-//!   program specialized to the segmentation structure;
+//! * [`exact`] — two exact solvers: a forward-checking branch-and-bound
+//!   over the general model (the ladder's per-component optimum proof and
+//!   cross-check, and on the whole strict encoding the one CSP oracle in
+//!   tests) and an ordered dynamic program specialized to the
+//!   segmentation structure;
 //! * [`encoder`] — builds the uniqueness, consecutiveness and position
 //!   constraints of Sections 4.1–4.2 from an observation table;
 //! * [`reduce`] — instance reduction ahead of any search: bounds

@@ -18,13 +18,18 @@
 //!    *proves* infeasibility (or runs out of budget), fall through;
 //! 3. relax the same encoding in place
 //!    ([`Encoding::relax`](crate::Encoding::relax): equalities
-//!    become `≤`), reduce again, and solve each component with the
-//!    warm-started portfolio ([`solve_warm`]), seeded from the strict
-//!    rung's best assignment — relaxing keeps the variable layout, so the
-//!    previous rung's solution projects directly onto each component.
+//!    become `≤`), reduce again, and solve each component twice: the
+//!    branch-and-bound first, whose proven optimum becomes the objective
+//!    target, then the warm-started portfolio ([`solve_warm`]), seeded
+//!    from the strict rung's best assignment — relaxing keeps the
+//!    variable layout, so the previous rung's solution projects directly
+//!    onto each component.
 //!
-//! The exact branch-and-bound over the whole strict encoding
-//! ([`solve_bnb`]) is the differential oracle for this ladder in tests.
+//! One node budget, [`CspOptions::bnb_budget`], bounds every
+//! branch-and-bound call of both rungs. The exact branch-and-bound over
+//! the whole strict encoding
+//! ([`solve_bnb`](crate::exact::solve_bnb)) is the differential oracle
+//! for this ladder in tests.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -34,15 +39,10 @@ use serde::{Deserialize, Serialize};
 use tableseg_extract::{Observations, Segmentation};
 
 use crate::encoder::{encode, EncodeOptions};
-use crate::exact::{solve_bnb, BnbOutcome};
+use crate::exact::{branch_and_bound, BnbOutcome};
 use crate::reduce::{reduce_model, Component};
 use crate::solution::decode;
 use crate::wsat::{solve, solve_warm, WsatConfig, WsatResult};
-
-/// Node cap for the exact-first pass over relaxed components. Small
-/// components finish in well under this; anything that does not is
-/// cheaper to hand to the warm-started portfolio than to prove optimal.
-const BNB_FIRST_BUDGET: u64 = 50_000;
 
 /// Options for [`segment_csp`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,12 +51,10 @@ pub struct CspOptions {
     pub wsat: WsatConfig,
     /// Include the Section 4.2 position constraints.
     pub position_constraints: bool,
-    /// Node budget for the exact cross-check.
+    /// Node budget of each branch-and-bound call: the strict rung's
+    /// cross-check and the relaxed rung's optimum proof. A call that
+    /// runs out counts as `Unknown`.
     pub bnb_budget: u64,
-    /// Variable cap for the exact cross-check: encodings (or components)
-    /// larger than this skip branch-and-bound entirely (treated as
-    /// `Unknown`) and go straight to the stochastic relaxation path.
-    pub bnb_var_cap: usize,
 }
 
 impl Default for CspOptions {
@@ -64,8 +62,7 @@ impl Default for CspOptions {
         CspOptions {
             wsat: WsatConfig::default(),
             position_constraints: true,
-            bnb_budget: 2_000_000,
-            bnb_var_cap: 220,
+            bnb_budget: 50_000,
         }
     }
 }
@@ -99,6 +96,8 @@ pub struct CspOutcome {
     pub flips: u64,
     /// Total WSAT restarts (tries) across the strict and relaxed solves.
     pub tries: u64,
+    /// Total branch-and-bound nodes explored across both rungs.
+    pub bnb_nodes: u64,
     /// Constraint-graph components solved independently, summed over the
     /// strict and relaxed phases (0 when propagation solved everything).
     pub components: usize,
@@ -128,6 +127,7 @@ impl CspOutcome {
 struct SolveStats {
     flips: u64,
     tries: u64,
+    bnb_nodes: u64,
     components: usize,
     pruned_vars: usize,
     warm_start_hits: u64,
@@ -146,6 +146,7 @@ pub fn segment_csp(obs: &Observations, opts: &CspOptions) -> CspOutcome {
             strict_violation: 0,
             flips: 0,
             tries: 0,
+            bnb_nodes: 0,
             components: 0,
             pruned_vars: 0,
             warm_start_hits: 0,
@@ -191,20 +192,17 @@ pub fn segment_csp(obs: &Observations, opts: &CspOptions) -> CspOutcome {
             stats.tries += r.tries;
             if r.feasible {
                 parts.push(r.assignment);
-            } else if comp.model.num_vars <= opts.bnb_var_cap {
-                // Exact cross-check, now per component: decomposition
-                // keeps these small enough for BnB far more often than
-                // the whole instance was.
-                match solve_bnb(&comp.model, opts.bnb_budget) {
-                    BnbOutcome::Optimal { assignment, .. } => parts.push(assignment),
-                    BnbOutcome::Infeasible | BnbOutcome::Unknown => {
-                        all_ok = false;
-                        parts.push(r.assignment);
-                    }
+                continue;
+            }
+            // Exact cross-check, per component.
+            let (exact, nodes) = branch_and_bound(&comp.model, opts.bnb_budget);
+            stats.bnb_nodes += nodes;
+            match exact {
+                BnbOutcome::Optimal { assignment, .. } => parts.push(assignment),
+                BnbOutcome::Infeasible | BnbOutcome::Unknown => {
+                    all_ok = false;
+                    parts.push(r.assignment);
                 }
-            } else {
-                all_ok = false;
-                parts.push(r.assignment);
             }
         }
         (red.stitch(&parts), all_ok)
@@ -217,6 +215,7 @@ pub fn segment_csp(obs: &Observations, opts: &CspOptions) -> CspOutcome {
             strict_violation: 0,
             flips: stats.flips,
             tries: stats.tries,
+            bnb_nodes: stats.bnb_nodes,
             components: stats.components,
             pruned_vars: stats.pruned_vars,
             warm_start_hits: stats.warm_start_hits,
@@ -244,6 +243,7 @@ pub fn segment_csp(obs: &Observations, opts: &CspOptions) -> CspOutcome {
             strict_violation,
             flips: stats.flips,
             tries: stats.tries,
+            bnb_nodes: stats.bnb_nodes,
             components: stats.components,
             pruned_vars: stats.pruned_vars,
             warm_start_hits: stats.warm_start_hits,
@@ -252,39 +252,32 @@ pub fn segment_csp(obs: &Observations, opts: &CspOptions) -> CspOutcome {
         };
     }
     let results = solve_components(&red.components, opts.wsat.threads, |_, comp| {
-        // Exact first: decomposition keeps most relaxed components down to
-        // a handful of variables, where branch-and-bound proves the true
-        // per-component optimum in microseconds. That optimum becomes the
-        // portfolio's objective target: the search used to chase the
-        // extract-count upper bound — often unreachable on dirty pages —
-        // and so burned its full stall budget per try; against a *proven*
-        // target the warm try exits the moment it matches the optimum.
-        // The node budget is deliberately small: a component whose search
-        // tree is not tiny falls back to the upper-bound target instead of
-        // paying for an exponential proof.
-        let exact = if comp.model.num_vars <= opts.bnb_var_cap {
-            match solve_bnb(&comp.model, opts.bnb_budget.min(BNB_FIRST_BUDGET)) {
-                BnbOutcome::Optimal {
-                    assignment,
-                    objective,
-                } => Some((assignment, objective)),
-                BnbOutcome::Infeasible | BnbOutcome::Unknown => None,
-            }
-        } else {
-            None
+        // Exact first: the branch-and-bound proves the component's optimum
+        // (within two nodes per variable on the paper corpus), and that
+        // optimum becomes the portfolio's objective target, so the warm
+        // try exits the moment it matches it. Where the budget runs out,
+        // the target falls back to the relaxation's per-component upper
+        // bound: each extract with a variable here can contribute at most
+        // one assignment (its uniqueness constraint lives in this
+        // component too).
+        let (exact, nodes) = branch_and_bound(&comp.model, opts.bnb_budget);
+        let exact = match exact {
+            BnbOutcome::Optimal {
+                assignment,
+                objective,
+            } => Some((assignment, objective)),
+            BnbOutcome::Infeasible | BnbOutcome::Unknown => None,
         };
         // Warm seed: the strict rung's best assignment restricted to this
-        // component. Objective target: the proven optimum where BnB
-        // finished, else the relaxation's per-component upper bound —
-        // each extract with a variable here can contribute at most one
-        // assignment (its uniqueness constraint lives in this component
-        // too).
+        // component.
         let warm: Vec<Vec<bool>> = vec![comp.vars.iter().map(|&v| strict_best[v]).collect()];
-        let mut extracts: Vec<usize> = comp.vars.iter().map(|&v| enc.vars[v].0).collect();
-        extracts.dedup();
         let target = match &exact {
             Some((_, objective)) => *objective,
-            None => extracts.len() as i64,
+            None => {
+                let mut extracts: Vec<usize> = comp.vars.iter().map(|&v| enc.vars[v].0).collect();
+                extracts.dedup();
+                extracts.len() as i64
+            }
         };
         let cfg = WsatConfig {
             threads: 1,
@@ -294,8 +287,8 @@ pub fn segment_csp(obs: &Observations, opts: &CspOptions) -> CspOutcome {
         let result = solve_warm(&comp.model, &cfg, &warm);
         // The stochastic pick wins ties (its seeds carry the strict rung's
         // structure); the exact assignment steps in only when the
-        // portfolio provably fell short of the optimum.
-        match exact {
+        // portfolio fell short of the proven optimum.
+        let result = match exact {
             Some((assignment, objective)) if !result.feasible || result.objective < objective => {
                 WsatResult {
                     feasible: true,
@@ -308,11 +301,13 @@ pub fn segment_csp(obs: &Observations, opts: &CspOptions) -> CspOutcome {
                 }
             }
             _ => result,
-        }
+        };
+        (result, nodes)
     });
     let mut feasible = true;
     let mut parts: Vec<Vec<bool>> = Vec::with_capacity(results.len());
-    for r in results {
+    for (r, nodes) in results {
+        stats.bnb_nodes += nodes;
         stats.flips += r.flips;
         stats.tries += r.tries;
         stats.warm_start_hits += u64::from(r.warm_start_hit);
@@ -326,6 +321,7 @@ pub fn segment_csp(obs: &Observations, opts: &CspOptions) -> CspOutcome {
             strict_violation,
             flips: stats.flips,
             tries: stats.tries,
+            bnb_nodes: stats.bnb_nodes,
             components: stats.components,
             pruned_vars: stats.pruned_vars,
             warm_start_hits: stats.warm_start_hits,
@@ -340,6 +336,7 @@ pub fn segment_csp(obs: &Observations, opts: &CspOptions) -> CspOutcome {
         strict_violation,
         flips: stats.flips,
         tries: stats.tries,
+        bnb_nodes: stats.bnb_nodes,
         components: stats.components,
         pruned_vars: stats.pruned_vars,
         warm_start_hits: stats.warm_start_hits,
@@ -352,11 +349,11 @@ pub fn segment_csp(obs: &Observations, opts: &CspOptions) -> CspOutcome {
 /// `threads != 1`), returning results in component order. `solve_one`
 /// must be a pure function of `(index, component)`, so scheduling never
 /// shows in the output.
-fn solve_components(
+fn solve_components<T: Send>(
     components: &[Component],
     threads: usize,
-    solve_one: impl Fn(usize, &Component) -> WsatResult + Sync,
-) -> Vec<WsatResult> {
+    solve_one: impl Fn(usize, &Component) -> T + Sync,
+) -> Vec<T> {
     let workers = match threads {
         0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
         n => n,
@@ -370,7 +367,7 @@ fn solve_components(
             .collect();
     }
     let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, WsatResult)>();
+    let (tx, rx) = mpsc::channel::<(usize, T)>();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             let tx = tx.clone();
@@ -386,7 +383,7 @@ fn solve_components(
         }
     });
     drop(tx);
-    let mut slots: Vec<Option<WsatResult>> = components.iter().map(|_| None).collect();
+    let mut slots: Vec<Option<T>> = components.iter().map(|_| None).collect();
     for (i, r) in rx {
         slots[i] = Some(r);
     }
@@ -509,7 +506,7 @@ mod tests {
         for obs in &fixtures {
             let out = segment_csp(obs, &CspOptions::default());
             let enc = encode(obs, &EncodeOptions::default());
-            let oracle = solve_bnb(&enc.model, CspOptions::default().bnb_budget);
+            let oracle = crate::exact::solve_bnb(&enc.model, CspOptions::default().bnb_budget);
             assert!(!matches!(oracle, BnbOutcome::Unknown), "{obs:?}");
             assert_eq!(
                 out.status == CspStatus::Solved,

@@ -1,15 +1,17 @@
-//! Property tests cross-checking the stochastic WSAT(OIP) solver against
-//! the exact branch-and-bound, validating the ordered DP's invariants,
-//! and checking the encoder against its oracle.
+//! Property tests cross-checking the exact branch-and-bound against a
+//! brute-force enumerator and the stochastic WSAT(OIP) solver against the
+//! branch-and-bound, validating the ordered DP's invariants, checking the
+//! encoder against its oracle, and certifying the relaxed optima of the
+//! simulated paper corpus.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use tableseg_csp::exact::{solve_bnb, solve_ordered, BnbOutcome};
+use tableseg_csp::exact::{bnb_root_bound, solve_bnb, solve_ordered, BnbOutcome};
 use tableseg_csp::model::{Constraint, Model, Relation, Term};
-use tableseg_csp::wsat::{solve, WsatConfig};
-use tableseg_csp::{encode, reduce_model, EncodeOptions};
+use tableseg_csp::wsat::{solve, solve_warm, WsatConfig};
+use tableseg_csp::{encode, reduce_model, segment_csp, CspOptions, CspStatus, EncodeOptions};
 use tableseg_extract::positions::position_groups;
 use tableseg_extract::{Extract, ObsItem, Observations, PagePos};
 
@@ -166,24 +168,194 @@ fn arb_observations() -> impl Strategy<Value = Observations> {
     })
 }
 
-/// The encoder matches its oracle on every list page of the twelve
-/// simulated paper sites.
-#[test]
-fn encoder_matches_oracle_on_paper_pages() {
-    let mut pages = 0;
+/// Observation tables of the 24 list pages of the twelve simulated paper
+/// sites.
+fn paper_pages() -> Vec<Observations> {
+    let mut pages = Vec::new();
     for spec in tableseg_sitegen::paper_sites::all() {
         let site = tableseg_sitegen::site::generate(&spec);
         let template = tableseg::SiteTemplate::build(&site.list_htmls());
         for (page, generated) in site.pages.iter().enumerate() {
             let details: Vec<&str> = generated.detail_html.iter().map(String::as_str).collect();
-            let obs = tableseg::prepare_with_template(&template, page, &details).observations;
-            for position_constraints in [true, false] {
-                assert_encoder_matches_oracle(&obs, position_constraints);
-            }
-            pages += 1;
+            pages.push(tableseg::prepare_with_template(&template, page, &details).observations);
         }
     }
-    assert_eq!(pages, 24);
+    pages
+}
+
+/// The encoder matches its oracle on every list page of the twelve
+/// simulated paper sites.
+#[test]
+fn encoder_matches_oracle_on_paper_pages() {
+    let pages = paper_pages();
+    for obs in &pages {
+        for position_constraints in [true, false] {
+            assert_encoder_matches_oracle(obs, position_constraints);
+        }
+    }
+    assert_eq!(pages.len(), 24);
+}
+
+/// The relaxed rung's targets are proven: on every relaxed component of
+/// the paper corpus the branch-and-bound finishes, within two nodes per
+/// variable, the ladder's warm-started WSAT call reaches that optimum,
+/// and the ladder assigns exactly the proven number of extracts. The
+/// four large components sit below the extract-count bound the rung
+/// used to chase.
+#[test]
+fn bnb_certifies_every_relaxed_component_of_the_paper_corpus() {
+    let opts = CspOptions::default();
+    let mut components = 0;
+    // (variables, proven optimum, extract-count bound)
+    let mut large = Vec::new();
+    for obs in &paper_pages() {
+        let out = segment_csp(obs, &opts);
+        if out.status == CspStatus::Solved {
+            continue;
+        }
+        assert_eq!(out.status, CspStatus::SolvedRelaxed);
+        let mut enc = encode(obs, &EncodeOptions::default());
+        // Propagation refutes every dirty strict encoding of the corpus,
+        // so the ladder's warm seed is the completed strict reduction.
+        let strict = reduce_model(&enc.model);
+        assert!(strict.infeasible);
+        let strict_best = strict.completed();
+        enc.relax();
+        let red = reduce_model(&enc.model);
+        let mut parts = Vec::new();
+        for comp in &red.components {
+            let BnbOutcome::Optimal {
+                assignment,
+                objective,
+            } = solve_bnb(&comp.model, opts.bnb_budget)
+            else {
+                panic!("{}-variable component not proven", comp.vars.len());
+            };
+            let warm = vec![comp.vars.iter().map(|&v| strict_best[v]).collect()];
+            let cfg = WsatConfig {
+                threads: 1,
+                objective_target: Some(objective),
+                ..opts.wsat
+            };
+            let stochastic = solve_warm(&comp.model, &cfg, &warm);
+            assert!(stochastic.feasible);
+            assert_eq!(stochastic.objective, objective, "{} vars", comp.vars.len());
+            if comp.vars.len() >= 30 {
+                let mut extracts: Vec<usize> = comp.vars.iter().map(|&v| enc.vars[v].0).collect();
+                extracts.dedup();
+                large.push((comp.vars.len(), objective, extracts.len()));
+            }
+            parts.push(assignment);
+            components += 1;
+        }
+        let optimum = enc.model.objective_value(&red.stitch(&parts));
+        assert_eq!(out.segmentation.assigned_count() as i64, optimum);
+        let vars: usize = red.components.iter().map(|c| c.vars.len()).sum();
+        assert!(out.bnb_nodes <= 2 * vars as u64, "{} nodes", out.bnb_nodes);
+    }
+    assert_eq!(components, 40);
+    large.sort_unstable();
+    assert_eq!(
+        large,
+        [(35, 19, 20), (71, 35, 37), (72, 38, 40), (692, 116, 117)]
+    );
+}
+
+/// The brute-force oracle for [`solve_bnb`]: the best objective over
+/// every feasible assignment, `None` when there is none.
+fn brute_force(model: &Model) -> Option<i64> {
+    let n = model.num_vars;
+    assert!(n <= 12, "brute force is for at most 12 variables");
+    (0u32..1 << n)
+        .filter_map(|bits| {
+            let assignment: Vec<bool> = (0..n).map(|v| bits >> v & 1 == 1).collect();
+            model
+                .feasible(&assignment)
+                .then(|| model.objective_value(&assignment))
+        })
+        .max()
+}
+
+/// Gives a model a random objective, with negative and zero weights.
+fn with_objective(model: impl Strategy<Value = Model>) -> impl Strategy<Value = Model> {
+    model.prop_flat_map(|m| {
+        let n = m.num_vars;
+        proptest::collection::vec(-2i32..4, n).prop_map(move |coefs| {
+            let mut m = m.clone();
+            m.objective = coefs
+                .into_iter()
+                .enumerate()
+                .filter(|&(_, coef)| coef != 0)
+                .map(|(var, coef)| Term { var, coef })
+                .collect();
+            m
+        })
+    })
+}
+
+/// A random model shaped like a segmentation component: overlapping
+/// at-most-one rows (`≤ 1` and `= 1`) over up to 12 variables, plus
+/// weighted `≤`/`≥`/`=` rows such as the consecutiveness triples.
+fn arb_grouped_model() -> impl Strategy<Value = Model> {
+    (2usize..=12).prop_flat_map(|n| {
+        let group = (
+            proptest::collection::btree_set(0..n, 1..=n.min(4)),
+            prop_oneof![Just(Relation::Le), Just(Relation::Eq)],
+        );
+        let term = (0..n, prop_oneof![Just(-1i32), Just(1), Just(2)]);
+        let row = (
+            proptest::collection::vec(term, 1..=3),
+            prop_oneof![Just(Relation::Le), Just(Relation::Ge), Just(Relation::Eq)],
+            -1i32..3,
+        );
+        (
+            proptest::collection::vec(group, 1..8),
+            proptest::collection::vec(row, 0..5),
+        )
+            .prop_map(move |(groups, rows)| {
+                let mut m = Model::new(n);
+                for (vars, rel) in groups {
+                    m.add(Constraint::sum(vars, rel, 1));
+                }
+                for (terms, rel, rhs) in rows {
+                    let mut seen = vec![false; n];
+                    let terms = terms
+                        .into_iter()
+                        .filter(|&(var, _)| !std::mem::replace(&mut seen[var], true))
+                        .map(|(var, coef)| Term { var, coef })
+                        .collect();
+                    m.add(Constraint { terms, rel, rhs });
+                }
+                m
+            })
+    })
+}
+
+/// Asserts that [`solve_bnb`] and its root bound agree with brute force.
+fn assert_bnb_matches_brute_force(model: &Model) -> Result<(), TestCaseError> {
+    let truth = brute_force(model);
+    match solve_bnb(model, 1_000_000) {
+        BnbOutcome::Optimal {
+            assignment,
+            objective,
+        } => {
+            prop_assert_eq!(Some(objective), truth);
+            prop_assert!(model.feasible(&assignment));
+            prop_assert_eq!(model.objective_value(&assignment), objective);
+        }
+        BnbOutcome::Infeasible => prop_assert_eq!(truth, None),
+        BnbOutcome::Unknown => unreachable!("budget is ample for <=12 vars"),
+    }
+    if let Some(optimum) = truth {
+        let bound = bnb_root_bound(model);
+        prop_assert!(
+            bound.is_some_and(|b| b >= optimum),
+            "root bound {:?} below the optimum {}",
+            bound,
+            optimum
+        );
+    }
+    Ok(())
 }
 
 /// A random small pseudo-boolean model.
@@ -317,6 +489,26 @@ fn ordered_instance_model(cands: &[&[u32]]) -> (Model, Vec<(usize, u32)>) {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Branch-and-bound is exact, and its root bound is a bound, on
+    /// random unit-row models with random objectives.
+    #[test]
+    fn bnb_equals_brute_force_on_unit_models(model in with_objective(arb_model())) {
+        assert_bnb_matches_brute_force(&model)?;
+    }
+
+    /// The same on weighted rows, including negative coefficients.
+    #[test]
+    fn bnb_equals_brute_force_on_weighted_models(model in with_objective(arb_weighted_model())) {
+        assert_bnb_matches_brute_force(&model)?;
+    }
+
+    /// The same on overlapping at-most-one groups, the structure the
+    /// bound reads off the model.
+    #[test]
+    fn bnb_equals_brute_force_on_grouped_models(model in with_objective(arb_grouped_model())) {
+        assert_bnb_matches_brute_force(&model)?;
+    }
 
     /// The encoder matches its oracle row for row on random observation
     /// tables, strict and relaxed, with and without position constraints.

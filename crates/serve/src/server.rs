@@ -1,10 +1,13 @@
 //! The `tablesegd` daemon: admission, dispatch, caching, rendering.
 //!
-//! One acceptor thread admits connections into a bounded queue (overflow
-//! is answered `429` + `Retry-After` from the acceptor itself, so
-//! backpressure costs no worker time); a fixed pool of workers drains
-//! the queue, each handling one request per connection. Segmentation
-//! requests fan their targets out over [`tableseg::batch::execute`].
+//! One acceptor thread admits connections into a bounded queue; a fixed
+//! pool of workers drains the queue, each handling one request per
+//! connection. Overflow is answered `429` + `Retry-After` by the acceptor
+//! the moment the connection lands, without reading the request, and one
+//! shedder thread drains and closes the rejected sockets, so backpressure
+//! costs no worker time and a connection flood creates no threads.
+//! Segmentation requests fan their targets out over
+//! [`tableseg::batch::execute`].
 //!
 //! **Site-state lifecycle.** The list pages of a request are
 //! fingerprinted and compared against the cached state:
@@ -23,7 +26,8 @@
 //! (Prometheus), `GET /healthz`.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{ErrorKind, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -143,6 +147,16 @@ impl PageBlock {
     }
 }
 
+/// Most rejected sockets the shedder holds at once; past it the oldest
+/// is closed undrained.
+const SHED_CAPACITY: usize = 256;
+/// Longest a rejected socket is drained before it is closed.
+const SHED_LINGER: Duration = Duration::from_secs(1);
+/// Pause between the shedder's passes over its sockets.
+const SHED_POLL: Duration = Duration::from_millis(10);
+/// Reads per socket and pass, so one fast sender cannot hold the shedder.
+const SHED_READS: usize = 16;
+
 struct Inner {
     config: ServerConfig,
     cache: SiteCache<Arc<SiteState>>,
@@ -155,6 +169,10 @@ struct Inner {
     shutdown: AtomicBool,
     queue: Mutex<Vec<TcpStream>>,
     queue_ready: Condvar,
+    /// Rejected sockets, answered and half-closed, each with the instant
+    /// the shedder gives up draining it.
+    shed: Mutex<Vec<(TcpStream, Instant)>>,
+    shed_ready: Condvar,
 }
 
 /// A running daemon. Dropping the handle does not stop it; call
@@ -181,12 +199,18 @@ impl Server {
             shutdown: AtomicBool::new(false),
             queue: Mutex::new(Vec::new()),
             queue_ready: Condvar::new(),
+            shed: Mutex::new(Vec::new()),
+            shed_ready: Condvar::new(),
             config,
         });
         let mut threads = Vec::new();
         for _ in 0..inner.config.workers.max(1) {
             let inner = Arc::clone(&inner);
             threads.push(std::thread::spawn(move || worker_loop(&inner)));
+        }
+        {
+            let inner = Arc::clone(&inner);
+            threads.push(std::thread::spawn(move || shedder_loop(&inner)));
         }
         {
             let inner = Arc::clone(&inner);
@@ -210,6 +234,12 @@ impl Server {
         // Wake the acceptor out of accept() with a no-op connection.
         let _ = TcpStream::connect(self.addr);
         self.inner.queue_ready.notify_all();
+        // Notified under its lock, so the shedder cannot miss the wake-up
+        // between checking the flag and waiting.
+        {
+            let _shed = self.inner.shed.lock().unwrap();
+            self.inner.shed_ready.notify_all();
+        }
         for t in self.threads {
             let _ = t.join();
         }
@@ -229,32 +259,73 @@ fn acceptor_loop(inner: &Inner, listener: TcpListener) {
         let mut queue = inner.queue.lock().unwrap();
         if queue.len() >= inner.config.queue_depth {
             drop(queue);
-            // Backpressure: answer off the acceptor thread so a full
-            // queue costs no worker time and no acceptor stalls. The
-            // request must be drained before the socket closes —
-            // closing with unread bytes sends a TCP reset that clobbers
-            // the in-flight 429, and the client sees a connection error
-            // instead of the retryable status.
             inner.global.lock().unwrap().incr(Counter::ServeRejected);
-            let max_body = inner.config.max_body;
-            let timeout = inner.config.read_timeout;
-            std::thread::spawn(move || {
-                let mut stream = stream;
-                let _ = stream.set_read_timeout(Some(timeout));
-                let _ = read_request(&mut stream, max_body);
-                let _ = write_response(
-                    &mut stream,
-                    429,
-                    "Too Many Requests",
-                    &[("retry-after", "1")],
-                    b"queue full\n",
-                );
-            });
+            reject(inner, stream);
             continue;
         }
         queue.insert(0, stream);
         inner.queue_ready.notify_one();
     }
+}
+
+/// Answers an over-capacity connection on the acceptor: a rejection
+/// needs nothing from the request, so the 429 goes out at once and the
+/// write side closes. The socket then waits on the shedder, because
+/// closing it with request bytes unread would send a reset that can
+/// clobber the 429 before the client reads it.
+fn reject(inner: &Inner, mut stream: TcpStream) {
+    // A fresh socket's send buffer takes the whole response; nonblocking
+    // keeps a misbehaving peer from ever stalling the acceptor.
+    let _ = stream.set_nonblocking(true);
+    let _ = write_response(
+        &mut stream,
+        429,
+        "Too Many Requests",
+        &[("retry-after", "1")],
+        b"queue full\n",
+    );
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut shed = inner.shed.lock().unwrap();
+    if shed.len() >= SHED_CAPACITY {
+        shed.remove(0);
+    }
+    shed.push((stream, Instant::now() + SHED_LINGER));
+    inner.shed_ready.notify_one();
+}
+
+/// The one shedder thread: reads and discards what rejected clients
+/// still send, and closes each socket at its end of stream or after
+/// [`SHED_LINGER`].
+fn shedder_loop(inner: &Inner) {
+    let mut scratch = [0u8; 4096];
+    let mut shed = inner.shed.lock().unwrap();
+    loop {
+        if inner.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        if shed.is_empty() {
+            shed = inner.shed_ready.wait(shed).unwrap();
+            continue;
+        }
+        let now = Instant::now();
+        shed.retain_mut(|(stream, deadline)| now < *deadline && still_open(stream, &mut scratch));
+        shed = inner.shed_ready.wait_timeout(shed, SHED_POLL).unwrap().0;
+    }
+}
+
+/// Drains a nonblocking socket; `false` once the client has finished
+/// (end of stream or an error).
+fn still_open(stream: &mut TcpStream, scratch: &mut [u8]) -> bool {
+    for _ in 0..SHED_READS {
+        match stream.read(scratch) {
+            Ok(0) => return false,
+            Ok(_) => {}
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => return false,
+        }
+    }
+    true
 }
 
 fn worker_loop(inner: &Inner) {

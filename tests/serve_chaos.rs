@@ -5,12 +5,14 @@
 //! `Content-Length` header alone), malformed HTTP, garbage segment
 //! bodies, mid-request disconnects, wrong methods, unknown endpoints,
 //! out-of-range targets (caught by the fallible pipeline and reported
-//! as a failed page inside a 200), empty site samples, and a
-//! zero-depth admission queue (429 + `Retry-After` from the acceptor).
+//! as a failed page inside a 200), empty site samples, a zero-depth
+//! admission queue (429 + `Retry-After` from the acceptor), and a
+//! connection flood past a full queue (every client answered at once, on
+//! a bounded number of threads).
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tableseg_serve::client;
 use tableseg_serve::proto::encode_request;
@@ -203,5 +205,76 @@ fn zero_depth_queue_rejects_with_retry_after() {
         head.to_ascii_lowercase().contains("retry-after: 1"),
         "429 must carry Retry-After, got: {head}"
     );
+    server.shutdown();
+}
+
+/// Live threads of this process, where the platform exposes them.
+fn thread_count() -> Option<usize> {
+    std::fs::read_dir("/proc/self/task")
+        .ok()
+        .map(Iterator::count)
+}
+
+#[test]
+fn connection_flood_is_shed_at_once_on_bounded_threads() {
+    let queue_depth = 2;
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        queue_depth,
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let addr = server.addr();
+    let patience = Duration::from_millis(250);
+
+    // Silent clients occupy the worker (blocked reading a request that
+    // never comes) and every queue slot. A probe that reads nothing
+    // within `patience` was admitted; one answered 429 arrived while the
+    // worker had not yet taken its connection, so probing goes on.
+    let mut admitted = Vec::new();
+    for _ in 0..20 {
+        if admitted.len() == 1 + queue_depth {
+            break;
+        }
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.set_read_timeout(Some(patience)).expect("timeout");
+        match stream.read(&mut [0u8; 1]) {
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                admitted.push(stream)
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(admitted.len(), 1 + queue_depth, "could not fill the queue");
+
+    // The flood: every client is answered from the acceptor without
+    // sending a byte, and keeps its socket open afterwards, so a
+    // thread-per-rejection design would hold one thread per client.
+    let threads_before = thread_count();
+    let mut flood = Vec::new();
+    for i in 0..50 * queue_depth {
+        let started = Instant::now();
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.set_read_timeout(Some(patience)).expect("timeout");
+        let mut raw = Vec::new();
+        stream
+            .read_to_end(&mut raw)
+            .unwrap_or_else(|e| panic!("client {i}: no 429 within {patience:?}: {e}"));
+        let waited = started.elapsed();
+        let head = String::from_utf8_lossy(&raw);
+        assert!(head.starts_with("HTTP/1.1 429 "), "client {i} got: {head}");
+        assert!(waited <= patience, "client {i} waited {waited:?}");
+        flood.push(stream);
+    }
+    if let (Some(before), Some(after)) = (threads_before, thread_count()) {
+        // Slack for the other tests of this binary, which run alongside.
+        assert!(
+            after <= before + 16,
+            "{} rejections grew the process from {before} to {after} threads",
+            flood.len()
+        );
+    }
+    drop(flood);
+    drop(admitted);
     server.shutdown();
 }
