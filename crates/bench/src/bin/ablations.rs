@@ -11,43 +11,30 @@
 //!   page-invariant ("The entry numbers of the next page will be
 //!   different from others in the sample", Section 6.3).
 
-use tableseg::{prepare, CspSegmenter, HybridSegmenter, ProbSegmenter, Segmenter, SitePages};
-use tableseg_bench::{evaluate_segmenter, prepare_page_cached, prepare_site, run_site_with};
-use tableseg_eval::classify::{classify, PageCounts};
+use tableseg::{
+    batch, run_page, CspSegmenter, HybridSegmenter, ProbSegmenter, Segmenter, SiteTemplate,
+};
+use tableseg_bench::{classify_page, run_corpus, run_sites, totals};
+use tableseg_eval::classify::PageCounts;
 use tableseg_eval::Metrics;
+use tableseg_sitegen::chaos::ChaosConfig;
 use tableseg_sitegen::paper_sites;
-
-fn aggregate(runs: &[tableseg_bench::PageRun]) -> (PageCounts, PageCounts) {
-    let mut prob = PageCounts::default();
-    let mut csp = PageCounts::default();
-    for r in runs {
-        prob = prob.add(&r.prob);
-        csp = csp.add(&r.csp);
-    }
-    (prob, csp)
-}
+use tableseg_sitegen::site::generate;
 
 fn main() {
     let sites = paper_sites::all();
+    let threads = batch::default_threads();
+    let corpus = |prob: &dyn Segmenter, csp: &dyn Segmenter| {
+        totals(&run_corpus(&sites, threads, &ChaosConfig::off(0), None, prob, csp).runs)
+    };
 
     // -------- AB1 / AB2: segmenter variants over the full corpus --------
-    let mut full_runs = Vec::new();
-    let mut ablated_runs = Vec::new();
-    for spec in &sites {
-        eprintln!("running {} ...", spec.name);
-        full_runs.extend(run_site_with(
-            spec,
-            &ProbSegmenter::default(),
-            &CspSegmenter::default(),
-        ));
-        ablated_runs.extend(run_site_with(
-            spec,
-            &ProbSegmenter::without_period_model(),
-            &CspSegmenter::without_position_constraints(),
-        ));
-    }
-    let (prob_full, csp_full) = aggregate(&full_runs);
-    let (prob_nope, csp_nopos) = aggregate(&ablated_runs);
+    eprintln!("running {} sites ...", sites.len());
+    let (prob_full, csp_full) = corpus(&ProbSegmenter::default(), &CspSegmenter::default());
+    let (prob_nope, csp_nopos) = corpus(
+        &ProbSegmenter::without_period_model(),
+        &CspSegmenter::without_position_constraints(),
+    );
 
     println!("AB1 — CSP position constraints (Section 4.2):");
     println!(
@@ -86,44 +73,20 @@ fn main() {
     );
 
     // -------- AB3: template table slot vs whole page --------------------
-    let mut with_template = PageCounts::default();
+    // The template pipeline is AB1's full CSP run; the forced whole page
+    // gives the pipeline only the target page, so no template can be
+    // induced.
+    let with_template = csp_full;
     let mut whole_page = PageCounts::default();
     let csp = CspSegmenter::default();
     for spec in &sites {
-        let ps = prepare_site(spec);
-        let site = &ps.site;
-        for page in 0..site.pages.len() {
-            // Normal pipeline (template when usable, induced once per site).
-            let prepared = prepare_page_cached(&ps, page);
-            let (counts, _) = evaluate_segmenter(site, page, &prepared, &csp);
-            with_template = with_template.add(&counts);
-
-            // Forced whole page: give the pipeline only the target page so
-            // no template can be induced.
-            let details: Vec<&str> = site.pages[page]
-                .detail_html
-                .iter()
-                .map(String::as_str)
-                .collect();
-            let forced = prepare(&SitePages {
-                list_pages: vec![&site.pages[page].list_html],
-                target: 0,
-                detail_pages: details,
-            });
-            let spans: Vec<std::ops::Range<usize>> = site.pages[page]
-                .truth
-                .records
-                .iter()
-                .map(|r| r.start..r.end)
-                .collect();
-            let truth = tableseg_eval::classify::truth_of_extracts(&forced.extract_offsets, &spans);
-            let outcome = csp.segment(&forced.observations);
-            let counts = classify(
-                &outcome.segmentation.records(),
-                &truth,
-                site.pages[page].truth.len(),
-            );
-            whole_page = whole_page.add(&counts);
+        let site = generate(spec);
+        for (page, gp) in site.pages.iter().enumerate() {
+            let forced = SiteTemplate::build(&[&gp.list_html]);
+            let result = run_page(&forced, 0, &gp.detail_htmls(), None, &[&csp]);
+            if let [Some((counts, _))] = classify_page(&site, page, &result)[..] {
+                whole_page = whole_page.add(&counts);
+            }
         }
     }
     println!("\nAB3 — page-template table slot vs whole-page fallback (CSP):");
@@ -150,16 +113,7 @@ fn main() {
     );
 
     // -------- AB5: the Section 7 hybrid ---------------------------------
-    let hybrid = HybridSegmenter::default();
-    let mut hybrid_total = PageCounts::default();
-    for spec in &sites {
-        let ps = prepare_site(spec);
-        for page in 0..ps.site.pages.len() {
-            let prepared = prepare_page_cached(&ps, page);
-            let (counts, _) = evaluate_segmenter(&ps.site, page, &prepared, &hybrid);
-            hybrid_total = hybrid_total.add(&counts);
-        }
-    }
+    let (_, hybrid_total) = corpus(&ProbSegmenter::default(), &HybridSegmenter::default());
     println!("\nAB5 — combined segmenter (Section 7: CSP first, probabilistic fill-in):");
     println!(
         "  CSP alone:     {}   (Cor={} InC={} FN={} FP={})",
@@ -187,33 +141,22 @@ fn main() {
     );
 
     // -------- AB6: continued numbering repairs the book sites -----------
-    let mut numbered = PageCounts::default();
-    let mut continued = PageCounts::default();
-    let mut fallback_before = 0usize;
-    let mut fallback_after = 0usize;
-    for base in [
+    let numbered_sites = [
         paper_sites::amazon(),
         paper_sites::bn_books(),
         paper_sites::minnesota(),
-    ] {
-        let mut fixed = base.clone();
-        fixed.continuous_numbering = true;
-        for (spec, acc, fb) in [
-            (&base, &mut numbered, &mut fallback_before),
-            (&fixed, &mut continued, &mut fallback_after),
-        ] {
-            let ps = prepare_site(spec);
-            for page in 0..ps.site.pages.len() {
-                let prepared = prepare_page_cached(&ps, page);
-                if prepared.used_whole_page {
-                    *fb += 1;
-                }
-                let (counts, _) =
-                    evaluate_segmenter(&ps.site, page, &prepared, &CspSegmenter::default());
-                *acc = acc.add(&counts);
-            }
-        }
-    }
+    ];
+    let continued_sites = numbered_sites.clone().map(|mut spec| {
+        spec.continuous_numbering = true;
+        spec
+    });
+    let numbering = |specs: &[tableseg_sitegen::site::SiteSpec]| {
+        let outcome = run_sites(specs, threads);
+        let fallbacks = outcome.runs.iter().filter(|r| r.used_whole_page).count();
+        (totals(&outcome.runs).1, fallbacks)
+    };
+    let (numbered, fallback_before) = numbering(&numbered_sites);
+    let (continued, fallback_after) = numbering(&continued_sites);
     println!("\nAB6 — numbered sites with page-continued numbering (the paper's proposed fix):");
     println!(
         "  numbers restart per page:  {}   ({} of 6 pages fell back to whole page)",

@@ -3,11 +3,9 @@
 //! RoadRunner-style union-free grammar — against the paper's CSP and
 //! probabilistic approaches, over the twelve simulated sites.
 
-use std::ops::Range;
-
-use tableseg::{CspSegmenter, ProbSegmenter};
+use tableseg::batch;
 use tableseg_baselines::{domtable, iepad, roadrunner, textseg};
-use tableseg_bench::{evaluate_segmenter, prepare_page_cached, prepare_site};
+use tableseg_bench::run_sites;
 use tableseg_eval::classify::{classify_spans, PageCounts};
 use tableseg_eval::Metrics;
 use tableseg_sitegen::paper_sites;
@@ -25,29 +23,23 @@ fn main() {
         "| {:<22} | {:>4} | {:>5} | {:>10} | {:>4} | {:>4} |",
         "site", "DOM", "IEPAD", "RoadRunner", "CSP", "prob"
     );
-    for spec in paper_sites::all() {
-        let ps = prepare_site(&spec);
-        let site = &ps.site;
+    let specs = paper_sites::all();
+    let paper = run_sites(&specs, batch::default_threads());
+    for spec in specs {
+        let site = &generate(&spec);
         let mut dom_site = PageCounts::default();
         let mut iepad_site = PageCounts::default();
         let mut csp_site = PageCounts::default();
         let mut prob_site = PageCounts::default();
-        for page in 0..site.pages.len() {
-            let truth: Vec<Range<usize>> = site.pages[page]
-                .truth
-                .records
-                .iter()
-                .map(|r| r.start..r.end)
-                .collect();
-            let html = &site.pages[page].list_html;
+        for page in &site.pages {
+            let truth = page.truth_spans();
+            let html = &page.list_html;
             dom_site = dom_site.add(&classify_spans(&domtable::segment(html).records, &truth));
             iepad_site = iepad_site.add(&classify_spans(&iepad::segment(html).records, &truth));
-
-            let prepared = prepare_page_cached(&ps, page);
-            let (c, _) = evaluate_segmenter(site, page, &prepared, &CspSegmenter::default());
-            csp_site = csp_site.add(&c);
-            let (p, _) = evaluate_segmenter(site, page, &prepared, &ProbSegmenter::default());
-            prob_site = prob_site.add(&p);
+        }
+        for run in paper.runs.iter().filter(|r| r.site == spec.name) {
+            csp_site = csp_site.add(&run.csp);
+            prob_site = prob_site.add(&run.prob);
         }
         let rr = roadrunner::induce(&site.pages[0].list_html, &site.pages[1].list_html);
         let rr_label = match &rr {

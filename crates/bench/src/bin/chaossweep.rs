@@ -4,14 +4,14 @@
 //! For each fault probability in `0.0, 0.1, ..., 0.5`, every fault class
 //! of the chaos layer is armed at that rate and the full pipeline
 //! (template → extraction → both segmenters → evaluation) runs over all
-//! sites through the fallible batch path — a damaged page degrades or
+//! sites through the corpus driver (`run_corpus`) — a damaged page degrades or
 //! fails its own row, never the process. The per-rate accuracy, outcome
 //! counts and injected-fault counts land in `BENCH_robustness.json`.
 //!
 //! At rate 0 the sweep additionally proves the harness honest:
 //!
 //! * the chaos-wrapped generator is **byte-identical** to the plain one;
-//! * the robust path's Table 4 report matches `tests/golden/table4.txt`.
+//! * the faulted run's Table 4 report matches `tests/golden/table4.txt`.
 //!
 //! Flags:
 //!
@@ -29,12 +29,12 @@
 
 use std::process::ExitCode;
 
-use tableseg::batch;
 use tableseg::obs;
 use tableseg::robustness::RobustnessReport;
 use tableseg::timing::Stage;
+use tableseg::{batch, CspSegmenter, ProbSegmenter};
 use tableseg_bench::corpus::BenchJson;
-use tableseg_bench::{run_sites_robust, table4_report, RobustBatchOutcome};
+use tableseg_bench::{run_corpus, table4_report, totals, RunOutcome};
 use tableseg_eval::metrics::Metrics;
 use tableseg_sitegen::chaos::{apply_chaos, ChaosConfig};
 use tableseg_sitegen::paper_sites;
@@ -120,15 +120,16 @@ fn main() -> ExitCode {
     let mut sweep_report = RobustnessReport::new();
     let mut sweep_root = obs::SpanNode::new(obs::SpanKind::Run, "run", 0);
 
+    let (prob, csp) = (ProbSegmenter::default(), CspSegmenter::default());
     let mut rate_rows: Vec<String> = Vec::new();
     for rate in RATES {
         // Aggregate over seeds. At rate 0 every seed is a no-op, so one
         // pass suffices (and keeps the golden comparison exact).
         let seed_count = if rate == 0.0 { 1 } else { seeds };
-        let mut merged: Option<RobustBatchOutcome> = None;
+        let mut merged: Option<RunOutcome> = None;
         for s in 0..seed_count {
             let cfg = ChaosConfig::uniform(rate, BASE_SEED + s as u64);
-            let outcome = run_sites_robust(&specs, &cfg, threads);
+            let outcome = run_corpus(&specs, threads, &cfg, None, &prob, &csp);
             merged = Some(match merged {
                 None => outcome,
                 Some(mut acc) => {
@@ -171,7 +172,7 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             }
-            // Honesty check 2: the robust path reproduces the golden
+            // Honesty check 2: the faulted run reproduces the golden
             // Table 4 report exactly. Degraded pages are allowed — the
             // whole-page fallback fires on some *clean* sites (the
             // paper's notes a/b); failures are not.
@@ -205,7 +206,7 @@ fn main() -> ExitCode {
             }
         }
 
-        let (prob_counts, csp_counts) = outcome.totals();
+        let (prob_counts, csp_counts) = totals(&outcome.runs);
         let prob = Metrics::from_counts(&prob_counts);
         let csp = Metrics::from_counts(&csp_counts);
         let r = &outcome.report;
@@ -262,12 +263,7 @@ fn main() -> ExitCode {
 
 /// Renders one per-rate JSON object (hand-rolled; the serde shim is a
 /// no-op marker, so JSON is rendered as strings throughout the repo).
-fn render_rate_row(
-    rate: f64,
-    outcome: &RobustBatchOutcome,
-    prob: &Metrics,
-    csp: &Metrics,
-) -> String {
+fn render_rate_row(rate: f64, outcome: &RunOutcome, prob: &Metrics, csp: &Metrics) -> String {
     let r = &outcome.report;
     let mut s = format!(
         "    {{ \"rate\": {rate:.1}, \"pages\": {}, \"ok\": {}, \"degraded\": {}, \"failed\": {},\n",

@@ -10,12 +10,11 @@
 //! * **ε tolerance** — the probabilistic dirty-data knob on the Michigan
 //!   quirk site.
 
-use std::time::Instant;
-
 use tableseg::prob::ProbOptions;
-use tableseg::{prepare, CspSegmenter, ProbSegmenter, Segmenter, SitePages};
-use tableseg_bench::{evaluate_segmenter, page_truth, prepare_page_cached, prepare_site};
-use tableseg_eval::classify::classify;
+use tableseg::timing::Stage;
+use tableseg::{run_page, CspSegmenter, ProbSegmenter, Segmenter, SiteTemplate};
+use tableseg_bench::classify_page;
+use tableseg_eval::classify::PageCounts;
 use tableseg_eval::Metrics;
 use tableseg_sitegen::domains::Domain;
 use tableseg_sitegen::quirks::Quirk;
@@ -35,12 +34,34 @@ fn spec(domain: Domain, records: usize, missing: f64, seed: u64) -> SiteSpec {
     }
 }
 
+/// Runs `segmenters` on the first list page of a generated site: per
+/// segmenter its counts, whether it relaxed, and its solve seconds.
+fn run_first_page(s: &SiteSpec, segmenters: &[&dyn Segmenter]) -> Vec<(PageCounts, bool, f64)> {
+    let site = generate(s);
+    let template = SiteTemplate::build(&site.list_htmls());
+    let result = run_page(
+        &template,
+        0,
+        &site.pages[0].detail_htmls(),
+        None,
+        segmenters,
+    );
+    let counts = classify_page(&site, 0, &result);
+    counts
+        .into_iter()
+        .zip(&result.solved)
+        .map(|(counts, solved)| {
+            let (counts, relaxed) = counts.expect("sweep sites are clean");
+            let secs = solved
+                .as_ref()
+                .map_or(0.0, |o| o.solver_times.get(Stage::Solve).as_secs_f64());
+            (counts, relaxed, secs)
+        })
+        .collect()
+}
+
 fn run_one(s: &SiteSpec, segmenter: &dyn Segmenter) -> (Metrics, f64) {
-    let ps = prepare_site(s);
-    let prepared = prepare_page_cached(&ps, 0);
-    let start = Instant::now();
-    let (counts, _) = evaluate_segmenter(&ps.site, 0, &prepared, segmenter);
-    let secs = start.elapsed().as_secs_f64();
+    let (counts, _, secs) = run_first_page(s, &[segmenter])[0];
     (Metrics::from_counts(&counts), secs)
 }
 
@@ -76,12 +97,9 @@ fn main() {
             quirks: vec![Quirk::SharedValueMissingOnDetail { field: "city" }],
             ..spec(Domain::WhitePages, records, 0.05, 9000 + records as u64)
         };
-        let ps = prepare_site(&s);
-        let prepared = prepare_page_cached(&ps, 0);
-        let (csp_counts, relaxed) =
-            evaluate_segmenter(&ps.site, 0, &prepared, &CspSegmenter::default());
-        let (prob_counts, _) =
-            evaluate_segmenter(&ps.site, 0, &prepared, &ProbSegmenter::default());
+        let (csp, prob) = (CspSegmenter::default(), ProbSegmenter::default());
+        let both = run_first_page(&s, &[&csp, &prob]);
+        let ((csp_counts, relaxed, _), (prob_counts, _, _)) = (both[0], both[1]);
         println!(
             "| {records:>7} | {:>5.2} | {:>7} | {:>6.2} |",
             Metrics::from_counts(&csp_counts).f1,
@@ -93,31 +111,14 @@ fn main() {
     println!("\nsweep 4: epsilon tolerance on the Michigan quirk (dirty data)");
     println!("| epsilon | prob F |");
     let michigan = tableseg_sitegen::paper_sites::michigan();
-    let site = generate(&michigan);
     for eps in [1e-12, 1e-9, 1e-6, 1e-3, 1e-1] {
-        let details: Vec<&str> = site.pages[0]
-            .detail_html
-            .iter()
-            .map(String::as_str)
-            .collect();
-        let prepared = prepare(&SitePages {
-            list_pages: site.list_htmls(),
-            target: 0,
-            detail_pages: details,
-        });
         let seg = ProbSegmenter {
             options: ProbOptions {
                 epsilon: eps,
                 ..ProbOptions::default()
             },
         };
-        let truth = page_truth(&site, 0, &prepared);
-        let outcome = seg.segment(&prepared.observations);
-        let counts = classify(
-            &outcome.segmentation.records(),
-            &truth,
-            site.pages[0].truth.len(),
-        );
+        let (counts, _, _) = run_first_page(&michigan, &[&seg])[0];
         println!(
             "| {eps:>7.0e} | {:>6.2} |",
             Metrics::from_counts(&counts).f1

@@ -18,20 +18,26 @@
 //!   name identifying the benchmark.
 
 use tableseg::timing::{Registry, Stage};
+use tableseg::SiteTemplate;
 use tableseg_sitegen::paper_sites;
 use tableseg_sitegen::site::{generate, GeneratedSite, SiteSpec};
-
-use crate::{prepare_site, PreparedSite};
 
 /// Version tag stamped into every `BENCH_*.json` document as the
 /// `"schema"` field. Bump when a writer changes field names or layout.
 pub const SCHEMA: &str = "tableseg.bench/v3";
 
 /// Generates every simulated paper site and builds its cached
-/// [`SiteTemplate`](tableseg::SiteTemplate) — the shared site-level
-/// front end of the matcher and solver corpora.
-pub fn paper_prepared() -> Vec<PreparedSite> {
-    paper_sites::all().iter().map(prepare_site).collect()
+/// [`SiteTemplate`] — the shared site-level front end of the matcher and
+/// solver corpora.
+pub fn paper_prepared() -> Vec<(GeneratedSite, SiteTemplate)> {
+    paper_sites::all()
+        .iter()
+        .map(|spec| {
+            let site = generate(spec);
+            let template = SiteTemplate::build(&site.list_htmls());
+            (site, template)
+        })
+        .collect()
 }
 
 /// Generates every simulated paper site scaled to `page_count` sample

@@ -31,8 +31,8 @@ use std::ops::Range;
 
 use tableseg::html::lexer::tokenize;
 use tableseg::{
-    detect_regions, parent_spans_from_groups, try_prepare_with_template, try_segment_nested,
-    CspSegmenter, DetectOptions, Segmenter, SiteTemplate,
+    detect_regions, parent_spans_from_groups, run_page, try_segment_nested, CspSegmenter,
+    DetectOptions, Segmenter, SiteTemplate,
 };
 use tableseg_eval::classify::{
     classify_nested, classify_spans, NestedParentPred, NestedParentTruth, PageCounts,
@@ -144,15 +144,13 @@ fn score_nested_page(
 
     // Parent-level pass: segment the list page into parent records.
     let parent_details: Vec<&str> = page.parent_details.iter().map(String::as_str).collect();
-    let Ok(prepared) = try_prepare_with_template(template, page_idx, &parent_details) else {
-        return all_missed();
-    };
-    let Ok(outcome) = segmenter.try_segment(&prepared.observations) else {
+    let parent = run_page(template, page_idx, &parent_details, None, &[segmenter]);
+    let Ok(outcome) = &parent.solved[0] else {
         return all_missed();
     };
     let spans = parent_spans_from_groups(
         &outcome.segmentation.records(),
-        &prepared.extract_offsets,
+        &parent.extract_offsets(),
         page.list_html.len(),
     );
     if spans.is_empty() {

@@ -2,15 +2,22 @@
 //! extraction → both segmenters → evaluation) over simulated sites and
 //! produces Table-4-style rows.
 //!
-//! Batch runs go through [`tableseg::batch`], the work-stealing engine:
-//! site preparation (generation + tokenization + template induction),
-//! per-page front-end preparation, and `(site, page, segmenter)`
-//! evaluation jobs each fan out across worker threads, with results
-//! collected in job order so every report is byte-identical regardless of
-//! thread count. Template induction runs **once per site** — pages share
-//! the [`SiteTemplate`] built in the site-preparation phase — and every
-//! stage's wall-clock time lands in a [`timing::Registry`] keyed by site
-//! (the RT report).
+//! [`run_corpus`] is the one corpus driver. It fans the sites out over
+//! [`tableseg::batch`], the work-stealing engine, in two rounds with
+//! results collected in job order, so every report is byte-identical
+//! regardless of thread count:
+//!
+//! 1. **site jobs** — generate the site, inject the configured faults,
+//!    and build its [`SiteTemplate`] (template induction runs **once per
+//!    site**);
+//! 2. **page jobs** — [`run_page`] on every list page against the cached
+//!    template, then classification of each segmenter's result.
+//!
+//! A damaged page (or a whole damaged site) becomes a failed or degraded
+//! entry of the run's [`RobustnessReport`] while every other page
+//! proceeds; under [`ChaosConfig::off`] the run is the paper's plain
+//! experiment. Every stage's wall-clock time lands in a
+//! [`timing::Registry`] keyed by site (the RT report).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,20 +30,17 @@ pub mod scalebench;
 pub mod servebench;
 pub mod solvebench;
 
-use std::ops::Range;
-
 use tableseg::obs::{Counter, Manifest, Recorder, SpanKind, SpanNode};
 use tableseg::outcome::PageOutcome;
 use tableseg::robustness::RobustnessReport;
 use tableseg::timing::{self, Stage, StageTimes};
 use tableseg::{
-    batch, prepare_outcome, prepare_with_template, try_prepare_detected, CspSegmenter,
-    DetectOptions, DetectedPage, PreparedPage, ProbSegmenter, SegError, Segmenter, SitePages,
+    batch, run_page, CspSegmenter, DetectOptions, PageResult, ProbSegmenter, Segmenter,
     SiteTemplate,
 };
 use tableseg_eval::classify::{classify, truth_of_extracts, PageCounts};
-use tableseg_eval::report::{render_aggregate, render_table4};
-use tableseg_sitegen::chaos::{apply_chaos, ChaosConfig, ChaosLog, FaultKind};
+use tableseg_eval::report::{render_aggregate, render_table4, Row};
+use tableseg_sitegen::chaos::{apply_chaos, ChaosConfig, FaultKind};
 use tableseg_sitegen::site::{generate, GeneratedSite, SiteSpec};
 
 /// The outcome of running both approaches on one list page.
@@ -74,449 +78,33 @@ impl PageRun {
     }
 }
 
-/// A generated site with its per-site front-end state (the cached
-/// template): the unit of the batch engine's site-preparation phase.
-#[derive(Debug)]
-pub struct PreparedSite {
-    /// The site specification.
-    pub spec: SiteSpec,
-    /// The generated pages and ground truth.
-    pub site: GeneratedSite,
-    /// Tokenized list pages + induced template, built exactly once.
-    pub template: SiteTemplate,
-}
-
-/// Generates a site and builds its [`SiteTemplate`] (tokenization +
-/// template induction — the once-per-site work).
-pub fn prepare_site(spec: &SiteSpec) -> PreparedSite {
-    let site = generate(spec);
-    let list_htmls = site.list_htmls();
-    let template = SiteTemplate::build(&list_htmls);
-    PreparedSite {
-        spec: spec.clone(),
-        site,
-        template,
-    }
-}
-
-/// Prepares one page of a prepared site, reusing the cached template.
-pub fn prepare_page_cached(ps: &PreparedSite, page: usize) -> PreparedPage {
-    let details: Vec<&str> = ps.site.pages[page]
-        .detail_html
-        .iter()
-        .map(String::as_str)
-        .collect();
-    let mut prepared = prepare_with_template(&ps.template, page, &details);
-    // This page was served by the cached site template instead of a
-    // fresh induction — the cache-hit counter of the obs layer.
-    prepared.metrics.incr(Counter::TemplateCacheHits);
-    prepared
-}
-
-/// Prepares one page of a generated site for segmentation (one-shot:
-/// re-induces the template; batch callers use [`prepare_site`] +
-/// [`prepare_page_cached`] instead).
-pub fn prepare_page(site: &GeneratedSite, page: usize) -> PreparedPage {
-    let list_htmls = site.list_htmls();
-    let details: Vec<&str> = site.pages[page]
-        .detail_html
-        .iter()
-        .map(String::as_str)
-        .collect();
-    tableseg::prepare(&SitePages {
-        list_pages: list_htmls,
-        target: page,
-        detail_pages: details,
-    })
-}
-
-/// Ground-truth record index per kept extract of a prepared page.
-pub fn page_truth(
+/// Classifies every segmenter's result on one page of a generated site
+/// against the page's ground truth: `(counts, relaxed)` per segmenter, in
+/// the order [`run_page`] was given them, `None` where a segmenter failed.
+pub fn classify_page(
     site: &GeneratedSite,
     page: usize,
-    prepared: &PreparedPage,
-) -> Vec<Option<usize>> {
-    let spans: Vec<Range<usize>> = site.pages[page]
-        .truth
-        .records
+    result: &PageResult,
+) -> Vec<Option<(PageCounts, bool)>> {
+    let truth = truth_of_extracts(&result.extract_offsets(), &site.pages[page].truth_spans());
+    let records = site.pages[page].truth.len();
+    result
+        .solved
         .iter()
-        .map(|r| r.start..r.end)
-        .collect();
-    truth_of_extracts(&prepared.extract_offsets, &spans)
+        .map(|solved| {
+            let outcome = solved.as_ref().ok()?;
+            let groups = outcome.segmentation.records();
+            Some((classify(&groups, &truth, records), outcome.relaxed))
+        })
+        .collect()
 }
 
-/// Runs one segmenter on one page and classifies the result.
-pub fn evaluate_segmenter(
-    site: &GeneratedSite,
-    page: usize,
-    prepared: &PreparedPage,
-    segmenter: &dyn Segmenter,
-) -> (PageCounts, bool) {
-    let (counts, relaxed, _, _) = evaluate_segmenter_timed(site, page, prepared, segmenter);
-    (counts, relaxed)
-}
-
-/// Like [`evaluate_segmenter`], also returning the wall-clock time of the
-/// solve (segmentation) and decode (truth alignment + classification)
-/// stages plus the solver's observability metrics.
-pub fn evaluate_segmenter_timed(
-    site: &GeneratedSite,
-    page: usize,
-    prepared: &PreparedPage,
-    segmenter: &dyn Segmenter,
-) -> (PageCounts, bool, StageTimes, Recorder) {
-    let mut times = StageTimes::new();
-    let outcome = times.time(Stage::Solve, || segmenter.segment(&prepared.observations));
-    times.merge(&outcome.solver_times);
-    let counts = times.time(Stage::Decode, || {
-        let truth = page_truth(site, page, prepared);
-        let groups = outcome.segmentation.records();
-        classify(&groups, &truth, site.pages[page].truth.len())
-    });
-    (counts, outcome.relaxed, times, outcome.metrics)
-}
-
-/// The result of a batch run: page runs in `(site, page)` order plus the
-/// per-site per-stage timing registry (the RT report input).
+/// The result of a corpus run.
 #[derive(Debug)]
-pub struct BatchOutcome {
-    /// One entry per `(site, page)`, in input order.
-    pub runs: Vec<PageRun>,
-    /// Per-site wall-clock time per pipeline stage.
-    pub timing: timing::Registry,
-    /// Merged observability metrics (empty unless
-    /// [`tableseg::obs::set_enabled`] is on), merged in `(site, page,
-    /// segmenter)` order so totals are thread-count-invariant.
-    pub metrics: Recorder,
-    /// The `run > site > page > stage > substage` span tree, assembled
-    /// in corpus order from the same [`StageTimes`] the registry holds.
-    pub spans: SpanNode,
-}
-
-impl BatchOutcome {
-    /// Bundles the run into a manifest for `tool`. The caller adds its
-    /// config pairs and seeds before writing.
-    pub fn manifest(&self, tool: &str, threads: usize) -> Manifest {
-        let mut m = Manifest::new(tool);
-        m.metrics = self.metrics.clone();
-        m.root = self.spans.clone();
-        m.root.name = tool.to_string();
-        m.volatile.threads = threads;
-        m
-    }
-}
-
-/// Runs the default probabilistic and CSP segmenters over every list page
-/// of every site on `threads` worker threads.
-pub fn run_sites(specs: &[SiteSpec], threads: usize) -> BatchOutcome {
-    run_sites_with(
-        specs,
-        threads,
-        &ProbSegmenter::default(),
-        &CspSegmenter::default(),
-    )
-}
-
-/// Runs two arbitrary segmenters (labelled "prob" and "csp" in the output)
-/// over every list page of every site, through the batch engine.
-///
-/// Three phases, each a fan-out over [`batch::execute`] with results in
-/// job order:
-///
-/// 1. **site jobs** — generate the site, tokenize its list pages, induce
-///    the template (once per site);
-/// 2. **page jobs** — per-page front end against the cached template;
-/// 3. **`(site, page, segmenter)` jobs** — solve and decode.
-pub fn run_sites_with(
-    specs: &[SiteSpec],
-    threads: usize,
-    prob: &dyn Segmenter,
-    csp: &dyn Segmenter,
-) -> BatchOutcome {
-    // Phase 1: per-site preparation.
-    let sites: Vec<PreparedSite> =
-        batch::execute(threads, specs.to_vec(), |_, spec| prepare_site(&spec));
-
-    // Phase 2: per-page front end. Jobs are (site, page); `offsets[si]`
-    // locates a site's pages in the flat result vector.
-    let mut page_jobs: Vec<(usize, usize)> = Vec::new();
-    let mut offsets: Vec<usize> = Vec::with_capacity(sites.len());
-    for (si, ps) in sites.iter().enumerate() {
-        offsets.push(page_jobs.len());
-        for page in 0..ps.site.pages.len() {
-            page_jobs.push((si, page));
-        }
-    }
-    let prepared: Vec<PreparedPage> =
-        batch::execute(threads, page_jobs.clone(), |_, (si, page)| {
-            prepare_page_cached(&sites[si], page)
-        });
-
-    // Phase 3: (site, page, segmenter) evaluation jobs.
-    let segmenters: [&dyn Segmenter; 2] = [prob, csp];
-    let eval_jobs: Vec<(usize, usize)> = (0..page_jobs.len())
-        .flat_map(|pj| [(pj, 0), (pj, 1)])
-        .collect();
-    let evaluated: Vec<(PageCounts, bool, StageTimes, Recorder)> =
-        batch::execute(threads, eval_jobs, |_, (pj, seg)| {
-            let (si, page) = page_jobs[pj];
-            evaluate_segmenter_timed(&sites[si].site, page, &prepared[pj], segmenters[seg])
-        });
-
-    // Assemble runs, the timing registry, the merged metrics and the
-    // span tree in deterministic site order — per-job data merged here,
-    // in job order, is what keeps every output thread-count-invariant.
-    let registry = timing::Registry::new();
-    let mut metrics = Recorder::new();
-    let mut root = SpanNode::new(SpanKind::Run, "run", 0);
-    let mut runs = Vec::with_capacity(page_jobs.len());
-    for (si, ps) in sites.iter().enumerate() {
-        let mut site_times = ps.template.timings;
-        metrics.merge(&ps.template.metrics);
-        let mut site_span = SpanNode::new(
-            SpanKind::Site,
-            ps.spec.name.clone(),
-            ps.template.timings.total().as_nanos(),
-        );
-        for span in timing::stage_spans(&ps.template.timings) {
-            site_span.push(span);
-        }
-        for page in 0..ps.site.pages.len() {
-            let pj = offsets[si] + page;
-            site_times.merge(&prepared[pj].timings);
-            metrics.merge(&prepared[pj].metrics);
-            let (prob_counts, _, prob_times, prob_metrics) = &evaluated[2 * pj];
-            let (csp_counts, csp_relaxed, csp_times, csp_metrics) = &evaluated[2 * pj + 1];
-            site_times.merge(prob_times);
-            site_times.merge(csp_times);
-            metrics.merge(prob_metrics);
-            metrics.merge(csp_metrics);
-            let mut page_times = prepared[pj].timings;
-            page_times.merge(prob_times);
-            page_times.merge(csp_times);
-            let mut page_span = SpanNode::new(
-                SpanKind::Page,
-                format!("page#{page}"),
-                page_times.total().as_nanos(),
-            );
-            for span in timing::stage_spans(&page_times) {
-                page_span.push(span);
-            }
-            site_span.nanos += page_span.nanos;
-            site_span.push(page_span);
-            runs.push(PageRun {
-                site: ps.spec.name.clone(),
-                page,
-                prob: *prob_counts,
-                csp: *csp_counts,
-                used_whole_page: prepared[pj].used_whole_page,
-                csp_relaxed: *csp_relaxed,
-            });
-        }
-        registry.record(&ps.spec.name, &site_times);
-        root.nanos += site_span.nanos;
-        root.push(site_span);
-    }
-    BatchOutcome {
-        runs,
-        timing: registry,
-        metrics,
-        spans: root,
-    }
-}
-
-/// Runs the detect-enabled front end on one page of a prepared site:
-/// region detection, then the region-scoped front end per table region.
-/// On single-table pages this passes through to the classic whole-page
-/// preparation (see [`try_prepare_detected`]).
-///
-/// # Panics
-///
-/// Panics if the front end fails — the detect harness runs on clean
-/// generated corpora, where a failure is a bug, not an input problem.
-pub fn prepare_page_detected(ps: &PreparedSite, page: usize, opts: &DetectOptions) -> DetectedPage {
-    let details: Vec<&str> = ps.site.pages[page]
-        .detail_html
-        .iter()
-        .map(String::as_str)
-        .collect();
-    try_prepare_detected(&ps.template, page, &details, opts)
-        .unwrap_or_else(|e| panic!("{} page {page}: detect front end failed: {e}", ps.spec.name))
-}
-
-/// Runs one segmenter over every detected table region of a page, merges
-/// the per-region segmentations (group indices rebased onto the
-/// concatenated extract list), and classifies the merged result against
-/// the page's full ground truth.
-///
-/// On a pass-through page the single region *is* the classic whole-page
-/// preparation, so the counts equal [`evaluate_segmenter_timed`]'s — this
-/// is what lets the table4 golden run with detection enabled.
-pub fn evaluate_detected_timed(
-    site: &GeneratedSite,
-    page: usize,
-    detected: &DetectedPage,
-    segmenter: &dyn Segmenter,
-) -> (PageCounts, bool, StageTimes, Recorder) {
-    let mut times = StageTimes::new();
-    let mut metrics = Recorder::new();
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut extract_offsets: Vec<usize> = Vec::new();
-    let mut relaxed = false;
-    for rp in &detected.regions {
-        let outcome = times.time(Stage::Solve, || {
-            segmenter.segment(&rp.prepared.observations)
-        });
-        times.merge(&outcome.solver_times);
-        metrics.merge(&outcome.metrics);
-        let base = extract_offsets.len();
-        for group in outcome.segmentation.records() {
-            groups.push(group.iter().map(|&i| i + base).collect());
-        }
-        extract_offsets.extend_from_slice(&rp.prepared.extract_offsets);
-        relaxed |= outcome.relaxed;
-    }
-    let counts = times.time(Stage::Decode, || {
-        let spans: Vec<Range<usize>> = site.pages[page]
-            .truth
-            .records
-            .iter()
-            .map(|r| r.start..r.end)
-            .collect();
-        let truth = truth_of_extracts(&extract_offsets, &spans);
-        classify(&groups, &truth, site.pages[page].truth.len())
-    });
-    (counts, relaxed, times, metrics)
-}
-
-/// [`run_sites_with`], but the per-page front end goes through the
-/// region-detection stage: each detected table region is prepared and
-/// segmented independently and the per-region results are merged before
-/// classification. Single-table pages pass through untouched, so on the
-/// paper corpus this produces byte-identical reports to [`run_sites`] —
-/// the invariance the detect golden test enforces at every thread count.
-pub fn run_sites_detect(
-    specs: &[SiteSpec],
-    threads: usize,
-    prob: &dyn Segmenter,
-    csp: &dyn Segmenter,
-    opts: &DetectOptions,
-) -> BatchOutcome {
-    // Phase 1: per-site preparation (unchanged).
-    let sites: Vec<PreparedSite> =
-        batch::execute(threads, specs.to_vec(), |_, spec| prepare_site(&spec));
-
-    // Phase 2: the detect-enabled per-page front end.
-    let mut page_jobs: Vec<(usize, usize)> = Vec::new();
-    let mut offsets: Vec<usize> = Vec::with_capacity(sites.len());
-    for (si, ps) in sites.iter().enumerate() {
-        offsets.push(page_jobs.len());
-        for page in 0..ps.site.pages.len() {
-            page_jobs.push((si, page));
-        }
-    }
-    let detected: Vec<DetectedPage> =
-        batch::execute(threads, page_jobs.clone(), |_, (si, page)| {
-            prepare_page_detected(&sites[si], page, opts)
-        });
-
-    // Phase 3: (site, page, segmenter) evaluation over merged regions.
-    let segmenters: [&dyn Segmenter; 2] = [prob, csp];
-    let eval_jobs: Vec<(usize, usize)> = (0..page_jobs.len())
-        .flat_map(|pj| [(pj, 0), (pj, 1)])
-        .collect();
-    let evaluated: Vec<(PageCounts, bool, StageTimes, Recorder)> =
-        batch::execute(threads, eval_jobs, |_, (pj, seg)| {
-            let (si, page) = page_jobs[pj];
-            evaluate_detected_timed(&sites[si].site, page, &detected[pj], segmenters[seg])
-        });
-
-    // Assembly mirrors run_sites_with, with the page front-end times now
-    // the detection stage plus every region's preparation.
-    let registry = timing::Registry::new();
-    let mut metrics = Recorder::new();
-    let mut root = SpanNode::new(SpanKind::Run, "run", 0);
-    let mut runs = Vec::with_capacity(page_jobs.len());
-    for (si, ps) in sites.iter().enumerate() {
-        let mut site_times = ps.template.timings;
-        metrics.merge(&ps.template.metrics);
-        let mut site_span = SpanNode::new(
-            SpanKind::Site,
-            ps.spec.name.clone(),
-            ps.template.timings.total().as_nanos(),
-        );
-        for span in timing::stage_spans(&ps.template.timings) {
-            site_span.push(span);
-        }
-        for page in 0..ps.site.pages.len() {
-            let pj = offsets[si] + page;
-            let dp = &detected[pj];
-            let mut page_times = dp.timings;
-            metrics.merge(&dp.metrics);
-            let mut used_whole_page = false;
-            for rp in &dp.regions {
-                page_times.merge(&rp.prepared.timings);
-                metrics.merge(&rp.prepared.metrics);
-                used_whole_page |= rp.prepared.used_whole_page;
-            }
-            let (prob_counts, _, prob_times, prob_metrics) = &evaluated[2 * pj];
-            let (csp_counts, csp_relaxed, csp_times, csp_metrics) = &evaluated[2 * pj + 1];
-            page_times.merge(prob_times);
-            page_times.merge(csp_times);
-            metrics.merge(prob_metrics);
-            metrics.merge(csp_metrics);
-            site_times.merge(&page_times);
-            let mut page_span = SpanNode::new(
-                SpanKind::Page,
-                format!("page#{page}"),
-                page_times.total().as_nanos(),
-            );
-            for span in timing::stage_spans(&page_times) {
-                page_span.push(span);
-            }
-            site_span.nanos += page_span.nanos;
-            site_span.push(page_span);
-            runs.push(PageRun {
-                site: ps.spec.name.clone(),
-                page,
-                prob: *prob_counts,
-                csp: *csp_counts,
-                used_whole_page,
-                csp_relaxed: *csp_relaxed,
-            });
-        }
-        registry.record(&ps.spec.name, &site_times);
-        root.nanos += site_span.nanos;
-        root.push(site_span);
-    }
-    BatchOutcome {
-        runs,
-        timing: registry,
-        metrics,
-        spans: root,
-    }
-}
-
-/// One site of a fault-injected batch run: the damaged site, the chaos
-/// log, and the (possibly failed) site-level front end.
-#[derive(Debug)]
-pub struct RobustSite {
-    /// The site specification.
-    pub spec: SiteSpec,
-    /// The generated site *after* fault injection.
-    pub site: GeneratedSite,
-    /// Every fault that fired on this site.
-    pub log: ChaosLog,
-    /// The cached template, or why the site-level front end failed.
-    pub template: Result<SiteTemplate, SegError>,
-}
-
-/// The result of a fault-injected batch run.
-#[derive(Debug)]
-pub struct RobustBatchOutcome {
-    /// One entry per page that was fully processed (front end + both
-    /// segmenters), in `(site, page)` order. Failed pages have no run —
-    /// accuracy is measured over the pages that produced output.
+pub struct RunOutcome {
+    /// One entry per page both segmenters solved, in `(site, page)`
+    /// order. Failed pages have no run — accuracy is measured over the
+    /// pages that produced output.
     pub runs: Vec<PageRun>,
     /// Per-page outcome accounting over *all* pages, including failed
     /// ones.
@@ -526,15 +114,18 @@ pub struct RobustBatchOutcome {
     pub fault_counts: Vec<(FaultKind, usize)>,
     /// Per-site wall-clock time per pipeline stage.
     pub timing: timing::Registry,
-    /// Merged observability metrics, including the chaos and outcome
-    /// counters (empty unless [`tableseg::obs::set_enabled`] is on).
+    /// Merged observability metrics (empty unless
+    /// [`tableseg::obs::set_enabled`] is on), merged in `(site, page)`
+    /// order so totals are thread-count-invariant.
     pub metrics: Recorder,
-    /// The span tree (failed pages appear with zero stage times, so the
-    /// tree shape depends only on corpus and chaos config).
+    /// The `run > site > page > stage > substage` span tree, assembled in
+    /// corpus order from the same [`StageTimes`] the registry holds.
+    /// Failed pages appear with zero stage times, so the tree shape
+    /// depends only on the corpus and the chaos config.
     pub spans: SpanNode,
 }
 
-impl RobustBatchOutcome {
+impl RunOutcome {
     /// Bundles the run into a manifest for `tool`, including the
     /// robustness rollup. The caller adds config pairs and seeds.
     pub fn manifest(&self, tool: &str, threads: usize) -> Manifest {
@@ -546,213 +137,166 @@ impl RobustBatchOutcome {
         m.volatile.threads = threads;
         m
     }
-
-    /// Summed counts over all completed runs: `(prob, csp)`.
-    pub fn totals(&self) -> (PageCounts, PageCounts) {
-        let mut prob = PageCounts::default();
-        let mut csp = PageCounts::default();
-        for r in &self.runs {
-            prob = prob.add(&r.prob);
-            csp = csp.add(&r.csp);
-        }
-        (prob, csp)
-    }
 }
 
-/// Runs both default segmenters over every list page of every site with
-/// faults injected under `cfg` — and **never aborts**: a damaged page
-/// (or a whole damaged site) becomes a failed or degraded entry in the
-/// returned [`RobustnessReport`] while every other page proceeds.
+/// [`run_corpus`] as the paper ran it: no faults, no region detection,
+/// the default probabilistic and CSP segmenters.
+pub fn run_sites(specs: &[SiteSpec], threads: usize) -> RunOutcome {
+    run_corpus(
+        specs,
+        threads,
+        &ChaosConfig::off(0),
+        None,
+        &ProbSegmenter::default(),
+        &CspSegmenter::default(),
+    )
+}
+
+/// One page job's share of a run.
+struct PageJob {
+    outcome: PageOutcome,
+    run: Option<PageRun>,
+    times: StageTimes,
+    metrics: Recorder,
+}
+
+/// Runs two segmenters (labelled "prob" and "csp" in the output) over
+/// every list page of every site on `threads` worker threads, with faults
+/// injected under `chaos` and region detection when `detect` is set —
+/// and **never aborts**: a damaged page becomes a failed or degraded
+/// entry of the report while every other page proceeds.
 ///
 /// Accuracy is measured against the ground truth of the *damaged* pages
-/// (the chaos layer remaps record spans through every byte edit). With a
-/// no-op config this is [`run_sites`] plus outcome accounting: same jobs,
-/// same results, a clean report.
+/// (the chaos layer remaps record spans through every byte edit). With
+/// detection on, single-table pages pass through untouched, so on the
+/// paper corpus the report equals the detection-off one.
 ///
 /// # Example
 ///
 /// ```
-/// use tableseg_bench::run_sites_robust;
+/// use tableseg::{CspSegmenter, ProbSegmenter};
+/// use tableseg_bench::run_corpus;
 /// use tableseg_sitegen::chaos::ChaosConfig;
 /// use tableseg_sitegen::paper_sites;
 ///
 /// let specs = &paper_sites::all()[..2];
-/// let outcome = run_sites_robust(specs, &ChaosConfig::uniform(0.0, 7), 2);
+/// let (prob, csp) = (ProbSegmenter::default(), CspSegmenter::default());
+/// let outcome = run_corpus(specs, 2, &ChaosConfig::uniform(0.0, 7), None, &prob, &csp);
 /// assert_eq!(outcome.report.failed, 0, "clean input may not fail");
 /// assert_eq!(outcome.report.pages, outcome.runs.len());
 /// ```
-pub fn run_sites_robust(
+pub fn run_corpus(
     specs: &[SiteSpec],
-    cfg: &ChaosConfig,
     threads: usize,
-) -> RobustBatchOutcome {
-    // Phase 1: generate, damage, and prepare each site.
-    let sites: Vec<RobustSite> = batch::execute(threads, specs.to_vec(), |_, spec| {
-        let (site, log) = apply_chaos(&generate(&spec), cfg);
-        let list_htmls = site.list_htmls();
-        let template = SiteTemplate::try_build(&list_htmls);
-        RobustSite {
-            spec,
-            site,
-            log,
-            template,
-        }
+    chaos: &ChaosConfig,
+    detect: Option<&DetectOptions>,
+    prob: &dyn Segmenter,
+    csp: &dyn Segmenter,
+) -> RunOutcome {
+    let sites = batch::execute(threads, specs.to_vec(), |_, spec| {
+        let (site, log) = apply_chaos(&generate(&spec), chaos);
+        let template = SiteTemplate::try_build(&site.list_htmls());
+        (site, log, template)
     });
 
-    // Phase 2: per-page front end, as outcomes. A site whose template
-    // failed fails all of its pages with the same error.
-    let mut page_jobs: Vec<(usize, usize)> = Vec::new();
-    let mut offsets: Vec<usize> = Vec::with_capacity(sites.len());
-    for (si, rs) in sites.iter().enumerate() {
-        offsets.push(page_jobs.len());
-        for page in 0..rs.site.pages.len() {
-            page_jobs.push((si, page));
-        }
-    }
-    let outcomes: Vec<PageOutcome> = batch::execute(threads, page_jobs.clone(), |_, (si, page)| {
-        let rs = &sites[si];
-        match &rs.template {
-            Ok(template) => {
-                let details: Vec<&str> = rs.site.pages[page]
-                    .detail_html
-                    .iter()
-                    .map(String::as_str)
-                    .collect();
-                prepare_outcome(template, page, &details)
-            }
-            Err(error) => PageOutcome::Failed {
-                error: error.clone(),
-            },
-        }
-    });
-
-    // Phase 3: (page, segmenter) evaluation through the fallible path.
-    // Failed pages yield `None`; a solver failure is an `Err` that fails
-    // just that page.
-    type EvalResult = Option<(Result<(PageCounts, bool), SegError>, StageTimes, Recorder)>;
-    let prob = ProbSegmenter::default();
-    let csp = CspSegmenter::default();
-    let segmenters: [&dyn Segmenter; 2] = [&prob, &csp];
-    let eval_jobs: Vec<(usize, usize)> = (0..page_jobs.len())
-        .flat_map(|pj| [(pj, 0), (pj, 1)])
+    let jobs: Vec<(usize, usize)> = sites
+        .iter()
+        .enumerate()
+        .flat_map(|(si, (site, _, _))| (0..site.pages.len()).map(move |page| (si, page)))
         .collect();
-    let evaluated: Vec<EvalResult> = batch::execute(threads, eval_jobs, |_, (pj, seg)| {
-        let prepared = outcomes[pj].page()?;
-        let (si, page) = page_jobs[pj];
-        let mut times = StageTimes::new();
-        let solved = times.time(Stage::Solve, || {
-            segmenters[seg].try_segment(&prepared.observations)
-        });
-        let mut solve_metrics = Recorder::default();
-        let result = solved.map(|outcome| {
-            times.merge(&outcome.solver_times);
-            solve_metrics.merge(&outcome.metrics);
-            times.time(Stage::Decode, || {
-                let truth = page_truth(&sites[si].site, page, prepared);
-                let groups = outcome.segmentation.records();
-                let counts = classify(&groups, &truth, sites[si].site.pages[page].truth.len());
-                (counts, outcome.relaxed)
-            })
-        });
-        Some((result, times, solve_metrics))
+    let pages = batch::execute(threads, jobs, |_, (si, page)| {
+        let (site, _, template) = &sites[si];
+        let template = match template {
+            Ok(template) => template,
+            Err(error) => {
+                // The site-level front end failed: so does every page.
+                let outcome = PageOutcome::Failed {
+                    error: error.clone(),
+                };
+                let mut metrics = Recorder::new();
+                outcome.count(&mut metrics);
+                return PageJob {
+                    outcome,
+                    run: None,
+                    times: StageTimes::new(),
+                    metrics,
+                };
+            }
+        };
+        let details = site.pages[page].detail_htmls();
+        let result = run_page(template, page, &details, detect, &[prob, csp]);
+        let mut times = result.timings;
+        let counts = times.time(Stage::Decode, || classify_page(site, page, &result));
+        let run = match counts[..] {
+            [Some((prob, _)), Some((csp, csp_relaxed))] => Some(PageRun {
+                site: site.spec.name.clone(),
+                page,
+                prob,
+                csp,
+                used_whole_page: result.used_whole_page(),
+                csp_relaxed,
+            }),
+            _ => None,
+        };
+        let mut metrics = result.metrics;
+        // This page was served by the cached site template instead of a
+        // fresh induction — the cache-hit counter of the obs layer.
+        metrics.incr(Counter::TemplateCacheHits);
+        PageJob {
+            outcome: result.outcome,
+            run,
+            times,
+            metrics,
+        }
     });
 
-    // Assemble: runs for fully processed pages, report rows for all,
-    // metrics and spans in deterministic site order.
+    // Assemble in deterministic site order: per-job data merged here, in
+    // job order, is what keeps every output thread-count-invariant.
     let registry = timing::Registry::new();
     let mut report = RobustnessReport::new();
     let mut metrics = Recorder::new();
     let mut root = SpanNode::new(SpanKind::Run, "run", 0);
-    let mut runs = Vec::new();
+    let mut runs = Vec::with_capacity(pages.len());
     let mut fault_counts: Vec<(FaultKind, usize)> =
         FaultKind::ALL.iter().map(|&k| (k, 0)).collect();
-    for (si, rs) in sites.iter().enumerate() {
-        for (slot, &(_, n)) in fault_counts.iter_mut().zip(&rs.log.counts()) {
+    let mut pages = pages.into_iter();
+    for (site, log, template) in &sites {
+        for (slot, &(_, n)) in fault_counts.iter_mut().zip(&log.counts()) {
             slot.1 += n;
             metrics.bump(Counter::ChaosFaults, n as u64);
         }
-        let mut site_times = match &rs.template {
-            Ok(t) => {
-                metrics.merge(&t.metrics);
-                t.timings
-            }
-            Err(_) => StageTimes::new(),
-        };
-        let mut site_span = SpanNode::new(
-            SpanKind::Site,
-            rs.spec.name.clone(),
-            site_times.total().as_nanos(),
-        );
+        let mut site_times = StageTimes::new();
+        if let Ok(t) = template {
+            site_times = t.timings;
+            metrics.merge(&t.metrics);
+        }
+        let name = &site.spec.name;
+        let mut site_span =
+            SpanNode::new(SpanKind::Site, name.clone(), site_times.total().as_nanos());
         for span in timing::stage_spans(&site_times) {
             site_span.push(span);
         }
-        for page in 0..rs.site.pages.len() {
-            let pj = offsets[si] + page;
-            let outcome = &outcomes[pj];
-            let mut page_times = StageTimes::new();
-            let processed = 'page: {
-                let Some(prepared) = outcome.page() else {
-                    report.record(outcome);
-                    break 'page false;
-                };
-                site_times.merge(&prepared.timings);
-                metrics.merge(&prepared.metrics);
-                let (prob_result, prob_times, prob_metrics) = evaluated[2 * pj]
-                    .as_ref()
-                    .unwrap_or_else(|| unreachable!("prepared page {pj} has an eval result"));
-                let (csp_result, csp_times, csp_metrics) = evaluated[2 * pj + 1]
-                    .as_ref()
-                    .unwrap_or_else(|| unreachable!("prepared page {pj} has an eval result"));
-                site_times.merge(prob_times);
-                site_times.merge(csp_times);
-                metrics.merge(prob_metrics);
-                metrics.merge(csp_metrics);
-                page_times = prepared.timings;
-                page_times.merge(prob_times);
-                page_times.merge(csp_times);
-                match (prob_result, csp_result) {
-                    (Ok((prob_counts, _)), Ok((csp_counts, csp_relaxed))) => {
-                        report.record(outcome);
-                        runs.push(PageRun {
-                            site: rs.spec.name.clone(),
-                            page,
-                            prob: *prob_counts,
-                            csp: *csp_counts,
-                            used_whole_page: prepared.used_whole_page,
-                            csp_relaxed: *csp_relaxed,
-                        });
-                    }
-                    (Err(e), _) | (_, Err(e)) => {
-                        metrics.incr(Counter::SolveFailures);
-                        report.record_error(e);
-                    }
-                }
-                true
-            };
-            let _ = processed;
-            // Failed pages still get a (zero-time) span, so the tree
-            // shape depends only on corpus and chaos config.
+        for (page, job) in pages.by_ref().take(site.pages.len()).enumerate() {
+            report.record(&job.outcome);
+            metrics.merge(&job.metrics);
+            site_times.merge(&job.times);
             let mut page_span = SpanNode::new(
                 SpanKind::Page,
                 format!("page#{page}"),
-                page_times.total().as_nanos(),
+                job.times.total().as_nanos(),
             );
-            for span in timing::stage_spans(&page_times) {
+            for span in timing::stage_spans(&job.times) {
                 page_span.push(span);
             }
             site_span.nanos += page_span.nanos;
             site_span.push(page_span);
+            runs.extend(job.run);
         }
-        registry.record(&rs.spec.name, &site_times);
+        registry.record(name, &site_times);
         root.nanos += site_span.nanos;
         root.push(site_span);
     }
-    metrics.bump(Counter::PagesOk, report.ok as u64);
-    metrics.bump(Counter::PagesDegraded, report.degraded as u64);
-    metrics.bump(Counter::PagesFailed, report.failed as u64);
-    let warnings: usize = report.warnings.iter().map(|&(_, n)| n).sum();
-    metrics.bump(Counter::PageWarnings, warnings as u64);
-    RobustBatchOutcome {
+    RunOutcome {
         runs,
         report,
         fault_counts,
@@ -762,34 +306,11 @@ pub fn run_sites_robust(
     }
 }
 
-/// Runs both approaches over every list page of a site.
-pub fn run_site(spec: &SiteSpec) -> Vec<PageRun> {
-    run_sites(std::slice::from_ref(spec), 1).runs
-}
-
-/// Runs two arbitrary segmenters over every list page of a site — the
-/// ablation binaries use this with variant configurations.
-pub fn run_site_with(spec: &SiteSpec, prob: &dyn Segmenter, csp: &dyn Segmenter) -> Vec<PageRun> {
-    run_sites_with(std::slice::from_ref(spec), 1, prob, csp).runs
-}
-
-/// Runs both approaches over many sites on the default number of threads.
-/// Results come back in input order, so reports are deterministic
-/// regardless of scheduling.
-pub fn run_sites_parallel(specs: &[SiteSpec]) -> Vec<PageRun> {
-    run_sites(specs, batch::default_threads()).runs
-}
-
-/// Converts page runs into report rows.
-pub fn to_rows(runs: &[PageRun]) -> Vec<tableseg_eval::report::Row> {
-    runs.iter()
-        .map(|r| tableseg_eval::report::Row {
-            site: r.site.clone(),
-            prob: r.prob,
-            csp: r.csp,
-            notes: r.notes(),
-        })
-        .collect()
+/// Summed counts over page runs: `(prob, csp)`.
+pub fn totals(runs: &[PageRun]) -> (PageCounts, PageCounts) {
+    runs.iter().fold(Default::default(), |(prob, csp), r| {
+        (prob.add(&r.prob), csp.add(&r.csp))
+    })
 }
 
 /// Renders the Table 4 report (or the `--clean-only` Section 6.3
@@ -799,12 +320,7 @@ pub fn to_rows(runs: &[PageRun]) -> Vec<tableseg_eval::report::Row> {
 pub fn table4_report(runs: &[PageRun], clean_only: bool) -> String {
     if clean_only {
         let clean: Vec<_> = runs.iter().filter(|r| !r.csp_relaxed).cloned().collect();
-        let mut prob = PageCounts::default();
-        let mut csp = PageCounts::default();
-        for r in &clean {
-            prob = prob.add(&r.prob);
-            csp = csp.add(&r.csp);
-        }
+        let (prob, csp) = totals(&clean);
         return format!(
             "{}\n",
             render_aggregate(
@@ -818,11 +334,20 @@ pub fn table4_report(runs: &[PageRun], clean_only: bool) -> String {
             )
         );
     }
+    let rows: Vec<Row> = runs
+        .iter()
+        .map(|r| Row {
+            site: r.site.clone(),
+            prob: r.prob,
+            csp: r.csp,
+            notes: r.notes(),
+        })
+        .collect();
     format!(
         "Table 4: results of automatic record segmentation (simulated sites)\n\n\
          {}\n\
          Paper (live 2004 sites):  probabilistic P=0.74 R=0.99 F=0.85 | CSP P=0.85 R=0.84 F=0.84\n",
-        render_table4(&to_rows(runs))
+        render_table4(&rows)
     )
 }
 
@@ -874,7 +399,7 @@ mod tests {
 
     #[test]
     fn clean_site_runs_end_to_end() {
-        let runs = run_site(&paper_sites::butler());
+        let runs = run_sites(&[paper_sites::butler()], 1).runs;
         assert_eq!(runs.len(), 2);
         for r in &runs {
             let total = r.csp.total_records();
@@ -923,8 +448,10 @@ mod tests {
     fn robust_run_with_noop_chaos_matches_plain_run() {
         let specs = vec![paper_sites::butler(), paper_sites::lee()];
         let plain = run_sites(&specs, 2);
-        let robust = run_sites_robust(&specs, &ChaosConfig::off(1), 2);
+        let (prob, csp) = (ProbSegmenter::default(), CspSegmenter::default());
+        let robust = run_corpus(&specs, 2, &ChaosConfig::uniform(0.0, 1), None, &prob, &csp);
         assert_eq!(robust.report.failed, 0);
+        assert_eq!(robust.report, plain.report);
         assert_eq!(robust.runs.len(), plain.runs.len());
         assert_eq!(
             table4_report(&robust.runs, false),
@@ -937,8 +464,10 @@ mod tests {
     #[test]
     fn robust_run_survives_heavy_chaos() {
         let specs = vec![paper_sites::butler(), paper_sites::ohio()];
+        let (prob, csp) = (ProbSegmenter::default(), CspSegmenter::default());
         for seed in [7, 8] {
-            let outcome = run_sites_robust(&specs, &ChaosConfig::uniform(0.5, seed), 2);
+            let chaos = ChaosConfig::uniform(0.5, seed);
+            let outcome = run_corpus(&specs, 2, &chaos, None, &prob, &csp);
             let r = &outcome.report;
             assert_eq!(r.pages, 4, "every page gets an outcome");
             assert_eq!(r.pages, r.ok + r.degraded + r.failed);
@@ -949,15 +478,26 @@ mod tests {
         }
     }
 
+    /// The cached-template page run reproduces the one-shot front end.
     #[test]
     fn cached_prepare_matches_one_shot() {
-        let ps = prepare_site(&paper_sites::butler());
-        for page in 0..ps.site.pages.len() {
-            let cached = prepare_page_cached(&ps, page);
-            let oneshot = prepare_page(&ps.site, page);
-            assert_eq!(cached.used_whole_page, oneshot.used_whole_page);
-            assert_eq!(cached.extract_offsets, oneshot.extract_offsets);
-            assert_eq!(cached.observations.len(), oneshot.observations.len());
+        let site = generate(&paper_sites::butler());
+        let template = SiteTemplate::build(&site.list_htmls());
+        for (page, gp) in site.pages.iter().enumerate() {
+            let details = gp.detail_htmls();
+            let cached = run_page(&template, page, &details, None, &[]);
+            let oneshot = tableseg::prepare(&tableseg::SitePages {
+                list_pages: site.list_htmls(),
+                target: page,
+                detail_pages: details.clone(),
+            });
+            assert_eq!(cached.regions.len(), 1);
+            assert_eq!(cached.used_whole_page(), oneshot.used_whole_page);
+            assert_eq!(cached.extract_offsets(), oneshot.extract_offsets);
+            assert_eq!(
+                cached.regions[0].observations.len(),
+                oneshot.observations.len()
+            );
         }
     }
 }

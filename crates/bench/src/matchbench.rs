@@ -22,7 +22,7 @@ use tableseg_html::{Symbol, Token};
 /// The whole list page is the table slot (every extract participates),
 /// the site's other list pages feed the all-list-pages filter, and the
 /// page's detail pages are the match targets — the same shape
-/// `prepare_with_template` produces, minus slot selection.
+/// `try_prepare_with_template` produces, minus slot selection.
 pub struct MatchFixture {
     /// Site name.
     pub site: String,
@@ -100,16 +100,16 @@ impl MatchFixture {
 /// [`crate::corpus::paper_prepared`]).
 pub fn corpus() -> Vec<MatchFixture> {
     let mut fixtures = Vec::new();
-    for ps in paper_prepared() {
-        for (page, gp) in ps.site.pages.iter().enumerate() {
-            let extracts = derive_extracts(&ps.template.pages[page]);
+    for (site, template) in paper_prepared() {
+        for (page, gp) in site.pages.iter().enumerate() {
+            let extracts = derive_extracts(&template.pages[page]);
             let details: Vec<Vec<Token>> = gp.detail_html.iter().map(|d| tokenize(d)).collect();
             fixtures.push(MatchFixture {
-                site: ps.spec.name.clone(),
+                site: site.spec.name.clone(),
                 extracts,
                 // The template is cheap to clone relative to bench runtime
                 // and keeps each fixture self-contained.
-                template: ps.template.clone(),
+                template: template.clone(),
                 page,
                 details,
             });

@@ -44,7 +44,7 @@
 
 use std::time::Instant;
 
-use tableseg::{CspSegmenter, ProbSegmenter, Segmenter, SiteTemplate};
+use tableseg::{run_page, CspSegmenter, ProbSegmenter, SiteTemplate};
 use tableseg_extract::PageIndex;
 use tableseg_html::lexer::tokenize;
 use tableseg_html::{scan, Interner};
@@ -126,7 +126,7 @@ pub struct ScaleBench {
     /// Records segmented by the full-pipeline CSP pass.
     pub records: usize,
     /// List pages the pipeline leg could not prepare or solve (chaos
-    /// damage); counted per solver attempt.
+    /// damage); a page counts once, however many of its solvers failed.
     pub pipeline_pages_failed: usize,
     /// Sites the differential oracle verified.
     pub oracle_sites: usize,
@@ -200,9 +200,9 @@ pub fn peak_rss_bytes() -> Option<u64> {
 }
 
 /// Runs the full pipeline over one site: template induction across its
-/// list pages, per-page preparation, and both solvers per page. Returns
-/// `(records, pages_failed)`; failures (degenerate chaos-damaged pages)
-/// are absorbed per page via [`Segmenter::try_segment`].
+/// list pages, then [`run_page`] with both solvers per page. A page that
+/// fails (chaos damage in the front end or a solver) counts once in
+/// `pages_failed`.
 fn pipeline_site(site: &GeneratedSite, out: &mut SiteScale) {
     let csp = CspSegmenter::default();
     let prob = ProbSegmenter::default();
@@ -210,22 +210,11 @@ fn pipeline_site(site: &GeneratedSite, out: &mut SiteScale) {
     match SiteTemplate::try_build(&site.list_htmls()) {
         Ok(template) => {
             for (target, gp) in site.pages.iter().enumerate() {
-                let details: Vec<&str> = gp.detail_html.iter().map(|d| d.as_str()).collect();
-                let prepared =
-                    match tableseg::try_prepare_with_template(&template, target, &details) {
-                        Ok(p) => p,
-                        Err(_) => {
-                            out.pages_failed += 1;
-                            continue;
-                        }
-                    };
-                match csp.try_segment(&prepared.observations) {
-                    Ok(o) => out.records += o.segmentation.num_records,
-                    Err(_) => out.pages_failed += 1,
+                let page = run_page(&template, target, &gp.detail_htmls(), None, &[&csp, &prob]);
+                if let Ok(o) = &page.solved[0] {
+                    out.records += o.segmentation.num_records;
                 }
-                if prob.try_segment(&prepared.observations).is_err() {
-                    out.pages_failed += 1;
-                }
+                out.pages_failed += usize::from(page.outcome.is_failed());
             }
         }
         Err(_) => out.pages_failed += site.pages.len(),

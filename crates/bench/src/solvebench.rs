@@ -15,7 +15,6 @@ use tableseg_extract::Observations;
 use tableseg_prob::{segment_prob, ProbOptions};
 
 use crate::corpus::{paper_prepared, site_count, BenchJson};
-use crate::prepare_page_cached;
 
 /// One list page of the benchmark corpus, prepared for segmentation.
 pub struct SolveFixture {
@@ -32,11 +31,12 @@ pub struct SolveFixture {
 /// [`crate::corpus::paper_prepared`]).
 pub fn corpus() -> Vec<SolveFixture> {
     let mut fixtures = Vec::new();
-    for ps in paper_prepared() {
-        for page in 0..ps.site.pages.len() {
-            let prepared = prepare_page_cached(&ps, page);
+    for (site, template) in paper_prepared() {
+        for (page, gp) in site.pages.iter().enumerate() {
+            let prepared = tableseg::try_prepare_with_template(&template, page, &gp.detail_htmls())
+                .expect("clean paper page");
             fixtures.push(SolveFixture {
-                site: ps.spec.name.clone(),
+                site: site.spec.name.clone(),
                 page,
                 observations: prepared.observations,
             });

@@ -12,7 +12,8 @@
 
 use tableseg::obs;
 use tableseg::timing::Stage;
-use tableseg_bench::{run_sites, run_sites_robust};
+use tableseg::{CspSegmenter, ProbSegmenter};
+use tableseg_bench::{run_corpus, run_sites};
 use tableseg_sitegen::chaos::ChaosConfig;
 use tableseg_sitegen::paper_sites;
 
@@ -82,22 +83,42 @@ fn manifests_are_deterministic_and_reproduce_registry_totals() {
                 stage.label()
             );
         }
-        // Counter sanity: the clean corpus is 24 pages over 12 sites.
-        let pages = outcome
-            .metrics
-            .counters
-            .iter()
-            .find(|(label, _)| *label == "pages.processed")
-            .map(|(_, v)| v);
-        assert_eq!(pages, Some(24), "at {threads} threads");
+        // Counter sanity: the clean corpus is 24 pages over 12 sites, and
+        // every processed page is counted clean, degraded or failed.
+        let counter = |name: &str| {
+            outcome
+                .metrics
+                .counters
+                .iter()
+                .find(|(label, _)| *label == name)
+                .map(|(_, v)| v)
+        };
+        assert_eq!(counter("pages.processed"), Some(24), "at {threads} threads");
+        let outcomes: Vec<u64> = ["pages.ok", "pages.degraded", "pages.failed"]
+            .into_iter()
+            .map(|name| counter(name).unwrap_or(0))
+            .collect();
+        assert_eq!(
+            outcomes.iter().sum::<u64>(),
+            24,
+            "ok + degraded + failed at {threads} threads: {outcomes:?}"
+        );
+        assert!(outcomes[0] > 0, "clean pages count as ok: {outcomes:?}");
+        let report = &outcome.report;
+        assert_eq!(
+            outcomes,
+            [report.ok, report.degraded, report.failed].map(|n| n as u64),
+            "counters agree with the robustness report at {threads} threads"
+        );
     }
 
     // The fallible path under real chaos: same byte-identity bar, plus a
     // populated robustness section.
     let cfg = ChaosConfig::uniform(0.3, 0xC0DE);
+    let (prob, csp) = (ProbSegmenter::default(), CspSegmenter::default());
     let mut robust: Vec<(usize, String)> = Vec::new();
     for threads in [1usize, 2, n] {
-        let outcome = run_sites_robust(&specs, &cfg, threads);
+        let outcome = run_corpus(&specs, threads, &cfg, None, &prob, &csp);
         let m = outcome.manifest("chaossweep", threads);
         assert!(m.robustness.is_some());
         robust.push((threads, m.render_json(true)));

@@ -1,11 +1,12 @@
-//! The fallible batch path at zero chaos reproduces the `table4` golden.
+//! The corpus driver under zero-rate chaos reproduces the `table4` golden.
 //! It lives in its own test binary, apart from `determinism.rs`, whose
 //! induction-count assertions read a process-global counter that any
 //! concurrently running batch would also advance.
 
 use std::path::PathBuf;
 
-use tableseg_bench::{run_sites_robust, table4_report};
+use tableseg::{CspSegmenter, ProbSegmenter};
+use tableseg_bench::{run_corpus, table4_report};
 use tableseg_sitegen::chaos::{apply_chaos, ChaosConfig};
 use tableseg_sitegen::paper_sites;
 use tableseg_sitegen::site::generate;
@@ -20,7 +21,7 @@ fn read_golden(name: &str) -> String {
 
 /// Differential: with every fault probability at zero, the chaos wrapper
 /// is byte-identical to the plain generator on all twelve paper sites,
-/// and the fallible batch path reproduces the same golden Table 4 report
+/// and the corpus driver under that config reproduces the same golden Table 4 report
 /// at 1, 2 and N threads.
 #[test]
 fn robust_path_at_zero_chaos_matches_goldens() {
@@ -41,8 +42,9 @@ fn robust_path_at_zero_chaos_matches_goldens() {
 
     let golden = read_golden("table4.txt");
     let n = tableseg::batch::default_threads().max(3);
+    let (prob, csp) = (ProbSegmenter::default(), CspSegmenter::default());
     for threads in [1usize, 2, n] {
-        let outcome = run_sites_robust(&specs, &cfg, threads);
+        let outcome = run_corpus(&specs, threads, &cfg, None, &prob, &csp);
         assert_eq!(
             outcome.report.failed, 0,
             "no page may fail on clean input ({threads} threads)"

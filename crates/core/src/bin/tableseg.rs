@@ -4,16 +4,16 @@
 //! tableseg --list page1.html [--list page2.html ...]
 //!          --detail d1.html --detail d2.html ...
 //!          [--target 0] [--method csp|prob|hybrid[,method...]]
-//!          [--threads N] [--time] [--columns] [--wrapper] [--verbose]
+//!          [--time] [--columns] [--wrapper] [--verbose]
 //! ```
 //!
 //! Detail pages must be given in row order of the target list page. The
 //! output is one line per record with its `|`-separated fields.
 //!
-//! `--method` accepts a comma-separated list; multiple methods run as
-//! jobs on the batch engine (`--threads` workers) against the same
-//! prepared page, and each method's records print under a `== method`
-//! header. `--time` reports per-stage wall-clock times on stderr.
+//! The page runs through [`tableseg::run_page`]. `--method` accepts a
+//! comma-separated list; every method segments the same prepared page,
+//! and each method's records print under a `== method` header. `--time`
+//! reports per-stage wall-clock times per method on stderr.
 //! `--manifest PATH` enables the observability layer and writes the run
 //! manifest (summary JSON, `.jsonl` event log, `.prom` Prometheus text;
 //! see OBSERVABILITY.md) with one span subtree per requested method.
@@ -23,8 +23,8 @@ use std::process::ExitCode;
 use tableseg::obs;
 use tableseg::timing::{stage_spans, Stage, StageTimes};
 use tableseg::{
-    annotate_columns, assemble_records, batch, induce_wrapper, prepare, CspSegmenter,
-    HybridSegmenter, ProbSegmenter, Segmenter, SitePages,
+    annotate_columns, assemble_records, induce_wrapper, run_page, CspSegmenter, HybridSegmenter,
+    ProbSegmenter, Segmenter, SiteTemplate,
 };
 
 struct Args {
@@ -32,7 +32,6 @@ struct Args {
     details: Vec<String>,
     target: usize,
     methods: Vec<String>,
-    threads: usize,
     time: bool,
     columns: bool,
     wrapper: bool,
@@ -42,7 +41,7 @@ struct Args {
 
 fn usage() -> &'static str {
     "usage: tableseg --list FILE [--list FILE ...] --detail FILE [--detail FILE ...]\n\
-     \x20       [--target N] [--method csp|prob|hybrid[,method...]] [--threads N]\n\
+     \x20       [--target N] [--method csp|prob|hybrid[,method...]]\n\
      \x20       [--time] [--columns] [--wrapper] [--verbose] [--manifest PATH]\n\
      for long-running service use, see the `tablesegd` daemon and its\n\
      `tablesegctl` client in the tableseg-serve crate"
@@ -54,7 +53,6 @@ fn parse_args() -> Result<Args, String> {
         details: Vec::new(),
         target: 0,
         methods: vec!["csp".to_owned()],
-        threads: batch::default_threads(),
         time: false,
         columns: false,
         wrapper: false,
@@ -76,13 +74,6 @@ fn parse_args() -> Result<Args, String> {
             "--method" => {
                 let value = it.next().ok_or("--method needs a value")?;
                 args.methods = value.split(',').map(str::to_owned).collect();
-            }
-            "--threads" => {
-                args.threads = it
-                    .next()
-                    .ok_or("--threads needs a number")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
             }
             "--time" => args.time = true,
             "--columns" => args.columns = true,
@@ -106,55 +97,51 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    match parse_args().and_then(|args| run(&args)) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("{msg}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-    // Enable metrics before `prepare` runs so the front end records too.
+    }
+}
+
+fn run(args: &Args) -> Result<(), String> {
+    // Enable metrics before the front end runs so it records too.
     if args.manifest.is_some() {
         obs::set_enabled(true);
     }
 
-    let read = |path: &String| -> Result<String, String> {
-        std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
-    };
-    let lists: Vec<String> = match args.lists.iter().map(read).collect() {
-        Ok(v) => v,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let details: Vec<String> = match args.details.iter().map(read).collect() {
-        Ok(v) => v,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let mut segmenters: Vec<(String, Box<dyn Segmenter>)> = Vec::new();
-    for method in &args.methods {
-        let segmenter: Box<dyn Segmenter> = match method.as_str() {
-            "csp" => Box::new(CspSegmenter::default()),
-            "prob" => Box::new(ProbSegmenter::default()),
-            "hybrid" => Box::new(HybridSegmenter::default()),
-            other => {
-                eprintln!("unknown method {other} (csp|prob|hybrid)");
-                return ExitCode::FAILURE;
+    let read = |path: &String| std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"));
+    let lists = args.lists.iter().map(read).collect::<Result<Vec<_>, _>>()?;
+    let details = args
+        .details
+        .iter()
+        .map(read)
+        .collect::<Result<Vec<_>, _>>()?;
+    let segmenters = args
+        .methods
+        .iter()
+        .map(|method| -> Result<Box<dyn Segmenter>, String> {
+            match method.as_str() {
+                "csp" => Ok(Box::new(CspSegmenter::default())),
+                "prob" => Ok(Box::new(ProbSegmenter::default())),
+                "hybrid" => Ok(Box::new(HybridSegmenter::default())),
+                other => Err(format!("unknown method {other} (csp|prob|hybrid)")),
             }
-        };
-        segmenters.push((method.clone(), segmenter));
-    }
+        })
+        .collect::<Result<Vec<_>, _>>()?;
 
-    let prepared = prepare(&SitePages {
-        list_pages: lists.iter().map(String::as_str).collect(),
-        target: args.target,
-        detail_pages: details.iter().map(String::as_str).collect(),
-    });
+    let list_refs: Vec<&str> = lists.iter().map(String::as_str).collect();
+    let detail_refs: Vec<&str> = details.iter().map(String::as_str).collect();
+    let template =
+        SiteTemplate::try_build(&list_refs).map_err(|e| format!("front end failed: {e}"))?;
+    let refs: Vec<&dyn Segmenter> = segmenters.iter().map(Box::as_ref).collect();
+    let result = run_page(&template, args.target, &detail_refs, None, &refs);
+    if let (None, Some(e)) = (result.regions.first(), result.outcome.error()) {
+        return Err(format!("front end failed: {e}"));
+    }
+    let prepared = &result.regions[0];
     if args.verbose {
         eprintln!(
             "front end: {} extracts kept, {} skipped, whole-page fallback: {}",
@@ -164,35 +151,29 @@ fn main() -> ExitCode {
         );
     }
 
-    // Solve every requested method as a job on the batch engine; results
-    // come back in `--method` order regardless of thread count.
-    let jobs: Vec<usize> = (0..segmenters.len()).collect();
-    let outcomes = batch::execute(args.threads, jobs, |_, m| {
-        let mut times = StageTimes::new();
-        let outcome = times.time(Stage::Solve, || {
-            segmenters[m].1.segment(&prepared.observations)
-        });
-        let records = times.time(Stage::Decode, || {
-            assemble_records(&prepared, &outcome.segmentation)
-        });
-        (outcome, records, times)
-    });
-
     let registry = tableseg::timing::Registry::new();
-    // One span subtree per method, each over the shared front-end timings
-    // plus that method's solve/decode times — mirroring the registry rows.
-    let mut metrics = obs::Recorder::new();
-    metrics.merge(&prepared.metrics);
+    // One span subtree per method, each over the site and page front-end
+    // timings plus that method's solve/decode times — mirroring the
+    // registry rows.
+    let mut metrics = template.metrics.clone();
+    metrics.merge(&result.metrics);
+    let mut front = template.timings;
+    front.merge(&prepared.timings);
     let mut root = obs::SpanNode::new(obs::SpanKind::Run, "tableseg", 0);
-    for ((method, _), (outcome, records, times)) in segmenters.iter().zip(&outcomes) {
-        if segmenters.len() > 1 {
+    for (method, solved) in args.methods.iter().zip(&result.solved) {
+        if args.methods.len() > 1 {
             println!("== {method}");
         }
+        let outcome = solved.as_ref().map_err(|e| format!("[{method}] {e}"))?;
         if args.verbose && outcome.relaxed {
             eprintln!("note: [{method}] constraints were relaxed (inconsistent source data)");
         }
 
-        for record in records {
+        let mut times = StageTimes::new();
+        let records = times.time(Stage::Decode, || {
+            assemble_records(prepared, &outcome.segmentation)
+        });
+        for record in &records {
             println!("{}\t{}", record.index + 1, record.fields.join(" | "));
         }
 
@@ -215,7 +196,7 @@ fn main() -> ExitCode {
         }
 
         if args.wrapper {
-            match induce_wrapper(&prepared, &outcome.segmentation) {
+            match induce_wrapper(prepared, &outcome.segmentation) {
                 Some(w) => {
                     eprintln!("induced row wrapper:");
                     eprintln!("  head: {:?}", w.head);
@@ -228,11 +209,11 @@ fn main() -> ExitCode {
             }
         }
 
-        let mut row = prepared.timings;
-        row.merge(times);
+        let mut row = front;
+        row.merge(&outcome.solver_times);
+        row.merge(&times);
         registry.record(method, &row);
 
-        metrics.merge(&outcome.metrics);
         let mut span = obs::SpanNode::new(obs::SpanKind::Site, method, row.total().as_nanos());
         for child in stage_spans(&row) {
             span.push(child);
@@ -242,7 +223,7 @@ fn main() -> ExitCode {
     }
 
     if args.time {
-        eprintln!("per-stage wall clock ({} thread(s)):\n", args.threads);
+        eprintln!("per-stage wall clock:\n");
         eprint!("{}", registry.render());
     }
 
@@ -254,20 +235,14 @@ fn main() -> ExitCode {
             .with_config("methods", args.methods.join(","));
         manifest.metrics = metrics;
         manifest.root = root;
-        manifest.volatile.threads = args.threads;
+        manifest.volatile.threads = 1;
         let redact = obs::deterministic_requested();
-        match manifest.write_files(std::path::Path::new(path), redact) {
-            Ok(written) => {
-                for p in &written {
-                    eprintln!("manifest: wrote {}", p.display());
-                }
-            }
-            Err(e) => {
-                eprintln!("cannot write manifest {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+        let written = manifest
+            .write_files(std::path::Path::new(path), redact)
+            .map_err(|e| format!("cannot write manifest {path}: {e}"))?;
+        for p in &written {
+            eprintln!("manifest: wrote {}", p.display());
         }
     }
-
-    ExitCode::SUCCESS
+    Ok(())
 }

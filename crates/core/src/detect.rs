@@ -7,7 +7,7 @@
 //! ("Identifying Web Tables", PAPERS.md). Segmenting such a page as one
 //! table conflates unrelated regions; this module finds the table-like
 //! blocks first so each can be fed through the prepare/segment pipeline
-//! independently ([`crate::try_prepare_detected`]).
+//! independently ([`crate::run_page`] with detection on).
 //!
 //! Detection works on the already-tokenized page — the same token stream
 //! template induction uses — with purely structural features:

@@ -12,19 +12,28 @@
 //! page into records *without any training data or labeled examples*, by
 //! exploiting that redundancy:
 //!
-//! 1. [`prepare`] tokenizes the sample list pages, induces the site's page
-//!    template, locates the table slot (falling back to the whole page
-//!    when the template is unusable), derives the *extracts* (visible
-//!    strings) and matches them against the detail pages, producing an
-//!    observation table;
-//! 2. a [`Segmenter`] assigns extracts to records:
+//! 1. [`SiteTemplate::build`] tokenizes the sample list pages and induces
+//!    the site's page template, once per site;
+//! 2. the per-page front end locates the table slot (falling back to the
+//!    whole page when the template is unusable), derives the *extracts*
+//!    (visible strings) and matches them against the detail pages,
+//!    producing an observation table;
+//! 3. a [`Segmenter`] assigns extracts to records:
 //!    [`CspSegmenter`] encodes the paper's uniqueness, consecutiveness and
 //!    position constraints as a pseudo-boolean problem solved WSAT(OIP)-
 //!    style (Section 4), while [`ProbSegmenter`] runs EM on a factored HMM
 //!    bootstrapped from the detail pages (Section 5) and additionally
 //!    labels each extract with a column;
-//! 3. [`assemble_records`] attaches the remaining table data to the
+//! 4. [`assemble_records`] attaches the remaining table data to the
 //!    segmented records, giving the final relational view.
+//!
+//! [`run_page`] is steps 2–3 for one list page, fallible end to end: it
+//! optionally detects table regions first, classifies the page as clean,
+//! degraded or failed ([`PageOutcome`]), and solves with every segmenter
+//! it is given. Every driver in the workspace — the batch harness, the
+//! `tablesegd` daemon, the scale benchmark and the `tableseg` CLI — runs
+//! pages through it. [`prepare`] is the one-shot front end for a single
+//! page, shown here:
 //!
 //! ```
 //! use tableseg::{prepare, CspSegmenter, ProbSegmenter, Segmenter, SitePages};
@@ -82,10 +91,9 @@ pub use detect::{detect_regions, DetectOptions, Detection, Region, RegionKind};
 pub use hybrid::HybridSegmenter;
 pub use navigate::{navigate, NavigatedSite};
 pub use nested::{parent_spans_from_groups, try_segment_nested, NestedParentResult, NestedRun};
-pub use outcome::{caught, prepare_outcome, PageOutcome, Warning};
+pub use outcome::{caught, PageOutcome, Warning};
 pub use pipeline::{
-    prepare, prepare_with_template, try_prepare, try_prepare_detected, try_prepare_region,
-    try_prepare_with_template, DetectedPage, PreparedPage, RegionPrepared, SitePages, SiteTemplate,
+    prepare, run_page, try_prepare_with_template, PageResult, PreparedPage, SitePages, SiteTemplate,
 };
 pub use record::{assemble_records, AssembledRecord};
 pub use robustness::RobustnessReport;

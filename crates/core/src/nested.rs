@@ -28,7 +28,7 @@ use std::ops::Range;
 use tableseg_html::SegError;
 use tableseg_obs::{Counter, Recorder};
 
-use crate::pipeline::{try_prepare_with_template, SiteTemplate};
+use crate::pipeline::{run_page, SiteTemplate};
 use crate::segmenter::Segmenter;
 use crate::timing::{Stage, StageTimes};
 
@@ -138,12 +138,12 @@ pub fn try_segment_nested(
     let mut parents = Vec::with_capacity(slices.len());
     let mut sub_records = 0u64;
     for (i, span) in spans.iter().enumerate() {
-        let prepared = try_prepare_with_template(&template, i, &details[i])?;
-        let outcome = segmenter.try_segment(&prepared.observations)?;
+        let mut result = run_page(&template, i, &details[i], None, &[segmenter]);
+        let outcome = result.solved.remove(0)?;
         let groups = outcome.segmentation.records();
         sub_records += groups.iter().filter(|g| !g.is_empty()).count() as u64;
-        let extract_offsets = prepared
-            .extract_offsets
+        let extract_offsets = result
+            .extract_offsets()
             .iter()
             .map(|&off| span.start + off)
             .collect();

@@ -1,11 +1,11 @@
 //! Per-page outcomes: graceful degradation instead of aborted batches.
 //!
 //! Real crawls hand the pipeline truncated pages, dead detail links and
-//! empty responses. The front end reports those as a three-way
-//! [`PageOutcome`]: clean success, success with [`Warning`]s (the page was
-//! processed but something about it was off — whole-page fallback, empty
-//! detail pages, an empty observation table), or failure with a
-//! [`SegError`]. Batch runs fold outcomes into a
+//! empty responses. [`run_page`](crate::run_page) reports each page as a
+//! three-way [`PageOutcome`]: clean success, success with [`Warning`]s
+//! (the page was processed but something about it was off — whole-page
+//! fallback, empty detail pages, an empty observation table), or failure
+//! with a [`SegError`]. Batch runs fold outcomes into a
 //! [`RobustnessReport`](crate::robustness::RobustnessReport) so a poisoned
 //! page costs one row of a report, never the run.
 //!
@@ -15,8 +15,9 @@
 //! *reported* bug instead of an aborted batch.
 
 use tableseg_html::SegError;
+use tableseg_obs::{Counter, Recorder};
 
-use crate::pipeline::{try_prepare_with_template, PreparedPage, SiteTemplate};
+use crate::pipeline::{PreparedPage, SiteTemplate};
 
 /// Runs `f`, converting a panic into [`SegError::Internal`] attributed to
 /// `stage` (one of the timing-registry stage labels).
@@ -94,14 +95,12 @@ impl Warning {
 }
 
 /// What happened to one page.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PageOutcome {
     /// The page was processed cleanly.
-    Ok(PreparedPage),
+    Ok,
     /// The page was processed, but degraded — the warnings say how.
     Degraded {
-        /// The prepared page (usable; quality may be reduced).
-        page: PreparedPage,
         /// What was off, in detection order.
         warnings: Vec<Warning>,
     },
@@ -113,18 +112,10 @@ pub enum PageOutcome {
 }
 
 impl PageOutcome {
-    /// The prepared page, if the page was processed (cleanly or degraded).
-    pub fn page(&self) -> Option<&PreparedPage> {
-        match self {
-            PageOutcome::Ok(page) | PageOutcome::Degraded { page, .. } => Some(page),
-            PageOutcome::Failed { .. } => None,
-        }
-    }
-
     /// The warnings (empty unless degraded).
     pub fn warnings(&self) -> &[Warning] {
         match self {
-            PageOutcome::Degraded { warnings, .. } => warnings,
+            PageOutcome::Degraded { warnings } => warnings,
             _ => &[],
         }
     }
@@ -141,20 +132,37 @@ impl PageOutcome {
     pub fn is_failed(&self) -> bool {
         matches!(self, PageOutcome::Failed { .. })
     }
+
+    /// Short stable label: `ok`, `degraded` or `failed`.
+    pub fn label(&self) -> &'static str {
+        match self {
+            PageOutcome::Ok => "ok",
+            PageOutcome::Degraded { .. } => "degraded",
+            PageOutcome::Failed { .. } => "failed",
+        }
+    }
+
+    /// Counts this outcome into `metrics`: one of `pages.ok`,
+    /// `pages.degraded` or `pages.failed`, plus one `pages.warnings` per
+    /// warning. Every driver counts page outcomes through here.
+    pub fn count(&self, metrics: &mut Recorder) {
+        metrics.incr(match self {
+            PageOutcome::Ok => Counter::PagesOk,
+            PageOutcome::Degraded { .. } => Counter::PagesDegraded,
+            PageOutcome::Failed { .. } => Counter::PagesFailed,
+        });
+        metrics.bump(Counter::PageWarnings, self.warnings().len() as u64);
+    }
 }
 
-/// Runs the per-page front end and classifies the result: never panics,
-/// never aborts — a poisoned page yields [`PageOutcome::Failed`], a shaky
-/// one [`PageOutcome::Degraded`] with the reasons attached.
-pub fn prepare_outcome(
+/// Classifies a page whose front end succeeded: clean, or degraded with
+/// the reasons attached. `regions` are the page's prepared table regions.
+pub(crate) fn classify(
     template: &SiteTemplate,
     target: usize,
     detail_pages: &[&str],
+    regions: &[PreparedPage],
 ) -> PageOutcome {
-    let page = match try_prepare_with_template(template, target, detail_pages) {
-        Ok(page) => page,
-        Err(error) => return PageOutcome::Failed { error },
-    };
     let mut warnings = Vec::new();
     if template
         .pages
@@ -171,18 +179,18 @@ pub fn prepare_outcome(
             warnings.push(Warning::EmptyDetailPage { index });
         }
     }
-    if page.used_whole_page {
+    if regions.iter().any(|r| r.used_whole_page) {
         warnings.push(Warning::WholePageFallback);
     }
-    if page.observations.items.is_empty() {
+    if regions.iter().all(|r| r.observations.items.is_empty()) {
         warnings.push(Warning::NoObservations {
-            skipped: page.observations.skipped.len(),
+            skipped: regions.iter().map(|r| r.observations.skipped.len()).sum(),
         });
     }
     if warnings.is_empty() {
-        PageOutcome::Ok(page)
+        PageOutcome::Ok
     } else {
-        PageOutcome::Degraded { page, warnings }
+        PageOutcome::Degraded { warnings }
     }
 }
 
@@ -210,13 +218,17 @@ mod tests {
         (a, b, details)
     }
 
+    fn outcome(template: &SiteTemplate, target: usize, details: &[&str]) -> PageOutcome {
+        crate::pipeline::run_page(template, target, details, None, &[]).outcome
+    }
+
     #[test]
     fn clean_site_is_ok() {
         let (a, b, details) = site();
         let template = SiteTemplate::build(&[&a, &b]);
-        let out = prepare_outcome(&template, 0, &details);
-        assert!(matches!(out, PageOutcome::Ok(_)), "{:?}", out.warnings());
-        assert!(out.page().is_some());
+        let out = outcome(&template, 0, &details);
+        assert_eq!(out, PageOutcome::Ok, "{:?}", out.warnings());
+        assert_eq!(out.label(), "ok");
         assert!(out.error().is_none());
         assert!(!out.is_failed());
     }
@@ -225,8 +237,9 @@ mod tests {
     fn bad_target_fails_without_panicking() {
         let (a, b, details) = site();
         let template = SiteTemplate::build(&[&a, &b]);
-        let out = prepare_outcome(&template, 9, &details);
+        let out = outcome(&template, 9, &details);
         assert!(out.is_failed());
+        assert_eq!(out.label(), "failed");
         assert_eq!(
             out.error(),
             Some(&SegError::TargetOutOfBounds {
@@ -234,24 +247,24 @@ mod tests {
                 pages: 2
             })
         );
-        assert!(out.page().is_none());
+        assert!(out.warnings().is_empty());
     }
 
     #[test]
     fn empty_details_degrade() {
         let (a, b, _) = site();
         let template = SiteTemplate::build(&[&a, &b]);
-        let out = prepare_outcome(&template, 0, &["", "  "]);
+        let out = outcome(&template, 0, &["", "  "]);
         let labels: Vec<_> = out.warnings().iter().map(Warning::label).collect();
         assert!(labels.contains(&"empty_detail_page"), "{labels:?}");
-        assert!(out.page().is_some(), "degraded pages are still usable");
+        assert_eq!(out.label(), "degraded", "degraded pages are still usable");
     }
 
     #[test]
     fn single_page_site_reports_whole_page_fallback() {
         let (a, _, details) = site();
         let template = SiteTemplate::build(&[&a]);
-        let out = prepare_outcome(&template, 0, &details);
+        let out = outcome(&template, 0, &details);
         assert!(out.warnings().contains(&Warning::WholePageFallback));
     }
 
@@ -259,11 +272,33 @@ mod tests {
     fn no_detail_pages_warn() {
         let (a, b, _) = site();
         let template = SiteTemplate::build(&[&a, &b]);
-        let out = prepare_outcome(&template, 0, &[]);
+        let out = outcome(&template, 0, &[]);
         assert!(out
             .warnings()
             .iter()
             .any(|w| w.label() == "no_detail_pages"));
+    }
+
+    #[test]
+    fn count_bumps_one_outcome_counter_and_the_warnings() {
+        let mut m = Recorder::always_on();
+        PageOutcome::Ok.count(&mut m);
+        PageOutcome::Degraded {
+            warnings: vec![Warning::NoDetailPages, Warning::WholePageFallback],
+        }
+        .count(&mut m);
+        PageOutcome::Failed {
+            error: SegError::NoExtracts,
+        }
+        .count(&mut m);
+        for (counter, n) in [
+            (Counter::PagesOk, 1),
+            (Counter::PagesDegraded, 1),
+            (Counter::PagesFailed, 1),
+            (Counter::PageWarnings, 2),
+        ] {
+            assert_eq!(m.counters.get(counter), n, "{counter:?}");
+        }
     }
 
     #[test]

@@ -1,13 +1,18 @@
-//! The shared front end of both approaches (Sections 3.1–3.2): template
-//! finding, table-slot detection, extraction, detail-page matching.
+//! The paper's method as one linear flow: template finding, table-slot
+//! selection, extraction and detail-page matching (Sections 3.1–3.2),
+//! then segmentation by the CSP or the HMM (Sections 4–5).
 //!
 //! Template induction is the front end's most expensive step and depends
 //! only on the site's sample list pages — not on which page is being
 //! segmented. [`SiteTemplate`] owns that per-site work (tokenization +
-//! induction + quality assessment) so batch runs do it once per site;
-//! [`prepare_with_template`] then does the per-page work (extraction,
-//! detail matching) against the cached template. [`prepare`] remains the
-//! one-shot convenience wrapper.
+//! induction + quality assessment) so every driver does it once per site.
+//! [`run_page`] then runs one list page end to end against the cached
+//! template: optional region detection, the per-page front end
+//! ([`try_prepare_with_template`]), the page's outcome classification,
+//! and every segmenter through its fallible entry point. Every driver —
+//! the batch harness, `tablesegd`, the scale benchmark and the CLI —
+//! runs pages through it. [`prepare`] remains the one-shot convenience
+//! wrapper.
 
 use tableseg_extract::{derive_extracts, match_extracts_indexed, Observations};
 use tableseg_extract::{PageIndex, SeparatorMask};
@@ -16,8 +21,9 @@ use tableseg_html::{Interner, SegError, Symbol, Token};
 use tableseg_obs::{Counter, Hist, Recorder};
 use tableseg_template::{assess, induce_with, InduceOptions, Induction, TemplateQuality};
 
-use crate::detect::{detect_regions, DetectOptions, Detection, Region};
-use crate::outcome::caught;
+use crate::detect::{detect_regions, DetectOptions, Detection};
+use crate::outcome::{caught, classify, PageOutcome};
+use crate::segmenter::{Segmenter, SegmenterOutcome};
 use crate::timing::{Stage, StageTimes};
 
 /// The input: sample list pages plus the detail pages of the page to
@@ -57,14 +63,14 @@ pub struct PreparedPage {
     pub slot_tokens: Vec<Token>,
     /// Wall-clock time of the per-page stages (detail tokenization,
     /// extraction, matching). [`prepare`] additionally merges in the
-    /// per-site stages; [`prepare_with_template`] does not — the caller
-    /// owns the site-level [`SiteTemplate::timings`].
+    /// per-site stages; [`try_prepare_with_template`] does not — the
+    /// caller owns the site-level [`SiteTemplate::timings`].
     pub timings: StageTimes,
-    /// Per-page observability metrics (pages processed, extracts
-    /// kept/skipped/matched, whole-page fallbacks, per-page histograms).
-    /// Empty unless [`tableseg_obs::set_enabled`] is on. Mirrors
-    /// `timings`: [`prepare`] merges in the site-level metrics,
-    /// [`prepare_with_template`] leaves them with the template's owner.
+    /// Per-page observability metrics (extracts kept/skipped/matched,
+    /// whole-page fallbacks, per-page histograms). Empty unless
+    /// [`tableseg_obs::set_enabled`] is on. Mirrors `timings`: [`prepare`]
+    /// merges in the site-level metrics, [`try_prepare_with_template`]
+    /// leaves them with the template's owner.
     pub metrics: Recorder,
 }
 
@@ -72,8 +78,8 @@ pub struct PreparedPage {
 /// induced template and its quality verdict. Build it once per site with
 /// [`SiteTemplate::build`] (histogram-LCS rolling merge by default;
 /// [`SiteTemplate::build_with`] selects the backend), then call
-/// [`prepare_with_template`] for each page — template induction runs
-/// exactly once no matter how many pages are segmented.
+/// [`run_page`] for each page — template induction runs exactly once no
+/// matter how many pages are segmented.
 #[derive(Debug, Clone)]
 pub struct SiteTemplate {
     /// Token streams of the sample list pages, in input order.
@@ -87,7 +93,7 @@ pub struct SiteTemplate {
     /// The per-symbol separator classification, computed once per site.
     pub separators: SeparatorMask,
     /// Reduced occurrence index of each list page, aligned with `pages`.
-    /// [`prepare_with_template`] probes the indexes of the *other* list
+    /// [`try_prepare_with_template`] probes the indexes of the *other* list
     /// pages for the all-list-pages filter, so they are built once here
     /// rather than once per segmented page.
     pub page_indexes: Vec<PageIndex>,
@@ -338,34 +344,28 @@ impl SiteTemplate {
 /// Runs the shared front end on a site's pages.
 ///
 /// Convenience wrapper over [`SiteTemplate::build`] +
-/// [`prepare_with_template`]; the returned page's `timings` include the
-/// site-level stages. Batch callers segmenting several pages of one site
-/// should build the [`SiteTemplate`] once instead.
+/// [`try_prepare_with_template`]; the returned page's `timings` include
+/// the site-level stages. Callers segmenting several pages of one site
+/// should build the [`SiteTemplate`] once and call [`run_page`] instead.
 ///
 /// # Panics
 ///
 /// Panics if `target` is out of bounds — the caller controls both fields.
 pub fn prepare(input: &SitePages<'_>) -> PreparedPage {
     let template = SiteTemplate::build(&input.list_pages);
-    let mut prepared = prepare_with_template(&template, input.target, &input.detail_pages);
+    let mut prepared = try_prepare_with_template(&template, input.target, &input.detail_pages)
+        .unwrap_or_else(|e| panic!("{e}"));
     prepared.timings.merge(&template.timings);
     prepared.metrics.merge(&template.metrics);
     prepared
 }
 
-/// Fallible [`prepare`]: returns a [`SegError`] instead of panicking on
-/// bad input (no list pages, target out of bounds) or an internal bug.
-pub fn try_prepare(input: &SitePages<'_>) -> Result<PreparedPage, SegError> {
-    let template = SiteTemplate::try_build(&input.list_pages)?;
-    let mut prepared = try_prepare_with_template(&template, input.target, &input.detail_pages)?;
-    prepared.timings.merge(&template.timings);
-    prepared.metrics.merge(&template.metrics);
-    Ok(prepared)
-}
-
 /// Runs the per-page front end against a prebuilt [`SiteTemplate`]:
 /// table-slot selection, extraction, and detail-page matching for the
-/// list page at index `target`.
+/// list page at index `target`. An out-of-bounds target is reported as
+/// [`SegError::TargetOutOfBounds`], and a panic in any per-page stage is
+/// caught and attributed to that stage — one poisoned page cannot abort
+/// a site or a batch.
 ///
 /// # Example
 ///
@@ -373,53 +373,22 @@ pub fn try_prepare(input: &SitePages<'_>) -> Result<PreparedPage, SegError> {
 /// pages against it:
 ///
 /// ```
-/// use tableseg::{prepare_with_template, SiteTemplate};
+/// use tableseg::{try_prepare_with_template, SiteTemplate};
 ///
 /// let page = "<html><h1>Results</h1><table>\
 ///             <tr><td>Ada Lovelace</td></tr>\
 ///             <tr><td>Alan Turing</td></tr></table></html>";
 /// let template = SiteTemplate::build(&[page]);
 /// let details = ["<html><h2>Ada Lovelace</h2></html>"];
-/// let prepared = prepare_with_template(&template, 0, &details);
+/// let prepared = try_prepare_with_template(&template, 0, &details).unwrap();
 /// assert!(!prepared.observations.items.is_empty());
 /// ```
-///
-/// # Panics
-///
-/// Panics if `target` is out of bounds for the template's pages. Use
-/// [`try_prepare_with_template`] to get a [`SegError`] instead.
-pub fn prepare_with_template(
-    template: &SiteTemplate,
-    target: usize,
-    detail_pages: &[&str],
-) -> PreparedPage {
-    try_prepare_with_template(template, target, detail_pages).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`prepare_with_template`]: an out-of-bounds target is reported
-/// as [`SegError::TargetOutOfBounds`], and a panic in any per-page stage
-/// is caught and attributed to that stage — one poisoned page cannot
-/// abort a site or a batch.
 pub fn try_prepare_with_template(
     template: &SiteTemplate,
     target: usize,
     detail_pages: &[&str],
 ) -> Result<PreparedPage, SegError> {
     try_prepare_slot(template, target, detail_pages, None)
-}
-
-/// Region-scoped [`try_prepare_with_template`]: the table slot is the
-/// supplied token range of the target page (a region found by
-/// [`detect_regions`]) instead of the template's table-slot choice.
-/// Extraction, matching and evaluation offsets all stay relative to the
-/// full page, so downstream code is unchanged.
-pub fn try_prepare_region(
-    template: &SiteTemplate,
-    target: usize,
-    detail_pages: &[&str],
-    region: &Region,
-) -> Result<PreparedPage, SegError> {
-    try_prepare_slot(template, target, detail_pages, Some(region.tokens.clone()))
 }
 
 /// The shared per-page front end. With `slot_override` the supplied token
@@ -523,7 +492,6 @@ fn try_prepare_slot(
         .collect();
 
     let mut metrics = Recorder::new();
-    metrics.incr(Counter::PagesProcessed);
     metrics.bump(Counter::FrontendPages, detail_pages.len() as u64);
     let detail_bytes: usize = detail_pages.iter().map(|p| p.len()).sum();
     metrics.bump(Counter::FrontendBytes, detail_bytes as u64);
@@ -559,107 +527,229 @@ fn try_prepare_slot(
     })
 }
 
-/// One detected table region with its region-scoped front-end output.
+/// Everything [`run_page`] produced for one list page.
 #[derive(Debug, Clone)]
-pub struct RegionPrepared {
-    /// The detected region (token and byte ranges, classification).
-    pub region: Region,
-    /// The region's observation table and provenance. On a pass-through
-    /// page this is bit-for-bit the classic whole-page [`PreparedPage`].
-    pub prepared: PreparedPage,
-}
-
-/// The output of the detect-enabled front end: the detection verdict and
-/// one prepared observation table per table region.
-#[derive(Debug, Clone)]
-pub struct DetectedPage {
-    /// Every region detection classified, plus the pass-through flag.
-    pub detection: Detection,
-    /// One entry per table region, in document order. Exactly one entry,
-    /// equal to the classic whole-page preparation, when
-    /// `detection.pass_through` is set.
-    pub regions: Vec<RegionPrepared>,
-    /// Wall-clock time of the detection stage itself (`detect.regions`,
-    /// also charged to the `extract` top-level stage). Per-region
-    /// front-end timings live on each region's [`PreparedPage`].
+pub struct PageResult {
+    /// Clean, degraded (with warnings) or failed — with the front end's
+    /// error, or else the first failing segmenter's.
+    pub outcome: PageOutcome,
+    /// The detection verdict, when detection ran and the front end got
+    /// that far.
+    pub detection: Option<Detection>,
+    /// One prepared page per table region, in document order: exactly one
+    /// (the template's table slot, or the whole page) without detection
+    /// or on a pass-through page. Empty when the front end failed.
+    pub regions: Vec<PreparedPage>,
+    /// Per segmenter, in input order: its segmentation of the page, or
+    /// why it failed. A split page's per-region segmentations are merged,
+    /// their record and extract indices rebased onto the page, so the
+    /// groups index [`PageResult::extract_offsets`]. Each outcome's
+    /// `solver_times` also carries its total under [`Stage::Solve`].
+    pub solved: Vec<Result<SegmenterOutcome, SegError>>,
+    /// Wall-clock time of the per-page stages: detection, the front end
+    /// and every segmenter's solve, with their sub-stages.
     pub timings: StageTimes,
-    /// Detection counters (`detect.*`). Empty unless
-    /// [`tableseg_obs::set_enabled`] is on.
+    /// Per-page metrics: front end, detection, solvers, and the page
+    /// outcome counters (`pages.processed`, `pages.ok`, ...). Empty
+    /// unless [`tableseg_obs::set_enabled`] is on.
     pub metrics: Recorder,
 }
 
-/// The detect-enabled per-page front end: partitions the target page into
-/// regions ([`detect_regions`]), then runs the region-scoped front end on
-/// each table region. Non-table regions (navigation, ads, footers) are
-/// classified but not prepared.
+impl PageResult {
+    /// Byte offset in the target page of every kept extract, regions
+    /// concatenated in document order. With one region these are the
+    /// [`PreparedPage::extract_offsets`].
+    pub fn extract_offsets(&self) -> Vec<usize> {
+        self.regions
+            .iter()
+            .flat_map(|r| r.extract_offsets.iter().copied())
+            .collect()
+    }
+
+    /// `true` if a region fell back to the whole page (notes `a`/`b`).
+    pub fn used_whole_page(&self) -> bool {
+        self.regions.iter().any(|r| r.used_whole_page)
+    }
+}
+
+/// Runs one list page end to end against a prebuilt [`SiteTemplate`],
+/// and never panics out or aborts.
 ///
-/// **Pass-through guarantee:** on a page with at most one table region —
-/// every page of the paper corpus — the result is exactly one region
-/// covering the whole page whose `prepared` output is identical to
-/// [`try_prepare_with_template`], so enabling detection cannot change
-/// single-table results (the table4 golden is enforced at 1/2/N threads
-/// with detection on).
+/// With `detect` set, [`detect_regions`] partitions the page first and
+/// each table region is prepared and solved on its own; a page with at
+/// most one table region passes through to the template's table slot,
+/// so detection cannot change single-table results. The page is then
+/// classified clean, degraded or failed, and every segmenter solves
+/// every region through [`Segmenter::try_segment`], so a solver panic
+/// fails that segmenter's result and the page, nothing else.
 ///
-/// Each table region is matched against all of `detail_pages`; callers
-/// that know which detail pages belong to which region (the detectbench
-/// harness does) can instead call [`try_prepare_region`] per region.
-pub fn try_prepare_detected(
+/// # Example
+///
+/// ```
+/// use tableseg::{run_page, CspSegmenter, PageOutcome, SiteTemplate};
+///
+/// let page = "<html><h1>Results</h1><table>\
+///             <tr><td>Ada Lovelace</td></tr>\
+///             <tr><td>Alan Turing</td></tr></table></html>";
+/// let template = SiteTemplate::build(&[page]);
+/// let details = ["<html><h2>Ada Lovelace</h2></html>"];
+/// let result = run_page(&template, 0, &details, None, &[&CspSegmenter::default()]);
+/// assert!(matches!(result.outcome, PageOutcome::Degraded { .. }));
+/// let groups = result.solved[0].as_ref().unwrap().segmentation.records();
+/// let extracts = result.extract_offsets().len();
+/// assert!(groups.concat().iter().all(|&i| i < extracts));
+/// ```
+pub fn run_page(
     template: &SiteTemplate,
     target: usize,
     detail_pages: &[&str],
-    opts: &DetectOptions,
-) -> Result<DetectedPage, SegError> {
-    if target >= template.pages.len() {
-        return Err(SegError::TargetOutOfBounds {
-            target,
-            pages: template.pages.len(),
-        });
-    }
-    let mut timings = StageTimes::new();
-    let detection = caught("detect", || {
-        let start = std::time::Instant::now();
-        let detection = detect_regions(&template.pages[target], opts);
-        let elapsed = start.elapsed();
-        // Detection overlaps the extraction stage; `detect.regions`
-        // re-attributes that time, mirroring the solve sub-stages.
-        timings.add(Stage::Extraction, elapsed);
-        timings.add(Stage::Detect, elapsed);
-        detection
-    })?;
-    let mut metrics = Recorder::new();
-    metrics.incr(Counter::DetectPages);
-    let tables = detection.table_regions().count();
-    metrics.bump(Counter::DetectRegions, tables as u64);
-    metrics.bump(
-        Counter::DetectNonTable,
-        (detection.regions.len() - tables) as u64,
-    );
-    if detection.pass_through {
-        metrics.incr(Counter::DetectPassThrough);
-    }
-    let mut regions = Vec::with_capacity(tables);
-    for region in detection.table_regions() {
-        let prepared = if detection.pass_through {
-            try_prepare_with_template(template, target, detail_pages)?
-        } else {
-            try_prepare_region(template, target, detail_pages, region)?
+    detect: Option<&DetectOptions>,
+    segmenters: &[&dyn Segmenter],
+) -> PageResult {
+    let mut page = PageResult {
+        outcome: PageOutcome::Ok,
+        detection: None,
+        regions: Vec::new(),
+        solved: Vec::new(),
+        timings: StageTimes::new(),
+        metrics: Recorder::new(),
+    };
+    page.metrics.incr(Counter::PagesProcessed);
+    page.outcome = match front_end(template, target, detail_pages, detect, &mut page) {
+        Ok(()) => classify(template, target, detail_pages, &page.regions),
+        Err(error) => PageOutcome::Failed { error },
+    };
+    page.solved = segmenters
+        .iter()
+        .map(|&segmenter| {
+            if let Some(error) = page.outcome.error() {
+                return Err(error.clone());
+            }
+            let start = std::time::Instant::now();
+            let solved = solve(segmenter, &page.regions);
+            let elapsed = start.elapsed();
+            page.timings.add(Stage::Solve, elapsed);
+            solved.map(|mut o| {
+                page.timings.merge(&o.solver_times);
+                page.metrics.merge(&o.metrics);
+                o.solver_times.add(Stage::Solve, elapsed);
+                o
+            })
+        })
+        .collect();
+    let solver_error = page.solved.iter().find_map(|s| s.as_ref().err());
+    if let (false, Some(error)) = (page.outcome.is_failed(), solver_error) {
+        page.metrics.incr(Counter::SolveFailures);
+        page.outcome = PageOutcome::Failed {
+            error: error.clone(),
         };
-        regions.push(RegionPrepared {
-            region: region.clone(),
-            prepared,
-        });
     }
-    Ok(DetectedPage {
-        detection,
-        regions,
-        timings,
-        metrics,
-    })
+    page.outcome.count(&mut page.metrics);
+    page
+}
+
+/// The per-page front end of [`run_page`]: fills in the detection
+/// verdict (when `detect` is set), one prepared page per table region,
+/// and their timings and metrics.
+fn front_end(
+    template: &SiteTemplate,
+    target: usize,
+    detail_pages: &[&str],
+    detect: Option<&DetectOptions>,
+    page: &mut PageResult,
+) -> Result<(), SegError> {
+    let regions = match detect {
+        None => vec![try_prepare_with_template(template, target, detail_pages)?],
+        Some(opts) => {
+            let tokens = template
+                .pages
+                .get(target)
+                .ok_or(SegError::TargetOutOfBounds {
+                    target,
+                    pages: template.pages.len(),
+                })?;
+            let start = std::time::Instant::now();
+            let detection = caught("detect", || detect_regions(tokens, opts))?;
+            // Detection overlaps the extraction stage; `detect.regions`
+            // re-attributes that time, mirroring the solve sub-stages.
+            let elapsed = start.elapsed();
+            page.timings.add(Stage::Extraction, elapsed);
+            page.timings.add(Stage::Detect, elapsed);
+            let m = &mut page.metrics;
+            let tables = detection.table_regions().count();
+            m.incr(Counter::DetectPages);
+            m.bump(Counter::DetectRegions, tables as u64);
+            m.bump(
+                Counter::DetectNonTable,
+                (detection.regions.len() - tables) as u64,
+            );
+            m.bump(
+                Counter::DetectPassThrough,
+                u64::from(detection.pass_through),
+            );
+            let detection = page.detection.insert(detection);
+            if detection.pass_through {
+                vec![try_prepare_with_template(template, target, detail_pages)?]
+            } else {
+                // Each table region is matched against all of the detail
+                // pages; its extract offsets stay relative to the page.
+                detection
+                    .table_regions()
+                    .map(|r| {
+                        try_prepare_slot(template, target, detail_pages, Some(r.tokens.clone()))
+                    })
+                    .collect::<Result<_, _>>()?
+            }
+        }
+    };
+    for region in &regions {
+        page.timings.merge(&region.timings);
+        page.metrics.merge(&region.metrics);
+    }
+    page.regions = regions;
+    Ok(())
+}
+
+/// Solves every region with `segmenter` and merges the results in
+/// document order, rebasing record and extract indices onto the page.
+/// One region's outcome is returned as the segmenter produced it.
+fn solve(
+    segmenter: &dyn Segmenter,
+    regions: &[PreparedPage],
+) -> Result<SegmenterOutcome, SegError> {
+    let mut parts = regions
+        .iter()
+        .map(|r| segmenter.try_segment(&r.observations));
+    let mut merged = parts
+        .next()
+        .expect("a page whose front end succeeded has a region")?;
+    for part in parts {
+        let part = part?;
+        let seg = &mut merged.segmentation;
+        let base = seg.num_records as u32;
+        seg.assignments.extend(
+            part.segmentation
+                .assignments
+                .iter()
+                .map(|a| a.map(|r| r + base)),
+        );
+        seg.num_records += part.segmentation.num_records;
+        merged.relaxed |= part.relaxed;
+        // Column labels are region-local; they are kept side by side.
+        merged.columns = merged.columns.zip(part.columns).map(|(mut a, b)| {
+            a.extend(b);
+            a
+        });
+        merged.solver_times.merge(&part.solver_times);
+        merged.metrics.merge(&part.metrics);
+    }
+    Ok(merged)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segmenter::{CspSegmenter, ProbSegmenter};
 
     fn page(body: &str) -> String {
         format!(
@@ -796,8 +886,8 @@ mod tests {
         assert_eq!(refreshed.induction.anchors[0], cached.induction.anchors[0]);
         // The refreshed template segments the new sample like a full build.
         let full = SiteTemplate::build(&[&a, &b2]);
-        let via_refresh = prepare_with_template(&refreshed, 0, &details);
-        let via_full = prepare_with_template(&full, 0, &details);
+        let via_refresh = try_prepare_with_template(&refreshed, 0, &details).unwrap();
+        let via_full = try_prepare_with_template(&full, 0, &details).unwrap();
         assert_eq!(via_refresh.extract_offsets, via_full.extract_offsets);
         assert_eq!(via_refresh.used_whole_page, via_full.used_whole_page);
     }
@@ -850,36 +940,95 @@ mod tests {
         (a, b, details)
     }
 
+    /// A segmenter whose solver always panics.
+    struct Panicking;
+
+    impl Segmenter for Panicking {
+        fn segment(&self, _: &tableseg_extract::Observations) -> SegmenterOutcome {
+            panic!("solver bug")
+        }
+
+        fn name(&self) -> &'static str {
+            "panicking"
+        }
+    }
+
     #[test]
     fn detected_front_end_prepares_each_table_region() {
         let (a, b, details) = two_table_site();
         let template = SiteTemplate::build(&[&a, &b]);
-        let detected = try_prepare_detected(
-            &template,
-            0,
-            &details,
-            &crate::detect::DetectOptions::default(),
-        )
-        .expect("clean two-table page");
-        assert!(!detected.detection.pass_through, "two tables must split");
-        assert_eq!(detected.regions.len(), 2, "one prepared page per table");
-        for rp in &detected.regions {
-            assert_eq!(rp.region.kind, crate::detect::RegionKind::Table);
+        let (csp, prob) = (CspSegmenter::default(), ProbSegmenter::default());
+        let segmenters: [&dyn Segmenter; 2] = [&csp, &prob];
+        let detect = crate::detect::DetectOptions::default();
+        let result = run_page(&template, 0, &details, Some(&detect), &segmenters);
+        let detection = result.detection.as_ref().expect("detection ran");
+        assert!(!detection.pass_through, "two tables must split");
+        assert_eq!(result.regions.len(), 2, "one prepared page per table");
+        let tables: Vec<&crate::detect::Region> = detection.table_regions().collect();
+        assert_eq!(tables.len(), 2);
+        for (region, prepared) in tables.iter().zip(&result.regions) {
             assert!(
-                !rp.prepared.extract_offsets.is_empty(),
+                !prepared.extract_offsets.is_empty(),
                 "region extracts derived"
             );
-            for &off in &rp.prepared.extract_offsets {
+            for &off in &prepared.extract_offsets {
                 assert!(
-                    rp.region.bytes.contains(&off),
+                    region.bytes.contains(&off),
                     "extract offset {off} outside region {:?}",
-                    rp.region.bytes
+                    region.bytes
                 );
             }
         }
         // The two regions partition the extracts: no offset overlap.
-        let (r0, r1) = (&detected.regions[0], &detected.regions[1]);
-        assert!(r0.region.bytes.end <= r1.region.bytes.start);
+        assert!(tables[0].bytes.end <= tables[1].bytes.start);
+    }
+
+    /// The multi-region merge: each segmenter's page-level groups are the
+    /// per-region groups, solved alone and rebased onto the concatenated
+    /// extract list, and no group straddles two regions.
+    #[test]
+    fn split_page_merges_region_segmentations() {
+        let (a, b, details) = two_table_site();
+        let template = SiteTemplate::build(&[&a, &b]);
+        let (csp, prob) = (CspSegmenter::default(), ProbSegmenter::default());
+        let segmenters: [&dyn Segmenter; 2] = [&csp, &prob];
+        let detect = crate::detect::DetectOptions::default();
+        let result = run_page(&template, 0, &details, Some(&detect), &segmenters);
+        assert_eq!(result.regions.len(), 2);
+        assert!(!result.outcome.is_failed(), "{:?}", result.outcome);
+        let offsets = result.extract_offsets();
+        let tables: Vec<_> = result
+            .detection
+            .as_ref()
+            .expect("detection ran")
+            .table_regions()
+            .map(|r| r.bytes.clone())
+            .collect();
+        for (segmenter, solved) in segmenters.iter().zip(&result.solved) {
+            let merged = solved.as_ref().expect("clean page solves");
+            let mut expected: Vec<Vec<usize>> = Vec::new();
+            let mut base = 0;
+            for region in &result.regions {
+                let alone = segmenter.segment(&region.observations);
+                for group in alone.segmentation.records() {
+                    expected.push(group.iter().map(|&i| i + base).collect());
+                }
+                base += region.observations.len();
+            }
+            assert_eq!(base, offsets.len());
+            let groups = merged.segmentation.records();
+            assert_eq!(groups, expected, "{}", segmenter.name());
+            assert_eq!(merged.segmentation.assignments.len(), offsets.len());
+            for group in groups.iter().filter(|g| !g.is_empty()) {
+                assert!(
+                    tables
+                        .iter()
+                        .any(|r| group.iter().all(|&i| r.contains(&offsets[i]))),
+                    "{}: group {group:?} straddles regions",
+                    segmenter.name()
+                );
+            }
+        }
     }
 
     #[test]
@@ -887,18 +1036,64 @@ mod tests {
         let (a, b, details) = two_page_site();
         let template = SiteTemplate::build(&[&a, &b]);
         let classic = try_prepare_with_template(&template, 0, &details).expect("classic");
-        let detected = try_prepare_detected(
-            &template,
-            0,
-            &details,
-            &crate::detect::DetectOptions::default(),
-        )
-        .expect("single-table page");
-        assert!(detected.detection.pass_through);
-        assert_eq!(detected.regions.len(), 1);
-        let prepared = &detected.regions[0].prepared;
+        let detect = crate::detect::DetectOptions::default();
+        let result = run_page(&template, 0, &details, Some(&detect), &[]);
+        assert!(result.detection.as_ref().is_some_and(|d| d.pass_through));
+        assert_eq!(result.regions.len(), 1);
+        let prepared = &result.regions[0];
         assert_eq!(prepared.extract_offsets, classic.extract_offsets);
+        assert_eq!(result.extract_offsets(), classic.extract_offsets);
         assert_eq!(prepared.used_whole_page, classic.used_whole_page);
         assert_eq!(prepared.observations.len(), classic.observations.len());
+    }
+
+    /// A panicking solver fails its own result and the page, but the
+    /// other segmenter's result and the page's timings stay intact.
+    #[test]
+    fn solver_panic_fails_one_segmenter_not_the_page_run() {
+        let (a, b, details) = two_page_site();
+        let template = SiteTemplate::build(&[&a, &b]);
+        let csp = CspSegmenter::default();
+        let result = run_page(&template, 0, &details, None, &[&Panicking, &csp]);
+        let expected = SegError::SolverFailed {
+            solver: "panicking",
+            detail: "solver bug".into(),
+        };
+        assert_eq!(result.solved[0].as_ref().unwrap_err(), &expected);
+        assert_eq!(result.outcome, PageOutcome::Failed { error: expected });
+        assert_eq!(result.outcome.error().map(SegError::stage), Some("solve"));
+        let alone = csp.segment(&result.regions[0].observations);
+        let solved = result.solved[1].as_ref().expect("the CSP still solves");
+        assert_eq!(solved.segmentation, alone.segmentation);
+        for stage in [Stage::Tokenize, Stage::Matching, Stage::Solve] {
+            assert!(result.timings.get(stage) > std::time::Duration::ZERO);
+        }
+        assert!(result.timings.get(Stage::SolveCsp) > std::time::Duration::ZERO);
+        let csp_solve = solved.solver_times.get(Stage::Solve);
+        assert!(csp_solve > std::time::Duration::ZERO);
+        assert!(csp_solve <= result.timings.get(Stage::Solve));
+    }
+
+    #[test]
+    fn failed_front_end_fails_every_segmenter() {
+        let (a, b, details) = two_page_site();
+        let template = SiteTemplate::build(&[&a, &b]);
+        let csp = CspSegmenter::default();
+        let result = run_page(&template, 5, &details, None, &[&csp, &csp]);
+        let error = SegError::TargetOutOfBounds {
+            target: 5,
+            pages: 2,
+        };
+        assert_eq!(
+            result.outcome,
+            PageOutcome::Failed {
+                error: error.clone()
+            }
+        );
+        assert!(result.regions.is_empty());
+        assert_eq!(result.solved.len(), 2);
+        for solved in &result.solved {
+            assert_eq!(solved.as_ref().err(), Some(&error));
+        }
     }
 }

@@ -46,8 +46,8 @@ impl RobustnessReport {
     pub fn record(&mut self, outcome: &PageOutcome) {
         self.pages += 1;
         match outcome {
-            PageOutcome::Ok(_) => self.ok += 1,
-            PageOutcome::Degraded { warnings, .. } => {
+            PageOutcome::Ok => self.ok += 1,
+            PageOutcome::Degraded { warnings } => {
                 self.degraded += 1;
                 for w in warnings {
                     bump(&mut self.warnings, w.label());
@@ -88,15 +88,6 @@ impl RobustnessReport {
                 None => self.failures_by_stage.push((label, n)),
             }
         }
-    }
-
-    /// Builds a report from a slice of outcomes.
-    pub fn from_outcomes(outcomes: &[PageOutcome]) -> RobustnessReport {
-        let mut report = RobustnessReport::new();
-        for o in outcomes {
-            report.record(o);
-        }
-        report
     }
 
     /// `true` if every recorded page was clean.
@@ -156,32 +147,22 @@ impl RobustnessReport {
 mod tests {
     use super::*;
     use crate::outcome::Warning;
-    use crate::pipeline::{prepare, SitePages};
-
-    fn prepared() -> crate::pipeline::PreparedPage {
-        let a = "<html><h1>R</h1><table><tr><td>Ada Lovelace</td></tr>\
-                 <tr><td>Alan Turing</td></tr></table></html>";
-        prepare(&SitePages {
-            list_pages: vec![a],
-            target: 0,
-            detail_pages: vec!["<html><h2>Ada Lovelace</h2></html>"],
-        })
-    }
 
     #[test]
     fn counts_and_merge() {
-        let page = prepared();
         let outcomes = vec![
-            PageOutcome::Ok(page.clone()),
+            PageOutcome::Ok,
             PageOutcome::Degraded {
-                page: page.clone(),
                 warnings: vec![Warning::WholePageFallback, Warning::NoDetailPages],
             },
             PageOutcome::Failed {
                 error: SegError::NoExtracts,
             },
         ];
-        let mut r = RobustnessReport::from_outcomes(&outcomes);
+        let mut r = RobustnessReport::new();
+        for outcome in &outcomes {
+            r.record(outcome);
+        }
         assert_eq!((r.pages, r.ok, r.degraded, r.failed), (3, 1, 1, 1));
         assert_eq!(
             r.warnings,
@@ -191,7 +172,7 @@ mod tests {
         assert!(!r.all_clean());
 
         let mut other = RobustnessReport::new();
-        other.record(&PageOutcome::Ok(page));
+        other.record(&PageOutcome::Ok);
         other.record_error(&SegError::SolverFailed {
             solver: "CSP",
             detail: "x".into(),

@@ -177,7 +177,9 @@ fn paper_pages() -> Vec<Observations> {
         let template = tableseg::SiteTemplate::build(&site.list_htmls());
         for (page, generated) in site.pages.iter().enumerate() {
             let details: Vec<&str> = generated.detail_html.iter().map(String::as_str).collect();
-            pages.push(tableseg::prepare_with_template(&template, page, &details).observations);
+            let prepared = tableseg::try_prepare_with_template(&template, page, &details)
+                .expect("clean paper page");
+            pages.push(prepared.observations);
         }
     }
     pages

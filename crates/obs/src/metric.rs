@@ -14,13 +14,13 @@
 pub enum Counter {
     /// List pages that entered the per-page front end.
     PagesProcessed,
-    /// Pages whose outcome was clean (robust runs only).
+    /// Pages whose outcome was clean.
     PagesOk,
-    /// Pages processed with warnings (robust runs only).
+    /// Pages processed with warnings.
     PagesDegraded,
-    /// Pages that could not be processed (robust runs only).
+    /// Pages that could not be processed.
     PagesFailed,
-    /// Per-page warnings of any class (robust runs only).
+    /// Per-page warnings of any class.
     PageWarnings,
     /// Sites whose per-site front end (template induction) ran.
     SitesProcessed,
@@ -58,7 +58,7 @@ pub enum Counter {
     CspRelaxed,
     /// EM iterations across all probabilistic solves.
     EmIterations,
-    /// Solver failures contained by the fallible path (robust runs only).
+    /// Pages failed by a solver panic contained by the fallible path.
     SolveFailures,
     /// Faults injected by the chaos layer (chaos runs only).
     ChaosFaults,

@@ -37,7 +37,7 @@ use tableseg::obs::{
 };
 use tableseg::robustness::RobustnessReport;
 use tableseg::{
-    batch, caught, prepare_outcome, CspSegmenter, PageOutcome, ProbSegmenter, Segmenter,
+    batch, caught, run_page, CspSegmenter, PageOutcome, ProbSegmenter, SegmenterOutcome,
     SiteTemplate,
 };
 use tableseg_html::SegError;
@@ -98,15 +98,14 @@ struct SiteState {
 }
 
 /// The per-target result in wire-independent form; rendered into the
-/// response by [`PageBlock::to_msg`].
+/// response by [`PageBlock::to_msg`]. It keeps only what the response
+/// needs, never the prepared page.
 struct PageBlock {
-    status: &'static str,
+    outcome: PageOutcome,
     whole_page: bool,
-    warnings: Vec<String>,
     offsets: Vec<usize>,
     prob: Option<SegmenterMsg>,
     csp: Option<SegmenterMsg>,
-    error: Option<(String, String)>,
     /// Deterministic pipeline metrics recorded while computing this
     /// block (merged into manifests of requests that *computed* it).
     metrics: Recorder,
@@ -116,34 +115,29 @@ impl PageBlock {
     fn to_msg(&self, target: usize, cached: bool) -> PageResultMsg {
         PageResultMsg {
             target,
-            status: self.status.to_string(),
+            status: self.outcome.label().to_string(),
             cached,
             whole_page: self.whole_page,
-            warnings: self.warnings.clone(),
+            warnings: self
+                .outcome
+                .warnings()
+                .iter()
+                .map(|w| w.label().to_string())
+                .collect(),
             offsets: self.offsets.clone(),
             prob: self.prob.clone(),
             csp: self.csp.clone(),
-            error: self.error.clone(),
+            error: self
+                .outcome
+                .error()
+                .map(|e| (e.stage().to_string(), e.to_string())),
         }
     }
 
     /// True when this block records a request-local deadline expiry
     /// rather than a property of the target itself.
     fn deadline_exceeded(&self) -> bool {
-        matches!(&self.error, Some((stage, _)) if stage == "serve")
-    }
-
-    fn from_error(error: &SegError) -> PageBlock {
-        PageBlock {
-            status: "failed",
-            whole_page: false,
-            warnings: Vec::new(),
-            offsets: Vec::new(),
-            prob: None,
-            csp: None,
-            error: Some((error.stage().to_string(), error.to_string())),
-            metrics: Recorder::new(),
-        }
+        self.outcome.error().is_some_and(|e| e.stage() == "serve")
     }
 }
 
@@ -549,20 +543,9 @@ fn segment(
     let mut page_results = Vec::with_capacity(blocks.len());
     let mut metrics = request_rec;
     for ((block, cached), spec) in blocks.iter().zip(&job.targets) {
-        report.pages += 1;
-        match block.status {
-            "ok" => report.ok += 1,
-            "degraded" => report.degraded += 1,
-            _ => report.failed += 1,
-        }
-        for w in &block.warnings {
-            bump_label(&mut report.warnings, w);
-        }
-        if let Some((stage, _)) = &block.error {
-            bump_label(&mut report.failures_by_stage, stage);
-            if stage == "serve" {
-                metrics.incr(Counter::ServeDeadlineExceeded);
-            }
+        report.record(&block.outcome);
+        if block.deadline_exceeded() {
+            metrics.incr(Counter::ServeDeadlineExceeded);
         }
         if *cached {
             // Same meaning as the batch harness: the page was served by
@@ -606,34 +589,6 @@ fn segment(
     })
 }
 
-/// The robustness report stores `&'static str` labels; serve-side
-/// labels come from the fixed warning/stage vocabularies, so leak-free
-/// interning is just a match over the known strings.
-fn bump_label(rows: &mut Vec<(&'static str, usize)>, label: &str) {
-    const KNOWN: &[&str] = &[
-        "whole_page_fallback",
-        "empty_list_page",
-        "no_detail_pages",
-        "empty_detail_page",
-        "no_observations",
-        "tokenize",
-        "template",
-        "extract",
-        "match",
-        "solve",
-        "serve",
-    ];
-    let stable = KNOWN
-        .iter()
-        .find(|k| **k == label)
-        .copied()
-        .unwrap_or("other");
-    match rows.iter_mut().find(|(l, _)| *l == stable) {
-        Some(row) => row.1 += 1,
-        None => rows.push((stable, 1)),
-    }
-}
-
 fn details_fingerprint(details: &[String]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for d in details {
@@ -667,45 +622,40 @@ fn compute_block(
     // Graceful cancellation: a request past its deadline fails its
     // remaining targets through the fallible pipeline's error type
     // instead of computing them.
-    if let Some(deadline) = deadline {
-        if Instant::now() >= deadline {
-            return PageBlock::from_error(&SegError::Internal {
+    if deadline.is_some_and(|d| Instant::now() >= d) {
+        let outcome = PageOutcome::Failed {
+            error: SegError::Internal {
                 stage: "serve",
                 detail: "deadline exceeded".to_string(),
-            });
-        }
+            },
+        };
+        let mut metrics = Recorder::new();
+        outcome.count(&mut metrics);
+        return PageBlock {
+            outcome,
+            whole_page: false,
+            offsets: Vec::new(),
+            prob: None,
+            csp: None,
+            metrics,
+        };
     }
     let details: Vec<&str> = spec.details.iter().map(String::as_str).collect();
-    let outcome = prepare_outcome(template, spec.target, &details);
-    let (status, prepared, warnings): (&'static str, _, Vec<String>) = match &outcome {
-        PageOutcome::Ok(page) => ("ok", page, Vec::new()),
-        PageOutcome::Degraded { page, warnings } => (
-            "degraded",
-            page,
-            warnings.iter().map(|w| w.label().to_string()).collect(),
-        ),
-        PageOutcome::Failed { error } => return PageBlock::from_error(error),
+    let (prob, csp) = (ProbSegmenter::default(), CspSegmenter::default());
+    let page = run_page(template, spec.target, &details, None, &[&prob, &csp]);
+    let msg = |solved: &Result<SegmenterOutcome, SegError>| {
+        solved.as_ref().ok().map(|o| SegmenterMsg {
+            relaxed: o.relaxed,
+            groups: o.segmentation.records(),
+        })
     };
-    let mut metrics = prepared.metrics.clone();
-    let mut run = |segmenter: &dyn Segmenter| {
-        let outcome = segmenter.segment(&prepared.observations);
-        metrics.merge(&outcome.metrics);
-        SegmenterMsg {
-            relaxed: outcome.relaxed,
-            groups: outcome.segmentation.records(),
-        }
-    };
-    let prob = run(&ProbSegmenter::default());
-    let csp = run(&CspSegmenter::default());
     PageBlock {
-        status,
-        whole_page: prepared.used_whole_page,
-        warnings,
-        offsets: prepared.extract_offsets.clone(),
-        prob: Some(prob),
-        csp: Some(csp),
-        error: None,
-        metrics,
+        whole_page: page.used_whole_page(),
+        offsets: page.extract_offsets(),
+        prob: msg(&page.solved[0]),
+        csp: msg(&page.solved[1]),
+        outcome: page.outcome,
+        metrics: page.metrics,
     }
 }
 
@@ -731,11 +681,40 @@ mod tests {
     }
 
     #[test]
-    fn bump_label_interns_known_labels() {
-        let mut rows = Vec::new();
-        bump_label(&mut rows, "serve");
-        bump_label(&mut rows, "serve");
-        bump_label(&mut rows, "solve");
-        assert_eq!(rows, vec![("serve", 2), ("solve", 1)]);
+    fn blocks_render_their_page_outcome() {
+        let block = |outcome| PageBlock {
+            outcome,
+            whole_page: false,
+            offsets: Vec::new(),
+            prob: None,
+            csp: None,
+            metrics: Recorder::new(),
+        };
+        let solver = block(PageOutcome::Failed {
+            error: SegError::SolverFailed {
+                solver: "CSP",
+                detail: "boom".to_string(),
+            },
+        });
+        let msg = solver.to_msg(3, false);
+        assert_eq!((msg.target, msg.status.as_str()), (3, "failed"));
+        assert_eq!(msg.error.map(|(stage, _)| stage), Some("solve".to_string()));
+        assert!(!solver.deadline_exceeded());
+
+        let degraded = block(PageOutcome::Degraded {
+            warnings: vec![tableseg::Warning::NoDetailPages],
+        });
+        let msg = degraded.to_msg(0, true);
+        assert_eq!(msg.status, "degraded");
+        assert_eq!(msg.warnings, vec!["no_detail_pages".to_string()]);
+        assert!(msg.error.is_none());
+
+        let late = block(PageOutcome::Failed {
+            error: SegError::Internal {
+                stage: "serve",
+                detail: "deadline exceeded".to_string(),
+            },
+        });
+        assert!(late.deadline_exceeded());
     }
 }

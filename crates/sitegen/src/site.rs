@@ -72,6 +72,18 @@ pub struct GeneratedPage {
     pub truth: GroundTruth,
 }
 
+impl GeneratedPage {
+    /// Detail-page HTML, in row order, for the front end.
+    pub fn detail_htmls(&self) -> Vec<&str> {
+        self.detail_html.iter().map(String::as_str).collect()
+    }
+
+    /// The byte span of every ground-truth record, in row order.
+    pub fn truth_spans(&self) -> Vec<std::ops::Range<usize>> {
+        self.truth.records.iter().map(|r| r.start..r.end).collect()
+    }
+}
+
 /// A fully generated site.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GeneratedSite {

@@ -7,15 +7,13 @@ use proptest::prelude::*;
 
 use tableseg::outcome::PageOutcome;
 use tableseg::robustness::RobustnessReport;
-use tableseg::{
-    prepare_outcome, try_prepare, CspSegmenter, ProbSegmenter, Segmenter, SitePages, SiteTemplate,
-};
+use tableseg::{run_page, CspSegmenter, ProbSegmenter, SiteTemplate};
 use tableseg_sitegen::chaos::{generate_chaotic, ChaosConfig};
 use tableseg_sitegen::paper_sites;
 
-/// Runs one damaged site through the full fallible path and folds every
-/// page into a report. Any panic escaping this function fails the test —
-/// that is the property.
+/// Runs one damaged site through `run_page` with both segmenters and
+/// folds every page into a report. Any panic escaping this function fails
+/// the test — that is the property.
 fn drive_site(site: &tableseg_sitegen::GeneratedSite) -> RobustnessReport {
     let mut report = RobustnessReport::new();
     let list_htmls = site.list_htmls();
@@ -28,20 +26,13 @@ fn drive_site(site: &tableseg_sitegen::GeneratedSite) -> RobustnessReport {
             return report;
         }
     };
+    let (prob, csp) = (ProbSegmenter::default(), CspSegmenter::default());
     for (page, gp) in site.pages.iter().enumerate() {
-        let details: Vec<&str> = gp.detail_html.iter().map(String::as_str).collect();
-        let outcome = prepare_outcome(&template, page, &details);
-        match outcome.page() {
-            Some(prepared) => {
-                let prob = ProbSegmenter::default().try_segment(&prepared.observations);
-                let csp = CspSegmenter::default().try_segment(&prepared.observations);
-                match (&prob, &csp) {
-                    (Ok(_), Ok(_)) => report.record(&outcome),
-                    (Err(e), _) | (_, Err(e)) => report.record_error(e),
-                }
-            }
-            None => report.record(&outcome),
-        }
+        let result = run_page(&template, page, &gp.detail_htmls(), None, &[&prob, &csp]);
+        // A page fails exactly when its front end or a segmenter failed.
+        let any_err = result.solved.iter().any(Result::is_err);
+        assert_eq!(result.outcome.is_failed(), any_err, "{:?}", result.outcome);
+        report.record(&result.outcome);
     }
     report
 }
@@ -60,9 +51,9 @@ proptest! {
         prop_assert_eq!(report.pages, report.ok + report.degraded + report.failed);
     }
 
-    /// The one-shot fallible entry point tolerates pathological inputs:
-    /// any subset of a damaged site's pages, any target index (including
-    /// out of bounds), empty page sets.
+    /// The fallible entry points tolerate pathological inputs: any subset
+    /// of a damaged site's pages, any target index (including out of
+    /// bounds), empty page sets. A target out of bounds fails the page.
     #[test]
     fn try_prepare_total_on_damaged_input(
         p in 0.0f64..1.0,
@@ -79,11 +70,12 @@ proptest! {
             .map(String::as_str)
             .collect();
         // Err is fine, panicking is not.
-        let _ = try_prepare(&SitePages {
-            list_pages: kept,
-            target,
-            detail_pages: details,
-        });
+        if let Ok(template) = SiteTemplate::try_build(&kept) {
+            let result = run_page(&template, target, &details, None, &[]);
+            if target >= kept.len() {
+                prop_assert!(result.outcome.is_failed());
+            }
+        }
     }
 }
 
@@ -127,18 +119,10 @@ fn degraded_outcome_is_still_segmentable() {
     );
     let list_htmls = site.list_htmls();
     let template = SiteTemplate::try_build(&list_htmls).expect("list pages undamaged");
-    let details: Vec<&str> = site.pages[0]
-        .detail_html
-        .iter()
-        .map(String::as_str)
-        .collect();
-    let outcome = prepare_outcome(&template, 0, &details);
-    let prepared = outcome.page().expect("processed");
-    match outcome {
-        PageOutcome::Failed { ref error } => panic!("should not fail: {error}"),
-        _ => {
-            let seg = CspSegmenter::default().try_segment(&prepared.observations);
-            assert!(seg.is_ok(), "{seg:?}");
-        }
+    let csp = CspSegmenter::default();
+    let result = run_page(&template, 0, &site.pages[0].detail_htmls(), None, &[&csp]);
+    if let PageOutcome::Failed { error } = &result.outcome {
+        panic!("should not fail: {error}");
     }
+    assert!(result.solved[0].is_ok(), "{:?}", result.solved[0]);
 }

@@ -1,21 +1,23 @@
 //! Detection no-op invariance: enabling the table-region detection stage
 //! must not change anything on single-table pages.
 //!
-//! Every page of the paper corpus is a single-table list page, so the
-//! detect-enabled front end must (a) classify each one as exactly one
-//! whole-page table region with `pass_through` set, (b) produce a
-//! bit-identical `PreparedPage` to the classic path, and (c) reproduce
-//! the committed `tests/golden/table4.txt` byte for byte through the
-//! batch engine at 1, 2 and N threads.
+//! Every page of the paper corpus is a single-table list page, so
+//! `run_page` with detection on must (a) classify each one as exactly one
+//! whole-page table region with `pass_through` set, (b) produce the same
+//! page result as with detection off, and (c) reproduce the committed
+//! `tests/golden/table4.txt` byte for byte through the corpus driver at
+//! 1, 2 and N threads.
 
 use std::path::PathBuf;
 
 use tableseg::html::lexer::tokenize;
+use tableseg::timing::Stage;
 use tableseg::{
-    detect_regions, try_prepare_detected, try_prepare_with_template, CspSegmenter, DetectOptions,
-    ProbSegmenter, RegionKind, SiteTemplate,
+    detect_regions, run_page, CspSegmenter, DetectOptions, ProbSegmenter, RegionKind, Segmenter,
+    SiteTemplate,
 };
-use tableseg_bench::{run_sites, run_sites_detect, table4_report};
+use tableseg_bench::{run_corpus, run_sites, table4_report};
+use tableseg_sitegen::chaos::ChaosConfig;
 use tableseg_sitegen::paper_sites;
 use tableseg_sitegen::site::generate;
 
@@ -60,33 +62,60 @@ fn every_paper_corpus_page_is_one_whole_page_region() {
     }
 }
 
-/// On pass-through pages the detect-enabled front end must hand back the
-/// classic preparation unchanged — same extracts, same offsets, same
-/// fallback flags.
+/// On pass-through pages `run_page` with detection on must hand back the
+/// detection-off result field for field — same outcome, same prepared
+/// page, same segmentations — with the detection stage as the only
+/// addition to its timings.
 #[test]
 fn pass_through_preparation_matches_classic_path() {
     let opts = DetectOptions::default();
+    let (prob, csp) = (ProbSegmenter::default(), CspSegmenter::default());
+    let segmenters: [&dyn Segmenter; 2] = [&prob, &csp];
     for spec in [paper_sites::butler(), paper_sites::amazon()] {
         let site = generate(&spec);
         let template = SiteTemplate::build(&site.list_htmls());
         for (p, page) in site.pages.iter().enumerate() {
-            let details: Vec<&str> = page.detail_html.iter().map(String::as_str).collect();
-            let classic = try_prepare_with_template(&template, p, &details)
-                .unwrap_or_else(|e| panic!("{} page {p}: classic prepare: {e}", spec.name));
-            let detected = try_prepare_detected(&template, p, &details, &opts)
-                .unwrap_or_else(|e| panic!("{} page {p}: detect prepare: {e}", spec.name));
-            assert!(detected.detection.pass_through);
-            assert_eq!(detected.regions.len(), 1);
-            let prepared = &detected.regions[0].prepared;
-            assert_eq!(prepared.extract_offsets, classic.extract_offsets);
-            assert_eq!(prepared.skipped_offsets, classic.skipped_offsets);
-            assert_eq!(prepared.used_whole_page, classic.used_whole_page);
-            assert_eq!(prepared.slot_tokens, classic.slot_tokens);
+            let details = page.detail_htmls();
+            let classic = run_page(&template, p, &details, None, &segmenters);
+            let detected = run_page(&template, p, &details, Some(&opts), &segmenters);
+            let at = format!("{} page {p}", spec.name);
+            assert!(classic.detection.is_none(), "{at}");
+            let detection = detected.detection.as_ref().expect("detection ran");
+            assert!(detection.pass_through, "{at}");
+            assert_eq!(detected.outcome, classic.outcome, "{at}");
+            assert_eq!(detected.regions.len(), 1, "{at}");
+            assert_eq!(classic.regions.len(), 1, "{at}");
+            let (a, b) = (&detected.regions[0], &classic.regions[0]);
+            assert_eq!(a.extract_offsets, b.extract_offsets, "{at}");
+            assert_eq!(a.skipped_offsets, b.skipped_offsets, "{at}");
+            assert_eq!(a.used_whole_page, b.used_whole_page, "{at}");
+            assert_eq!(a.slot_tokens, b.slot_tokens, "{at}");
             assert_eq!(
-                prepared.observations.len(),
-                classic.observations.len(),
-                "{} page {p}",
-                spec.name
+                a.observations.num_records, b.observations.num_records,
+                "{at}"
+            );
+            assert_eq!(a.observations.items, b.observations.items, "{at}");
+            assert_eq!(a.observations.skipped, b.observations.skipped, "{at}");
+            assert_eq!(
+                detected.extract_offsets(),
+                classic.extract_offsets(),
+                "{at}"
+            );
+            assert_eq!(
+                detected.used_whole_page(),
+                classic.used_whole_page(),
+                "{at}"
+            );
+            for (x, y) in detected.solved.iter().zip(&classic.solved) {
+                let (x, y) = (x.as_ref().expect(&at), y.as_ref().expect(&at));
+                assert_eq!(x.segmentation, y.segmentation, "{at}");
+                assert_eq!(x.relaxed, y.relaxed, "{at}");
+                assert_eq!(x.columns, y.columns, "{at}");
+            }
+            assert_eq!(
+                classic.timings.get(Stage::Detect),
+                Default::default(),
+                "{at}"
             );
         }
     }
@@ -101,9 +130,10 @@ fn table4_golden_is_byte_identical_with_detection_enabled() {
     let opts = DetectOptions::default();
     let prob = ProbSegmenter::default();
     let csp = CspSegmenter::default();
+    let off = ChaosConfig::off(0);
     let n = tableseg::batch::default_threads().max(3);
     for threads in [1usize, 2, n] {
-        let outcome = run_sites_detect(&specs, threads, &prob, &csp, &opts);
+        let outcome = run_corpus(&specs, threads, &off, Some(&opts), &prob, &csp);
         assert_eq!(
             table4_report(&outcome.runs, false),
             golden,
@@ -112,7 +142,7 @@ fn table4_golden_is_byte_identical_with_detection_enabled() {
     }
     // And the detect path agrees with the plain path run-for-run.
     let plain = run_sites(&specs, 2);
-    let detect = run_sites_detect(&specs, 2, &prob, &csp, &opts);
+    let detect = run_corpus(&specs, 2, &off, Some(&opts), &prob, &csp);
     assert_eq!(plain.runs.len(), detect.runs.len());
     for (a, b) in plain.runs.iter().zip(&detect.runs) {
         assert_eq!(a.prob, b.prob, "{} page {}", a.site, a.page);
