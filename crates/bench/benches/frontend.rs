@@ -1,6 +1,6 @@
 //! Front-end microbenchmarks: tokenization, interning, template
-//! induction, observation-table construction, and the naive-vs-indexed
-//! extract matcher comparison.
+//! induction, observation-table construction, and the indexed extract
+//! matcher.
 //!
 //! The paper argues its content-based inference is fast because "the
 //! number of text strings on a typical Web page is very small compared to
@@ -90,10 +90,8 @@ fn bench_intern(c: &mut Criterion) {
     group.finish();
 }
 
-/// The headline comparison: per-page extract matching via the naive
-/// string scan (`match_extracts_naive`, the test oracle) vs. the indexed
-/// symbol matcher used in production. Same fixtures as the
-/// `BENCH_frontend.json` smoke run.
+/// Per-page extract matching with the indexed symbol matcher. Same
+/// fixtures as the `BENCH_frontend.json` smoke run.
 fn bench_matcher(c: &mut Criterion) {
     let mut group = c.benchmark_group("matcher");
     let fixtures = matchbench::corpus();
@@ -101,9 +99,6 @@ fn bench_matcher(c: &mut Criterion) {
         f.page == 0 && ["Butler County", "Superpages", "Canada 411"].contains(&f.site.as_str())
     }) {
         group.throughput(Throughput::Elements(f.extracts.len() as u64));
-        group.bench_with_input(BenchmarkId::new("naive", &f.site), f, |b, f| {
-            b.iter(|| black_box(f.run_naive()))
-        });
         group.bench_with_input(BenchmarkId::new("indexed", &f.site), f, |b, f| {
             b.iter(|| black_box(f.run_indexed()))
         });

@@ -1,11 +1,12 @@
 //! Emits `BENCH_induce.json`: the template-induction microbenchmark —
-//! Hirschberg pair-LCS vs. the histogram-LCS core on the candidate
-//! streams of the twelve simulated paper sites, plus the multi-page
-//! rolling-merge quality-vs-cost curve (2 → 10 sample pages per site).
+//! the histogram-LCS core on the candidate streams of the twelve
+//! simulated paper sites, plus the multi-page rolling-merge
+//! quality-vs-cost curve (2 → 10 sample pages per site).
 //!
-//! The histogram ≡ Hirschberg differential checks run before anything is
-//! timed (equal LCS length, valid traces, matching template lengths and
-//! usability verdicts at every page count); the run then fails if the
+//! The run fails if a deterministic work count — the pair anchors and
+//! LCS fallback windows, and per depth the mean template length, usable
+//! sites and fallback windows — differs from the committed
+//! `BENCH_induce.json` (read before the output is written), or if the
 //! 10-page induction's template quality degrades below the 2-page
 //! baseline — a merge that loosens the template is a regression, not a
 //! feature.
@@ -21,7 +22,7 @@
 
 use std::process::ExitCode;
 
-use tableseg_bench::inducebench;
+use tableseg_bench::{corpus, inducebench};
 
 fn usage() {
     eprintln!("usage: inducebench [--iters N] [--out PATH] [--skip-quality-gate]");
@@ -63,7 +64,7 @@ fn main() -> ExitCode {
 
     eprintln!("running induction benchmark ({iters} pass(es) per path) ...");
     let bench = inducebench::run_induce_bench(iters, &[2, 4, 6, 8, 10]);
-    eprintln!("differential checks passed (histogram ≡ Hirschberg)");
+    let committed = corpus::read_committed("BENCH_induce.json");
 
     let json = inducebench::render_json(&bench);
     if let Err(e) = std::fs::write(&out_path, &json) {
@@ -71,10 +72,10 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     eprintln!(
-        "pair LCS: Hirschberg {:.2} ms vs histogram {:.2} ms → {:.2}x over {} pairs",
-        bench.pair.hirschberg_ns as f64 / 1e6,
+        "pair LCS: {:.2} ms (committed {}), {} anchors over {} pairs",
         bench.pair.histogram_ns as f64 / 1e6,
-        bench.pair.speedup(),
+        corpus::committed_ms(&committed, &["pair_lcs", "histogram_ns"]),
+        bench.pair.anchors,
         bench.pair.pairs
     );
     for p in &bench.curve {
@@ -87,6 +88,9 @@ fn main() -> ExitCode {
         );
     }
     eprintln!("written to {out_path}");
+    if !corpus::check_work_counts("BENCH_induce.json", &committed, &bench.work_counts()) {
+        return ExitCode::FAILURE;
+    }
     if quality_gate && !bench.quality_non_degrading() {
         eprintln!(
             "FAIL: 10-page template quality degraded below the 2-page baseline \

@@ -2,12 +2,16 @@
 //!
 //! A procedurally generated [`Universe`](tableseg_sitegen::Universe) of
 //! sites streams through the work-stealing batch engine; every page runs
-//! through both the allocating token lexer and the zero-copy span lexer,
-//! with the allocating path as a differential oracle on sampled sites.
-//! The report carries the tokenize-stage and whole-front-end speedups,
-//! per-core throughput (pages/sec, bytes/sec), and the half-vs-full
-//! peak-RSS snapshot that proves the front end runs in memory bounded by
-//! sites in flight, not total pages.
+//! through the zero-copy span lexer and the front end built on it, and
+//! (by default) every site through the full pipeline. The report carries
+//! per-core throughput (pages/sec, bytes/sec, sites/sec) and the
+//! half-vs-full peak-RSS snapshot that proves the front end runs in
+//! memory bounded by sites in flight, not total pages.
+//!
+//! On the universe the committed `BENCH_scale.json` covers (same site
+//! count and fault rate), the run fails if a deterministic work count —
+//! universe pages, bytes and tokens, pipeline records and failed pages —
+//! differs from the committed file (read before the output is written).
 //!
 //! Flags:
 //!
@@ -15,11 +19,7 @@
 //! * `--threads N` — batch worker threads (default: available
 //!   parallelism);
 //! * `--fault-rate F` — chaos injection rate, `0.0..=1.0` (default 0);
-//! * `--oracle-every N` — differential-oracle sampling stride
-//!   (default 16; 0 disables);
 //! * `--out PATH` — where to write the JSON (default `BENCH_scale.json`);
-//! * `--min-speedup X` — fail unless the tokenize-stage speedup is at
-//!   least `X` (default: no gate; CI passes 3);
 //! * `--min-pages-per-sec N` — fail below this per-core zero-copy
 //!   throughput (default: no gate);
 //! * `--min-sites-per-sec N` — fail below this per-core full-pipeline
@@ -38,13 +38,14 @@
 use std::process::ExitCode;
 
 use tableseg::batch;
+use tableseg_bench::corpus;
 use tableseg_bench::scalebench::{render_json, run_scale_bench, ScaleConfig};
 
 fn usage() {
     eprintln!(
-        "usage: scalebench [--sites N] [--threads N] [--fault-rate F] [--oracle-every N] \
-         [--out PATH] [--min-speedup X] [--min-pages-per-sec N] [--min-sites-per-sec N] \
-         [--no-pipeline] [--max-rss-mb N] [--rss-tolerance F] [--check-flat]"
+        "usage: scalebench [--sites N] [--threads N] [--fault-rate F] [--out PATH] \
+         [--min-pages-per-sec N] [--min-sites-per-sec N] [--no-pipeline] [--max-rss-mb N] \
+         [--rss-tolerance F] [--check-flat]"
     );
 }
 
@@ -54,7 +55,6 @@ fn main() -> ExitCode {
         ..ScaleConfig::default()
     };
     let mut out_path = String::from("BENCH_scale.json");
-    let mut min_speedup: Option<f64> = None;
     let mut min_pages_per_sec: Option<f64> = None;
     let mut min_sites_per_sec: Option<f64> = None;
     let mut max_rss_mb: Option<u64> = None;
@@ -84,26 +84,12 @@ fn main() -> ExitCode {
                 };
                 cfg.fault_rate = f.clamp(0.0, 1.0);
             }
-            "--oracle-every" => {
-                let Some(n) = it.next().and_then(|v| v.parse::<usize>().ok()) else {
-                    eprintln!("--oracle-every needs a number (0 disables)");
-                    return ExitCode::FAILURE;
-                };
-                cfg.oracle_every = n;
-            }
             "--out" => {
                 let Some(path) = it.next() else {
                     eprintln!("--out needs a path");
                     return ExitCode::FAILURE;
                 };
                 out_path = path;
-            }
-            "--min-speedup" => {
-                let Some(f) = it.next().and_then(|v| v.parse::<f64>().ok()) else {
-                    eprintln!("--min-speedup needs a number");
-                    return ExitCode::FAILURE;
-                };
-                min_speedup = Some(f);
             }
             "--min-pages-per-sec" => {
                 let Some(f) = it.next().and_then(|v| v.parse::<f64>().ok()) else {
@@ -153,13 +139,13 @@ fn main() -> ExitCode {
     }
 
     eprintln!(
-        "scale: {} sites on {} thread(s), fault rate {:.2}, oracle every {}{} ...",
+        "scale: {} sites on {} thread(s), fault rate {:.2}{} ...",
         cfg.sites,
         cfg.threads,
         cfg.fault_rate,
-        cfg.oracle_every,
         if cfg.pipeline { ", full pipeline" } else { "" }
     );
+    let committed = corpus::read_committed("BENCH_scale.json");
     let bench = run_scale_bench(&cfg);
 
     let json = render_json(&bench);
@@ -168,20 +154,18 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     eprintln!(
-        "tokenize: lexer {:.2} ms vs scan {:.2} ms → {:.2}x | front end {:.2}x",
-        bench.tokenize_ns as f64 / 1e6,
+        "tokenize: scan {:.2} ms, front end {:.2} ms (committed {})",
         bench.scan_ns as f64 / 1e6,
-        bench.tokenize_speedup(),
-        bench.frontend_speedup()
+        bench.frontend_ns as f64 / 1e6,
+        corpus::committed_ms(&committed, &["frontend", "frontend_ns"])
     );
     eprintln!(
         "throughput: {:.0} pages/s, {:.1} MB/s per core over {} pages / {:.1} MB \
-         ({} oracle site(s) agreed; written to {out_path})",
+         (written to {out_path})",
         bench.pages_per_sec(),
         bench.bytes_per_sec() / 1e6,
         bench.pages,
-        bench.bytes as f64 / 1e6,
-        bench.oracle_sites
+        bench.bytes as f64 / 1e6
     );
     if cfg.pipeline {
         eprintln!(
@@ -202,14 +186,13 @@ fn main() -> ExitCode {
     }
 
     let mut failed = false;
-    if let Some(min) = min_speedup {
-        if bench.tokenize_speedup() < min {
-            eprintln!(
-                "FAIL: tokenize-stage speedup {:.2}x below the {min:.2}x gate",
-                bench.tokenize_speedup()
-            );
-            failed = true;
-        }
+    if committed
+        .as_deref()
+        .is_ok_and(|doc| !bench.same_universe(doc))
+    {
+        eprintln!("work counts: BENCH_scale.json covers another universe; not compared");
+    } else {
+        failed |= !corpus::check_work_counts("BENCH_scale.json", &committed, &bench.work_counts());
     }
     if let Some(min) = min_pages_per_sec {
         if bench.pages_per_sec() < min {

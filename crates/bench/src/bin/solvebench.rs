@@ -125,26 +125,11 @@ fn main() -> ExitCode {
 
     eprintln!("running solver microbenchmark ({iters} pass(es) per method) ...");
     let bench = solvebench::run_solve_bench(iters);
-    let committed_path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_solver.json");
-    let committed = std::fs::read_to_string(&committed_path);
-    if check_golden {
-        let committed = match &committed {
-            Ok(doc) => doc,
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", committed_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let mismatches = solvebench::work_count_mismatches(&bench, committed);
-        if !mismatches.is_empty() {
-            for m in &mismatches {
-                eprintln!("FAIL: {m}");
-            }
-            eprintln!("work counts differ from {}", committed_path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!("work counts match {}", committed_path.display());
+    let committed = corpus::read_committed("BENCH_solver.json");
+    if check_golden
+        && !corpus::check_work_counts("BENCH_solver.json", &committed, &bench.work_counts())
+    {
+        return ExitCode::FAILURE;
     }
 
     if let Some(path) = &manifest_path {
@@ -178,17 +163,10 @@ fn main() -> ExitCode {
         eprintln!("cannot write {out_path}: {e}");
         return ExitCode::FAILURE;
     }
-    let committed_ms = |method: &str| {
-        committed
-            .as_deref()
-            .ok()
-            .and_then(|doc| solvebench::committed_number(doc, &[method, "wall_ns"]))
-            .map_or("n/a".to_string(), |ns| format!("{:.2} ms", ns / 1e6))
-    };
     eprintln!(
         "csp: {:.2} ms (committed {}), {} flips, {:.0} flips/s, {} BnB nodes",
         bench.csp.wall_ns as f64 / 1e6,
-        committed_ms("csp"),
+        corpus::committed_ms(&committed, &["csp", "wall_ns"]),
         bench.csp.work_units,
         bench.csp.units_per_sec(),
         bench.bnb_nodes
@@ -196,7 +174,7 @@ fn main() -> ExitCode {
     eprintln!(
         "prob: {:.2} ms (committed {}), {} EM iters, {:.0} EM iters/s",
         bench.prob.wall_ns as f64 / 1e6,
-        committed_ms("prob"),
+        corpus::committed_ms(&committed, &["prob", "wall_ns"]),
         bench.prob.work_units,
         bench.prob.units_per_sec()
     );

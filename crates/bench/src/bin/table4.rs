@@ -15,10 +15,11 @@
 //! * `--threads N` — worker threads (default: available parallelism);
 //! * `--rt` — append the RT report: per-site wall-clock time per pipeline
 //!   stage (tokenize / template / extract / match / solve / decode);
-//! * `--bench-json PATH` — additionally run the naive-vs-indexed matcher
+//! * `--bench-json PATH` — additionally run the extract-matcher
 //!   microbenchmark over the corpus and write `BENCH_frontend.json`-style
-//!   output (corpus shape, wall-clock per path, speedup, per-stage
-//!   totals) to PATH;
+//!   output (corpus shape, kept/skipped extracts, matcher wall clock,
+//!   per-stage totals) to PATH; the run fails if the corpus shape or the
+//!   kept/skipped counts differ from the committed `BENCH_frontend.json`;
 //! * `--manifest PATH` — enable the observability layer and write the run
 //!   manifest (summary JSON at PATH, plus `.jsonl` event-log and `.prom`
 //!   Prometheus sidecars; see OBSERVABILITY.md);
@@ -120,6 +121,7 @@ fn main() -> ExitCode {
 
     if let Some(path) = bench_json {
         eprintln!("running matcher microbenchmark ...");
+        let committed = corpus::read_committed("BENCH_frontend.json");
         let bench = matchbench::run_match_bench(7);
         // Corpus-wide per-stage totals from the batch run above.
         let stage_totals = corpus::stage_totals(&outcome.timing);
@@ -129,12 +131,17 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         eprintln!(
-            "matcher: naive {:.2} ms vs indexed {:.2} ms over {} pages → {:.2}x (written to {path})",
-            bench.naive_ns as f64 / 1e6,
+            "matcher: {:.2} ms (committed {}) over {} pages, {} kept / {} skipped extracts \
+             (written to {path})",
             bench.indexed_ns as f64 / 1e6,
+            corpus::committed_ms(&committed, &["indexed_ns"]),
             bench.pages,
-            bench.speedup()
+            bench.kept,
+            bench.skipped
         );
+        if !corpus::check_work_counts("BENCH_frontend.json", &committed, &bench.work_counts()) {
+            return ExitCode::FAILURE;
+        }
     }
     ExitCode::SUCCESS
 }

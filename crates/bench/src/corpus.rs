@@ -15,7 +15,13 @@
 //! * [`BenchJson`], the top-level document builder. Every document it
 //!   produces carries a `"schema"` version field ([`SCHEMA`]) so
 //!   downstream tooling can detect layout changes, and a `"bench"`
-//!   name identifying the benchmark.
+//!   name identifying the benchmark;
+//! * the work-count gate: [`read_committed`] loads a committed
+//!   `BENCH_*.json`, [`committed_number`] reads a figure from it, and
+//!   [`count_mismatches`] / [`check_work_counts`] fail a run whose
+//!   deterministic work counts differ from the committed ones. The
+//!   committed file is the baseline; wall times are printed beside it
+//!   for information only.
 
 use tableseg::timing::{Registry, Stage};
 use tableseg::SiteTemplate;
@@ -78,6 +84,83 @@ pub fn stage_totals(timing: &Registry) -> Vec<(String, u128)> {
             (stage.label().to_owned(), total)
         })
         .collect()
+}
+
+/// Reads the committed `BENCH_*.json` document `name` from the
+/// repository root.
+pub fn read_committed(name: &str) -> Result<String, String> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(name);
+    std::fs::read_to_string(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))
+}
+
+/// Reads the number at `path` in a `BENCH_*.json` document: each segment
+/// is the next `"key":` after the previous one, so `["prob", "wall_ns"]`
+/// finds the `wall_ns` of the `prob` object. The documents are
+/// hand-rendered by [`BenchJson`], whose key order this relies on.
+pub fn committed_number(doc: &str, path: &[&str]) -> Option<f64> {
+    let mut rest = doc;
+    for key in path {
+        let needle = format!("\"{key}\":");
+        rest = &rest[rest.find(&needle)? + needle.len()..];
+    }
+    let rest = rest.trim_start();
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | 'e' | 'E' | '+')))
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
+/// A committed nanosecond figure at `path`, rendered in milliseconds for
+/// printing beside this run's (`"n/a"` when the document or the figure is
+/// missing).
+pub fn committed_ms(committed: &Result<String, String>, path: &[&str]) -> String {
+    committed
+        .as_deref()
+        .ok()
+        .and_then(|doc| committed_number(doc, path))
+        .map_or("n/a".to_string(), |ns| format!("{:.2} ms", ns / 1e6))
+}
+
+/// Compares a run's deterministic work counts — `(dotted key path,
+/// value)` pairs such as `("csp.flips", 5050.0)`, read back with
+/// [`committed_number`] — with a committed document; returns one line
+/// per count that differs or is missing. Values within `1e-3` match, so
+/// means rendered to three decimals compare exactly.
+pub fn count_mismatches(committed: &str, counts: &[(String, f64)]) -> Vec<String> {
+    counts
+        .iter()
+        .filter_map(|(path, got)| {
+            let keys: Vec<&str> = path.split('.').collect();
+            match committed_number(committed, &keys) {
+                Some(want) if (got - want).abs() < 1e-3 => None,
+                Some(want) => Some(format!("{path}: {got} vs committed {want}")),
+                None => Some(format!("{path}: {got}, missing from the committed file")),
+            }
+        })
+        .collect()
+}
+
+/// The work-count gate of a bench binary: prints each mismatch against
+/// the committed document `name` (read with [`read_committed`] before the
+/// run overwrote it) and returns whether the run repeated every count.
+pub fn check_work_counts(
+    name: &str,
+    committed: &Result<String, String>,
+    counts: &[(String, f64)],
+) -> bool {
+    let mismatches = match committed {
+        Ok(doc) => count_mismatches(doc, counts),
+        Err(e) => vec![e.clone()],
+    };
+    for m in &mismatches {
+        eprintln!("FAIL: {m}");
+    }
+    if mismatches.is_empty() {
+        eprintln!("work counts match {name}");
+    }
+    mismatches.is_empty()
 }
 
 /// Builder for the top-level `BENCH_*.json` document.
@@ -167,6 +250,37 @@ mod tests {
         let mut j = BenchJson::new("x");
         j.stage_totals(&[]);
         assert!(j.finish().contains("\"stage_totals_ns\": { }"));
+    }
+
+    #[test]
+    fn committed_numbers_follow_key_paths() {
+        let mut j = BenchJson::new("x");
+        j.raw("a", "{ \"n\": 3, \"m\": 4.500 }")
+            .raw("b", "{ \"n\": 7, \"wall_ns\": 2500000 }");
+        let doc = j.finish();
+        let committed = Ok(doc.clone());
+        assert_eq!(committed_ms(&committed, &["b", "wall_ns"]), "2.50 ms");
+        assert_eq!(committed_ms(&committed, &["b", "cpu_ns"]), "n/a");
+        assert_eq!(committed_ms(&Err("gone".into()), &["b", "wall_ns"]), "n/a");
+        assert_eq!(committed_number(&doc, &["a", "n"]), Some(3.0));
+        assert_eq!(committed_number(&doc, &["b", "n"]), Some(7.0));
+        assert_eq!(committed_number(&doc, &["c"]), None);
+        let counts = [
+            ("a.n".to_string(), 3.0),
+            ("a.m".to_string(), 4.5004),
+            ("b.n".to_string(), 8.0),
+            ("c".to_string(), 1.0),
+        ];
+        assert_eq!(
+            count_mismatches(&doc, &counts),
+            [
+                "b.n: 8 vs committed 7",
+                "c: 1, missing from the committed file"
+            ]
+        );
+        assert!(check_work_counts("x", &Ok(doc.clone()), &counts[..2]));
+        assert!(!check_work_counts("x", &Ok(doc), &counts));
+        assert!(!check_work_counts("x", &Err("gone".into()), &[]));
     }
 
     #[test]

@@ -1,25 +1,29 @@
-//! The template-induction microbenchmark behind `BENCH_induce.json`:
-//! Hirschberg pair-LCS vs. the histogram-LCS core on the candidate
-//! streams of the simulated paper sites, plus the multi-page
-//! quality-vs-cost curve of the rolling merge (2 → 10 sample pages per
-//! site).
+//! The template-induction microbenchmark behind `BENCH_induce.json`: the
+//! histogram-LCS core on the candidate streams of the simulated paper
+//! sites, plus the multi-page quality-vs-cost curve of the rolling merge
+//! (2 → 10 sample pages per site).
 //!
-//! Both LCS cores align the *same* candidate streams — exactly the
-//! pairwise inputs induction folds — so the pair comparison isolates the
-//! LCS layer. The multi-page curve scales each paper site with
+//! The pair leg aligns every site's 2-page candidate streams — exactly
+//! the pairwise inputs induction folds — so it isolates the LCS layer.
+//! The multi-page curve scales each paper site with
 //! [`SiteSpec::with_page_count`](tableseg_sitegen::site::SiteSpec::with_page_count)
-//! and records, per page count, the
-//! wall-clock of a full histogram induction over the corpus and the
-//! aggregate template quality ([`assess`]); the 10-page point is expected
-//! to be no worse than the 2-page baseline (the candidate filter only
-//! tightens as pages are added).
+//! and records, per page count, the wall-clock of a full induction over
+//! the corpus and the aggregate template quality ([`assess`]); the
+//! 10-page point is expected to be no worse than the 2-page baseline (the
+//! candidate filter only tightens as pages are added).
+//!
+//! The baseline is the committed `BENCH_induce.json`: the `inducebench`
+//! binary fails when a run's deterministic work counts
+//! ([`InduceBench::work_counts`]) differ from it. The fold's agreement
+//! with its Hirschberg oracle on this corpus is a unit test of
+//! `tableseg-template`.
 
 use std::time::Instant;
 
 use tableseg::html::lexer::tokenize;
 use tableseg::html::Token;
 use tableseg::template::{
-    assess, candidate_streams, induce_with, lcs_indices_histogram, InduceOptions, Interner, Symbol,
+    assess, candidate_streams, induce_with, lcs_indices_histogram_stats, Interner, Symbol,
 };
 
 use crate::corpus::{paper_generated_scaled, BenchJson};
@@ -57,28 +61,20 @@ pub fn corpus(page_count: usize) -> Vec<InduceFixture> {
         .collect()
 }
 
-/// The pair-LCS comparison: both cores over every site's 2-page candidate
-/// streams.
+/// The pair-LCS leg: the histogram core over every site's 2-page
+/// candidate streams.
 #[derive(Debug, Clone, Copy)]
 pub struct PairLcsBench {
-    /// Best (minimum) nanoseconds of one Hirschberg corpus pass.
-    pub hirschberg_ns: u128,
-    /// Best (minimum) nanoseconds of one histogram corpus pass.
+    /// Best (minimum) nanoseconds of one corpus pass.
     pub histogram_ns: u128,
     /// Site pairs aligned per pass.
     pub pairs: usize,
-    /// Total anchors (LCS length) found by the histogram pass — identical
-    /// to the Hirschberg total by the differential check.
+    /// Total anchors (LCS length) found per pass.
     pub anchors: usize,
     /// Total candidate tokens aligned per pass (sum of window lengths).
     pub tokens: usize,
-}
-
-impl PairLcsBench {
-    /// Hirschberg / histogram wall-clock ratio.
-    pub fn speedup(&self) -> f64 {
-        self.hirschberg_ns as f64 / self.histogram_ns.max(1) as f64
-    }
+    /// Windows the core handed to its exact DP fallback per pass.
+    pub fallback_windows: usize,
 }
 
 /// One point of the multi-page quality-vs-cost curve.
@@ -97,6 +93,9 @@ pub struct MergePoint {
     ///
     /// [`TemplateQuality::is_usable`]: tableseg::template::TemplateQuality::is_usable
     pub usable_sites: usize,
+    /// LCS windows the corpus's inductions handed to the exact DP
+    /// fallback.
+    pub lcs_fallbacks: usize,
 }
 
 /// The full induction benchmark result.
@@ -104,7 +103,7 @@ pub struct MergePoint {
 pub struct InduceBench {
     /// Number of sites in the corpus.
     pub sites: usize,
-    /// The pair-LCS core comparison (2-page candidate streams).
+    /// The pair-LCS leg (2-page candidate streams).
     pub pair: PairLcsBench,
     /// The multi-page curve, ascending in page count (2 → 10).
     pub curve: Vec<MergePoint>,
@@ -113,6 +112,28 @@ pub struct InduceBench {
 }
 
 impl InduceBench {
+    /// The deterministic work counts an induction change must repeat
+    /// unless it means to change behaviour, keyed by their path in
+    /// `BENCH_induce.json` (see [`crate::corpus::count_mismatches`]): the
+    /// pair anchors and fallback windows, and per depth the mean template
+    /// length, usable sites and fallback windows.
+    pub fn work_counts(&self) -> Vec<(String, f64)> {
+        let mut counts = vec![
+            ("pair_lcs.anchors".to_string(), self.pair.anchors as f64),
+            (
+                "pair_lcs.fallback_windows".to_string(),
+                self.pair.fallback_windows as f64,
+            ),
+        ];
+        for p in &self.curve {
+            let key = |field: &str| format!("multi_page.{}.{field}", p.pages);
+            counts.push((key("mean_template_len"), p.mean_template_len));
+            counts.push((key("usable_sites"), p.usable_sites as f64));
+            counts.push((key("lcs_fallbacks"), p.lcs_fallbacks as f64));
+        }
+        counts
+    }
+
     /// The 10-page (last) point of the curve.
     pub fn deep(&self) -> &MergePoint {
         self.curve.last().expect("curve is non-empty")
@@ -140,104 +161,34 @@ fn pair_windows(f: &InduceFixture) -> (Vec<Symbol>, Vec<Symbol>) {
     (syms(&filtered[0]), syms(&filtered[1]))
 }
 
-/// Runs the induction benchmark: the differential check, the pair-LCS
-/// timing, and the multi-page curve, with `iters` passes per timed path.
-///
-/// # Panics
-///
-/// Panics if the histogram core disagrees with the Hirschberg oracle on
-/// any site pair (LCS length or subsequence validity), or if any
-/// multi-page induction disagrees with the oracle's template length —
-/// a speedup that changes results is not a speedup.
+/// Runs the induction benchmark: the pair-LCS timing and the multi-page
+/// curve, with `iters` passes per timed path.
 pub fn run_induce_bench(iters: usize, page_counts: &[usize]) -> InduceBench {
     let fixtures = corpus(2);
     let windows: Vec<(Vec<Symbol>, Vec<Symbol>)> = fixtures.iter().map(pair_windows).collect();
 
-    // Differential gate, pair level: equal LCS length and a valid common
-    // subsequence on every site's candidate windows.
-    for (f, (a, b)) in fixtures.iter().zip(&windows) {
-        let oracle = tableseg::template::lcs::lcs_indices(a, b);
-        let fast = lcs_indices_histogram(a, b);
-        assert_eq!(
-            fast.len(),
-            oracle.len(),
-            "{}: histogram LCS length diverged from Hirschberg",
-            f.site
-        );
-        for w in fast.windows(2) {
-            assert!(
-                w[0].0 < w[1].0 && w[0].1 < w[1].1,
-                "{}: trace order",
-                f.site
-            );
-        }
-        for &(i, j) in &fast {
-            assert_eq!(a[i], b[j], "{}: trace mismatch at ({i}, {j})", f.site);
-        }
-    }
-
-    // Differential gate, induction level, at 2 pages — where the fold IS
-    // a single pair LCS, so both backends must find the same
-    // *pre-stability* template length (equal-length traces may pick
-    // different symbol sets, so the run-stability pass can legitimately
-    // drop different anchor counts afterwards) and the same usability
-    // verdict. Beyond 2 pages a progressive fold is trace-dependent
-    // (multi-sequence LCS is not canonical), so deeper merges are gated
-    // by the permutation-invariance tests and the quality curve instead.
-    for f in &fixtures {
-        let (hist, hist_stats) = induce_with(
-            &f.pages,
-            &f.streams,
-            f.num_symbols,
-            &InduceOptions { histogram: true },
-        );
-        let (oracle, oracle_stats) = induce_with(
-            &f.pages,
-            &f.streams,
-            f.num_symbols,
-            &InduceOptions { histogram: false },
-        );
-        assert_eq!(
-            hist.template.len() + hist_stats.unstable_dropped,
-            oracle.template.len() + oracle_stats.unstable_dropped,
-            "{}: fold LCS length diverged from oracle",
-            f.site
-        );
-        let hq = assess(&hist, &f.pages);
-        let oq = assess(&oracle, &f.pages);
-        assert_eq!(
-            hq.is_usable(),
-            oq.is_usable(),
-            "{}: usability verdict diverged from oracle",
-            f.site
-        );
-    }
-
-    // Pair-LCS timing.
     let mut pair = PairLcsBench {
-        hirschberg_ns: u128::MAX,
         histogram_ns: u128::MAX,
         pairs: windows.len(),
         anchors: 0,
         tokens: windows.iter().map(|(a, b)| a.len() + b.len()).sum(),
+        fallback_windows: 0,
     };
     for _ in 0..iters {
         let t = Instant::now();
-        for (a, b) in &windows {
-            std::hint::black_box(tableseg::template::lcs::lcs_indices(a, b));
-        }
-        pair.hirschberg_ns = pair.hirschberg_ns.min(t.elapsed().as_nanos());
-
-        let t = Instant::now();
         let mut anchors = 0usize;
+        let mut fallback_windows = 0usize;
         for (a, b) in &windows {
-            anchors += std::hint::black_box(lcs_indices_histogram(a, b)).len();
+            let (pairs, stats) = std::hint::black_box(lcs_indices_histogram_stats(a, b));
+            anchors += pairs.len();
+            fallback_windows += stats.fallback_windows;
         }
         pair.histogram_ns = pair.histogram_ns.min(t.elapsed().as_nanos());
         pair.anchors = anchors;
+        pair.fallback_windows = fallback_windows;
     }
 
-    // Multi-page curve: histogram-induction cost and quality per depth.
+    // Multi-page curve: induction cost and quality per depth.
     let mut curve = Vec::with_capacity(page_counts.len());
     for &n in page_counts {
         let fixtures = corpus(n);
@@ -245,29 +196,21 @@ pub fn run_induce_bench(iters: usize, page_counts: &[usize]) -> InduceBench {
         for _ in 0..iters {
             let t = Instant::now();
             for f in &fixtures {
-                std::hint::black_box(induce_with(
-                    &f.pages,
-                    &f.streams,
-                    f.num_symbols,
-                    &InduceOptions { histogram: true },
-                ));
+                std::hint::black_box(induce_with(&f.pages, &f.streams, f.num_symbols));
             }
             induce_ns = induce_ns.min(t.elapsed().as_nanos());
         }
         let mut fraction_sum = 0.0;
         let mut len_sum = 0usize;
         let mut usable = 0usize;
+        let mut lcs_fallbacks = 0usize;
         for f in &fixtures {
-            let (ind, _) = induce_with(
-                &f.pages,
-                &f.streams,
-                f.num_symbols,
-                &InduceOptions { histogram: true },
-            );
+            let (ind, stats) = induce_with(&f.pages, &f.streams, f.num_symbols);
             let q = assess(&ind, &f.pages);
             fraction_sum += q.largest_slot_fraction;
             len_sum += q.template_len;
             usable += usize::from(q.is_usable());
+            lcs_fallbacks += stats.lcs.fallback_windows;
         }
         curve.push(MergePoint {
             pages: n,
@@ -275,6 +218,7 @@ pub fn run_induce_bench(iters: usize, page_counts: &[usize]) -> InduceBench {
             mean_largest_slot_fraction: fraction_sum / fixtures.len() as f64,
             mean_template_len: len_sum as f64 / fixtures.len() as f64,
             usable_sites: usable,
+            lcs_fallbacks,
         });
     }
 
@@ -288,20 +232,21 @@ pub fn run_induce_bench(iters: usize, page_counts: &[usize]) -> InduceBench {
 
 /// Renders the benchmark as the `BENCH_induce.json` document.
 pub fn render_json(bench: &InduceBench) -> String {
-    let mut curve = String::from("[\n");
+    let mut curve = String::from("{\n");
     for (i, p) in bench.curve.iter().enumerate() {
         curve.push_str(&format!(
-            "    {{ \"pages\": {}, \"induce_ns\": {}, \"mean_largest_slot_fraction\": {:.4}, \
-             \"mean_template_len\": {:.1}, \"usable_sites\": {} }}{}\n",
+            "    \"{}\": {{ \"induce_ns\": {}, \"mean_largest_slot_fraction\": {:.4}, \
+             \"mean_template_len\": {:.3}, \"usable_sites\": {}, \"lcs_fallbacks\": {} }}{}\n",
             p.pages,
             p.induce_ns,
             p.mean_largest_slot_fraction,
             p.mean_template_len,
             p.usable_sites,
+            p.lcs_fallbacks,
             if i + 1 < bench.curve.len() { "," } else { "" }
         ));
     }
-    curve.push_str("  ]");
+    curve.push_str("  }");
 
     let mut j = BenchJson::new("induce");
     j.raw(
@@ -315,23 +260,19 @@ pub fn render_json(bench: &InduceBench) -> String {
     .raw(
         "pair_lcs",
         format!(
-            "{{ \"hirschberg_ns\": {}, \"histogram_ns\": {}, \"speedup\": {:.2}, \
-             \"anchors\": {} }}",
-            bench.pair.hirschberg_ns,
-            bench.pair.histogram_ns,
-            bench.pair.speedup(),
-            bench.pair.anchors
+            "{{ \"histogram_ns\": {}, \"anchors\": {}, \"fallback_windows\": {} }}",
+            bench.pair.histogram_ns, bench.pair.anchors, bench.pair.fallback_windows
         ),
     )
     .raw("multi_page", curve)
-    .field("quality_non_degrading", bench.quality_non_degrading())
-    .raw("differential", "{ \"histogram_equals_hirschberg\": true }");
+    .field("quality_non_degrading", bench.quality_non_degrading());
     j.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus::count_mismatches;
     use tableseg_sitegen::paper_sites;
 
     #[test]
@@ -357,67 +298,69 @@ mod tests {
         }
     }
 
-    #[test]
-    fn json_shape() {
-        let bench = InduceBench {
+    fn bench_fixture() -> InduceBench {
+        let point = |pages, fraction, len, usable| MergePoint {
+            pages,
+            induce_ns: 5000,
+            mean_largest_slot_fraction: fraction,
+            mean_template_len: len,
+            usable_sites: usable,
+            lcs_fallbacks: 0,
+        };
+        InduceBench {
             sites: 12,
             pair: PairLcsBench {
-                hirschberg_ns: 8000,
                 histogram_ns: 2000,
                 pairs: 12,
                 anchors: 340,
                 tokens: 900,
+                fallback_windows: 0,
             },
-            curve: vec![
-                MergePoint {
-                    pages: 2,
-                    induce_ns: 5000,
-                    mean_largest_slot_fraction: 0.81,
-                    mean_template_len: 55.0,
-                    usable_sites: 9,
-                },
-                MergePoint {
-                    pages: 10,
-                    induce_ns: 21000,
-                    mean_largest_slot_fraction: 0.84,
-                    mean_template_len: 54.0,
-                    usable_sites: 10,
-                },
-            ],
+            curve: vec![point(2, 0.81, 55.0, 9), point(10, 0.84, 54.25, 10)],
             iters: 2,
-        };
-        assert!((bench.pair.speedup() - 4.0).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn json_shape() {
+        let bench = bench_fixture();
         assert!(bench.quality_non_degrading());
         let json = render_json(&bench);
         assert!(json.contains("\"schema\": \"tableseg.bench/v3\""));
-        assert!(json.contains("\"speedup\": 4.00"));
-        assert!(json.contains("\"pages\": 10"));
+        assert!(json.contains("\"anchors\": 340"));
+        assert!(json.contains("\"10\": { \"induce_ns\": 5000"));
+        assert!(json.contains("\"mean_template_len\": 54.250"));
         assert!(json.contains("\"quality_non_degrading\": true"));
-        assert!(json.contains("\"histogram_equals_hirschberg\": true"));
         assert!(json.starts_with('{') && json.ends_with("}\n"));
     }
 
     #[test]
+    fn work_counts_gate_on_the_committed_file() {
+        let bench = bench_fixture();
+        let committed = render_json(&bench);
+        assert!(count_mismatches(&committed, &bench.work_counts()).is_empty());
+
+        let mut drifted = bench.clone();
+        drifted.pair.anchors = 341;
+        drifted.curve[1].usable_sites = 9;
+        drifted.curve[1].mean_template_len = 54.3;
+        drifted.curve[0].lcs_fallbacks = 2;
+        assert_eq!(
+            count_mismatches(&committed, &drifted.work_counts()),
+            [
+                "pair_lcs.anchors: 341 vs committed 340",
+                "multi_page.2.lcs_fallbacks: 2 vs committed 0",
+                "multi_page.10.mean_template_len: 54.3 vs committed 54.25",
+                "multi_page.10.usable_sites: 9 vs committed 10",
+            ]
+        );
+        assert_eq!(count_mismatches("{ }", &bench.work_counts()).len(), 8);
+    }
+
+    #[test]
     fn quality_gate_detects_degradation() {
-        let point = |fraction, usable| MergePoint {
-            pages: 2,
-            induce_ns: 0,
-            mean_largest_slot_fraction: fraction,
-            mean_template_len: 0.0,
-            usable_sites: usable,
-        };
-        let bench = InduceBench {
-            sites: 12,
-            pair: PairLcsBench {
-                hirschberg_ns: 1,
-                histogram_ns: 1,
-                pairs: 0,
-                anchors: 0,
-                tokens: 0,
-            },
-            curve: vec![point(0.9, 10), point(0.7, 10)],
-            iters: 1,
-        };
+        let mut bench = bench_fixture();
+        bench.curve[1].mean_largest_slot_fraction = 0.7;
         assert!(!bench.quality_non_degrading());
     }
 }

@@ -1,23 +1,25 @@
-//! The matcher microbenchmark behind `BENCH_frontend.json`: naive
-//! string-scanning extract matching vs. the production indexed symbol
-//! matcher, over the twelve simulated paper sites.
+//! The matcher microbenchmark behind `BENCH_frontend.json`: the indexed
+//! symbol matcher over every list page of the twelve simulated paper
+//! sites.
 //!
 //! Criterion owns the statistically careful per-site numbers
 //! (`benches/frontend.rs`); this module is the cheap whole-corpus
-//! wall-clock comparison that the `table4 --bench-json` smoke run emits
-//! into CI artifacts.
+//! wall-clock run that the `table4 --bench-json` smoke emits into CI
+//! artifacts. Its baseline is the committed `BENCH_frontend.json`: the
+//! run fails when the corpus shape or the kept/skipped extract counts
+//! ([`MatchBench::work_counts`]) differ from it. The indexed matcher's
+//! agreement with its naive oracle on this corpus is a test of
+//! `tableseg-extract`.
 
 use std::time::Instant;
 
 use crate::corpus::{paper_prepared, site_count, BenchJson};
 use tableseg::SiteTemplate;
-use tableseg_extract::{
-    derive_extracts, match_extracts_indexed, match_extracts_naive, Extract, Observations, PageIndex,
-};
+use tableseg_extract::{derive_extracts, match_extracts_indexed, Extract, Observations, PageIndex};
 use tableseg_html::lexer::tokenize;
 use tableseg_html::{Symbol, Token};
 
-/// One page of the benchmark corpus, prepared for both matcher paths.
+/// One page of the benchmark corpus, prepared for matching.
 ///
 /// The whole list page is the table slot (every extract participates),
 /// the site's other list pages feed the all-list-pages filter, and the
@@ -37,21 +39,6 @@ pub struct MatchFixture {
 }
 
 impl MatchFixture {
-    /// Runs the naive oracle path: build [`tableseg_extract::MatchStream`]s
-    /// for every page, scan each extract over each stream.
-    pub fn run_naive(&self) -> Observations {
-        self.run_naive_with(self.extracts.clone())
-    }
-
-    /// [`MatchFixture::run_naive`] on pre-cloned extracts, so timed loops
-    /// can keep the deep `Extract` clone (which production never performs
-    /// — matching takes ownership) out of the measurement.
-    pub fn run_naive_with(&self, extracts: Vec<Extract>) -> Observations {
-        let others: Vec<&[Token]> = self.other_pages();
-        let details: Vec<&[Token]> = self.details.iter().map(Vec::as_slice).collect();
-        match_extracts_naive(extracts, &others, &details)
-    }
-
     /// Runs the production path: project + index the detail pages through
     /// the site interner, reuse the cached other-list-page indexes, match
     /// every needle against the first-symbol buckets.
@@ -59,8 +46,9 @@ impl MatchFixture {
         self.run_indexed_with(self.extracts.clone())
     }
 
-    /// [`MatchFixture::run_indexed`] on pre-cloned extracts; see
-    /// [`MatchFixture::run_naive_with`].
+    /// [`MatchFixture::run_indexed`] on pre-cloned extracts, so timed
+    /// loops can keep the deep `Extract` clone (which production never
+    /// performs — matching takes ownership) out of the measurement.
     pub fn run_indexed_with(&self, extracts: Vec<Extract>) -> Observations {
         let syms = &self.template.streams[self.page];
         let needles: Vec<&[Symbol]> = extracts
@@ -82,16 +70,6 @@ impl MatchFixture {
             .collect();
         let detail_refs: Vec<&PageIndex> = detail_indexes.iter().collect();
         match_extracts_indexed(extracts, &needles, &other_indexes, &detail_refs)
-    }
-
-    fn other_pages(&self) -> Vec<&[Token]> {
-        self.template
-            .pages
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != self.page)
-            .map(|(_, p)| p.as_slice())
-            .collect()
     }
 }
 
@@ -118,7 +96,7 @@ pub fn corpus() -> Vec<MatchFixture> {
     fixtures
 }
 
-/// The corpus-level result of the naive-vs-indexed comparison.
+/// The corpus-level result of the matcher benchmark.
 #[derive(Debug, Clone, Copy)]
 pub struct MatchBench {
     /// Number of sites in the corpus.
@@ -127,68 +105,62 @@ pub struct MatchBench {
     pub pages: usize,
     /// Total extracts matched per iteration.
     pub extracts: usize,
-    /// Best (minimum) wall-clock nanoseconds of one naive corpus pass.
-    pub naive_ns: u128,
-    /// Best (minimum) wall-clock nanoseconds of one indexed corpus pass.
+    /// Extracts kept in the observation tables.
+    pub kept: usize,
+    /// Extracts the filtering rules skipped.
+    pub skipped: usize,
+    /// Best (minimum) wall-clock nanoseconds of one corpus pass.
     pub indexed_ns: u128,
-    /// Corpus passes each path ran; the reported time is the fastest
-    /// pass, which is robust to interference from other load.
+    /// Corpus passes run; the reported time is the fastest pass, which
+    /// is robust to interference from other load.
     pub iters: usize,
 }
 
 impl MatchBench {
-    /// naive / indexed wall-clock ratio.
-    pub fn speedup(&self) -> f64 {
-        self.naive_ns as f64 / self.indexed_ns.max(1) as f64
+    /// The corpus shape and kept/skipped extract counts, keyed by their
+    /// path in `BENCH_frontend.json` (see
+    /// [`crate::corpus::count_mismatches`]).
+    pub fn work_counts(&self) -> Vec<(String, f64)> {
+        [
+            ("corpus.sites", self.sites),
+            ("corpus.pages", self.pages),
+            ("corpus.extracts", self.extracts),
+            ("observations.kept", self.kept),
+            ("observations.skipped", self.skipped),
+        ]
+        .map(|(path, n)| (path.to_string(), n as f64))
+        .to_vec()
     }
 }
 
-/// Times both matcher paths over the full corpus, `iters` times each,
-/// verifying on the first iteration that they produce identical
-/// observation tables.
+/// Times the indexed matcher over the full corpus, `iters` times.
 pub fn run_match_bench(iters: usize) -> MatchBench {
     let fixtures = corpus();
-    let sites = site_count(fixtures.iter().map(|f| f.site.as_str()));
-    let extracts = fixtures.iter().map(|f| f.extracts.len()).sum();
-
+    let mut bench = MatchBench {
+        sites: site_count(fixtures.iter().map(|f| f.site.as_str())),
+        pages: fixtures.len(),
+        extracts: fixtures.iter().map(|f| f.extracts.len()).sum(),
+        kept: 0,
+        skipped: 0,
+        indexed_ns: u128::MAX,
+        iters,
+    };
     for f in &fixtures {
-        let naive = f.run_naive();
-        let fast = f.run_indexed();
-        assert_eq!(
-            naive.items, fast.items,
-            "{}: indexed matcher diverged from oracle",
-            f.site
-        );
+        let obs = f.run_indexed();
+        bench.kept += obs.items.len();
+        bench.skipped += obs.skipped.len();
     }
-
-    let mut naive_ns = u128::MAX;
-    let mut indexed_ns = u128::MAX;
     for _ in 0..iters {
         // Clone outside the timed region: production derives extracts
         // fresh each page and hands them to matching by value.
         let clones: Vec<Vec<Extract>> = fixtures.iter().map(|f| f.extracts.clone()).collect();
         let t = Instant::now();
         for (f, ex) in fixtures.iter().zip(clones) {
-            std::hint::black_box(f.run_naive_with(ex));
-        }
-        naive_ns = naive_ns.min(t.elapsed().as_nanos());
-
-        let clones: Vec<Vec<Extract>> = fixtures.iter().map(|f| f.extracts.clone()).collect();
-        let t = Instant::now();
-        for (f, ex) in fixtures.iter().zip(clones) {
             std::hint::black_box(f.run_indexed_with(ex));
         }
-        indexed_ns = indexed_ns.min(t.elapsed().as_nanos());
+        bench.indexed_ns = bench.indexed_ns.min(t.elapsed().as_nanos());
     }
-
-    MatchBench {
-        sites,
-        pages: fixtures.len(),
-        extracts,
-        naive_ns,
-        indexed_ns,
-        iters,
-    }
+    bench
 }
 
 /// Renders the benchmark (plus per-stage totals of a batch run, if given)
@@ -196,10 +168,15 @@ pub fn run_match_bench(iters: usize) -> MatchBench {
 pub fn render_json(bench: &MatchBench, stage_totals: &[(String, u128)]) -> String {
     let mut j = BenchJson::new("frontend_match");
     j.corpus(bench.sites, bench.pages, bench.extracts)
+        .raw(
+            "observations",
+            format!(
+                "{{ \"kept\": {}, \"skipped\": {} }}",
+                bench.kept, bench.skipped
+            ),
+        )
         .field("iters", bench.iters)
-        .field("naive_ns", bench.naive_ns)
         .field("indexed_ns", bench.indexed_ns)
-        .raw("speedup", format!("{:.2}", bench.speedup()))
         .stage_totals(stage_totals);
     j.finish()
 }
@@ -207,6 +184,7 @@ pub fn render_json(bench: &MatchBench, stage_totals: &[(String, u128)]) -> Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus::count_mismatches;
     use tableseg_sitegen::paper_sites;
 
     #[test]
@@ -221,27 +199,52 @@ mod tests {
     }
 
     #[test]
-    fn paths_agree_and_speedup_positive() {
+    fn counts_partition_the_corpus_extracts() {
         let bench = run_match_bench(1);
         assert_eq!(bench.iters, 1);
         assert!(bench.sites >= 12);
-        assert!(bench.speedup() > 0.0);
+        assert!(bench.kept > 0 && bench.indexed_ns > 0);
+        assert_eq!(bench.kept + bench.skipped, bench.extracts);
+    }
+
+    fn bench_fixture() -> MatchBench {
+        MatchBench {
+            sites: 12,
+            pages: 24,
+            extracts: 100,
+            kept: 60,
+            skipped: 40,
+            indexed_ns: 1000,
+            iters: 2,
+        }
     }
 
     #[test]
     fn json_shape() {
-        let bench = MatchBench {
-            sites: 12,
-            pages: 24,
-            extracts: 100,
-            naive_ns: 3000,
-            indexed_ns: 1000,
-            iters: 2,
-        };
-        let json = render_json(&bench, &[("tokenize".into(), 42)]);
+        let json = render_json(&bench_fixture(), &[("tokenize".into(), 42)]);
         assert!(json.contains("\"schema\": \"tableseg.bench/v3\""));
-        assert!(json.contains("\"speedup\": 3.00"));
+        assert!(json.contains("\"observations\": { \"kept\": 60, \"skipped\": 40 }"));
         assert!(json.contains("\"tokenize\": 42"));
         assert!(json.starts_with('{') && json.ends_with("}\n"));
+    }
+
+    #[test]
+    fn work_counts_gate_on_the_committed_file() {
+        let bench = bench_fixture();
+        let committed = render_json(&bench, &[]);
+        assert!(count_mismatches(&committed, &bench.work_counts()).is_empty());
+        let drifted = MatchBench {
+            kept: 61,
+            skipped: 39,
+            ..bench
+        };
+        assert_eq!(
+            count_mismatches(&committed, &drifted.work_counts()),
+            [
+                "observations.kept: 61 vs committed 60",
+                "observations.skipped: 39 vs committed 40"
+            ]
+        );
+        assert_eq!(count_mismatches("{ }", &bench.work_counts()).len(), 5);
     }
 }

@@ -1,27 +1,19 @@
 //! The streaming front-end scale benchmark behind `BENCH_scale.json`:
-//! the zero-copy span lexer ([`tableseg_html::scan()`]) vs. the allocating
-//! token lexer ([`tableseg_html::lexer::tokenize`]) over a procedurally
-//! generated [`Universe`] of sites, sharded across the work-stealing
-//! batch engine.
+//! the zero-copy span lexer ([`tableseg_html::scan()`]) and the front end
+//! built on it over a procedurally generated [`Universe`] of sites,
+//! sharded across the work-stealing batch engine.
 //!
-//! Each site is one batch job: the site streams out of the universe,
-//! both front ends run over every page, and only a small per-site
-//! summary survives — sites in flight bound memory, not total pages.
-//! Two things are measured per site:
+//! Each site is one batch job: the site streams out of the universe, the
+//! front end runs over every page, and only a small per-site summary
+//! survives — sites in flight bound memory, not total pages. Two things
+//! are measured per site:
 //!
-//! * **tokenize stage** — the lexer alone: [`tokenize`] vs. [`scan()`]
-//!   over every list and detail page. This is the headline speedup.
+//! * **tokenize stage** — [`scan()`] alone over every list and detail
+//!   page;
 //! * **front end** — what the pipeline actually does with the result:
-//!   list pages are interned (plus, on the baseline, token
-//!   materialization), detail pages become [`PageIndex`]es — via
-//!   [`PageIndex::build`] over owned tokens on the baseline, via
-//!   [`PageIndex::from_scanned`] over borrowed spans on the zero-copy
-//!   path.
-//!
-//! Every `oracle_every`-th site runs the allocating lexer as a
-//! **differential oracle**: token streams, interner contents and page
-//! indexes must agree exactly, or the run panics — a front end that
-//! changes tokens is not a front end.
+//!   list pages are interned and materialized as owned tokens (induction
+//!   consumes them), detail pages are projected straight from their
+//!   spans into [`PageIndex`]es ([`PageIndex::from_scanned`]).
 //!
 //! Memory flatness is proven by splitting the universe in half: the
 //! process peak RSS (`VmHWM`) is snapshotted after the first half and
@@ -30,9 +22,9 @@
 //! small tolerance ([`ScaleBench::rss_flat`]).
 //!
 //! Throughput (`pages_per_sec`, `bytes_per_sec`) is **per-core**: total
-//! pages (bytes) over the summed zero-copy front-end nanoseconds across
-//! all jobs. Summed work time is thread-count-invariant, which makes
-//! the number a stable CI regression gate.
+//! pages (bytes) over the summed front-end nanoseconds across all jobs.
+//! Summed work time is thread-count-invariant, which makes the number a
+//! stable CI regression gate.
 //!
 //! A third leg runs the **full pipeline** per site — template induction
 //! ([`SiteTemplate::build`]), per-page preparation, and both solvers
@@ -41,16 +33,22 @@
 //! front-end numbers it divides by summed per-worker nanoseconds, so it
 //! is thread-count-invariant too. Pages the solver rejects (chaos-
 //! damaged universes) are counted, not fatal.
+//!
+//! The baseline is the committed `BENCH_scale.json`: on the universe it
+//! covers, the `scalebench` binary fails when a run's deterministic work
+//! counts ([`ScaleBench::work_counts`] — pages, bytes, tokens, records,
+//! failed pages) differ from it. The scanner's agreement with its oracle
+//! lexer on a universe sample is a test in `tableseg-sitegen`'s chaos
+//! suite.
 
 use std::time::Instant;
 
 use tableseg::{run_page, CspSegmenter, ProbSegmenter, SiteTemplate};
 use tableseg_extract::PageIndex;
-use tableseg_html::lexer::tokenize;
 use tableseg_html::{scan, Interner};
 use tableseg_sitegen::{GeneratedSite, Universe, UniverseConfig};
 
-use crate::corpus::BenchJson;
+use crate::corpus::{committed_number, BenchJson};
 use tableseg::batch;
 
 /// Scale-benchmark configuration.
@@ -62,9 +60,6 @@ pub struct ScaleConfig {
     pub threads: usize,
     /// Universe fault rate (chaos injection; `0.0` = clean pages).
     pub fault_rate: f64,
-    /// Run the differential oracle on every `oracle_every`-th site
-    /// (site 0 is always checked). `0` disables the oracle.
-    pub oracle_every: usize,
     /// Run the full-pipeline leg (template + preparation + both solvers)
     /// per site. Much heavier than the front-end legs; disable for pure
     /// lexer runs.
@@ -77,7 +72,6 @@ impl Default for ScaleConfig {
             sites: 1000,
             threads: batch::default_threads(),
             fault_rate: 0.0,
-            oracle_every: 16,
             pipeline: true,
         }
     }
@@ -89,14 +83,11 @@ struct SiteScale {
     pages: usize,
     bytes: usize,
     tokens: usize,
-    tokenize_ns: u128,
     scan_ns: u128,
-    base_frontend_ns: u128,
-    zc_frontend_ns: u128,
+    frontend_ns: u128,
     pipeline_ns: u128,
     records: usize,
     pages_failed: usize,
-    oracle_checked: bool,
 }
 
 /// The corpus-level result of the scale run.
@@ -104,22 +95,17 @@ struct SiteScale {
 pub struct ScaleBench {
     /// Universe size (sites processed).
     pub sites: usize,
-    /// Total pages lexed per leg (list + detail).
+    /// Total pages lexed (list + detail).
     pub pages: usize,
-    /// Total page bytes lexed per leg.
+    /// Total page bytes lexed.
     pub bytes: usize,
-    /// Total tokens produced by the zero-copy leg.
+    /// Total tokens scanned.
     pub tokens: usize,
-    /// Summed allocating-lexer nanoseconds across all pages.
-    pub tokenize_ns: u128,
     /// Summed span-lexer nanoseconds across all pages.
     pub scan_ns: u128,
-    /// Summed baseline front-end nanoseconds (tokenize + intern +
-    /// [`PageIndex::build`]).
-    pub baseline_frontend_ns: u128,
-    /// Summed zero-copy front-end nanoseconds (scan + intern +
+    /// Summed front-end nanoseconds (scan + intern +
     /// [`PageIndex::from_scanned`]).
-    pub zerocopy_frontend_ns: u128,
+    pub frontend_ns: u128,
     /// Summed full-pipeline nanoseconds (template + preparation + both
     /// solvers per list page); zero when the pipeline leg is disabled.
     pub pipeline_ns: u128,
@@ -128,8 +114,6 @@ pub struct ScaleBench {
     /// List pages the pipeline leg could not prepare or solve (chaos
     /// damage); a page counts once, however many of its solvers failed.
     pub pipeline_pages_failed: usize,
-    /// Sites the differential oracle verified.
-    pub oracle_sites: usize,
     /// Peak RSS after the first half of the universe, in bytes
     /// (`None` when `/proc/self/status` is unavailable).
     pub rss_half_bytes: Option<u64>,
@@ -142,25 +126,14 @@ pub struct ScaleBench {
 }
 
 impl ScaleBench {
-    /// Allocating-lexer / span-lexer wall-clock ratio (the tokenize
-    /// stage alone).
-    pub fn tokenize_speedup(&self) -> f64 {
-        self.tokenize_ns as f64 / self.scan_ns.max(1) as f64
-    }
-
-    /// Baseline / zero-copy front-end wall-clock ratio.
-    pub fn frontend_speedup(&self) -> f64 {
-        self.baseline_frontend_ns as f64 / self.zerocopy_frontend_ns.max(1) as f64
-    }
-
-    /// Per-core zero-copy front-end throughput in pages per second.
+    /// Per-core front-end throughput in pages per second.
     pub fn pages_per_sec(&self) -> f64 {
-        self.pages as f64 / (self.zerocopy_frontend_ns.max(1) as f64 / 1e9)
+        self.pages as f64 / (self.frontend_ns.max(1) as f64 / 1e9)
     }
 
-    /// Per-core zero-copy front-end throughput in bytes per second.
+    /// Per-core front-end throughput in bytes per second.
     pub fn bytes_per_sec(&self) -> f64 {
-        self.bytes as f64 / (self.zerocopy_frontend_ns.max(1) as f64 / 1e9)
+        self.bytes as f64 / (self.frontend_ns.max(1) as f64 / 1e9)
     }
 
     /// Per-core full-pipeline throughput in sites per second (`0.0` when
@@ -177,6 +150,36 @@ impl ScaleBench {
     pub fn rss_ratio(&self) -> Option<f64> {
         let (half, full) = (self.rss_half_bytes?, self.rss_full_bytes?);
         Some(full as f64 / half.max(1) as f64)
+    }
+
+    /// Whether a committed `BENCH_scale.json` document covers this run's
+    /// universe (same site count and fault rate), so that its work
+    /// counts are comparable.
+    pub fn same_universe(&self, committed: &str) -> bool {
+        let universe = |key: &str| committed_number(committed, &["universe", key]);
+        universe("sites") == Some(self.sites as f64)
+            && universe("fault_rate").is_some_and(|f| (f - self.fault_rate).abs() < 5e-3)
+    }
+
+    /// The deterministic work counts a front-end change must repeat
+    /// unless it means to change behaviour, keyed by their path in
+    /// `BENCH_scale.json` (see [`crate::corpus::count_mismatches`]):
+    /// universe pages, bytes and tokens, plus the pipeline leg's records
+    /// and failed pages when it ran.
+    pub fn work_counts(&self) -> Vec<(String, f64)> {
+        let mut counts = vec![
+            ("universe.pages", self.pages),
+            ("universe.bytes", self.bytes),
+            ("universe.tokens", self.tokens),
+        ];
+        if self.pipeline_ns > 0 {
+            counts.push(("pipeline.records", self.records));
+            counts.push(("pipeline.pages_failed", self.pipeline_pages_failed));
+        }
+        counts
+            .into_iter()
+            .map(|(path, n)| (path.to_string(), n as f64))
+            .collect()
     }
 
     /// `true` when doubling the processed pages moved the peak RSS by
@@ -222,109 +225,50 @@ fn pipeline_site(site: &GeneratedSite, out: &mut SiteScale) {
     out.pipeline_ns = t.elapsed().as_nanos();
 }
 
-/// Runs both front ends over one site, returning its scale summary.
-///
-/// # Panics
-///
-/// Panics if `oracle` is set and the zero-copy front end diverges from
-/// the allocating lexer on any page.
-fn scale_site(site: &GeneratedSite, oracle: bool) -> SiteScale {
-    let mut pages: Vec<&str> = Vec::new();
-    let mut list_count = 0usize;
-    for gp in &site.pages {
-        pages.push(&gp.list_html);
-        list_count += 1;
-    }
-    for gp in &site.pages {
-        for d in &gp.detail_html {
-            pages.push(d);
-        }
-    }
+/// Runs the front end over one site, returning its scale summary.
+fn scale_site(site: &GeneratedSite) -> SiteScale {
+    let lists: Vec<&str> = site.pages.iter().map(|gp| gp.list_html.as_str()).collect();
+    let details: Vec<&str> = site
+        .pages
+        .iter()
+        .flat_map(|gp| gp.detail_html.iter().map(String::as_str))
+        .collect();
+    let pages = || lists.iter().chain(&details);
 
     let mut out = SiteScale {
-        pages: pages.len(),
-        bytes: pages.iter().map(|p| p.len()).sum(),
-        oracle_checked: oracle,
+        pages: lists.len() + details.len(),
+        bytes: pages().map(|p| p.len()).sum(),
         ..SiteScale::default()
     };
 
-    // Tokenize stage, baseline: the allocating lexer over every page.
+    // Tokenize stage: the span lexer over every page.
     let t = Instant::now();
-    for p in &pages {
-        std::hint::black_box(tokenize(p));
-    }
-    out.tokenize_ns = t.elapsed().as_nanos();
-
-    // Tokenize stage, zero-copy: the span lexer over every page.
-    let t = Instant::now();
-    let mut tokens = 0usize;
-    for p in &pages {
-        tokens += std::hint::black_box(scan(p)).len();
+    for p in pages() {
+        out.tokens += std::hint::black_box(scan(p)).len();
     }
     out.scan_ns = t.elapsed().as_nanos();
-    out.tokens = tokens;
 
-    // Front end, baseline: owned tokens for list pages (interned) and
-    // detail pages (indexed through the list-page interner).
+    // Front end: spans all the way down. List pages still materialize
+    // owned tokens (induction consumes them); detail pages never do —
+    // spans project straight into a PageIndex.
     let t = Instant::now();
     let mut interner = Interner::new();
-    for p in &pages[..list_count] {
-        let toks = tokenize(p);
-        std::hint::black_box(interner.intern_tokens(&toks));
-        std::hint::black_box(&toks);
-    }
-    for p in &pages[list_count..] {
-        let toks = tokenize(p);
-        std::hint::black_box(PageIndex::build(&toks, &interner));
-    }
-    out.base_frontend_ns = t.elapsed().as_nanos();
-    let base_interner_len = interner.len();
-
-    // Front end, zero-copy: spans all the way down. List pages still
-    // materialize owned tokens (induction consumes them); detail pages
-    // never do — spans project straight into a PageIndex.
-    let t = Instant::now();
-    let mut interner = Interner::new();
-    for p in &pages[..list_count] {
+    for p in &lists {
         let scanned = scan(p);
         std::hint::black_box(interner.intern_scanned(&scanned, p));
         std::hint::black_box(scanned.to_tokens(p));
     }
-    for p in &pages[list_count..] {
+    for p in &details {
         let scanned = scan(p);
         std::hint::black_box(PageIndex::from_scanned(&scanned, p, &interner));
     }
-    out.zc_frontend_ns = t.elapsed().as_nanos();
-
-    if oracle {
-        assert_eq!(
-            interner.len(),
-            base_interner_len,
-            "zero-copy interner diverged from oracle"
-        );
-        for p in &pages {
-            let scanned = scan(p);
-            assert_eq!(
-                scanned.to_tokens(p),
-                tokenize(p),
-                "span lexer diverged from the allocating oracle"
-            );
-        }
-        for p in &pages[list_count..] {
-            let scanned = scan(p);
-            let toks = tokenize(p);
-            assert_eq!(
-                PageIndex::from_scanned(&scanned, p, &interner),
-                PageIndex::build(&toks, &interner),
-                "scanned page index diverged from the token-built oracle"
-            );
-        }
-    }
+    out.frontend_ns = t.elapsed().as_nanos();
     out
 }
 
-/// Streams the universe through the batch engine, both front ends per
-/// site, in two halves with a peak-RSS snapshot after each.
+/// Streams the universe through the batch engine, the front end (and,
+/// when configured, the pipeline) per site, in two halves with a
+/// peak-RSS snapshot after each.
 pub fn run_scale_bench(cfg: &ScaleConfig) -> ScaleBench {
     let universe = Universe::new(UniverseConfig {
         sites: cfg.sites,
@@ -337,8 +281,7 @@ pub fn run_scale_bench(cfg: &ScaleConfig) -> ScaleBench {
         let jobs: Vec<usize> = range.collect();
         batch::execute(cfg.threads, jobs, |_, i| {
             let site = universe.site(i);
-            let oracle = cfg.oracle_every > 0 && i % cfg.oracle_every == 0;
-            let mut scale = scale_site(&site, oracle);
+            let mut scale = scale_site(&site);
             if cfg.pipeline {
                 pipeline_site(&site, &mut scale);
             }
@@ -356,14 +299,11 @@ pub fn run_scale_bench(cfg: &ScaleConfig) -> ScaleBench {
         pages: 0,
         bytes: 0,
         tokens: 0,
-        tokenize_ns: 0,
         scan_ns: 0,
-        baseline_frontend_ns: 0,
-        zerocopy_frontend_ns: 0,
+        frontend_ns: 0,
         pipeline_ns: 0,
         records: 0,
         pipeline_pages_failed: 0,
-        oracle_sites: 0,
         rss_half_bytes,
         rss_full_bytes,
         threads: cfg.threads,
@@ -373,14 +313,11 @@ pub fn run_scale_bench(cfg: &ScaleConfig) -> ScaleBench {
         bench.pages += s.pages;
         bench.bytes += s.bytes;
         bench.tokens += s.tokens;
-        bench.tokenize_ns += s.tokenize_ns;
         bench.scan_ns += s.scan_ns;
-        bench.baseline_frontend_ns += s.base_frontend_ns;
-        bench.zerocopy_frontend_ns += s.zc_frontend_ns;
+        bench.frontend_ns += s.frontend_ns;
         bench.pipeline_ns += s.pipeline_ns;
         bench.records += s.records;
         bench.pipeline_pages_failed += s.pages_failed;
-        bench.oracle_sites += usize::from(s.oracle_checked);
     }
     bench
 }
@@ -404,23 +341,10 @@ pub fn render_json(bench: &ScaleBench) -> String {
         ),
     )
     .field("threads", bench.threads)
-    .raw(
-        "tokenize",
-        format!(
-            "{{ \"baseline_ns\": {}, \"scan_ns\": {}, \"speedup\": {:.2} }}",
-            bench.tokenize_ns,
-            bench.scan_ns,
-            bench.tokenize_speedup()
-        ),
-    )
+    .raw("tokenize", format!("{{ \"scan_ns\": {} }}", bench.scan_ns))
     .raw(
         "frontend",
-        format!(
-            "{{ \"baseline_ns\": {}, \"zerocopy_ns\": {}, \"speedup\": {:.2} }}",
-            bench.baseline_frontend_ns,
-            bench.zerocopy_frontend_ns,
-            bench.frontend_speedup()
-        ),
+        format!("{{ \"frontend_ns\": {} }}", bench.frontend_ns),
     )
     .raw(
         "throughput",
@@ -445,39 +369,49 @@ pub fn render_json(bench: &ScaleBench) -> String {
             )
         },
     )
-    .raw("peak_rss", rss)
-    .raw(
-        "oracle",
-        format!(
-            "{{ \"sites_checked\": {}, \"agrees\": true }}",
-            bench.oracle_sites
-        ),
-    );
+    .raw("peak_rss", rss);
     j.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus::count_mismatches;
 
     fn small_cfg() -> ScaleConfig {
         ScaleConfig {
             sites: 6,
             threads: 2,
             fault_rate: 0.0,
-            oracle_every: 2,
             pipeline: false,
         }
     }
 
+    /// The streamed totals agree with a direct count over the universe.
     #[test]
     fn small_universe_runs_and_agrees() {
         let bench = run_scale_bench(&small_cfg());
         assert_eq!(bench.sites, 6);
-        assert!(bench.pages > 6, "every site has list + detail pages");
-        assert!(bench.bytes > 0 && bench.tokens > 0);
-        assert_eq!(bench.oracle_sites, 3, "sites 0, 2, 4 are checked");
-        assert!(bench.tokenize_ns > 0 && bench.scan_ns > 0);
+        let universe = Universe::new(UniverseConfig {
+            sites: 6,
+            ..UniverseConfig::default()
+        });
+        let (mut pages, mut bytes, mut tokens) = (0, 0, 0);
+        for site in universe.sites() {
+            for gp in &site.pages {
+                for p in std::iter::once(&gp.list_html).chain(&gp.detail_html) {
+                    pages += 1;
+                    bytes += p.len();
+                    tokens += scan(p).len();
+                }
+            }
+        }
+        assert!(pages > 6, "every site has list + detail pages");
+        assert_eq!(
+            (bench.pages, bench.bytes, bench.tokens),
+            (pages, bytes, tokens)
+        );
+        assert!(bench.scan_ns > 0 && bench.frontend_ns > 0);
         assert_eq!(bench.pipeline_ns, 0, "pipeline leg disabled");
         assert_eq!(bench.sites_per_sec(), 0.0);
     }
@@ -495,16 +429,6 @@ mod tests {
             "clean universe sites must segment into records"
         );
         assert_eq!(bench.pipeline_pages_failed, 0, "clean universe");
-    }
-
-    #[test]
-    fn faulty_universe_still_agrees_with_oracle() {
-        let bench = run_scale_bench(&ScaleConfig {
-            fault_rate: 0.3,
-            oracle_every: 1,
-            ..small_cfg()
-        });
-        assert_eq!(bench.oracle_sites, bench.sites);
     }
 
     #[test]
@@ -533,38 +457,75 @@ mod tests {
         }
     }
 
-    #[test]
-    fn json_shape() {
-        let bench = ScaleBench {
+    fn bench_fixture() -> ScaleBench {
+        ScaleBench {
             sites: 100,
             pages: 1000,
             bytes: 5_000_000,
             tokens: 800_000,
-            tokenize_ns: 9_000_000,
             scan_ns: 3_000_000,
-            baseline_frontend_ns: 20_000_000,
-            zerocopy_frontend_ns: 8_000_000,
+            frontend_ns: 8_000_000,
             pipeline_ns: 2_000_000_000,
             records: 4000,
             pipeline_pages_failed: 0,
-            oracle_sites: 7,
             rss_half_bytes: Some(100 << 20),
             rss_full_bytes: Some(101 << 20),
             threads: 4,
             fault_rate: 0.0,
-        };
-        assert!((bench.tokenize_speedup() - 3.0).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn json_shape() {
+        let bench = bench_fixture();
         assert_eq!(bench.rss_flat(0.10), Some(true));
         assert_eq!(bench.rss_flat(0.001), Some(false));
         let json = render_json(&bench);
         assert!(json.contains("\"schema\": \"tableseg.bench/v3\""));
         assert!(json.contains("\"bench\": \"frontend_scale\""));
-        assert!(json.contains("\"speedup\": 3.00"));
+        assert!(json.contains("\"scan_ns\": 3000000"));
         assert!(json.contains("\"pages_per_sec\": 125000"));
         assert!(json.contains("\"sites_per_sec\": 50.0"));
         assert!(json.contains("\"records\": 4000"));
         assert!(json.contains("\"ratio\": 1.010"));
         assert!(json.starts_with('{') && json.ends_with("}\n"));
+    }
+
+    #[test]
+    fn work_counts_gate_on_the_committed_universe() {
+        let bench = bench_fixture();
+        let committed = render_json(&bench);
+        assert!(bench.same_universe(&committed));
+        assert!(count_mismatches(&committed, &bench.work_counts()).is_empty());
+        let drifted = ScaleBench {
+            tokens: 800_001,
+            records: 3999,
+            ..bench_fixture()
+        };
+        assert_eq!(
+            count_mismatches(&committed, &drifted.work_counts()),
+            [
+                "universe.tokens: 800001 vs committed 800000",
+                "pipeline.records: 3999 vs committed 4000",
+            ]
+        );
+        // Another universe, or a chaos-armed one, is not comparable.
+        let other = ScaleBench {
+            sites: 10,
+            ..bench_fixture()
+        };
+        assert!(!other.same_universe(&committed));
+        let faulty = ScaleBench {
+            fault_rate: 0.3,
+            ..bench_fixture()
+        };
+        assert!(!faulty.same_universe(&committed));
+        // Without the pipeline leg only the universe counts are gated.
+        let front_only = ScaleBench {
+            pipeline_ns: 0,
+            ..bench_fixture()
+        };
+        assert_eq!(front_only.work_counts().len(), 3);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! preparation is done once, outside every timed region — so the figures
 //! isolate the solver layer. The baseline is the committed
 //! `BENCH_solver.json`: the `solvebench` binary fails when a run's
-//! deterministic work counts ([`work_count_mismatches`]) differ from it, and prints
-//! wall times next to the committed ones.
+//! deterministic work counts ([`SolveBench::work_counts`]) differ from
+//! it, and prints wall times next to the committed ones.
 
 use std::time::Instant;
 
@@ -55,6 +55,24 @@ pub struct MethodBench {
     /// throughput numerator, and deterministic, so it is gated against
     /// the committed `BENCH_solver.json`.
     pub work_units: u64,
+}
+
+impl SolveBench {
+    /// The deterministic work counts a solver change must repeat unless
+    /// it means to change behaviour, keyed by their path in
+    /// `BENCH_solver.json` (see [`crate::corpus::count_mismatches`]).
+    pub fn work_counts(&self) -> Vec<(String, f64)> {
+        [
+            ("csp.flips", self.csp.work_units),
+            ("csp.bnb_nodes", self.bnb_nodes),
+            ("prob.em_iters", self.prob.work_units),
+            ("reduction.components", self.reduction.components),
+            ("reduction.pruned_vars", self.reduction.pruned_vars),
+            ("reduction.warm_start_hits", self.reduction.warm_start_hits),
+        ]
+        .map(|(path, n)| (path.to_string(), n as f64))
+        .to_vec()
+    }
 }
 
 impl MethodBench {
@@ -155,53 +173,6 @@ pub fn run_solve_bench(iters: usize) -> SolveBench {
         reduction,
         iters,
     }
-}
-
-/// Reads the number at `path` in a `BENCH_solver.json` document: each
-/// segment is the next `"key":` after the previous one, so
-/// `["prob", "wall_ns"]` finds the `wall_ns` of the `prob` object. The
-/// documents are hand-rendered by [`render_json`], whose key order this
-/// relies on.
-pub fn committed_number(doc: &str, path: &[&str]) -> Option<f64> {
-    let mut rest = doc;
-    for key in path {
-        let needle = format!("\"{key}\":");
-        rest = &rest[rest.find(&needle)? + needle.len()..];
-    }
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | 'e' | 'E' | '+')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Compares a run's deterministic work counts — the figures a solver
-/// change must repeat unless it means to change behaviour — with a
-/// committed `BENCH_solver.json` document; returns one line per count
-/// that differs or is missing.
-pub fn work_count_mismatches(bench: &SolveBench, committed: &str) -> Vec<String> {
-    let counts: [(&[&str], u64); 6] = [
-        (&["csp", "flips"], bench.csp.work_units),
-        (&["csp", "bnb_nodes"], bench.bnb_nodes),
-        (&["prob", "em_iters"], bench.prob.work_units),
-        (&["reduction", "components"], bench.reduction.components),
-        (&["reduction", "pruned_vars"], bench.reduction.pruned_vars),
-        (
-            &["reduction", "warm_start_hits"],
-            bench.reduction.warm_start_hits,
-        ),
-    ];
-    counts
-        .iter()
-        .filter_map(|(path, got)| {
-            let name = path.join(".");
-            match committed_number(committed, path) {
-                Some(want) if want == *got as f64 => None,
-                Some(want) => Some(format!("{name}: {got} vs committed {want}")),
-                None => Some(format!("{name}: {got}, missing from the committed file")),
-            }
-        })
-        .collect()
 }
 
 /// Per-component size histograms over the corpus: how the reduction
@@ -310,6 +281,7 @@ pub fn render_json(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus::{committed_number, count_mismatches};
     use tableseg_sitegen::paper_sites;
 
     #[test]
@@ -351,7 +323,7 @@ mod tests {
     fn work_counts_gate_on_the_committed_file() {
         let bench = bench_fixture();
         let committed = render_json(&bench, &[], None);
-        assert!(work_count_mismatches(&bench, &committed).is_empty());
+        assert!(count_mismatches(&committed, &bench.work_counts()).is_empty());
         assert_eq!(
             committed_number(&committed, &["csp", "wall_ns"]),
             Some(3000.0)
@@ -366,14 +338,14 @@ mod tests {
         drifted.bnb_nodes = 91;
         drifted.reduction.warm_start_hits = 4;
         assert_eq!(
-            work_count_mismatches(&drifted, &committed),
+            count_mismatches(&committed, &drifted.work_counts()),
             [
                 "csp.bnb_nodes: 91 vs committed 90",
                 "prob.em_iters: 41 vs committed 40",
                 "reduction.warm_start_hits: 4 vs committed 5"
             ]
         );
-        assert_eq!(work_count_mismatches(&bench, "{ }").len(), 6);
+        assert_eq!(count_mismatches("{ }", &bench.work_counts()).len(), 6);
     }
 
     #[test]

@@ -7,13 +7,14 @@
 //! chaos-mutated byte soup without panicking, agreeing on LCS length with
 //! valid traces throughout. Seeds mix in `PROPTEST_SEED` when set, so the
 //! CI seed matrix drives distinct corpora through the same invariants.
+//! (The Hirschberg oracle *fold* is test code inside `tableseg-template`,
+//! which runs it over the same chaos corpus.)
 
 use tableseg::html::lexer::tokenize_bytes;
 use tableseg::html::Token;
 use tableseg::template::lcs::lcs_indices;
 use tableseg::template::{
-    assess, candidate_streams, induce_histogram, induce_interned, lcs_indices_histogram, Induction,
-    Interner, Symbol,
+    assess, candidate_streams, induce_with, lcs_indices_histogram, Induction, Interner, Symbol,
 };
 use tableseg_sitegen::chaos::{apply_chaos, ChaosConfig};
 use tableseg_sitegen::paper_sites;
@@ -95,7 +96,7 @@ fn merge_order_permutations_yield_the_same_template() {
         for perm in perms {
             let permuted: Vec<Vec<Token>> = perm.iter().map(|&i| pages[i].clone()).collect();
             let (streams, num_symbols) = intern_pages(&permuted);
-            let ind = induce_histogram(&permuted, &streams, num_symbols);
+            let ind = induce_with(&permuted, &streams, num_symbols).0;
             assert_valid_embedding(&ind, &permuted, &format!("{} {perm:?}", spec.name));
             let texts = template_texts(&ind);
             match &baseline {
@@ -129,7 +130,7 @@ fn quality_is_monotone_non_degrading_from_2_to_10_pages() {
                 .map(|p| tokenize_bytes(p.list_html.as_bytes()))
                 .collect();
             let (streams, num_symbols) = intern_pages(&pages);
-            let ind = induce_histogram(&pages, &streams, num_symbols);
+            let ind = induce_with(&pages, &streams, num_symbols).0;
             assert_valid_embedding(&ind, &pages, &format!("{} at {n} pages", spec.name));
             let q = assess(&ind, &pages);
             per_site.push((n, q));
@@ -171,9 +172,9 @@ fn quality_is_monotone_non_degrading_from_2_to_10_pages() {
 }
 
 /// Seeded fuzz: chaos-mutated pages through `tokenize_bytes`, then both
-/// LCS cores and both induction backends. Nothing may panic; traces must
-/// stay valid common subsequences; the cores must agree on LCS length on
-/// every window shape the mutations produce.
+/// LCS cores and the induction. Nothing may panic; traces must stay valid
+/// common subsequences; the cores must agree on LCS length on every
+/// window shape the mutations produce.
 #[test]
 fn chaos_mutated_pages_drive_both_lcs_paths_safely() {
     let base = base_seed();
@@ -209,12 +210,10 @@ fn chaos_mutated_pages_drive_both_lcs_paths_safely() {
             let fb: Vec<Symbol> = filtered[1].iter().map(|&(s, _)| s).collect();
             check_cores_agree(&fa, &fb, &format!("{ctx} filtered"));
 
-            // Both induction backends over the damaged site: valid
-            // embeddings, no panics.
-            let hist = induce_histogram(&pages, &streams, num_symbols);
-            assert_valid_embedding(&hist, &pages, &format!("{ctx} histogram"));
-            let oracle = induce_interned(&pages, &streams, num_symbols);
-            assert_valid_embedding(&oracle, &pages, &format!("{ctx} hirschberg"));
+            // The induction over the damaged site: a valid embedding, no
+            // panics.
+            let ind = induce_with(&pages, &streams, num_symbols).0;
+            assert_valid_embedding(&ind, &pages, &format!("{ctx} histogram"));
         }
     }
 }

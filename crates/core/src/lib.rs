@@ -71,10 +71,8 @@
 
 pub mod annotate;
 pub mod batch;
-pub mod detail_id;
 pub mod detect;
 pub mod hybrid;
-pub mod navigate;
 pub mod nested;
 pub mod outcome;
 pub mod pipeline;
@@ -82,14 +80,11 @@ pub mod record;
 pub mod robustness;
 pub mod segmenter;
 pub mod timing;
-pub mod vertical;
 pub mod wrapper;
 
 pub use annotate::{annotate_columns, recognize, ColumnAnnotation, SemanticLabel};
-pub use detail_id::identify_detail_pages;
 pub use detect::{detect_regions, DetectOptions, Detection, Region, RegionKind};
 pub use hybrid::HybridSegmenter;
-pub use navigate::{navigate, NavigatedSite};
 pub use nested::{parent_spans_from_groups, try_segment_nested, NestedParentResult, NestedRun};
 pub use outcome::{caught, PageOutcome, Warning};
 pub use pipeline::{

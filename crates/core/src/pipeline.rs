@@ -19,7 +19,7 @@ use tableseg_extract::{PageIndex, SeparatorMask};
 use tableseg_html::scan::{scan, ScanTokens};
 use tableseg_html::{Interner, SegError, Symbol, Token};
 use tableseg_obs::{Counter, Hist, Recorder};
-use tableseg_template::{assess, induce_with, InduceOptions, Induction, TemplateQuality};
+use tableseg_template::{assess, induce_with, Induction, TemplateQuality};
 
 use crate::detect::{detect_regions, DetectOptions, Detection};
 use crate::outcome::{caught, classify, PageOutcome};
@@ -64,22 +64,25 @@ pub struct PreparedPage {
     /// Wall-clock time of the per-page stages (detail tokenization,
     /// extraction, matching). [`prepare`] additionally merges in the
     /// per-site stages; [`try_prepare_with_template`] does not — the
-    /// caller owns the site-level [`SiteTemplate::timings`].
+    /// caller owns the site-level [`SiteTemplate::timings`]. The regions
+    /// of a [`PageResult`] leave out the detail-page scanning and
+    /// indexing they share; [`run_page`] counts it once, in
+    /// [`PageResult::timings`].
     pub timings: StageTimes,
     /// Per-page observability metrics (extracts kept/skipped/matched,
     /// whole-page fallbacks, per-page histograms). Empty unless
     /// [`tableseg_obs::set_enabled`] is on. Mirrors `timings`: [`prepare`]
     /// merges in the site-level metrics, [`try_prepare_with_template`]
-    /// leaves them with the template's owner.
+    /// leaves them with the template's owner, and a [`PageResult`]'s
+    /// regions leave the detail-page counters to the page.
     pub metrics: Recorder,
 }
 
 /// The per-site front-end state: tokenized sample list pages plus the
 /// induced template and its quality verdict. Build it once per site with
-/// [`SiteTemplate::build`] (histogram-LCS rolling merge by default;
-/// [`SiteTemplate::build_with`] selects the backend), then call
-/// [`run_page`] for each page — template induction runs exactly once no
-/// matter how many pages are segmented.
+/// [`SiteTemplate::build`], then call [`run_page`] for each page —
+/// template induction runs exactly once no matter how many pages are
+/// segmented.
 #[derive(Debug, Clone)]
 pub struct SiteTemplate {
     /// Token streams of the sample list pages, in input order.
@@ -111,16 +114,8 @@ pub struct SiteTemplate {
 
 impl SiteTemplate {
     /// Tokenizes and interns the sample list pages, induces the site's
-    /// template (with the default, histogram-LCS backend), and indexes
-    /// each list page for extract matching.
+    /// template, and indexes each list page for extract matching.
     pub fn build(list_pages: &[&str]) -> SiteTemplate {
-        SiteTemplate::build_with(list_pages, &InduceOptions::default())
-    }
-
-    /// [`SiteTemplate::build`] with an explicit induction backend. The
-    /// Hirschberg path (`histogram: false`) is the differential oracle;
-    /// benches build both and compare.
-    pub fn build_with(list_pages: &[&str], opts: &InduceOptions) -> SiteTemplate {
         let mut timings = StageTimes::new();
         // Zero-copy front end: each list page is scanned into span tokens
         // and interned in one pass; the owned token stream (template
@@ -140,14 +135,12 @@ impl SiteTemplate {
         let (induction, quality, stats, fold_elapsed) =
             timings.time(Stage::TemplateInduction, || {
                 let fold_start = std::time::Instant::now();
-                let (induction, stats) = induce_with(&pages, &streams, interner.len(), opts);
+                let (induction, stats) = induce_with(&pages, &streams, interner.len());
                 let fold_elapsed = fold_start.elapsed();
                 let quality = assess(&induction, &pages);
                 (induction, quality, stats, fold_elapsed)
             });
-        if opts.histogram {
-            timings.add(Stage::InduceHistogram, fold_elapsed);
-        }
+        timings.add(Stage::InduceHistogram, fold_elapsed);
         let (separators, page_indexes) = timings.time(Stage::Matching, || {
             let separators = SeparatorMask::build(&interner);
             let page_indexes: Vec<PageIndex> = streams
@@ -388,35 +381,77 @@ pub fn try_prepare_with_template(
     target: usize,
     detail_pages: &[&str],
 ) -> Result<PreparedPage, SegError> {
-    try_prepare_slot(template, target, detail_pages, None)
+    check_target(template, target)?;
+    let mut timings = StageTimes::new();
+    let mut metrics = Recorder::new();
+    let details = index_details(template, detail_pages, &mut timings, &mut metrics)?;
+    let mut prepared = try_prepare_slot(template, target, &details, None)?;
+    prepared.timings.merge(&timings);
+    prepared.metrics.merge(&metrics);
+    Ok(prepared)
 }
 
-/// The shared per-page front end. With `slot_override` the supplied token
-/// range is the table slot (the detect stage's region path); without it
-/// the template picks the slot, falling back to the whole page.
-fn try_prepare_slot(
-    template: &SiteTemplate,
-    target: usize,
-    detail_pages: &[&str],
-    slot_override: Option<std::ops::Range<usize>>,
-) -> Result<PreparedPage, SegError> {
-    if target >= template.pages.len() {
-        return Err(SegError::TargetOutOfBounds {
+/// Reports a `target` past the site's sample list pages.
+fn check_target(template: &SiteTemplate, target: usize) -> Result<(), SegError> {
+    if target < template.pages.len() {
+        Ok(())
+    } else {
+        Err(SegError::TargetOutOfBounds {
             target,
             pages: template.pages.len(),
-        });
+        })
     }
-    let mut timings = StageTimes::new();
-    // Zero-copy front end: detail pages are only ever reduced to
-    // occurrence indexes, so they are scanned into span tokens here and
-    // projected straight into `PageIndex`es below — no owned `Token`
-    // stream, no per-token strings.
-    let detail_scans: Vec<ScanTokens> = caught("tokenize", || {
+}
+
+/// Indexes a list page's detail pages once, for every table region the
+/// page is prepared for: each page is scanned into span tokens and
+/// projected straight into a [`PageIndex`] through the site interner,
+/// read-only — detail pages are only ever matched against, so no owned
+/// `Token` stream and no per-token strings are built. Scanning is timed
+/// as tokenize, indexing as matching; the pages and bytes are counted.
+fn index_details(
+    template: &SiteTemplate,
+    detail_pages: &[&str],
+    timings: &mut StageTimes,
+    metrics: &mut Recorder,
+) -> Result<Vec<PageIndex>, SegError> {
+    let scans: Vec<ScanTokens> = caught("tokenize", || {
         timings.time(Stage::Tokenize, || {
             detail_pages.iter().map(|p| scan(p)).collect()
         })
     })?;
+    let indexes = caught("match", || {
+        timings.time(Stage::Matching, || {
+            scans
+                .iter()
+                .zip(detail_pages)
+                .map(|(s, p)| PageIndex::from_scanned(s, p, &template.interner))
+                .collect()
+        })
+    })?;
+    metrics.bump(Counter::FrontendPages, detail_pages.len() as u64);
+    let detail_bytes: usize = detail_pages.iter().map(|p| p.len()).sum();
+    metrics.bump(Counter::FrontendBytes, detail_bytes as u64);
+    if metrics.is_on() {
+        for p in detail_pages {
+            metrics.observe(Hist::FrontendPageBytes, p.len() as u64);
+        }
+    }
+    Ok(indexes)
+}
 
+/// The per-region front end: table-slot selection, extraction, and
+/// matching against the already indexed detail pages. With
+/// `slot_override` the supplied token range is the table slot (the detect
+/// stage's region path); without it the template picks the slot, falling
+/// back to the whole page. `target` must be in bounds.
+fn try_prepare_slot(
+    template: &SiteTemplate,
+    target: usize,
+    details: &[PageIndex],
+    slot_override: Option<std::ops::Range<usize>>,
+) -> Result<PreparedPage, SegError> {
+    let mut timings = StageTimes::new();
     // Table slot: the slot with the most text tokens, unless the template
     // is degenerate — then the entire page (Section 6.2: "In cases where
     // the template finding algorithm could not find a good page template,
@@ -461,9 +496,7 @@ fn try_prepare_slot(
                 .iter()
                 .map(|e| &slot_syms[e.start..e.start + e.tokens.len()])
                 .collect();
-            // Other list pages come from the site-level index cache; only the
-            // detail pages (new input every call) are indexed here, projected
-            // read-only through the site interner.
+            // Other list pages come from the site-level index cache.
             let other_indexes: Vec<&PageIndex> = template
                 .page_indexes
                 .iter()
@@ -471,12 +504,7 @@ fn try_prepare_slot(
                 .filter(|&(i, _)| i != target)
                 .map(|(_, idx)| idx)
                 .collect();
-            let detail_indexes: Vec<PageIndex> = detail_scans
-                .iter()
-                .zip(detail_pages)
-                .map(|(s, p)| PageIndex::from_scanned(s, p, &template.interner))
-                .collect();
-            let detail_refs: Vec<&PageIndex> = detail_indexes.iter().collect();
+            let detail_refs: Vec<&PageIndex> = details.iter().collect();
             match_extracts_indexed(extracts, &needles, &other_indexes, &detail_refs)
         })
     })?;
@@ -492,14 +520,6 @@ fn try_prepare_slot(
         .collect();
 
     let mut metrics = Recorder::new();
-    metrics.bump(Counter::FrontendPages, detail_pages.len() as u64);
-    let detail_bytes: usize = detail_pages.iter().map(|p| p.len()).sum();
-    metrics.bump(Counter::FrontendBytes, detail_bytes as u64);
-    if metrics.is_on() {
-        for p in detail_pages {
-            metrics.observe(Hist::FrontendPageBytes, p.len() as u64);
-        }
-    }
     if used_whole_page {
         metrics.incr(Counter::WholePageFallbacks);
     }
@@ -650,7 +670,8 @@ pub fn run_page(
 
 /// The per-page front end of [`run_page`]: fills in the detection
 /// verdict (when `detect` is set), one prepared page per table region,
-/// and their timings and metrics.
+/// and their timings and metrics. The detail pages are scanned and
+/// indexed once, whatever the number of regions.
 fn front_end(
     template: &SiteTemplate,
     target: usize,
@@ -658,18 +679,13 @@ fn front_end(
     detect: Option<&DetectOptions>,
     page: &mut PageResult,
 ) -> Result<(), SegError> {
-    let regions = match detect {
-        None => vec![try_prepare_with_template(template, target, detail_pages)?],
+    check_target(template, target)?;
+    // One table slot per region; `None` is the template's own slot.
+    let slots: Vec<Option<std::ops::Range<usize>>> = match detect {
+        None => vec![None],
         Some(opts) => {
-            let tokens = template
-                .pages
-                .get(target)
-                .ok_or(SegError::TargetOutOfBounds {
-                    target,
-                    pages: template.pages.len(),
-                })?;
             let start = std::time::Instant::now();
-            let detection = caught("detect", || detect_regions(tokens, opts))?;
+            let detection = caught("detect", || detect_regions(&template.pages[target], opts))?;
             // Detection overlaps the extraction stage; `detect.regions`
             // re-attributes that time, mirroring the solve sub-stages.
             let elapsed = start.elapsed();
@@ -689,19 +705,22 @@ fn front_end(
             );
             let detection = page.detection.insert(detection);
             if detection.pass_through {
-                vec![try_prepare_with_template(template, target, detail_pages)?]
+                vec![None]
             } else {
                 // Each table region is matched against all of the detail
                 // pages; its extract offsets stay relative to the page.
                 detection
                     .table_regions()
-                    .map(|r| {
-                        try_prepare_slot(template, target, detail_pages, Some(r.tokens.clone()))
-                    })
-                    .collect::<Result<_, _>>()?
+                    .map(|r| Some(r.tokens.clone()))
+                    .collect()
             }
         }
     };
+    let details = index_details(template, detail_pages, &mut page.timings, &mut page.metrics)?;
+    let regions = slots
+        .into_iter()
+        .map(|slot| try_prepare_slot(template, target, &details, slot))
+        .collect::<Result<Vec<_>, _>>()?;
     for region in &regions {
         page.timings.merge(&region.timings);
         page.metrics.merge(&region.metrics);
@@ -1029,6 +1048,33 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A split page scans, indexes and counts each detail page once, not
+    /// once per table region.
+    #[test]
+    fn split_page_counts_each_detail_page_once() {
+        let (a, b, details) = two_table_site();
+        let template = SiteTemplate::build(&[&a, &b]);
+        let detect = crate::detect::DetectOptions::default();
+        let mut page = PageResult {
+            outcome: PageOutcome::Ok,
+            detection: None,
+            regions: Vec::new(),
+            solved: Vec::new(),
+            timings: StageTimes::new(),
+            metrics: Recorder::always_on(),
+        };
+        front_end(&template, 0, &details, Some(&detect), &mut page).expect("front end");
+        assert_eq!(page.regions.len(), 2);
+        let counters = &page.metrics.counters;
+        assert_eq!(
+            counters.get(Counter::FrontendPages),
+            details.len() as u64,
+            "frontend.pages"
+        );
+        let bytes: usize = details.iter().map(|d| d.len()).sum();
+        assert_eq!(counters.get(Counter::FrontendBytes), bytes as u64);
     }
 
     #[test]

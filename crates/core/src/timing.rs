@@ -51,7 +51,7 @@ pub enum Stage {
     /// Sub-stage of `SolveProb`: the final MAP decode.
     SolveViterbi,
     /// Sub-stage of `TemplateInduction`: the histogram-LCS rolling merge
-    /// (zero when the Hirschberg oracle path is selected).
+    /// (the fold itself, without quality assessment).
     InduceHistogram,
     /// Sub-stage of `Extraction`: table-region detection ahead of the
     /// per-region front end (zero on the classic, detect-disabled path).

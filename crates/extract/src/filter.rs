@@ -62,23 +62,27 @@ pub fn decide(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matcher::MatchStream;
+    use crate::matcher::PageIndex;
     use tableseg_html::lexer::tokenize;
+    use tableseg_html::Interner;
 
-    fn stream(html: &str) -> MatchStream {
-        MatchStream::new(&tokenize(html))
-    }
-
-    /// The closure production callers build over the other list pages.
-    fn on_all(needle: &[&str], others: &[MatchStream]) -> bool {
-        !others.is_empty() && others.iter().all(|s| s.contains(needle))
+    /// The closure production callers build over the other list pages:
+    /// the needle's words are interned, and each page is indexed
+    /// read-only through the same interner.
+    fn on_all(needle: &str, others: &[&str]) -> bool {
+        let mut interner = Interner::new();
+        let needle = interner.intern_tokens(&tokenize(needle));
+        let others: Vec<PageIndex> = others
+            .iter()
+            .map(|p| PageIndex::build(&tokenize(p), &interner))
+            .collect();
+        !others.is_empty() && others.iter().all(|idx| idx.contains(&needle))
     }
 
     #[test]
     fn keeps_discriminating_extract() {
-        let others = vec![stream("other page")];
         assert_eq!(
-            decide(1, 3, || on_all(&["John", "Smith"], &others)),
+            decide(1, 3, || on_all("John Smith", &["other page"])),
             Decision::Keep
         );
     }
@@ -101,25 +105,25 @@ mod tests {
 
     #[test]
     fn skips_on_all_list_pages() {
-        let others = vec![stream("Search Again here"), stream("x Search Again")];
+        let others = ["Search Again here", "x Search Again"];
         assert_eq!(
-            decide(1, 3, || on_all(&["Search", "Again"], &others)),
+            decide(1, 3, || on_all("Search Again", &others)),
             Decision::Skip(SkipReason::OnAllListPages)
         );
     }
 
     #[test]
     fn kept_when_absent_from_some_list_page() {
-        let others = vec![stream("John Smith"), stream("nothing relevant")];
+        let others = ["John Smith", "nothing relevant"];
         assert_eq!(
-            decide(1, 3, || on_all(&["John", "Smith"], &others)),
+            decide(1, 3, || on_all("John Smith", &others)),
             Decision::Keep
         );
     }
 
     #[test]
     fn no_other_list_pages_never_skips_as_all_lists() {
-        assert_eq!(decide(1, 3, || on_all(&["John"], &[])), Decision::Keep);
+        assert_eq!(decide(1, 3, || on_all("John", &[])), Decision::Keep);
     }
 
     #[test]

@@ -27,10 +27,17 @@ pub mod segmentation;
 pub mod separator;
 
 pub use extracts::{derive_extracts, Extract};
-pub use matcher::{MatchStream, PageIndex};
+pub use matcher::PageIndex;
 pub use observations::{
-    build_observations, match_extracts, match_extracts_indexed, match_extracts_naive, ObsItem,
-    Observations, PagePos,
+    build_observations, match_extracts, match_extracts_indexed, ObsItem, Observations, PagePos,
 };
 pub use segmentation::Segmentation;
 pub use separator::{is_separator, SeparatorMask};
+
+// The naive oracle matcher lives with the integration tests; the unit tests
+// include the same file, which names this crate by its package name.
+#[cfg(test)]
+extern crate self as tableseg_extract;
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;

@@ -1,16 +1,22 @@
 //! Property tests for extraction: extracts partition the non-separator
 //! tokens, maximality holds, matching is sound and complete for planted
 //! needles, and the indexed symbol matcher is a drop-in replacement for
-//! the naive string matcher (differential oracle).
+//! the naive string matcher ([`oracle`]) — on arbitrary fragments and on
+//! every page of the simulated paper corpus.
+
+mod oracle;
 
 use proptest::prelude::*;
 
+use oracle::{match_extracts_naive, MatchStream};
 use tableseg_extract::extracts::derive_extracts;
-use tableseg_extract::matcher::{MatchStream, PageIndex};
-use tableseg_extract::observations::{match_extracts, match_extracts_naive};
-use tableseg_extract::separator::is_separator;
+use tableseg_extract::matcher::PageIndex;
+use tableseg_extract::observations::{match_extracts, match_extracts_indexed, Observations};
+use tableseg_extract::separator::{is_separator, SeparatorMask};
 use tableseg_html::lexer::tokenize;
-use tableseg_html::Interner;
+use tableseg_html::{scan, Interner, Symbol, Token};
+use tableseg_sitegen::paper_sites;
+use tableseg_sitegen::site::generate;
 
 /// Small HTML fragments mixing words, allowed punctuation, separators and
 /// tags.
@@ -191,4 +197,72 @@ proptest! {
             naive.skipped.iter().map(|s| (s.extract.index, s.reason)).collect();
         prop_assert_eq!(fast_skipped, naive_skipped);
     }
+}
+
+/// Asserts two observation tables agree row for row, kept and skipped.
+fn assert_same_observations(fast: &Observations, naive: &Observations, ctx: &str) {
+    assert_eq!(fast.num_records, naive.num_records, "{ctx}");
+    assert_eq!(fast.items, naive.items, "{ctx}: kept extracts");
+    assert_eq!(fast.skipped, naive.skipped, "{ctx}: skipped extracts");
+}
+
+/// Corpus differential: on every list page of the twelve simulated paper
+/// sites — the whole page as the table slot, the site's other list pages
+/// for the all-list-pages filter, the page's detail pages as match
+/// targets — the indexed matcher builds the naive oracle's observation
+/// table. Both production shapes are checked: the site-interned path the
+/// pipeline runs (list pages interned once, detail pages scanned and
+/// projected read-only) and the one-shot [`match_extracts`].
+#[test]
+fn indexed_observations_equal_naive_on_the_paper_corpus() {
+    let mut pages = 0usize;
+    for spec in paper_sites::all() {
+        let site = generate(&spec);
+        let lists: Vec<Vec<Token>> = site.pages.iter().map(|p| tokenize(&p.list_html)).collect();
+        let mut interner = Interner::new();
+        let streams: Vec<Vec<Symbol>> = lists.iter().map(|p| interner.intern_tokens(p)).collect();
+        let mask = SeparatorMask::build(&interner);
+        let list_indexes: Vec<PageIndex> = streams
+            .iter()
+            .map(|s| PageIndex::from_interned(s, &mask))
+            .collect();
+        for (target, gp) in site.pages.iter().enumerate() {
+            let ctx = format!("{} page {target}", spec.name);
+            let extracts = derive_extracts(&lists[target]);
+            let details: Vec<Vec<Token>> = gp.detail_html.iter().map(|d| tokenize(d)).collect();
+            let detail_refs: Vec<&[Token]> = details.iter().map(Vec::as_slice).collect();
+            let others: Vec<&[Token]> = (0..lists.len())
+                .filter(|&i| i != target)
+                .map(|i| lists[i].as_slice())
+                .collect();
+            let naive = match_extracts_naive(extracts.clone(), &others, &detail_refs);
+            assert!(!naive.items.is_empty(), "{ctx}: no kept extracts");
+
+            let needles: Vec<&[Symbol]> = extracts
+                .iter()
+                .map(|e| &streams[target][e.start..e.start + e.len()])
+                .collect();
+            let other_indexes: Vec<&PageIndex> = (0..lists.len())
+                .filter(|&i| i != target)
+                .map(|i| &list_indexes[i])
+                .collect();
+            let detail_indexes: Vec<PageIndex> = gp
+                .detail_html
+                .iter()
+                .map(|d| PageIndex::from_scanned(&scan(d), d, &interner))
+                .collect();
+            let detail_index_refs: Vec<&PageIndex> = detail_indexes.iter().collect();
+            let site_path = match_extracts_indexed(
+                extracts.clone(),
+                &needles,
+                &other_indexes,
+                &detail_index_refs,
+            );
+            assert_same_observations(&site_path, &naive, &ctx);
+            let one_shot = match_extracts(extracts, &others, &detail_refs);
+            assert_same_observations(&one_shot, &naive, &ctx);
+            pages += 1;
+        }
+    }
+    assert_eq!(pages, 24, "two list pages per paper site");
 }

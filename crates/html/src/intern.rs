@@ -179,15 +179,6 @@ impl Interner {
             .collect()
     }
 
-    /// Read-only projection of a zero-copy scanned stream; the span-token
-    /// counterpart of [`Interner::project_tokens`].
-    pub fn project_scanned(&self, scanned: &crate::scan::ScanTokens, input: &str) -> Vec<Symbol> {
-        scanned
-            .iter(input)
-            .map(|(text, _, _)| self.lookup(text).unwrap_or(UNKNOWN_SYMBOL))
-            .collect()
-    }
-
     /// Looks up the text of a symbol.
     pub fn text(&self, sym: Symbol) -> &str {
         &self.texts[sym as usize]

@@ -14,21 +14,19 @@
 //! * visible text is entity-decoded and split into *words* (maximal runs of
 //!   alphanumeric characters) and individual punctuation characters, each a
 //!   token typed by [`TypeSet::classify_text`](crate::TypeSet::classify_text).
+//!
+//! The rules are implemented once, by the zero-copy scanner
+//! ([`crate::scan()`]); [`tokenize`] materializes its owned token stream.
+//! The test suite holds an independent allocating lexer
+//! (`tests/oracle`) as the scanner's differential oracle.
 
-use crate::entities::decode_entity;
+use crate::scan::scan;
 use crate::token::Token;
 
-/// Tokenizes an HTML document into the paper's token stream.
+/// Tokenizes an HTML document into the paper's token stream: the owned
+/// form of [`scan`]'s span tokens.
 pub fn tokenize(input: &str) -> Vec<Token> {
-    Lexer::new(input).run()
-}
-
-/// Tokenizes and keeps only visible-text tokens (drops HTML tags).
-///
-/// Detail-page matching "ignores intervening separators" (footnote 1 of the
-/// paper); dropping tags is the first step of that.
-pub fn tokenize_text(input: &str) -> Vec<Token> {
-    tokenize(input).into_iter().filter(Token::is_text).collect()
+    scan(input).to_tokens(input)
 }
 
 /// Tokenizes an arbitrary byte string — the form pages arrive in off the
@@ -75,175 +73,10 @@ pub fn tokenize_bytes_flagged(bytes: &[u8]) -> BytesTokens {
     }
 }
 
-struct Lexer<'a> {
-    input: &'a str,
-    bytes: &'a [u8],
-    pos: usize,
-    out: Vec<Token>,
-    /// When inside `<script>`/`<style>`, the closing tag we are looking for.
-    skip_until: Option<&'static str>,
-}
-
-impl<'a> Lexer<'a> {
-    fn new(input: &'a str) -> Self {
-        Lexer {
-            input,
-            bytes: input.as_bytes(),
-            pos: 0,
-            // A typical page yields roughly one token per 6 bytes.
-            out: Vec::with_capacity(input.len() / 6 + 8),
-            skip_until: None,
-        }
-    }
-
-    fn run(mut self) -> Vec<Token> {
-        while self.pos < self.bytes.len() {
-            if let Some(close) = self.skip_until {
-                self.skip_raw_text(close);
-                continue;
-            }
-            if self.bytes[self.pos] == b'<' {
-                self.lex_markup();
-            } else {
-                self.lex_text();
-            }
-        }
-        self.out
-    }
-
-    /// Skips raw text (script/style contents) until the closing tag, which
-    /// is then lexed normally.
-    fn skip_raw_text(&mut self, close: &'static str) {
-        let rest = &self.input[self.pos..];
-        match find_ci(rest, close) {
-            Some(idx) => {
-                self.pos += idx;
-                self.skip_until = None;
-                // The next iteration lexes the closing tag itself.
-            }
-            None => {
-                // Unterminated script/style: consume to end of input.
-                self.pos = self.bytes.len();
-                self.skip_until = None;
-            }
-        }
-    }
-
-    fn lex_markup(&mut self) {
-        let start = self.pos;
-        let rest = &self.input[start..];
-        if rest.starts_with("<!--") {
-            match rest.find("-->") {
-                Some(end) => self.pos = start + end + 3,
-                None => self.pos = self.bytes.len(),
-            }
-            return;
-        }
-        // A bare '<' not beginning a tag is literal text.
-        let is_tag_start = rest[1..]
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_ascii_alphabetic() || c == '/' || c == '!');
-        if !is_tag_start {
-            // Emit '<' as punctuation and move on.
-            self.out.push(Token::text("<", start));
-            self.pos += 1;
-            return;
-        }
-        match rest.find('>') {
-            Some(end) => {
-                let raw = &rest[..=end];
-                let normalized = normalize_tag(raw);
-                let name = tag_name(&normalized).to_owned();
-                let closing = is_closing(&normalized);
-                self.out.push(Token::tag(normalized, start));
-                self.pos = start + end + 1;
-                if !closing {
-                    if name == "script" {
-                        self.skip_until = Some("</script");
-                    } else if name == "style" {
-                        self.skip_until = Some("</style");
-                    }
-                }
-            }
-            None => {
-                // Unterminated tag: treat the '<' as text and continue.
-                self.out.push(Token::text("<", start));
-                self.pos += 1;
-            }
-        }
-    }
-
-    fn lex_text(&mut self) {
-        // Accumulate one decoded word; flush at whitespace/punct/tag.
-        let mut word = String::new();
-        let mut word_start = self.pos;
-        while self.pos < self.bytes.len() {
-            let b = self.bytes[self.pos];
-            if b == b'<' {
-                break;
-            }
-            let (ch, used) = if b == b'&' {
-                match decode_entity(self.input, self.pos) {
-                    Some((ch, used)) => (ch, used),
-                    None => ('&', 1),
-                }
-            } else {
-                match self.input.get(self.pos..).and_then(|s| s.chars().next()) {
-                    Some(ch) => (ch, ch.len_utf8()),
-                    // `pos` is always advanced by whole characters, so this
-                    // is unreachable — but if the invariant ever breaks,
-                    // resynchronize by skipping one byte instead of
-                    // panicking mid-page.
-                    None => {
-                        self.flush_word(&mut word, word_start);
-                        self.pos += 1;
-                        word_start = self.pos;
-                        continue;
-                    }
-                }
-            };
-            if ch.is_whitespace() {
-                self.flush_word(&mut word, word_start);
-                self.pos += used;
-                word_start = self.pos;
-            } else if ch.is_alphanumeric() {
-                if word.is_empty() {
-                    word_start = self.pos;
-                }
-                word.push(ch);
-                self.pos += used;
-            } else {
-                // Punctuation or symbol: its own token.
-                self.flush_word(&mut word, word_start);
-                self.out.push(Token::text(ch.to_string(), self.pos));
-                self.pos += used;
-                word_start = self.pos;
-            }
-        }
-        self.flush_word(&mut word, word_start);
-    }
-
-    fn flush_word(&mut self, word: &mut String, start: usize) {
-        if !word.is_empty() {
-            self.out.push(Token::text(std::mem::take(word), start));
-        }
-    }
-}
-
-/// Case-insensitive ASCII substring search.
-fn find_ci(haystack: &str, needle: &str) -> Option<usize> {
-    let h = haystack.as_bytes();
-    let n = needle.as_bytes();
-    if n.is_empty() || h.len() < n.len() {
-        return None;
-    }
-    (0..=h.len() - n.len()).find(|&i| h[i..i + n.len()].eq_ignore_ascii_case(n))
-}
-
 /// Normalizes a raw tag: lowercases the tag name, collapses whitespace runs
-/// to a single space, trims whitespace before `>`. Shared with the
-/// zero-copy scanner's slow path ([`crate::scan()`]).
+/// to a single space, trims whitespace before `>`. The zero-copy
+/// scanner's slow path ([`crate::scan()`]) for tags that are not already
+/// in normal form.
 pub(crate) fn normalize_tag(raw: &str) -> String {
     debug_assert!(raw.starts_with('<') && raw.ends_with('>'));
     let inner = &raw[1..raw.len() - 1];
@@ -397,13 +230,6 @@ mod tests {
         assert_eq!(toks[0].offset, 0);
         assert_eq!(toks[1].text, "Hi");
         assert_eq!(toks[1].offset, 4);
-    }
-
-    #[test]
-    fn tokenize_text_drops_tags() {
-        let toks = tokenize_text("<tr><td>John</td><td>Smith</td></tr>");
-        let texts: Vec<&str> = toks.iter().map(|t| t.text.as_str()).collect();
-        assert_eq!(texts, ["John", "Smith"]);
     }
 
     #[test]

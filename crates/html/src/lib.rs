@@ -16,8 +16,9 @@
 //!
 //! This crate provides:
 //!
-//! * [`lexer::tokenize`] — the page tokenizer, producing [`Token`]s with
-//!   source offsets,
+//! * [`scan()`] — the page tokenizer: one zero-copy pass producing span
+//!   tokens with source offsets; [`lexer::tokenize`] materializes them as
+//!   owned [`Token`]s,
 //! * [`intern`] — token-text interning: pages are mapped once to dense
 //!   `u32` [`Symbol`]s so that every downstream comparison (template LCS,
 //!   extract matching, separator tests) is an integer compare,
@@ -50,14 +51,20 @@ pub mod entities;
 pub mod error;
 pub mod intern;
 pub mod lexer;
-pub mod links;
 pub mod scan;
 pub mod token;
 pub mod writer;
 
 pub use error::SegError;
 pub use intern::{FastHasher, FastMap, Interner, Symbol, UNKNOWN_SYMBOL};
-pub use links::{extract_links, Link};
 pub use scan::{scan, ScanTokens, SpanToken};
 pub use token::{Token, TokenType, TypeSet};
 pub use writer::render_tokens;
+
+// The allocating oracle lexer lives with the integration tests; the unit
+// tests include the same file, which names this crate by its package name.
+#[cfg(test)]
+extern crate self as tableseg_html;
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;

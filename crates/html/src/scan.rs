@@ -1,8 +1,8 @@
 //! The streaming zero-copy page scanner — the production front end.
 //!
-//! [`scan`] produces the exact token stream of [`crate::lexer::tokenize`]
-//! (same texts, same [`TypeSet`]s, same byte offsets) without allocating a
-//! `String` per token. Tokens are [`SpanToken`]s: small fixed-size records
+//! [`scan`] is the one implementation of the page tokenizer's rules
+//! ([`crate::lexer`]): it produces the paper's token stream (texts,
+//! [`TypeSet`]s, byte offsets) without allocating a `String` per token. Tokens are [`SpanToken`]s: small fixed-size records
 //! whose text is a byte range into either the page itself (the common
 //! case — words, punctuation, already-normalized tags) or a per-page
 //! append-only *arena* holding the few texts that cannot be borrowed
@@ -14,10 +14,11 @@
 //! The hot loops are byte-oriented: a 256-entry class table drives bulk
 //! runs over words and whitespace, tag ends and comment/script terminators
 //! are found with a SWAR `memchr`, and per-`char` decoding only happens on
-//! the rare bytes that need it (entities, non-ASCII). The allocating
-//! lexer remains in [`crate::lexer`] as the differential oracle; the
-//! equivalence is enforced token-for-token by unit tests here and by the
-//! `lexer_props` property suite on arbitrary inputs.
+//! the rare bytes that need it (entities, non-ASCII). An allocating
+//! lexer in the test suite (`tests/oracle`) is the differential oracle;
+//! the equivalence is enforced token-for-token by unit tests here, by the
+//! `lexer_props` property suite on arbitrary inputs, and over the
+//! simulated corpora by `tableseg-sitegen`'s chaos suite.
 //!
 //! Lifetimes are explicit rather than borrowed: a [`SpanToken`] stores
 //! ranges, not references, so [`ScanTokens`] is `'static`, freely
@@ -191,10 +192,9 @@ impl ScanTokens {
             .map(move |t| (self.text(input, t), t.types, t.offset as usize))
     }
 
-    /// Materializes the owned [`Token`] stream — byte-identical to what
-    /// [`crate::lexer::tokenize`] returns for the same page. Used where
-    /// token texts must outlive the page (list pages feeding template
-    /// induction) and by the differential tests.
+    /// Materializes the owned [`Token`] stream ([`crate::lexer::tokenize`]).
+    /// Used where token texts must outlive the page (list pages feeding
+    /// template induction) and by the differential tests.
     pub fn to_tokens(&self, input: &str) -> Vec<Token> {
         self.iter(input)
             .map(|(text, types, offset)| Token {
@@ -206,9 +206,9 @@ impl ScanTokens {
     }
 }
 
-/// Scans a page into span tokens. Produces exactly the token stream of
-/// [`crate::lexer::tokenize`] — texts, types, offsets — while borrowing
-/// nearly every token's text from `input`.
+/// Scans a page into span tokens — the paper's token stream (texts,
+/// types, offsets) — while borrowing nearly every token's text from
+/// `input`.
 ///
 /// # Panics
 ///
@@ -593,14 +593,13 @@ fn tag_is_normalized(raw: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::tokenize;
 
-    /// The workhorse assertion: scan ≡ tokenize, token for token.
+    /// The workhorse assertion: scan ≡ the oracle lexer, token for token.
     fn assert_equiv(input: &str) {
-        let oracle = tokenize(input);
+        let oracle = crate::oracle::tokenize(input);
         let scanned = scan(input);
         let got = scanned.to_tokens(input);
-        assert_eq!(got, oracle, "scan ≢ tokenize on {input:?}");
+        assert_eq!(got, oracle, "scan ≢ oracle lexer on {input:?}");
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! Property tests for the HTML substrate: writer → lexer → DOM
-//! round-trips and lexer robustness on arbitrary input.
+//! round-trips, lexer robustness on arbitrary input, and the scanner
+//! against the allocating oracle lexer ([`oracle`]).
+
+mod oracle;
 
 use proptest::prelude::*;
 
@@ -12,7 +15,7 @@ use tableseg_html::{Interner, TypeSet};
 /// Asserts the zero-copy scanner reproduces the oracle lexer exactly —
 /// texts, types, offsets — and that both interning paths agree.
 fn assert_scan_equiv(input: &str) -> Result<(), TestCaseError> {
-    let oracle = tokenize(input);
+    let oracle = oracle::tokenize(input);
     let scanned = scan(input);
     let got = scanned.to_tokens(input);
     prop_assert_eq!(&got, &oracle, "scan ≢ tokenize on {:?}", input);

@@ -31,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ads;
 pub mod chaos;
 pub mod db;
 pub mod domains;

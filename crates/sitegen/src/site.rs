@@ -98,28 +98,6 @@ impl GeneratedSite {
     pub fn list_htmls(&self) -> Vec<&str> {
         self.pages.iter().map(|p| p.list_html.as_str()).collect()
     }
-
-    /// Exposes the site as a URL → HTML map, the way a crawler would see
-    /// it: list pages under `/list/{p}` (chained by their "Next" links),
-    /// detail pages under `/detail/{p}/{i}`, and `ad_count` advertisement
-    /// pages under `/ads/{k}` (linked from every list page). The entry
-    /// point is `/list/0`.
-    pub fn site_map(&self, ad_count: usize) -> std::collections::HashMap<String, String> {
-        let mut map = std::collections::HashMap::new();
-        for (p, page) in self.pages.iter().enumerate() {
-            map.insert(format!("/list/{p}"), page.list_html.clone());
-            for (i, d) in page.detail_html.iter().enumerate() {
-                map.insert(format!("/detail/{p}/{i}"), d.clone());
-            }
-        }
-        for (k, ad) in crate::ads::ad_pages(ad_count, self.spec.seed ^ 0xAD5)
-            .into_iter()
-            .enumerate()
-        {
-            map.insert(format!("/ads/{k}"), ad);
-        }
-        map
-    }
 }
 
 /// Generates a site from its spec. Deterministic in the seed.

@@ -1,9 +1,14 @@
 //! Chaos-layer integration and property tests: every corruption operator
 //! applied to real generated pages must leave the downstream tokenizer
 //! total (no panic, guaranteed termination) and keep ground truth
-//! well-formed. These tests live in `tableseg-sitegen` (not
-//! `tableseg-html`) because the html crate cannot dev-depend on the
-//! simulator without a dependency cycle.
+//! well-formed, and the zero-copy scanner must agree with the allocating
+//! oracle lexer on every simulated page. These tests live in
+//! `tableseg-sitegen` (not `tableseg-html`) because the html crate cannot
+//! dev-depend on the simulator without a dependency cycle; the oracle is
+//! html's own test-suite copy.
+
+#[path = "../../html/tests/oracle/mod.rs"]
+mod oracle;
 
 use proptest::prelude::*;
 
@@ -73,7 +78,7 @@ fn zero_copy_scan_matches_lexer_on_every_fault_kind() {
             for html in all_pages(&site) {
                 assert_eq!(
                     scan(html).to_tokens(html),
-                    tokenize(html),
+                    oracle::tokenize(html),
                     "{kind:?} on {}",
                     spec.name
                 );
@@ -84,7 +89,11 @@ fn zero_copy_scan_matches_lexer_on_every_fault_kind() {
     for seed in 0..4u64 {
         let (site, _) = apply_chaos(&clean, &ChaosConfig::uniform(0.7, seed));
         for html in all_pages(&site) {
-            assert_eq!(scan(html).to_tokens(html), tokenize(html), "seed {seed}");
+            assert_eq!(
+                scan(html).to_tokens(html),
+                oracle::tokenize(html),
+                "seed {seed}"
+            );
         }
     }
 }
@@ -100,9 +109,34 @@ fn zero_copy_scan_matches_lexer_on_universe_sites() {
     });
     for site in u.sites() {
         for html in all_pages(&site) {
-            assert_eq!(scan(html).to_tokens(html), tokenize(html));
+            assert_eq!(scan(html).to_tokens(html), oracle::tokenize(html));
         }
     }
+}
+
+#[test]
+fn zero_copy_scan_matches_lexer_on_paper_corpus_and_universe_sample() {
+    // Every list and detail page of the twelve paper sites and of a
+    // clean 25-site universe sample — the pages the pipeline and the
+    // scale benchmark tokenize.
+    let paper = paper_sites::all().iter().map(generate).collect::<Vec<_>>();
+    let universe = Universe::new(UniverseConfig {
+        sites: 25,
+        ..UniverseConfig::default()
+    });
+    let mut pages = 0usize;
+    for site in paper.into_iter().chain(universe.sites()) {
+        for html in all_pages(&site) {
+            assert_eq!(
+                scan(html).to_tokens(html),
+                oracle::tokenize(html),
+                "{}",
+                site.spec.name
+            );
+            pages += 1;
+        }
+    }
+    assert!(pages > 500, "{pages} pages checked");
 }
 
 #[test]

@@ -7,15 +7,15 @@
 //! list pages and is invariant from page to page"). Everything between
 //! consecutive template anchors is a slot.
 //!
-//! Two LCS backends drive the fold, selected by [`InduceOptions`] through
-//! the [`induce_with`] entry point: the histogram path
-//! ([`crate::histogram`], production — near-linear on templated pages and
-//! the default) and the Hirschberg path ([`crate::lcs`], kept verbatim as
-//! the differential oracle). The histogram path folds pages in a
-//! *canonical* order (shortest candidate stream first, content
-//! tie-break), so the induced template is invariant under permutations of
-//! the sample pages — the property that makes multi-page rolling merges
-//! (10–100 pages per site) well-defined.
+//! One fold drives [`induce_with`]: a rolling merge with the histogram-LCS
+//! core ([`crate::histogram`]), which is near-linear on templated pages
+//! and falls back to exact dynamic programming ([`crate::lcs`]) on small
+//! windows by itself. Pages are folded in a *canonical* order (shortest
+//! candidate stream first, content tie-break), so the induced template is
+//! invariant under permutations of the sample pages — the property that
+//! makes multi-page rolling merges (10–100 pages per site) well-defined.
+//! The test-only `oracle` module holds a progressive Hirschberg fold, the
+//! fold's differential oracle.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -24,7 +24,6 @@ use tableseg_html::Token;
 
 use crate::histogram::{lcs_indices_histogram_stats, LcsStats};
 use crate::intern::{Interner, Symbol};
-use crate::lcs::lcs_indices;
 use crate::slot::{Slot, SlotSet};
 
 /// Process-wide count of template inductions (any entry point).
@@ -36,24 +35,6 @@ static INDUCTIONS: AtomicUsize = AtomicUsize::new(0);
 /// works (absolute values include other tests in the same process).
 pub fn induction_count() -> usize {
     INDUCTIONS.load(Ordering::Relaxed)
-}
-
-/// Selects the template-induction backend. The default is the production
-/// histogram path; `histogram: false` selects the verbatim Hirschberg
-/// fold, kept as the differential oracle (as was done for MatchStream
-/// and the reference WSAT solver).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InduceOptions {
-    /// Use the histogram-LCS rolling merge ([`crate::histogram`]). When
-    /// `false`, fold with Hirschberg LCS in input-page order — the
-    /// pre-histogram behavior, bit-for-bit.
-    pub histogram: bool,
-}
-
-impl Default for InduceOptions {
-    fn default() -> InduceOptions {
-        InduceOptions { histogram: true }
-    }
 }
 
 /// What one induction did: fold counts, anchor attrition and LCS window
@@ -72,7 +53,7 @@ pub struct InduceStats {
     /// Anchors removed by the run-stability pass (the linked-run rule
     /// that guards against coincidental anchors inside slots).
     pub unstable_dropped: usize,
-    /// Histogram-LCS window statistics (all zero on the Hirschberg path).
+    /// Histogram-LCS window statistics of the fold.
     pub lcs: LcsStats,
 }
 
@@ -174,67 +155,27 @@ impl Induction {
 /// empty template and a single slot covering each whole page, which makes
 /// the downstream pipeline equivalent to the paper's whole-page fallback.
 ///
-/// Convenience wrapper over [`induce_with`] — the option-selected entry
-/// point — with default options (the histogram path) and an internal
-/// interner. Pipeline callers that already interned the site's pages
-/// should call [`induce_with`] (or its thin wrappers [`induce_histogram`]
-/// / [`induce_interned`]) directly.
+/// Convenience wrapper over [`induce_with`] with an internal interner.
+/// Pipeline callers that already interned the site's pages should call
+/// [`induce_with`] directly.
 pub fn induce(pages: &[Vec<Token>]) -> Induction {
     let mut interner = Interner::new();
     let streams: Vec<Vec<Symbol>> = pages.iter().map(|p| interner.intern_tokens(p)).collect();
-    induce_with(pages, &streams, interner.len(), &InduceOptions::default()).0
+    induce_with(pages, &streams, interner.len()).0
 }
 
-/// [`induce`](fn@induce) over pre-interned symbol streams, on the **Hirschberg
-/// oracle path** (input-order fold, quadratic LCS). Kept verbatim as the
-/// differential baseline; production callers should use [`induce_with`]
-/// — the option-selected entry point — or [`induce_histogram`].
+/// [`induce`](fn@induce) over pre-interned symbol streams, reporting what
+/// the induction did.
 ///
 /// `streams[p]` must be the symbol stream of `pages[p]` (same length, same
 /// order) and `num_symbols` an upper bound on the symbol ids appearing in
 /// the streams (typically `Interner::len`). The interner itself is not
 /// needed: induction compares symbols and takes representative tokens from
 /// the first page.
-pub fn induce_interned(
-    pages: &[Vec<Token>],
-    streams: &[Vec<Symbol>],
-    num_symbols: usize,
-) -> Induction {
-    induce_with(
-        pages,
-        streams,
-        num_symbols,
-        &InduceOptions { histogram: false },
-    )
-    .0
-}
-
-/// [`induce`](fn@induce) over pre-interned symbol streams on the production
-/// **histogram path**: canonical-order rolling merge with the
-/// histogram-LCS core. Thin wrapper over [`induce_with`].
-pub fn induce_histogram(
-    pages: &[Vec<Token>],
-    streams: &[Vec<Symbol>],
-    num_symbols: usize,
-) -> Induction {
-    induce_with(
-        pages,
-        streams,
-        num_symbols,
-        &InduceOptions { histogram: true },
-    )
-    .0
-}
-
-/// The option-selected induction entry point: derives the template from
-/// pre-interned symbol streams with the backend chosen by `opts`, and
-/// reports what it did. See [`induce`](fn@induce) for the template semantics and
-/// [`induce_interned`] for the stream contract.
 pub fn induce_with(
     pages: &[Vec<Token>],
     streams: &[Vec<Symbol>],
     num_symbols: usize,
-    opts: &InduceOptions,
 ) -> (Induction, InduceStats) {
     INDUCTIONS.fetch_add(1, Ordering::Relaxed);
     debug_assert_eq!(pages.len(), streams.len());
@@ -243,23 +184,21 @@ pub fn induce_with(
         ..InduceStats::default()
     };
     if pages.len() < 2 {
-        return (
-            Induction {
-                template: Template { tokens: Vec::new() },
-                anchors: vec![Vec::new(); pages.len()],
-            },
-            stats,
-        );
+        return (empty_induction(pages.len()), stats);
     }
-
     let filtered = candidate_streams(streams, num_symbols);
-    let template: Vec<Symbol> = if opts.histogram {
-        fold_histogram(pages, &filtered, &mut stats)
-    } else {
-        fold_hirschberg(&filtered, &mut stats)
-    };
+    let template = fold(pages, &filtered, &mut stats);
     let induction = finish(pages, &filtered, template, &mut stats);
     (induction, stats)
+}
+
+/// The induction of fewer than two pages: an empty template, one slot
+/// covering each whole page.
+fn empty_induction(pages: usize) -> Induction {
+    Induction {
+        template: Template { tokens: Vec::new() },
+        anchors: vec![Vec::new(); pages],
+    }
 }
 
 /// Computes the per-page candidate streams: tokens occurring **exactly
@@ -298,31 +237,13 @@ pub fn candidate_streams(streams: &[Vec<Symbol>], num_symbols: usize) -> Vec<Vec
         .collect()
 }
 
-/// The pre-histogram fold, verbatim: progressive Hirschberg LCS over the
-/// candidate streams in input-page order. The differential oracle.
-fn fold_hirschberg(filtered: &[Vec<(Symbol, usize)>], stats: &mut InduceStats) -> Vec<Symbol> {
-    let mut template: Vec<Symbol> = filtered[0].iter().map(|&(s, _)| s).collect();
-    for stream in &filtered[1..] {
-        let s_syms: Vec<Symbol> = stream.iter().map(|&(s, _)| s).collect();
-        let pairs = lcs_indices(&template, &s_syms);
-        stats.folds += 1;
-        stats.anchors_dropped += template.len() - pairs.len();
-        template = pairs.iter().map(|&(ti, _)| template[ti]).collect();
-        if template.is_empty() {
-            break;
-        }
-    }
-    template
-}
-
-/// The production fold: rolling histogram-LCS merge in canonical page
-/// order — shortest candidate stream first (the template is a subsequence
+/// The fold: rolling histogram-LCS merge in canonical page order — shortest candidate stream first (the template is a subsequence
 /// of every stream, so starting small bounds all later folds), token
 /// texts as the deterministic tie-break. The canonical order makes the
 /// induced template invariant under permutations of the sample pages,
 /// which is what lets a site's template be maintained incrementally as
 /// more pages are crawled.
-fn fold_histogram(
+fn fold(
     pages: &[Vec<Token>],
     filtered: &[Vec<(Symbol, usize)>],
     stats: &mut InduceStats,
@@ -553,6 +474,163 @@ fn enumeration_members(tokens: &[Token]) -> Vec<String> {
 }
 
 #[cfg(test)]
+pub(crate) mod oracle {
+    //! The Hirschberg fold: the differential oracle for [`super::induce_with`]'s
+    //! histogram fold.
+    //!
+    //! Progressive LCS over the candidate streams in input-page order, each
+    //! step a full linear-space Hirschberg alignment ([`lcs_indices`]).
+    //! Both folds share the candidate filter and the finish step
+    //! (embedding plus anchor stability), so a divergence is the fold's.
+
+    use tableseg_html::Token;
+
+    use super::{candidate_streams, empty_induction, finish, InduceStats, Induction};
+    use crate::intern::Symbol;
+    use crate::lcs::lcs_indices;
+
+    /// [`crate::induce_with`] with the Hirschberg fold.
+    pub(crate) fn induce_hirschberg(
+        pages: &[Vec<Token>],
+        streams: &[Vec<Symbol>],
+        num_symbols: usize,
+    ) -> (Induction, InduceStats) {
+        let mut stats = InduceStats {
+            pages: pages.len(),
+            ..InduceStats::default()
+        };
+        if pages.len() < 2 {
+            return (empty_induction(pages.len()), stats);
+        }
+        let filtered = candidate_streams(streams, num_symbols);
+        let template = fold_hirschberg(&filtered, &mut stats);
+        let induction = finish(pages, &filtered, template, &mut stats);
+        (induction, stats)
+    }
+
+    /// Progressive Hirschberg LCS over the candidate streams in input-page
+    /// order.
+    fn fold_hirschberg(filtered: &[Vec<(Symbol, usize)>], stats: &mut InduceStats) -> Vec<Symbol> {
+        let mut template: Vec<Symbol> = filtered[0].iter().map(|&(s, _)| s).collect();
+        for stream in &filtered[1..] {
+            let s_syms: Vec<Symbol> = stream.iter().map(|&(s, _)| s).collect();
+            let pairs = lcs_indices(&template, &s_syms);
+            stats.folds += 1;
+            stats.anchors_dropped += template.len() - pairs.len();
+            template = pairs.iter().map(|&(ti, _)| template[ti]).collect();
+            if template.is_empty() {
+                break;
+            }
+        }
+        template
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use crate::{assess, induce_with, Interner};
+        use tableseg_html::lexer::{tokenize, tokenize_bytes};
+        use tableseg_sitegen::chaos::{apply_chaos, ChaosConfig};
+        use tableseg_sitegen::paper_sites;
+        use tableseg_sitegen::site::generate;
+
+        fn intern_pages(pages: &[Vec<Token>]) -> (Vec<Vec<Symbol>>, usize) {
+            let mut interner = Interner::new();
+            let streams = pages.iter().map(|p| interner.intern_tokens(p)).collect();
+            (streams, interner.len())
+        }
+
+        /// On a two-page sample the fold *is* one pair LCS, so both folds
+        /// must find the same pre-stability template length and reach the
+        /// same usability verdict. (Equal-length traces may pick different
+        /// symbols, so the stability pass can drop different anchor counts
+        /// afterwards; beyond two pages a progressive fold is trace-dependent,
+        /// which the permutation-invariance tests cover instead.)
+        #[test]
+        fn paper_site_two_page_folds_agree_with_the_oracle() {
+            for spec in paper_sites::all() {
+                let site = generate(&spec.with_page_count(2));
+                let pages: Vec<Vec<Token>> =
+                    site.pages.iter().map(|p| tokenize(&p.list_html)).collect();
+                let (streams, num_symbols) = intern_pages(&pages);
+                let (fast, fast_stats) = induce_with(&pages, &streams, num_symbols);
+                let (oracle, oracle_stats) = induce_hirschberg(&pages, &streams, num_symbols);
+                assert_eq!(
+                    fast.template.len() + fast_stats.unstable_dropped,
+                    oracle.template.len() + oracle_stats.unstable_dropped,
+                    "{}: fold LCS length diverged from the oracle",
+                    spec.name
+                );
+                assert_eq!(
+                    assess(&fast, &pages).is_usable(),
+                    assess(&oracle, &pages).is_usable(),
+                    "{}: usability verdict diverged from the oracle",
+                    spec.name
+                );
+            }
+        }
+
+        /// The fuzz seed: `PROPTEST_SEED` when set (decimal or `0x` hex), a
+        /// fixed default otherwise, so the CI seed matrix drives distinct
+        /// corpora.
+        fn base_seed() -> u64 {
+            match std::env::var("PROPTEST_SEED") {
+                Ok(raw) => match raw.strip_prefix("0x") {
+                    Some(hex) => u64::from_str_radix(hex, 16).expect("PROPTEST_SEED hex"),
+                    None => raw.parse().expect("PROPTEST_SEED u64"),
+                },
+                Err(_) => 0x7AB1E5E6,
+            }
+        }
+
+        /// Seeded fuzz: the oracle fold over chaos-mutated sites (the corpus
+        /// of `tableseg-bench`'s induction fuzz) never panics and embeds its
+        /// template validly, with strictly increasing anchors whose texts
+        /// match the template on every page.
+        #[test]
+        fn oracle_fold_embeds_validly_on_chaos_mutated_pages() {
+            let base = base_seed();
+            let specs = [
+                paper_sites::butler(),
+                paper_sites::amazon(),
+                paper_sites::ohio(),
+            ];
+            for round in 0..4u64 {
+                for (si, spec) in specs.iter().enumerate() {
+                    let seed = base
+                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                        .wrapping_add(round * 31 + si as u64);
+                    let (site, _log) =
+                        apply_chaos(&generate(spec), &ChaosConfig::uniform(0.4, seed));
+                    let pages: Vec<Vec<Token>> = site
+                        .pages
+                        .iter()
+                        .map(|p| tokenize_bytes(p.list_html.as_bytes()))
+                        .collect();
+                    let (streams, num_symbols) = intern_pages(&pages);
+                    let (ind, _) = induce_hirschberg(&pages, &streams, num_symbols);
+                    let ctx = format!("{} seed {seed:#x}", spec.name);
+                    assert_eq!(ind.anchors.len(), pages.len(), "{ctx}");
+                    for (p, anchor) in ind.anchors.iter().enumerate() {
+                        assert_eq!(anchor.len(), ind.template.len(), "{ctx}: page {p}");
+                        assert!(
+                            anchor.windows(2).all(|w| w[0] < w[1]),
+                            "{ctx}: page {p} anchors not increasing"
+                        );
+                        for (k, &pos) in anchor.iter().enumerate() {
+                            assert_eq!(
+                                pages[p][pos].text, ind.template.tokens[k].text,
+                                "{ctx}: page {p} anchor {k}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use tableseg_html::lexer::tokenize;
@@ -563,13 +641,13 @@ mod tests {
         ))
     }
 
-    /// Runs both backends over the same pages and returns (histogram,
-    /// hirschberg) inductions.
+    /// Runs the fold and the Hirschberg oracle fold over the same pages
+    /// and returns (histogram, hirschberg) inductions.
     fn both_paths(pages: &[Vec<Token>]) -> (Induction, Induction) {
         let mut interner = Interner::new();
         let streams: Vec<Vec<Symbol>> = pages.iter().map(|p| interner.intern_tokens(p)).collect();
-        let hist = induce_histogram(pages, &streams, interner.len());
-        let hirsch = induce_interned(pages, &streams, interner.len());
+        let hist = induce_with(pages, &streams, interner.len()).0;
+        let hirsch = oracle::induce_hirschberg(pages, &streams, interner.len()).0;
         (hist, hirsch)
     }
 
@@ -734,7 +812,7 @@ mod tests {
         ];
         let mut interner = Interner::new();
         let streams: Vec<Vec<Symbol>> = pages.iter().map(|p| interner.intern_tokens(p)).collect();
-        let (ind, stats) = induce_with(&pages, &streams, interner.len(), &InduceOptions::default());
+        let (ind, stats) = induce_with(&pages, &streams, interner.len());
         assert_eq!(stats.pages, 3);
         assert_eq!(stats.folds, 2, "{stats:?}");
         assert!(!ind.template.is_empty());
@@ -760,12 +838,12 @@ mod tests {
         };
         let mut interner = Interner::new();
         let streams: Vec<Vec<Symbol>> = pages.iter().map(|p| interner.intern_tokens(p)).collect();
-        let baseline = texts(&induce_histogram(&pages, &streams, interner.len()));
+        let baseline = texts(&induce_with(&pages, &streams, interner.len()).0);
         for perm in [[1, 0, 2], [2, 1, 0], [0, 2, 1], [2, 0, 1], [1, 2, 0]] {
             let p: Vec<Vec<Token>> = perm.iter().map(|&i| pages[i].clone()).collect();
             let mut interner = Interner::new();
             let s: Vec<Vec<Symbol>> = p.iter().map(|pg| interner.intern_tokens(pg)).collect();
-            let ind = induce_histogram(&p, &s, interner.len());
+            let ind = induce_with(&p, &s, interner.len()).0;
             assert_eq!(texts(&ind), baseline, "permutation {perm:?}");
         }
     }

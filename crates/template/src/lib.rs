@@ -13,8 +13,9 @@
 //! tokens".
 //!
 //! Implementation: the template is computed as the progressive longest
-//! common subsequence (LCS) of the pages' token streams, using Hirschberg's
-//! linear-space alignment ([`lcs`]) over interned token symbols
+//! common subsequence (LCS) of the pages' token streams, using the
+//! histogram-LCS core ([`histogram`], which falls back to exact dynamic
+//! programming in [`lcs`] on small windows) over interned token symbols
 //! ([`intern`]). [`induce`](fn@induce) derives the template and per-page slots;
 //! [`quality`] diagnoses degenerate templates (e.g. sites with numbered
 //! entries, where sequences like `1.` appear on every page and chop the
@@ -34,8 +35,8 @@ pub mod slot;
 
 pub use histogram::{lcs_indices_histogram, lcs_indices_histogram_stats, LcsStats};
 pub use induce::{
-    candidate_streams, induce, induce_histogram, induce_interned, induce_with, induction_count,
-    restabilize, InduceOptions, InduceStats, Induction, Template,
+    candidate_streams, induce, induce_with, induction_count, restabilize, InduceStats, Induction,
+    Template,
 };
 pub use intern::{Interner, Symbol};
 pub use quality::{assess, TemplateQuality};
