@@ -55,12 +55,19 @@ pub fn segment(html: &str) -> BaselineSegmentation {
     let mut best: Option<(Vec<&str>, Vec<usize>)> = None;
     let mut best_score = 0usize;
     for len in (1..=MAX_PATTERN.min(tags.len())).rev() {
-        let mut counts: HashMap<Vec<&str>, Vec<usize>> = HashMap::new();
+        // Patterns in order of first occurrence, so an equal-score tie goes
+        // to the earliest pattern on the page on every run.
+        let mut index: HashMap<Vec<&str>, usize> = HashMap::new();
+        let mut patterns: Vec<(Vec<&str>, Vec<usize>)> = Vec::new();
         for w in tags.windows(len) {
             let key: Vec<&str> = w.iter().map(|&(_, t)| t).collect();
-            counts.entry(key).or_default().push(w[0].0);
+            let slot = *index.entry(key.clone()).or_insert_with(|| {
+                patterns.push((key, Vec::new()));
+                patterns.len() - 1
+            });
+            patterns[slot].1.push(w[0].0);
         }
-        for (pat, starts) in counts {
+        for (pat, starts) in patterns {
             let non_overlapping = non_overlapping_count(&starts, len, &tags);
             if non_overlapping >= MIN_REPEATS {
                 let score = non_overlapping * len;
@@ -164,6 +171,18 @@ mod tests {
         let seg = segment(html);
         // It finds *something*, but not the 4 true records.
         assert_ne!(seg.len(), 4, "{seg:?}");
+    }
+
+    #[test]
+    fn tied_patterns_pick_the_same_one_every_run() {
+        // `<b></b>` and `<i></i>` both repeat three times with the same
+        // length: an exact score tie, which goes to the earlier pattern.
+        let html = "<b>x</b><b>y</b><b>z</b><i>u</i><i>v</i><i>w</i>";
+        let first = segment(html);
+        assert!(html[first.records[0].clone()].contains('x'), "{first:?}");
+        for _ in 0..32 {
+            assert_eq!(segment(html).records, first.records);
+        }
     }
 
     #[test]

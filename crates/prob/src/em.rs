@@ -12,10 +12,10 @@ use std::time::Instant;
 use tableseg_extract::{Observations, Segmentation};
 
 use crate::bootstrap;
-use crate::forward_backward::{build_chain, emissions_into, forward_backward_struct, FbWorkspace};
+use crate::forward_backward::{backward_struct, emissions_into, forward_struct, FbWorkspace};
 use crate::model::{evidence, Dims, Evidence};
 use crate::params::Params;
-use crate::viterbi::viterbi_scaled;
+use crate::viterbi::decode;
 use crate::{EmTiming, ProbOptions, ProbOutcome};
 
 /// Runs bootstrapped EM and decodes the MAP segmentation.
@@ -66,10 +66,13 @@ pub fn run(obs: &Observations, opts: &ProbOptions) -> ProbOutcome {
     }
 }
 
-/// The EM loop: emissions and posteriors live in flat arenas reused
-/// across iterations, and inference runs in scaled linear space over the
-/// transition structure read straight from the parameters, so the chain
-/// is built only for the final Viterbi decode.
+/// The EM loop: emissions and forward variables live in flat arenas
+/// reused across iterations, and inference runs in scaled linear space
+/// over the transition structure read straight from the parameters. Each
+/// iteration runs the forward sweep; the backward sweep that feeds the
+/// M-step runs only when the likelihood has not converged, so the final
+/// iteration's counts, which no M-step would read, are never computed.
+/// The MAP decode walks the same structure in log space ([`decode`]).
 fn run_scaled(
     ev: &[Evidence],
     dims: Dims,
@@ -81,24 +84,27 @@ fn run_scaled(
     let mut prev_ll = f64::NEG_INFINITY;
     let mut iterations = 0;
     // `true` while `ws.emits` matches the current `params`, so a converged
-    // loop can feed Viterbi without another emission pass.
+    // loop can feed the decode without another emission pass.
     let mut emits_fresh = false;
     for it in 0..opts.max_iterations {
         iterations = it + 1;
         let t = Instant::now();
         emissions_into(ev, params, dims, opts, &mut ws);
-        let ll = forward_backward_struct(dims, params, opts, &mut ws, ev);
+        let ll = forward_struct(dims, params, opts, &mut ws);
         emits_fresh = true;
-        timing.e_step_ns += t.elapsed().as_nanos() as u64;
 
-        // Log-likelihood-delta early exit *before* the M-step: once the
-        // likelihood has stopped moving, the extra parameter update buys
-        // nothing and would force an emission refresh for the decode.
-        if (ll - prev_ll).abs() < opts.tolerance {
-            prev_ll = ll;
+        // Log-likelihood-delta early exit *before* the backward sweep and
+        // the M-step: once the likelihood has stopped moving, the extra
+        // parameter update buys nothing and would force an emission
+        // refresh for the decode.
+        let converged = (ll - prev_ll).abs() < opts.tolerance;
+        prev_ll = ll;
+        if converged {
+            timing.e_step_ns += t.elapsed().as_nanos() as u64;
             break;
         }
-        prev_ll = ll;
+        backward_struct(dims, opts, &mut ws, ev);
+        timing.e_step_ns += t.elapsed().as_nanos() as u64;
 
         let t = Instant::now();
         params.update(
@@ -119,8 +125,7 @@ fn run_scaled(
     if !emits_fresh {
         emissions_into(ev, params, dims, opts, &mut ws);
     }
-    let chain = build_chain(dims, params, opts);
-    let path = viterbi_scaled(&chain, &ws);
+    let path = decode(dims, params, opts, &ws, ev);
     timing.viterbi_ns += t.elapsed().as_nanos() as u64;
     (prev_ll, iterations, path)
 }
@@ -128,8 +133,7 @@ fn run_scaled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forward_backward::{forward_backward, log_emissions};
-    use crate::viterbi::viterbi;
+    use crate::oracle::{build_chain, em_run, log_emissions, path_score, viterbi};
     use tableseg_extract::build_observations;
     use tableseg_html::{lexer::tokenize, Token};
 
@@ -141,60 +145,6 @@ mod tests {
         let obs = build_observations(&list_toks, &[], &refs);
         let out = run(&obs, &ProbOptions::default());
         (obs, out)
-    }
-
-    /// The log-space EM oracle: `run`'s bootstrap, then a fresh chain and
-    /// emission table every iteration with per-cell `ln`/`exp` inference
-    /// ([`forward_backward`]), the same pre-M-step early exit, and a
-    /// log-space Viterbi decode.
-    fn oracle_run(obs: &Observations, opts: &ProbOptions) -> ProbOutcome {
-        let ev = evidence(obs);
-        let k = bootstrap::num_columns(&ev);
-        let dims = Dims {
-            num_records: obs.num_records.max(1),
-            num_columns: k,
-        };
-        let mut params = Params::uniform(k, bootstrap::initial_period(&ev, k));
-        let mut prev_ll = f64::NEG_INFINITY;
-        let mut iterations = 0;
-        for it in 0..opts.max_iterations {
-            iterations = it + 1;
-            let chain = build_chain(dims, &params, opts);
-            let emits = log_emissions(&ev, &params, dims, opts);
-            let fb = forward_backward(&chain, &emits, &ev);
-            let converged = (fb.log_likelihood - prev_ll).abs() < opts.tolerance;
-            prev_ll = fb.log_likelihood;
-            if converged {
-                break;
-            }
-            params.update(
-                &fb.counts.types,
-                &fb.counts.col,
-                &fb.counts.trans,
-                &fb.counts.end,
-                &fb.counts.cont,
-            );
-        }
-        let chain = build_chain(dims, &params, opts);
-        let path = viterbi(&chain, &log_emissions(&ev, &params, dims, opts));
-        let (assignments, columns) = path
-            .iter()
-            .map(|&s| {
-                let (r, c) = dims.unpack(s);
-                (Some(r as u32), c as u32)
-            })
-            .unzip();
-        ProbOutcome {
-            segmentation: Segmentation {
-                num_records: obs.num_records,
-                assignments,
-            },
-            columns,
-            log_likelihood: prev_ll,
-            iterations,
-            period: params.pi,
-            timing: EmTiming::default(),
-        }
     }
 
     #[test]
@@ -293,7 +243,7 @@ mod tests {
         };
         let fast = run(&obs, &opts);
         assert_eq!(fast.iterations, 2);
-        let oracle = oracle_run(&obs, &opts);
+        let oracle = em_run(&obs, &opts);
         assert_eq!(oracle.iterations, 2);
         assert_eq!(fast.segmentation, oracle.segmentation);
         assert_eq!(fast.columns, oracle.columns);
@@ -341,5 +291,47 @@ mod tests {
             out.segmentation.assignments,
             vec![Some(0), Some(0), Some(1), Some(1), Some(2), Some(2)]
         );
+    }
+
+    #[test]
+    fn k1_four_record_tie_decodes_an_equal_score_path() {
+        // One column, four records, and no detail-page evidence on the last
+        // three extracts: [0, 1, 2, 3, 3] and [0, 1, 1, 2, 3] take the same
+        // three boundary edges and one fallback self-loop, so they score
+        // the same. The materialized-chain decode returned the second; the
+        // structured decode, whose boundary weights round as
+        // `ln hz + j·ln q − ln total` instead of `ln(hz·q^j/total)`,
+        // returns the first. Both are MAP paths.
+        let ev: Vec<Evidence> = [
+            (199, &[][..]),
+            (109, &[1, 3][..]),
+            (245, &[][..]),
+            (159, &[][..]),
+            (36, &[][..]),
+        ]
+        .iter()
+        .map(|&(bits, pages)| Evidence {
+            types: tableseg_html::TypeSet::from_bits(bits),
+            pages: pages.to_vec(),
+        })
+        .collect();
+        let k = bootstrap::num_columns(&ev);
+        assert_eq!(k, 1);
+        let dims = Dims {
+            num_records: 4,
+            num_columns: k,
+        };
+        let opts = ProbOptions::default();
+        let mut params = Params::uniform(k, bootstrap::initial_period(&ev, k));
+        let (_, _, path) = run_scaled(&ev, dims, &mut params, &opts, &mut EmTiming::default());
+        assert_eq!(path, vec![0, 1, 2, 3, 3]);
+
+        let chain = build_chain(dims, &params, &opts);
+        let emits = log_emissions(&ev, &params, dims, &opts);
+        let score = |p: &[usize]| path_score(&chain, &emits, p).expect("valid path");
+        let best = score(&viterbi(&chain, &emits));
+        for p in [&path[..], &[0, 1, 1, 2, 3]] {
+            assert!((score(p) - best).abs() <= 1e-9 * best.abs(), "{p:?}");
+        }
     }
 }

@@ -1,7 +1,10 @@
-//! The chain over `(R, C)` states and its forward–backward passes: the
-//! production structured pass ([`forward_backward_struct`]), which learns
-//! from the parameters directly, and the log-space pass over the
-//! materialized chain ([`forward_backward`]), its differential oracle.
+//! The structured forward–backward pass over the `(R, C)` chain, split
+//! into a forward sweep ([`forward_struct`]), which yields the
+//! log-likelihood, and a backward sweep ([`backward_struct`]), which
+//! accumulates the M-step's expected counts. Both read the transition
+//! structure from the parameters; no edge list is ever materialized. The
+//! log-space pass over the materialized chain is their differential
+//! oracle, in the crate's test suite (`tests/oracle`).
 //!
 //! This is the "variant of the forward-backward algorithm that exploits the
 //! hierarchical nature of the record segmentation problem" (Section 5.2.3):
@@ -13,169 +16,11 @@ use crate::model::{Dims, Evidence};
 use crate::params::Params;
 use crate::ProbOptions;
 
-/// Log-probability floor used for fallback transitions (and impossible
-/// record evidence). Keeps every observation sequence explainable, which is
-/// precisely the dirty-data tolerance of the probabilistic approach.
-pub(crate) const LOG_FALLBACK: f64 = -18.0; // ≈ ln(1.5e-8)
-
-/// The kind of a chain edge, used to route expected counts in the M-step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EdgeKind {
-    /// Within-record column advance `c → c'`.
-    Continue {
-        /// Source column.
-        from_c: usize,
-        /// Target column (`> from_c`).
-        to_c: usize,
-    },
-    /// Record boundary out of column `c` (target column is 0).
-    NewRecord {
-        /// Column at which the previous record ended.
-        from_c: usize,
-    },
-    /// Low-probability escape hatch (state self-loop) that keeps the chain
-    /// live when no legal move exists.
-    Fallback,
-}
-
-/// One outgoing edge: target state, log transition probability, kind.
-#[derive(Debug, Clone, Copy)]
-pub struct Edge {
-    /// Target state index.
-    pub to: usize,
-    /// Log transition probability.
-    pub logp: f64,
-    /// Edge kind.
-    pub kind: EdgeKind,
-}
-
-/// The transition structure for one parameter setting, materialized as
-/// per-state edge lists: the Viterbi decode and the log-space oracle walk
-/// it, while learning reads the same structure from the parameters
-/// ([`forward_backward_struct`]).
-#[derive(Debug, Clone)]
-pub struct Chain {
-    /// State-space dimensions.
-    pub dims: Dims,
-    /// Initial log-distribution over states (record starts).
-    pub init: Vec<f64>,
-    /// Outgoing edges per state.
-    pub edges: Vec<Vec<Edge>>,
-}
-
-/// Builds the chain for the current parameters.
-pub fn build_chain(dims: Dims, params: &Params, opts: &ProbOptions) -> Chain {
-    let nk = dims.num_records;
-    let k = dims.num_columns;
-    let mut init = vec![f64::NEG_INFINITY; dims.num_states()];
-    // The first extract starts a record: state (r, 0), geometric over
-    // skipped leading records.
-    let mut w = 1.0;
-    let mut total = 0.0;
-    for _ in 0..nk {
-        total += w;
-        w *= opts.skip_penalty;
-    }
-    let mut w = 1.0;
-    for r in 0..nk {
-        init[dims.state(r, 0)] = (w / total).ln();
-        w *= opts.skip_penalty;
-    }
-
-    let mut edges: Vec<Vec<Edge>> = Vec::with_capacity(dims.num_states());
-    for s in 0..dims.num_states() {
-        let (r, c) = dims.unpack(s);
-        let hz = params.hazard_for(c, opts.period_model);
-        let mut out = Vec::new();
-        // Continue within the record.
-        for cp in c + 1..k {
-            let p = (1.0 - hz) * params.trans[c][cp];
-            if p > 0.0 {
-                out.push(Edge {
-                    to: dims.state(r, cp),
-                    logp: p.ln(),
-                    kind: EdgeKind::Continue {
-                        from_c: c,
-                        to_c: cp,
-                    },
-                });
-            }
-        }
-        // Start a new record.
-        if r + 1 < nk {
-            let mut g = 1.0;
-            let mut total = 0.0;
-            for _ in r + 1..nk {
-                total += g;
-                g *= opts.skip_penalty;
-            }
-            let mut g = 1.0;
-            for rp in r + 1..nk {
-                let p = hz * g / total;
-                g *= opts.skip_penalty;
-                if p > 0.0 {
-                    out.push(Edge {
-                        to: dims.state(rp, 0),
-                        logp: p.ln(),
-                        kind: EdgeKind::NewRecord { from_c: c },
-                    });
-                }
-            }
-        }
-        // Escape hatch.
-        out.push(Edge {
-            to: s,
-            logp: LOG_FALLBACK,
-            kind: EdgeKind::Fallback,
-        });
-        edges.push(out);
-    }
-
-    Chain { dims, init, edges }
-}
-
-impl Params {
-    /// The record-end probability at column `c`: the π-derived duration
-    /// hazard under the period model, or the independently learned
-    /// per-column end probability without it.
-    pub fn hazard_for(&self, c: usize, period_model: bool) -> f64 {
-        if period_model {
-            self.hazard(c)
-        } else {
-            self.end_prob[c]
-        }
-    }
-}
-
-/// Log emission table: `emit[i][s] = ln P(T_i | c) + ln P(D_i | r)`.
-pub fn log_emissions(
-    evidence: &[Evidence],
-    params: &Params,
-    dims: Dims,
-    opts: &ProbOptions,
-) -> Vec<Vec<f64>> {
-    let log_eps = opts.epsilon.ln();
-    evidence
-        .iter()
-        .map(|ev| {
-            let feats = ev.features();
-            let per_col: Vec<f64> = (0..dims.num_columns)
-                .map(|c| params.emission(c, &feats).max(1e-300).ln())
-                .collect();
-            (0..dims.num_states())
-                .map(|s| {
-                    let (r, c) = dims.unpack(s);
-                    let d = if ev.on_page(r) {
-                        -(ev.pages.len() as f64).ln()
-                    } else {
-                        log_eps
-                    };
-                    per_col[c] + d
-                })
-                .collect()
-        })
-        .collect()
-}
+/// Log-probability of the fallback transitions (state self-loops), the
+/// escape hatch that keeps the chain live when no legal move exists. Keeps
+/// every observation sequence explainable, which is precisely the
+/// dirty-data tolerance of the probabilistic approach.
+pub const LOG_FALLBACK: f64 = -18.0; // ≈ ln(1.5e-8)
 
 /// Expected sufficient statistics from one E-step.
 #[derive(Debug, Clone, Default)]
@@ -193,7 +38,8 @@ pub struct Counts {
 }
 
 impl Counts {
-    fn zeros(k: usize) -> Counts {
+    /// All-zero tables for `k` columns.
+    pub fn zeros(k: usize) -> Counts {
         Counts {
             col: vec![0.0; k],
             types: vec![vec![0.0; 8]; k],
@@ -201,148 +47,6 @@ impl Counts {
             end: vec![0.0; k],
             cont: vec![0.0; k],
         }
-    }
-
-    /// Re-zeros (and, on a column-count change, re-shapes) the tables in
-    /// place, reusing their allocations across EM iterations.
-    fn reset(&mut self, k: usize) {
-        if self.col.len() != k {
-            *self = Counts::zeros(k);
-            return;
-        }
-        self.col.fill(0.0);
-        self.end.fill(0.0);
-        self.cont.fill(0.0);
-        for row in &mut self.types {
-            row.fill(0.0);
-        }
-        for row in &mut self.trans {
-            row.fill(0.0);
-        }
-    }
-}
-
-/// The result of a forward–backward pass.
-#[derive(Debug, Clone)]
-pub struct FbResult {
-    /// Log-likelihood of the evidence.
-    pub log_likelihood: f64,
-    /// State posteriors `gamma[i][s]` (linear scale, each row sums to 1).
-    pub gamma: Vec<Vec<f64>>,
-    /// Expected counts for the M-step.
-    pub counts: Counts,
-}
-
-/// Runs forward–backward, returning posteriors and expected counts.
-pub fn forward_backward(chain: &Chain, emits: &[Vec<f64>], evidence: &[Evidence]) -> FbResult {
-    let n = emits.len();
-    let ns = chain.dims.num_states();
-    let k = chain.dims.num_columns;
-    assert_eq!(n, evidence.len());
-    if n == 0 {
-        return FbResult {
-            log_likelihood: 0.0,
-            gamma: Vec::new(),
-            counts: Counts::zeros(k),
-        };
-    }
-
-    // Forward.
-    let mut alpha = vec![vec![f64::NEG_INFINITY; ns]; n];
-    for s in 0..ns {
-        alpha[0][s] = chain.init[s] + emits[0][s];
-    }
-    for i in 1..n {
-        let (prev, cur) = {
-            let (a, b) = alpha.split_at_mut(i);
-            (&a[i - 1], &mut b[0])
-        };
-        for (s, out) in chain.edges.iter().enumerate() {
-            let a = prev[s];
-            if a == f64::NEG_INFINITY {
-                continue;
-            }
-            for e in out {
-                let v = a + e.logp + emits[i][e.to];
-                cur[e.to] = log_add(cur[e.to], v);
-            }
-        }
-    }
-    let log_likelihood = log_sum(&alpha[n - 1]);
-
-    // Backward.
-    let mut beta = vec![vec![f64::NEG_INFINITY; ns]; n];
-    beta[n - 1].fill(0.0);
-    for i in (0..n - 1).rev() {
-        let (cur, next) = {
-            let (a, b) = beta.split_at_mut(i + 1);
-            (&mut a[i], &b[0])
-        };
-        for (s, out) in chain.edges.iter().enumerate() {
-            let mut acc = f64::NEG_INFINITY;
-            for e in out {
-                acc = log_add(acc, e.logp + emits[i + 1][e.to] + next[e.to]);
-            }
-            cur[s] = acc;
-        }
-    }
-
-    // Posteriors and counts.
-    let mut gamma = vec![vec![0.0; ns]; n];
-    let mut counts = Counts::zeros(k);
-    for i in 0..n {
-        let feats = evidence[i].features();
-        for s in 0..ns {
-            let lg = alpha[i][s] + beta[i][s] - log_likelihood;
-            let g = lg.exp();
-            gamma[i][s] = g;
-            if g > 0.0 {
-                let (_, c) = chain.dims.unpack(s);
-                counts.col[c] += g;
-                for (t, &on) in feats.iter().enumerate() {
-                    if on {
-                        counts.types[c][t] += g;
-                    }
-                }
-            }
-        }
-    }
-    // Edge posteriors.
-    for i in 0..n - 1 {
-        for (s, out) in chain.edges.iter().enumerate() {
-            let a = alpha[i][s];
-            if a == f64::NEG_INFINITY {
-                continue;
-            }
-            for e in out {
-                let lxi = a + e.logp + emits[i + 1][e.to] + beta[i + 1][e.to] - log_likelihood;
-                let xi = lxi.exp();
-                if xi <= 0.0 {
-                    continue;
-                }
-                match e.kind {
-                    EdgeKind::Continue { from_c, to_c } => {
-                        counts.trans[from_c][to_c] += xi;
-                        counts.cont[from_c] += xi;
-                    }
-                    EdgeKind::NewRecord { from_c } => {
-                        counts.end[from_c] += xi;
-                    }
-                    EdgeKind::Fallback => {}
-                }
-            }
-        }
-    }
-    // The last extract ends its record at its column.
-    for (s, &g) in gamma[n - 1].iter().enumerate() {
-        let (_, c) = chain.dims.unpack(s);
-        counts.end[c] += g;
-    }
-
-    FbResult {
-        log_likelihood,
-        gamma,
-        counts,
     }
 }
 
@@ -408,28 +112,6 @@ impl FbWorkspace {
         FbWorkspace::default()
     }
 
-    /// Sizes the emission and forward tables for `n` extracts, `ns` states
-    /// and `k` columns, reusing existing capacity. The structured pass
-    /// sizes its own backward row and posterior table.
-    pub fn prepare(&mut self, n: usize, ns: usize, k: usize) {
-        let cells = n * ns;
-        self.emits.clear();
-        self.emits.resize(cells, 0.0);
-        self.alpha.clear();
-        self.alpha.resize(cells, 0.0);
-        self.emit_scale.clear();
-        self.emit_scale.resize(n, 0.0);
-        self.scale.clear();
-        self.scale.resize(n, 1.0);
-        self.tmp.clear();
-        self.tmp.resize(ns, 0.0);
-        self.memo_col.clear();
-        self.memo_col.resize(MEMO_KEYS * k, 0.0);
-        self.memo_seen.clear();
-        self.memo_seen.resize(MEMO_KEYS, false);
-        self.counts.reset(k);
-    }
-
     /// Total reserved capacity of the per-extract tables, in `f64` cells —
     /// the regression-test observable for "the arena stops growing".
     pub fn table_capacity(&self) -> usize {
@@ -449,7 +131,10 @@ impl FbWorkspace {
 /// The per-column products are memoized by
 /// [`TypeSet`](tableseg_html::TypeSet) bit pattern: extracts sharing a type
 /// vector (the common case — sites reuse a handful of token shapes) pay for
-/// `params.emission` once per iteration.
+/// `params.emission` once per iteration. A row then has only `2k`
+/// distinct cells, since every record on the extract's detail pages
+/// weighs `1/|D|` and every other record `ε`; they are scaled once and
+/// copied into place, the same bits as scaling each cell.
 pub fn emissions_into(
     evidence: &[Evidence],
     params: &Params,
@@ -457,9 +142,18 @@ pub fn emissions_into(
     opts: &ProbOptions,
     ws: &mut FbWorkspace,
 ) {
-    let ns = dims.num_states();
-    let k = dims.num_columns;
-    ws.prepare(evidence.len(), ns, k);
+    let (n, k, nk) = (evidence.len(), dims.num_columns, dims.num_records);
+    let ns = nk * k;
+    // Size the emission and forward tables, reusing their capacity; every
+    // cell is written before it is read.
+    ws.emits.resize(n * ns, 0.0);
+    ws.emit_scale.resize(n, 0.0);
+    ws.alpha.resize(n * ns, 0.0);
+    ws.scale.resize(n, 1.0);
+    ws.memo_col.resize(MEMO_KEYS * k, 0.0);
+    ws.memo_seen.clear();
+    ws.memo_seen.resize(MEMO_KEYS, false);
+    let (mut on, mut off) = (vec![0.0f64; k], vec![0.0f64; k]);
     for (i, ev) in evidence.iter().enumerate() {
         let key = ev.types.bits() as usize;
         if !ws.memo_seen[key] {
@@ -471,29 +165,28 @@ pub fn emissions_into(
         }
         let per_col = &ws.memo_col[key * k..(key + 1) * k];
         let inv_pages = 1.0 / ev.pages.len().max(1) as f64;
-        let row = &mut ws.emits[i * ns..(i + 1) * ns];
+        for ((o, f), &pc) in on.iter_mut().zip(off.iter_mut()).zip(per_col) {
+            (*o, *f) = (pc * inv_pages, pc * opts.epsilon);
+        }
+        // The row maximum, over the cell values the row holds.
         let mut max = 0.0f64;
-        for r in 0..dims.num_records {
-            let w = if ev.on_page(r) {
-                inv_pages
-            } else {
-                opts.epsilon
-            };
-            for (slot, &pc) in row[r * k..(r + 1) * k].iter_mut().zip(per_col) {
-                let v = pc * w;
-                *slot = v;
-                if v > max {
-                    max = v;
-                }
-            }
+        if ev.pages.first().is_some_and(|&p| (p as usize) < nk) {
+            max = on.iter().fold(max, |m, &v| m.max(v));
+        }
+        if (0..nk).any(|r| !ev.on_page(r)) {
+            max = off.iter().fold(max, |m, &v| m.max(v));
         }
         if max > 0.0 {
-            for slot in row.iter_mut() {
-                *slot /= max;
+            for v in on.iter_mut().chain(off.iter_mut()) {
+                *v /= max;
             }
             ws.emit_scale[i] = max.ln();
         } else {
             ws.emit_scale[i] = 0.0;
+        }
+        let row = &mut ws.emits[i * ns..(i + 1) * ns];
+        for (r, cells) in row.chunks_exact_mut(k).enumerate() {
+            cells.copy_from_slice(if ev.on_page(r) { &on } else { &off });
         }
     }
 }
@@ -509,8 +202,9 @@ pub fn emissions_into(
 /// the differential tests pin the flushed pass to the log-space oracle.
 const NEGLIGIBLE: f64 = 1e-150;
 
-/// The scaled forward–backward pass computed from the transition
-/// *structure* instead of materialized edges.
+/// The scaled forward sweep of the structured E-step, computed from the
+/// transition *structure* instead of materialized edges; returns the
+/// log-likelihood.
 ///
 /// The chain's record-boundary edges are a geometric fan-out: state
 /// `(r, c)` reaches every `(r', 0)` with `r' > r` at probability
@@ -525,47 +219,30 @@ const NEGLIGIBLE: f64 = 1e-150;
 ///
 /// so the forward step costs `O(ns + nk)` for all boundary edges
 /// together, plus the `O(nk · k²)` within-record continue edges and the
-/// `O(ns)` fallback self-loops. The backward sweep uses the mirrored
-/// suffix recurrence `T(r) = tmp(r+1, 0) + q · T(r+1)`, which also
-/// collapses the per-state boundary ξ sum (all targets share `from_c`,
-/// so only the total ever reaches the M-step counts).
-///
-/// Both sweeps are fused per record. The forward step *pulls* each
-/// `(r, c′)` from its fallback term plus `Σ_{c<c′} α̂(r, c) · cont(c, c′)`
-/// in ascending `c` (the addition order of a push over source states),
-/// and runs the boundary flow, the emission multiply and the row sum in
-/// the same loop. The backward sweep keeps one β̂ row, accumulates edge
-/// counts straight into the workspace's count tables, and folds each
-/// extract's posteriors into per-column sums `col_post` as it goes; node
-/// counts then fan out to the type counts once per column. Cells below
-/// `NEGLIGIBLE` (1e-150) are flushed to zero, and the records a flush has
-/// emptied — passed records in the forward sweep, records too far ahead
-/// in the backward one — are skipped, since every product they would
-/// add is +0.0.
+/// `O(ns)` fallback self-loops. Each `(r, c′)` is *pulled* from its
+/// fallback term plus `Σ_{c<c′} α̂(r, c) · cont(c, c′)` in ascending `c`
+/// (the addition order of a push over source states), and the boundary
+/// flow, the emission multiply and the row sum run in the same loop.
+/// Cells below `NEGLIGIBLE` (1e-150) are flushed to zero after each row
+/// is normalized, and the leading records a flush has emptied are
+/// skipped, since every product they would add is +0.0.
 ///
 /// Scaling is Rabiner's: the log-likelihood is recovered from the
 /// per-step normalizers and the emission row scales,
-/// `ll = Σᵢ ln cᵢ + Σᵢ emit_scale[i]`. Algebraically identical to the
-/// log-space [`forward_backward`] on the chain built from the same
-/// `(dims, params, opts)`; floating-point results differ by summation
-/// order and the flush (the differential tests pin the agreement to
-/// 1e-9). Expects [`emissions_into`] to have filled the arena first.
-/// Expected counts land in `ws.counts`; returns the log-likelihood.
-pub fn forward_backward_struct(
+/// `ll = Σᵢ ln cᵢ + Σᵢ emit_scale[i]`. Expects [`emissions_into`] to have
+/// filled the arena first. Leaves α̂, the normalizers and the per-iteration
+/// structure tables in `ws` for [`backward_struct`].
+pub fn forward_struct(
     dims: Dims,
     params: &Params,
     opts: &ProbOptions,
     ws: &mut FbWorkspace,
-    evidence: &[Evidence],
 ) -> f64 {
-    let n = evidence.len();
-    let ns = dims.num_states();
-    let k = dims.num_columns;
-    let nk = dims.num_records;
+    let (n, k, nk) = (ws.emit_scale.len(), dims.num_columns, dims.num_records);
+    let ns = nk * k;
     let q = opts.skip_penalty;
     let fb = LOG_FALLBACK.exp();
     debug_assert_eq!(ws.emits.len(), n * ns, "emissions must be filled first");
-    ws.counts.reset(k);
     if n == 0 {
         return 0.0;
     }
@@ -574,15 +251,10 @@ pub fn forward_backward_struct(
         emit_scale,
         alpha,
         scale,
-        counts,
-        tmp,
         hz,
         cont,
         cont_t,
         skip_inv,
-        rec_flow,
-        beta_row,
-        col_post,
         ..
     } = ws;
 
@@ -609,15 +281,9 @@ pub fn forward_backward_struct(
         total = 1.0 + q * total;
         skip_inv[r] = 1.0 / total;
     }
-    rec_flow.clear();
-    rec_flow.resize(nk, 0.0);
-    beta_row.clear();
-    beta_row.resize(ns, 1.0);
-    col_post.clear();
-    col_post.resize(n * k, 0.0);
 
-    // Forward. The initial distribution is the geometric over skipped
-    // leading records, mass only at the `(r, 0)` states.
+    // The initial distribution is the geometric over skipped leading
+    // records, mass only at the `(r, 0)` states.
     let mut init_total = 0.0;
     let mut w = 1.0;
     for _ in 0..nk {
@@ -672,11 +338,66 @@ pub fn forward_backward_struct(
         scale[i] = normalize_flush(&mut cur[lo * k..], sum);
         lo = first_live_record(cur, k, nk);
     }
-    let log_likelihood: f64 =
-        scale.iter().map(|c| c.ln()).sum::<f64>() + emit_scale.iter().sum::<f64>();
+    scale.iter().map(|c| c.ln()).sum::<f64>() + emit_scale.iter().sum::<f64>()
+}
 
-    // Backward sweep with edge-posterior accumulation: with
-    // tmp[t] = b_{i+1}(t) · β̂_{i+1}(t) / c_{i+1}, both
+/// The backward sweep of the structured E-step: accumulates the M-step's
+/// expected counts into `ws.counts` from the α̂ rows, normalizers and
+/// structure tables that [`forward_struct`] left in `ws` for the same
+/// parameters. EM skips it on the iteration that converges, whose counts
+/// no M-step reads.
+///
+/// It keeps one β̂ row, accumulates edge counts straight into the count
+/// tables, and folds each extract's posteriors into per-column sums
+/// `col_post` as it goes; node counts then fan out to the type counts
+/// once per column. Boundary edges go through the suffix recurrence
+/// `T(r) = tmp(r+1, 0) + q · T(r+1)`, which also collapses the per-state
+/// boundary ξ sum (all targets share `from_c`, so only the total ever
+/// reaches the M-step counts). Cells below `NEGLIGIBLE` are flushed to
+/// zero and the trailing records a flush has emptied are skipped.
+///
+/// The two sweeps together are algebraically identical to the log-space
+/// forward–backward pass over the materialized chain of the same
+/// `(dims, params, opts)`; floating-point results differ by summation
+/// order and the flush (the differential tests pin the agreement to
+/// 1e-9).
+pub fn backward_struct(
+    dims: Dims,
+    opts: &ProbOptions,
+    ws: &mut FbWorkspace,
+    evidence: &[Evidence],
+) {
+    let (n, k, nk) = (evidence.len(), dims.num_columns, dims.num_records);
+    let ns = nk * k;
+    let q = opts.skip_penalty;
+    let fb = LOG_FALLBACK.exp();
+    debug_assert_eq!(ws.alpha.len(), n * ns, "the forward sweep must run first");
+    ws.counts = Counts::zeros(k);
+    if n == 0 {
+        return;
+    }
+    let FbWorkspace {
+        emits,
+        alpha,
+        scale,
+        counts,
+        tmp,
+        hz,
+        cont,
+        skip_inv,
+        rec_flow,
+        beta_row,
+        col_post,
+        ..
+    } = ws;
+    tmp.resize(ns, 0.0);
+    rec_flow.resize(nk, 0.0);
+    beta_row.clear();
+    beta_row.resize(ns, 1.0);
+    col_post.clear();
+    col_post.resize(n * k, 0.0);
+
+    // With tmp[t] = b_{i+1}(t) · β̂_{i+1}(t) / c_{i+1}, both
     // β̂_i(s) = Σ_e p_e · tmp[e.to] and ξ_i(s, e.to) = α̂_i(s) · p_e · tmp[e.to];
     // boundary edges go through the suffix flow T. Records from `hi` on
     // have all-zero `tmp` cells: every cell was flushed, and β̂ of a
@@ -764,8 +485,6 @@ pub fn forward_backward_struct(
             }
         }
     }
-
-    log_likelihood
 }
 
 /// The first record with a nonzero cell in one scaled row (`nk` if none).
@@ -788,28 +507,11 @@ fn normalize_flush(row: &mut [f64], sum: f64) -> f64 {
     c
 }
 
-/// `ln(e^a + e^b)` with care for negative infinity.
-#[inline]
-pub fn log_add(a: f64, b: f64) -> f64 {
-    if a == f64::NEG_INFINITY {
-        return b;
-    }
-    if b == f64::NEG_INFINITY {
-        return a;
-    }
-    let (hi, lo) = if a >= b { (a, b) } else { (b, a) };
-    hi + (lo - hi).exp().ln_1p()
-}
-
-/// `ln Σ e^xᵢ`.
-pub fn log_sum(xs: &[f64]) -> f64 {
-    xs.iter().copied().fold(f64::NEG_INFINITY, log_add)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::evidence;
+    use crate::oracle::{build_chain, forward_backward, log_add, log_emissions, log_sum, EdgeKind};
     use tableseg_extract::build_observations;
     use tableseg_html::{lexer::tokenize, Token};
 
@@ -939,6 +641,56 @@ mod tests {
                     (linear - oracle).abs() <= 1e-12 * oracle,
                     "extract {i} state {s}: {linear} vs {oracle}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn emission_rows_are_bit_identical_to_per_cell_scaling() {
+        // Drifted theta, and extracts on no detail page, on one, on
+        // several, on every record, and on a page past the last record.
+        let dims = Dims {
+            num_records: 4,
+            num_columns: 3,
+        };
+        let opts = ProbOptions::default();
+        let mut params = Params::uniform(3, vec![1.0; 3]);
+        params.theta[1] = [0.9, 0.2, 0.7, 0.1, 0.4, 0.6, 0.3, 0.8];
+        let ev: Vec<Evidence> = [&[][..], &[2], &[0, 3], &[0, 1, 2, 3], &[1, 7]]
+            .iter()
+            .enumerate()
+            .map(|(i, pages)| Evidence {
+                types: tableseg_html::TypeSet::from_bits(0b1011 << (i % 4)),
+                pages: pages.to_vec(),
+            })
+            .collect();
+        let mut ws = FbWorkspace::new();
+        emissions_into(&ev, &params, dims, &opts, &mut ws);
+        let ns = dims.num_states();
+        for (i, e) in ev.iter().enumerate() {
+            // Per cell: weigh, take the row maximum, divide.
+            let feats = e.features();
+            let inv_pages = 1.0 / e.pages.len().max(1) as f64;
+            let mut row: Vec<f64> = (0..ns)
+                .map(|s| {
+                    let (r, c) = dims.unpack(s);
+                    let w = if e.on_page(r) {
+                        inv_pages
+                    } else {
+                        opts.epsilon
+                    };
+                    params.emission(c, &feats) * w
+                })
+                .collect();
+            let max = row.iter().fold(0.0f64, |m, &v| m.max(v));
+            row.iter_mut().for_each(|v| *v /= max);
+            assert_eq!(
+                ws.emit_scale[i].to_bits(),
+                max.ln().to_bits(),
+                "extract {i}"
+            );
+            for (s, v) in row.iter().enumerate() {
+                assert_eq!(ws.emits[i * ns + s].to_bits(), v.to_bits(), "{i} {s}");
             }
         }
     }

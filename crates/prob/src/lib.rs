@@ -23,11 +23,12 @@
 //!
 //! Learning is EM with a scaled linear-space forward–backward pass that
 //! walks the chain's transition structure instead of materialized edges
-//! ([`forward_backward::forward_backward_struct`], [`em`]); the log-space
-//! pass ([`forward_backward::forward_backward`]) is its differential
-//! oracle. The final segmentation is the Viterbi MAP assignment of
-//! `(R, C)` ([`viterbi`]), which also yields the *column extraction* of
-//! Section 3.4.
+//! ([`forward_backward::forward_struct`], [`forward_backward::backward_struct`],
+//! [`em`]). The final segmentation is the MAP assignment of `(R, C)`, a
+//! max-product pass over the same structure ([`viterbi::decode`]), which
+//! also yields the *column extraction* of Section 3.4. The log-space pass
+//! over the materialized chain is the differential oracle of both, in the
+//! crate's test suite (`tests/oracle`).
 //!
 //! Unlike the CSP, impossible record assignments (`r ∉ D_i`) get a small
 //! probability ε rather than zero — this is exactly why "the probabilistic
@@ -80,11 +81,13 @@ impl Default for ProbOptions {
 /// `solve.viterbi`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EmTiming {
-    /// Emissions + forward–backward, summed over iterations.
+    /// Emissions, the forward sweep and (on iterations an M-step
+    /// follows) the backward sweep, summed over iterations.
     pub e_step_ns: u64,
     /// Parameter updates, summed over iterations.
     pub m_step_ns: u64,
-    /// Final MAP decode (including its emission refresh).
+    /// Final structured MAP decode ([`viterbi::decode`]), including its
+    /// emission refresh when the last iteration ran an M-step.
     pub viterbi_ns: u64,
 }
 
@@ -111,3 +114,11 @@ pub struct ProbOutcome {
 pub fn segment_prob(obs: &Observations, opts: &ProbOptions) -> ProbOutcome {
     em::run(obs, opts)
 }
+
+// The log-space chain oracle lives with the integration tests; the unit
+// tests include the same file, which names this crate by its package name.
+#[cfg(test)]
+extern crate self as tableseg_prob;
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;

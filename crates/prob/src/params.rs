@@ -88,6 +88,17 @@ impl Params {
         h.clamp(0.01, 0.99)
     }
 
+    /// The record-end probability at column `c`: the π-derived duration
+    /// hazard under the period model, or the independently learned
+    /// per-column end probability without it.
+    pub fn hazard_for(&self, c: usize, period_model: bool) -> f64 {
+        if period_model {
+            self.hazard(c)
+        } else {
+            self.end_prob[c]
+        }
+    }
+
     /// M-step: rebuilds parameters from expected counts (with smoothing).
     ///
     /// * `type_counts[c][t]` — expected number of extracts in column `c`

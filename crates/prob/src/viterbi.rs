@@ -1,40 +1,149 @@
 //! MAP decoding: "In the end we output the most likely assignment to R
 //! and C" (Section 5.2.3).
+//!
+//! A max-product pass over the same transition structure the E-step reads
+//! from the parameters ([`crate::forward_backward::forward_struct`]); no
+//! edge list is materialized. The log-space Viterbi decode over the
+//! materialized chain is its differential oracle, in the crate's test
+//! suite (`tests/oracle`).
 
-use crate::forward_backward::{Chain, FbWorkspace};
+use crate::forward_backward::{FbWorkspace, LOG_FALLBACK};
+use crate::model::{Dims, Evidence};
+use crate::params::Params;
+use crate::ProbOptions;
 
-/// The most likely state path through the chain given log emissions.
-/// Returns one state index per extract. Empty input yields an empty path.
-pub fn viterbi(chain: &Chain, emits: &[Vec<f64>]) -> Vec<usize> {
-    let n = emits.len();
-    if n == 0 {
+/// The most likely `(R, C)` state path given the emission arena that
+/// [`crate::forward_backward::emissions_into`] filled for the same
+/// parameters. Returns one state index per extract; empty evidence yields
+/// an empty path.
+///
+/// Scores are log-space sums over the scaled emissions; the per-row
+/// scaling shifts every path's score by the same `Σᵢ ln maxᵢ`, so the
+/// argmax path is unchanged. The chain's record-boundary fan-out from
+/// `(r, c)` to every `(r′, 0)`, `r′ > r`, weighs
+/// `ln hz(c) + (r′−r−1)·ln q − ln skip_total(r)`, so the best boundary
+/// score entering record `r′` is a running maximum:
+///
+/// ```text
+/// B(r)  = max_c δ(r, c) + ln hz(c) − ln skip_total(r)
+/// M(r′) = max(M(r′−1) + ln q, B(r′−1))
+/// ```
+///
+/// Each step therefore costs `O(nk · k²)` for the within-record continue
+/// edges plus `O(ns)` for boundaries and fallback self-loops, instead of
+/// one visit per materialized edge. No state is pruned.
+///
+/// Ties break toward the lowest source state, as a strict `>` over
+/// source states in ascending order would: continue candidates are
+/// scanned in ascending source column and the fallback self-loop last;
+/// `B` keeps the lowest column, `M` keeps the earlier record on equality,
+/// and the fallback into `(r′, 0)` wins only when strictly better.
+pub fn decode(
+    dims: Dims,
+    params: &Params,
+    opts: &ProbOptions,
+    ws: &FbWorkspace,
+    evidence: &[Evidence],
+) -> Vec<usize> {
+    let (n, k, nk) = (evidence.len(), dims.num_columns, dims.num_records);
+    let ns = nk * k;
+    if n == 0 || ns == 0 {
         return Vec::new();
     }
-    let ns = chain.dims.num_states();
+    debug_assert_eq!(ws.emits.len(), n * ns, "emissions must be filled first");
+    assert!(ns < u32::MAX as usize, "states must fit u32 backpointers");
 
-    let mut delta = vec![f64::NEG_INFINITY; ns];
-    for s in 0..ns {
-        delta[s] = chain.init[s] + emits[0][s];
+    // Log structure tables: hazards, continue weights transposed for the
+    // pull over source columns, and boundary normalizers
+    // `total[m] = Σ_{j<m} q^j`, accumulated in ascending `j`.
+    let mut hz_log = vec![0.0; k];
+    let mut cont_t = vec![f64::NEG_INFINITY; k * k];
+    for c in 0..k {
+        let hz = params.hazard_for(c, opts.period_model);
+        hz_log[c] = hz.ln();
+        for cp in c + 1..k {
+            cont_t[cp * k + c] = ((1.0 - hz) * params.trans[c][cp]).ln();
+        }
     }
-    // back[i][s] = predecessor state of s at step i.
-    let mut back = vec![vec![usize::MAX; ns]; n];
+    let q = opts.skip_penalty;
+    let q_log = q.ln();
+    let mut total = vec![0.0f64; nk + 1];
+    let mut w = 1.0;
+    for m in 0..nk {
+        total[m + 1] = total[m] + w;
+        w *= q;
+    }
+    let total_log: Vec<f64> = total.iter().map(|t| t.ln()).collect();
+
+    let mut on = vec![0.0f64; k];
+    let mut off = vec![0.0f64; k];
+    let mut delta = vec![f64::NEG_INFINITY; ns];
+    let mut next = vec![f64::NEG_INFINITY; ns];
+    // back[i * ns + s] = predecessor state of s at step i.
+    let mut back = vec![u32::MAX; n * ns];
+
+    // The first extract starts a record: state (r, 0), geometric over
+    // skipped leading records.
+    row_logs(&ws.emits[..ns], &evidence[0], k, &mut on, &mut off);
+    let mut w = 1.0;
+    for r in 0..nk {
+        let em = if evidence[0].on_page(r) { &on } else { &off };
+        delta[r * k] = (w / total[nk]).ln() + em[0];
+        w *= q;
+    }
 
     for i in 1..n {
-        let mut next = vec![f64::NEG_INFINITY; ns];
-        for (s, out) in chain.edges.iter().enumerate() {
-            let d = delta[s];
-            if d == f64::NEG_INFINITY {
-                continue;
+        let ev = &evidence[i];
+        row_logs(&ws.emits[i * ns..(i + 1) * ns], ev, k, &mut on, &mut off);
+        let back_row = &mut back[i * ns..(i + 1) * ns];
+        // M(r) and its source state.
+        let (mut m, mut m_src) = (f64::NEG_INFINITY, u32::MAX);
+        for r in 0..nk {
+            let em = if ev.on_page(r) { &on } else { &off };
+            let a = &delta[r * k..(r + 1) * k];
+            let out = &mut next[r * k..(r + 1) * k];
+            let bk = &mut back_row[r * k..(r + 1) * k];
+            let base = (r * k) as u32;
+
+            // Column 0 is entered across the record boundary, later
+            // columns by continue edges from earlier ones; the fallback
+            // self-loop comes last.
+            for cp in 0..k {
+                let (mut best, mut src) = if cp == 0 {
+                    (m + em[0], m_src)
+                } else {
+                    (f64::NEG_INFINITY, u32::MAX)
+                };
+                for (c, (&d, &lp)) in a[..cp].iter().zip(&cont_t[cp * k..]).enumerate() {
+                    let v = d + lp + em[cp];
+                    if v > best {
+                        (best, src) = (v, base + c as u32);
+                    }
+                }
+                let v = a[cp] + LOG_FALLBACK + em[cp];
+                if v > best {
+                    (best, src) = (v, base + cp as u32);
+                }
+                (out[cp], bk[cp]) = (best, src);
             }
-            for e in out {
-                let v = d + e.logp + emits[i][e.to];
-                if v > next[e.to] {
-                    next[e.to] = v;
-                    back[i][e.to] = s;
+
+            // M(r + 1) = max(M(r) + ln q, B(r)).
+            if r + 1 < nk {
+                let (mut b, mut b_c) = (f64::NEG_INFINITY, 0);
+                for (c, (&d, &h)) in a.iter().zip(&hz_log).enumerate() {
+                    let v = d + h;
+                    if v > b {
+                        (b, b_c) = (v, c);
+                    }
+                }
+                let b = b - total_log[nk - r - 1];
+                m += q_log;
+                if b > m {
+                    (m, m_src) = (b, base + b_c as u32);
                 }
             }
         }
-        delta = next;
+        std::mem::swap(&mut delta, &mut next);
     }
 
     // Best final state (ties broken toward the lowest state index, which is
@@ -51,79 +160,41 @@ pub fn viterbi(chain: &Chain, emits: &[Vec<f64>]) -> Vec<usize> {
     let mut path = vec![0usize; n];
     path[n - 1] = best_s;
     for i in (1..n).rev() {
-        let prev = back[i][path[i]];
-        debug_assert_ne!(prev, usize::MAX, "broken backpointer at {i}");
-        path[i - 1] = prev;
+        let prev = back[i * ns + path[i]];
+        debug_assert_ne!(prev, u32::MAX, "broken backpointer at {i}");
+        path[i - 1] = prev as usize;
     }
     path
 }
 
-/// [`viterbi`] over the scaled linear emission arena of an
-/// [`FbWorkspace`]. The per-row scaling shifts every path's score by the
-/// same `Σᵢ ln maxᵢ`, so the argmax path is unchanged.
-pub fn viterbi_scaled(chain: &Chain, ws: &FbWorkspace) -> Vec<usize> {
-    let ns = chain.dims.num_states();
-    if ns == 0 || ws.emits.is_empty() {
-        return Vec::new();
-    }
-    let n = ws.emits.len() / ns;
-
-    let mut row_log = vec![0.0f64; ns];
-    for (t, slot) in row_log.iter_mut().enumerate() {
-        *slot = ws.emits[t].ln();
-    }
-    let mut delta: Vec<f64> = (0..ns).map(|s| chain.init[s] + row_log[s]).collect();
-    // back[i * ns + s] = predecessor state of s at step i.
-    let mut back = vec![usize::MAX; n * ns];
-    let mut next = vec![f64::NEG_INFINITY; ns];
-
-    for i in 1..n {
-        for (t, slot) in row_log.iter_mut().enumerate() {
-            *slot = ws.emits[i * ns + t].ln();
+/// The `ln` of one scaled emission row, read from its `2k` distinct
+/// values. Cell `(r, c)` of a row is `P(T | c) · w / max`, where the
+/// record weight `w` is `1/|D|` on the extract's detail pages and `ε`
+/// off them, so every on-page record shares one column vector and every
+/// off-page record another. Fills `on` from the first on-page record's
+/// cells and `off` from the first off-page record's (the same bits as a
+/// per-cell `ln`).
+pub(crate) fn row_logs(row: &[f64], ev: &Evidence, k: usize, on: &mut [f64], off: &mut [f64]) {
+    let nk = row.len() / k;
+    let ln_of = |dst: &mut [f64], r: usize| {
+        for (d, &x) in dst.iter_mut().zip(&row[r * k..(r + 1) * k]) {
+            *d = x.ln();
         }
-        next.fill(f64::NEG_INFINITY);
-        for (s, out) in chain.edges.iter().enumerate() {
-            let d = delta[s];
-            if d == f64::NEG_INFINITY {
-                continue;
-            }
-            for e in out {
-                let v = d + e.logp + row_log[e.to];
-                if v > next[e.to] {
-                    next[e.to] = v;
-                    back[i * ns + e.to] = s;
-                }
-            }
-        }
-        std::mem::swap(&mut delta, &mut next);
+    };
+    if let Some(r) = ev.pages.iter().map(|&p| p as usize).find(|&r| r < nk) {
+        ln_of(on, r);
     }
-
-    let mut best_s = 0;
-    let mut best = f64::NEG_INFINITY;
-    for (s, &d) in delta.iter().enumerate() {
-        if d > best {
-            best = d;
-            best_s = s;
-        }
+    if let Some(r) = (0..nk).find(|&r| !ev.on_page(r)) {
+        ln_of(off, r);
     }
-
-    let mut path = vec![0usize; n];
-    path[n - 1] = best_s;
-    for i in (1..n).rev() {
-        let prev = back[i * ns + path[i]];
-        debug_assert_ne!(prev, usize::MAX, "broken backpointer at {i}");
-        path[i - 1] = prev;
-    }
-    path
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forward_backward::build_chain;
-    use crate::model::Dims;
-    use crate::params::Params;
-    use crate::ProbOptions;
+    use crate::forward_backward::emissions_into;
+    use crate::oracle::{build_chain, log_emissions, path_score, viterbi, Chain};
+    use tableseg_html::TypeSet;
 
     fn chain2x2() -> Chain {
         let dims = Dims {
@@ -190,5 +261,131 @@ mod tests {
         // should reach it; path must exist regardless.
         assert_eq!(path.len(), 2);
         assert_eq!(path[1], dims.state(1, 1));
+    }
+
+    fn ev(bits: u8, pages: &[u32]) -> Evidence {
+        Evidence {
+            types: TypeSet::from_bits(bits),
+            pages: pages.to_vec(),
+        }
+    }
+
+    /// The production emission fill and structured decode.
+    fn decode_with(ev: &[Evidence], dims: Dims, params: &Params, opts: &ProbOptions) -> Vec<usize> {
+        let mut ws = FbWorkspace::new();
+        emissions_into(ev, params, dims, opts, &mut ws);
+        decode(dims, params, opts, &ws, ev)
+    }
+
+    #[test]
+    fn row_logs_are_bit_identical_to_per_cell_ln() {
+        let dims = Dims {
+            num_records: 5,
+            num_columns: 3,
+        };
+        let opts = ProbOptions::default();
+        let mut params = Params::uniform(3, vec![1.0; 3]);
+        params.theta[0] = [0.9, 0.2, 0.7, 0.1, 0.4, 0.6, 0.3, 0.8];
+        params.theta[2] = [0.05, 0.95, 0.5, 0.5, 0.25, 0.75, 0.6, 0.4];
+        // No detail page, one, several, every record.
+        let evs = [
+            ev(0b1011, &[]),
+            ev(0b1, &[0]),
+            ev(0b110, &[1, 3]),
+            ev(0xff, &[0, 1, 2, 3, 4]),
+            ev(0b1_0000, &[4]),
+        ];
+        let mut ws = FbWorkspace::new();
+        emissions_into(&evs, &params, dims, &opts, &mut ws);
+        let (ns, k) = (dims.num_states(), dims.num_columns);
+        let (mut on, mut off) = (vec![0.0; k], vec![0.0; k]);
+        for (i, e) in evs.iter().enumerate() {
+            let row = &ws.emits[i * ns..(i + 1) * ns];
+            row_logs(row, e, k, &mut on, &mut off);
+            for r in 0..dims.num_records {
+                let logs = if e.on_page(r) { &on } else { &off };
+                for c in 0..k {
+                    assert_eq!(
+                        logs[c].to_bits(),
+                        row[r * k + c].ln().to_bits(),
+                        "extract {i} record {r} column {c}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn forced_ties_decode_the_oracle_path() {
+        // Columns 1 and 2 share their emission row, their end probability
+        // and their continue row (all mass on column 3), and column 0
+        // reaches both at the same weight. So the paths through (0,1) and
+        // (0,2) score exactly equal in both arithmetics, and the lower
+        // source column must win the tie: into (0,3) over a continue edge,
+        // and into (1,0) over the record boundary.
+        let dims = Dims {
+            num_records: 2,
+            num_columns: 4,
+        };
+        let opts = ProbOptions {
+            period_model: false,
+            ..ProbOptions::default()
+        };
+        let mut params = Params::uniform(4, vec![1.0; 4]);
+        let rest = [0.5; 5];
+        let theta_row = |hot: usize| {
+            let mut row = [0.1; 8];
+            row[hot] = 0.9;
+            row[3..].copy_from_slice(&rest);
+            row
+        };
+        params.theta = vec![theta_row(0), theta_row(1), theta_row(1), theta_row(2)];
+        params.trans = vec![
+            vec![0.0, 0.4, 0.4, 0.2],
+            vec![0.0, 0.0, 0.0, 1.0],
+            vec![0.0, 0.0, 0.0, 1.0],
+            vec![0.0; 4],
+        ];
+        params.end_prob = vec![0.1, 0.2, 0.2, 0.9];
+        let s = |r, c| dims.state(r, c);
+        let cases = [(ev(0b100, &[0]), s(0, 3)), (ev(0b001, &[1]), s(1, 0))];
+        for (last, end) in cases {
+            let evs = [ev(0b001, &[0]), ev(0b010, &[0]), last];
+            let chain = build_chain(dims, &params, &opts);
+            let emits = log_emissions(&evs, &params, dims, &opts);
+            let (via1, via2) = ([s(0, 0), s(0, 1), end], [s(0, 0), s(0, 2), end]);
+            let score = |p: &[usize]| path_score(&chain, &emits, p).expect("valid path");
+            assert_eq!(score(&via1).to_bits(), score(&via2).to_bits(), "no tie");
+            let oracle = viterbi(&chain, &emits);
+            assert_eq!(oracle, via1);
+            assert_eq!(decode_with(&evs, dims, &params, &opts), oracle);
+        }
+    }
+
+    #[test]
+    fn decode_matches_the_oracle_on_small_pages() {
+        let dims = Dims {
+            num_records: 3,
+            num_columns: 2,
+        };
+        let opts = ProbOptions::default();
+        let params = Params::uniform(2, vec![1.0, 1.0]);
+        let evs = [
+            ev(0b011, &[0]),
+            ev(0b100, &[0]),
+            ev(0b011, &[1]),
+            ev(0b100, &[1, 2]),
+            ev(0b011, &[]),
+        ];
+        let chain = build_chain(dims, &params, &opts);
+        let emits = log_emissions(&evs, &params, dims, &opts);
+        for n in 0..=evs.len() {
+            let oracle = viterbi(&chain, &emits[..n]);
+            assert_eq!(
+                decode_with(&evs[..n], dims, &params, &opts),
+                oracle,
+                "{n} extracts"
+            );
+        }
     }
 }

@@ -1,13 +1,17 @@
-//! Property tests for the probabilistic model: posterior normalization,
-//! Viterbi validity and EM numeric health on random evidence.
+//! Property tests for the probabilistic model: posterior normalization
+//! of the log-space oracle, validity of the structured MAP decode and EM
+//! numeric health on random evidence.
+
+mod oracle;
 
 use proptest::prelude::*;
 
+use oracle::{build_chain, forward_backward, log_emissions};
 use tableseg_html::TypeSet;
-use tableseg_prob::forward_backward::{build_chain, forward_backward, log_emissions};
+use tableseg_prob::forward_backward::{emissions_into, FbWorkspace};
 use tableseg_prob::model::{Dims, Evidence};
 use tableseg_prob::params::Params;
-use tableseg_prob::viterbi::viterbi;
+use tableseg_prob::viterbi::decode;
 use tableseg_prob::ProbOptions;
 
 fn arb_evidence(num_records: usize) -> impl Strategy<Value = Vec<Evidence>> {
@@ -53,16 +57,18 @@ proptest! {
         prop_assert!((col_mass - ev.len() as f64).abs() < 1e-6);
     }
 
-    /// Every Viterbi step follows an existing chain edge (or the initial
-    /// distribution), and the path length matches the evidence.
+    /// Every step of the structured decode follows an existing chain edge
+    /// (or the initial distribution), and the path length matches the
+    /// evidence.
     #[test]
     fn viterbi_path_is_structurally_valid(ev in arb_evidence(3)) {
         let dims = Dims { num_records: 3, num_columns: 3 };
         let params = Params::uniform(3, vec![1.0; 3]);
         let opts = ProbOptions::default();
         let chain = build_chain(dims, &params, &opts);
-        let emits = log_emissions(&ev, &params, dims, &opts);
-        let path = viterbi(&chain, &emits);
+        let mut ws = FbWorkspace::new();
+        emissions_into(&ev, &params, dims, &opts, &mut ws);
+        let path = decode(dims, &params, &opts, &ws, &ev);
         prop_assert_eq!(path.len(), ev.len());
         // First state is a legal start.
         prop_assert!(chain.init[path[0]].is_finite());

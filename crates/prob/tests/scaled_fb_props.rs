@@ -1,19 +1,21 @@
-//! Differential property tests for the scaled linear-space inference
-//! paths against the log-space oracle: the production structured E-step
-//! (`emissions_into` + `forward_backward_struct`, negligible-mass flush
-//! included) and `viterbi_scaled`; plus the arena-reuse regression of the
-//! workspace.
+//! Differential property tests for the production structured passes
+//! against the log-space chain oracle (`tests/oracle`): the E-step
+//! (`emissions_into` + `forward_struct` + `backward_struct`,
+//! negligible-mass flush included) and the MAP `decode`; plus the
+//! arena-reuse regression of the workspace.
+
+mod oracle;
 
 use proptest::prelude::*;
 
+use oracle::{build_chain, forward_backward, log_emissions, path_score, viterbi, FbResult};
 use tableseg_html::TypeSet;
 use tableseg_prob::forward_backward::{
-    build_chain, emissions_into, forward_backward, forward_backward_struct, log_emissions, Counts,
-    FbResult, FbWorkspace,
+    backward_struct, emissions_into, forward_struct, Counts, FbWorkspace,
 };
 use tableseg_prob::model::{Dims, Evidence};
 use tableseg_prob::params::Params;
-use tableseg_prob::viterbi::{viterbi, viterbi_scaled};
+use tableseg_prob::viterbi::decode;
 use tableseg_prob::ProbOptions;
 
 fn arb_evidence(num_records: usize) -> impl Strategy<Value = Vec<Evidence>> {
@@ -83,6 +85,21 @@ fn drifted_params(ev: &[Evidence], dims: Dims, opts: &ProbOptions) -> Params {
     params
 }
 
+/// The production E-step: emissions, the forward sweep, then the backward
+/// sweep; returns the log-likelihood.
+fn struct_e_step(
+    ev: &[Evidence],
+    dims: Dims,
+    params: &Params,
+    opts: &ProbOptions,
+    ws: &mut FbWorkspace,
+) -> f64 {
+    emissions_into(ev, params, dims, opts, ws);
+    let ll = forward_struct(dims, params, opts, ws);
+    backward_struct(dims, opts, ws, ev);
+    ll
+}
+
 /// Runs the production structured pass and the log-space oracle on the
 /// same parameters; returns the structured workspace and the first
 /// mismatch, if any.
@@ -96,8 +113,7 @@ fn struct_vs_oracle(
     let emits = log_emissions(ev, params, dims, opts);
     let fb = forward_backward(&chain, &emits, ev);
     let mut ws = FbWorkspace::new();
-    emissions_into(ev, params, dims, opts, &mut ws);
-    let ll = forward_backward_struct(dims, params, opts, &mut ws, ev);
+    let ll = struct_e_step(ev, dims, params, opts, &mut ws);
     let mismatch = counts_mismatch(ll, &ws.counts, &fb);
     (ws, mismatch)
 }
@@ -121,12 +137,13 @@ proptest! {
         prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
     }
 
-    /// The scaled Viterbi decodes a MAP path of the same score as the
-    /// log-space one. (Per-row emission scaling shifts every path's score
-    /// equally, so the argmax set is unchanged — but distinct paths can
-    /// tie exactly, and the ~1e-16 rounding difference between linear
-    /// products and log sums may break such ties differently. Scores are
-    /// compared, not indices.)
+    /// The structured decode returns a MAP path: every step follows an
+    /// oracle-chain edge, and the path's score under the oracle chain is
+    /// within 1e-9 of the log-space Viterbi path's, on uniform and on
+    /// EM-drifted parameters. (Distinct paths can tie exactly, and the
+    /// decode's boundary weights `ln hz + j·ln q − ln total` round
+    /// differently from the chain's `ln(hz·q^j/total)`, so such ties may
+    /// break differently. Scores are compared, not indices.)
     #[test]
     fn scaled_viterbi_matches_log_space(ev in arb_evidence(3), drift in any::<bool>()) {
         let dims = Dims { num_records: 3, num_columns: 3 };
@@ -142,21 +159,12 @@ proptest! {
 
         let mut ws = FbWorkspace::new();
         emissions_into(&ev, &params, dims, &opts, &mut ws);
-        let scaled_path = viterbi_scaled(&chain, &ws);
-        prop_assert_eq!(scaled_path.len(), log_path.len());
-        let score = |path: &[usize]| -> f64 {
-            let mut s = chain.init[path[0]] + emits[0][path[0]];
-            for (i, w) in path.windows(2).enumerate() {
-                let e = chain.edges[w[0]]
-                    .iter()
-                    .find(|e| e.to == w[1])
-                    .expect("path follows chain edges");
-                s += e.logp + emits[i + 1][w[1]];
-            }
-            s
-        };
-        let (a, b) = (score(&scaled_path), score(&log_path));
-        prop_assert!(close(a, b), "scaled path scores {a}, log path {b}");
+        let path = decode(dims, &params, &opts, &ws, &ev);
+        prop_assert_eq!(path.len(), log_path.len());
+        let a = path_score(&chain, &emits, &path);
+        prop_assert!(a.is_some(), "decoded path {:?} leaves the chain", path);
+        let (a, b) = (a.unwrap(), path_score(&chain, &emits, &log_path).unwrap());
+        prop_assert!(close(a, b), "decoded path scores {a}, log path {b}");
     }
 
     /// The workspace arenas stop growing after the first iteration: EM
@@ -168,8 +176,7 @@ proptest! {
         let mut params = Params::uniform(3, vec![1.0; 3]);
         let mut ws = FbWorkspace::new();
 
-        emissions_into(&ev, &params, dims, &opts, &mut ws);
-        forward_backward_struct(dims, &params, &opts, &mut ws, &ev);
+        struct_e_step(&ev, dims, &params, &opts, &mut ws);
         let cap_after_first = ws.table_capacity();
         for _ in 0..5 {
             params.update(
@@ -179,8 +186,7 @@ proptest! {
                 &ws.counts.end,
                 &ws.counts.cont,
             );
-            emissions_into(&ev, &params, dims, &opts, &mut ws);
-            forward_backward_struct(dims, &params, &opts, &mut ws, &ev);
+            struct_e_step(&ev, dims, &params, &opts, &mut ws);
             prop_assert_eq!(ws.table_capacity(), cap_after_first, "arena grew");
         }
     }
@@ -237,12 +243,12 @@ fn empty_sequence_edge_case() {
     let params = Params::uniform(2, vec![1.0, 1.0]);
     let chain = build_chain(dims, &params, &opts);
     let mut ws = FbWorkspace::new();
-    emissions_into(&[], &params, dims, &opts, &mut ws);
-    let ll = forward_backward_struct(dims, &params, &opts, &mut ws, &[]);
+    let ll = struct_e_step(&[], dims, &params, &opts, &mut ws);
     assert_eq!(ll, 0.0);
-    assert!(viterbi_scaled(&chain, &ws).is_empty());
+    assert!(decode(dims, &params, &opts, &ws, &[]).is_empty());
     let fb = forward_backward(&chain, &[], &[]);
     assert_eq!(fb.log_likelihood, 0.0);
+    assert!(viterbi(&chain, &[]).is_empty());
 }
 
 #[test]
@@ -270,11 +276,13 @@ fn single_state_edge_case() {
     let fb = forward_backward(&chain, &emits, &ev);
 
     let mut ws = FbWorkspace::new();
-    emissions_into(&ev, &params, dims, &opts, &mut ws);
-    let ll = forward_backward_struct(dims, &params, &opts, &mut ws, &ev);
+    let ll = struct_e_step(&ev, dims, &params, &opts, &mut ws);
     let mismatch = counts_mismatch(ll, &ws.counts, &fb);
     assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
     // Both extracts sit in the one state with posterior 1.
     assert!(close(ws.counts.col[0], 2.0), "{:?}", ws.counts.col);
-    assert_eq!(viterbi_scaled(&chain, &ws), viterbi(&chain, &emits));
+    assert_eq!(
+        decode(dims, &params, &opts, &ws, &ev),
+        viterbi(&chain, &emits)
+    );
 }
