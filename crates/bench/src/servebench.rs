@@ -61,6 +61,9 @@ pub struct ServeBench {
     pub sites: usize,
     /// List pages across the corpus.
     pub pages: usize,
+    /// Kept extracts across the served corpus, counted from the first
+    /// cold pass's responses (one byte offset per kept extract).
+    pub extracts: usize,
     /// Cold requests issued.
     pub cold_requests: usize,
     /// Warm requests issued.
@@ -142,13 +145,21 @@ pub fn run_serve_bench(cfg: &ServeBenchConfig) -> ServeBench {
     // Cold phase: invalidate-then-segment, serially, so every latency
     // sample pays the full front end.
     let mut cold_us: Vec<u64> = Vec::new();
-    for _ in 0..cfg.rounds.max(1) {
+    let mut extracts = 0;
+    for round in 0..cfg.rounds.max(1) {
         for (_, request) in corpus.iter() {
             client::invalidate(addr, &request.site).expect("invalidate");
             let started = Instant::now();
             let resp = client::segment(addr, request, None, true).expect("cold segment");
             cold_us.push(started.elapsed().as_micros() as u64);
             assert_eq!(resp.cache, "cold", "post-invalidation request must be cold");
+            if round == 0 {
+                extracts += resp
+                    .page_results
+                    .iter()
+                    .map(|p| p.offsets.len())
+                    .sum::<usize>();
+            }
         }
     }
 
@@ -199,6 +210,7 @@ pub fn run_serve_bench(cfg: &ServeBenchConfig) -> ServeBench {
     ServeBench {
         sites,
         pages,
+        extracts,
         cold_requests,
         warm_requests,
         cold_p50_us,
@@ -214,7 +226,7 @@ pub fn run_serve_bench(cfg: &ServeBenchConfig) -> ServeBench {
 /// Renders `BENCH_serve.json`.
 pub fn render_json(cfg: &ServeBenchConfig, bench: &ServeBench) -> String {
     let mut j = BenchJson::new("serve");
-    j.corpus(bench.sites, bench.pages, 0)
+    j.corpus(bench.sites, bench.pages, bench.extracts)
         .field("rounds", cfg.rounds)
         .field("clients", cfg.clients)
         .field("batch_threads", cfg.batch_threads)
@@ -252,6 +264,25 @@ mod tests {
             assert_eq!(request.targets.len(), site.pages.len());
             assert!(!request.list_pages.is_empty());
         }
+    }
+
+    #[test]
+    fn report_counts_the_served_corpus_kept_extracts() {
+        let cfg = ServeBenchConfig {
+            secs: 0.1,
+            clients: 1,
+            rounds: 1,
+            batch_threads: 1,
+            workers: 1,
+        };
+        let bench = run_serve_bench(&cfg);
+        let solved: usize = crate::solvebench::corpus()
+            .iter()
+            .map(|f| f.observations.len())
+            .sum();
+        assert_eq!(bench.extracts, solved);
+        let json = render_json(&cfg, &bench);
+        assert!(json.contains(&format!("\"extracts\": {solved} ")), "{json}");
     }
 
     #[test]

@@ -103,7 +103,7 @@ fn run_scaled(
             timing.e_step_ns += t.elapsed().as_nanos() as u64;
             break;
         }
-        backward_struct(dims, opts, &mut ws, ev);
+        backward_struct(dims, params, opts, &mut ws, ev);
         timing.e_step_ns += t.elapsed().as_nanos() as u64;
 
         let t = Instant::now();

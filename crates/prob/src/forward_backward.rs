@@ -12,8 +12,11 @@
 //! record-boundary transitions, which constrains the structure of the chain
 //! and keeps inference linear in the number of extracts.
 
+use tableseg_html::TokenType;
+
 use crate::model::{Dims, Evidence};
 use crate::params::Params;
+use crate::width::{with_width, Width};
 use crate::ProbOptions;
 
 /// Log-probability of the fallback transitions (state self-loops), the
@@ -80,16 +83,9 @@ pub struct FbWorkspace {
     /// Memo occupancy: `memo_seen[key]` is `true` once `memo_col`'s row for
     /// `key` holds the current iteration's parameters.
     memo_seen: Vec<bool>,
-    /// Scratch for the structured pass: per-column hazard `hz(c)`.
-    hz: Vec<f64>,
-    /// Scratch: continue weights `(1 − hz(c)) · trans[c][c']`, row-major
-    /// `k × k` (`cont[c * k + c']`).
-    cont: Vec<f64>,
-    /// Scratch: `cont` transposed (`cont_t[c' * k + c]`), so the forward
-    /// pull over source columns reads one contiguous row.
-    cont_t: Vec<f64>,
     /// Scratch: `1 / Σ_{j<nk−r−1} q^j` per source record (0 for the last
-    /// record, which has no record-boundary edges).
+    /// record, which has no record-boundary edges); the forward sweep
+    /// fills it and the backward sweep reads it.
     skip_inv: Vec<f64>,
     /// Scratch: the backward sweep's record-boundary term per source
     /// record, `skip_inv(r) · T(r)` with `T` the suffix flow.
@@ -134,7 +130,9 @@ impl FbWorkspace {
 /// `params.emission` once per iteration. A row then has only `2k`
 /// distinct cells, since every record on the extract's detail pages
 /// weighs `1/|D|` and every other record `ε`; they are scaled once and
-/// copied into place, the same bits as scaling each cell.
+/// copied into place, the same bits as scaling each cell. Which records
+/// are on the pages comes from one cursor over the sorted pages, not a
+/// lookup per record.
 pub fn emissions_into(
     evidence: &[Evidence],
     params: &Params,
@@ -173,7 +171,9 @@ pub fn emissions_into(
         if ev.pages.first().is_some_and(|&p| (p as usize) < nk) {
             max = on.iter().fold(max, |m, &v| m.max(v));
         }
-        if (0..nk).any(|r| !ev.on_page(r)) {
+        // Some record is off the pages unless all `nk` lie among the
+        // (distinct, sorted) pages.
+        if ev.pages.partition_point(|&p| (p as usize) < nk) < nk {
             max = off.iter().fold(max, |m, &v| m.max(v));
         }
         if max > 0.0 {
@@ -185,8 +185,8 @@ pub fn emissions_into(
             ws.emit_scale[i] = 0.0;
         }
         let row = &mut ws.emits[i * ns..(i + 1) * ns];
-        for (r, cells) in row.chunks_exact_mut(k).enumerate() {
-            cells.copy_from_slice(if ev.on_page(r) { &on } else { &off });
+        for (cells, on_page) in row.chunks_exact_mut(k).zip(ev.on_pages(nk)) {
+            cells.copy_from_slice(if on_page { &on } else { &off });
         }
     }
 }
@@ -201,6 +201,32 @@ pub fn emissions_into(
 /// every paper page's EM outcome to the bit with the flush in place, and
 /// the differential tests pin the flushed pass to the log-space oracle.
 const NEGLIGIBLE: f64 = 1e-150;
+
+/// The per-iteration transition structure the three kernels read from
+/// the parameters: one row per source column, `[f64; K]` at a fixed
+/// width.
+pub(crate) struct Structure<W: Width> {
+    /// Record-end hazards `hz(c)`.
+    pub(crate) hz: W::Row,
+    /// Continue weights `cont[c][c′] = (1 − hz(c)) · trans[c][c′]` for
+    /// `c′ > c`, zero elsewhere.
+    pub(crate) cont: W::Table,
+}
+
+impl<W: Width> Structure<W> {
+    pub(crate) fn new(w: W, params: &Params, opts: &ProbOptions) -> Structure<W> {
+        let k = w.k();
+        let mut hz = w.row(0.0);
+        let mut cont = w.table(0.0);
+        for c in 0..k {
+            hz[c] = params.hazard_for(c, opts.period_model);
+            for cp in c + 1..k {
+                cont[c][cp] = (1.0 - hz[c]) * params.trans[c][cp];
+            }
+        }
+        Structure { hz, cont }
+    }
+}
 
 /// The scaled forward sweep of the structured E-step, computed from the
 /// transition *structure* instead of materialized edges; returns the
@@ -227,18 +253,33 @@ const NEGLIGIBLE: f64 = 1e-150;
 /// is normalized, and the leading records a flush has emptied are
 /// skipped, since every product they would add is +0.0.
 ///
+/// The kernel runs at the page's column count through
+/// [`with_width!`](crate::width): a compile-time width up to
+/// [`MAX_FIXED_WIDTH`](crate::width::MAX_FIXED_WIDTH), the same source at
+/// a runtime width above it.
+///
 /// Scaling is Rabiner's: the log-likelihood is recovered from the
 /// per-step normalizers and the emission row scales,
 /// `ll = Σᵢ ln cᵢ + Σᵢ emit_scale[i]`. Expects [`emissions_into`] to have
-/// filled the arena first. Leaves α̂, the normalizers and the per-iteration
-/// structure tables in `ws` for [`backward_struct`].
+/// filled the arena first. Leaves α̂, the normalizers and the skip
+/// normalizers in `ws` for [`backward_struct`].
 pub fn forward_struct(
     dims: Dims,
     params: &Params,
     opts: &ProbOptions,
     ws: &mut FbWorkspace,
 ) -> f64 {
-    let (n, k, nk) = (ws.emit_scale.len(), dims.num_columns, dims.num_records);
+    with_width!(dims.num_columns, w => forward_kernel(w, dims.num_records, params, opts, ws))
+}
+
+fn forward_kernel<W: Width>(
+    w: W,
+    nk: usize,
+    params: &Params,
+    opts: &ProbOptions,
+    ws: &mut FbWorkspace,
+) -> f64 {
+    let (n, k) = (ws.emit_scale.len(), w.k());
     let ns = nk * k;
     let q = opts.skip_penalty;
     let fb = LOG_FALLBACK.exp();
@@ -251,26 +292,18 @@ pub fn forward_struct(
         emit_scale,
         alpha,
         scale,
-        hz,
-        cont,
-        cont_t,
         skip_inv,
         ..
     } = ws;
 
-    // Per-iteration structure tables: hazards, continue weights (both
-    // orientations), inverse skip normalizers.
-    hz.clear();
-    hz.extend((0..k).map(|c| params.hazard_for(c, opts.period_model)));
-    cont.clear();
-    cont.resize(k * k, 0.0);
-    cont_t.clear();
-    cont_t.resize(k * k, 0.0);
+    // Per-iteration structure tables: hazards, continue weights transposed
+    // (so the pull over source columns reads one row), inverse skip
+    // normalizers.
+    let Structure { hz, cont } = Structure::new(w, params, opts);
+    let mut cont_t = w.table(0.0);
     for c in 0..k {
         for cp in c + 1..k {
-            let w = (1.0 - hz[c]) * params.trans[c][cp];
-            cont[c * k + cp] = w;
-            cont_t[cp * k + c] = w;
+            cont_t[cp][c] = cont[c][cp];
         }
     }
     skip_inv.clear();
@@ -285,17 +318,17 @@ pub fn forward_struct(
     // The initial distribution is the geometric over skipped leading
     // records, mass only at the `(r, 0)` states.
     let mut init_total = 0.0;
-    let mut w = 1.0;
+    let mut weight = 1.0;
     for _ in 0..nk {
-        init_total += w;
-        w *= q;
+        init_total += weight;
+        weight *= q;
     }
     let first = &mut alpha[..ns];
     first.fill(0.0);
-    let mut w = 1.0;
+    let mut weight = 1.0;
     for r in 0..nk {
-        first[r * k] = w / init_total * emits[r * k];
-        w *= q;
+        first[r * k] = weight / init_total * emits[r * k];
+        weight *= q;
     }
     let sum = first.iter().sum();
     scale[0] = normalize_flush(first, sum);
@@ -322,7 +355,7 @@ pub fn forward_struct(
             sum += v;
             for cp in 1..k {
                 let mut acc = a[cp] * fb;
-                for (&x, &wt) in a[..cp].iter().zip(&cont_t[cp * k..cp * k + cp]) {
+                for (&x, &wt) in a[..cp].iter().zip(cont_t[cp].as_ref()) {
                     acc += x * wt;
                 }
                 let v = acc * em[cp];
@@ -330,8 +363,8 @@ pub fn forward_struct(
                 sum += v;
             }
             let mut boundary = 0.0;
-            for (&x, &h) in a.iter().zip(hz.iter()) {
-                boundary += x * h;
+            for c in 0..k {
+                boundary += a[c] * hz[c];
             }
             flow = q * flow + boundary * skip_inv[r];
         }
@@ -343,18 +376,23 @@ pub fn forward_struct(
 
 /// The backward sweep of the structured E-step: accumulates the M-step's
 /// expected counts into `ws.counts` from the α̂ rows, normalizers and
-/// structure tables that [`forward_struct`] left in `ws` for the same
+/// skip normalizers that [`forward_struct`] left in `ws` for the same
 /// parameters. EM skips it on the iteration that converges, whose counts
 /// no M-step reads.
 ///
-/// It keeps one β̂ row, accumulates edge counts straight into the count
-/// tables, and folds each extract's posteriors into per-column sums
-/// `col_post` as it goes; node counts then fan out to the type counts
-/// once per column. Boundary edges go through the suffix recurrence
+/// It keeps one β̂ row and folds each extract's posteriors into
+/// per-column sums `col_post` as it goes; node counts then fan out to the
+/// type counts once per column. The edge and node count accumulators are
+/// locals held across the whole sweep and stored into `ws.counts` once;
+/// each still sums in ascending record, then target-column order within
+/// an extract, and in descending extract order across them. Boundary
+/// edges go through the suffix recurrence
 /// `T(r) = tmp(r+1, 0) + q · T(r+1)`, which also collapses the per-state
 /// boundary ξ sum (all targets share `from_c`, so only the total ever
 /// reaches the M-step counts). Cells below `NEGLIGIBLE` are flushed to
-/// zero and the trailing records a flush has emptied are skipped.
+/// zero and the trailing records a flush has emptied are skipped. Like
+/// the forward sweep, it runs at the page's width through
+/// [`with_width!`](crate::width).
 ///
 /// The two sweeps together are algebraically identical to the log-space
 /// forward–backward pass over the materialized chain of the same
@@ -363,17 +401,29 @@ pub fn forward_struct(
 /// 1e-9).
 pub fn backward_struct(
     dims: Dims,
+    params: &Params,
     opts: &ProbOptions,
     ws: &mut FbWorkspace,
     evidence: &[Evidence],
 ) {
-    let (n, k, nk) = (evidence.len(), dims.num_columns, dims.num_records);
+    with_width!(dims.num_columns, w => backward_kernel(w, dims.num_records, params, opts, ws, evidence))
+}
+
+fn backward_kernel<W: Width>(
+    w: W,
+    nk: usize,
+    params: &Params,
+    opts: &ProbOptions,
+    ws: &mut FbWorkspace,
+    evidence: &[Evidence],
+) {
+    let (n, k) = (evidence.len(), w.k());
     let ns = nk * k;
     let q = opts.skip_penalty;
     let fb = LOG_FALLBACK.exp();
     debug_assert_eq!(ws.alpha.len(), n * ns, "the forward sweep must run first");
-    ws.counts = Counts::zeros(k);
     if n == 0 {
+        ws.counts = Counts::zeros(k);
         return;
     }
     let FbWorkspace {
@@ -382,8 +432,6 @@ pub fn backward_struct(
         scale,
         counts,
         tmp,
-        hz,
-        cont,
         skip_inv,
         rec_flow,
         beta_row,
@@ -396,6 +444,13 @@ pub fn backward_struct(
     beta_row.resize(ns, 1.0);
     col_post.clear();
     col_post.resize(n * k, 0.0);
+    let Structure { hz, cont } = Structure::new(w, params, opts);
+    // The count accumulators: `trans[c][c′]`, continues and ends out of
+    // each column, extracts per column and `types[c][t]`.
+    let mut trans = w.table(0.0);
+    let (mut xi_cont, mut xi_end) = (w.row(0.0), w.row(0.0));
+    let mut col = w.row(0.0);
+    let mut types = vec![[0.0f64; TokenType::COUNT]; k];
 
     // With tmp[t] = b_{i+1}(t) · β̂_{i+1}(t) / c_{i+1}, both
     // β̂_i(s) = Σ_e p_e · tmp[e.to] and ξ_i(s, e.to) = α̂_i(s) · p_e · tmp[e.to];
@@ -425,66 +480,67 @@ pub fn backward_struct(
             rec_flow[r] = skip_inv[r] * t_flow;
             t_flow = tmp[r * k] + q * t_flow;
         }
-        // Column-major over the live records, so each column's count
-        // accumulators stay in registers; every accumulator still sums
-        // in ascending record, then target-column order.
         let a_row = &alpha[i * ns..(i + 1) * ns];
-        let post = &mut col_post[i * k..(i + 1) * k];
-        for c in 0..k {
-            let w = &cont[c * k + c + 1..(c + 1) * k];
-            let trans_row = &mut counts.trans[c][c + 1..];
-            let h = hz[c];
-            let mut xi_cont = counts.cont[c];
-            let mut xi_end = counts.end[c];
-            let mut g = post[c];
-            for r in 0..hi {
-                let boundary = rec_flow[r];
-                let t_row = &tmp[r * k..(r + 1) * k];
-                let a = a_row[r * k + c];
+        let mut post = w.row(0.0);
+        for r in 0..hi {
+            let boundary = rec_flow[r];
+            let a = &a_row[r * k..(r + 1) * k];
+            let t_row = &tmp[r * k..(r + 1) * k];
+            let beta = &mut beta_row[r * k..(r + 1) * k];
+            for c in 0..k {
+                let (x, h) = (a[c], hz[c]);
                 let mut b = 0.0;
-                let targets = w.iter().zip(&t_row[c + 1..]).zip(trans_row.iter_mut());
-                for ((&wt, &t), xi_trans) in targets {
+                for cp in c + 1..k {
+                    let (wt, t) = (cont[c][cp], t_row[cp]);
                     b += wt * t;
-                    let xi = a * wt * t;
-                    *xi_trans += xi;
-                    xi_cont += xi;
+                    let xi = x * wt * t;
+                    trans[c][cp] += xi;
+                    xi_cont[c] += xi;
                 }
                 b += h * boundary;
                 b += fb * t_row[c];
-                beta_row[r * k + c] = b;
-                xi_end += a * h * boundary;
-                g += a * b;
+                beta[c] = b;
+                xi_end[c] += x * h * boundary;
+                post[c] += x * b;
             }
-            counts.cont[c] = xi_cont;
-            counts.end[c] = xi_end;
-            post[c] = g;
         }
+        col_post[i * k..(i + 1) * k].copy_from_slice(post.as_ref());
     }
 
     // The last extract's β̂ is 1, so its posteriors are its α̂ row; it
     // ends its record at its column.
     let last = &alpha[(n - 1) * ns..];
-    let post = &mut col_post[(n - 1) * k..];
+    let mut post = w.row(0.0);
     for r in 0..nk {
+        let a = &last[r * k..(r + 1) * k];
         for c in 0..k {
-            let g = last[r * k + c];
-            post[c] += g;
-            counts.end[c] += g;
+            post[c] += a[c];
+            xi_end[c] += a[c];
         }
     }
-    // Node counts from the per-extract column sums: the type fan-out runs
-    // once per column instead of once per state.
+    col_post[(n - 1) * k..].copy_from_slice(post.as_ref());
+    // Node counts from the per-extract column sums, in ascending extract
+    // order: the type fan-out runs once per column instead of once per
+    // state.
     for (ev, post) in evidence.iter().zip(col_post.chunks_exact(k)) {
         let feats = ev.features();
-        for (c, &g) in post.iter().enumerate() {
-            counts.col[c] += g;
-            for (t, &on) in feats.iter().enumerate() {
+        for c in 0..k {
+            let g = post[c];
+            col[c] += g;
+            for (slot, &on) in types[c].iter_mut().zip(&feats) {
                 if on {
-                    counts.types[c][t] += g;
+                    *slot += g;
                 }
             }
         }
     }
+    *counts = Counts {
+        col: col.as_ref().to_vec(),
+        types: types.iter().map(|t| t.to_vec()).collect(),
+        trans: (0..k).map(|c| trans[c].as_ref().to_vec()).collect(),
+        end: xi_end.as_ref().to_vec(),
+        cont: xi_cont.as_ref().to_vec(),
+    };
 }
 
 /// The first record with a nonzero cell in one scaled row (`nk` if none).

@@ -26,8 +26,13 @@
 //! ([`forward_backward::forward_struct`], [`forward_backward::backward_struct`],
 //! [`em`]). The final segmentation is the MAP assignment of `(R, C)`, a
 //! max-product pass over the same structure ([`viterbi::decode`]), which
-//! also yields the *column extraction* of Section 3.4. The log-space pass
-//! over the materialized chain is the differential oracle of both, in the
+//! also yields the *column extraction* of Section 3.4. The three sweeps
+//! (forward, backward, decode) are each one kernel generic over the
+//! column count, instantiated at compile time for every width up to
+//! [`width::MAX_FIXED_WIDTH`] and run at a runtime width above it
+//! ([`width`]); specialization changes no operation or summation order,
+//! so results are the same bits at every width. The log-space pass over
+//! the materialized chain is the differential oracle of both, in the
 //! crate's test suite (`tests/oracle`).
 //!
 //! Unlike the CSP, impossible record assignments (`r ∉ D_i`) get a small
@@ -43,6 +48,7 @@ pub mod forward_backward;
 pub mod model;
 pub mod params;
 pub mod viterbi;
+pub mod width;
 
 use serde::{Deserialize, Serialize};
 use tableseg_extract::{Observations, Segmentation};

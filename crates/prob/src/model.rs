@@ -48,7 +48,7 @@ pub struct Evidence {
     /// `T_i`: one bit per [`TokenType`], the union of the types of the
     /// extract's tokens.
     pub types: TypeSet,
-    /// `D_i` as a sorted list of record indices.
+    /// `D_i` as a sorted list of distinct record indices.
     pub pages: Vec<u32>,
 }
 
@@ -65,6 +65,17 @@ impl Evidence {
     /// `true` if record `r` is in `D_i`.
     pub fn on_page(&self, r: usize) -> bool {
         self.pages.binary_search(&(r as u32)).is_ok()
+    }
+
+    /// [`on_page`](Self::on_page) for every record in `0..num_records`, in
+    /// order: one cursor over the sorted pages instead of a binary search
+    /// per record.
+    pub fn on_pages(&self, num_records: usize) -> impl Iterator<Item = bool> + '_ {
+        let mut pages = self.pages.iter().map(|&p| p as usize).peekable();
+        (0..num_records).map(move |r| {
+            while pages.next_if(|&p| p < r).is_some() {}
+            pages.peek() == Some(&r)
+        })
     }
 }
 
@@ -145,6 +156,20 @@ mod tests {
         // Page lookups.
         assert!(ev[0].on_page(0));
         assert!(!ev[0].on_page(1));
+    }
+
+    #[test]
+    fn page_cursor_matches_per_record_lookups() {
+        for pages in [&[][..], &[0], &[2], &[0, 1, 2], &[1, 3], &[0, 5, 9]] {
+            let ev = Evidence {
+                types: TypeSet::default(),
+                pages: pages.to_vec(),
+            };
+            for nk in 0..6 {
+                let want: Vec<bool> = (0..nk).map(|r| ev.on_page(r)).collect();
+                assert_eq!(ev.on_pages(nk).collect::<Vec<_>>(), want, "{pages:?} {nk}");
+            }
+        }
     }
 
     #[test]

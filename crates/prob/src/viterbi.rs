@@ -7,9 +7,10 @@
 //! materialized chain is its differential oracle, in the crate's test
 //! suite (`tests/oracle`).
 
-use crate::forward_backward::{FbWorkspace, LOG_FALLBACK};
+use crate::forward_backward::{FbWorkspace, Structure, LOG_FALLBACK};
 use crate::model::{Dims, Evidence};
 use crate::params::Params;
+use crate::width::{with_width, Width};
 use crate::ProbOptions;
 
 /// The most likely `(R, C)` state path given the emission arena that
@@ -31,7 +32,10 @@ use crate::ProbOptions;
 ///
 /// Each step therefore costs `O(nk · k²)` for the within-record continue
 /// edges plus `O(ns)` for boundaries and fallback self-loops, instead of
-/// one visit per materialized edge. No state is pruned.
+/// one visit per materialized edge. No state is pruned. Which records
+/// hold the extract's detail pages comes from one cursor over its sorted
+/// pages. The kernel runs at the page's column count through the E-step's
+/// width dispatch, [`with_width!`](crate::width).
 ///
 /// Ties break toward the lowest source state, as a strict `>` over
 /// source states in ascending order would: continue candidates are
@@ -45,38 +49,52 @@ pub fn decode(
     ws: &FbWorkspace,
     evidence: &[Evidence],
 ) -> Vec<usize> {
-    let (n, k, nk) = (evidence.len(), dims.num_columns, dims.num_records);
-    let ns = nk * k;
+    let (n, ns) = (evidence.len(), dims.num_states());
     if n == 0 || ns == 0 {
         return Vec::new();
     }
     debug_assert_eq!(ws.emits.len(), n * ns, "emissions must be filled first");
     assert!(ns < u32::MAX as usize, "states must fit u32 backpointers");
+    with_width!(dims.num_columns, w => {
+        decode_kernel(w, dims.num_records, params, opts, &ws.emits, evidence)
+    })
+}
+
+fn decode_kernel<W: Width>(
+    w: W,
+    nk: usize,
+    params: &Params,
+    opts: &ProbOptions,
+    emits: &[f64],
+    evidence: &[Evidence],
+) -> Vec<usize> {
+    let (n, k) = (evidence.len(), w.k());
+    let ns = nk * k;
 
     // Log structure tables: hazards, continue weights transposed for the
     // pull over source columns, and boundary normalizers
     // `total[m] = Σ_{j<m} q^j`, accumulated in ascending `j`.
-    let mut hz_log = vec![0.0; k];
-    let mut cont_t = vec![f64::NEG_INFINITY; k * k];
+    let Structure { hz, cont } = Structure::new(w, params, opts);
+    let mut hz_log = w.row(0.0);
+    let mut cont_t = w.table(f64::NEG_INFINITY);
     for c in 0..k {
-        let hz = params.hazard_for(c, opts.period_model);
-        hz_log[c] = hz.ln();
+        hz_log[c] = hz[c].ln();
         for cp in c + 1..k {
-            cont_t[cp * k + c] = ((1.0 - hz) * params.trans[c][cp]).ln();
+            cont_t[cp][c] = cont[c][cp].ln();
         }
     }
     let q = opts.skip_penalty;
     let q_log = q.ln();
     let mut total = vec![0.0f64; nk + 1];
-    let mut w = 1.0;
+    let mut weight = 1.0;
     for m in 0..nk {
-        total[m + 1] = total[m] + w;
-        w *= q;
+        total[m + 1] = total[m] + weight;
+        weight *= q;
     }
     let total_log: Vec<f64> = total.iter().map(|t| t.ln()).collect();
 
-    let mut on = vec![0.0f64; k];
-    let mut off = vec![0.0f64; k];
+    let mut on = w.row(0.0);
+    let mut off = w.row(0.0);
     let mut delta = vec![f64::NEG_INFINITY; ns];
     let mut next = vec![f64::NEG_INFINITY; ns];
     // back[i * ns + s] = predecessor state of s at step i.
@@ -84,22 +102,28 @@ pub fn decode(
 
     // The first extract starts a record: state (r, 0), geometric over
     // skipped leading records.
-    row_logs(&ws.emits[..ns], &evidence[0], k, &mut on, &mut off);
-    let mut w = 1.0;
-    for r in 0..nk {
-        let em = if evidence[0].on_page(r) { &on } else { &off };
-        delta[r * k] = (w / total[nk]).ln() + em[0];
-        w *= q;
+    row_logs(&emits[..ns], &evidence[0], k, on.as_mut(), off.as_mut());
+    let mut weight = 1.0;
+    for (r, on_page) in evidence[0].on_pages(nk).enumerate() {
+        let em = if on_page { &on } else { &off };
+        delta[r * k] = (weight / total[nk]).ln() + em[0];
+        weight *= q;
     }
 
     for i in 1..n {
         let ev = &evidence[i];
-        row_logs(&ws.emits[i * ns..(i + 1) * ns], ev, k, &mut on, &mut off);
+        row_logs(
+            &emits[i * ns..(i + 1) * ns],
+            ev,
+            k,
+            on.as_mut(),
+            off.as_mut(),
+        );
         let back_row = &mut back[i * ns..(i + 1) * ns];
         // M(r) and its source state.
         let (mut m, mut m_src) = (f64::NEG_INFINITY, u32::MAX);
-        for r in 0..nk {
-            let em = if ev.on_page(r) { &on } else { &off };
+        for (r, on_page) in ev.on_pages(nk).enumerate() {
+            let em = if on_page { &on } else { &off };
             let a = &delta[r * k..(r + 1) * k];
             let out = &mut next[r * k..(r + 1) * k];
             let bk = &mut back_row[r * k..(r + 1) * k];
@@ -114,7 +138,7 @@ pub fn decode(
                 } else {
                     (f64::NEG_INFINITY, u32::MAX)
                 };
-                for (c, (&d, &lp)) in a[..cp].iter().zip(&cont_t[cp * k..]).enumerate() {
+                for (c, (&d, &lp)) in a[..cp].iter().zip(cont_t[cp].as_ref()).enumerate() {
                     let v = d + lp + em[cp];
                     if v > best {
                         (best, src) = (v, base + c as u32);
@@ -130,8 +154,8 @@ pub fn decode(
             // M(r + 1) = max(M(r) + ln q, B(r)).
             if r + 1 < nk {
                 let (mut b, mut b_c) = (f64::NEG_INFINITY, 0);
-                for (c, (&d, &h)) in a.iter().zip(&hz_log).enumerate() {
-                    let v = d + h;
+                for c in 0..k {
+                    let v = a[c] + hz_log[c];
                     if v > b {
                         (b, b_c) = (v, c);
                     }
@@ -181,10 +205,10 @@ pub(crate) fn row_logs(row: &[f64], ev: &Evidence, k: usize, on: &mut [f64], off
             *d = x.ln();
         }
     };
-    if let Some(r) = ev.pages.iter().map(|&p| p as usize).find(|&r| r < nk) {
+    if let Some(r) = ev.pages.first().map(|&p| p as usize).filter(|&r| r < nk) {
         ln_of(on, r);
     }
-    if let Some(r) = (0..nk).find(|&r| !ev.on_page(r)) {
+    if let Some(r) = ev.on_pages(nk).position(|on_page| !on_page) {
         ln_of(off, r);
     }
 }

@@ -1,8 +1,9 @@
 //! Differential property tests for the production structured passes
 //! against the log-space chain oracle (`tests/oracle`): the E-step
 //! (`emissions_into` + `forward_struct` + `backward_struct`,
-//! negligible-mass flush included) and the MAP `decode`; plus the
-//! arena-reuse regression of the workspace.
+//! negligible-mass flush included) and the MAP `decode`, at every
+//! width the kernels are instantiated for; plus the arena-reuse
+//! regression of the workspace.
 
 mod oracle;
 
@@ -16,6 +17,7 @@ use tableseg_prob::forward_backward::{
 use tableseg_prob::model::{Dims, Evidence};
 use tableseg_prob::params::Params;
 use tableseg_prob::viterbi::decode;
+use tableseg_prob::width::MAX_FIXED_WIDTH;
 use tableseg_prob::ProbOptions;
 
 fn arb_evidence(num_records: usize) -> impl Strategy<Value = Vec<Evidence>> {
@@ -35,6 +37,15 @@ fn arb_evidence(num_records: usize) -> impl Strategy<Value = Vec<Evidence>> {
             })
             .collect()
     })
+}
+
+/// Every column count with a fixed-width kernel instance, plus two
+/// runtime widths above them.
+const WIDTHS: std::ops::RangeInclusive<usize> = 1..=MAX_FIXED_WIDTH + 2;
+
+/// A page of 1 to 8 records and its evidence.
+fn arb_page() -> impl Strategy<Value = (usize, Vec<Evidence>)> {
+    (1..=8usize).prop_flat_map(|nk| (Just(nk), arb_evidence(nk)))
 }
 
 /// Relative 1e-9 closeness (absolute for values at most 1, like the
@@ -96,7 +107,7 @@ fn struct_e_step(
 ) -> f64 {
     emissions_into(ev, params, dims, opts, ws);
     let ll = forward_struct(dims, params, opts, ws);
-    backward_struct(dims, opts, ws, ev);
+    backward_struct(dims, params, opts, ws, ev);
     ll
 }
 
@@ -123,48 +134,57 @@ proptest! {
 
     /// The production structured E-step, negligible-mass flush included,
     /// reproduces the log-space oracle within 1e-9: log-likelihood and
-    /// every expected count, on uniform and on EM-drifted parameters.
+    /// every expected count, on uniform and on EM-drifted parameters, at
+    /// every width the kernels dispatch to a fixed-width instance and at
+    /// two runtime widths above them, over 1 to 8 records.
     #[test]
-    fn struct_fb_matches_log_space(ev in arb_evidence(4), drift in proptest::bool::ANY) {
-        let dims = Dims { num_records: 4, num_columns: 3 };
+    fn struct_fb_matches_log_space(page in arb_page(), drift in proptest::bool::ANY) {
+        let (nk, ev) = page;
         let opts = ProbOptions::default();
-        let params = if drift {
-            drifted_params(&ev, dims, &opts)
-        } else {
-            Params::uniform(3, vec![1.0; 3])
-        };
-        let mismatch = struct_vs_oracle(&ev, dims, &params, &opts).1;
-        prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
+        for k in WIDTHS {
+            let dims = Dims { num_records: nk, num_columns: k };
+            let params = if drift {
+                drifted_params(&ev, dims, &opts)
+            } else {
+                Params::uniform(k, vec![1.0; k])
+            };
+            let mismatch = struct_vs_oracle(&ev, dims, &params, &opts).1;
+            prop_assert!(mismatch.is_none(), "k={k}: {}", mismatch.unwrap_or_default());
+        }
     }
 
     /// The structured decode returns a MAP path: every step follows an
     /// oracle-chain edge, and the path's score under the oracle chain is
     /// within 1e-9 of the log-space Viterbi path's, on uniform and on
-    /// EM-drifted parameters. (Distinct paths can tie exactly, and the
-    /// decode's boundary weights `ln hz + j·ln q − ln total` round
-    /// differently from the chain's `ln(hz·q^j/total)`, so such ties may
-    /// break differently. Scores are compared, not indices.)
+    /// EM-drifted parameters, at every dispatched width as above.
+    /// (Distinct paths can tie exactly, and the decode's boundary weights
+    /// `ln hz + j·ln q − ln total` round differently from the chain's
+    /// `ln(hz·q^j/total)`, so such ties may break differently. Scores are
+    /// compared, not indices.)
     #[test]
-    fn scaled_viterbi_matches_log_space(ev in arb_evidence(3), drift in any::<bool>()) {
-        let dims = Dims { num_records: 3, num_columns: 3 };
+    fn scaled_viterbi_matches_log_space(page in arb_page(), drift in any::<bool>()) {
+        let (nk, ev) = page;
         let opts = ProbOptions::default();
-        let params = if drift {
-            drifted_params(&ev, dims, &opts)
-        } else {
-            Params::uniform(3, vec![1.0; 3])
-        };
-        let chain = build_chain(dims, &params, &opts);
-        let emits = log_emissions(&ev, &params, dims, &opts);
-        let log_path = viterbi(&chain, &emits);
+        for k in WIDTHS {
+            let dims = Dims { num_records: nk, num_columns: k };
+            let params = if drift {
+                drifted_params(&ev, dims, &opts)
+            } else {
+                Params::uniform(k, vec![1.0; k])
+            };
+            let chain = build_chain(dims, &params, &opts);
+            let emits = log_emissions(&ev, &params, dims, &opts);
+            let log_path = viterbi(&chain, &emits);
 
-        let mut ws = FbWorkspace::new();
-        emissions_into(&ev, &params, dims, &opts, &mut ws);
-        let path = decode(dims, &params, &opts, &ws, &ev);
-        prop_assert_eq!(path.len(), log_path.len());
-        let a = path_score(&chain, &emits, &path);
-        prop_assert!(a.is_some(), "decoded path {:?} leaves the chain", path);
-        let (a, b) = (a.unwrap(), path_score(&chain, &emits, &log_path).unwrap());
-        prop_assert!(close(a, b), "decoded path scores {a}, log path {b}");
+            let mut ws = FbWorkspace::new();
+            emissions_into(&ev, &params, dims, &opts, &mut ws);
+            let path = decode(dims, &params, &opts, &ws, &ev);
+            prop_assert_eq!(path.len(), log_path.len());
+            let a = path_score(&chain, &emits, &path);
+            prop_assert!(a.is_some(), "k={k}: decoded path {:?} leaves the chain", path);
+            let (a, b) = (a.unwrap(), path_score(&chain, &emits, &log_path).unwrap());
+            prop_assert!(close(a, b), "k={k}: decoded path scores {a}, log path {b}");
+        }
     }
 
     /// The workspace arenas stop growing after the first iteration: EM
