@@ -10,7 +10,8 @@
 //!
 //! On the universe the committed `BENCH_scale.json` covers (same site
 //! count and fault rate), the run fails if a deterministic work count —
-//! universe pages, bytes and tokens, pipeline records and failed pages —
+//! universe pages, bytes and tokens, each method's Cor/InC/FN/FP over the
+//! pipeline leg's pages, the CSP's relaxed pages and the failed pages —
 //! differs from the committed file (read before the output is written).
 //!
 //! Flags:
@@ -40,6 +41,7 @@ use std::process::ExitCode;
 use tableseg::batch;
 use tableseg_bench::corpus;
 use tableseg_bench::scalebench::{render_json, run_scale_bench, ScaleConfig};
+use tableseg_eval::metrics::Metrics;
 
 fn usage() {
     eprintln!(
@@ -169,12 +171,23 @@ fn main() -> ExitCode {
     );
     if cfg.pipeline {
         eprintln!(
-            "pipeline: {:.1} sites/s per core ({} records, {} page(s) failed, {:.2} s summed)",
+            "pipeline: {:.1} sites/s per core ({} page(s) failed, {:.2} s summed)",
             bench.sites_per_sec(),
-            bench.records,
             bench.pipeline_pages_failed,
             bench.pipeline_ns as f64 / 1e9
         );
+        let s = &bench.scores;
+        for (method, c) in [("prob", &s.prob), ("CSP", &s.csp)] {
+            eprintln!(
+                "  {method}: Cor {} InC {} FN {} FP {}, F {:.3}",
+                c.cor,
+                c.incor,
+                c.fneg,
+                c.fpos,
+                Metrics::from_counts(c).f1
+            );
+        }
+        eprintln!("  CSP relaxed pages: {}", s.csp_relaxed);
     }
     if let (Some(half), Some(full)) = (bench.rss_half_bytes, bench.rss_full_bytes) {
         eprintln!(

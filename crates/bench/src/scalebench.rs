@@ -31,19 +31,24 @@
 //! ([`CspSegmenter`], [`ProbSegmenter`]) — yielding `sites_per_sec`, the
 //! end-to-end throughput the solver-layer optimizations move. Like the
 //! front-end numbers it divides by summed per-worker nanoseconds, so it
-//! is thread-count-invariant too. Pages the solver rejects (chaos-
-//! damaged universes) are counted, not fatal.
+//! is thread-count-invariant too. Each page's segmentations are scored
+//! against the universe's ground truth ([`crate::classify_page`]), so
+//! the leg also yields Cor/InC/FN/FP per method over every universe
+//! page — the accuracy record beyond the 24 paper pages. Pages the
+//! solver rejects (chaos-damaged universes) are counted, not fatal.
 //!
 //! The baseline is the committed `BENCH_scale.json`: on the universe it
 //! covers, the `scalebench` binary fails when a run's deterministic work
-//! counts ([`ScaleBench::work_counts`] — pages, bytes, tokens, records,
-//! failed pages) differ from it. The scanner's agreement with its oracle
+//! counts ([`ScaleBench::work_counts`] — pages, bytes, tokens, per-method
+//! classification counts, CSP relaxed pages, failed pages) differ from
+//! it. The scanner's agreement with its oracle
 //! lexer on a universe sample is a test in `tableseg-sitegen`'s chaos
 //! suite.
 
 use std::time::Instant;
 
 use tableseg::{run_page, CspSegmenter, ProbSegmenter, SiteTemplate};
+use tableseg_eval::classify::PageCounts;
 use tableseg_extract::PageIndex;
 use tableseg_html::{scan, Interner};
 use tableseg_sitegen::{GeneratedSite, Universe, UniverseConfig};
@@ -86,8 +91,28 @@ struct SiteScale {
     scan_ns: u128,
     frontend_ns: u128,
     pipeline_ns: u128,
-    records: usize,
+    scores: PipelineScores,
     pages_failed: usize,
+}
+
+/// The pipeline leg's accuracy over the pages it solved, scored against
+/// the universe's ground truth.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PipelineScores {
+    /// Probabilistic-approach counts.
+    pub prob: PageCounts,
+    /// CSP counts.
+    pub csp: PageCounts,
+    /// Pages whose CSP solve relaxed its constraints (notes `c`/`d`).
+    pub csp_relaxed: usize,
+}
+
+impl PipelineScores {
+    fn add(&mut self, other: &PipelineScores) {
+        self.prob = self.prob.add(&other.prob);
+        self.csp = self.csp.add(&other.csp);
+        self.csp_relaxed += other.csp_relaxed;
+    }
 }
 
 /// The corpus-level result of the scale run.
@@ -109,8 +134,8 @@ pub struct ScaleBench {
     /// Summed full-pipeline nanoseconds (template + preparation + both
     /// solvers per list page); zero when the pipeline leg is disabled.
     pub pipeline_ns: u128,
-    /// Records segmented by the full-pipeline CSP pass.
-    pub records: usize,
+    /// Cor/InC/FN/FP of both methods over the pipeline leg's pages.
+    pub scores: PipelineScores,
     /// List pages the pipeline leg could not prepare or solve (chaos
     /// damage); a page counts once, however many of its solvers failed.
     pub pipeline_pages_failed: usize,
@@ -164,21 +189,28 @@ impl ScaleBench {
     /// The deterministic work counts a front-end change must repeat
     /// unless it means to change behaviour, keyed by their path in
     /// `BENCH_scale.json` (see [`crate::corpus::count_mismatches`]):
-    /// universe pages, bytes and tokens, plus the pipeline leg's records
-    /// and failed pages when it ran.
+    /// universe pages, bytes and tokens, plus, when the pipeline leg ran,
+    /// each method's Cor/InC/FN/FP, the CSP's relaxed pages and the
+    /// failed pages.
     pub fn work_counts(&self) -> Vec<(String, f64)> {
-        let mut counts = vec![
-            ("universe.pages", self.pages),
-            ("universe.bytes", self.bytes),
-            ("universe.tokens", self.tokens),
+        let mut counts: Vec<(String, usize)> = vec![
+            ("universe.pages".into(), self.pages),
+            ("universe.bytes".into(), self.bytes),
+            ("universe.tokens".into(), self.tokens),
         ];
         if self.pipeline_ns > 0 {
-            counts.push(("pipeline.records", self.records));
-            counts.push(("pipeline.pages_failed", self.pipeline_pages_failed));
+            for (method, c) in [("prob", &self.scores.prob), ("csp", &self.scores.csp)] {
+                counts.push((format!("pipeline.{method}.cor"), c.cor));
+                counts.push((format!("pipeline.{method}.inc"), c.incor));
+                counts.push((format!("pipeline.{method}.fn"), c.fneg));
+                counts.push((format!("pipeline.{method}.fp"), c.fpos));
+            }
+            counts.push(("pipeline.csp.relaxed_pages".into(), self.scores.csp_relaxed));
+            counts.push(("pipeline.pages_failed".into(), self.pipeline_pages_failed));
         }
         counts
             .into_iter()
-            .map(|(path, n)| (path.to_string(), n as f64))
+            .map(|(path, n)| (path, n as f64))
             .collect()
     }
 
@@ -203,9 +235,9 @@ pub fn peak_rss_bytes() -> Option<u64> {
 }
 
 /// Runs the full pipeline over one site: template induction across its
-/// list pages, then [`run_page`] with both solvers per page. A page that
-/// fails (chaos damage in the front end or a solver) counts once in
-/// `pages_failed`.
+/// list pages, then [`run_page`] with both solvers per page, each solved
+/// page scored against its ground truth. A page that fails (chaos damage
+/// in the front end or a solver) counts once in `pages_failed`.
 fn pipeline_site(site: &GeneratedSite, out: &mut SiteScale) {
     let csp = CspSegmenter::default();
     let prob = ProbSegmenter::default();
@@ -214,8 +246,13 @@ fn pipeline_site(site: &GeneratedSite, out: &mut SiteScale) {
         Ok(template) => {
             for (target, gp) in site.pages.iter().enumerate() {
                 let page = run_page(&template, target, &gp.detail_htmls(), None, &[&csp, &prob]);
-                if let Ok(o) = &page.solved[0] {
-                    out.records += o.segmentation.num_records;
+                let scored = crate::classify_page(site, target, &page);
+                if let Some((counts, relaxed)) = scored[0] {
+                    out.scores.csp = out.scores.csp.add(&counts);
+                    out.scores.csp_relaxed += usize::from(relaxed);
+                }
+                if let Some((counts, _)) = scored[1] {
+                    out.scores.prob = out.scores.prob.add(&counts);
                 }
                 out.pages_failed += usize::from(page.outcome.is_failed());
             }
@@ -302,7 +339,7 @@ pub fn run_scale_bench(cfg: &ScaleConfig) -> ScaleBench {
         scan_ns: 0,
         frontend_ns: 0,
         pipeline_ns: 0,
-        records: 0,
+        scores: PipelineScores::default(),
         pipeline_pages_failed: 0,
         rss_half_bytes,
         rss_full_bytes,
@@ -316,7 +353,7 @@ pub fn run_scale_bench(cfg: &ScaleConfig) -> ScaleBench {
         bench.scan_ns += s.scan_ns;
         bench.frontend_ns += s.frontend_ns;
         bench.pipeline_ns += s.pipeline_ns;
-        bench.records += s.records;
+        bench.scores.add(&s.scores);
         bench.pipeline_pages_failed += s.pages_failed;
     }
     bench
@@ -359,12 +396,20 @@ pub fn render_json(bench: &ScaleBench) -> String {
         if bench.pipeline_ns == 0 {
             "{ \"skipped\": true }".to_string()
         } else {
+            let counts = |c: &PageCounts| {
+                format!(
+                    "\"cor\": {}, \"inc\": {}, \"fn\": {}, \"fp\": {}",
+                    c.cor, c.incor, c.fneg, c.fpos
+                )
+            };
             format!(
-                "{{ \"pipeline_ns\": {}, \"sites_per_sec\": {:.1}, \"records\": {}, \
-                 \"pages_failed\": {} }}",
+                "{{ \"pipeline_ns\": {}, \"sites_per_sec\": {:.1}, \"prob\": {{ {} }}, \
+                 \"csp\": {{ {}, \"relaxed_pages\": {} }}, \"pages_failed\": {} }}",
                 bench.pipeline_ns,
                 bench.sites_per_sec(),
-                bench.records,
+                counts(&bench.scores.prob),
+                counts(&bench.scores.csp),
+                bench.scores.csp_relaxed,
                 bench.pipeline_pages_failed
             )
         },
@@ -424,9 +469,16 @@ mod tests {
         });
         assert!(bench.pipeline_ns > 0);
         assert!(bench.sites_per_sec() > 0.0);
+        let scores = &bench.scores;
         assert!(
-            bench.records > 0,
-            "clean universe sites must segment into records"
+            scores.csp.cor > 0 && scores.prob.cor > 0,
+            "clean universe sites must segment into correct records: {scores:?}"
+        );
+        // Every solved page scores every true record once per method.
+        assert_eq!(
+            scores.csp.total_records(),
+            scores.prob.total_records(),
+            "{scores:?}"
         );
         assert_eq!(bench.pipeline_pages_failed, 0, "clean universe");
     }
@@ -446,7 +498,7 @@ mod tests {
         assert_eq!(one.pages, four.pages);
         assert_eq!(one.bytes, four.bytes);
         assert_eq!(one.tokens, four.tokens);
-        assert_eq!(one.records, four.records);
+        assert_eq!(one.scores, four.scores);
         assert_eq!(one.pipeline_pages_failed, four.pipeline_pages_failed);
     }
 
@@ -466,7 +518,21 @@ mod tests {
             scan_ns: 3_000_000,
             frontend_ns: 8_000_000,
             pipeline_ns: 2_000_000_000,
-            records: 4000,
+            scores: PipelineScores {
+                prob: PageCounts {
+                    cor: 4000,
+                    incor: 30,
+                    fneg: 20,
+                    fpos: 1,
+                },
+                csp: PageCounts {
+                    cor: 3900,
+                    incor: 120,
+                    fneg: 30,
+                    fpos: 0,
+                },
+                csp_relaxed: 77,
+            },
             pipeline_pages_failed: 0,
             rss_half_bytes: Some(100 << 20),
             rss_full_bytes: Some(101 << 20),
@@ -486,7 +552,10 @@ mod tests {
         assert!(json.contains("\"scan_ns\": 3000000"));
         assert!(json.contains("\"pages_per_sec\": 125000"));
         assert!(json.contains("\"sites_per_sec\": 50.0"));
-        assert!(json.contains("\"records\": 4000"));
+        assert!(json.contains("\"prob\": { \"cor\": 4000, \"inc\": 30, \"fn\": 20, \"fp\": 1 }"));
+        assert!(json.contains(
+            "\"csp\": { \"cor\": 3900, \"inc\": 120, \"fn\": 30, \"fp\": 0, \"relaxed_pages\": 77 }"
+        ));
         assert!(json.contains("\"ratio\": 1.010"));
         assert!(json.starts_with('{') && json.ends_with("}\n"));
     }
@@ -497,17 +566,28 @@ mod tests {
         let committed = render_json(&bench);
         assert!(bench.same_universe(&committed));
         assert!(count_mismatches(&committed, &bench.work_counts()).is_empty());
-        let drifted = ScaleBench {
+        let mut drifted = ScaleBench {
             tokens: 800_001,
-            records: 3999,
             ..bench_fixture()
         };
+        drifted.scores.csp.cor += 20;
+        drifted.scores.csp.incor -= 20;
+        drifted.scores.csp_relaxed = 76;
         assert_eq!(
             count_mismatches(&committed, &drifted.work_counts()),
             [
                 "universe.tokens: 800001 vs committed 800000",
-                "pipeline.records: 3999 vs committed 4000",
+                "pipeline.csp.cor: 3920 vs committed 3900",
+                "pipeline.csp.inc: 100 vs committed 120",
+                "pipeline.csp.relaxed_pages: 76 vs committed 77",
             ]
+        );
+        // A prob count is read from the prob object, not the csp one.
+        let mut prob_drift = bench_fixture();
+        prob_drift.scores.prob.fpos = 0;
+        assert_eq!(
+            count_mismatches(&committed, &prob_drift.work_counts()),
+            ["pipeline.prob.fp: 0 vs committed 1"]
         );
         // Another universe, or a chaos-armed one, is not comparable.
         let other = ScaleBench {
