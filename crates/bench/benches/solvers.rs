@@ -1,12 +1,11 @@
-//! Solver microbenchmarks: the WSAT(OIP)-style local search, the exact
-//! solvers, and the EM loop of the probabilistic approach.
+//! Solver microbenchmarks: the exact branch-and-bound of the CSP and the
+//! EM loop of the probabilistic approach.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use tableseg_csp::encoder::{encode, EncodeOptions};
-use tableseg_csp::exact::{solve_bnb, solve_ordered};
-use tableseg_csp::wsat::{solve, WsatConfig};
+use tableseg_csp::exact::solve_bnb;
 use tableseg_extract::{build_observations, Observations};
 use tableseg_html::lexer::tokenize;
 use tableseg_html::Token;
@@ -26,31 +25,11 @@ fn site_observations(spec: &tableseg_sitegen::site::SiteSpec, page: usize) -> Ob
     build_observations(&list, &[], &refs)
 }
 
-fn bench_wsat(c: &mut Criterion) {
-    let mut group = c.benchmark_group("wsat");
-    for spec in [paper_sites::butler(), paper_sites::allegheny()] {
-        let obs = site_observations(&spec, 0);
-        let enc = encode(&obs, &EncodeOptions::default());
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{} ({} vars)", spec.name, enc.model.num_vars)),
-            &enc.model,
-            |b, model| b.iter(|| solve(black_box(model), &WsatConfig::default())),
-        );
-    }
-    group.finish();
-}
-
 fn bench_exact(c: &mut Criterion) {
     let obs = site_observations(&paper_sites::butler(), 0);
     let enc = encode(&obs, &EncodeOptions::default());
     c.bench_function("bnb/butler", |b| {
         b.iter(|| solve_bnb(black_box(&enc.model), 1_000_000))
-    });
-
-    let candidates: Vec<Vec<u32>> = obs.items.iter().map(|it| it.pages.clone()).collect();
-    let refs: Vec<&[u32]> = candidates.iter().map(Vec::as_slice).collect();
-    c.bench_function("ordered_dp/butler", |b| {
-        b.iter(|| solve_ordered(black_box(&refs), obs.num_records))
     });
 }
 
@@ -67,5 +46,5 @@ fn bench_prob_em(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_wsat, bench_exact, bench_prob_em);
+criterion_group!(benches, bench_exact, bench_prob_em);
 criterion_main!(benches);

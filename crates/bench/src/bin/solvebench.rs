@@ -1,14 +1,14 @@
 //! Emits `BENCH_solver.json`: the solver-layer microbenchmark of the
-//! production solvers (reduced + warm-started component WSAT, structured
-//! E-step EM) over the twelve simulated paper sites, plus the corpus-wide
+//! production solvers (reduced, warm-seeded component branch-and-bound;
+//! structured E-step EM) over the twelve simulated paper sites, plus the corpus-wide
 //! per-stage totals of a full batch run, with the solve stage split by
 //! method.
 //!
 //! Before anything is written, two golden checks run: the batch run's
 //! Table 4 report must equal `tests/golden/table4.txt`, and the
-//! benchmark's deterministic work counts (CSP flips and branch-and-bound
-//! nodes, EM iterations, reduction components, pruned variables,
-//! warm-start hits) must equal those in the committed
+//! benchmark's deterministic work counts (CSP branch-and-bound nodes, EM
+//! iterations, reduction components and pruned variables) must equal
+//! those in the committed
 //! `BENCH_solver.json` — a speedup that changes results is not a
 //! speedup. Wall times are printed next to the
 //! committed ones for information only.
@@ -164,12 +164,10 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     eprintln!(
-        "csp: {:.2} ms (committed {}), {} flips, {:.0} flips/s, {} BnB nodes",
+        "csp: {:.2} ms (committed {}), {} BnB nodes",
         bench.csp.wall_ns as f64 / 1e6,
         corpus::committed_ms(&committed, &["csp", "wall_ns"]),
-        bench.csp.work_units,
-        bench.csp.units_per_sec(),
-        bench.bnb_nodes
+        bench.csp.work_units
     );
     eprintln!(
         "prob: {:.2} ms (committed {}), {} EM iters, {:.0} EM iters/s",
@@ -179,8 +177,8 @@ fn main() -> ExitCode {
         bench.prob.units_per_sec()
     );
     eprintln!(
-        "reduction: {} components, {} pruned vars, {} warm-start hits",
-        bench.reduction.components, bench.reduction.pruned_vars, bench.reduction.warm_start_hits
+        "reduction: {} components, {} pruned vars",
+        bench.reduction.components, bench.reduction.pruned_vars
     );
     if let Some(p) = &component_profile {
         for (name, hist) in [("strict", &p.strict), ("relaxed", &p.relaxed)] {

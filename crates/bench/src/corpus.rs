@@ -124,7 +124,7 @@ pub fn committed_ms(committed: &Result<String, String>, path: &[&str]) -> String
 }
 
 /// Compares a run's deterministic work counts — `(dotted key path,
-/// value)` pairs such as `("csp.flips", 5050.0)`, read back with
+/// value)` pairs such as `("csp.bnb_nodes", 1940.0)`, read back with
 /// [`committed_number`] — with a committed document; returns one line
 /// per count that differs or is missing. Values within `1e-3` match, so
 /// means rendered to three decimals compare exactly.

@@ -50,9 +50,9 @@ pub fn corpus() -> Vec<SolveFixture> {
 pub struct MethodBench {
     /// Best (minimum) nanoseconds of one corpus pass.
     pub wall_ns: u128,
-    /// Method-specific work units performed by one pass (WSAT flips for
-    /// the CSP, EM iterations for the probabilistic approach) — the
-    /// throughput numerator, and deterministic, so it is gated against
+    /// Method-specific work units performed by one pass (branch-and-bound
+    /// nodes over both rungs for the CSP, EM iterations for the
+    /// probabilistic approach) — deterministic, so it is gated against
     /// the committed `BENCH_solver.json`.
     pub work_units: u64,
 }
@@ -63,12 +63,10 @@ impl SolveBench {
     /// `BENCH_solver.json` (see [`crate::corpus::count_mismatches`]).
     pub fn work_counts(&self) -> Vec<(String, f64)> {
         [
-            ("csp.flips", self.csp.work_units),
-            ("csp.bnb_nodes", self.bnb_nodes),
+            ("csp.bnb_nodes", self.csp.work_units),
             ("prob.em_iters", self.prob.work_units),
             ("reduction.components", self.reduction.components),
             ("reduction.pruned_vars", self.reduction.pruned_vars),
-            ("reduction.warm_start_hits", self.reduction.warm_start_hits),
         ]
         .map(|(path, n)| (path.to_string(), n as f64))
         .to_vec()
@@ -89,8 +87,6 @@ pub struct ReductionStats {
     pub components: u64,
     /// Variables eliminated before search (forced + free).
     pub pruned_vars: u64,
-    /// Warm-started solves whose winning try was a warm seed.
-    pub warm_start_hits: u64,
     /// Wall clock spent inside the reduction passes.
     pub reduce_ns: u64,
 }
@@ -108,8 +104,6 @@ pub struct SolveBench {
     pub csp: MethodBench,
     /// The probabilistic approach.
     pub prob: MethodBench,
-    /// Branch-and-bound nodes of one CSP pass, over both rungs.
-    pub bnb_nodes: u64,
     /// Reduction-layer totals of one CSP pass.
     pub reduction: ReductionStats,
     /// Corpus passes each method ran; the reported time is the fastest
@@ -119,7 +113,7 @@ pub struct SolveBench {
 
 /// Times the production CSP and probabilistic solvers over the full
 /// corpus, `iters` passes each. A first untimed pass collects the CSP
-/// branch-and-bound and reduction totals.
+/// reduction totals.
 pub fn run_solve_bench(iters: usize) -> SolveBench {
     let fixtures = corpus();
     let sites = site_count(fixtures.iter().map(|f| f.site.as_str()));
@@ -128,13 +122,10 @@ pub fn run_solve_bench(iters: usize) -> SolveBench {
     let prob_opts = ProbOptions::default();
 
     let mut reduction = ReductionStats::default();
-    let mut bnb_nodes = 0;
     for f in &fixtures {
         let out = segment_csp(&f.observations, &csp_opts);
-        bnb_nodes += out.bnb_nodes;
         reduction.components += out.components as u64;
         reduction.pruned_vars += out.pruned_vars as u64;
-        reduction.warm_start_hits += out.warm_start_hits;
         reduction.reduce_ns += out.reduce_ns;
     }
 
@@ -146,12 +137,12 @@ pub fn run_solve_bench(iters: usize) -> SolveBench {
     let mut prob = blank;
     for _ in 0..iters {
         let t = Instant::now();
-        let mut flips = 0u64;
+        let mut bnb_nodes = 0u64;
         for f in &fixtures {
-            flips += std::hint::black_box(segment_csp(&f.observations, &csp_opts)).flips;
+            bnb_nodes += std::hint::black_box(segment_csp(&f.observations, &csp_opts)).bnb_nodes;
         }
         csp.wall_ns = csp.wall_ns.min(t.elapsed().as_nanos());
-        csp.work_units = flips;
+        csp.work_units = bnb_nodes;
 
         let t = Instant::now();
         let mut em_iters = 0u64;
@@ -169,7 +160,6 @@ pub fn run_solve_bench(iters: usize) -> SolveBench {
         extracts,
         csp,
         prob,
-        bnb_nodes,
         reduction,
         iters,
     }
@@ -237,11 +227,8 @@ pub fn render_json(
         .raw(
             "csp",
             format!(
-                "{{ \"wall_ns\": {}, \"flips\": {}, \"flips_per_sec\": {:.0}, \"bnb_nodes\": {} }}",
-                bench.csp.wall_ns,
-                bench.csp.work_units,
-                bench.csp.units_per_sec(),
-                bench.bnb_nodes
+                "{{ \"wall_ns\": {}, \"bnb_nodes\": {} }}",
+                bench.csp.wall_ns, bench.csp.work_units
             ),
         )
         .raw(
@@ -256,12 +243,8 @@ pub fn render_json(
         .raw(
             "reduction",
             format!(
-                "{{ \"components\": {}, \"pruned_vars\": {}, \"warm_start_hits\": {}, \
-                 \"reduce_ns\": {} }}",
-                bench.reduction.components,
-                bench.reduction.pruned_vars,
-                bench.reduction.warm_start_hits,
-                bench.reduction.reduce_ns
+                "{{ \"components\": {}, \"pruned_vars\": {}, \"reduce_ns\": {} }}",
+                bench.reduction.components, bench.reduction.pruned_vars, bench.reduction.reduce_ns
             ),
         );
     if let Some(p) = profile {
@@ -302,17 +285,15 @@ mod tests {
             extracts: 500,
             csp: MethodBench {
                 wall_ns: 3000,
-                work_units: 60,
+                work_units: 90,
             },
             prob: MethodBench {
                 wall_ns: 2000,
                 work_units: 40,
             },
-            bnb_nodes: 90,
             reduction: ReductionStats {
                 components: 7,
                 pruned_vars: 321,
-                warm_start_hits: 5,
                 reduce_ns: 1234,
             },
             iters: 2,
@@ -335,17 +316,17 @@ mod tests {
 
         let mut drifted = bench;
         drifted.prob.work_units = 41;
-        drifted.bnb_nodes = 91;
-        drifted.reduction.warm_start_hits = 4;
+        drifted.csp.work_units = 91;
+        drifted.reduction.pruned_vars = 320;
         assert_eq!(
             count_mismatches(&committed, &drifted.work_counts()),
             [
                 "csp.bnb_nodes: 91 vs committed 90",
                 "prob.em_iters: 41 vs committed 40",
-                "reduction.warm_start_hits: 4 vs committed 5"
+                "reduction.pruned_vars: 320 vs committed 321"
             ]
         );
-        assert_eq!(count_mismatches("{ }", &bench.work_counts()).len(), 6);
+        assert_eq!(count_mismatches("{ }", &bench.work_counts()).len(), 4);
     }
 
     #[test]
@@ -355,12 +336,12 @@ mod tests {
         assert!(json.contains("\"schema\": \"tableseg.bench/v3\""));
         assert!(json.contains("\"csp\": { \"wall_ns\": 3000,"));
         assert!(!json.contains("speedup"));
-        assert!(json.contains("\"flips\": 60"));
+        assert!(!json.contains("flips"));
         assert!(json.contains("\"bnb_nodes\": 90"));
         assert!(json.contains("\"em_iters\": 40"));
         assert!(json.contains("\"components\": 7"));
         assert!(json.contains("\"pruned_vars\": 321"));
-        assert!(json.contains("\"warm_start_hits\": 5"));
+        assert!(!json.contains("warm_start_hits"));
         assert!(json.contains("\"solve.csp\": 42"));
         assert!(!json.contains("component_profile"));
         assert!(json.starts_with('{') && json.ends_with("}\n"));

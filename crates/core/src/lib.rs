@@ -20,10 +20,11 @@
 //!    producing an observation table;
 //! 3. a [`Segmenter`] assigns extracts to records:
 //!    [`CspSegmenter`] encodes the paper's uniqueness, consecutiveness and
-//!    position constraints as a pseudo-boolean problem solved WSAT(OIP)-
-//!    style (Section 4), while [`ProbSegmenter`] runs EM on a factored HMM
-//!    bootstrapped from the detail pages (Section 5) and additionally
-//!    labels each extract with a column;
+//!    position constraints as a pseudo-boolean problem and solves it
+//!    exactly (Section 4; the paper used WSAT(OIP)), while
+//!    [`ProbSegmenter`] runs EM on a factored HMM bootstrapped from the
+//!    detail pages (Section 5) and additionally labels each extract with
+//!    a column;
 //! 4. [`assemble_records`] attaches the remaining table data to the
 //!    segmented records, giving the final relational view.
 //!

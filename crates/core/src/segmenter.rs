@@ -26,7 +26,7 @@ pub struct SegmenterOutcome {
     /// [`StageTimes`] so reports can break the `solve` total down by
     /// method.
     pub solver_times: StageTimes,
-    /// Solver observability metrics (WSAT flips/tries, relaxations, EM
+    /// Solver observability metrics (CSP components and relaxations, EM
     /// iterations). Empty unless [`tableseg_obs::set_enabled`] is on;
     /// harnesses merge it like `solver_times`.
     pub metrics: Recorder,
@@ -106,12 +106,8 @@ impl Segmenter for CspSegmenter {
         solver_times.add(Stage::SolveEncode, Duration::from_nanos(out.encode_ns));
         solver_times.add(Stage::SolveReduce, Duration::from_nanos(out.reduce_ns));
         let mut metrics = Recorder::new();
-        metrics.bump(Counter::WsatFlips, out.flips);
-        metrics.bump(Counter::WsatTries, out.tries);
         metrics.bump(Counter::SolveComponents, out.components as u64);
         metrics.bump(Counter::SolvePrunedVars, out.pruned_vars as u64);
-        metrics.bump(Counter::SolveWarmStartHits, out.warm_start_hits);
-        metrics.observe(Hist::WsatFlipsPerSolve, out.flips);
         let relaxed = out.status != CspStatus::Solved;
         if relaxed {
             metrics.incr(Counter::CspRelaxed);

@@ -40,7 +40,8 @@ pub enum Stage {
     /// Sub-stage of `Solve`: instance reduction (propagation, entailment
     /// elimination, component split) ahead of the CSP search.
     SolveReduce,
-    /// Sub-stage of `Solve`: the WSAT(OIP)/branch-and-bound CSP solve.
+    /// Sub-stage of `Solve`: the whole CSP solve (encode, reduce and the
+    /// branch-and-bound).
     SolveCsp,
     /// Sub-stage of `Solve`: the whole probabilistic (EM) solve.
     SolveProb,

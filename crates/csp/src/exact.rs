@@ -1,29 +1,25 @@
-//! Exact solvers.
+//! The exact solver: a depth-first branch-and-bound over any [`Model`]
+//! with forward checking.
 //!
-//! Two complementary tools:
+//! The relaxation ladder runs it on every component of both rungs: on a
+//! strict component (no objective) it stops at the first feasible leaf
+//! or proves the component infeasible; on a relaxed component it proves
+//! the optimum. Over the whole strict encoding it is the CSP oracle in
+//! tests. Its objective bound reads at-most-one groups off the model (the
+//! encoder's uniqueness rows, Section 4.1): each group still open can add
+//! at most its best *live* variable, one that can still be set to 1
+//! without breaking a row. Branching on the smallest groups first settles
+//! the extracts with few candidate records early, and the bound then
+//! proves the paper corpus's relaxed optima within two nodes per
+//! variable.
 //!
-//! * [`solve_bnb`] — a depth-first branch-and-bound over any [`Model`]
-//!   with forward checking. The relaxation ladder runs it on every
-//!   relaxed component, and its proven optimum becomes the stochastic
-//!   search's objective target; it also proves strict components
-//!   infeasible and is the whole-encoding oracle in tests. Its objective
-//!   bound reads at-most-one groups off the model (the encoder's
-//!   uniqueness rows, Section 4.1): each group still open can add at most
-//!   its best *live* variable, one that can still be set to 1 without
-//!   breaking a row. Branching on the smallest groups first settles the
-//!   extracts with few candidate records early, and the bound then proves
-//!   the paper corpus's relaxed optima within two nodes per variable. The
-//!   search is still worst-case exponential, so it takes a node budget
-//!   and reports [`BnbOutcome::Unknown`] when the budget ends it.
-//!
-//! * [`solve_ordered`] — a polynomial dynamic program specialized to the
-//!   segmentation structure. It relies on the paper's horizontal-layout
-//!   observation (Section 3.2: "the order in which records appear in the
-//!   text stream of the page is the same as the order in which they appear
-//!   in the table"), i.e. record labels are non-decreasing along the
-//!   stream. It maximizes the number of assigned extracts subject to
-//!   occurrence (`R_i ∈ D_i`), uniqueness and consecutiveness; a full
-//!   assignment exists iff the maximum equals the number of extracts.
+//! A warm seed orders the values: each variable is tried first at its
+//! value in the seed. The search keeps the first optimum it finds (a
+//! later leaf of equal value is pruned by the bound), so among equal
+//! optima the one closest to the seed along the branching order wins; a
+//! feasible, optimal seed is returned as it is. The search is still
+//! worst-case exponential, so it takes a node budget and reports
+//! [`BnbOutcome::Unknown`], with its incumbent, when the budget ends it.
 
 use crate::model::{Model, Relation};
 
@@ -39,25 +35,53 @@ pub enum BnbOutcome {
     },
     /// The model was proven infeasible.
     Infeasible,
-    /// The node budget ended the search before a proof, whether or not
-    /// it had found a feasible assignment.
-    Unknown,
+    /// The node budget ended the search before a proof.
+    Unknown {
+        /// The best feasible assignment found before the budget ran out,
+        /// if any; not proven optimal.
+        incumbent: Option<Vec<bool>>,
+    },
+}
+
+impl BnbOutcome {
+    /// The best feasible assignment the search found: the optimum, or an
+    /// unproven incumbent. `None` when it found none.
+    pub(crate) fn into_assignment(self) -> Option<Vec<bool>> {
+        match self {
+            BnbOutcome::Optimal { assignment, .. } => Some(assignment),
+            BnbOutcome::Unknown { incumbent } => incumbent,
+            BnbOutcome::Infeasible => None,
+        }
+    }
 }
 
 /// Branch-and-bound over a pseudo-boolean model, exploring at most
 /// `node_budget` nodes.
 pub fn solve_bnb(model: &Model, node_budget: u64) -> BnbOutcome {
-    branch_and_bound(model, node_budget).0
+    branch_and_bound(model, node_budget, None).0
 }
 
-/// [`solve_bnb`], also returning the number of nodes it explored.
-pub(crate) fn branch_and_bound(model: &Model, node_budget: u64) -> (BnbOutcome, u64) {
-    let Some(mut search) = Search::new(model, node_budget) else {
+/// [`solve_bnb`] with an optional warm seed (one value per variable,
+/// tried first at every branch), also returning the number of nodes it
+/// explored. Without a seed, each variable is tried first at the value
+/// its objective coefficient favors.
+pub fn branch_and_bound(
+    model: &Model,
+    node_budget: u64,
+    warm: Option<&[bool]>,
+) -> (BnbOutcome, u64) {
+    assert!(
+        warm.is_none_or(|w| w.len() == model.num_vars),
+        "a warm seed holds one value per variable"
+    );
+    let Some(mut search) = Search::new(model, node_budget, warm) else {
         return (BnbOutcome::Infeasible, 0);
     };
     search.recurse(0);
     let outcome = match (search.best, search.exhausted) {
-        (_, true) => BnbOutcome::Unknown,
+        (best, true) => BnbOutcome::Unknown {
+            incumbent: best.map(|(assignment, _)| assignment),
+        },
         (Some((assignment, objective)), false) => BnbOutcome::Optimal {
             assignment,
             objective,
@@ -71,7 +95,7 @@ pub(crate) fn branch_and_bound(model: &Model, node_budget: u64) -> (BnbOutcome, 
 /// scores above it. `None` when the constraint bounds alone refute the
 /// model.
 pub fn bnb_root_bound(model: &Model) -> Option<i64> {
-    Search::new(model, 0).map(|s| s.fixed_obj + s.rest)
+    Search::new(model, 0, None).map(|s| s.fixed_obj + s.rest)
 }
 
 /// Marks a variable without an at-most-one group.
@@ -115,6 +139,8 @@ struct Search<'a> {
     fixed_obj: i64,
     /// Branching order: ascending group size, stable by index.
     order: Vec<usize>,
+    /// The value each variable is tried at first, if seeded.
+    warm: Option<&'a [bool]>,
     assign: Vec<bool>,
     best: Option<(Vec<bool>, i64)>,
     nodes: u64,
@@ -124,7 +150,7 @@ struct Search<'a> {
 
 impl<'a> Search<'a> {
     /// The root state, or `None` when a row is already unsatisfiable.
-    fn new(model: &'a Model, budget: u64) -> Option<Search<'a>> {
+    fn new(model: &'a Model, budget: u64, warm: Option<&'a [bool]>) -> Option<Search<'a>> {
         let n = model.num_vars;
         let rows = &model.constraints;
         let mut occ_start = vec![0usize; n + 1];
@@ -204,6 +230,7 @@ impl<'a> Search<'a> {
             rest: 0,
             fixed_obj: 0,
             order,
+            warm,
             assign: vec![false; n],
             best: None,
             nodes: 0,
@@ -376,9 +403,12 @@ impl<'a> Search<'a> {
             self.best = Some((self.assign.clone(), self.fixed_obj));
             return;
         };
-        // Value order favors the objective; a dead variable's 1-branch
-        // would break a row, so it is skipped.
-        let first = self.obj_coef[var] >= 0;
+        // Value order follows the warm seed, else favors the objective; a
+        // dead variable's 1-branch would break a row, so it is skipped.
+        let first = match self.warm {
+            Some(warm) => warm[var],
+            None => self.obj_coef[var] >= 0,
+        };
         for value in [first, !first] {
             if value && !self.live[var] {
                 continue;
@@ -396,128 +426,11 @@ impl<'a> Search<'a> {
     }
 }
 
-/// An ordered-DP solution: per-extract record assignment and the number of
-/// assigned extracts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OrderedSolution {
-    /// Record assignment for each extract (`None` = unassigned).
-    pub assignments: Vec<Option<u32>>,
-    /// Number of assigned extracts (maximal).
-    pub assigned: usize,
-}
-
-impl OrderedSolution {
-    /// `true` if every extract is assigned — i.e. the strict (hard) problem
-    /// is satisfiable under the horizontal-layout ordering.
-    pub fn is_total(&self) -> bool {
-        self.assigned == self.assignments.len()
-    }
-}
-
-/// Maximizes the number of extracts assigned to records, subject to:
-/// `R_i ∈ candidates[i]` (occurrence), each record's extracts contiguous
-/// (consecutiveness), each extract in at most one record (uniqueness by
-/// construction), and record labels non-decreasing in stream order
-/// (horizontal layout).
-///
-/// `candidates[i]` lists, in ascending order, the records extract `i` may
-/// belong to (the observation sets `D_i`).
-pub fn solve_ordered(candidates: &[&[u32]], num_records: usize) -> OrderedSolution {
-    let n = candidates.len();
-    let k = num_records;
-    if n == 0 {
-        return OrderedSolution {
-            assignments: Vec::new(),
-            assigned: 0,
-        };
-    }
-
-    // DP over states (j, open): j ∈ 0..=k where 0 = "no record started yet"
-    // and j >= 1 means record j-1 is the most recent; `open` means the most
-    // recent record can still be extended (no gap since its last extract).
-    const NEG: i32 = i32::MIN / 2;
-    let states = (k + 1) * 2;
-    let idx = |j: usize, open: bool| j * 2 + usize::from(open);
-
-    let mut dp = vec![NEG; states];
-    dp[idx(0, false)] = 0;
-    // parent[i][state] = (prev_state, action): action = record assigned + 1,
-    // or 0 for unassigned.
-    let mut parent = vec![vec![(usize::MAX, 0u32); states]; n];
-
-    for i in 0..n {
-        let mut next = vec![NEG; states];
-        for j in 0..=k {
-            for open in [false, true] {
-                let cur = dp[idx(j, open)];
-                if cur == NEG {
-                    continue;
-                }
-                // Option 1: leave extract i unassigned → record closes.
-                let st = idx(j, false);
-                if cur > next[st] {
-                    next[st] = cur;
-                    parent[i][st] = (idx(j, open), 0);
-                }
-                // Option 2: extend the open record with extract i.
-                if open && j >= 1 && candidates[i].binary_search(&((j - 1) as u32)).is_ok() {
-                    let st = idx(j, true);
-                    if cur + 1 > next[st] {
-                        next[st] = cur + 1;
-                        parent[i][st] = (idx(j, open), j as u32);
-                    }
-                }
-                // Option 3: start a new record r strictly after the most
-                // recent one (r > j-1, i.e. state index jp = r+1 > j).
-                for &r in candidates[i] {
-                    let jp = r as usize + 1;
-                    if jp <= j {
-                        continue;
-                    }
-                    let st = idx(jp, true);
-                    if cur + 1 > next[st] {
-                        next[st] = cur + 1;
-                        parent[i][st] = (idx(j, open), jp as u32);
-                    }
-                }
-            }
-        }
-        dp = next;
-    }
-
-    // Best final state; prefer larger count, then lower record index for
-    // determinism.
-    let mut best_state = 0;
-    let mut best = NEG;
-    for (st, &score) in dp.iter().enumerate() {
-        if score > best {
-            best = score;
-            best_state = st;
-        }
-    }
-
-    // Backtrack.
-    let mut assignments = vec![None; n];
-    let mut st = best_state;
-    for i in (0..n).rev() {
-        let (prev, action) = parent[i][st];
-        debug_assert_ne!(prev, usize::MAX, "state must have a parent");
-        if action > 0 {
-            assignments[i] = Some(action - 1);
-        }
-        st = prev;
-    }
-
-    OrderedSolution {
-        assignments,
-        assigned: best.max(0) as usize,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::{Constraint, Model, Relation, Term};
+    use crate::oracle::solve_ordered;
 
     // ---- branch and bound ----
 
@@ -563,7 +476,7 @@ mod tests {
         m.add(Constraint::sum([0, 1], Relation::Eq, 1));
         m.add(Constraint::sum([1, 2], Relation::Eq, 1));
         m.add(Constraint::sum([2, 0], Relation::Eq, 1));
-        assert_eq!(solve_bnb(&m, 2), BnbOutcome::Unknown);
+        assert_eq!(solve_bnb(&m, 2), BnbOutcome::Unknown { incumbent: None });
         // With enough budget it is proven infeasible.
         assert_eq!(solve_bnb(&m, 1_000), BnbOutcome::Infeasible);
     }
@@ -576,7 +489,14 @@ mod tests {
         let mut m = Model::new(2);
         m.add(Constraint::sum([0, 1], Relation::Le, 1));
         m.objective = vec![Term { var: 0, coef: 1 }, Term { var: 1, coef: 5 }];
-        assert_eq!(solve_bnb(&m, 3), BnbOutcome::Unknown);
+        let BnbOutcome::Unknown {
+            incumbent: Some(incumbent),
+        } = solve_bnb(&m, 3)
+        else {
+            panic!("three nodes reach the first leaf but no proof");
+        };
+        assert_eq!(incumbent, vec![true, false]);
+        assert!(m.feasible(&incumbent));
         assert_eq!(
             solve_bnb(&m, 100),
             BnbOutcome::Optimal {
@@ -584,6 +504,32 @@ mod tests {
                 objective: 5
             }
         );
+    }
+
+    #[test]
+    fn warm_seed_picks_among_equal_optima() {
+        // Two equal optima: x0 alone or x1 alone. Unseeded, the search
+        // tries x0 = 1 first and keeps it; a seed naming x1 wins instead.
+        let mut m = Model::new(2);
+        m.add(Constraint::sum([0, 1], Relation::Le, 1));
+        m.maximize_sum([0, 1]);
+        let optimal = |assignment: Vec<bool>| BnbOutcome::Optimal {
+            assignment,
+            objective: 1,
+        };
+        assert_eq!(solve_bnb(&m, 100), optimal(vec![true, false]));
+        // The all-false seed scores 0, so the search backtracks from it
+        // to the nearest optimum along the branching order; the
+        // infeasible all-true seed is cut at x1.
+        for (seed, want) in [
+            ([false, true], [false, true]),
+            ([true, false], [true, false]),
+            ([false, false], [false, true]),
+            ([true, true], [true, false]),
+        ] {
+            let (outcome, _) = branch_and_bound(&m, 100, Some(&seed));
+            assert_eq!(outcome, optimal(want.to_vec()), "seed {seed:?}");
+        }
     }
 
     #[test]

@@ -4,21 +4,19 @@
 //! representation and solve it using integer variable constraint
 //! optimization techniques."
 //!
-//! This crate contains both the general substrate and the paper-specific
+//! The paper solved its constraint systems with WSAT(OIP), a closed-source
+//! local-search solver (Walser, LNCS 1637), and asked it two questions:
+//! is the strict problem satisfiable, and, when it is not, what is the
+//! largest partial assignment of the relaxed one? This crate answers both
+//! exactly. It contains the general substrate and the paper-specific
 //! encoding:
 //!
 //! * [`model`] — pseudo-boolean models: 0-1 variables, linear constraints
-//!   (`≤ / ≥ / =`), hard/soft weights and an optional linear objective;
-//! * [`wsat`] — a WSAT(OIP)-style stochastic local-search solver (Walser,
-//!   *Integer Optimization by Local Search*, LNCS 1637): the solver the
-//!   paper licensed is closed source, so this is a from-scratch
-//!   implementation of the same strategy — violated-constraint selection,
-//!   greedy score-driven flips with noise, tabu memory and restarts;
-//! * [`exact`] — two exact solvers: a forward-checking branch-and-bound
-//!   over the general model (the ladder's per-component optimum proof and
-//!   cross-check, and on the whole strict encoding the one CSP oracle in
-//!   tests) and an ordered dynamic program specialized to the
-//!   segmentation structure;
+//!   (`≤ / ≥ / =`) and an optional linear objective;
+//! * [`exact`] — a forward-checking branch-and-bound over the general
+//!   model, with an optional warm seed ordering its values: the solver of
+//!   every component of both rungs, and on the whole strict encoding the
+//!   CSP oracle in tests;
 //! * [`encoder`] — builds the uniqueness, consecutiveness and position
 //!   constraints of Sections 4.1–4.2 from an observation table;
 //! * [`reduce`] — instance reduction ahead of any search: bounds
@@ -40,8 +38,13 @@ pub mod model;
 pub mod reduce;
 pub mod relax;
 pub mod solution;
-pub mod wsat;
 
 pub use encoder::{encode, EncodeOptions, Encoding};
 pub use reduce::{reduce_model, Component, Reduction};
 pub use relax::{segment_csp, CspOptions, CspOutcome, CspStatus};
+
+// The ordered-DP oracle lives with the integration tests; the unit tests
+// include the same file.
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;

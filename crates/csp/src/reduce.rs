@@ -7,7 +7,7 @@
 //! consecutiveness and position constraints until every variable is
 //! forced, and even on dirty sites the constraint graph falls apart into
 //! small independent clusters (one per run of entangled extracts). This
-//! pass exploits both structures before any stochastic search runs:
+//! pass exploits both structures before any search runs:
 //!
 //! 1. **Propagation.** For every constraint, the achievable range
 //!    `[lo, hi]` of its left-hand side under the current partial
@@ -25,8 +25,8 @@
 //! 4. **Components.** The remaining variables are grouped by union-find
 //!    over co-occurrence in active constraints; each group becomes an
 //!    independent sub-[`Model`] with remapped variables and
-//!    fixed-term-adjusted right-hand sides, solvable in isolation (and in
-//!    parallel). [`Reduction::stitch`] reassembles a full assignment.
+//!    fixed-term-adjusted right-hand sides, solvable in isolation.
+//!    [`Reduction::stitch`] reassembles a full assignment.
 //!
 //! Exact branch-and-bound over the whole, unreduced model is the
 //! differential oracle: stitching component solutions must reproduce
@@ -354,8 +354,16 @@ pub fn reduce_model(model: &Model) -> Reduction {
 mod tests {
     use super::*;
     use crate::encoder::{encode, EncodeOptions};
+    use crate::exact::{solve_bnb, BnbOutcome};
     use crate::model::{Constraint, Model, Relation};
-    use crate::wsat::{solve, WsatConfig};
+
+    /// Solves a component to optimality (or first feasibility).
+    fn solve(model: &Model) -> Vec<bool> {
+        match solve_bnb(model, 10_000) {
+            BnbOutcome::Optimal { assignment, .. } => assignment,
+            other => panic!("{other:?}"),
+        }
+    }
 
     #[test]
     fn superpages_strict_encoding_fully_forced_by_propagation() {
@@ -440,15 +448,7 @@ mod tests {
         assert_eq!(red.components.len(), 2);
         assert_eq!(red.components[0].vars, vec![0, 1]);
         assert_eq!(red.components[1].vars, vec![2, 3]);
-        let parts: Vec<Vec<bool>> = red
-            .components
-            .iter()
-            .map(|c| {
-                let r = solve(&c.model, &WsatConfig::default());
-                assert!(r.feasible);
-                r.assignment
-            })
-            .collect();
+        let parts: Vec<Vec<bool>> = red.components.iter().map(|c| solve(&c.model)).collect();
         assert!(m.feasible(&red.stitch(&parts)));
     }
 
@@ -490,11 +490,7 @@ mod tests {
         assert!(!red.infeasible);
         assert_eq!(red.fixed[0], Some(true));
         assert_eq!(red.fixed[1], Some(false));
-        let parts: Vec<Vec<bool>> = red
-            .components
-            .iter()
-            .map(|c| solve(&c.model, &WsatConfig::default()).assignment)
-            .collect();
+        let parts: Vec<Vec<bool>> = red.components.iter().map(|c| solve(&c.model)).collect();
         assert!(m.feasible(&red.stitch(&parts)));
     }
 }

@@ -7,60 +7,57 @@
 //! constraint problem, but the solution corresponded to a partial
 //! assignment." (Section 6.3)
 //!
-//! The ladder implemented here:
+//! The paper's local search could only fail to find a strict solution;
+//! this ladder answers both of its questions exactly, with encode →
+//! [`reduce_model`] → [`branch_and_bound`] per component:
 //!
-//! 1. encode with hard equalities, [`reduce_model`] the encoding
-//!    (propagation + decomposition — on clean sites this alone solves the
-//!    instance), and solve each remaining component with WSAT(OIP), in
-//!    parallel when [`WsatConfig::threads`] allows;
-//! 2. a component the stochastic search fails is cross-checked by the
-//!    exact branch-and-bound: if it finds a solution, use it; if it
-//!    *proves* infeasibility (or runs out of budget), fall through;
-//! 3. relax the same encoding in place
-//!    ([`Encoding::relax`](crate::Encoding::relax): equalities
-//!    become `≤`), reduce again, and solve each component twice: the
-//!    branch-and-bound first, whose proven optimum becomes the objective
-//!    target, then the warm-started portfolio ([`solve_warm`]), seeded
-//!    from the strict rung's best assignment — relaxing keeps the
-//!    variable layout, so the previous rung's solution projects directly
-//!    onto each component.
+//! 1. encode with hard equalities and reduce the encoding (propagation +
+//!    decomposition — on clean sites this alone solves the instance).
+//!    The branch-and-bound searches each remaining component for a
+//!    feasible assignment; the strict model has no objective, so it stops
+//!    at the first feasible leaf. A component it proves infeasible, or
+//!    that runs out of budget, sends the page down a rung and contributes
+//!    the all-false assignment to the strict rung's best assignment;
+//! 2. relax the same encoding in place
+//!    ([`Encoding::relax`](crate::Encoding::relax): equalities become
+//!    `≤`), reduce again, and prove each component's optimum. Relaxing
+//!    keeps the variable layout, so the strict rung's best assignment
+//!    projects onto each component as a warm seed: every variable is
+//!    branched first on its seed value, and the first optimum found is
+//!    kept, so ties go to the optimum nearest the seed. A component that
+//!    runs out of budget keeps the search's incumbent, or else the seed
+//!    where the seed satisfies it; otherwise the page fails.
 //!
 //! One node budget, [`CspOptions::bnb_budget`], bounds every
-//! branch-and-bound call of both rungs. The exact branch-and-bound over
-//! the whole strict encoding
+//! branch-and-bound call of both rungs. Every step is deterministic. The
+//! exact branch-and-bound over the whole strict encoding
 //! ([`solve_bnb`](crate::exact::solve_bnb)) is the differential oracle
 //! for this ladder in tests.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 use tableseg_extract::{Observations, Segmentation};
 
 use crate::encoder::{encode, EncodeOptions};
-use crate::exact::{branch_and_bound, BnbOutcome};
-use crate::reduce::{reduce_model, Component};
+use crate::exact::branch_and_bound;
+use crate::model::Model;
+use crate::reduce::{reduce_model, Reduction};
 use crate::solution::decode;
-use crate::wsat::{solve, solve_warm, WsatConfig, WsatResult};
 
 /// Options for [`segment_csp`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CspOptions {
-    /// Stochastic-solver configuration.
-    pub wsat: WsatConfig,
     /// Include the Section 4.2 position constraints.
     pub position_constraints: bool,
-    /// Node budget of each branch-and-bound call: the strict rung's
-    /// cross-check and the relaxed rung's optimum proof. A call that
-    /// runs out counts as `Unknown`.
+    /// Node budget of each branch-and-bound call, on either rung. A call
+    /// that runs out counts as `Unknown`.
     pub bnb_budget: u64,
 }
 
 impl Default for CspOptions {
     fn default() -> CspOptions {
         CspOptions {
-            wsat: WsatConfig::default(),
             position_constraints: true,
             bnb_budget: 50_000,
         }
@@ -72,9 +69,9 @@ impl Default for CspOptions {
 pub enum CspStatus {
     /// All hard constraints satisfied (the paper's clean-data case).
     Solved,
-    /// No solution to the hard problem existed (or was found); the relaxed
-    /// problem produced a partial assignment — the paper's notes `c` and
-    /// `d` in Table 4.
+    /// The hard problem was proven unsatisfiable (or a component ran out
+    /// of budget); the relaxed problem produced a partial assignment —
+    /// the paper's notes `c` and `d` in Table 4.
     SolvedRelaxed,
     /// Not even the relaxed problem yielded a usable assignment.
     Failed,
@@ -91,11 +88,6 @@ pub struct CspOutcome {
     /// assignment found (0 when `status == Solved`). A diagnostic for how
     /// inconsistent the site data is.
     pub strict_violation: i64,
-    /// Total WSAT flips spent across the strict and relaxed solves —
-    /// the throughput denominator reported by `solvebench`.
-    pub flips: u64,
-    /// Total WSAT restarts (tries) across the strict and relaxed solves.
-    pub tries: u64,
     /// Total branch-and-bound nodes explored across both rungs.
     pub bnb_nodes: u64,
     /// Constraint-graph components solved independently, summed over the
@@ -104,9 +96,6 @@ pub struct CspOutcome {
     /// Variables removed from the search space by reduction (forced by
     /// propagation + assigned free), summed over phases.
     pub pruned_vars: usize,
-    /// Warm-started component solves whose best assignment came from a
-    /// warm seed.
-    pub warm_start_hits: u64,
     /// Wall-clock nanoseconds spent building the encoding and deriving
     /// its relaxation — the `solve.encode` timing sub-stage.
     pub encode_ns: u64,
@@ -125,36 +114,55 @@ impl CspOutcome {
 /// Running totals across the two rungs of the ladder.
 #[derive(Default)]
 struct SolveStats {
-    flips: u64,
-    tries: u64,
     bnb_nodes: u64,
     components: usize,
     pruned_vars: usize,
-    warm_start_hits: u64,
     encode_ns: u64,
     reduce_ns: u64,
 }
 
-/// Runs the CSP approach of Section 4 on an observation table: reduce →
-/// solve components → (BnB per failed component) → relax → reduce →
-/// warm-started components.
-pub fn segment_csp(obs: &Observations, opts: &CspOptions) -> CspOutcome {
-    if obs.items.is_empty() {
-        return CspOutcome {
-            segmentation: Segmentation::unassigned(obs.num_records, 0),
-            status: CspStatus::Solved,
-            strict_violation: 0,
-            flips: 0,
-            tries: 0,
-            bnb_nodes: 0,
-            components: 0,
-            pruned_vars: 0,
-            warm_start_hits: 0,
-            encode_ns: 0,
-            reduce_ns: 0,
-        };
+impl SolveStats {
+    /// [`reduce_model`], timed and counted.
+    fn reduce(&mut self, model: &Model) -> Reduction {
+        let t = Instant::now();
+        let red = reduce_model(model);
+        self.reduce_ns += t.elapsed().as_nanos() as u64;
+        self.components += red.components.len();
+        self.pruned_vars += red.pruned_vars();
+        red
     }
+
+    fn finish(
+        self,
+        segmentation: Segmentation,
+        status: CspStatus,
+        strict_violation: i64,
+    ) -> CspOutcome {
+        CspOutcome {
+            segmentation,
+            status,
+            strict_violation,
+            bnb_nodes: self.bnb_nodes,
+            components: self.components,
+            pruned_vars: self.pruned_vars,
+            encode_ns: self.encode_ns,
+            reduce_ns: self.reduce_ns,
+        }
+    }
+}
+
+/// Runs the CSP approach of Section 4 on an observation table: reduce →
+/// branch-and-bound per component → (if any is infeasible) relax →
+/// reduce → warm-seeded branch-and-bound per component.
+pub fn segment_csp(obs: &Observations, opts: &CspOptions) -> CspOutcome {
     let mut stats = SolveStats::default();
+    if obs.items.is_empty() {
+        return stats.finish(
+            Segmentation::unassigned(obs.num_records, 0),
+            CspStatus::Solved,
+            0,
+        );
+    }
 
     // Rung 1: strict problem, reduced.
     let t = Instant::now();
@@ -165,237 +173,71 @@ pub fn segment_csp(obs: &Observations, opts: &CspOptions) -> CspOutcome {
         },
     );
     stats.encode_ns += t.elapsed().as_nanos() as u64;
-    let t = Instant::now();
-    let red = reduce_model(&enc.model);
-    stats.reduce_ns += t.elapsed().as_nanos() as u64;
-    stats.components += red.components.len();
-    stats.pruned_vars += red.pruned_vars();
+    let red = stats.reduce(&enc.model);
 
     let (strict_best, strict_solved) = if red.infeasible {
         // Propagation *proved* the strict problem unsatisfiable; the
         // completed partial assignment is the violation witness.
         (red.completed(), false)
     } else {
-        let results = solve_components(&red.components, opts.wsat.threads, |_, comp| {
-            // Components run on the outer pool; inner restarts stay
-            // sequential (WSAT results are thread-invariant anyway).
-            let cfg = WsatConfig {
-                threads: 1,
-                ..opts.wsat
-            };
-            solve(&comp.model, &cfg)
-        });
         let mut all_ok = true;
-        let mut parts: Vec<Vec<bool>> = Vec::with_capacity(results.len());
-        for (comp, r) in red.components.iter().zip(results) {
-            stats.flips += r.flips;
-            stats.tries += r.tries;
-            if r.feasible {
-                parts.push(r.assignment);
-                continue;
-            }
-            // Exact cross-check, per component.
-            let (exact, nodes) = branch_and_bound(&comp.model, opts.bnb_budget);
+        let mut parts: Vec<Vec<bool>> = Vec::with_capacity(red.components.len());
+        for comp in &red.components {
+            let (outcome, nodes) = branch_and_bound(&comp.model, opts.bnb_budget, None);
             stats.bnb_nodes += nodes;
-            match exact {
-                BnbOutcome::Optimal { assignment, .. } => parts.push(assignment),
-                BnbOutcome::Infeasible | BnbOutcome::Unknown => {
-                    all_ok = false;
-                    parts.push(r.assignment);
-                }
-            }
+            parts.push(outcome.into_assignment().unwrap_or_else(|| {
+                all_ok = false;
+                vec![false; comp.vars.len()]
+            }));
         }
         (red.stitch(&parts), all_ok)
     };
     if strict_solved {
         debug_assert!(enc.model.feasible(&strict_best));
-        return CspOutcome {
-            segmentation: decode(&enc, &strict_best, obs),
-            status: CspStatus::Solved,
-            strict_violation: 0,
-            flips: stats.flips,
-            tries: stats.tries,
-            bnb_nodes: stats.bnb_nodes,
-            components: stats.components,
-            pruned_vars: stats.pruned_vars,
-            warm_start_hits: stats.warm_start_hits,
-            encode_ns: stats.encode_ns,
-            reduce_ns: stats.reduce_ns,
-        };
+        return stats.finish(decode(&enc, &strict_best, obs), CspStatus::Solved, 0);
     }
     let strict_violation = enc.model.total_violation(&strict_best);
+    let failed = |stats: SolveStats| {
+        stats.finish(
+            Segmentation::unassigned(obs.num_records, obs.items.len()),
+            CspStatus::Failed,
+            strict_violation,
+        )
+    };
 
-    // Rung 2: relaxed optimization, reduced and warm-started. Relaxing
+    // Rung 2: relaxed optimization, reduced and warm-seeded. Relaxing
     // keeps the variable layout, so the strict rung's best assignment
-    // maps var-for-var onto the relaxed model — the warm seed below.
+    // maps var-for-var onto the relaxed model.
     let t = Instant::now();
     enc.relax();
     stats.encode_ns += t.elapsed().as_nanos() as u64;
-    let t = Instant::now();
-    let red = reduce_model(&enc.model);
-    stats.reduce_ns += t.elapsed().as_nanos() as u64;
-    stats.components += red.components.len();
-    stats.pruned_vars += red.pruned_vars();
+    let red = stats.reduce(&enc.model);
     if red.infeasible {
-        return CspOutcome {
-            segmentation: Segmentation::unassigned(obs.num_records, obs.items.len()),
-            status: CspStatus::Failed,
-            strict_violation,
-            flips: stats.flips,
-            tries: stats.tries,
-            bnb_nodes: stats.bnb_nodes,
-            components: stats.components,
-            pruned_vars: stats.pruned_vars,
-            warm_start_hits: stats.warm_start_hits,
-            encode_ns: stats.encode_ns,
-            reduce_ns: stats.reduce_ns,
-        };
+        return failed(stats);
     }
-    let results = solve_components(&red.components, opts.wsat.threads, |_, comp| {
-        // Exact first: the branch-and-bound proves the component's optimum
-        // (within two nodes per variable on the paper corpus), and that
-        // optimum becomes the portfolio's objective target, so the warm
-        // try exits the moment it matches it. Where the budget runs out,
-        // the target falls back to the relaxation's per-component upper
-        // bound: each extract with a variable here can contribute at most
-        // one assignment (its uniqueness constraint lives in this
-        // component too).
-        let (exact, nodes) = branch_and_bound(&comp.model, opts.bnb_budget);
-        let exact = match exact {
-            BnbOutcome::Optimal {
-                assignment,
-                objective,
-            } => Some((assignment, objective)),
-            BnbOutcome::Infeasible | BnbOutcome::Unknown => None,
-        };
-        // Warm seed: the strict rung's best assignment restricted to this
-        // component.
-        let warm: Vec<Vec<bool>> = vec![comp.vars.iter().map(|&v| strict_best[v]).collect()];
-        let target = match &exact {
-            Some((_, objective)) => *objective,
-            None => {
-                let mut extracts: Vec<usize> = comp.vars.iter().map(|&v| enc.vars[v].0).collect();
-                extracts.dedup();
-                extracts.len() as i64
-            }
-        };
-        let cfg = WsatConfig {
-            threads: 1,
-            objective_target: Some(target),
-            ..opts.wsat
-        };
-        let result = solve_warm(&comp.model, &cfg, &warm);
-        // The stochastic pick wins ties (its seeds carry the strict rung's
-        // structure); the exact assignment steps in only when the
-        // portfolio fell short of the proven optimum.
-        let result = match exact {
-            Some((assignment, objective)) if !result.feasible || result.objective < objective => {
-                WsatResult {
-                    feasible: true,
-                    violation: 0,
-                    objective,
-                    flips: result.flips,
-                    tries: result.tries,
-                    warm_start_hit: false,
-                    assignment,
-                }
-            }
-            _ => result,
-        };
-        (result, nodes)
-    });
-    let mut feasible = true;
-    let mut parts: Vec<Vec<bool>> = Vec::with_capacity(results.len());
-    for (r, nodes) in results {
+    let mut parts: Vec<Vec<bool>> = Vec::with_capacity(red.components.len());
+    for comp in &red.components {
+        let seed: Vec<bool> = comp.vars.iter().map(|&v| strict_best[v]).collect();
+        let (outcome, nodes) = branch_and_bound(&comp.model, opts.bnb_budget, Some(&seed));
         stats.bnb_nodes += nodes;
-        stats.flips += r.flips;
-        stats.tries += r.tries;
-        stats.warm_start_hits += u64::from(r.warm_start_hit);
-        feasible &= r.feasible;
-        parts.push(r.assignment);
-    }
-    if !feasible {
-        return CspOutcome {
-            segmentation: Segmentation::unassigned(obs.num_records, obs.items.len()),
-            status: CspStatus::Failed,
-            strict_violation,
-            flips: stats.flips,
-            tries: stats.tries,
-            bnb_nodes: stats.bnb_nodes,
-            components: stats.components,
-            pruned_vars: stats.pruned_vars,
-            warm_start_hits: stats.warm_start_hits,
-            encode_ns: stats.encode_ns,
-            reduce_ns: stats.reduce_ns,
-        };
+        match outcome.into_assignment() {
+            Some(assignment) => parts.push(assignment),
+            None if comp.model.feasible(&seed) => parts.push(seed),
+            None => return failed(stats),
+        }
     }
     let stitched = red.stitch(&parts);
-    CspOutcome {
-        segmentation: decode(&enc, &stitched, obs),
-        status: CspStatus::SolvedRelaxed,
+    stats.finish(
+        decode(&enc, &stitched, obs),
+        CspStatus::SolvedRelaxed,
         strict_violation,
-        flips: stats.flips,
-        tries: stats.tries,
-        bnb_nodes: stats.bnb_nodes,
-        components: stats.components,
-        pruned_vars: stats.pruned_vars,
-        warm_start_hits: stats.warm_start_hits,
-        encode_ns: stats.encode_ns,
-        reduce_ns: stats.reduce_ns,
-    }
-}
-
-/// Solves every component (work-stealing over scoped threads when
-/// `threads != 1`), returning results in component order. `solve_one`
-/// must be a pure function of `(index, component)`, so scheduling never
-/// shows in the output.
-fn solve_components<T: Send>(
-    components: &[Component],
-    threads: usize,
-    solve_one: impl Fn(usize, &Component) -> T + Sync,
-) -> Vec<T> {
-    let workers = match threads {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
-    }
-    .min(components.len());
-    if workers <= 1 {
-        return components
-            .iter()
-            .enumerate()
-            .map(|(i, c)| solve_one(i, c))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, T)>();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let solve_one = &solve_one;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(c) = components.get(i) else { break };
-                if tx.send((i, solve_one(i, c))).is_err() {
-                    break;
-                }
-            });
-        }
-    });
-    drop(tx);
-    let mut slots: Vec<Option<T>> = components.iter().map(|_| None).collect();
-    for (i, r) in rx {
-        slots[i] = Some(r);
-    }
-    slots
-        .into_iter()
-        .map(|o| o.expect("every component produced a result"))
-        .collect()
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exact::BnbOutcome;
     use tableseg_extract::build_observations;
     use tableseg_html::{lexer::tokenize, Token};
 
@@ -448,13 +290,13 @@ mod tests {
 
     #[test]
     fn clean_sites_are_solved_by_propagation_alone() {
-        // The tentpole claim of the reduction pass: on consistent data the
+        // The claim of the reduction pass: on consistent data the
         // uniqueness singletons cascade until everything is forced — no
-        // stochastic search, zero flips.
+        // search, zero branch-and-bound nodes.
         let obs = crate::encoder::tests::superpages_obs();
         let out = segment_csp(&obs, &CspOptions::default());
         assert_eq!(out.status, CspStatus::Solved);
-        assert_eq!(out.flips, 0, "{out:?}");
+        assert_eq!(out.bnb_nodes, 0, "{out:?}");
         assert_eq!(out.components, 0);
         assert!(out.pruned_vars > 0);
     }
@@ -507,7 +349,7 @@ mod tests {
             let out = segment_csp(obs, &CspOptions::default());
             let enc = encode(obs, &EncodeOptions::default());
             let oracle = crate::exact::solve_bnb(&enc.model, CspOptions::default().bnb_budget);
-            assert!(!matches!(oracle, BnbOutcome::Unknown), "{obs:?}");
+            assert!(!matches!(oracle, BnbOutcome::Unknown { .. }), "{obs:?}");
             assert_eq!(
                 out.status == CspStatus::Solved,
                 matches!(oracle, BnbOutcome::Optimal { .. }),
@@ -530,28 +372,63 @@ mod tests {
     }
 
     #[test]
-    fn component_parallelism_is_deterministic() {
-        let (_, base) = segment(
+    fn ambiguous_clean_page_is_solved_by_the_strict_search() {
+        // Without the position constraints the two "John Smith" and the
+        // two phone extracts of the paper's example may each go to r1 or
+        // r2, so propagation leaves a strict component; the
+        // branch-and-bound stops at its first feasible leaf.
+        let obs = crate::encoder::tests::superpages_obs();
+        let out = segment_csp(
+            &obs,
+            &CspOptions {
+                position_constraints: false,
+                ..CspOptions::default()
+            },
+        );
+        assert_eq!(out.status, CspStatus::Solved, "{out:?}");
+        assert!(out.components > 0, "{out:?}");
+        assert!(out.bnb_nodes > 0, "{out:?}");
+        assert!(out.segmentation.is_total());
+        assert!(out.segmentation.check(&obs).is_empty());
+    }
+
+    #[test]
+    fn every_budget_yields_a_feasible_relaxed_assignment_or_fails() {
+        // From no node at all up to a full proof, a relaxed component
+        // keeps the optimum, the incumbent or a feasible seed, or the
+        // page fails — never an assignment that breaks a relaxed row.
+        let obs = observations(
             "<td>Alpha One</td><td>Parole</td><td>Beta Two</td><td>Parole</td>",
             &[
                 "<p>Alpha One</p><p>Parole</p>",
                 "<p>Beta Two</p><p>Parolee</p>",
             ],
         );
-        let list = tokenize("<td>Alpha One</td><td>Parole</td><td>Beta Two</td><td>Parole</td>");
-        let d1 = tokenize("<p>Alpha One</p><p>Parole</p>");
-        let d2 = tokenize("<p>Beta Two</p><p>Parolee</p>");
-        let refs: Vec<&[Token]> = vec![&d1, &d2];
-        let obs = build_observations(&list, &[], &refs);
-        for threads in [2, 4, 0] {
-            let mut opts = CspOptions::default();
-            opts.wsat.threads = threads;
-            let out = segment_csp(&obs, &opts);
-            assert_eq!(out.segmentation, base.segmentation, "threads={threads}");
-            assert_eq!(out.status, base.status);
-            assert_eq!(out.flips, base.flips);
-            assert_eq!(out.warm_start_hits, base.warm_start_hits);
+        let mut enc = encode(&obs, &EncodeOptions::default());
+        enc.relax();
+        let full = segment_csp(&obs, &CspOptions::default());
+        for bnb_budget in 0..=full.bnb_nodes {
+            let out = segment_csp(
+                &obs,
+                &CspOptions {
+                    bnb_budget,
+                    ..CspOptions::default()
+                },
+            );
+            assert!(out.bnb_nodes <= full.bnb_nodes, "budget {bnb_budget}");
+            if out.status == CspStatus::Failed {
+                continue;
+            }
+            assert_eq!(out.status, CspStatus::SolvedRelaxed);
+            let mut assignment = vec![false; enc.model.num_vars];
+            for (i, &a) in out.segmentation.assignments.iter().enumerate() {
+                if let Some(r) = a {
+                    assignment[enc.var(i, r).expect("assigned records are candidates")] = true;
+                }
+            }
+            assert!(enc.model.feasible(&assignment), "budget {bnb_budget}");
         }
+        assert_eq!(full.status, CspStatus::SolvedRelaxed);
     }
 
     #[test]

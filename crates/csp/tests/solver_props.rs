@@ -1,16 +1,18 @@
-//! Property tests cross-checking the exact branch-and-bound against a
-//! brute-force enumerator and the stochastic WSAT(OIP) solver against the
-//! branch-and-bound, validating the ordered DP's invariants, checking the
-//! encoder against its oracle, and certifying the relaxed optima of the
+//! Property tests cross-checking the exact branch-and-bound (cold and
+//! warm-seeded) against a brute-force enumerator and against the ordered
+//! DP oracle, validating the DP's invariants, checking the encoder
+//! against its oracle, and certifying the relaxed optima of the
 //! simulated paper corpus.
+
+mod oracle;
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use tableseg_csp::exact::{bnb_root_bound, solve_bnb, solve_ordered, BnbOutcome};
+use oracle::solve_ordered;
+use tableseg_csp::exact::{bnb_root_bound, branch_and_bound, solve_bnb, BnbOutcome};
 use tableseg_csp::model::{Constraint, Model, Relation, Term};
-use tableseg_csp::wsat::{solve, solve_warm, WsatConfig};
 use tableseg_csp::{encode, reduce_model, segment_csp, CspOptions, CspStatus, EncodeOptions};
 use tableseg_extract::positions::position_groups;
 use tableseg_extract::{Extract, ObsItem, Observations, PagePos};
@@ -198,12 +200,12 @@ fn encoder_matches_oracle_on_paper_pages() {
     assert_eq!(pages.len(), 24);
 }
 
-/// The relaxed rung's targets are proven: on every relaxed component of
-/// the paper corpus the branch-and-bound finishes, within two nodes per
-/// variable, the ladder's warm-started WSAT call reaches that optimum,
-/// and the ladder assigns exactly the proven number of extracts. The
-/// four large components sit below the extract-count bound the rung
-/// used to chase.
+/// The relaxed rung's answers are proven: on every relaxed component of
+/// the paper corpus the cold branch-and-bound finishes within two nodes
+/// per variable, the warm-seeded search reaches the same optimum, the
+/// ladder's assignment of each component is exactly that warm-seeded
+/// optimum, and the ladder assigns the proven number of extracts. The
+/// four large components sit below their extract-count bound.
 #[test]
 fn bnb_certifies_every_relaxed_component_of_the_paper_corpus() {
     let opts = CspOptions::default();
@@ -224,24 +226,32 @@ fn bnb_certifies_every_relaxed_component_of_the_paper_corpus() {
         let strict_best = strict.completed();
         enc.relax();
         let red = reduce_model(&enc.model);
+        // The ladder's assignment of the relaxed encoding.
+        let mut ladder = vec![false; enc.model.num_vars];
+        for (i, &a) in out.segmentation.assignments.iter().enumerate() {
+            if let Some(r) = a {
+                ladder[enc.var(i, r).expect("assigned records are candidates")] = true;
+            }
+        }
         let mut parts = Vec::new();
+        let mut cold_nodes = 0;
         for comp in &red.components {
-            let BnbOutcome::Optimal {
-                assignment,
-                objective,
-            } = solve_bnb(&comp.model, opts.bnb_budget)
-            else {
+            let (cold, nodes) = branch_and_bound(&comp.model, opts.bnb_budget, None);
+            cold_nodes += nodes;
+            let BnbOutcome::Optimal { objective, .. } = cold else {
                 panic!("{}-variable component not proven", comp.vars.len());
             };
-            let warm = vec![comp.vars.iter().map(|&v| strict_best[v]).collect()];
-            let cfg = WsatConfig {
-                threads: 1,
-                objective_target: Some(objective),
-                ..opts.wsat
+            let seed: Vec<bool> = comp.vars.iter().map(|&v| strict_best[v]).collect();
+            let BnbOutcome::Optimal {
+                assignment,
+                objective: warm_objective,
+            } = branch_and_bound(&comp.model, opts.bnb_budget, Some(&seed)).0
+            else {
+                panic!("{}-variable component not proven warm", comp.vars.len());
             };
-            let stochastic = solve_warm(&comp.model, &cfg, &warm);
-            assert!(stochastic.feasible);
-            assert_eq!(stochastic.objective, objective, "{} vars", comp.vars.len());
+            assert_eq!(warm_objective, objective, "{} vars", comp.vars.len());
+            let chosen: Vec<bool> = comp.vars.iter().map(|&v| ladder[v]).collect();
+            assert_eq!(chosen, assignment, "{} vars", comp.vars.len());
             if comp.vars.len() >= 30 {
                 let mut extracts: Vec<usize> = comp.vars.iter().map(|&v| enc.vars[v].0).collect();
                 extracts.dedup();
@@ -253,7 +263,7 @@ fn bnb_certifies_every_relaxed_component_of_the_paper_corpus() {
         let optimum = enc.model.objective_value(&red.stitch(&parts));
         assert_eq!(out.segmentation.assigned_count() as i64, optimum);
         let vars: usize = red.components.iter().map(|c| c.vars.len()).sum();
-        assert!(out.bnb_nodes <= 2 * vars as u64, "{} nodes", out.bnb_nodes);
+        assert!(cold_nodes <= 2 * vars as u64, "{cold_nodes} nodes");
     }
     assert_eq!(components, 40);
     large.sort_unstable();
@@ -276,6 +286,18 @@ fn brute_force(model: &Model) -> Option<i64> {
                 .then(|| model.objective_value(&assignment))
         })
         .max()
+}
+
+/// Every assignment scoring brute force's optimum, in enumeration order.
+fn optimal_assignments(model: &Model) -> Vec<Vec<bool>> {
+    let Some(optimum) = brute_force(model) else {
+        return Vec::new();
+    };
+    let n = model.num_vars;
+    (0u32..1 << n)
+        .map(|bits| (0..n).map(|v| bits >> v & 1 == 1).collect::<Vec<bool>>())
+        .filter(|a| model.feasible(a) && model.objective_value(a) == optimum)
+        .collect()
 }
 
 /// Gives a model a random objective, with negative and zero weights.
@@ -346,7 +368,7 @@ fn assert_bnb_matches_brute_force(model: &Model) -> Result<(), TestCaseError> {
             prop_assert_eq!(model.objective_value(&assignment), objective);
         }
         BnbOutcome::Infeasible => prop_assert_eq!(truth, None),
-        BnbOutcome::Unknown => unreachable!("budget is ample for <=12 vars"),
+        BnbOutcome::Unknown { .. } => unreachable!("budget is ample for <=12 vars"),
     }
     if let Some(optimum) = truth {
         let bound = bnb_root_bound(model);
@@ -512,6 +534,43 @@ proptest! {
         assert_bnb_matches_brute_force(&model)?;
     }
 
+    /// Warm-seeded branch-and-bound reaches brute force's optimum from
+    /// any seed, feasible or not.
+    #[test]
+    fn warm_bnb_equals_brute_force_from_any_seed(
+        model in with_objective(arb_grouped_model()),
+        bits in any::<u16>(),
+    ) {
+        let seed: Vec<bool> = (0..model.num_vars).map(|v| bits >> v & 1 == 1).collect();
+        let truth = brute_force(&model);
+        match branch_and_bound(&model, 1_000_000, Some(&seed)).0 {
+            BnbOutcome::Optimal { assignment, objective } => {
+                prop_assert_eq!(Some(objective), truth);
+                prop_assert!(model.feasible(&assignment));
+                prop_assert_eq!(model.objective_value(&assignment), objective);
+            }
+            BnbOutcome::Infeasible => prop_assert_eq!(truth, None),
+            BnbOutcome::Unknown { .. } => unreachable!("budget is ample for <=12 vars"),
+        }
+    }
+
+    /// A seed that is itself feasible and optimal comes back unchanged:
+    /// among equal optima the warm-seeded search keeps the seed's.
+    #[test]
+    fn warm_bnb_returns_an_optimal_seed_unchanged(
+        model in with_objective(arb_grouped_model()),
+        pick in any::<u32>(),
+    ) {
+        let optima = optimal_assignments(&model);
+        prop_assume!(!optima.is_empty());
+        let seed = &optima[pick as usize % optima.len()];
+        let outcome = branch_and_bound(&model, 1_000_000, Some(seed)).0;
+        let BnbOutcome::Optimal { assignment, .. } = outcome else {
+            return Err(TestCaseError::fail(format!("{outcome:?}")));
+        };
+        prop_assert_eq!(&assignment, seed, "{} optima", optima.len());
+    }
+
     /// The encoder matches its oracle row for row on random observation
     /// tables, strict and relaxed, with and without position constraints.
     #[test]
@@ -520,38 +579,6 @@ proptest! {
         position_constraints in any::<bool>(),
     ) {
         assert_encoder_matches_oracle(&obs, position_constraints);
-    }
-
-    /// If B&B proves the model satisfiable, WSAT must find a feasible
-    /// assignment too (these models are tiny); if B&B proves infeasibility,
-    /// WSAT must never claim feasibility.
-    #[test]
-    fn wsat_agrees_with_bnb_on_feasibility(model in arb_model()) {
-        let exact = solve_bnb(&model, 1_000_000);
-        let stochastic = solve(&model, &WsatConfig::default());
-        match exact {
-            BnbOutcome::Optimal { .. } => {
-                prop_assert!(stochastic.feasible, "WSAT missed a solution");
-                prop_assert!(model.feasible(&stochastic.assignment));
-            }
-            BnbOutcome::Infeasible => {
-                prop_assert!(!stochastic.feasible, "WSAT claims feasible on infeasible model");
-            }
-            BnbOutcome::Unknown => unreachable!("budget is ample for <=8 vars"),
-        }
-    }
-
-    /// With a maximize-sum objective, WSAT must reach the B&B optimum on
-    /// these tiny models.
-    #[test]
-    fn wsat_reaches_optimum_on_small_models(mut model in arb_model()) {
-        model.maximize_sum(0..model.num_vars);
-        let exact = solve_bnb(&model, 1_000_000);
-        if let BnbOutcome::Optimal { objective, .. } = exact {
-            let stochastic = solve(&model, &WsatConfig { max_flips: 5_000, ..WsatConfig::default() });
-            prop_assert!(stochastic.feasible);
-            prop_assert_eq!(stochastic.objective, objective);
-        }
     }
 
     /// Ordered-DP output always satisfies occurrence, uniqueness,
@@ -616,29 +643,11 @@ proptest! {
         prop_assert!(sol.assigned >= best_run);
     }
 
-    /// Feasibility agreement extends to non-unit (and negative)
-    /// coefficients — the shape the encoder's consecutiveness triples use.
-    #[test]
-    fn wsat_agrees_with_bnb_on_weighted_models(model in arb_weighted_model()) {
-        let exact = solve_bnb(&model, 1_000_000);
-        let stochastic = solve(&model, &WsatConfig::default());
-        match exact {
-            BnbOutcome::Optimal { .. } => {
-                prop_assert!(stochastic.feasible, "WSAT missed a solution");
-                prop_assert!(model.feasible(&stochastic.assignment));
-            }
-            BnbOutcome::Infeasible => {
-                prop_assert!(!stochastic.feasible, "WSAT claims feasible on infeasible model");
-            }
-            BnbOutcome::Unknown => unreachable!("budget is ample for <=7 vars"),
-        }
-    }
-
-    /// Three-way differential on ordered segmentation instances: the
+    /// Differential on ordered segmentation instances: the
     /// branch-and-bound optimum of the pseudo-boolean translation must
-    /// equal the ordered DP's assigned count, and WSAT must reach it too.
+    /// equal the ordered DP's assigned count.
     #[test]
-    fn dp_bnb_wsat_agree_on_segmentation_instances(
+    fn dp_bnb_agree_on_segmentation_instances(
         spec in proptest::collection::vec(
             proptest::collection::btree_set(0u32..4, 0..3), 1..8),
     ) {
@@ -665,38 +674,6 @@ proptest! {
             assignment[v] = dp.assignments[i] == Some(j);
         }
         prop_assert!(model.feasible(&assignment), "DP solution infeasible in PB model");
-
-        // And WSAT, given the same model, reaches the optimum.
-        let stochastic = solve(&model, &WsatConfig { max_flips: 10_000, ..WsatConfig::default() });
-        prop_assert!(stochastic.feasible);
-        prop_assert_eq!(stochastic.objective, objective);
-    }
-
-    /// Parallel restarts are a pure scheduling change: 1, 2 and N worker
-    /// threads return byte-identical results (assignment, feasibility,
-    /// violation, objective *and* total flips) on random weighted models,
-    /// for arbitrary seeds, with and without an objective.
-    #[test]
-    fn parallel_restarts_equal_sequential(
-        mut model in arb_weighted_model(),
-        with_objective in any::<bool>(),
-        seed in any::<u64>(),
-    ) {
-        if with_objective {
-            model.maximize_sum(0..model.num_vars);
-        }
-        let base = WsatConfig {
-            max_flips: 400,
-            max_tries: 5,
-            seed,
-            threads: 1,
-            ..WsatConfig::default()
-        };
-        let sequential = solve(&model, &base);
-        for threads in [2, 4, 0] {
-            let parallel = solve(&model, &WsatConfig { threads, ..base });
-            prop_assert_eq!(&sequential, &parallel, "threads = {}", threads);
-        }
     }
 
     /// Instance reduction is exact: solving the components independently
@@ -760,7 +737,7 @@ proptest! {
                     any_infeasible = true;
                     break;
                 }
-                BnbOutcome::Unknown => unreachable!("budget is ample for <=7 vars"),
+                BnbOutcome::Unknown { .. } => unreachable!("budget is ample for <=7 vars"),
             }
         }
         match whole {
@@ -773,29 +750,7 @@ proptest! {
             BnbOutcome::Infeasible => {
                 prop_assert!(any_infeasible, "every component solvable on an infeasible model");
             }
-            BnbOutcome::Unknown => unreachable!("budget is ample for <=7 vars"),
+            BnbOutcome::Unknown { .. } => unreachable!("budget is ample for <=7 vars"),
         }
-    }
-
-    /// The objective-target early exit never *changes* the answer when the
-    /// target is the true optimum — it only saves flips. (A looser bound
-    /// could stop at any feasible assignment reaching it; the relaxation
-    /// ladder always passes the exact relaxed optimum.)
-    #[test]
-    fn objective_target_preserves_optimum(model in arb_model()) {
-        let mut model = model;
-        model.maximize_sum(0..model.num_vars);
-        let BnbOutcome::Optimal { objective, .. } = solve_bnb(&model, 1_000_000) else {
-            return Ok(()); // infeasible models have no target to reach
-        };
-        let free = solve(&model, &WsatConfig { max_flips: 5_000, ..WsatConfig::default() });
-        let capped = solve(&model, &WsatConfig {
-            max_flips: 5_000,
-            objective_target: Some(objective),
-            ..WsatConfig::default()
-        });
-        prop_assert!(capped.feasible);
-        prop_assert_eq!(capped.objective, free.objective);
-        prop_assert!(capped.flips <= free.flips);
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! * [`metric`] — typed [`Counter`]s and log2-bucket [`Histogram`]s for
 //!   the quantities the paper (and the chaos layer) care about: pages
-//!   processed, extracts matched, WSAT flips and restarts, EM
+//!   processed, extracts matched, CSP relaxations and components, EM
 //!   iterations, template-cache hits, warnings and failures.
 //! * [`recorder`] — the per-job [`Recorder`] the batch engine merges in
 //!   deterministic job order, plus the ambient enable switch

@@ -492,7 +492,7 @@ mod tests {
         m.seeds = vec![7, 11];
         m.metrics = Recorder::always_on();
         m.metrics.bump(Counter::PagesProcessed, 117);
-        m.metrics.bump(Counter::WsatFlips, 40_000);
+        m.metrics.bump(Counter::EmIterations, 40_000);
         m.metrics.observe(Hist::ExtractsPerPage, 0);
         m.metrics.observe(Hist::ExtractsPerPage, u64::MAX);
         m.robustness = Some(RobustnessRollup {
@@ -531,7 +531,7 @@ mod tests {
         assert!(j.contains("\"schema\": \"tableseg.manifest/v1\""));
         assert!(j.contains("\"tool\": \"test-tool\""));
         assert!(j.contains("\"pages.processed\": 117"));
-        assert!(j.contains("\"csp.wsat.flips\": 40000"));
+        assert!(j.contains("\"prob.em.iterations\": 40000"));
         assert!(j.contains("\"seeds\": [7, 11]"));
         assert!(j.contains("\"git_describe\": \"v1-dirty\""));
         assert!(j.contains("\"failures_by_stage\": [[\"solve\", 2]]"));

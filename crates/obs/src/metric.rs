@@ -50,9 +50,12 @@ pub enum Counter {
     /// Total extract ↔ detail-page matches (the sum of |D_i| over all
     /// kept extracts — every kept extract has at least one).
     ExtractsMatched,
-    /// WSAT(OIP) variable flips across all solves.
+    /// Retired: WSAT(OIP) variable flips. The CSP is solved exactly and
+    /// nothing increments this counter; it keeps its name and slot for
+    /// readers that still name it.
     WsatFlips,
-    /// WSAT(OIP) restarts (tries) across all solves.
+    /// Retired: WSAT(OIP) restarts (tries). Nothing increments it; kept
+    /// like [`Counter::WsatFlips`].
     WsatTries,
     /// CSP solves that had to relax their constraints (notes `c`/`d`).
     CspRelaxed,
@@ -91,8 +94,8 @@ pub enum Counter {
     /// Variables eliminated before search by instance reduction: forced
     /// by propagation or free (touching no active constraint).
     SolvePrunedVars,
-    /// Warm-started WSAT solves whose best try was a warm seed (the
-    /// previous relaxation rung's assignment), not a cold restart.
+    /// Retired: warm-started WSAT solves whose best try was a warm seed.
+    /// Nothing increments it; kept like [`Counter::WsatFlips`].
     SolveWarmStartHits,
     /// Pages run through the table-region detection stage.
     DetectPages,
@@ -316,8 +319,6 @@ pub enum Hist {
     DetailPagesPerExtract,
     /// Ground-truth records per prepared page (`num_records`).
     RecordsPerPage,
-    /// WSAT flips per CSP solve.
-    WsatFlipsPerSolve,
     /// EM iterations per probabilistic solve.
     EmIterationsPerSolve,
     /// HTML bytes per page scanned by the zero-copy front end.
@@ -336,7 +337,6 @@ impl Hist {
         Hist::ExtractsPerPage,
         Hist::DetailPagesPerExtract,
         Hist::RecordsPerPage,
-        Hist::WsatFlipsPerSolve,
         Hist::EmIterationsPerSolve,
         Hist::FrontendPageBytes,
         Hist::ServeRequestMicros,
@@ -344,7 +344,7 @@ impl Hist {
     ];
 
     /// Number of histogram variants (see [`Counter::COUNT`]).
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 7;
 
     /// The canonical metric name.
     pub fn label(self) -> &'static str {
@@ -352,7 +352,6 @@ impl Hist {
             Hist::ExtractsPerPage => "extracts_per_page",
             Hist::DetailPagesPerExtract => "detail_pages_per_extract",
             Hist::RecordsPerPage => "records_per_page",
-            Hist::WsatFlipsPerSolve => "wsat_flips_per_solve",
             Hist::EmIterationsPerSolve => "em_iterations_per_solve",
             Hist::FrontendPageBytes => "frontend_page_bytes",
             Hist::ServeRequestMicros => "serve_request_micros",
@@ -367,11 +366,10 @@ impl Hist {
             Hist::ExtractsPerPage => 0,
             Hist::DetailPagesPerExtract => 1,
             Hist::RecordsPerPage => 2,
-            Hist::WsatFlipsPerSolve => 3,
-            Hist::EmIterationsPerSolve => 4,
-            Hist::FrontendPageBytes => 5,
-            Hist::ServeRequestMicros => 6,
-            Hist::ServePagesPerRequest => 7,
+            Hist::EmIterationsPerSolve => 3,
+            Hist::FrontendPageBytes => 4,
+            Hist::ServeRequestMicros => 5,
+            Hist::ServePagesPerRequest => 6,
         }
     }
 }
@@ -539,13 +537,13 @@ mod tests {
     fn counter_set_adds_and_merges() {
         let mut a = CounterSet::new();
         assert!(a.is_zero());
-        a.add(Counter::WsatFlips, 10);
-        a.add(Counter::WsatFlips, 5);
+        a.add(Counter::EmIterations, 10);
+        a.add(Counter::EmIterations, 5);
         let mut b = CounterSet::new();
-        b.add(Counter::WsatFlips, 1);
+        b.add(Counter::EmIterations, 1);
         b.add(Counter::PagesProcessed, 2);
         a.merge(&b);
-        assert_eq!(a.get(Counter::WsatFlips), 16);
+        assert_eq!(a.get(Counter::EmIterations), 16);
         assert_eq!(a.get(Counter::PagesProcessed), 2);
         assert!(!a.is_zero());
     }

@@ -114,7 +114,7 @@ mod tests {
         // off recorder leave it bit-for-bit empty.
         let mut r = Recorder::default();
         assert!(!r.is_on());
-        r.bump(Counter::WsatFlips, 1000);
+        r.bump(Counter::EmIterations, 1000);
         r.incr(Counter::PagesProcessed);
         r.observe(Hist::ExtractsPerPage, 42);
         assert!(r.is_empty());
@@ -124,10 +124,10 @@ mod tests {
     #[test]
     fn enabled_recorder_records() {
         let mut r = Recorder::always_on();
-        r.bump(Counter::WsatFlips, 1000);
+        r.bump(Counter::EmIterations, 1000);
         r.incr(Counter::PagesProcessed);
         r.observe(Hist::ExtractsPerPage, 42);
-        assert_eq!(r.counters.get(Counter::WsatFlips), 1000);
+        assert_eq!(r.counters.get(Counter::EmIterations), 1000);
         assert_eq!(r.counters.get(Counter::PagesProcessed), 1);
         assert_eq!(r.hists.get(Hist::ExtractsPerPage).count, 1);
         assert!(!r.is_empty());
