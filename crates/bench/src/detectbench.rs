@@ -10,7 +10,7 @@
 //!   is tokenized and run through [`detect_regions`]; the predicted
 //!   table-region byte spans are scored against the ground-truth table
 //!   regions with the span classifier (`classify_spans`), giving region
-//!   P/R/F. The CI gate requires F ≥ 0.9;
+//!   Cor/InC/FN/FP and P/R/F;
 //! * **nested cohort** ([`tableseg_sitegen::scenario::nested_cohort`]) —
 //!   pages whose parent records
 //!   nest a repeating sub-record table. The pipeline runs end to end on
@@ -20,12 +20,15 @@
 //!   induce and segment inside each slot. Sub-detail pages are attached
 //!   to each predicted slot by following the links it covers (modelled as
 //!   max byte overlap with the truth parent). Sub-records are scored with
-//!   [`classify_nested`]; the CI gate requires F ≥ 0.8.
+//!   [`classify_nested`].
 //!
 //! The report also re-checks the **pass-through invariant** on the paper
 //! corpus: every page of the twelve single-table paper sites must detect
 //! as exactly one whole-page region (`pass_through`), which is what keeps
 //! the table4 golden byte-identical with detection enabled.
+//!
+//! The baseline is the committed `BENCH_detect.json`: `bench detect`
+//! fails when any count of [`DetectBench::work_counts`] differs from it.
 
 use std::ops::Range;
 
@@ -37,14 +40,13 @@ use tableseg::{
 use tableseg_eval::classify::{
     classify_nested, classify_spans, NestedParentPred, NestedParentTruth, PageCounts,
 };
-use tableseg_eval::Metrics;
 use tableseg_sitegen::paper_sites;
 use tableseg_sitegen::scenario::{
     detect_cohort, generate_multi_table, generate_nested, NestedPage,
 };
 use tableseg_sitegen::site::generate;
 
-use crate::corpus::BenchJson;
+use crate::corpus::{count_keys, counts_members, scored_json, BenchJson};
 
 /// Classification counts for one scenario site.
 #[derive(Debug, Clone)]
@@ -87,22 +89,32 @@ impl DetectBench {
         Self::summed(&self.nested_sites)
     }
 
-    /// Region-detection precision/recall/F.
-    pub fn region_metrics(&self) -> Metrics {
-        Metrics::from_counts(&self.region_counts())
-    }
-
-    /// Sub-record precision/recall/F through the recursive pass.
-    pub fn nested_metrics(&self) -> Metrics {
-        Metrics::from_counts(&self.nested_counts())
-    }
-
-    /// `true` when both accuracy gates and the paper pass-through
-    /// invariant hold.
-    pub fn gates_pass(&self, min_region_f: f64, min_nested_f: f64) -> bool {
-        self.region_metrics().f1 >= min_region_f
-            && self.nested_metrics().f1 >= min_nested_f
-            && self.paper_pass_through == self.paper_pages
+    /// The counts a detection change must repeat unless it means to
+    /// change behaviour, keyed by their path in `BENCH_detect.json`: the
+    /// region and nested Cor/InC/FN/FP, in total and per site, and the
+    /// paper pages that passed through.
+    pub fn work_counts(&self) -> Vec<(String, f64)> {
+        let mut counts = vec![
+            (
+                "pass_through.paper_pages".to_string(),
+                self.paper_pages as f64,
+            ),
+            (
+                "pass_through.pass_through_pages".to_string(),
+                self.paper_pass_through as f64,
+            ),
+        ];
+        counts.extend(count_keys("region", &self.region_counts()));
+        counts.extend(count_keys("nested", &self.nested_counts()));
+        for (cohort, sites) in [
+            ("region_sites", &self.region_sites),
+            ("nested_sites", &self.nested_sites),
+        ] {
+            for s in sites {
+                counts.extend(count_keys(&format!("{cohort}.{}", s.site), &s.counts));
+            }
+        }
+        counts
     }
 }
 
@@ -257,34 +269,25 @@ pub fn run_detect_bench(seed: u64) -> DetectBench {
     }
 }
 
-fn counts_json(c: &PageCounts, m: &Metrics) -> String {
-    format!(
-        "{{ \"cor\": {}, \"incor\": {}, \"fneg\": {}, \"fpos\": {}, \
-         \"precision\": {:.4}, \"recall\": {:.4}, \"f\": {:.4} }}",
-        c.cor, c.incor, c.fneg, c.fpos, m.precision, m.recall, m.f1
-    )
-}
-
+/// Per-site rows as an object keyed by site name, so each row's counts
+/// have a path in the document.
 fn sites_json(sites: &[SiteScore]) -> String {
-    let mut out = String::from("[\n");
-    for (i, s) in sites.iter().enumerate() {
-        let m = Metrics::from_counts(&s.counts);
-        out.push_str(&format!(
-            "    {{ \"site\": \"{}\", \"pages\": {}, {} }}{}\n",
-            s.site,
-            s.pages,
-            counts_json(&s.counts, &m)
-                .trim_start_matches("{ ")
-                .trim_end_matches(" }"),
-            if i + 1 < sites.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]");
-    out
+    let rows: Vec<String> = sites
+        .iter()
+        .map(|s| {
+            format!(
+                "    \"{}\": {{ \"pages\": {}, {} }}",
+                s.site,
+                s.pages,
+                counts_members(&s.counts)
+            )
+        })
+        .collect();
+    format!("{{\n{}\n  }}", rows.join(",\n"))
 }
 
 /// Renders the benchmark as the `BENCH_detect.json` document.
-pub fn render_json(bench: &DetectBench, min_region_f: f64, min_nested_f: f64) -> String {
+pub fn render_json(bench: &DetectBench) -> String {
     let region_pages: usize = bench.region_sites.iter().map(|s| s.pages).sum();
     let nested_pages: usize = bench.nested_sites.iter().map(|s| s.pages).sum();
     let mut j = BenchJson::new("detect");
@@ -300,27 +303,13 @@ pub fn render_json(bench: &DetectBench, min_region_f: f64, min_nested_f: f64) ->
             bench.paper_pages
         ),
     )
-    .raw(
-        "region",
-        counts_json(&bench.region_counts(), &bench.region_metrics()),
-    )
-    .raw(
-        "nested",
-        counts_json(&bench.nested_counts(), &bench.nested_metrics()),
-    )
+    .raw("region", scored_json(&bench.region_counts()))
+    .raw("nested", scored_json(&bench.nested_counts()))
     .raw(
         "pass_through",
         format!(
             "{{ \"paper_pages\": {}, \"pass_through_pages\": {} }}",
             bench.paper_pages, bench.paper_pass_through
-        ),
-    )
-    .raw(
-        "gates",
-        format!(
-            "{{ \"min_region_f\": {min_region_f:.2}, \"min_nested_f\": {min_nested_f:.2}, \
-             \"pass\": {} }}",
-            bench.gates_pass(min_region_f, min_nested_f)
         ),
     )
     .raw("region_sites", sites_json(&bench.region_sites))
@@ -331,6 +320,7 @@ pub fn render_json(bench: &DetectBench, min_region_f: f64, min_nested_f: f64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus::{count_mismatches, read_committed};
 
     #[test]
     fn bench_meets_its_own_gates() {
@@ -339,64 +329,59 @@ mod tests {
             bench.paper_pass_through, bench.paper_pages,
             "paper corpus must be single-region everywhere"
         );
-        let region = bench.region_metrics();
-        assert!(region.f1 >= 0.9, "region F {region}");
-        let nested = bench.nested_metrics();
-        assert!(nested.f1 >= 0.8, "nested F {nested}");
+        let committed = read_committed("BENCH_detect.json").unwrap();
+        assert_eq!(
+            count_mismatches(&committed, &bench.work_counts()),
+            Vec::<String>::new()
+        );
+    }
+
+    fn bench_fixture() -> DetectBench {
+        let site = |site: &str, cor, incor, fneg| SiteScore {
+            site: site.into(),
+            pages: 2,
+            counts: PageCounts {
+                cor,
+                incor,
+                fneg,
+                fpos: 0,
+            },
+        };
+        DetectBench {
+            region_sites: vec![site("A", 4, 0, 0)],
+            nested_sites: vec![site("B", 8, 1, 1), site("C", 3, 0, 0)],
+            paper_pages: 24,
+            paper_pass_through: 24,
+        }
     }
 
     #[test]
     fn json_shape() {
-        let bench = DetectBench {
-            region_sites: vec![SiteScore {
-                site: "A".into(),
-                pages: 2,
-                counts: PageCounts {
-                    cor: 4,
-                    incor: 0,
-                    fneg: 0,
-                    fpos: 0,
-                },
-            }],
-            nested_sites: vec![SiteScore {
-                site: "B".into(),
-                pages: 2,
-                counts: PageCounts {
-                    cor: 8,
-                    incor: 1,
-                    fneg: 1,
-                    fpos: 0,
-                },
-            }],
-            paper_pages: 24,
-            paper_pass_through: 24,
-        };
-        let json = render_json(&bench, 0.9, 0.8);
-        assert!(json.contains("\"schema\": \"tableseg.bench/v3\""));
+        let json = render_json(&bench_fixture());
+        assert!(json.contains(&format!("\"schema\": \"{}\"", crate::corpus::SCHEMA)));
         assert!(json.contains("\"bench\": \"detect\""));
-        assert!(json.contains("\"region\": { \"cor\": 4"));
-        assert!(json.contains("\"pass\": true"));
-        assert!(json.contains("\"site\": \"A\""));
+        assert!(json.contains("\"region\": { \"cor\": 4, \"inc\": 0, \"fn\": 0, \"fp\": 0, "));
+        assert!(json.contains("\"nested\": { \"cor\": 11, \"inc\": 1, \"fn\": 1, \"fp\": 0, "));
+        assert!(
+            json.contains("\"A\": { \"pages\": 2, \"cor\": 4, \"inc\": 0, \"fn\": 0, \"fp\": 0 }")
+        );
         assert!(json.ends_with("}\n"));
     }
 
     #[test]
     fn gates_catch_bad_scores() {
-        let bench = DetectBench {
-            region_sites: vec![SiteScore {
-                site: "A".into(),
-                pages: 1,
-                counts: PageCounts {
-                    cor: 1,
-                    incor: 3,
-                    fneg: 0,
-                    fpos: 0,
-                },
-            }],
-            nested_sites: vec![],
-            paper_pages: 24,
-            paper_pass_through: 24,
-        };
-        assert!(!bench.gates_pass(0.9, 0.8));
+        let committed = render_json(&bench_fixture());
+        assert!(count_mismatches(&committed, &bench_fixture().work_counts()).is_empty());
+        let mut bad = bench_fixture();
+        bad.nested_sites[1].counts.incor = 1;
+        bad.paper_pass_through = 23;
+        assert_eq!(
+            count_mismatches(&committed, &bad.work_counts()),
+            [
+                "pass_through.pass_through_pages: 23 vs committed 24",
+                "nested.inc: 2 vs committed 1",
+                "nested_sites.C.inc: 1 vs committed 0",
+            ]
+        );
     }
 }

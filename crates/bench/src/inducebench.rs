@@ -12,8 +12,8 @@
 //! 10-page point is expected to be no worse than the 2-page baseline (the
 //! candidate filter only tightens as pages are added).
 //!
-//! The baseline is the committed `BENCH_induce.json`: the `inducebench`
-//! binary fails when a run's deterministic work counts
+//! The baseline is the committed `BENCH_induce.json`: `bench induce`
+//! fails when a run's deterministic work counts
 //! ([`InduceBench::work_counts`]) differ from it. The fold's agreement
 //! with its Hirschberg oracle on this corpus is a unit test of
 //! `tableseg-template`.
@@ -326,7 +326,7 @@ mod tests {
         let bench = bench_fixture();
         assert!(bench.quality_non_degrading());
         let json = render_json(&bench);
-        assert!(json.contains("\"schema\": \"tableseg.bench/v3\""));
+        assert!(json.contains(&format!("\"schema\": \"{}\"", crate::corpus::SCHEMA)));
         assert!(json.contains("\"anchors\": 340"));
         assert!(json.contains("\"10\": { \"induce_ns\": 5000"));
         assert!(json.contains("\"mean_template_len\": 54.250"));

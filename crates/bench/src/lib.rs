@@ -314,7 +314,7 @@ pub fn totals(runs: &[PageRun]) -> (PageCounts, PageCounts) {
 }
 
 /// Renders the Table 4 report (or the `--clean-only` Section 6.3
-/// aggregate) from a batch run's page runs. Shared by the `table4` binary
+/// aggregate) from a batch run's page runs. Shared by `bench table4`
 /// and the determinism tests; contains no timing data, so its output is
 /// byte-identical across thread counts.
 pub fn table4_report(runs: &[PageRun], clean_only: bool) -> String {
@@ -354,7 +354,7 @@ pub fn table4_report(runs: &[PageRun], clean_only: bool) -> String {
 /// Renders the Tables 1–3 report — the Superpages running example (the
 /// observation table `D_i`, the CSP assignment of extracts to records,
 /// and the positions of extracts on detail pages). Fully in-process and
-/// deterministic; shared by the `tables123` binary and the determinism
+/// deterministic; shared by `bench tables123` and the determinism
 /// tests.
 pub fn tables123_report() -> String {
     use tableseg_extract::build_observations;

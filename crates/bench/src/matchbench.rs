@@ -4,9 +4,9 @@
 //!
 //! Criterion owns the statistically careful per-site numbers
 //! (`benches/frontend.rs`); this module is the cheap whole-corpus
-//! wall-clock run that the `table4 --bench-json` smoke emits into CI
-//! artifacts. Its baseline is the committed `BENCH_frontend.json`: the
-//! run fails when the corpus shape or the kept/skipped extract counts
+//! wall-clock run that `bench frontend` records. Its baseline is the
+//! committed `BENCH_frontend.json`: the run fails when the corpus shape
+//! or the kept/skipped extract counts
 //! ([`MatchBench::work_counts`]) differ from it. The indexed matcher's
 //! agreement with its naive oracle on this corpus is a test of
 //! `tableseg-extract`.
@@ -222,7 +222,7 @@ mod tests {
     #[test]
     fn json_shape() {
         let json = render_json(&bench_fixture(), &[("tokenize".into(), 42)]);
-        assert!(json.contains("\"schema\": \"tableseg.bench/v3\""));
+        assert!(json.contains(&format!("\"schema\": \"{}\"", crate::corpus::SCHEMA)));
         assert!(json.contains("\"observations\": { \"kept\": 60, \"skipped\": 40 }"));
         assert!(json.contains("\"tokenize\": 42"));
         assert!(json.starts_with('{') && json.ends_with("}\n"));

@@ -18,8 +18,8 @@
 //! Memory flatness is proven by splitting the universe in half: the
 //! process peak RSS (`VmHWM`) is snapshotted after the first half and
 //! again after the second. A streaming front end's peak is set by the
-//! sites in flight, so the second half must not move it by more than a
-//! small tolerance ([`ScaleBench::rss_flat`]).
+//! sites in flight, so the second half must not move it by more than
+//! [`RSS_TOLERANCE`].
 //!
 //! Throughput (`pages_per_sec`, `bytes_per_sec`) is **per-core**: total
 //! pages (bytes) over the summed front-end nanoseconds across all jobs.
@@ -35,15 +35,15 @@
 //! against the universe's ground truth ([`crate::classify_page`]), so
 //! the leg also yields Cor/InC/FN/FP per method over every universe
 //! page — the accuracy record beyond the 24 paper pages. Pages the
-//! solver rejects (chaos-damaged universes) are counted, not fatal.
+//! solver rejects are counted, not fatal.
 //!
-//! The baseline is the committed `BENCH_scale.json`: on the universe it
-//! covers, the `scalebench` binary fails when a run's deterministic work
-//! counts ([`ScaleBench::work_counts`] — pages, bytes, tokens, per-method
-//! classification counts, CSP relaxed pages, failed pages) differ from
-//! it. The scanner's agreement with its oracle
-//! lexer on a universe sample is a test in `tableseg-sitegen`'s chaos
-//! suite.
+//! The baseline is the committed `BENCH_scale.json`: `bench scale` fails
+//! when a run's deterministic work counts ([`ScaleBench::work_counts`] —
+//! universe sites, pages, bytes, tokens, per-method classification
+//! counts, CSP relaxed pages, failed pages) differ from it, or when
+//! [`ScaleBench::gate_failures`] reports a throughput or memory gate.
+//! The scanner's agreement with its oracle lexer on a universe sample is
+//! a test in `tableseg-sitegen`'s chaos suite.
 
 use std::time::Instant;
 
@@ -53,34 +53,18 @@ use tableseg_extract::PageIndex;
 use tableseg_html::{scan, Interner};
 use tableseg_sitegen::{GeneratedSite, Universe, UniverseConfig};
 
-use crate::corpus::{committed_number, BenchJson};
+use crate::corpus::{count_keys, counts_members, BenchJson};
 use tableseg::batch;
 
-/// Scale-benchmark configuration.
-#[derive(Debug, Clone)]
-pub struct ScaleConfig {
-    /// Universe size (sites).
-    pub sites: usize,
-    /// Batch worker threads.
-    pub threads: usize,
-    /// Universe fault rate (chaos injection; `0.0` = clean pages).
-    pub fault_rate: f64,
-    /// Run the full-pipeline leg (template + preparation + both solvers)
-    /// per site. Much heavier than the front-end legs; disable for pure
-    /// lexer runs.
-    pub pipeline: bool,
-}
-
-impl Default for ScaleConfig {
-    fn default() -> ScaleConfig {
-        ScaleConfig {
-            sites: 1000,
-            threads: batch::default_threads(),
-            fault_rate: 0.0,
-            pipeline: true,
-        }
-    }
-}
+/// Per-core front-end throughput floor, pages per second.
+pub const MIN_PAGES_PER_SEC: f64 = 60_000.0;
+/// Per-core full-pipeline throughput floor, sites per second.
+pub const MIN_SITES_PER_SEC: f64 = 40.0;
+/// Peak-RSS cap of the whole run, MiB.
+pub const MAX_RSS_MB: u64 = 256;
+/// Allowed half → full peak-RSS growth: the fixed-memory claim of the
+/// streaming front end.
+pub const RSS_TOLERANCE: f64 = 0.25;
 
 /// One site's contribution to the scale totals.
 #[derive(Debug, Clone, Copy, Default)]
@@ -146,8 +130,6 @@ pub struct ScaleBench {
     pub rss_full_bytes: Option<u64>,
     /// Worker threads used.
     pub threads: usize,
-    /// Universe fault rate.
-    pub fault_rate: f64,
 }
 
 impl ScaleBench {
@@ -161,13 +143,9 @@ impl ScaleBench {
         self.bytes as f64 / (self.frontend_ns.max(1) as f64 / 1e9)
     }
 
-    /// Per-core full-pipeline throughput in sites per second (`0.0` when
-    /// the pipeline leg is disabled).
+    /// Per-core full-pipeline throughput in sites per second.
     pub fn sites_per_sec(&self) -> f64 {
-        if self.pipeline_ns == 0 {
-            return 0.0;
-        }
-        self.sites as f64 / (self.pipeline_ns as f64 / 1e9)
+        self.sites as f64 / (self.pipeline_ns.max(1) as f64 / 1e9)
     }
 
     /// Peak-RSS growth over the second half of the universe, as a
@@ -177,48 +155,64 @@ impl ScaleBench {
         Some(full as f64 / half.max(1) as f64)
     }
 
-    /// Whether a committed `BENCH_scale.json` document covers this run's
-    /// universe (same site count and fault rate), so that its work
-    /// counts are comparable.
-    pub fn same_universe(&self, committed: &str) -> bool {
-        let universe = |key: &str| committed_number(committed, &["universe", key]);
-        universe("sites") == Some(self.sites as f64)
-            && universe("fault_rate").is_some_and(|f| (f - self.fault_rate).abs() < 5e-3)
-    }
-
     /// The deterministic work counts a front-end change must repeat
     /// unless it means to change behaviour, keyed by their path in
-    /// `BENCH_scale.json` (see [`crate::corpus::count_mismatches`]):
-    /// universe pages, bytes and tokens, plus, when the pipeline leg ran,
-    /// each method's Cor/InC/FN/FP, the CSP's relaxed pages and the
-    /// failed pages.
+    /// `BENCH_scale.json` (see [`crate::corpus::count_mismatches`]): the
+    /// universe's sites, pages, bytes and tokens, each method's
+    /// Cor/InC/FN/FP, the CSP's relaxed pages and the failed pages. A
+    /// run over another universe fails on `universe.sites`.
     pub fn work_counts(&self) -> Vec<(String, f64)> {
-        let mut counts: Vec<(String, usize)> = vec![
-            ("universe.pages".into(), self.pages),
-            ("universe.bytes".into(), self.bytes),
-            ("universe.tokens".into(), self.tokens),
-        ];
-        if self.pipeline_ns > 0 {
-            for (method, c) in [("prob", &self.scores.prob), ("csp", &self.scores.csp)] {
-                counts.push((format!("pipeline.{method}.cor"), c.cor));
-                counts.push((format!("pipeline.{method}.inc"), c.incor));
-                counts.push((format!("pipeline.{method}.fn"), c.fneg));
-                counts.push((format!("pipeline.{method}.fp"), c.fpos));
-            }
-            counts.push(("pipeline.csp.relaxed_pages".into(), self.scores.csp_relaxed));
-            counts.push(("pipeline.pages_failed".into(), self.pipeline_pages_failed));
-        }
+        let mut counts: Vec<(String, f64)> = [
+            ("universe.sites", self.sites),
+            ("universe.pages", self.pages),
+            ("universe.bytes", self.bytes),
+            ("universe.tokens", self.tokens),
+            ("pipeline.csp.relaxed_pages", self.scores.csp_relaxed),
+            ("pipeline.pages_failed", self.pipeline_pages_failed),
+        ]
+        .map(|(path, n)| (path.to_string(), n as f64))
+        .to_vec();
+        counts.extend(count_keys("pipeline.prob", &self.scores.prob));
+        counts.extend(count_keys("pipeline.csp", &self.scores.csp));
         counts
-            .into_iter()
-            .map(|(path, n)| (path, n as f64))
-            .collect()
     }
 
-    /// `true` when doubling the processed pages moved the peak RSS by
-    /// at most `tolerance` (e.g. `0.10` allows 10% growth) — the
-    /// fixed-memory claim of the streaming front end.
-    pub fn rss_flat(&self, tolerance: f64) -> Option<bool> {
-        self.rss_ratio().map(|r| r <= 1.0 + tolerance)
+    /// The throughput and memory gates this run failed, one line each:
+    /// [`MIN_PAGES_PER_SEC`], [`MIN_SITES_PER_SEC`], [`MAX_RSS_MB`], and
+    /// peak-RSS growth over the second half within [`RSS_TOLERANCE`].
+    pub fn gate_failures(&self) -> Vec<String> {
+        let mut failures = Vec::new();
+        if self.pages_per_sec() < MIN_PAGES_PER_SEC {
+            failures.push(format!(
+                "{:.0} pages/s below the {MIN_PAGES_PER_SEC:.0} pages/s gate",
+                self.pages_per_sec()
+            ));
+        }
+        if self.sites_per_sec() < MIN_SITES_PER_SEC {
+            failures.push(format!(
+                "{:.1} sites/s below the {MIN_SITES_PER_SEC:.1} sites/s gate",
+                self.sites_per_sec()
+            ));
+        }
+        match (self.rss_full_bytes, self.rss_ratio()) {
+            (Some(full), Some(ratio)) => {
+                if full > MAX_RSS_MB << 20 {
+                    failures.push(format!(
+                        "peak RSS {:.1} MiB above the {MAX_RSS_MB} MiB cap",
+                        full as f64 / (1 << 20) as f64
+                    ));
+                }
+                if ratio > 1.0 + RSS_TOLERANCE {
+                    failures.push(format!(
+                        "peak RSS grew {:.1}% over the second half (tolerance {:.1}%)",
+                        (ratio - 1.0) * 100.0,
+                        RSS_TOLERANCE * 100.0
+                    ));
+                }
+            }
+            _ => failures.push("peak RSS is unreadable".to_string()),
+        }
+        failures
     }
 }
 
@@ -236,8 +230,8 @@ pub fn peak_rss_bytes() -> Option<u64> {
 
 /// Runs the full pipeline over one site: template induction across its
 /// list pages, then [`run_page`] with both solvers per page, each solved
-/// page scored against its ground truth. A page that fails (chaos damage
-/// in the front end or a solver) counts once in `pages_failed`.
+/// page scored against its ground truth. A page that fails (in the front
+/// end or a solver) counts once in `pages_failed`.
 fn pipeline_site(site: &GeneratedSite, out: &mut SiteScale) {
     let csp = CspSegmenter::default();
     let prob = ProbSegmenter::default();
@@ -303,32 +297,28 @@ fn scale_site(site: &GeneratedSite) -> SiteScale {
     out
 }
 
-/// Streams the universe through the batch engine, the front end (and,
-/// when configured, the pipeline) per site, in two halves with a
-/// peak-RSS snapshot after each.
-pub fn run_scale_bench(cfg: &ScaleConfig) -> ScaleBench {
+/// Streams a clean universe of `sites` sites through the batch engine on
+/// `threads` workers, the front end and the pipeline per site, in two
+/// halves with a peak-RSS snapshot after each.
+pub fn run_scale_bench(sites: usize, threads: usize) -> ScaleBench {
     let universe = Universe::new(UniverseConfig {
-        sites: cfg.sites,
-        fault_rate: cfg.fault_rate,
+        sites,
         ..UniverseConfig::default()
     });
 
-    let mid = cfg.sites / 2;
     let run_half = |range: std::ops::Range<usize>| -> Vec<SiteScale> {
         let jobs: Vec<usize> = range.collect();
-        batch::execute(cfg.threads, jobs, |_, i| {
+        batch::execute(threads, jobs, |_, i| {
             let site = universe.site(i);
             let mut scale = scale_site(&site);
-            if cfg.pipeline {
-                pipeline_site(&site, &mut scale);
-            }
+            pipeline_site(&site, &mut scale);
             scale
         })
     };
 
-    let mut scales = run_half(0..mid);
+    let mut scales = run_half(0..sites / 2);
     let rss_half_bytes = peak_rss_bytes();
-    scales.extend(run_half(mid..cfg.sites));
+    scales.extend(run_half(sites / 2..sites));
     let rss_full_bytes = peak_rss_bytes();
 
     let mut bench = ScaleBench {
@@ -343,8 +333,7 @@ pub fn run_scale_bench(cfg: &ScaleConfig) -> ScaleBench {
         pipeline_pages_failed: 0,
         rss_half_bytes,
         rss_full_bytes,
-        threads: cfg.threads,
-        fault_rate: cfg.fault_rate,
+        threads,
     };
     for s in &scales {
         bench.pages += s.pages;
@@ -372,9 +361,8 @@ pub fn render_json(bench: &ScaleBench) -> String {
     j.raw(
         "universe",
         format!(
-            "{{ \"sites\": {}, \"pages\": {}, \"bytes\": {}, \"tokens\": {}, \
-             \"fault_rate\": {:.2} }}",
-            bench.sites, bench.pages, bench.bytes, bench.tokens, bench.fault_rate
+            "{{ \"sites\": {}, \"pages\": {}, \"bytes\": {}, \"tokens\": {} }}",
+            bench.sites, bench.pages, bench.bytes, bench.tokens
         ),
     )
     .field("threads", bench.threads)
@@ -393,26 +381,16 @@ pub fn render_json(bench: &ScaleBench) -> String {
     )
     .raw(
         "pipeline",
-        if bench.pipeline_ns == 0 {
-            "{ \"skipped\": true }".to_string()
-        } else {
-            let counts = |c: &PageCounts| {
-                format!(
-                    "\"cor\": {}, \"inc\": {}, \"fn\": {}, \"fp\": {}",
-                    c.cor, c.incor, c.fneg, c.fpos
-                )
-            };
-            format!(
-                "{{ \"pipeline_ns\": {}, \"sites_per_sec\": {:.1}, \"prob\": {{ {} }}, \
-                 \"csp\": {{ {}, \"relaxed_pages\": {} }}, \"pages_failed\": {} }}",
-                bench.pipeline_ns,
-                bench.sites_per_sec(),
-                counts(&bench.scores.prob),
-                counts(&bench.scores.csp),
-                bench.scores.csp_relaxed,
-                bench.pipeline_pages_failed
-            )
-        },
+        format!(
+            "{{ \"pipeline_ns\": {}, \"sites_per_sec\": {:.1}, \"prob\": {{ {} }}, \
+             \"csp\": {{ {}, \"relaxed_pages\": {} }}, \"pages_failed\": {} }}",
+            bench.pipeline_ns,
+            bench.sites_per_sec(),
+            counts_members(&bench.scores.prob),
+            counts_members(&bench.scores.csp),
+            bench.scores.csp_relaxed,
+            bench.pipeline_pages_failed
+        ),
     )
     .raw("peak_rss", rss);
     j.finish()
@@ -423,19 +401,10 @@ mod tests {
     use super::*;
     use crate::corpus::count_mismatches;
 
-    fn small_cfg() -> ScaleConfig {
-        ScaleConfig {
-            sites: 6,
-            threads: 2,
-            fault_rate: 0.0,
-            pipeline: false,
-        }
-    }
-
     /// The streamed totals agree with a direct count over the universe.
     #[test]
     fn small_universe_runs_and_agrees() {
-        let bench = run_scale_bench(&small_cfg());
+        let bench = run_scale_bench(6, 2);
         assert_eq!(bench.sites, 6);
         let universe = Universe::new(UniverseConfig {
             sites: 6,
@@ -457,16 +426,11 @@ mod tests {
             (pages, bytes, tokens)
         );
         assert!(bench.scan_ns > 0 && bench.frontend_ns > 0);
-        assert_eq!(bench.pipeline_ns, 0, "pipeline leg disabled");
-        assert_eq!(bench.sites_per_sec(), 0.0);
     }
 
     #[test]
     fn pipeline_leg_segments_the_universe() {
-        let bench = run_scale_bench(&ScaleConfig {
-            pipeline: true,
-            ..small_cfg()
-        });
+        let bench = run_scale_bench(6, 2);
         assert!(bench.pipeline_ns > 0);
         assert!(bench.sites_per_sec() > 0.0);
         let scores = &bench.scores;
@@ -485,16 +449,8 @@ mod tests {
 
     #[test]
     fn totals_are_thread_count_invariant() {
-        let one = run_scale_bench(&ScaleConfig {
-            threads: 1,
-            pipeline: true,
-            ..small_cfg()
-        });
-        let four = run_scale_bench(&ScaleConfig {
-            threads: 4,
-            pipeline: true,
-            ..small_cfg()
-        });
+        let one = run_scale_bench(6, 1);
+        let four = run_scale_bench(6, 4);
         assert_eq!(one.pages, four.pages);
         assert_eq!(one.bytes, four.bytes);
         assert_eq!(one.tokens, four.tokens);
@@ -537,17 +493,15 @@ mod tests {
             rss_half_bytes: Some(100 << 20),
             rss_full_bytes: Some(101 << 20),
             threads: 4,
-            fault_rate: 0.0,
         }
     }
 
     #[test]
     fn json_shape() {
         let bench = bench_fixture();
-        assert_eq!(bench.rss_flat(0.10), Some(true));
-        assert_eq!(bench.rss_flat(0.001), Some(false));
+        assert!(bench.gate_failures().is_empty());
         let json = render_json(&bench);
-        assert!(json.contains("\"schema\": \"tableseg.bench/v3\""));
+        assert!(json.contains(&format!("\"schema\": \"{}\"", crate::corpus::SCHEMA)));
         assert!(json.contains("\"bench\": \"frontend_scale\""));
         assert!(json.contains("\"scan_ns\": 3000000"));
         assert!(json.contains("\"pages_per_sec\": 125000"));
@@ -564,7 +518,6 @@ mod tests {
     fn work_counts_gate_on_the_committed_universe() {
         let bench = bench_fixture();
         let committed = render_json(&bench);
-        assert!(bench.same_universe(&committed));
         assert!(count_mismatches(&committed, &bench.work_counts()).is_empty());
         let mut drifted = ScaleBench {
             tokens: 800_001,
@@ -577,9 +530,9 @@ mod tests {
             count_mismatches(&committed, &drifted.work_counts()),
             [
                 "universe.tokens: 800001 vs committed 800000",
+                "pipeline.csp.relaxed_pages: 76 vs committed 77",
                 "pipeline.csp.cor: 3920 vs committed 3900",
                 "pipeline.csp.inc: 100 vs committed 120",
-                "pipeline.csp.relaxed_pages: 76 vs committed 77",
             ]
         );
         // A prob count is read from the prob object, not the csp one.
@@ -589,30 +542,38 @@ mod tests {
             count_mismatches(&committed, &prob_drift.work_counts()),
             ["pipeline.prob.fp: 0 vs committed 1"]
         );
-        // Another universe, or a chaos-armed one, is not comparable.
+        // Another universe is not the committed run.
         let other = ScaleBench {
             sites: 10,
             ..bench_fixture()
         };
-        assert!(!other.same_universe(&committed));
-        let faulty = ScaleBench {
-            fault_rate: 0.3,
-            ..bench_fixture()
-        };
-        assert!(!faulty.same_universe(&committed));
-        // Without the pipeline leg only the universe counts are gated.
-        let front_only = ScaleBench {
-            pipeline_ns: 0,
-            ..bench_fixture()
-        };
-        assert_eq!(front_only.work_counts().len(), 3);
+        assert_eq!(
+            count_mismatches(&committed, &other.work_counts()),
+            ["universe.sites: 10 vs committed 100"]
+        );
     }
 
     #[test]
-    fn json_marks_disabled_pipeline_as_skipped() {
-        let mut bench = run_scale_bench(&small_cfg());
-        bench.pipeline_ns = 0;
-        let json = render_json(&bench);
-        assert!(json.contains("\"pipeline\": { \"skipped\": true }"));
+    fn gates_catch_slow_or_growing_runs() {
+        let slow = ScaleBench {
+            frontend_ns: 1_000_000_000,
+            pipeline_ns: 10_000_000_000,
+            rss_full_bytes: Some(300 << 20),
+            ..bench_fixture()
+        };
+        assert_eq!(
+            slow.gate_failures(),
+            [
+                "1000 pages/s below the 60000 pages/s gate",
+                "10.0 sites/s below the 40.0 sites/s gate",
+                "peak RSS 300.0 MiB above the 256 MiB cap",
+                "peak RSS grew 200.0% over the second half (tolerance 25.0%)",
+            ]
+        );
+        let unreadable = ScaleBench {
+            rss_half_bytes: None,
+            ..bench_fixture()
+        };
+        assert_eq!(unreadable.gate_failures(), ["peak RSS is unreadable"]);
     }
 }

@@ -4,9 +4,8 @@
 //! Each method is timed on the *same* observation tables — front-end
 //! preparation is done once, outside every timed region — so the figures
 //! isolate the solver layer. The baseline is the committed
-//! `BENCH_solver.json`: the `solvebench` binary fails when a run's
-//! deterministic work counts ([`SolveBench::work_counts`]) differ from
-//! it, and prints wall times next to the committed ones.
+//! `BENCH_solver.json`: `bench solver` fails when a run's deterministic
+//! work counts ([`SolveBench::work_counts`]) differ from it.
 
 use std::time::Instant;
 
@@ -167,8 +166,8 @@ pub fn run_solve_bench(iters: usize) -> SolveBench {
 
 /// Per-component size histograms over the corpus: how the reduction
 /// splits the strict and relaxed encodings, as `(vars, components)`
-/// pairs ascending by size. Written to the manifest under `--profile` so
-/// a reduction regression (components merging back into one blob) is
+/// pairs ascending by size. Recorded in `BENCH_solver.json` so a
+/// reduction regression (components merging back into one blob) is
 /// diagnosable from artifacts alone.
 #[derive(Debug, Clone, Default)]
 pub struct ComponentProfile {
@@ -214,12 +213,12 @@ fn histogram_json(pairs: &[(usize, u64)]) -> String {
     format!("[{}]", cells.join(", "))
 }
 
-/// Renders the benchmark (plus per-stage totals of a batch run and an
-/// optional component profile) as the `BENCH_solver.json` document.
+/// Renders the benchmark (plus per-stage totals of a batch run and the
+/// component profile) as the `BENCH_solver.json` document.
 pub fn render_json(
     bench: &SolveBench,
     stage_totals: &[(String, u128)],
-    profile: Option<&ComponentProfile>,
+    profile: &ComponentProfile,
 ) -> String {
     let mut j = BenchJson::new("solver");
     j.corpus(bench.sites, bench.pages, bench.extracts)
@@ -246,18 +245,16 @@ pub fn render_json(
                 "{{ \"components\": {}, \"pruned_vars\": {}, \"reduce_ns\": {} }}",
                 bench.reduction.components, bench.reduction.pruned_vars, bench.reduction.reduce_ns
             ),
-        );
-    if let Some(p) = profile {
-        j.raw(
+        )
+        .raw(
             "component_profile",
             format!(
                 "{{ \"strict\": {}, \"relaxed\": {} }}",
-                histogram_json(&p.strict),
-                histogram_json(&p.relaxed)
+                histogram_json(&profile.strict),
+                histogram_json(&profile.relaxed)
             ),
-        );
-    }
-    j.stage_totals(stage_totals);
+        )
+        .stage_totals(stage_totals);
     j.finish()
 }
 
@@ -303,16 +300,10 @@ mod tests {
     #[test]
     fn work_counts_gate_on_the_committed_file() {
         let bench = bench_fixture();
-        let committed = render_json(&bench, &[], None);
+        let committed = render_json(&bench, &[], &ComponentProfile::default());
         assert!(count_mismatches(&committed, &bench.work_counts()).is_empty());
-        assert_eq!(
-            committed_number(&committed, &["csp", "wall_ns"]),
-            Some(3000.0)
-        );
-        assert_eq!(
-            committed_number(&committed, &["prob", "wall_ns"]),
-            Some(2000.0)
-        );
+        assert_eq!(committed_number(&committed, "csp.wall_ns"), Some(3000.0));
+        assert_eq!(committed_number(&committed, "prob.wall_ns"), Some(2000.0));
 
         let mut drifted = bench;
         drifted.prob.work_units = 41;
@@ -332,8 +323,12 @@ mod tests {
     #[test]
     fn json_shape() {
         let bench = bench_fixture();
-        let json = render_json(&bench, &[("solve.csp".into(), 42)], None);
-        assert!(json.contains("\"schema\": \"tableseg.bench/v3\""));
+        let json = render_json(
+            &bench,
+            &[("solve.csp".into(), 42)],
+            &ComponentProfile::default(),
+        );
+        assert!(json.contains(&format!("\"schema\": \"{}\"", crate::corpus::SCHEMA)));
         assert!(json.contains("\"csp\": { \"wall_ns\": 3000,"));
         assert!(!json.contains("speedup"));
         assert!(!json.contains("flips"));
@@ -343,7 +338,7 @@ mod tests {
         assert!(json.contains("\"pruned_vars\": 321"));
         assert!(!json.contains("warm_start_hits"));
         assert!(json.contains("\"solve.csp\": 42"));
-        assert!(!json.contains("component_profile"));
+        assert!(json.contains("\"component_profile\": { \"strict\": [], \"relaxed\": [] }"));
         assert!(json.starts_with('{') && json.ends_with("}\n"));
     }
 
@@ -354,7 +349,7 @@ mod tests {
             strict: vec![(3, 2)],
             relaxed: vec![(3, 2), (11, 1)],
         };
-        let json = render_json(&bench, &[], Some(&profile));
+        let json = render_json(&bench, &[], &profile);
         assert!(json.contains(
             "\"component_profile\": { \"strict\": [[3, 2]], \"relaxed\": [[3, 2], [11, 1]] }"
         ));

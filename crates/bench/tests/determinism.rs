@@ -62,7 +62,8 @@ fn reports_are_deterministic_across_threads_and_match_goldens() {
         first,
         &read_golden("table4.txt"),
         "table4 report drifted from tests/golden/table4.txt \
-         (regenerate with `cargo run -p tableseg-bench --bin table4 > tests/golden/table4.txt` \
+         (regenerate with `cargo run --release -p tableseg-bench --bin bench -- table4 \
+         > tests/golden/table4.txt` \
          and review the diff)"
     );
 
@@ -74,6 +75,7 @@ fn reports_are_deterministic_across_threads_and_match_goldens() {
         a,
         read_golden("tables123.txt"),
         "tables123 report drifted from tests/golden/tables123.txt \
-         (regenerate with `cargo run -p tableseg-bench --bin tables123 > tests/golden/tables123.txt`)"
+         (regenerate with `cargo run --release -p tableseg-bench --bin bench -- tables123 \
+         > tests/golden/tables123.txt`)"
     );
 }

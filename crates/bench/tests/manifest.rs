@@ -119,7 +119,7 @@ fn manifests_are_deterministic_and_reproduce_registry_totals() {
     let mut robust: Vec<(usize, String)> = Vec::new();
     for threads in [1usize, 2, n] {
         let outcome = run_corpus(&specs, threads, &cfg, None, &prob, &csp);
-        let m = outcome.manifest("chaossweep", threads);
+        let m = outcome.manifest("robustness", threads);
         assert!(m.robustness.is_some());
         robust.push((threads, m.render_json(true)));
     }
