@@ -41,14 +41,8 @@ pub struct Flags {
     pub clean_only: bool,
     /// `--rt`: the per-stage wall-clock tables, on stderr.
     pub rt: bool,
-    /// `--sites N`: universe size.
-    pub sites: Option<usize>,
-    /// `--seeds N`: chaos seeds per fault rate.
-    pub seeds: Option<usize>,
     /// `--secs S`: warm closed-loop duration.
     pub secs: Option<f64>,
-    /// `--rounds N`: cold passes over the corpus.
-    pub rounds: Option<usize>,
 }
 
 impl Flags {
@@ -60,17 +54,14 @@ impl Flags {
 
 /// Every flag the parser knows, with its value's placeholder (empty for
 /// a switch).
-const FLAGS: [(&str, &str); 10] = [
+const FLAGS: [(&str, &str); 7] = [
     ("--threads", "N"),
     ("--iters", "N"),
     ("--out", "PATH"),
     ("--manifest", "PATH"),
     ("--clean-only", ""),
     ("--rt", ""),
-    ("--sites", "N"),
-    ("--seeds", "N"),
     ("--secs", "S"),
-    ("--rounds", "N"),
 ];
 
 /// A subcommand's entry point.
@@ -98,17 +89,13 @@ const SUBCOMMANDS: [(&str, &[&str], Run); 15] = [
         recorded::solver,
     ),
     ("induce", &["--iters", "--out"], recorded::induce),
-    ("scale", &["--sites", "--threads", "--out"], recorded::scale),
+    ("scale", &["--threads", "--out"], recorded::scale),
     ("detect", &["--out"], recorded::detect),
-    (
-        "serve",
-        &["--secs", "--rounds", "--threads", "--out"],
-        recorded::serve,
-    ),
+    ("serve", &["--secs", "--threads", "--out"], recorded::serve),
     ("obs", &["--iters", "--threads", "--out"], recorded::obs),
     (
         "robustness",
-        &["--threads", "--seeds", "--out", "--manifest"],
+        &["--threads", "--out", "--manifest"],
         recorded::robustness,
     ),
 ];
@@ -142,9 +129,6 @@ fn parse(name: &str, flags: &[&str], args: &[String]) -> Result<Flags, String> {
                 match flag {
                     "--threads" => f.threads = Some(count()?),
                     "--iters" => f.iters = Some(count()?),
-                    "--sites" => f.sites = Some(count()?),
-                    "--seeds" => f.seeds = Some(count()?),
-                    "--rounds" => f.rounds = Some(count()?),
                     "--secs" => {
                         let secs = value
                             .parse()
@@ -225,14 +209,10 @@ mod tests {
                 ..Flags::default()
             })
         );
-        let serve = run(
-            "serve",
-            &["--secs", "0.5", "--rounds", "2", "--out", "x.json"],
-        )
-        .unwrap();
+        let serve = run("serve", &["--secs", "0.5", "--out", "x.json"]).unwrap();
         assert_eq!(
-            (serve.secs, serve.rounds, serve.out.as_deref()),
-            (Some(0.5), Some(2), Some("x.json"))
+            (serve.secs, serve.out.as_deref()),
+            (Some(0.5), Some("x.json"))
         );
         assert_eq!(run("tables123", &[]), Ok(Flags::default()));
     }
@@ -246,6 +226,10 @@ mod tests {
         assert_eq!(
             run("table4", &["--bench-json", "x"]),
             Err("unknown flag --bench-json".into())
+        );
+        assert_eq!(
+            run("scale", &["--sites", "100"]),
+            Err("unknown flag --sites".into())
         );
     }
 
@@ -298,7 +282,6 @@ mod tests {
                 .any(|(_, flags, _)| flags.contains(&flag));
             assert!(used, "{flag}");
         }
-        assert!(usage()
-            .contains("  robustness [--threads N] [--seeds N] [--out PATH] [--manifest PATH]\n"));
+        assert!(usage().contains("  robustness [--threads N] [--out PATH] [--manifest PATH]\n"));
     }
 }

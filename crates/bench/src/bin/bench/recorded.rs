@@ -114,13 +114,16 @@ pub fn induce(f: &Flags) -> Result<(), String> {
     )
 }
 
+/// Universe size of `bench scale`.
+const SCALE_SITES: usize = 100;
+
 /// `BENCH_scale.json`: the streaming front end and the full pipeline
-/// over a procedural universe (default: the committed 100 sites), gated
-/// on throughput, peak RSS and its flatness across the two halves.
+/// over a procedural universe of [`SCALE_SITES`] sites, gated on
+/// throughput, peak RSS and its flatness across the two halves.
 pub fn scale(f: &Flags) -> Result<(), String> {
-    let (sites, threads) = (f.sites.unwrap_or(100), f.threads());
-    eprintln!("scale: {sites} sites on {threads} thread(s), full pipeline ...");
-    let bench = scalebench::run_scale_bench(sites, threads);
+    let threads = f.threads();
+    eprintln!("scale: {SCALE_SITES} sites on {threads} thread(s), full pipeline ...");
+    let bench = scalebench::run_scale_bench(SCALE_SITES, threads);
     record(
         f,
         Record {
@@ -136,7 +139,7 @@ pub fn scale(f: &Flags) -> Result<(), String> {
 /// end-to-end nested sub-records, and the paper-corpus pass-through.
 pub fn detect(f: &Flags) -> Result<(), String> {
     eprintln!("running detection/nested benchmark ...");
-    let bench = detectbench::run_detect_bench(0);
+    let bench = detectbench::run_detect_bench();
     record(
         f,
         Record {
@@ -148,13 +151,16 @@ pub fn detect(f: &Flags) -> Result<(), String> {
     )
 }
 
+/// Cold passes of `bench serve` over the corpus.
+const SERVE_ROUNDS: usize = 2;
+
 /// `BENCH_serve.json`: cold and warm latency of an in-process
-/// `tablesegd` over the paper corpus (default: 2 cold rounds, 5 s warm,
-/// 2 batch threads).
+/// `tablesegd` over the paper corpus ([`SERVE_ROUNDS`] cold rounds;
+/// default 5 s warm, 2 batch threads).
 pub fn serve(f: &Flags) -> Result<(), String> {
     let cfg = ServeBenchConfig {
         secs: f.secs.unwrap_or(5.0),
-        rounds: f.rounds.unwrap_or(2),
+        rounds: SERVE_ROUNDS,
         batch_threads: f.threads.unwrap_or(2),
     };
     eprintln!(
@@ -236,12 +242,15 @@ pub fn obs(f: &Flags) -> Result<(), String> {
 /// The swept per-fault probabilities.
 const RATES: [f64; 6] = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5];
 
-/// Base chaos seed; seed `i` of `--seeds N` is `BASE_SEED + i`.
+/// Chaos seeds per non-zero fault rate, merged.
+const SEEDS: usize = 3;
+
+/// Base chaos seed; seed `i` of [`SEEDS`] is `BASE_SEED + i`.
 const BASE_SEED: u64 = 0xC0DE;
 
 /// `BENCH_robustness.json`: accuracy against fault rate. Every fault
-/// class is armed at each rate of [`RATES`] under `--seeds` chaos seeds
-/// (default 3, merged), and the full pipeline runs over the twelve
+/// class is armed at each rate of [`RATES`] under [`SEEDS`] chaos seeds
+/// (merged), and the full pipeline runs over the twelve
 /// paper sites through the corpus driver — a damaged page degrades or
 /// fails its own row, never the process. Per rate, the page outcomes,
 /// injected faults and each method's Cor/InC/FN/FP are gated.
@@ -253,9 +262,9 @@ pub fn robustness(f: &Flags) -> Result<(), String> {
     if f.manifest.is_some() {
         obs::set_enabled(true);
     }
-    let (specs, threads, seeds) = (paper_sites::all(), f.threads(), f.seeds.unwrap_or(3));
+    let (specs, threads) = (paper_sites::all(), f.threads());
     eprintln!(
-        "sweeping {} rates x {seeds} seed(s) over {} sites on {threads} thread(s) ...",
+        "sweeping {} rates x {SEEDS} seed(s) over {} sites on {threads} thread(s) ...",
         RATES.len(),
         specs.len()
     );
@@ -273,7 +282,7 @@ pub fn robustness(f: &Flags) -> Result<(), String> {
     for rate in RATES {
         // Aggregate over seeds. At rate 0 every seed is a no-op, so one
         // pass suffices (and keeps the golden comparison exact).
-        let seed_count = if rate == 0.0 { 1 } else { seeds };
+        let seed_count = if rate == 0.0 { 1 } else { SEEDS };
         let mut merged: Option<RunOutcome> = None;
         for s in 0..seed_count {
             let cfg = ChaosConfig::uniform(rate, BASE_SEED + s as u64);
@@ -359,7 +368,7 @@ pub fn robustness(f: &Flags) -> Result<(), String> {
         rows.push(render_rate(rate, &outcome, &prob_counts, &csp_counts));
     }
 
-    let seed_list: Vec<String> = (0..seeds)
+    let seed_list: Vec<String> = (0..SEEDS)
         .map(|s| (BASE_SEED + s as u64).to_string())
         .collect();
     let mut j = BenchJson::new("robustness_sweep");
@@ -370,9 +379,9 @@ pub fn robustness(f: &Flags) -> Result<(), String> {
     if let Some(path) = &f.manifest {
         let mut manifest = obs::Manifest::new("robustness")
             .with_config("sites", specs.len())
-            .with_config("seeds", seeds)
+            .with_config("seeds", SEEDS)
             .with_config("rates", RATES.map(|r| format!("{r:.1}")).join(","));
-        manifest.seeds = (0..seeds).map(|s| BASE_SEED + s as u64).collect();
+        manifest.seeds = (0..SEEDS).map(|s| BASE_SEED + s as u64).collect();
         manifest.metrics = sweep_metrics;
         manifest.robustness = Some(sweep_report.rollup());
         manifest.root = sweep_root;

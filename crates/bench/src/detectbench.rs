@@ -203,12 +203,12 @@ fn score_nested_page(
 }
 
 /// Runs the full benchmark: the region cohort, the nested cohort (end to
-/// end with the CSP sub-solver), and the paper pass-through check. `seed`
-/// perturbs the scenario cohorts' data.
-pub fn run_detect_bench(seed: u64) -> DetectBench {
+/// end with the CSP sub-solver), and the paper pass-through check. Both
+/// scenario cohorts are generated at seed 0.
+pub fn run_detect_bench() -> DetectBench {
     let opts = DetectOptions::default();
 
-    let region_sites = detect_cohort(seed)
+    let region_sites = detect_cohort(0)
         .iter()
         .map(|spec| {
             let site = generate_multi_table(spec);
@@ -228,7 +228,7 @@ pub fn run_detect_bench(seed: u64) -> DetectBench {
         .collect();
 
     let segmenter = CspSegmenter::default();
-    let nested_sites = tableseg_sitegen::scenario::nested_cohort(seed)
+    let nested_sites = tableseg_sitegen::scenario::nested_cohort(0)
         .iter()
         .map(|spec| {
             let site = generate_nested(spec);
@@ -324,7 +324,7 @@ mod tests {
 
     #[test]
     fn bench_meets_its_own_gates() {
-        let bench = run_detect_bench(0);
+        let bench = run_detect_bench();
         assert_eq!(
             bench.paper_pass_through, bench.paper_pages,
             "paper corpus must be single-region everywhere"
