@@ -189,25 +189,26 @@ pub fn obs(f: &Flags) -> Result<(), String> {
         specs.len()
     );
     // Fastest-of-N per leg: the minimum is the least-noisy estimator for
-    // a deterministic workload under scheduler jitter. One warmup pass
-    // (disabled) pre-faults the generated corpus and code paths.
-    let time_leg = |enabled: bool| -> u128 {
+    // a deterministic workload under scheduler jitter. The legs alternate
+    // pass by pass (disabled, enabled, disabled, ...), so a change in the
+    // host's speed during the run reaches both legs alike. One warmup
+    // pass (disabled) pre-faults the generated corpus and code paths.
+    let time_pass = |enabled: bool| -> u128 {
         obs::set_enabled(enabled);
-        (0..iters)
-            .map(|_| {
-                let start = Instant::now();
-                std::hint::black_box(run_sites(&specs, threads));
-                start.elapsed().as_nanos()
-            })
-            .min()
-            .expect("at least one pass")
+        let start = Instant::now();
+        std::hint::black_box(run_sites(&specs, threads));
+        start.elapsed().as_nanos()
     };
     obs::set_enabled(false);
     run_sites(&specs, threads);
-    let disabled_ns = time_leg(false);
-    let enabled_ns = time_leg(true);
+    let (mut disabled_ns, mut enabled_ns) = (u128::MAX, u128::MAX);
+    for _ in 0..iters {
+        disabled_ns = disabled_ns.min(time_pass(false));
+        enabled_ns = enabled_ns.min(time_pass(true));
+    }
     // A final enabled pass snapshots the counter totals, so the report
     // shows what the enabled leg collected.
+    obs::set_enabled(true);
     let outcome = run_sites(&specs, threads);
     obs::set_enabled(false);
     let overhead_pct = (enabled_ns as f64 - disabled_ns as f64) / disabled_ns as f64 * 100.0;

@@ -23,8 +23,8 @@
 //!
 //! Throughput (`pages_per_sec`, `bytes_per_sec`) is **per-core**: total
 //! pages (bytes) over the summed front-end nanoseconds across all jobs.
-//! Summed work time is thread-count-invariant, which makes the number a
-//! stable CI regression gate.
+//! Summed work time is thread-count-invariant, but it moves with the
+//! host's speed, so throughput is recorded, not gated.
 //!
 //! A third leg runs the **full pipeline** per site — template induction
 //! ([`SiteTemplate::build`]), per-page preparation, and both solvers
@@ -41,7 +41,7 @@
 //! when a run's deterministic work counts ([`ScaleBench::work_counts`] —
 //! universe sites, pages, bytes, tokens, per-method classification
 //! counts, CSP relaxed pages, failed pages) differ from it, or when
-//! [`ScaleBench::gate_failures`] reports a throughput or memory gate.
+//! [`ScaleBench::gate_failures`] reports a memory gate.
 //! The scanner's agreement with its oracle lexer on a universe sample is
 //! a test in `tableseg-sitegen`'s chaos suite.
 
@@ -56,10 +56,6 @@ use tableseg_sitegen::{GeneratedSite, Universe, UniverseConfig};
 use crate::corpus::{count_keys, counts_members, BenchJson};
 use tableseg::batch;
 
-/// Per-core front-end throughput floor, pages per second.
-pub const MIN_PAGES_PER_SEC: f64 = 60_000.0;
-/// Per-core full-pipeline throughput floor, sites per second.
-pub const MIN_SITES_PER_SEC: f64 = 40.0;
 /// Peak-RSS cap of the whole run, MiB.
 pub const MAX_RSS_MB: u64 = 256;
 /// Allowed half → full peak-RSS growth: the fixed-memory claim of the
@@ -177,23 +173,10 @@ impl ScaleBench {
         counts
     }
 
-    /// The throughput and memory gates this run failed, one line each:
-    /// [`MIN_PAGES_PER_SEC`], [`MIN_SITES_PER_SEC`], [`MAX_RSS_MB`], and
-    /// peak-RSS growth over the second half within [`RSS_TOLERANCE`].
+    /// The memory gates this run failed, one line each: [`MAX_RSS_MB`],
+    /// and peak-RSS growth over the second half within [`RSS_TOLERANCE`].
     pub fn gate_failures(&self) -> Vec<String> {
         let mut failures = Vec::new();
-        if self.pages_per_sec() < MIN_PAGES_PER_SEC {
-            failures.push(format!(
-                "{:.0} pages/s below the {MIN_PAGES_PER_SEC:.0} pages/s gate",
-                self.pages_per_sec()
-            ));
-        }
-        if self.sites_per_sec() < MIN_SITES_PER_SEC {
-            failures.push(format!(
-                "{:.1} sites/s below the {MIN_SITES_PER_SEC:.1} sites/s gate",
-                self.sites_per_sec()
-            ));
-        }
         match (self.rss_full_bytes, self.rss_ratio()) {
             (Some(full), Some(ratio)) => {
                 if full > MAX_RSS_MB << 20 {
@@ -554,18 +537,22 @@ mod tests {
     }
 
     #[test]
-    fn gates_catch_slow_or_growing_runs() {
+    fn gates_catch_growing_runs() {
+        // A slow run passes: throughput depends on the host and is not
+        // gated.
         let slow = ScaleBench {
             frontend_ns: 1_000_000_000,
             pipeline_ns: 10_000_000_000,
-            rss_full_bytes: Some(300 << 20),
             ..bench_fixture()
         };
+        assert!(slow.gate_failures().is_empty());
+        let growing = ScaleBench {
+            rss_full_bytes: Some(300 << 20),
+            ..slow
+        };
         assert_eq!(
-            slow.gate_failures(),
+            growing.gate_failures(),
             [
-                "1000 pages/s below the 60000 pages/s gate",
-                "10.0 sites/s below the 40.0 sites/s gate",
                 "peak RSS 300.0 MiB above the 256 MiB cap",
                 "peak RSS grew 200.0% over the second half (tolerance 25.0%)",
             ]

@@ -83,15 +83,15 @@ fn run_scaled(
     let mut ws = FbWorkspace::new();
     let mut prev_ll = f64::NEG_INFINITY;
     let mut iterations = 0;
-    // `true` while `ws.emits` matches the current `params`, so a converged
+    // `true` while the emission rows match the current `params`, so a converged
     // loop can feed the decode without another emission pass.
-    let mut emits_fresh = false;
+    let mut rows_fresh = false;
     for it in 0..opts.max_iterations {
         iterations = it + 1;
         let t = Instant::now();
         emissions_into(ev, params, dims, opts, &mut ws);
-        let ll = forward_struct(dims, params, opts, &mut ws);
-        emits_fresh = true;
+        let ll = forward_struct(dims, params, opts, &mut ws, ev);
+        rows_fresh = true;
 
         // Log-likelihood-delta early exit *before* the backward sweep and
         // the M-step: once the likelihood has stopped moving, the extra
@@ -114,15 +114,15 @@ fn run_scaled(
             &ws.counts.end,
             &ws.counts.cont,
         );
-        emits_fresh = false;
+        rows_fresh = false;
         timing.m_step_ns += t.elapsed().as_nanos() as u64;
     }
 
-    // MAP decode with the final parameters (the emission arena is
+    // MAP decode with the final parameters (the emission rows are
     // refreshed only when the loop exhausted its iteration budget with the
     // M-step as the last word).
     let t = Instant::now();
-    if !emits_fresh {
+    if !rows_fresh {
         emissions_into(ev, params, dims, opts, &mut ws);
     }
     let path = decode(dims, params, opts, &ws, ev);
@@ -327,9 +327,9 @@ mod tests {
         assert_eq!(path, vec![0, 1, 2, 3, 3]);
 
         let chain = build_chain(dims, &params, &opts);
-        let emits = log_emissions(&ev, &params, dims, &opts);
-        let score = |p: &[usize]| path_score(&chain, &emits, p).expect("valid path");
-        let best = score(&viterbi(&chain, &emits));
+        let logs = log_emissions(&ev, &params, dims, &opts);
+        let score = |p: &[usize]| path_score(&chain, &logs, p).expect("valid path");
+        let best = score(&viterbi(&chain, &logs));
         for p in [&path[..], &[0, 1, 1, 2, 3]] {
             assert!((score(p) - best).abs() <= 1e-9 * best.abs(), "{p:?}");
         }

@@ -2,9 +2,11 @@
 //! into a forward sweep ([`forward_struct`]), which yields the
 //! log-likelihood, and a backward sweep ([`backward_struct`]), which
 //! accumulates the M-step's expected counts. Both read the transition
-//! structure from the parameters; no edge list is ever materialized. The
-//! log-space pass over the materialized chain is their differential
-//! oracle, in the crate's test suite (`tests/oracle`).
+//! structure from the parameters; no edge list is ever materialized, and
+//! each extract's emissions are two column rows, on and off its detail
+//! pages ([`emissions_into`]). The log-space pass over the materialized
+//! chain is their differential oracle, in the crate's test suite
+//! (`tests/oracle`).
 //!
 //! This is the "variant of the forward-backward algorithm that exploits the
 //! hierarchical nature of the record segmentation problem" (Section 5.2.3):
@@ -55,17 +57,21 @@ impl Counts {
 
 /// Reusable flat arenas for the structured forward–backward pass.
 ///
-/// Every per-extract table is a contiguous row-major `Vec<f64>` (stride
-/// `num_states`, or `num_columns` for `col_post`), sized once per
-/// instance and reused across EM iterations — after the first iteration
-/// no table grows (see the arena regression test in
-/// `tests/scaled_fb_props.rs`).
+/// Every per-extract table is a contiguous row-major `Vec<f64>`, sized
+/// once per instance and reused across EM iterations — after the first
+/// iteration no table grows (see the arena regression test in
+/// `tests/scaled_fb_props.rs`). α̂ is the only table of stride
+/// `num_states`: an extract's emissions take `2k` cells (see
+/// [`emissions_into`]).
 #[derive(Debug, Clone, Default)]
 pub struct FbWorkspace {
-    /// Linear emissions, each row scaled so its maximum is 1.
-    pub emits: Vec<f64>,
-    /// `ln` of each row's scale factor (the pre-scaling row maximum).
-    pub emit_scale: Vec<f64>,
+    /// Per extract, its two emission rows of `k` cells, each divided by
+    /// the row maximum: `P(T_i | c) / |D_i|` for the records in `D_i`,
+    /// then `P(T_i | c) · ε` for the others.
+    pub emit_rows: Vec<f64>,
+    /// `ln` of each extract's row maximum, the scale its rows were divided
+    /// by.
+    pub row_scale: Vec<f64>,
     /// Scaled forward variables α̂.
     pub alpha: Vec<f64>,
     /// Per-step normalizers `c_i` (the forward row sums before scaling).
@@ -107,32 +113,21 @@ impl FbWorkspace {
     pub fn new() -> FbWorkspace {
         FbWorkspace::default()
     }
-
-    /// Total reserved capacity of the per-extract tables, in `f64` cells —
-    /// the regression-test observable for "the arena stops growing".
-    pub fn table_capacity(&self) -> usize {
-        self.emits.capacity()
-            + self.alpha.capacity()
-            + self.emit_scale.capacity()
-            + self.scale.capacity()
-            + self.beta_row.capacity()
-            + self.col_post.capacity()
-    }
 }
 
-/// Fills the workspace's emission arena with *linear* emissions
-/// `P(T_i | c) · P(D_i | r)`, each row scaled by its maximum (recorded as
-/// `emit_scale[i] = ln max`) so the scaled pass works near 1.0.
+/// Fills the workspace's emission rows with *linear* emissions
+/// `P(T_i | c) · P(D_i | r)`, scaled by the row maximum (recorded as
+/// `row_scale[i] = ln max`) so the scaled pass works near 1.0.
 ///
-/// The per-column products are memoized by
-/// [`TypeSet`](tableseg_html::TypeSet) bit pattern: extracts sharing a type
-/// vector (the common case — sites reuse a handful of token shapes) pay for
-/// `params.emission` once per iteration. A row then has only `2k`
-/// distinct cells, since every record on the extract's detail pages
-/// weighs `1/|D|` and every other record `ε`; they are scaled once and
-/// copied into place, the same bits as scaling each cell. Which records
-/// are on the pages comes from one cursor over the sorted pages, not a
-/// lookup per record.
+/// A row has only `2k` distinct cells, since every record on the
+/// extract's detail pages weighs `1/|D_i|` and every other record `ε`, so
+/// each extract stores those two column vectors and the kernels pick one
+/// per record with [`Evidence::on_pages`]. The maximum runs over the cells
+/// the row holds, and each stored value is a cell's bits. The per-column
+/// products are memoized by [`TypeSet`](tableseg_html::TypeSet) bit
+/// pattern: extracts sharing a type vector (the common case — sites reuse
+/// a handful of token shapes) pay for `params.emission` once per
+/// iteration.
 pub fn emissions_into(
     evidence: &[Evidence],
     params: &Params,
@@ -141,18 +136,17 @@ pub fn emissions_into(
     ws: &mut FbWorkspace,
 ) {
     let (n, k, nk) = (evidence.len(), dims.num_columns, dims.num_records);
-    let ns = nk * k;
     // Size the emission and forward tables, reusing their capacity; every
     // cell is written before it is read.
-    ws.emits.resize(n * ns, 0.0);
-    ws.emit_scale.resize(n, 0.0);
-    ws.alpha.resize(n * ns, 0.0);
+    ws.emit_rows.resize(n * 2 * k, 0.0);
+    ws.row_scale.resize(n, 0.0);
+    ws.alpha.resize(n * nk * k, 0.0);
     ws.scale.resize(n, 1.0);
     ws.memo_col.resize(MEMO_KEYS * k, 0.0);
     ws.memo_seen.clear();
     ws.memo_seen.resize(MEMO_KEYS, false);
-    let (mut on, mut off) = (vec![0.0f64; k], vec![0.0f64; k]);
-    for (i, ev) in evidence.iter().enumerate() {
+    let rows = ws.emit_rows.chunks_exact_mut(2 * k).zip(&mut ws.row_scale);
+    for (ev, (row, ln_max)) in evidence.iter().zip(rows) {
         let key = ev.types.bits() as usize;
         if !ws.memo_seen[key] {
             let feats = ev.features();
@@ -163,6 +157,7 @@ pub fn emissions_into(
         }
         let per_col = &ws.memo_col[key * k..(key + 1) * k];
         let inv_pages = 1.0 / ev.pages.len().max(1) as f64;
+        let (on, off) = row.split_at_mut(k);
         for ((o, f), &pc) in on.iter_mut().zip(off.iter_mut()).zip(per_col) {
             (*o, *f) = (pc * inv_pages, pc * opts.epsilon);
         }
@@ -176,19 +171,20 @@ pub fn emissions_into(
         if ev.pages.partition_point(|&p| (p as usize) < nk) < nk {
             max = off.iter().fold(max, |m, &v| m.max(v));
         }
-        if max > 0.0 {
-            for v in on.iter_mut().chain(off.iter_mut()) {
-                *v /= max;
-            }
-            ws.emit_scale[i] = max.ln();
+        *ln_max = if max > 0.0 {
+            row.iter_mut().for_each(|v| *v /= max);
+            max.ln()
         } else {
-            ws.emit_scale[i] = 0.0;
-        }
-        let row = &mut ws.emits[i * ns..(i + 1) * ns];
-        for (cells, on_page) in row.chunks_exact_mut(k).zip(ev.on_pages(nk)) {
-            cells.copy_from_slice(if on_page { &on } else { &off });
-        }
+            0.0
+        };
     }
+}
+
+/// Extract `i`'s two scaled emission rows in `emit_rows`: on its detail
+/// pages, and off them.
+#[inline]
+pub(crate) fn row_pair(emit_rows: &[f64], i: usize, k: usize) -> (&[f64], &[f64]) {
+    emit_rows[2 * i * k..2 * (i + 1) * k].split_at(k)
 }
 
 /// Scaled mass below which the structured pass flushes a cell to exactly
@@ -258,18 +254,23 @@ impl<W: Width> Structure<W> {
 /// [`MAX_FIXED_WIDTH`](crate::width::MAX_FIXED_WIDTH), the same source at
 /// a runtime width above it.
 ///
+/// Each record reads the extract's on-page or off-page emission row,
+/// picked by one cursor over its sorted pages that starts at the first
+/// live record.
+///
 /// Scaling is Rabiner's: the log-likelihood is recovered from the
 /// per-step normalizers and the emission row scales,
-/// `ll = Σᵢ ln cᵢ + Σᵢ emit_scale[i]`. Expects [`emissions_into`] to have
-/// filled the arena first. Leaves α̂, the normalizers and the skip
+/// `ll = Σᵢ ln cᵢ + Σᵢ row_scale[i]`. Expects [`emissions_into`] to have
+/// filled the rows first. Leaves α̂, the normalizers and the skip
 /// normalizers in `ws` for [`backward_struct`].
 pub fn forward_struct(
     dims: Dims,
     params: &Params,
     opts: &ProbOptions,
     ws: &mut FbWorkspace,
+    evidence: &[Evidence],
 ) -> f64 {
-    with_width!(dims.num_columns, w => forward_kernel(w, dims.num_records, params, opts, ws))
+    with_width!(dims.num_columns, w => forward_kernel(w, dims.num_records, params, opts, ws, evidence))
 }
 
 fn forward_kernel<W: Width>(
@@ -278,18 +279,20 @@ fn forward_kernel<W: Width>(
     params: &Params,
     opts: &ProbOptions,
     ws: &mut FbWorkspace,
+    evidence: &[Evidence],
 ) -> f64 {
-    let (n, k) = (ws.emit_scale.len(), w.k());
+    let (n, k) = (evidence.len(), w.k());
     let ns = nk * k;
     let q = opts.skip_penalty;
     let fb = LOG_FALLBACK.exp();
-    debug_assert_eq!(ws.emits.len(), n * ns, "emissions must be filled first");
+    let filled = ws.emit_rows.len() == 2 * n * k && ws.alpha.len() == n * ns;
+    debug_assert!(filled, "emissions must be filled first");
     if n == 0 {
         return 0.0;
     }
     let FbWorkspace {
-        emits,
-        emit_scale,
+        emit_rows,
+        row_scale,
         alpha,
         scale,
         skip_inv,
@@ -325,9 +328,11 @@ fn forward_kernel<W: Width>(
     }
     let first = &mut alpha[..ns];
     first.fill(0.0);
+    let (on, off) = row_pair(emit_rows, 0, k);
     let mut weight = 1.0;
-    for r in 0..nk {
-        first[r * k] = weight / init_total * emits[r * k];
+    for (r, on_page) in evidence[0].on_pages(0..nk).enumerate() {
+        let em = if on_page { on } else { off };
+        first[r * k] = weight / init_total * em[0];
         weight *= q;
     }
     let sum = first.iter().sum();
@@ -341,14 +346,14 @@ fn forward_kernel<W: Width>(
         let (prev_rows, cur_rows) = alpha.split_at_mut(i * ns);
         let prev = &prev_rows[(i - 1) * ns..];
         let cur = &mut cur_rows[..ns];
-        let emit_row = &emits[i * ns..(i + 1) * ns];
+        let (on, off) = row_pair(emit_rows, i, k);
         cur[..lo * k].fill(0.0);
         // `flow` is S(r), the boundary mass entering `(r, 0)`.
         let mut flow = 0.0;
         let mut sum = 0.0;
-        for r in lo..nk {
+        for (r, on_page) in (lo..nk).zip(evidence[i].on_pages(lo..nk)) {
             let a = &prev[r * k..(r + 1) * k];
-            let em = &emit_row[r * k..(r + 1) * k];
+            let em = if on_page { on } else { off };
             let out = &mut cur[r * k..(r + 1) * k];
             let v = (a[0] * fb + flow) * em[0];
             out[0] = v;
@@ -371,7 +376,7 @@ fn forward_kernel<W: Width>(
         scale[i] = normalize_flush(&mut cur[lo * k..], sum);
         lo = first_live_record(cur, k, nk);
     }
-    scale.iter().map(|c| c.ln()).sum::<f64>() + emit_scale.iter().sum::<f64>()
+    scale.iter().map(|c| c.ln()).sum::<f64>() + row_scale.iter().sum::<f64>()
 }
 
 /// The backward sweep of the structured E-step: accumulates the M-step's
@@ -427,7 +432,7 @@ fn backward_kernel<W: Width>(
         return;
     }
     let FbWorkspace {
-        emits,
+        emit_rows,
         alpha,
         scale,
         counts,
@@ -462,13 +467,16 @@ fn backward_kernel<W: Width>(
     for i in (0..n - 1).rev() {
         let inv_c = 1.0 / scale[i + 1];
         let live = hi * k;
-        for ((t, &em), &b) in tmp[..live]
-            .iter_mut()
-            .zip(&emits[(i + 1) * ns..(i + 1) * ns + live])
-            .zip(&beta_row[..live])
-        {
-            let v = em * b * inv_c;
-            *t = if v < NEGLIGIBLE { 0.0 } else { v };
+        let (on, off) = row_pair(emit_rows, i + 1, k);
+        let records = tmp[..live]
+            .chunks_exact_mut(k)
+            .zip(beta_row[..live].chunks_exact(k));
+        for ((t_row, b_row), on_page) in records.zip(evidence[i + 1].on_pages(0..hi)) {
+            let em = if on_page { on } else { off };
+            for ((t, &e), &b) in t_row.iter_mut().zip(em).zip(b_row) {
+                let v = e * b * inv_c;
+                *t = if v < NEGLIGIBLE { 0.0 } else { v };
+            }
         }
         hi = tmp[..live]
             .iter()
@@ -567,7 +575,9 @@ fn normalize_flush(row: &mut [f64], sum: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::model::evidence;
-    use crate::oracle::{build_chain, forward_backward, log_add, log_emissions, log_sum, EdgeKind};
+    use crate::oracle::{
+        build_chain, forward_backward, log_add, log_emissions, log_sum, on_page, state, EdgeKind,
+    };
     use tableseg_extract::build_observations;
     use tableseg_html::{lexer::tokenize, Token};
 
@@ -591,11 +601,11 @@ mod tests {
     fn chain_init_prefers_first_record() {
         let (_, dims, params, opts) = small_setup();
         let chain = build_chain(dims, &params, &opts);
-        let s00 = dims.state(0, 0);
-        let s10 = dims.state(1, 0);
+        let s00 = state(dims, 0, 0);
+        let s10 = state(dims, 1, 0);
         assert!(chain.init[s00] > chain.init[s10]);
         // Non-first-column states are unreachable initially.
-        assert_eq!(chain.init[dims.state(0, 1)], f64::NEG_INFINITY);
+        assert_eq!(chain.init[state(dims, 0, 1)], f64::NEG_INFINITY);
     }
 
     #[test]
@@ -628,8 +638,8 @@ mod tests {
     fn gamma_rows_sum_to_one() {
         let (ev, dims, params, opts) = small_setup();
         let chain = build_chain(dims, &params, &opts);
-        let emits = log_emissions(&ev, &params, dims, &opts);
-        let fb = forward_backward(&chain, &emits, &ev);
+        let logs = log_emissions(&ev, &params, dims, &opts);
+        let fb = forward_backward(&chain, &logs, &ev);
         assert!(fb.log_likelihood.is_finite());
         for row in &fb.gamma {
             let s: f64 = row.iter().sum();
@@ -641,18 +651,18 @@ mod tests {
     fn detail_evidence_dominates_record_posterior() {
         let (ev, dims, params, opts) = small_setup();
         let chain = build_chain(dims, &params, &opts);
-        let emits = log_emissions(&ev, &params, dims, &opts);
-        let fb = forward_backward(&chain, &emits, &ev);
+        let logs = log_emissions(&ev, &params, dims, &opts);
+        let fb = forward_backward(&chain, &logs, &ev);
         // Extract 0 ("Alpha One") is on detail page 0 only.
         let mut p_r0 = 0.0;
         for c in 0..dims.num_columns {
-            p_r0 += fb.gamma[0][dims.state(0, c)];
+            p_r0 += fb.gamma[0][state(dims, 0, c)];
         }
         assert!(p_r0 > 0.99, "{p_r0}");
         // Extract 2 ("Beta Two") is on detail page 1 only.
         let mut p_r1 = 0.0;
         for c in 0..dims.num_columns {
-            p_r1 += fb.gamma[2][dims.state(1, c)];
+            p_r1 += fb.gamma[2][state(dims, 1, c)];
         }
         assert!(p_r1 > 0.99, "{p_r1}");
     }
@@ -661,8 +671,8 @@ mod tests {
     fn counts_are_consistent() {
         let (ev, dims, params, opts) = small_setup();
         let chain = build_chain(dims, &params, &opts);
-        let emits = log_emissions(&ev, &params, dims, &opts);
-        let fb = forward_backward(&chain, &emits, &ev);
+        let logs = log_emissions(&ev, &params, dims, &opts);
+        let fb = forward_backward(&chain, &logs, &ev);
         // Total column mass equals the number of extracts.
         let total: f64 = fb.counts.col.iter().sum();
         assert!((total - ev.len() as f64).abs() < 1e-6, "{total}");
@@ -682,17 +692,21 @@ mod tests {
     }
 
     #[test]
-    fn emission_arena_matches_log_emissions() {
+    fn emission_rows_match_log_emissions() {
         let (ev, dims, params, opts) = small_setup();
         let mut ws = FbWorkspace::new();
         emissions_into(&ev, &params, dims, &opts, &mut ws);
         let logs = log_emissions(&ev, &params, dims, &opts);
-        let ns = dims.num_states();
-        assert_eq!(ws.emits.len(), logs.len() * ns);
+        let k = dims.num_columns;
+        assert_eq!(ws.emit_rows.len(), logs.len() * 2 * k);
         for (i, row) in logs.iter().enumerate() {
-            let scale = ws.emit_scale[i].exp();
+            // Rebuild each `(r, c)` cell from the extract's two rows.
+            let (on, off) = row_pair(&ws.emit_rows, i, k);
+            let scale = ws.row_scale[i].exp();
             for (s, &l) in row.iter().enumerate() {
-                let (linear, oracle) = (ws.emits[i * ns + s] * scale, l.exp());
+                let (r, c) = dims.unpack(s);
+                let cell = if on_page(&ev[i], r) { on[c] } else { off[c] };
+                let (linear, oracle) = (cell * scale, l.exp());
                 assert!(
                     (linear - oracle).abs() <= 1e-12 * oracle,
                     "extract {i} state {s}: {linear} vs {oracle}"
@@ -722,15 +736,15 @@ mod tests {
             .collect();
         let mut ws = FbWorkspace::new();
         emissions_into(&ev, &params, dims, &opts, &mut ws);
-        let ns = dims.num_states();
+        let k = dims.num_columns;
         for (i, e) in ev.iter().enumerate() {
             // Per cell: weigh, take the row maximum, divide.
             let feats = e.features();
             let inv_pages = 1.0 / e.pages.len().max(1) as f64;
-            let mut row: Vec<f64> = (0..ns)
+            let mut row: Vec<f64> = (0..dims.num_states())
                 .map(|s| {
                     let (r, c) = dims.unpack(s);
-                    let w = if e.on_page(r) {
+                    let w = if on_page(e, r) {
                         inv_pages
                     } else {
                         opts.epsilon
@@ -740,13 +754,13 @@ mod tests {
                 .collect();
             let max = row.iter().fold(0.0f64, |m, &v| m.max(v));
             row.iter_mut().for_each(|v| *v /= max);
-            assert_eq!(
-                ws.emit_scale[i].to_bits(),
-                max.ln().to_bits(),
-                "extract {i}"
-            );
+            assert_eq!(ws.row_scale[i].to_bits(), max.ln().to_bits(), "extract {i}");
+            // Each stored row holds its records' cells, bit for bit.
+            let (on, off) = row_pair(&ws.emit_rows, i, k);
             for (s, v) in row.iter().enumerate() {
-                assert_eq!(ws.emits[i * ns + s].to_bits(), v.to_bits(), "{i} {s}");
+                let (r, c) = dims.unpack(s);
+                let stored = if on_page(e, r) { on[c] } else { off[c] };
+                assert_eq!(stored.to_bits(), v.to_bits(), "{i} {s}");
             }
         }
     }

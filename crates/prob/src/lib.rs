@@ -92,8 +92,8 @@ pub struct EmTiming {
     pub e_step_ns: u64,
     /// Parameter updates, summed over iterations.
     pub m_step_ns: u64,
-    /// Final structured MAP decode ([`viterbi::decode`]), including its
-    /// emission refresh when the last iteration ran an M-step.
+    /// Final structured MAP decode ([`viterbi::decode`]), including a
+    /// refill of the emission rows when the last iteration ran an M-step.
     pub viterbi_ns: u64,
 }
 

@@ -9,6 +9,8 @@
 //! list-page extracts). Record labels never decrease: the tables are laid
 //! out horizontally (Section 3.2).
 
+use std::ops::Range;
+
 use tableseg_extract::Observations;
 use tableseg_html::{TokenType, TypeSet};
 
@@ -25,13 +27,6 @@ impl Dims {
     /// Number of `(r, c)` states.
     pub fn num_states(&self) -> usize {
         self.num_records * self.num_columns
-    }
-
-    /// Packs `(r, c)` into a state index.
-    #[inline]
-    pub fn state(&self, r: usize, c: usize) -> usize {
-        debug_assert!(r < self.num_records && c < self.num_columns);
-        r * self.num_columns + c
     }
 
     /// Unpacks a state index into `(r, c)`.
@@ -62,17 +57,14 @@ impl Evidence {
         out
     }
 
-    /// `true` if record `r` is in `D_i`.
-    pub fn on_page(&self, r: usize) -> bool {
-        self.pages.binary_search(&(r as u32)).is_ok()
-    }
-
-    /// [`on_page`](Self::on_page) for every record in `0..num_records`, in
-    /// order: one cursor over the sorted pages instead of a binary search
-    /// per record.
-    pub fn on_pages(&self, num_records: usize) -> impl Iterator<Item = bool> + '_ {
-        let mut pages = self.pages.iter().map(|&p| p as usize).peekable();
-        (0..num_records).map(move |r| {
+    /// Whether each record of `records`, in order, is in `D_i`: one
+    /// cursor over the sorted pages, started at the range's first record.
+    pub fn on_pages(&self, records: Range<usize>) -> impl Iterator<Item = bool> + '_ {
+        let from = self
+            .pages
+            .partition_point(|&p| (p as usize) < records.start);
+        let mut pages = self.pages[from..].iter().map(|&p| p as usize).peekable();
+        records.map(move |r| {
             while pages.next_if(|&p| p < r).is_some() {}
             pages.peek() == Some(&r)
         })
@@ -116,6 +108,7 @@ pub fn describe(period_model: bool) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::{on_page, state};
     use tableseg_extract::build_observations;
     use tableseg_html::lexer::tokenize;
     use tableseg_html::Token;
@@ -129,7 +122,7 @@ mod tests {
         assert_eq!(d.num_states(), 12);
         for r in 0..3 {
             for c in 0..4 {
-                let s = d.state(r, c);
+                let s = state(d, r, c);
                 assert_eq!(d.unpack(s), (r, c));
             }
         }
@@ -154,8 +147,8 @@ mod tests {
         assert!(ev[1].types.contains(TokenType::Numeric));
         assert!(!ev[1].types.contains(TokenType::Alphabetic));
         // Page lookups.
-        assert!(ev[0].on_page(0));
-        assert!(!ev[0].on_page(1));
+        assert!(on_page(&ev[0], 0));
+        assert!(!on_page(&ev[0], 1));
     }
 
     #[test]
@@ -166,8 +159,11 @@ mod tests {
                 pages: pages.to_vec(),
             };
             for nk in 0..6 {
-                let want: Vec<bool> = (0..nk).map(|r| ev.on_page(r)).collect();
-                assert_eq!(ev.on_pages(nk).collect::<Vec<_>>(), want, "{pages:?} {nk}");
+                for from in 0..=nk {
+                    let want: Vec<bool> = (from..nk).map(|r| on_page(&ev, r)).collect();
+                    let got: Vec<bool> = ev.on_pages(from..nk).collect();
+                    assert_eq!(got, want, "{pages:?} {from}..{nk}");
+                }
             }
         }
     }

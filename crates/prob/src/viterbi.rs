@@ -1,27 +1,28 @@
 //! MAP decoding: "In the end we output the most likely assignment to R
 //! and C" (Section 5.2.3).
 //!
-//! A max-product pass over the same transition structure the E-step reads
-//! from the parameters ([`crate::forward_backward::forward_struct`]); no
-//! edge list is materialized. The log-space Viterbi decode over the
-//! materialized chain is its differential oracle, in the crate's test
-//! suite (`tests/oracle`).
+//! A max-product pass over the same transition structure and the same two
+//! emission rows per extract that the E-step reads
+//! ([`crate::forward_backward::forward_struct`]); no edge list is
+//! materialized. The log-space Viterbi decode over the materialized chain
+//! is its differential oracle, in the crate's test suite (`tests/oracle`).
 
-use crate::forward_backward::{FbWorkspace, Structure, LOG_FALLBACK};
+use crate::forward_backward::{row_pair, FbWorkspace, Structure, LOG_FALLBACK};
 use crate::model::{Dims, Evidence};
 use crate::params::Params;
 use crate::width::{with_width, Width};
 use crate::ProbOptions;
 
-/// The most likely `(R, C)` state path given the emission arena that
+/// The most likely `(R, C)` state path given the emission rows that
 /// [`crate::forward_backward::emissions_into`] filled for the same
 /// parameters. Returns one state index per extract; empty evidence yields
 /// an empty path.
 ///
-/// Scores are log-space sums over the scaled emissions; the per-row
-/// scaling shifts every path's score by the same `Σᵢ ln maxᵢ`, so the
-/// argmax path is unchanged. The chain's record-boundary fan-out from
-/// `(r, c)` to every `(r′, 0)`, `r′ > r`, weighs
+/// Scores are log-space sums over the `ln` of each extract's two scaled
+/// emission rows; the per-row scaling shifts every path's score by the
+/// same `Σᵢ ln maxᵢ`, so the argmax path is unchanged. The chain's
+/// record-boundary fan-out from `(r, c)` to every `(r′, 0)`, `r′ > r`,
+/// weighs
 /// `ln hz(c) + (r′−r−1)·ln q − ln skip_total(r)`, so the best boundary
 /// score entering record `r′` is a running maximum:
 ///
@@ -53,10 +54,11 @@ pub fn decode(
     if n == 0 || ns == 0 {
         return Vec::new();
     }
-    debug_assert_eq!(ws.emits.len(), n * ns, "emissions must be filled first");
+    let filled = ws.emit_rows.len() == 2 * n * dims.num_columns;
+    debug_assert!(filled, "emissions must be filled first");
     assert!(ns < u32::MAX as usize, "states must fit u32 backpointers");
     with_width!(dims.num_columns, w => {
-        decode_kernel(w, dims.num_records, params, opts, &ws.emits, evidence)
+        decode_kernel(w, dims.num_records, params, opts, &ws.emit_rows, evidence)
     })
 }
 
@@ -65,7 +67,7 @@ fn decode_kernel<W: Width>(
     nk: usize,
     params: &Params,
     opts: &ProbOptions,
-    emits: &[f64],
+    emit_rows: &[f64],
     evidence: &[Evidence],
 ) -> Vec<usize> {
     let (n, k) = (evidence.len(), w.k());
@@ -93,8 +95,14 @@ fn decode_kernel<W: Width>(
     }
     let total_log: Vec<f64> = total.iter().map(|t| t.ln()).collect();
 
-    let mut on = w.row(0.0);
-    let mut off = w.row(0.0);
+    // The `ln` of extract `i`'s on-page and off-page emission rows.
+    let (mut on, mut off) = (w.row(0.0), w.row(0.0));
+    let ln_rows = |i: usize, on: &mut W::Row, off: &mut W::Row| {
+        let (on_row, off_row) = row_pair(emit_rows, i, k);
+        for c in 0..k {
+            (on[c], off[c]) = (on_row[c].ln(), off_row[c].ln());
+        }
+    };
     let mut delta = vec![f64::NEG_INFINITY; ns];
     let mut next = vec![f64::NEG_INFINITY; ns];
     // back[i * ns + s] = predecessor state of s at step i.
@@ -102,27 +110,20 @@ fn decode_kernel<W: Width>(
 
     // The first extract starts a record: state (r, 0), geometric over
     // skipped leading records.
-    row_logs(&emits[..ns], &evidence[0], k, on.as_mut(), off.as_mut());
+    ln_rows(0, &mut on, &mut off);
     let mut weight = 1.0;
-    for (r, on_page) in evidence[0].on_pages(nk).enumerate() {
+    for (r, on_page) in evidence[0].on_pages(0..nk).enumerate() {
         let em = if on_page { &on } else { &off };
         delta[r * k] = (weight / total[nk]).ln() + em[0];
         weight *= q;
     }
 
     for i in 1..n {
-        let ev = &evidence[i];
-        row_logs(
-            &emits[i * ns..(i + 1) * ns],
-            ev,
-            k,
-            on.as_mut(),
-            off.as_mut(),
-        );
+        ln_rows(i, &mut on, &mut off);
         let back_row = &mut back[i * ns..(i + 1) * ns];
         // M(r) and its source state.
         let (mut m, mut m_src) = (f64::NEG_INFINITY, u32::MAX);
-        for (r, on_page) in ev.on_pages(nk).enumerate() {
+        for (r, on_page) in evidence[i].on_pages(0..nk).enumerate() {
             let em = if on_page { &on } else { &off };
             let a = &delta[r * k..(r + 1) * k];
             let out = &mut next[r * k..(r + 1) * k];
@@ -191,33 +192,11 @@ fn decode_kernel<W: Width>(
     path
 }
 
-/// The `ln` of one scaled emission row, read from its `2k` distinct
-/// values. Cell `(r, c)` of a row is `P(T | c) · w / max`, where the
-/// record weight `w` is `1/|D|` on the extract's detail pages and `ε`
-/// off them, so every on-page record shares one column vector and every
-/// off-page record another. Fills `on` from the first on-page record's
-/// cells and `off` from the first off-page record's (the same bits as a
-/// per-cell `ln`).
-pub(crate) fn row_logs(row: &[f64], ev: &Evidence, k: usize, on: &mut [f64], off: &mut [f64]) {
-    let nk = row.len() / k;
-    let ln_of = |dst: &mut [f64], r: usize| {
-        for (d, &x) in dst.iter_mut().zip(&row[r * k..(r + 1) * k]) {
-            *d = x.ln();
-        }
-    };
-    if let Some(r) = ev.pages.first().map(|&p| p as usize).filter(|&r| r < nk) {
-        ln_of(on, r);
-    }
-    if let Some(r) = ev.on_pages(nk).position(|on_page| !on_page) {
-        ln_of(off, r);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::forward_backward::emissions_into;
-    use crate::oracle::{build_chain, log_emissions, path_score, viterbi, Chain};
+    use crate::oracle::{build_chain, log_emissions, path_score, state, viterbi, Chain};
     use tableseg_html::TypeSet;
 
     fn chain2x2() -> Chain {
@@ -241,9 +220,9 @@ mod tests {
         let dims = chain.dims;
         // Strong emission for record 1, column 0.
         let mut e = vec![-10.0; dims.num_states()];
-        e[dims.state(1, 0)] = 0.0;
+        e[state(dims, 1, 0)] = 0.0;
         let path = viterbi(&chain, &[e]);
-        assert_eq!(path, vec![dims.state(1, 0)]);
+        assert_eq!(path, vec![state(dims, 1, 0)]);
     }
 
     #[test]
@@ -255,7 +234,7 @@ mod tests {
         // initial mass prefers record 0 and continuing beats the fallback.
         let flat = vec![0.0; dims.num_states()];
         let path = viterbi(&chain, &[flat.clone(), flat]);
-        assert_eq!(path[0], dims.state(0, 0));
+        assert_eq!(path[0], state(dims, 0, 0));
         let (r1, c1) = dims.unpack(path[1]);
         assert!((r1 == 0 && c1 == 1) || (r1 == 1 && c1 == 0), "{path:?}");
     }
@@ -265,11 +244,11 @@ mod tests {
         let chain = chain2x2();
         let dims = chain.dims;
         let mut e0 = vec![-20.0; dims.num_states()];
-        e0[dims.state(0, 0)] = 0.0;
+        e0[state(dims, 0, 0)] = 0.0;
         let mut e1 = vec![-20.0; dims.num_states()];
-        e1[dims.state(1, 0)] = 0.0;
+        e1[state(dims, 1, 0)] = 0.0;
         let path = viterbi(&chain, &[e0, e1]);
-        assert_eq!(path, vec![dims.state(0, 0), dims.state(1, 0)]);
+        assert_eq!(path, vec![state(dims, 0, 0), state(dims, 1, 0)]);
     }
 
     #[test]
@@ -279,12 +258,12 @@ mod tests {
         let chain = chain2x2();
         let dims = chain.dims;
         let mut e = vec![-40.0; dims.num_states()];
-        e[dims.state(1, 1)] = 0.0;
+        e[state(dims, 1, 1)] = 0.0;
         let path = viterbi(&chain, &[e.clone(), e]);
         // First step cannot be (1,1) (not an initial state) but the second
         // should reach it; path must exist regardless.
         assert_eq!(path.len(), 2);
-        assert_eq!(path[1], dims.state(1, 1));
+        assert_eq!(path[1], state(dims, 1, 1));
     }
 
     fn ev(bits: u8, pages: &[u32]) -> Evidence {
@@ -299,44 +278,6 @@ mod tests {
         let mut ws = FbWorkspace::new();
         emissions_into(ev, params, dims, opts, &mut ws);
         decode(dims, params, opts, &ws, ev)
-    }
-
-    #[test]
-    fn row_logs_are_bit_identical_to_per_cell_ln() {
-        let dims = Dims {
-            num_records: 5,
-            num_columns: 3,
-        };
-        let opts = ProbOptions::default();
-        let mut params = Params::uniform(3, vec![1.0; 3]);
-        params.theta[0] = [0.9, 0.2, 0.7, 0.1, 0.4, 0.6, 0.3, 0.8];
-        params.theta[2] = [0.05, 0.95, 0.5, 0.5, 0.25, 0.75, 0.6, 0.4];
-        // No detail page, one, several, every record.
-        let evs = [
-            ev(0b1011, &[]),
-            ev(0b1, &[0]),
-            ev(0b110, &[1, 3]),
-            ev(0xff, &[0, 1, 2, 3, 4]),
-            ev(0b1_0000, &[4]),
-        ];
-        let mut ws = FbWorkspace::new();
-        emissions_into(&evs, &params, dims, &opts, &mut ws);
-        let (ns, k) = (dims.num_states(), dims.num_columns);
-        let (mut on, mut off) = (vec![0.0; k], vec![0.0; k]);
-        for (i, e) in evs.iter().enumerate() {
-            let row = &ws.emits[i * ns..(i + 1) * ns];
-            row_logs(row, e, k, &mut on, &mut off);
-            for r in 0..dims.num_records {
-                let logs = if e.on_page(r) { &on } else { &off };
-                for c in 0..k {
-                    assert_eq!(
-                        logs[c].to_bits(),
-                        row[r * k + c].ln().to_bits(),
-                        "extract {i} record {r} column {c}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -371,16 +312,16 @@ mod tests {
             vec![0.0; 4],
         ];
         params.end_prob = vec![0.1, 0.2, 0.2, 0.9];
-        let s = |r, c| dims.state(r, c);
+        let s = |r, c| state(dims, r, c);
         let cases = [(ev(0b100, &[0]), s(0, 3)), (ev(0b001, &[1]), s(1, 0))];
         for (last, end) in cases {
             let evs = [ev(0b001, &[0]), ev(0b010, &[0]), last];
             let chain = build_chain(dims, &params, &opts);
-            let emits = log_emissions(&evs, &params, dims, &opts);
+            let logs = log_emissions(&evs, &params, dims, &opts);
             let (via1, via2) = ([s(0, 0), s(0, 1), end], [s(0, 0), s(0, 2), end]);
-            let score = |p: &[usize]| path_score(&chain, &emits, p).expect("valid path");
+            let score = |p: &[usize]| path_score(&chain, &logs, p).expect("valid path");
             assert_eq!(score(&via1).to_bits(), score(&via2).to_bits(), "no tie");
-            let oracle = viterbi(&chain, &emits);
+            let oracle = viterbi(&chain, &logs);
             assert_eq!(oracle, via1);
             assert_eq!(decode_with(&evs, dims, &params, &opts), oracle);
         }
@@ -402,9 +343,9 @@ mod tests {
             ev(0b011, &[]),
         ];
         let chain = build_chain(dims, &params, &opts);
-        let emits = log_emissions(&evs, &params, dims, &opts);
+        let logs = log_emissions(&evs, &params, dims, &opts);
         for n in 0..=evs.len() {
-            let oracle = viterbi(&chain, &emits[..n]);
+            let oracle = viterbi(&chain, &logs[..n]);
             assert_eq!(
                 decode_with(&evs[..n], dims, &params, &opts),
                 oracle,

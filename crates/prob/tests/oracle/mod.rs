@@ -68,6 +68,18 @@ pub struct Chain {
     pub edges: Vec<Vec<Edge>>,
 }
 
+/// Packs `(r, c)` into a state index, the inverse of [`Dims::unpack`].
+pub fn state(dims: Dims, r: usize, c: usize) -> usize {
+    assert!(r < dims.num_records && c < dims.num_columns);
+    r * dims.num_columns + c
+}
+
+/// `true` if record `r` is in the extract's `D_i` (a binary search per
+/// record; production walks the pages with [`Evidence::on_pages`]).
+pub fn on_page(ev: &Evidence, r: usize) -> bool {
+    ev.pages.binary_search(&(r as u32)).is_ok()
+}
+
 /// Builds the chain for the current parameters.
 pub fn build_chain(dims: Dims, params: &Params, opts: &ProbOptions) -> Chain {
     let nk = dims.num_records;
@@ -83,7 +95,7 @@ pub fn build_chain(dims: Dims, params: &Params, opts: &ProbOptions) -> Chain {
     }
     let mut w = 1.0;
     for r in 0..nk {
-        init[dims.state(r, 0)] = (w / total).ln();
+        init[state(dims, r, 0)] = (w / total).ln();
         w *= opts.skip_penalty;
     }
 
@@ -97,7 +109,7 @@ pub fn build_chain(dims: Dims, params: &Params, opts: &ProbOptions) -> Chain {
             let p = (1.0 - hz) * params.trans[c][cp];
             if p > 0.0 {
                 out.push(Edge {
-                    to: dims.state(r, cp),
+                    to: state(dims, r, cp),
                     logp: p.ln(),
                     kind: EdgeKind::Continue {
                         from_c: c,
@@ -120,7 +132,7 @@ pub fn build_chain(dims: Dims, params: &Params, opts: &ProbOptions) -> Chain {
                 g *= opts.skip_penalty;
                 if p > 0.0 {
                     out.push(Edge {
-                        to: dims.state(rp, 0),
+                        to: state(dims, rp, 0),
                         logp: p.ln(),
                         kind: EdgeKind::NewRecord { from_c: c },
                     });
@@ -157,7 +169,7 @@ pub fn log_emissions(
             (0..dims.num_states())
                 .map(|s| {
                     let (r, c) = dims.unpack(s);
-                    let d = if ev.on_page(r) {
+                    let d = if on_page(ev, r) {
                         -(ev.pages.len() as f64).ln()
                     } else {
                         log_eps
