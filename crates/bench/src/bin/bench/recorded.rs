@@ -254,15 +254,17 @@ const BASE_SEED: u64 = 0xC0DE;
 /// (merged), and the full pipeline runs over the twelve
 /// paper sites through the corpus driver — a damaged page degrades or
 /// fails its own row, never the process. Per rate, the page outcomes,
-/// injected faults and each method's Cor/InC/FN/FP are gated.
+/// the CSP components whose branch-and-bound ran out of budget
+/// (`bnb_exhausted`), injected faults and each method's Cor/InC/FN/FP
+/// are gated.
 ///
 /// The rate-0 leg proves the harness honest: the chaos-wrapped generator
 /// is byte-identical to the plain one, no page fails, and the Table 4
 /// report equals `tests/golden/table4.txt`.
 pub fn robustness(f: &Flags) -> Result<(), String> {
-    if f.manifest.is_some() {
-        obs::set_enabled(true);
-    }
+    // On with or without `--manifest`: `bnb_exhausted` is read off the
+    // metrics.
+    obs::set_enabled(true);
     let (specs, threads) = (paper_sites::all(), f.threads());
     eprintln!(
         "sweeping {} rates x {SEEDS} seed(s) over {} sites on {threads} thread(s) ...",
@@ -271,9 +273,7 @@ pub fn robustness(f: &Flags) -> Result<(), String> {
     );
 
     // Sweep-wide observability rollup: metrics and robustness merged over
-    // every rate and seed, one `rate#R` span subtree per swept rate. The
-    // merge ignores the ambient enable flag, so this stays a cheap no-op
-    // when `--manifest` was not given.
+    // every rate and seed, one `rate#R` span subtree per swept rate.
     let mut sweep_metrics = obs::Recorder::default();
     let mut sweep_report = RobustnessReport::new();
     let mut sweep_root = obs::SpanNode::new(obs::SpanKind::Run, "robustness", 0);
@@ -341,8 +341,12 @@ pub fn robustness(f: &Flags) -> Result<(), String> {
 
         let (prob_counts, csp_counts) = totals(&outcome.runs);
         let r = &outcome.report;
+        let exhausted = outcome
+            .metrics
+            .counters
+            .get(obs::Counter::SolveBnbExhausted);
         eprintln!(
-            "rate {rate:.1}: pages {} ok {} degraded {} failed {} | prob F={:.2} csp F={:.2}",
+            "rate {rate:.1}: pages {} ok {} degraded {} failed {} bnb_exhausted {exhausted} | prob F={:.2} csp F={:.2}",
             r.pages,
             r.ok,
             r.degraded,
@@ -358,6 +362,7 @@ pub fn robustness(f: &Flags) -> Result<(), String> {
             ("failed", r.failed),
         ];
         counts.extend(pages.map(|(k, n)| (format!("{key}.{k}"), n as f64)));
+        counts.push((format!("{key}.bnb_exhausted"), exhausted as f64));
         counts.extend(
             outcome
                 .fault_counts
@@ -425,13 +430,14 @@ fn render_rate(rate: f64, outcome: &RunOutcome, prob: &PageCounts, csp: &PageCou
         .map(|(label, stage)| format!("\"{label}\": {}", total_ns(stage)))
         .collect();
     format!(
-        "    \"{rate:.1}\": {{ \"pages\": {}, \"ok\": {}, \"degraded\": {}, \"failed\": {},\n      \
+        "    \"{rate:.1}\": {{ \"pages\": {}, \"ok\": {}, \"degraded\": {}, \"failed\": {}, \"bnb_exhausted\": {},\n      \
          \"prob\": {},\n      \"csp\": {},\n      \"faults\": {},\n      \"warnings\": {},\n      \
          \"failures_by_stage\": {},\n      \"solve_ns\": {{ {} }} }}",
         r.pages,
         r.ok,
         r.degraded,
         r.failed,
+        outcome.metrics.counters.get(obs::Counter::SolveBnbExhausted),
         scored_json(prob),
         scored_json(csp),
         json_map(outcome.fault_counts.iter().map(|(k, n)| (k.label(), *n))),

@@ -9,7 +9,7 @@
 
 use std::time::Instant;
 
-use tableseg_csp::{encode, reduce_model, segment_csp, CspOptions, EncodeOptions};
+use tableseg_csp::{encode, reduce_model, segment_csp, CspOptions, EncodeOptions, Occurrences};
 use tableseg_extract::Observations;
 use tableseg_prob::{segment_prob, ProbOptions};
 
@@ -186,11 +186,12 @@ pub fn component_profile(fixtures: &[SolveFixture]) -> ComponentProfile {
     ];
     for f in fixtures {
         let mut enc = encode(&f.observations, &EncodeOptions::default());
+        let occ = Occurrences::new(&enc.model);
         for (slot, relaxed) in hist.iter_mut().zip([false, true]) {
             if relaxed {
                 enc.relax();
             }
-            let red = reduce_model(&enc.model);
+            let red = reduce_model(&enc.model, &occ);
             for comp in &red.components {
                 *slot.entry(comp.vars.len()).or_insert(0u64) += 1;
             }

@@ -108,6 +108,7 @@ impl Segmenter for CspSegmenter {
         let mut metrics = Recorder::new();
         metrics.bump(Counter::SolveComponents, out.components as u64);
         metrics.bump(Counter::SolvePrunedVars, out.pruned_vars as u64);
+        metrics.bump(Counter::SolveBnbExhausted, out.exhausted_components as u64);
         let relaxed = out.status != CspStatus::Solved;
         if relaxed {
             metrics.incr(Counter::CspRelaxed);

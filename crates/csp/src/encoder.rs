@@ -18,7 +18,7 @@
 use tableseg_extract::positions::position_groups;
 use tableseg_extract::Observations;
 
-use crate::model::{Constraint, Model, Relation, Term};
+use crate::model::{Model, Relation, Term};
 
 /// Options controlling the encoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,9 +73,9 @@ impl Encoding {
     /// assignment of the strict model carries over to the relaxed one
     /// variable for variable.
     pub fn relax(&mut self) {
-        for c in &mut self.model.constraints {
-            if c.rel == Relation::Eq {
-                c.rel = Relation::Le;
+        for rel in &mut self.model.rel {
+            if *rel == Relation::Eq {
+                *rel = Relation::Le;
             }
         }
         self.model.maximize_sum(0..self.vars.len());
@@ -104,7 +104,7 @@ pub fn encode(obs: &Observations, opts: &EncodeOptions) -> Encoding {
 
     // Uniqueness.
     for w in first.windows(2) {
-        model.add(Constraint::sum(w[0]..w[1], Relation::Eq, 1));
+        model.add_sum(w[0]..w[1], Relation::Eq, 1);
     }
 
     // Consecutiveness, per record.
@@ -115,20 +115,17 @@ pub fn encode(obs: &Observations, opts: &EncodeOptions) -> Encoding {
                     // Fewer candidates than extracts lie between the two:
                     // an in-between extract cannot be in r_j, which makes
                     // the pair mutually exclusive.
-                    model.add(Constraint::sum([xk, xi], Relation::Le, 1));
+                    model.add_sum([xk, xi], Relation::Le, 1);
                 } else {
                     // Every in-between extract is a candidate: the pair may
                     // co-exist only if each middle is also assigned to r_j.
                     for &(_, xn) in &members[a + 1..b] {
-                        model.add(Constraint {
-                            terms: vec![
-                                Term { var: xk, coef: 1 },
-                                Term { var: xi, coef: 1 },
-                                Term { var: xn, coef: -1 },
-                            ],
-                            rel: Relation::Le,
-                            rhs: 1,
-                        });
+                        let triple = [(xk, 1), (xi, 1), (xn, -1)];
+                        model.add(
+                            triple.map(|(var, coef)| Term { var, coef }),
+                            Relation::Le,
+                            1,
+                        );
                     }
                 }
             }
@@ -142,7 +139,7 @@ pub fn encode(obs: &Observations, opts: &EncodeOptions) -> Encoding {
                 lookup(&vars, &first, i, group.page)
                     .expect("an extract is a candidate of every page it was observed on")
             });
-            model.add(Constraint::sum(vs, Relation::Eq, 1));
+            model.add_sum(vs, Relation::Eq, 1);
         }
     }
 
@@ -197,7 +194,7 @@ pub(crate) mod tests {
     fn uniqueness_constraints_lead_the_model() {
         let obs = superpages_obs();
         let enc = encode(&obs, &EncodeOptions::default());
-        for (i, c) in enc.model.constraints[..obs.items.len()].iter().enumerate() {
+        for (i, c) in enc.model.rows().take(obs.items.len()).enumerate() {
             assert!(c.rel == Relation::Eq && c.rhs == 1);
             let vars: Vec<usize> = c.terms.iter().map(|t| t.var).collect();
             let expected: Vec<usize> = obs.items[i]
@@ -215,20 +212,11 @@ pub(crate) mod tests {
         let strict = encode(&obs, &EncodeOptions::default());
         let mut relaxed = strict.clone();
         relaxed.relax();
-        assert!(relaxed
-            .model
-            .constraints
-            .iter()
-            .all(|c| c.rel == Relation::Le));
+        assert!(relaxed.model.rows().all(|c| c.rel == Relation::Le));
         assert_eq!(relaxed.model.objective.len(), relaxed.vars.len());
         assert_eq!(relaxed.vars, strict.vars);
-        for (r, s) in relaxed
-            .model
-            .constraints
-            .iter()
-            .zip(&strict.model.constraints)
-        {
-            assert_eq!((&r.terms, r.rhs), (&s.terms, s.rhs));
+        for (r, s) in relaxed.model.rows().zip(strict.model.rows()) {
+            assert_eq!((r.terms, r.rhs), (s.terms, s.rhs));
         }
     }
 
@@ -244,14 +232,12 @@ pub(crate) mod tests {
         );
         let groups = position_groups(&obs).len();
         assert!(groups > 0);
-        assert_eq!(
-            with.model.constraints.len(),
-            without.model.constraints.len() + groups
-        );
-        assert_eq!(
-            with.model.constraints[..without.model.constraints.len()],
-            without.model.constraints[..]
-        );
+        assert_eq!(with.model.num_rows(), without.model.num_rows() + groups);
+        assert!(with
+            .model
+            .rows()
+            .zip(without.model.rows())
+            .all(|(a, b)| a == b));
     }
 
     #[test]
@@ -260,9 +246,9 @@ pub(crate) mod tests {
         let enc = encode(&obs, &EncodeOptions::default());
         // Past the uniqueness rows, consecutiveness emits both pairwise
         // exclusions (blocked middles) and triples (candidate middles).
-        let consec = &enc.model.constraints[obs.items.len()..];
-        assert!(consec.iter().any(|c| c.terms.len() == 2));
-        assert!(consec.iter().any(|c| c.terms.len() == 3));
+        let consec = || enc.model.rows().skip(obs.items.len());
+        assert!(consec().any(|c| c.terms.len() == 2));
+        assert!(consec().any(|c| c.terms.len() == 3));
     }
 
     #[test]
@@ -270,7 +256,7 @@ pub(crate) mod tests {
         let obs = build_observations(&[], &[], &[]);
         let enc = encode(&obs, &EncodeOptions::default());
         assert_eq!(enc.model.num_vars, 0);
-        assert!(enc.model.constraints.is_empty());
+        assert_eq!(enc.model.num_rows(), 0);
     }
 
     /// The paper lists the Superpages constraints explicitly in Sections
@@ -282,7 +268,7 @@ pub(crate) mod tests {
         let m = &enc.model;
         let x = |i: usize, j: u32| enc.var(i, j).expect("candidate");
         let has = |vars: &[usize], coefs: &[i32], rel: Relation| {
-            m.constraints.iter().any(|c| {
+            m.rows().any(|c| {
                 c.rel == rel
                     && c.rhs == 1
                     && c.terms.len() == vars.len()
@@ -295,7 +281,7 @@ pub(crate) mod tests {
 
         // The uniqueness constraint of extract i contains exactly the
         // variables x_ij for j in D_i, with "= 1".
-        let uniq = &m.constraints[..obs.items.len()];
+        let uniq: Vec<_> = m.rows().take(obs.items.len()).collect();
         // x11 + x12 = 1 (the paper's first listed constraint).
         let vars: Vec<usize> = uniq[0].terms.iter().map(|t| t.var).collect();
         assert_eq!(vars, vec![x(0, 0), x(0, 1)]);

@@ -13,6 +13,11 @@
 //! proves the paper corpus's relaxed optima within two nodes per
 //! variable.
 //!
+//! The search reads the model's flat rows and walks each variable's rows
+//! through an [`Occurrences`] index it is handed: a reduced component
+//! carries the one the reduction wrote with its rows, so no search
+//! builds its own.
+//!
 //! A warm seed orders the values: each variable is tried first at its
 //! value in the seed. The search keeps the first optimum it finds (a
 //! later leaf of equal value is pruned by the bound), so among equal
@@ -21,7 +26,7 @@
 //! worst-case exponential, so it takes a node budget and reports
 //! [`BnbOutcome::Unknown`], with its incumbent, when the budget ends it.
 
-use crate::model::{Model, Relation};
+use crate::model::{Model, Occurrences, Relation};
 
 /// Result of branch-and-bound.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,15 +63,17 @@ impl BnbOutcome {
 /// Branch-and-bound over a pseudo-boolean model, exploring at most
 /// `node_budget` nodes.
 pub fn solve_bnb(model: &Model, node_budget: u64) -> BnbOutcome {
-    branch_and_bound(model, node_budget, None).0
+    branch_and_bound(model, &Occurrences::new(model), node_budget, None).0
 }
 
-/// [`solve_bnb`] with an optional warm seed (one value per variable,
-/// tried first at every branch), also returning the number of nodes it
-/// explored. Without a seed, each variable is tried first at the value
-/// its objective coefficient favors.
+/// [`solve_bnb`] over a model with its occurrence index `occ` (a
+/// reduced component carries its own), with an optional warm seed (one
+/// value per variable, tried first at every branch), also returning the
+/// number of nodes it explored. Without a seed, each variable is tried
+/// first at the value its objective coefficient favors.
 pub fn branch_and_bound(
     model: &Model,
+    occ: &Occurrences,
     node_budget: u64,
     warm: Option<&[bool]>,
 ) -> (BnbOutcome, u64) {
@@ -74,7 +81,7 @@ pub fn branch_and_bound(
         warm.is_none_or(|w| w.len() == model.num_vars),
         "a warm seed holds one value per variable"
     );
-    let Some(mut search) = Search::new(model, node_budget, warm) else {
+    let Some(mut search) = Search::new(model, occ, node_budget, warm) else {
         return (BnbOutcome::Infeasible, 0);
     };
     search.recurse(0);
@@ -95,22 +102,19 @@ pub fn branch_and_bound(
 /// scores above it. `None` when the constraint bounds alone refute the
 /// model.
 pub fn bnb_root_bound(model: &Model) -> Option<i64> {
-    Search::new(model, 0, None).map(|s| s.fixed_obj + s.rest)
+    Search::new(model, &Occurrences::new(model), 0, None).map(|s| s.fixed_obj + s.rest)
 }
 
 /// Marks a variable without an at-most-one group.
 const NO_GROUP: usize = usize::MAX;
 
-/// The branch-and-bound state. Occurrences are flat CSR arrays next to
-/// the model's own rows; setting a variable touches only
-/// its own rows (and, where a row's slack shrank, that row's terms), and
-/// a trail of killed variables undoes it.
+/// The branch-and-bound state over the model's flat rows and its
+/// occurrence index: setting a variable touches only its own rows (and,
+/// where a row's slack shrank, that row's terms), and a trail of killed
+/// variables undoes it.
 struct Search<'a> {
     model: &'a Model,
-    /// Rows of variable `v`: `occ_row`/`occ_coef[occ_start[v]..occ_start[v + 1]]`.
-    occ_start: Vec<usize>,
-    occ_row: Vec<u32>,
-    occ_coef: Vec<i32>,
+    occ: &'a Occurrences,
     /// Per row: the least and the greatest value its left-hand side can
     /// still take, given the assigned terms.
     lo: Vec<i32>,
@@ -150,26 +154,18 @@ struct Search<'a> {
 
 impl<'a> Search<'a> {
     /// The root state, or `None` when a row is already unsatisfiable.
-    fn new(model: &'a Model, budget: u64, warm: Option<&'a [bool]>) -> Option<Search<'a>> {
+    fn new(
+        model: &'a Model,
+        occ: &'a Occurrences,
+        budget: u64,
+        warm: Option<&'a [bool]>,
+    ) -> Option<Search<'a>> {
         let n = model.num_vars;
-        let rows = &model.constraints;
-        let mut occ_start = vec![0usize; n + 1];
-        for t in rows.iter().flat_map(|c| &c.terms) {
-            occ_start[t.var + 1] += 1;
-        }
-        for v in 0..n {
-            occ_start[v + 1] += occ_start[v];
-        }
-        let mut fill = occ_start.clone();
-        let mut occ_row = vec![0u32; occ_start[n]];
-        let mut occ_coef = vec![0i32; occ_start[n]];
-        let mut lo = vec![0i32; rows.len()];
-        let mut hi = vec![0i32; rows.len()];
-        for (r, c) in rows.iter().enumerate() {
-            for t in &c.terms {
-                occ_row[fill[t.var]] = u32::try_from(r).expect("fewer than 2^32 rows");
-                occ_coef[fill[t.var]] = t.coef;
-                fill[t.var] += 1;
+        let num_rows = model.num_rows();
+        let mut lo = vec![0i32; num_rows];
+        let mut hi = vec![0i32; num_rows];
+        for (r, c) in model.rows().enumerate() {
+            for t in c.terms {
                 if t.coef > 0 {
                     hi[r] += t.coef;
                 } else {
@@ -189,7 +185,7 @@ impl<'a> Search<'a> {
         let mut group = vec![NO_GROUP; n];
         let mut group_row = Vec::new();
         let mut group_size = Vec::new();
-        for (r, c) in rows.iter().enumerate() {
+        for (r, c) in model.rows().enumerate() {
             let at_most_one = matches!(c.rel, Relation::Le | Relation::Eq)
                 && c.rhs == 1
                 && c.terms.iter().all(|t| t.coef == 1);
@@ -198,7 +194,7 @@ impl<'a> Search<'a> {
             }
             let g = group_row.len();
             let mut size = 0;
-            for t in &c.terms {
+            for t in c.terms {
                 if group[t.var] == NO_GROUP {
                     group[t.var] = g;
                     size += 1;
@@ -215,9 +211,7 @@ impl<'a> Search<'a> {
 
         let mut search = Search {
             model,
-            occ_start,
-            occ_row,
-            occ_coef,
+            occ,
             lo,
             hi,
             obj_coef,
@@ -237,13 +231,14 @@ impl<'a> Search<'a> {
             budget,
             exhausted: false,
         };
-        if (0..rows.len()).any(|r| search.constraint_bad(r)) {
+        if (0..num_rows).any(|r| search.constraint_bad(r)) {
             return None;
         }
         for v in 0..n {
-            let live = (search.occ_start[v]..search.occ_start[v + 1]).all(|k| {
-                let r = search.occ_row[k] as usize;
-                !search.caps(r) || search.occ_coef[k] <= search.slack(r)
+            let (rows, coefs) = occ.of(v);
+            let live = rows.iter().zip(coefs).all(|(&r, &coef)| {
+                let r = r as usize;
+                !search.caps(r) || coef <= search.slack(r)
             });
             if !live {
                 continue;
@@ -265,18 +260,18 @@ impl<'a> Search<'a> {
     /// Can row `r` still be satisfied under the current bounds?
     #[inline]
     fn constraint_bad(&self, r: usize) -> bool {
-        let c = &self.model.constraints[r];
-        match c.rel {
-            Relation::Le => self.lo[r] > c.rhs,
-            Relation::Ge => self.hi[r] < c.rhs,
-            Relation::Eq => self.lo[r] > c.rhs || self.hi[r] < c.rhs,
+        let rhs = self.model.rhs[r];
+        match self.model.rel[r] {
+            Relation::Le => self.lo[r] > rhs,
+            Relation::Ge => self.hi[r] < rhs,
+            Relation::Eq => self.lo[r] > rhs || self.hi[r] < rhs,
         }
     }
 
     /// Does row `r` cap its left-hand side (`≤` or `=`)?
     #[inline]
     fn caps(&self, r: usize) -> bool {
-        self.model.constraints[r].rel != Relation::Ge
+        self.model.rel[r] != Relation::Ge
     }
 
     /// How far row `r`'s least reachable value sits below its right-hand
@@ -284,13 +279,13 @@ impl<'a> Search<'a> {
     /// not exceed this.
     #[inline]
     fn slack(&self, r: usize) -> i32 {
-        self.model.constraints[r].rhs - self.lo[r]
+        self.model.rhs[r] - self.lo[r]
     }
 
     /// Incremental bound check: only the rows of `var`.
     fn pruned_after(&self, var: usize) -> bool {
-        (self.occ_start[var]..self.occ_start[var + 1])
-            .any(|k| self.constraint_bad(self.occ_row[k] as usize))
+        let (rows, _) = self.occ.of(var);
+        rows.iter().any(|&r| self.constraint_bad(r as usize))
     }
 
     /// Marks live variable `v` dead and lowers the bound to match.
@@ -308,7 +303,8 @@ impl<'a> Search<'a> {
             let new = if self.group_live[g] == 0 {
                 0
             } else {
-                self.model.constraints[self.group_row[g]]
+                self.model
+                    .row(self.group_row[g])
                     .terms
                     .iter()
                     .filter(|t| self.group[t.var] == g && self.live[t.var])
@@ -346,8 +342,9 @@ impl<'a> Search<'a> {
         if value {
             self.fixed_obj += self.obj_coef[var];
         }
-        for k in self.occ_start[var]..self.occ_start[var + 1] {
-            let (r, coef) = (self.occ_row[k] as usize, self.occ_coef[k]);
+        let (rows, coefs) = self.occ.of(var);
+        for (&r, &coef) in rows.iter().zip(coefs) {
+            let r = r as usize;
             // A term taking the value that adds more raises the row's
             // least value; the other value lowers its greatest.
             let raises_lo = value == (coef > 0);
@@ -359,8 +356,7 @@ impl<'a> Search<'a> {
             // Positive terms that no longer fit under the cap die.
             if raises_lo && self.caps(r) {
                 let slack = self.slack(r);
-                let model = self.model;
-                for t in &model.constraints[r].terms {
+                for t in self.model.row(r).terms {
                     if self.live[t.var] && t.coef > slack {
                         self.kill(t.var);
                     }
@@ -370,8 +366,9 @@ impl<'a> Search<'a> {
     }
 
     fn unset(&mut self, var: usize, value: bool, mark: usize) {
-        for k in self.occ_start[var]..self.occ_start[var + 1] {
-            let (r, coef) = (self.occ_row[k] as usize, self.occ_coef[k]);
+        let (rows, coefs) = self.occ.of(var);
+        for (&r, &coef) in rows.iter().zip(coefs) {
+            let r = r as usize;
             if value == (coef > 0) {
                 self.lo[r] -= coef.abs();
             } else {
@@ -429,7 +426,7 @@ impl<'a> Search<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Constraint, Model, Relation, Term};
+    use crate::model::{Model, Relation, Term};
     use crate::oracle::solve_ordered;
 
     // ---- branch and bound ----
@@ -437,9 +434,9 @@ mod tests {
     #[test]
     fn bnb_finds_unique_solution() {
         let mut m = Model::new(3);
-        m.add(Constraint::sum([0, 1], Relation::Eq, 1));
-        m.add(Constraint::sum([1, 2], Relation::Eq, 1));
-        m.add(Constraint::sum([0, 2], Relation::Eq, 2));
+        m.add_sum([0, 1], Relation::Eq, 1);
+        m.add_sum([1, 2], Relation::Eq, 1);
+        m.add_sum([0, 2], Relation::Eq, 2);
         match solve_bnb(&m, 10_000) {
             BnbOutcome::Optimal { assignment, .. } => {
                 assert_eq!(assignment, vec![true, false, true]);
@@ -451,15 +448,15 @@ mod tests {
     #[test]
     fn bnb_proves_infeasible() {
         let mut m = Model::new(2);
-        m.add(Constraint::sum([0, 1], Relation::Ge, 3));
+        m.add_sum([0, 1], Relation::Ge, 3);
         assert_eq!(solve_bnb(&m, 10_000), BnbOutcome::Infeasible);
     }
 
     #[test]
     fn bnb_maximizes_objective() {
         let mut m = Model::new(4);
-        m.add(Constraint::sum([0, 1], Relation::Le, 1));
-        m.add(Constraint::sum([2, 3], Relation::Le, 1));
+        m.add_sum([0, 1], Relation::Le, 1);
+        m.add_sum([2, 3], Relation::Le, 1);
         m.maximize_sum([0, 1, 2, 3]);
         match solve_bnb(&m, 100_000) {
             BnbOutcome::Optimal { objective, .. } => assert_eq!(objective, 2),
@@ -473,9 +470,9 @@ mod tests {
         // root bounds cannot see it — proving it needs search, which a
         // 2-node budget does not allow.
         let mut m = Model::new(3);
-        m.add(Constraint::sum([0, 1], Relation::Eq, 1));
-        m.add(Constraint::sum([1, 2], Relation::Eq, 1));
-        m.add(Constraint::sum([2, 0], Relation::Eq, 1));
+        m.add_sum([0, 1], Relation::Eq, 1);
+        m.add_sum([1, 2], Relation::Eq, 1);
+        m.add_sum([2, 0], Relation::Eq, 1);
         assert_eq!(solve_bnb(&m, 2), BnbOutcome::Unknown { incumbent: None });
         // With enough budget it is proven infeasible.
         assert_eq!(solve_bnb(&m, 1_000), BnbOutcome::Infeasible);
@@ -487,7 +484,7 @@ mod tests {
         // sets x0 = 1 first and holds the incumbent 1 after 3 nodes; only
         // the x0 = 0 branch reaches the optimum 5.
         let mut m = Model::new(2);
-        m.add(Constraint::sum([0, 1], Relation::Le, 1));
+        m.add_sum([0, 1], Relation::Le, 1);
         m.objective = vec![Term { var: 0, coef: 1 }, Term { var: 1, coef: 5 }];
         let BnbOutcome::Unknown {
             incumbent: Some(incumbent),
@@ -511,7 +508,7 @@ mod tests {
         // Two equal optima: x0 alone or x1 alone. Unseeded, the search
         // tries x0 = 1 first and keeps it; a seed naming x1 wins instead.
         let mut m = Model::new(2);
-        m.add(Constraint::sum([0, 1], Relation::Le, 1));
+        m.add_sum([0, 1], Relation::Le, 1);
         m.maximize_sum([0, 1]);
         let optimal = |assignment: Vec<bool>| BnbOutcome::Optimal {
             assignment,
@@ -527,7 +524,7 @@ mod tests {
             ([false, false], [false, true]),
             ([true, true], [true, false]),
         ] {
-            let (outcome, _) = branch_and_bound(&m, 100, Some(&seed));
+            let (outcome, _) = branch_and_bound(&m, &Occurrences::new(&m), 100, Some(&seed));
             assert_eq!(outcome, optimal(want.to_vec()), "seed {seed:?}");
         }
     }
@@ -537,12 +534,12 @@ mod tests {
         // Two at-most-one groups over four variables score one each; a
         // third row then rules out x2 and x3, so only the first can.
         let mut m = Model::new(4);
-        m.add(Constraint::sum([0, 1], Relation::Le, 1));
-        m.add(Constraint::sum([2, 3], Relation::Eq, 1));
+        m.add_sum([0, 1], Relation::Le, 1);
+        m.add_sum([2, 3], Relation::Eq, 1);
         m.maximize_sum([0, 1, 2, 3]);
         assert_eq!(bnb_root_bound(&m), Some(2));
-        m.constraints[1].rel = Relation::Le;
-        m.add(Constraint::sum([2, 3], Relation::Le, 0));
+        m.rel[1] = Relation::Le;
+        m.add_sum([2, 3], Relation::Le, 0);
         assert_eq!(bnb_root_bound(&m), Some(1));
         assert!(matches!(
             solve_bnb(&m, 100),

@@ -12,7 +12,8 @@
 //! encoding:
 //!
 //! * [`model`] — pseudo-boolean models: 0-1 variables, linear constraints
-//!   (`≤ / ≥ / =`) and an optional linear objective;
+//!   (`≤ / ≥ / =`) stored as one flat row store, an optional linear
+//!   objective, and the [`Occurrences`] index from variables to rows;
 //! * [`exact`] — a forward-checking branch-and-bound over the general
 //!   model, with an optional warm seed ordering its values: the solver of
 //!   every component of both rungs, and on the whole strict encoding the
@@ -21,7 +22,8 @@
 //!   constraints of Sections 4.1–4.2 from an observation table;
 //! * [`reduce`] — instance reduction ahead of any search: bounds
 //!   propagation of forced assignments, entailed-constraint elimination,
-//!   and connected-component decomposition of the constraint graph;
+//!   and connected-component decomposition of the constraint graph, all
+//!   through one occurrence index per encoding, shared by both rungs;
 //! * [`relax`] — the paper's relaxation ladder: when the hard problem is
 //!   unsatisfiable (dirty data), equalities become inequalities and the
 //!   solver maximizes the number of assigned extracts, yielding the partial
@@ -40,6 +42,7 @@ pub mod relax;
 pub mod solution;
 
 pub use encoder::{encode, EncodeOptions, Encoding};
+pub use model::Occurrences;
 pub use reduce::{reduce_model, Component, Reduction};
 pub use relax::{segment_csp, CspOptions, CspOutcome, CspStatus};
 

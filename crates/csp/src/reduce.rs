@@ -11,11 +11,12 @@
 //!
 //! 1. **Propagation.** For every constraint, the achievable range
 //!    `[lo, hi]` of its left-hand side under the current partial
-//!    assignment is maintained. A constraint whose range excludes the
-//!    right-hand side proves the model infeasible; a variable whose value
-//!    `v` would make a constraint unsatisfiable regardless of the other
-//!    variables is forced to `!v`. Forcing re-enqueues the variable's
-//!    other constraints (a worklist to fixpoint).
+//!    assignment is kept current: forcing a variable moves the ranges of
+//!    its rows, found through the model's [`Occurrences`]. A constraint
+//!    whose range excludes the right-hand side proves the model
+//!    infeasible; a variable whose value `v` would make a constraint
+//!    unsatisfiable regardless of the other variables is forced to `!v`.
+//!    Forcing re-enqueues the variable's rows (a worklist to fixpoint).
 //! 2. **Entailment.** A constraint satisfied by *every* completion of the
 //!    partial assignment (`hi ≤ rhs` for `≤`, `lo ≥ rhs` for `≥`,
 //!    `lo = hi = rhs` for `=`) is dropped — it can never steer the search.
@@ -25,20 +26,26 @@
 //! 4. **Components.** The remaining variables are grouped by union-find
 //!    over co-occurrence in active constraints; each group becomes an
 //!    independent sub-[`Model`] with remapped variables and
-//!    fixed-term-adjusted right-hand sides, solvable in isolation.
+//!    fixed-term-adjusted right-hand sides, solvable in isolation. One
+//!    pass counts each component's rows and terms, a second writes them
+//!    into the component's flat row store and its occurrence index, which
+//!    the branch-and-bound searches without rebuilding.
 //!    [`Reduction::stitch`] reassembles a full assignment.
 //!
-//! Exact branch-and-bound over the whole, unreduced model is the
-//! differential oracle: stitching component solutions must reproduce
-//! exactly the feasibility and optimum the unreduced model has (see
-//! `tests/solver_props.rs`).
+//! The index depends only on the terms, and relaxing an encoding changes
+//! only row relations and the objective, so one index serves both rungs
+//! of the relaxation ladder. The per-row reduction that rescans each
+//! popped row is the differential oracle in `tests/reduce_oracle/`, and
+//! exact branch-and-bound over the whole, unreduced model checks that
+//! stitching component solutions reproduces exactly the feasibility and
+//! optimum the unreduced model has (see `tests/solver_props.rs`).
 
 use std::collections::VecDeque;
 
-use crate::model::{Constraint, Model, Relation, Term, Var};
+use crate::model::{Model, Occurrences, Relation, Term, Var};
 
 /// One independent sub-instance of a reduced model.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Component {
     /// Global variable ids, ascending; sub-model variable `k` is
     /// `vars[k]`.
@@ -46,10 +53,12 @@ pub struct Component {
     /// The remapped sub-model (constraints restricted to `vars`, right-
     /// hand sides adjusted for fixed terms, objective restricted).
     pub model: Model,
+    /// The occurrence index of `model`.
+    pub occurrences: Occurrences,
 }
 
 /// The result of [`reduce_model`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Reduction {
     /// Per-variable fixed value: `Some` for propagation-forced and free
     /// variables, `None` for variables owned by a component.
@@ -78,7 +87,7 @@ impl Reduction {
     /// fixed variables back into a full assignment of the original model.
     pub fn stitch(&self, parts: &[Vec<bool>]) -> Vec<bool> {
         debug_assert_eq!(parts.len(), self.components.len());
-        let mut full: Vec<bool> = self.fixed.iter().map(|f| f.unwrap_or(false)).collect();
+        let mut full = self.completed();
         for (comp, part) in self.components.iter().zip(parts) {
             for (k, &v) in comp.vars.iter().enumerate() {
                 full[v] = part[k];
@@ -92,29 +101,6 @@ impl Reduction {
     pub fn completed(&self) -> Vec<bool> {
         self.fixed.iter().map(|f| f.unwrap_or(false)).collect()
     }
-}
-
-/// `[lo, hi]` of a constraint's LHS over all completions of `fixed`.
-fn bounds(c: &Constraint, fixed: &[Option<bool>]) -> (i64, i64) {
-    let mut lo = 0i64;
-    let mut hi = 0i64;
-    for t in &c.terms {
-        match fixed[t.var] {
-            Some(true) => {
-                lo += i64::from(t.coef);
-                hi += i64::from(t.coef);
-            }
-            Some(false) => {}
-            None => {
-                if t.coef > 0 {
-                    hi += i64::from(t.coef);
-                } else {
-                    lo += i64::from(t.coef);
-                }
-            }
-        }
-    }
-    (lo, hi)
 }
 
 /// `true` when no completion can satisfy `rel rhs` given LHS in `[lo, hi]`.
@@ -153,36 +139,64 @@ fn union(uf: &mut [usize], a: usize, b: usize) {
     }
 }
 
-/// Reduces `model`: propagates forced assignments to fixpoint, drops
-/// entailed constraints, assigns free variables, and splits what is left
-/// into independent components.
-pub fn reduce_model(model: &Model) -> Reduction {
+/// Marks a missing variable, slot or component.
+const NONE: usize = usize::MAX;
+
+/// Reduces `model`, whose occurrence index is `occ`: propagates forced
+/// assignments to fixpoint, drops entailed constraints, assigns free
+/// variables, and splits what is left into independent components.
+pub fn reduce_model(model: &Model, occ: &Occurrences) -> Reduction {
+    debug_assert_eq!(
+        occ.row.len(),
+        model.terms.len(),
+        "an index of another model"
+    );
     let n = model.num_vars;
-    let ncon = model.constraints.len();
+    let ncon = model.num_rows();
     let mut fixed: Vec<Option<bool>> = vec![None; n];
     let mut forced = 0usize;
 
-    let mut occurs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (ci, c) in model.constraints.iter().enumerate() {
-        for t in &c.terms {
-            occurs[t.var].push(ci);
+    // `[lo, hi]` of every row's left-hand side over the completions of
+    // `fixed`.
+    let mut lo = vec![0i64; ncon];
+    let mut hi = vec![0i64; ncon];
+    for (r, c) in model.rows().enumerate() {
+        for t in c.terms {
+            if t.coef > 0 {
+                hi[r] += i64::from(t.coef);
+            } else {
+                lo[r] += i64::from(t.coef);
+            }
         }
     }
 
     // Propagation worklist over constraints.
     let mut queued = vec![true; ncon];
-    let mut queue: VecDeque<usize> = (0..ncon).collect();
+    let mut queue: VecDeque<u32> = (0..ncon as u32).collect();
     let mut infeasible = false;
     'prop: while let Some(ci) = queue.pop_front() {
+        let ci = ci as usize;
         queued[ci] = false;
-        let c = &model.constraints[ci];
-        let (lo, hi) = bounds(c, &fixed);
-        let rhs = i64::from(c.rhs);
-        if range_infeasible(c.rel, lo, hi, rhs) {
+        let c = model.row(ci);
+        let (lo_c, hi_c, rhs) = (lo[ci], hi[ci], i64::from(c.rhs));
+        if range_infeasible(c.rel, lo_c, hi_c, rhs) {
             infeasible = true;
             break 'prop;
         }
-        for t in &c.terms {
+        // A term can be forced only if moving it by its `|coef|` leaves
+        // the range; when no term is that wide, the scan below would
+        // find nothing.
+        let widest = c
+            .terms
+            .iter()
+            .map(|t| i64::from(t.coef.abs()))
+            .max()
+            .unwrap_or(0);
+        let (caps, floors) = (c.rel != Relation::Ge, c.rel != Relation::Le);
+        if !(caps && lo_c + widest > rhs || floors && hi_c - widest < rhs) {
+            continue;
+        }
+        for t in c.terms {
             if fixed[t.var].is_some() {
                 continue;
             }
@@ -194,7 +208,7 @@ pub fn reduce_model(model: &Model) -> Reduction {
             // The rest of the constraint with this term's value pinned to
             // `cv`: if no completion of the rest can save it, the value is
             // impossible.
-            let (rest_lo, rest_hi) = (lo - tlo, hi - thi);
+            let (rest_lo, rest_hi) = (lo_c - tlo, hi_c - thi);
             let impossible = |cv: i64| match c.rel {
                 Relation::Le => rest_lo + cv > rhs,
                 Relation::Ge => rest_hi + cv < rhs,
@@ -207,18 +221,24 @@ pub fn reduce_model(model: &Model) -> Reduction {
                 break 'prop;
             }
             if true_imp || false_imp {
-                fixed[t.var] = Some(false_imp);
+                let value = false_imp;
+                fixed[t.var] = Some(value);
                 forced += 1;
-                for &cj in &occurs[t.var] {
-                    if !queued[cj] {
-                        queued[cj] = true;
+                // Narrow the ranges of the variable's rows and requeue
+                // them; this row is one of them, so it is rescanned
+                // fresh.
+                let (rows, coefs) = occ.of(t.var);
+                for (&cj, &coef) in rows.iter().zip(coefs) {
+                    let r = cj as usize;
+                    if value == (coef > 0) {
+                        lo[r] += i64::from(coef.abs());
+                    } else {
+                        hi[r] -= i64::from(coef.abs());
+                    }
+                    if !queued[r] {
+                        queued[r] = true;
                         queue.push_back(cj);
                     }
-                }
-                // This constraint's bounds just moved: rescan it fresh.
-                if !queued[ci] {
-                    queued[ci] = true;
-                    queue.push_back(ci);
                 }
                 continue 'prop;
             }
@@ -236,33 +256,32 @@ pub fn reduce_model(model: &Model) -> Reduction {
         };
     }
 
-    // Entailment: keep only constraints that can still bite.
-    let mut active: Vec<usize> = Vec::new();
+    // Entailment drops the rows that can no longer bite; each active row
+    // unites its unfixed variables (union-find) and is kept with the
+    // first of them. `uses[v]` counts the active rows' terms on `v`.
+    let mut active: Vec<(usize, Var)> = Vec::new();
     let mut entailed = 0usize;
-    for (ci, c) in model.constraints.iter().enumerate() {
-        let (lo, hi) = bounds(c, &fixed);
-        if range_entailed(c.rel, lo, hi, i64::from(c.rhs)) {
-            entailed += 1;
-        } else {
-            active.push(ci);
-        }
-    }
-
-    // Union-find over unfixed variables co-occurring in active constraints.
     let mut uf: Vec<usize> = (0..n).collect();
-    let mut in_active = vec![false; n];
-    for &ci in &active {
-        let mut first: Option<usize> = None;
-        for t in &model.constraints[ci].terms {
+    let mut uses = vec![0usize; n];
+    for ci in 0..ncon {
+        if range_entailed(model.rel[ci], lo[ci], hi[ci], i64::from(model.rhs[ci])) {
+            entailed += 1;
+            continue;
+        }
+        let mut first = NONE;
+        for t in model.row(ci).terms {
             if fixed[t.var].is_some() {
                 continue;
             }
-            in_active[t.var] = true;
-            match first {
-                None => first = Some(t.var),
-                Some(f) => union(&mut uf, f, t.var),
+            uses[t.var] += 1;
+            if first == NONE {
+                first = t.var;
+            } else {
+                union(&mut uf, first, t.var);
             }
         }
+        debug_assert_ne!(first, NONE, "an active row has unfixed terms");
+        active.push((ci, first));
     }
 
     // Free variables: unfixed, observed by no active constraint. Greedy by
@@ -273,7 +292,7 @@ pub fn reduce_model(model: &Model) -> Reduction {
     }
     let mut free = 0usize;
     for v in 0..n {
-        if fixed[v].is_none() && !in_active[v] {
+        if fixed[v].is_none() && uses[v] == 0 {
             fixed[v] = Some(obj[v] > 0);
             free += 1;
         }
@@ -281,55 +300,78 @@ pub fn reduce_model(model: &Model) -> Reduction {
 
     // Group the remaining variables into components (ascending var order
     // within and across components).
-    let mut comp_of_root: Vec<usize> = vec![usize::MAX; n];
-    let mut comp_vars: Vec<Vec<usize>> = Vec::new();
-    let mut local = vec![usize::MAX; n];
-    let mut comp_of_var = vec![usize::MAX; n];
-    for v in 0..n {
-        if fixed[v].is_none() {
-            let r = find(&mut uf, v);
-            if comp_of_root[r] == usize::MAX {
-                comp_of_root[r] = comp_vars.len();
-                comp_vars.push(Vec::new());
-            }
-            let idx = comp_of_root[r];
-            local[v] = comp_vars[idx].len();
-            comp_of_var[v] = idx;
-            comp_vars[idx].push(v);
+    let mut comp_of_root = vec![NONE; n];
+    let mut comp_of_var = vec![NONE; n];
+    let mut local = vec![NONE; n];
+    let mut comp_vars: Vec<Vec<Var>> = Vec::new();
+    for v in (0..n).filter(|&v| fixed[v].is_none()) {
+        let r = find(&mut uf, v);
+        if comp_of_root[r] == NONE {
+            comp_of_root[r] = comp_vars.len();
+            comp_vars.push(Vec::new());
         }
+        let k = comp_of_root[r];
+        local[v] = comp_vars[k].len();
+        comp_of_var[v] = k;
+        comp_vars[k].push(v);
     }
 
+    // Size each component's row store and index: its active rows, and
+    // `uses` of its variables for the terms; `slot[v]` is where the next
+    // index entry of `v` goes.
+    let mut rows = vec![0usize; comp_vars.len()];
+    for &(_, first) in &active {
+        rows[comp_of_var[first]] += 1;
+    }
+    let mut slot = vec![NONE; n];
     let mut components: Vec<Component> = comp_vars
-        .iter()
-        .map(|vars| Component {
-            vars: vars.clone(),
-            model: Model::new(vars.len()),
+        .into_iter()
+        .zip(rows)
+        .map(|(vars, rows)| {
+            let mut start = Vec::with_capacity(vars.len() + 1);
+            start.push(0);
+            for &v in &vars {
+                slot[v] = start[start.len() - 1];
+                start.push(slot[v] + uses[v]);
+            }
+            let terms = start[vars.len()];
+            Component {
+                model: Model::with_capacity(vars.len(), rows, terms),
+                occurrences: Occurrences {
+                    start,
+                    row: vec![0; terms],
+                    coef: vec![0; terms],
+                },
+                vars,
+            }
         })
         .collect();
-    for &ci in &active {
-        let c = &model.constraints[ci];
+
+    // Write each active row into its component's row store and index.
+    for &(ci, first) in &active {
+        let c = model.row(ci);
+        let comp = &mut components[comp_of_var[first]];
+        let (sub, index) = (&mut comp.model, &mut comp.occurrences);
+        let r = u32::try_from(sub.num_rows()).expect("fewer than 2^32 rows");
         let mut rhs = c.rhs;
-        let mut terms = Vec::new();
-        let mut comp = usize::MAX;
-        for t in &c.terms {
+        for t in c.terms {
             match fixed[t.var] {
                 Some(true) => rhs -= t.coef,
                 Some(false) => {}
                 None => {
-                    comp = comp_of_var[t.var];
-                    terms.push(Term {
+                    sub.terms.push(Term {
                         var: local[t.var],
                         coef: t.coef,
                     });
+                    index.row[slot[t.var]] = r;
+                    index.coef[slot[t.var]] = t.coef;
+                    slot[t.var] += 1;
                 }
             }
         }
-        debug_assert_ne!(comp, usize::MAX, "active constraint has unfixed vars");
-        components[comp].model.add(Constraint {
-            terms,
-            rel: c.rel,
-            rhs,
-        });
+        sub.row_start.push(sub.terms.len());
+        sub.rel.push(c.rel);
+        sub.rhs.push(rhs);
     }
     for t in &model.objective {
         if fixed[t.var].is_none() {
@@ -339,6 +381,9 @@ pub fn reduce_model(model: &Model) -> Reduction {
             });
         }
     }
+    debug_assert!(components
+        .iter()
+        .all(|c| c.occurrences == Occurrences::new(&c.model)));
 
     Reduction {
         fixed,
@@ -355,7 +400,10 @@ mod tests {
     use super::*;
     use crate::encoder::{encode, EncodeOptions};
     use crate::exact::{solve_bnb, BnbOutcome};
-    use crate::model::{Constraint, Model, Relation};
+
+    fn reduce(model: &Model) -> Reduction {
+        reduce_model(model, &Occurrences::new(model))
+    }
 
     /// Solves a component to optimality (or first feasibility).
     fn solve(model: &Model) -> Vec<bool> {
@@ -372,7 +420,7 @@ mod tests {
         // every variable is forced — zero search needed.
         let obs = crate::encoder::tests::superpages_obs();
         let enc = encode(&obs, &EncodeOptions::default());
-        let red = reduce_model(&enc.model);
+        let red = reduce(&enc.model);
         assert!(!red.infeasible);
         assert!(red.components.is_empty(), "{:?}", red.components.len());
         assert_eq!(red.forced, enc.model.num_vars);
@@ -392,7 +440,7 @@ mod tests {
         let obs = crate::encoder::tests::superpages_obs();
         let mut enc = encode(&obs, &EncodeOptions::default());
         enc.relax();
-        let red = reduce_model(&enc.model);
+        let red = reduce(&enc.model);
         assert!(!red.infeasible);
         assert_eq!(red.forced, 0, "pure ≤ constraints cannot force");
         let in_comps: usize = red.components.iter().map(|c| c.vars.len()).sum();
@@ -404,24 +452,24 @@ mod tests {
     #[test]
     fn contradiction_is_infeasible() {
         let mut m = Model::new(1);
-        m.add(Constraint::sum([0], Relation::Eq, 1));
-        m.add(Constraint::sum([0], Relation::Eq, 0));
-        let red = reduce_model(&m);
+        m.add_sum([0], Relation::Eq, 1);
+        m.add_sum([0], Relation::Eq, 0);
+        let red = reduce(&m);
         assert!(red.infeasible);
     }
 
     #[test]
     fn unreachable_rhs_is_infeasible() {
         let mut m = Model::new(2);
-        m.add(Constraint::sum([0, 1], Relation::Ge, 3));
-        assert!(reduce_model(&m).infeasible);
+        m.add_sum([0, 1], Relation::Ge, 3);
+        assert!(reduce(&m).infeasible);
     }
 
     #[test]
     fn free_vars_follow_objective_sign() {
         let mut m = Model::new(3);
         m.maximize_sum([0]);
-        let red = reduce_model(&m);
+        let red = reduce(&m);
         assert!(!red.infeasible);
         assert_eq!(red.free, 3);
         assert_eq!(red.fixed, vec![Some(true), Some(false), Some(false)]);
@@ -430,9 +478,9 @@ mod tests {
     #[test]
     fn entailed_constraints_release_their_vars() {
         let mut m = Model::new(2);
-        m.add(Constraint::sum([0, 1], Relation::Le, 2));
+        m.add_sum([0, 1], Relation::Le, 2);
         m.maximize_sum([0, 1]);
-        let red = reduce_model(&m);
+        let red = reduce(&m);
         assert_eq!(red.entailed, 1);
         assert_eq!(red.free, 2);
         assert!(red.components.is_empty());
@@ -442,9 +490,9 @@ mod tests {
     #[test]
     fn independent_constraints_split_into_components() {
         let mut m = Model::new(4);
-        m.add(Constraint::sum([0, 1], Relation::Eq, 1));
-        m.add(Constraint::sum([2, 3], Relation::Eq, 1));
-        let red = reduce_model(&m);
+        m.add_sum([0, 1], Relation::Eq, 1);
+        m.add_sum([2, 3], Relation::Eq, 1);
+        let red = reduce(&m);
         assert_eq!(red.components.len(), 2);
         assert_eq!(red.components[0].vars, vec![0, 1]);
         assert_eq!(red.components[1].vars, vec![2, 3]);
@@ -457,36 +505,32 @@ mod tests {
         // x0 = 1 forced; x0 + x1 - x2 ≤ 1 becomes x1 - x2 ≤ 0 in the
         // component of {x1, x2}.
         let mut m = Model::new(3);
-        m.add(Constraint::sum([0], Relation::Eq, 1));
-        m.add(Constraint {
-            terms: vec![
-                Term { var: 0, coef: 1 },
-                Term { var: 1, coef: 1 },
-                Term { var: 2, coef: -1 },
-            ],
-            rel: Relation::Le,
-            rhs: 1,
-        });
-        let red = reduce_model(&m);
+        m.add_sum([0], Relation::Eq, 1);
+        m.add(
+            [(0, 1), (1, 1), (2, -1)].map(|(var, coef)| Term { var, coef }),
+            Relation::Le,
+            1,
+        );
+        let red = reduce(&m);
         assert!(!red.infeasible);
         assert_eq!(red.fixed[0], Some(true));
         assert_eq!(red.components.len(), 1);
         let comp = &red.components[0];
         assert_eq!(comp.vars, vec![1, 2]);
-        assert_eq!(comp.model.constraints.len(), 1);
-        assert_eq!(comp.model.constraints[0].rhs, 0);
-        assert_eq!(comp.model.constraints[0].terms.len(), 2);
+        assert_eq!(comp.model.num_rows(), 1);
+        assert_eq!(comp.model.row(0).rhs, 0);
+        assert_eq!(comp.model.row(0).terms.len(), 2);
     }
 
     #[test]
     fn stitched_component_solutions_satisfy_the_original_model() {
         // A chain that partially propagates and leaves one cluster.
         let mut m = Model::new(6);
-        m.add(Constraint::sum([0], Relation::Eq, 1));
-        m.add(Constraint::sum([0, 1], Relation::Le, 1)); // forces x1 = 0
-        m.add(Constraint::sum([2, 3, 4], Relation::Eq, 2));
-        m.add(Constraint::sum([4, 5], Relation::Le, 1));
-        let red = reduce_model(&m);
+        m.add_sum([0], Relation::Eq, 1);
+        m.add_sum([0, 1], Relation::Le, 1); // forces x1 = 0
+        m.add_sum([2, 3, 4], Relation::Eq, 2);
+        m.add_sum([4, 5], Relation::Le, 1);
+        let red = reduce(&m);
         assert!(!red.infeasible);
         assert_eq!(red.fixed[0], Some(true));
         assert_eq!(red.fixed[1], Some(false));

@@ -20,19 +20,22 @@
 //!    the all-false assignment to the strict rung's best assignment;
 //! 2. relax the same encoding in place
 //!    ([`Encoding::relax`](crate::Encoding::relax): equalities become
-//!    `≤`), reduce again, and prove each component's optimum. Relaxing
-//!    keeps the variable layout, so the strict rung's best assignment
-//!    projects onto each component as a warm seed: every variable is
-//!    branched first on its seed value, and the first optimum found is
-//!    kept, so ties go to the optimum nearest the seed. A component that
-//!    runs out of budget keeps the search's incumbent, or else the seed
-//!    where the seed satisfies it; otherwise the page fails.
+//!    `≤`), reduce again through the strict encoding's occurrence index
+//!    (relaxing changes no row's terms), and prove each component's
+//!    optimum. Relaxing keeps the variable layout, so the strict rung's
+//!    best assignment projects onto each component as a warm seed: every
+//!    variable is branched first on its seed value, and the first optimum
+//!    found is kept, so ties go to the optimum nearest the seed. A
+//!    component that runs out of budget keeps the search's incumbent, or
+//!    else the seed where the seed satisfies it; otherwise the page
+//!    fails.
 //!
 //! One node budget, [`CspOptions::bnb_budget`], bounds every
-//! branch-and-bound call of both rungs. Every step is deterministic. The
-//! exact branch-and-bound over the whole strict encoding
-//! ([`solve_bnb`](crate::exact::solve_bnb)) is the differential oracle
-//! for this ladder in tests.
+//! branch-and-bound call of both rungs; the calls it cuts short are
+//! counted in [`CspOutcome::exhausted_components`]. Every step is
+//! deterministic. The exact branch-and-bound over the whole strict
+//! encoding ([`solve_bnb`](crate::exact::solve_bnb)) is the differential
+//! oracle for this ladder in tests.
 
 use std::time::Instant;
 
@@ -40,9 +43,9 @@ use serde::{Deserialize, Serialize};
 use tableseg_extract::{Observations, Segmentation};
 
 use crate::encoder::{encode, EncodeOptions};
-use crate::exact::branch_and_bound;
-use crate::model::Model;
-use crate::reduce::{reduce_model, Reduction};
+use crate::exact::{branch_and_bound, BnbOutcome};
+use crate::model::{Model, Occurrences};
+use crate::reduce::{reduce_model, Component, Reduction};
 use crate::solution::decode;
 
 /// Options for [`segment_csp`].
@@ -96,8 +99,13 @@ pub struct CspOutcome {
     /// Variables removed from the search space by reduction (forced by
     /// propagation + assigned free), summed over phases.
     pub pruned_vars: usize,
-    /// Wall-clock nanoseconds spent building the encoding and deriving
-    /// its relaxation — the `solve.encode` timing sub-stage.
+    /// Components whose branch-and-bound ran out of
+    /// [`CspOptions::bnb_budget`], summed over the strict and relaxed
+    /// phases.
+    pub exhausted_components: usize,
+    /// Wall-clock nanoseconds spent building the encoding and its
+    /// occurrence index and deriving its relaxation — the `solve.encode`
+    /// timing sub-stage.
     pub encode_ns: u64,
     /// Wall-clock nanoseconds spent in [`reduce_model`] — the
     /// `solve.reduce` timing sub-stage.
@@ -117,19 +125,30 @@ struct SolveStats {
     bnb_nodes: u64,
     components: usize,
     pruned_vars: usize,
+    exhausted_components: usize,
     encode_ns: u64,
     reduce_ns: u64,
 }
 
 impl SolveStats {
     /// [`reduce_model`], timed and counted.
-    fn reduce(&mut self, model: &Model) -> Reduction {
+    fn reduce(&mut self, model: &Model, occ: &Occurrences) -> Reduction {
         let t = Instant::now();
-        let red = reduce_model(model);
+        let red = reduce_model(model, occ);
         self.reduce_ns += t.elapsed().as_nanos() as u64;
         self.components += red.components.len();
         self.pruned_vars += red.pruned_vars();
         red
+    }
+
+    /// [`branch_and_bound`] on one component, counted.
+    fn search(&mut self, comp: &Component, budget: u64, warm: Option<&[bool]>) -> BnbOutcome {
+        let (outcome, nodes) = branch_and_bound(&comp.model, &comp.occurrences, budget, warm);
+        self.bnb_nodes += nodes;
+        if matches!(outcome, BnbOutcome::Unknown { .. }) {
+            self.exhausted_components += 1;
+        }
+        outcome
     }
 
     fn finish(
@@ -145,6 +164,7 @@ impl SolveStats {
             bnb_nodes: self.bnb_nodes,
             components: self.components,
             pruned_vars: self.pruned_vars,
+            exhausted_components: self.exhausted_components,
             encode_ns: self.encode_ns,
             reduce_ns: self.reduce_ns,
         }
@@ -172,8 +192,10 @@ pub fn segment_csp(obs: &Observations, opts: &CspOptions) -> CspOutcome {
             position_constraints: opts.position_constraints,
         },
     );
+    // Relaxing keeps every row's terms, so one index serves both rungs.
+    let occ = Occurrences::new(&enc.model);
     stats.encode_ns += t.elapsed().as_nanos() as u64;
-    let red = stats.reduce(&enc.model);
+    let red = stats.reduce(&enc.model, &occ);
 
     let (strict_best, strict_solved) = if red.infeasible {
         // Propagation *proved* the strict problem unsatisfiable; the
@@ -183,8 +205,7 @@ pub fn segment_csp(obs: &Observations, opts: &CspOptions) -> CspOutcome {
         let mut all_ok = true;
         let mut parts: Vec<Vec<bool>> = Vec::with_capacity(red.components.len());
         for comp in &red.components {
-            let (outcome, nodes) = branch_and_bound(&comp.model, opts.bnb_budget, None);
-            stats.bnb_nodes += nodes;
+            let outcome = stats.search(comp, opts.bnb_budget, None);
             parts.push(outcome.into_assignment().unwrap_or_else(|| {
                 all_ok = false;
                 vec![false; comp.vars.len()]
@@ -211,15 +232,14 @@ pub fn segment_csp(obs: &Observations, opts: &CspOptions) -> CspOutcome {
     let t = Instant::now();
     enc.relax();
     stats.encode_ns += t.elapsed().as_nanos() as u64;
-    let red = stats.reduce(&enc.model);
+    let red = stats.reduce(&enc.model, &occ);
     if red.infeasible {
         return failed(stats);
     }
     let mut parts: Vec<Vec<bool>> = Vec::with_capacity(red.components.len());
     for comp in &red.components {
         let seed: Vec<bool> = comp.vars.iter().map(|&v| strict_best[v]).collect();
-        let (outcome, nodes) = branch_and_bound(&comp.model, opts.bnb_budget, Some(&seed));
-        stats.bnb_nodes += nodes;
+        let outcome = stats.search(comp, opts.bnb_budget, Some(&seed));
         match outcome.into_assignment() {
             Some(assignment) => parts.push(assignment),
             None if comp.model.feasible(&seed) => parts.push(seed),
@@ -237,7 +257,6 @@ pub fn segment_csp(obs: &Observations, opts: &CspOptions) -> CspOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::BnbOutcome;
     use tableseg_extract::build_observations;
     use tableseg_html::{lexer::tokenize, Token};
 
@@ -429,6 +448,30 @@ mod tests {
             assert!(enc.model.feasible(&assignment), "budget {bnb_budget}");
         }
         assert_eq!(full.status, CspStatus::SolvedRelaxed);
+    }
+
+    #[test]
+    fn budget_exhaustion_is_counted_per_component() {
+        // A full budget proves every component; no budget cuts short
+        // every search that gets past the root bounds.
+        let obs = observations(
+            "<td>Alpha One</td><td>Parole</td><td>Beta Two</td><td>Parole</td>",
+            &[
+                "<p>Alpha One</p><p>Parole</p>",
+                "<p>Beta Two</p><p>Parolee</p>",
+            ],
+        );
+        let full = segment_csp(&obs, &CspOptions::default());
+        assert!(full.components > 0, "{full:?}");
+        assert_eq!(full.exhausted_components, 0);
+        let none = segment_csp(
+            &obs,
+            &CspOptions {
+                bnb_budget: 0,
+                ..CspOptions::default()
+            },
+        );
+        assert_eq!(none.exhausted_components, none.components, "{none:?}");
     }
 
     #[test]

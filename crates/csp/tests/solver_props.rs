@@ -1,19 +1,23 @@
 //! Property tests cross-checking the exact branch-and-bound (cold and
 //! warm-seeded) against a brute-force enumerator and against the ordered
-//! DP oracle, validating the DP's invariants, checking the encoder
-//! against its oracle, and certifying the relaxed optima of the
-//! simulated paper corpus.
+//! DP oracle, validating the DP's invariants, checking the encoder and
+//! the reduction against their oracles, and certifying the relaxed
+//! optima of the simulated paper corpus.
 
 mod oracle;
+mod reduce_oracle;
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 
 use oracle::solve_ordered;
+use reduce_oracle::reduce_per_row;
 use tableseg_csp::exact::{bnb_root_bound, branch_and_bound, solve_bnb, BnbOutcome};
-use tableseg_csp::model::{Constraint, Model, Relation, Term};
-use tableseg_csp::{encode, reduce_model, segment_csp, CspOptions, CspStatus, EncodeOptions};
+use tableseg_csp::model::{Model, Relation, Term};
+use tableseg_csp::{
+    encode, reduce_model, segment_csp, CspOptions, CspStatus, EncodeOptions, Occurrences,
+};
 use tableseg_extract::positions::position_groups;
 use tableseg_extract::{Extract, ObsItem, Observations, PagePos};
 
@@ -117,9 +121,8 @@ fn assert_encoder_matches_oracle(obs: &Observations, position_constraints: bool)
         assert_eq!(enc.model.num_vars, vars.len());
         let got: Vec<Row> = enc
             .model
-            .constraints
-            .iter()
-            .map(|c| (c.terms.clone(), c.rel, c.rhs))
+            .rows()
+            .map(|c| (c.terms.to_vec(), c.rel, c.rhs))
             .collect();
         assert_eq!(got.len(), rows.len(), "relaxed={relaxed}");
         for (r, (g, o)) in got.iter().zip(&rows).enumerate() {
@@ -127,6 +130,26 @@ fn assert_encoder_matches_oracle(obs: &Observations, position_constraints: bool)
         }
         assert_eq!(enc.model.objective, objective, "relaxed={relaxed}");
     }
+}
+
+/// Asserts that [`reduce_model`] equals the per-row oracle on the strict
+/// and the relaxed encoding of `obs`, and that reducing the relaxed
+/// encoding through the strict encoding's index equals reducing a
+/// freshly encoded relaxed model through its own.
+fn assert_reduce_matches_oracle(obs: &Observations, position_constraints: bool) {
+    let opts = EncodeOptions {
+        position_constraints,
+    };
+    let mut enc = encode(obs, &opts);
+    let occ = Occurrences::new(&enc.model);
+    assert_eq!(reduce_model(&enc.model, &occ), reduce_per_row(&enc.model));
+    enc.relax();
+    let relaxed = reduce_model(&enc.model, &occ);
+    assert_eq!(relaxed, reduce_per_row(&enc.model), "relaxed");
+    let mut fresh = encode(obs, &opts);
+    fresh.relax();
+    let fresh_occ = Occurrences::new(&fresh.model);
+    assert_eq!(relaxed, reduce_model(&fresh.model, &fresh_occ), "fresh");
 }
 
 /// A random observation table: `D_i` drawn per extract, and one or two
@@ -200,6 +223,20 @@ fn encoder_matches_oracle_on_paper_pages() {
     assert_eq!(pages.len(), 24);
 }
 
+/// The reduction matches its per-row oracle on every list page of the
+/// twelve simulated paper sites, strict and relaxed, and the shared index
+/// serves the relaxed rung as a fresh one would.
+#[test]
+fn reduce_matches_oracle_on_paper_pages() {
+    let pages = paper_pages();
+    for obs in &pages {
+        for position_constraints in [true, false] {
+            assert_reduce_matches_oracle(obs, position_constraints);
+        }
+    }
+    assert_eq!(pages.len(), 24);
+}
+
 /// The relaxed rung's answers are proven: on every relaxed component of
 /// the paper corpus the cold branch-and-bound finishes within two nodes
 /// per variable, the warm-seeded search reaches the same optimum, the
@@ -219,13 +256,14 @@ fn bnb_certifies_every_relaxed_component_of_the_paper_corpus() {
         }
         assert_eq!(out.status, CspStatus::SolvedRelaxed);
         let mut enc = encode(obs, &EncodeOptions::default());
+        let occ = Occurrences::new(&enc.model);
         // Propagation refutes every dirty strict encoding of the corpus,
         // so the ladder's warm seed is the completed strict reduction.
-        let strict = reduce_model(&enc.model);
+        let strict = reduce_model(&enc.model, &occ);
         assert!(strict.infeasible);
         let strict_best = strict.completed();
         enc.relax();
-        let red = reduce_model(&enc.model);
+        let red = reduce_model(&enc.model, &occ);
         // The ladder's assignment of the relaxed encoding.
         let mut ladder = vec![false; enc.model.num_vars];
         for (i, &a) in out.segmentation.assignments.iter().enumerate() {
@@ -236,7 +274,8 @@ fn bnb_certifies_every_relaxed_component_of_the_paper_corpus() {
         let mut parts = Vec::new();
         let mut cold_nodes = 0;
         for comp in &red.components {
-            let (cold, nodes) = branch_and_bound(&comp.model, opts.bnb_budget, None);
+            let (cold, nodes) =
+                branch_and_bound(&comp.model, &comp.occurrences, opts.bnb_budget, None);
             cold_nodes += nodes;
             let BnbOutcome::Optimal { objective, .. } = cold else {
                 panic!("{}-variable component not proven", comp.vars.len());
@@ -245,7 +284,7 @@ fn bnb_certifies_every_relaxed_component_of_the_paper_corpus() {
             let BnbOutcome::Optimal {
                 assignment,
                 objective: warm_objective,
-            } = branch_and_bound(&comp.model, opts.bnb_budget, Some(&seed)).0
+            } = branch_and_bound(&comp.model, &comp.occurrences, opts.bnb_budget, Some(&seed)).0
             else {
                 panic!("{}-variable component not proven warm", comp.vars.len());
             };
@@ -339,16 +378,15 @@ fn arb_grouped_model() -> impl Strategy<Value = Model> {
             .prop_map(move |(groups, rows)| {
                 let mut m = Model::new(n);
                 for (vars, rel) in groups {
-                    m.add(Constraint::sum(vars, rel, 1));
+                    m.add_sum(vars, rel, 1);
                 }
                 for (terms, rel, rhs) in rows {
                     let mut seen = vec![false; n];
                     let terms = terms
                         .into_iter()
                         .filter(|&(var, _)| !std::mem::replace(&mut seen[var], true))
-                        .map(|(var, coef)| Term { var, coef })
-                        .collect();
-                    m.add(Constraint { terms, rel, rhs });
+                        .map(|(var, coef)| Term { var, coef });
+                    m.add(terms, rel, rhs);
                 }
                 m
             })
@@ -396,7 +434,7 @@ fn arb_model() -> impl Strategy<Value = Model> {
             for (mut vars, rel, rhs) in cs {
                 vars.sort_unstable();
                 vars.dedup();
-                m.add(Constraint::sum(vars, rel, rhs));
+                m.add_sum(vars, rel, rhs);
             }
             m
         })
@@ -418,12 +456,11 @@ fn arb_weighted_model() -> impl Strategy<Value = Model> {
             let mut m = Model::new(n);
             for (terms, rel, rhs) in cs {
                 let mut seen = vec![false; n];
-                let terms: Vec<Term> = terms
+                let terms = terms
                     .into_iter()
                     .filter(|&(var, _)| !std::mem::replace(&mut seen[var], true))
-                    .map(|(var, coef)| Term { var, coef })
-                    .collect();
-                m.add(Constraint { terms, rel, rhs });
+                    .map(|(var, coef)| Term { var, coef });
+                m.add(terms, rel, rhs);
             }
             m
         })
@@ -447,11 +484,7 @@ fn ordered_instance_model(cands: &[&[u32]]) -> (Model, Vec<(usize, u32)>) {
     let mut m = Model::new(vars.len());
     // Uniqueness (relaxed): each extract in at most one record.
     for (i, c) in cands.iter().enumerate() {
-        m.add(Constraint::sum(
-            c.iter().map(|&j| var_of[&(i, j)]),
-            Relation::Le,
-            1,
-        ));
+        m.add_sum(c.iter().map(|&j| var_of[&(i, j)]), Relation::Le, 1);
     }
     // Consecutiveness per record.
     for (i, ci) in cands.iter().enumerate() {
@@ -462,31 +495,18 @@ fn ordered_instance_model(cands: &[&[u32]]) -> (Model, Vec<(usize, u32)>) {
                 }
                 if (i + 1..k).all(|n| cands[n].contains(&j)) {
                     for n in i + 1..k {
-                        m.add(Constraint {
-                            terms: vec![
-                                Term {
-                                    var: var_of[&(i, j)],
-                                    coef: 1,
-                                },
-                                Term {
-                                    var: var_of[&(k, j)],
-                                    coef: 1,
-                                },
-                                Term {
-                                    var: var_of[&(n, j)],
-                                    coef: -1,
-                                },
-                            ],
-                            rel: Relation::Le,
-                            rhs: 1,
-                        });
+                        let triple = [((i, j), 1), ((k, j), 1), ((n, j), -1)];
+                        m.add(
+                            triple.map(|(x, coef)| Term {
+                                var: var_of[&x],
+                                coef,
+                            }),
+                            Relation::Le,
+                            1,
+                        );
                     }
                 } else {
-                    m.add(Constraint::sum(
-                        [var_of[&(i, j)], var_of[&(k, j)]],
-                        Relation::Le,
-                        1,
-                    ));
+                    m.add_sum([var_of[&(i, j)], var_of[&(k, j)]], Relation::Le, 1);
                 }
             }
         }
@@ -497,11 +517,7 @@ fn ordered_instance_model(cands: &[&[u32]]) -> (Model, Vec<(usize, u32)>) {
             for (k, ck) in cands.iter().enumerate().skip(i + 1) {
                 for &j2 in *ck {
                     if j2 < j {
-                        m.add(Constraint::sum(
-                            [var_of[&(i, j)], var_of[&(k, j2)]],
-                            Relation::Le,
-                            1,
-                        ));
+                        m.add_sum([var_of[&(i, j)], var_of[&(k, j2)]], Relation::Le, 1);
                     }
                 }
             }
@@ -543,7 +559,7 @@ proptest! {
     ) {
         let seed: Vec<bool> = (0..model.num_vars).map(|v| bits >> v & 1 == 1).collect();
         let truth = brute_force(&model);
-        match branch_and_bound(&model, 1_000_000, Some(&seed)).0 {
+        match branch_and_bound(&model, &Occurrences::new(&model), 1_000_000, Some(&seed)).0 {
             BnbOutcome::Optimal { assignment, objective } => {
                 prop_assert_eq!(Some(objective), truth);
                 prop_assert!(model.feasible(&assignment));
@@ -564,7 +580,7 @@ proptest! {
         let optima = optimal_assignments(&model);
         prop_assume!(!optima.is_empty());
         let seed = &optima[pick as usize % optima.len()];
-        let outcome = branch_and_bound(&model, 1_000_000, Some(seed)).0;
+        let outcome = branch_and_bound(&model, &Occurrences::new(&model), 1_000_000, Some(seed)).0;
         let BnbOutcome::Optimal { assignment, .. } = outcome else {
             return Err(TestCaseError::fail(format!("{outcome:?}")));
         };
@@ -579,6 +595,25 @@ proptest! {
         position_constraints in any::<bool>(),
     ) {
         assert_encoder_matches_oracle(&obs, position_constraints);
+    }
+
+    /// The reduction matches its per-row oracle on random models of every
+    /// shape, with random objectives.
+    #[test]
+    fn reduce_matches_oracle_on_random_models(
+        model in with_objective(prop_oneof![arb_model(), arb_weighted_model(), arb_grouped_model()]),
+    ) {
+        prop_assert_eq!(reduce_model(&model, &Occurrences::new(&model)), reduce_per_row(&model));
+    }
+
+    /// The same on random observation tables, strict and relaxed through
+    /// one index, with and without position constraints.
+    #[test]
+    fn reduce_matches_oracle_on_random_tables(
+        obs in arb_observations(),
+        position_constraints in any::<bool>(),
+    ) {
+        assert_reduce_matches_oracle(&obs, position_constraints);
     }
 
     /// Ordered-DP output always satisfies occurrence, uniqueness,
@@ -693,7 +728,7 @@ proptest! {
             return Err(TestCaseError::fail("all-zero is always feasible here"));
         };
 
-        let red = reduce_model(&model);
+        let red = reduce_model(&model, &Occurrences::new(&model));
         prop_assert!(!red.infeasible, "reduction must not refute a feasible model");
         let mut parts = Vec::with_capacity(red.components.len());
         for comp in &red.components {
@@ -720,7 +755,7 @@ proptest! {
     fn reduction_preserves_weighted_model_optimum(mut model in arb_weighted_model()) {
         model.maximize_sum(0..model.num_vars);
         let whole = solve_bnb(&model, 1_000_000);
-        let red = reduce_model(&model);
+        let red = reduce_model(&model, &Occurrences::new(&model));
         if red.infeasible {
             prop_assert!(
                 matches!(whole, BnbOutcome::Infeasible),

@@ -112,6 +112,9 @@ pub enum Counter {
     /// Sub-record groups emitted by the recursive nested pass, summed
     /// over parents.
     NestedSubRecords,
+    /// CSP components whose branch-and-bound ran out of its node budget
+    /// (on either rung) and kept an unproven assignment.
+    SolveBnbExhausted,
 }
 
 impl Counter {
@@ -156,6 +159,7 @@ impl Counter {
         Counter::DetectPassThrough,
         Counter::NestedParents,
         Counter::NestedSubRecords,
+        Counter::SolveBnbExhausted,
     ];
 
     /// Number of counter variants. [`Counter::ALL`] has exactly this
@@ -163,7 +167,7 @@ impl Counter {
     /// exhaustive match — adding a variant without updating both is a
     /// compile error here and a failure of
     /// `all_assigns_every_variant_its_index` below.
-    pub const COUNT: usize = 39;
+    pub const COUNT: usize = 40;
 
     /// The canonical `area.event` metric name.
     pub fn label(self) -> &'static str {
@@ -207,6 +211,7 @@ impl Counter {
             Counter::DetectPassThrough => "detect.pass_through",
             Counter::NestedParents => "nested.parents",
             Counter::NestedSubRecords => "nested.sub_records",
+            Counter::SolveBnbExhausted => "solve.bnb_exhausted",
         }
     }
 
@@ -255,6 +260,7 @@ impl Counter {
             Counter::DetectPassThrough => 36,
             Counter::NestedParents => 37,
             Counter::NestedSubRecords => 38,
+            Counter::SolveBnbExhausted => 39,
         }
     }
 }
