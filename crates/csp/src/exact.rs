@@ -13,10 +13,8 @@
 //! proves the paper corpus's relaxed optima within two nodes per
 //! variable.
 //!
-//! The search reads the model's flat rows and walks each variable's rows
-//! through an [`Occurrences`] index it is handed: a reduced component
-//! carries the one the reduction wrote with its rows, so no search
-//! builds its own.
+//! It walks each variable's rows through the [`Occurrences`] index it
+//! is handed; a reduced component carries its own.
 //!
 //! A warm seed orders the values: each variable is tried first at its
 //! value in the seed. The search keeps the first optimum it finds (a

@@ -11,12 +11,12 @@
 //!
 //! 1. **Propagation.** For every constraint, the achievable range
 //!    `[lo, hi]` of its left-hand side under the current partial
-//!    assignment is kept current: forcing a variable moves the ranges of
-//!    its rows, found through the model's [`Occurrences`]. A constraint
-//!    whose range excludes the right-hand side proves the model
-//!    infeasible; a variable whose value `v` would make a constraint
-//!    unsatisfiable regardless of the other variables is forced to `!v`.
-//!    Forcing re-enqueues the variable's rows (a worklist to fixpoint).
+//!    assignment is kept current through the model's [`Occurrences`]
+//!    index. A constraint whose range excludes the right-hand side
+//!    proves the model infeasible; a variable whose value `v` would make
+//!    a constraint unsatisfiable regardless of the other variables is
+//!    forced to `!v`. Forcing re-enqueues the variable's rows (a
+//!    worklist to fixpoint).
 //! 2. **Entailment.** A constraint satisfied by *every* completion of the
 //!    partial assignment (`hi ≤ rhs` for `≤`, `lo ≥ rhs` for `≥`,
 //!    `lo = hi = rhs` for `=`) is dropped — it can never steer the search.
@@ -26,19 +26,15 @@
 //! 4. **Components.** The remaining variables are grouped by union-find
 //!    over co-occurrence in active constraints; each group becomes an
 //!    independent sub-[`Model`] with remapped variables and
-//!    fixed-term-adjusted right-hand sides, solvable in isolation. One
-//!    pass counts each component's rows and terms, a second writes them
-//!    into the component's flat row store and its occurrence index, which
-//!    the branch-and-bound searches without rebuilding.
+//!    fixed-term-adjusted right-hand sides, written with its occurrence
+//!    index in one pass once the rows and terms are counted.
 //!    [`Reduction::stitch`] reassembles a full assignment.
 //!
-//! The index depends only on the terms, and relaxing an encoding changes
-//! only row relations and the objective, so one index serves both rungs
-//! of the relaxation ladder. The per-row reduction that rescans each
-//! popped row is the differential oracle in `tests/reduce_oracle/`, and
-//! exact branch-and-bound over the whole, unreduced model checks that
-//! stitching component solutions reproduces exactly the feasibility and
-//! optimum the unreduced model has (see `tests/solver_props.rs`).
+//! Relaxing an encoding changes no row's terms, so one index serves both
+//! rungs. The per-row pass in `tests/reduce_oracle/` is the differential
+//! oracle; exact branch-and-bound over the whole, unreduced model checks
+//! that stitched component solutions keep its feasibility and optimum
+//! (see `tests/solver_props.rs`).
 
 use std::collections::VecDeque;
 
@@ -146,11 +142,7 @@ const NONE: usize = usize::MAX;
 /// assignments to fixpoint, drops entailed constraints, assigns free
 /// variables, and splits what is left into independent components.
 pub fn reduce_model(model: &Model, occ: &Occurrences) -> Reduction {
-    debug_assert_eq!(
-        occ.row.len(),
-        model.terms.len(),
-        "an index of another model"
-    );
+    debug_assert_eq!(occ.row.len(), model.terms.len(), "another model's index");
     let n = model.num_vars;
     let ncon = model.num_rows();
     let mut fixed: Vec<Option<bool>> = vec![None; n];
@@ -381,9 +373,6 @@ pub fn reduce_model(model: &Model, occ: &Occurrences) -> Reduction {
             });
         }
     }
-    debug_assert!(components
-        .iter()
-        .all(|c| c.occurrences == Occurrences::new(&c.model)));
 
     Reduction {
         fixed,
