@@ -1,7 +1,7 @@
 //! The naive DOM heuristic: find the `<table>` with the most text, emit
 //! one record per `<tr>` (skipping an apparent header row of `<th>`s).
 
-use tableseg_html::dom::parse_tokens;
+use tableseg_html::dom::parse;
 use tableseg_html::lexer::{is_closing, tag_name, tokenize};
 use tableseg_html::Token;
 
@@ -12,7 +12,7 @@ use crate::BaselineSegmentation;
 /// free-form sites.
 pub fn segment(html: &str) -> BaselineSegmentation {
     let tokens = tokenize(html);
-    let dom = parse_tokens(&tokens);
+    let dom = parse(html);
 
     // Pick the table with the most text tokens.
     let Some(best) = dom

@@ -1,6 +1,5 @@
-//! Front-end microbenchmarks: tokenization, interning, template
-//! induction, observation-table construction, and the indexed extract
-//! matcher.
+//! Front-end microbenchmarks: scanning, interning, template induction,
+//! observation-table construction, and the indexed extract matcher.
 //!
 //! The paper argues its content-based inference is fast because "the
 //! number of text strings on a typical Web page is very small compared to
@@ -12,11 +11,10 @@ use std::hint::black_box;
 
 use tableseg_bench::matchbench;
 use tableseg_extract::build_observations;
-use tableseg_html::lexer::tokenize;
-use tableseg_html::{Interner, Token};
+use tableseg_html::{scan, Interner};
 use tableseg_sitegen::paper_sites;
 use tableseg_sitegen::site::generate;
-use tableseg_template::{assess, induce};
+use tableseg_template::{assess, induce_with};
 
 fn bench_tokenize(c: &mut Criterion) {
     let mut group = c.benchmark_group("tokenize");
@@ -25,7 +23,7 @@ fn bench_tokenize(c: &mut Criterion) {
         let html = &site.pages[0].list_html;
         group.throughput(Throughput::Bytes(html.len() as u64));
         group.bench_with_input(BenchmarkId::from_parameter(&spec.name), html, |b, html| {
-            b.iter(|| tokenize(black_box(html)))
+            b.iter(|| scan(black_box(html)))
         });
     }
     group.finish();
@@ -35,14 +33,19 @@ fn bench_template(c: &mut Criterion) {
     let mut group = c.benchmark_group("template_induction");
     for spec in [paper_sites::allegheny(), paper_sites::amazon()] {
         let site = generate(&spec);
-        let pages: Vec<Vec<Token>> = site.pages.iter().map(|p| tokenize(&p.list_html)).collect();
+        let mut interner = Interner::new();
+        let streams: Vec<_> = site
+            .pages
+            .iter()
+            .map(|p| interner.intern_page(&p.list_html).0)
+            .collect();
         group.bench_with_input(
             BenchmarkId::from_parameter(&spec.name),
-            &pages,
-            |b, pages| {
+            &(streams, interner),
+            |b, (streams, interner)| {
                 b.iter(|| {
-                    let ind = induce(black_box(pages));
-                    assess(&ind, pages)
+                    let (ind, _) = induce_with(black_box(streams), interner);
+                    assess(&ind, streams, interner)
                 })
             },
         );
@@ -54,17 +57,12 @@ fn bench_observations(c: &mut Criterion) {
     let mut group = c.benchmark_group("observation_table");
     for spec in [paper_sites::butler(), paper_sites::canada411()] {
         let site = generate(&spec);
-        let list = tokenize(&site.pages[0].list_html);
-        let details: Vec<Vec<Token>> = site.pages[0]
-            .detail_html
-            .iter()
-            .map(|d| tokenize(d))
-            .collect();
-        let refs: Vec<&[Token]> = details.iter().map(Vec::as_slice).collect();
+        let page = &site.pages[0];
+        let details = page.detail_htmls();
         group.bench_with_input(
             BenchmarkId::from_parameter(&spec.name),
-            &(list, refs),
-            |b, (list, refs)| b.iter(|| build_observations(black_box(list), &[], refs)),
+            &(page.list_html.as_str(), details),
+            |b, (list, details)| b.iter(|| build_observations(black_box(list), &[], details)),
         );
     }
     group.finish();
@@ -74,18 +72,11 @@ fn bench_intern(c: &mut Criterion) {
     let mut group = c.benchmark_group("intern");
     for spec in [paper_sites::allegheny(), paper_sites::superpages()] {
         let site = generate(&spec);
-        let tokens = tokenize(&site.pages[0].list_html);
-        group.throughput(Throughput::Elements(tokens.len() as u64));
-        group.bench_with_input(
-            BenchmarkId::from_parameter(&spec.name),
-            &tokens,
-            |b, tokens| {
-                b.iter(|| {
-                    let mut interner = Interner::new();
-                    interner.intern_tokens(black_box(tokens))
-                })
-            },
-        );
+        let html = &site.pages[0].list_html;
+        group.throughput(Throughput::Bytes(html.len() as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(&spec.name), html, |b, html| {
+            b.iter(|| Interner::new().intern_page(black_box(html)))
+        });
     }
     group.finish();
 }

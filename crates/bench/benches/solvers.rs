@@ -7,22 +7,14 @@ use std::hint::black_box;
 use tableseg_csp::encoder::{encode, EncodeOptions};
 use tableseg_csp::exact::solve_bnb;
 use tableseg_extract::{build_observations, Observations};
-use tableseg_html::lexer::tokenize;
-use tableseg_html::Token;
 use tableseg_prob::{segment_prob, ProbOptions};
 use tableseg_sitegen::paper_sites;
 use tableseg_sitegen::site::generate;
 
 fn site_observations(spec: &tableseg_sitegen::site::SiteSpec, page: usize) -> Observations {
     let site = generate(spec);
-    let list = tokenize(&site.pages[page].list_html);
-    let details: Vec<Vec<Token>> = site.pages[page]
-        .detail_html
-        .iter()
-        .map(|d| tokenize(d))
-        .collect();
-    let refs: Vec<&[Token]> = details.iter().map(Vec::as_slice).collect();
-    build_observations(&list, &[], &refs)
+    let page = &site.pages[page];
+    build_observations(&page.list_html, &[], &page.detail_htmls())
 }
 
 fn bench_exact(c: &mut Criterion) {

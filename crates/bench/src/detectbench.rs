@@ -7,7 +7,7 @@
 //!
 //! * **region cohort** ([`detect_cohort`]) — pages carrying 1–3 result
 //!   tables plus navigation bars, ad blocks and link footers. Each page
-//!   is tokenized and run through [`detect_regions`]; the predicted
+//!   is interned and run through [`detect_regions`]; the predicted
 //!   table-region byte spans are scored against the ground-truth table
 //!   regions with the span classifier (`classify_spans`), giving region
 //!   Cor/InC/FN/FP and P/R/F;
@@ -32,10 +32,10 @@
 
 use std::ops::Range;
 
-use tableseg::html::lexer::tokenize;
+use tableseg::html::Interner;
 use tableseg::{
     detect_regions, parent_spans_from_groups, run_page, try_segment_nested, CspSegmenter,
-    DetectOptions, Segmenter, SiteTemplate,
+    DetectOptions, Detection, Segmenter, SiteTemplate,
 };
 use tableseg_eval::classify::{
     classify_nested, classify_spans, NestedParentPred, NestedParentTruth, PageCounts,
@@ -118,14 +118,20 @@ impl DetectBench {
     }
 }
 
+/// Detects the regions of one list page, interned on its own.
+fn detect_page(list_html: &str, opts: &DetectOptions) -> Detection {
+    let mut interner = Interner::new();
+    let (syms, spans) = interner.intern_page(list_html);
+    detect_regions(&syms, &spans, &interner, opts)
+}
+
 /// Scores region detection on one multi-table page.
 fn score_region_page(
     list_html: &str,
     truth_spans: &[Range<usize>],
     opts: &DetectOptions,
 ) -> PageCounts {
-    let tokens = tokenize(list_html);
-    let detection = detect_regions(&tokens, opts);
+    let detection = detect_page(list_html, opts);
     let pred: Vec<Range<usize>> = detection.table_regions().map(|r| r.bytes.clone()).collect();
     classify_spans(&pred, truth_spans)
 }
@@ -254,7 +260,7 @@ pub fn run_detect_bench() -> DetectBench {
         let site = generate(&spec);
         for page in &site.pages {
             paper_pages += 1;
-            let detection = detect_regions(&tokenize(&page.list_html), &opts);
+            let detection = detect_page(&page.list_html, &opts);
             if detection.pass_through {
                 paper_pass_through += 1;
             }

@@ -20,8 +20,6 @@
 
 use std::time::Instant;
 
-use tableseg::html::lexer::tokenize;
-use tableseg::html::Token;
 use tableseg::template::{
     assess, candidate_streams, induce_with, lcs_indices_histogram_stats, Interner, Symbol,
 };
@@ -32,30 +30,28 @@ use crate::corpus::{paper_generated_scaled, BenchJson};
 pub struct InduceFixture {
     /// Site name.
     pub site: String,
-    /// Tokenized list pages.
-    pub pages: Vec<Vec<Token>>,
-    /// Interned symbol streams, aligned with `pages`.
+    /// Symbol streams of the list pages.
     pub streams: Vec<Vec<Symbol>>,
-    /// Interner size (the symbol-id upper bound).
-    pub num_symbols: usize,
+    /// The interner holding the streams' texts.
+    pub interner: Interner,
 }
 
-/// Tokenizes and interns every paper site at `page_count` sample pages
+/// Scans and interns every paper site at `page_count` sample pages
 /// (sites generated via [`crate::corpus::paper_generated_scaled`]).
 pub fn corpus(page_count: usize) -> Vec<InduceFixture> {
     paper_generated_scaled(page_count)
         .into_iter()
         .map(|(spec, site)| {
-            let pages: Vec<Vec<Token>> =
-                site.pages.iter().map(|p| tokenize(&p.list_html)).collect();
             let mut interner = Interner::new();
-            let streams: Vec<Vec<Symbol>> =
-                pages.iter().map(|p| interner.intern_tokens(p)).collect();
+            let streams = site
+                .pages
+                .iter()
+                .map(|p| interner.intern_page(&p.list_html).0)
+                .collect();
             InduceFixture {
                 site: spec.name.clone(),
-                pages,
                 streams,
-                num_symbols: interner.len(),
+                interner,
             }
         })
         .collect()
@@ -156,7 +152,7 @@ impl InduceBench {
 
 /// Extracts the bare symbol windows the fold aligns for a 2-page site.
 fn pair_windows(f: &InduceFixture) -> (Vec<Symbol>, Vec<Symbol>) {
-    let filtered = candidate_streams(&f.streams, f.num_symbols);
+    let filtered = candidate_streams(&f.streams, f.interner.len());
     let syms = |s: &[(Symbol, usize)]| s.iter().map(|&(sym, _)| sym).collect();
     (syms(&filtered[0]), syms(&filtered[1]))
 }
@@ -196,7 +192,7 @@ pub fn run_induce_bench(iters: usize, page_counts: &[usize]) -> InduceBench {
         for _ in 0..iters {
             let t = Instant::now();
             for f in &fixtures {
-                std::hint::black_box(induce_with(&f.pages, &f.streams, f.num_symbols));
+                std::hint::black_box(induce_with(&f.streams, &f.interner));
             }
             induce_ns = induce_ns.min(t.elapsed().as_nanos());
         }
@@ -205,8 +201,8 @@ pub fn run_induce_bench(iters: usize, page_counts: &[usize]) -> InduceBench {
         let mut usable = 0usize;
         let mut lcs_fallbacks = 0usize;
         for f in &fixtures {
-            let (ind, stats) = induce_with(&f.pages, &f.streams, f.num_symbols);
-            let q = assess(&ind, &f.pages);
+            let (ind, stats) = induce_with(&f.streams, &f.interner);
+            let q = assess(&ind, &f.streams, &f.interner);
             fraction_sum += q.largest_slot_fraction;
             len_sum += q.template_len;
             usable += usize::from(q.is_usable());
@@ -279,9 +275,9 @@ mod tests {
     fn corpus_scales_page_counts() {
         let two = corpus(2);
         assert_eq!(two.len(), paper_sites::all().len());
-        assert!(two.iter().all(|f| f.pages.len() == 2));
+        assert!(two.iter().all(|f| f.streams.len() == 2));
         let four = corpus(4);
-        assert!(four.iter().all(|f| f.pages.len() == 4));
+        assert!(four.iter().all(|f| f.streams.len() == 4));
     }
 
     #[test]

@@ -359,23 +359,18 @@ pub fn table4_report(runs: &[PageRun], clean_only: bool) -> String {
 pub fn tables123_report() -> String {
     use tableseg_extract::build_observations;
     use tableseg_extract::positions::render_table;
-    use tableseg_html::lexer::tokenize;
-    use tableseg_html::Token;
 
     // The paper's Figure 1 / Table 1 example: two "John Smith" listings
     // sharing a phone number, plus a third record.
-    let list = tokenize(
-        "<tr><td>John Smith</td><td>221 Washington</td><td>New Holland</td><td>(740) 335-5555</td></tr>\
+    let list = "<tr><td>John Smith</td><td>221 Washington</td><td>New Holland</td><td>(740) 335-5555</td></tr>\
          <tr><td>John Smith</td><td>221R Washington St</td><td>Wash CH</td><td>(740) 335-5555</td></tr>\
-         <tr><td>George W. Smith</td><td>Findlay, OH</td><td>(419) 423-1212</td></tr>",
-    );
+         <tr><td>George W. Smith</td><td>Findlay, OH</td><td>(419) 423-1212</td></tr>";
     let details = [
-        tokenize("<h1>John Smith</h1><p>221 Washington</p><p>New Holland</p><p>(740) 335-5555</p>"),
-        tokenize("<h1>John Smith</h1><p>221R Washington St</p><p>Wash CH</p><p>(740) 335-5555</p>"),
-        tokenize("<h1>George W. Smith</h1><p>Findlay, OH</p><p>(419) 423-1212</p>"),
+        "<h1>John Smith</h1><p>221 Washington</p><p>New Holland</p><p>(740) 335-5555</p>",
+        "<h1>John Smith</h1><p>221R Washington St</p><p>Wash CH</p><p>(740) 335-5555</p>",
+        "<h1>George W. Smith</h1><p>Findlay, OH</p><p>(419) 423-1212</p>",
     ];
-    let detail_refs: Vec<&[Token]> = details.iter().map(Vec::as_slice).collect();
-    let obs = build_observations(&list, &[], &detail_refs);
+    let obs = build_observations(list, &[], &details);
 
     let mut out = String::new();
     out.push_str("Table 1: observations of extracts on detail pages D_i\n\n");

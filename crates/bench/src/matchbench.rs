@@ -16,8 +16,7 @@ use std::time::Instant;
 use crate::corpus::{paper_prepared, site_count, BenchJson};
 use tableseg::SiteTemplate;
 use tableseg_extract::{derive_extracts, match_extracts_indexed, Extract, Observations, PageIndex};
-use tableseg_html::lexer::tokenize;
-use tableseg_html::{Symbol, Token};
+use tableseg_html::{scan, ScanTokens, Symbol};
 
 /// One page of the benchmark corpus, prepared for matching.
 ///
@@ -34,8 +33,8 @@ pub struct MatchFixture {
     pub template: SiteTemplate,
     /// Which list page the extracts came from.
     pub page: usize,
-    /// Tokenized detail pages of the list page.
-    pub details: Vec<Vec<Token>>,
+    /// The detail pages of the list page, each with its scan.
+    pub details: Vec<(String, ScanTokens)>,
 }
 
 impl MatchFixture {
@@ -66,7 +65,7 @@ impl MatchFixture {
         let detail_indexes: Vec<PageIndex> = self
             .details
             .iter()
-            .map(|p| PageIndex::build(p, &self.template.interner))
+            .map(|(html, scanned)| PageIndex::from_scanned(scanned, html, &self.template.interner))
             .collect();
         let detail_refs: Vec<&PageIndex> = detail_indexes.iter().collect();
         match_extracts_indexed(extracts, &needles, &other_indexes, &detail_refs)
@@ -80,8 +79,16 @@ pub fn corpus() -> Vec<MatchFixture> {
     let mut fixtures = Vec::new();
     for (site, template) in paper_prepared() {
         for (page, gp) in site.pages.iter().enumerate() {
-            let extracts = derive_extracts(&template.pages[page]);
-            let details: Vec<Vec<Token>> = gp.detail_html.iter().map(|d| tokenize(d)).collect();
+            let extracts = derive_extracts(
+                &template.streams[page],
+                &template.spans[page],
+                &template.interner,
+            );
+            let details = gp
+                .detail_html
+                .iter()
+                .map(|d| (d.clone(), scan(d)))
+                .collect();
             fixtures.push(MatchFixture {
                 site: site.spec.name.clone(),
                 extracts,

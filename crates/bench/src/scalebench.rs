@@ -11,9 +11,10 @@
 //! * **tokenize stage** — [`scan()`] alone over every list and detail
 //!   page;
 //! * **front end** — what the pipeline actually does with the result:
-//!   list pages are interned and materialized as owned tokens (induction
-//!   consumes them), detail pages are projected straight from their
-//!   spans into [`PageIndex`]es ([`PageIndex::from_scanned`]).
+//!   list pages are interned into symbol streams with their token byte
+//!   ranges ([`Interner::intern_page`]), detail pages are projected
+//!   straight from their spans into [`PageIndex`]es
+//!   ([`PageIndex::from_scanned`]).
 //!
 //! Memory flatness is proven by splitting the universe in half: the
 //! process peak RSS (`VmHWM`) is snapshotted after the first half and
@@ -262,15 +263,13 @@ fn scale_site(site: &GeneratedSite) -> SiteScale {
     }
     out.scan_ns = t.elapsed().as_nanos();
 
-    // Front end: spans all the way down. List pages still materialize
-    // owned tokens (induction consumes them); detail pages never do —
-    // spans project straight into a PageIndex.
+    // Front end: spans all the way down. List pages become symbol
+    // streams plus byte ranges; detail pages project straight into a
+    // PageIndex.
     let t = Instant::now();
     let mut interner = Interner::new();
     for p in &lists {
-        let scanned = scan(p);
-        std::hint::black_box(interner.intern_scanned(&scanned, p));
-        std::hint::black_box(scanned.to_tokens(p));
+        std::hint::black_box(interner.intern_page(p));
     }
     for p in &details {
         let scanned = scan(p);

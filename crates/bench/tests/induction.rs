@@ -10,8 +10,6 @@
 //! (The Hirschberg oracle *fold* is test code inside `tableseg-template`,
 //! which runs it over the same chaos corpus.)
 
-use tableseg::html::lexer::tokenize_bytes;
-use tableseg::html::Token;
 use tableseg::template::lcs::lcs_indices;
 use tableseg::template::{
     assess, candidate_streams, induce_with, lcs_indices_histogram, Induction, Interner, Symbol,
@@ -32,19 +30,23 @@ fn base_seed() -> u64 {
     }
 }
 
-fn intern_pages(pages: &[Vec<Token>]) -> (Vec<Vec<Symbol>>, usize) {
+fn intern_pages(pages: &[&str]) -> (Vec<Vec<Symbol>>, Interner) {
     let mut interner = Interner::new();
-    let streams = pages.iter().map(|p| interner.intern_tokens(p)).collect();
-    (streams, interner.len())
+    let streams = pages.iter().map(|p| interner.intern_page(p).0).collect();
+    (streams, interner)
 }
 
-fn template_texts(ind: &Induction) -> Vec<String> {
-    ind.template.tokens.iter().map(|t| t.text.clone()).collect()
+fn template_texts(ind: &Induction, interner: &Interner) -> Vec<String> {
+    ind.template
+        .symbols
+        .iter()
+        .map(|&s| interner.text(s).to_owned())
+        .collect()
 }
 
-/// Every anchor must point at a token whose text matches its template
+/// Every anchor must point at a token whose symbol matches its template
 /// token, with strictly increasing positions per page.
-fn assert_valid_embedding(ind: &Induction, pages: &[Vec<Token>], ctx: &str) {
+fn assert_valid_embedding(ind: &Induction, pages: &[Vec<Symbol>], ctx: &str) {
     assert_eq!(
         ind.anchors.len(),
         pages.len(),
@@ -61,8 +63,8 @@ fn assert_valid_embedding(ind: &Induction, pages: &[Vec<Token>], ctx: &str) {
         }
         for (k, &pos) in anchor.iter().enumerate() {
             assert_eq!(
-                pages[p][pos].text, ind.template.tokens[k].text,
-                "{ctx}: page {p} anchor {k} text mismatch"
+                pages[p][pos], ind.template.symbols[k],
+                "{ctx}: page {p} anchor {k} symbol mismatch"
             );
         }
     }
@@ -87,18 +89,14 @@ fn merge_order_permutations_yield_the_same_template() {
         paper_sites::ohio(),
     ] {
         let site = generate(&spec.with_page_count(4));
-        let pages: Vec<Vec<Token>> = site
-            .pages
-            .iter()
-            .map(|p| tokenize_bytes(p.list_html.as_bytes()))
-            .collect();
+        let pages = site.list_htmls();
         let mut baseline: Option<Vec<String>> = None;
         for perm in perms {
-            let permuted: Vec<Vec<Token>> = perm.iter().map(|&i| pages[i].clone()).collect();
-            let (streams, num_symbols) = intern_pages(&permuted);
-            let ind = induce_with(&permuted, &streams, num_symbols).0;
-            assert_valid_embedding(&ind, &permuted, &format!("{} {perm:?}", spec.name));
-            let texts = template_texts(&ind);
+            let permuted: Vec<&str> = perm.iter().map(|&i| pages[i]).collect();
+            let (streams, interner) = intern_pages(&permuted);
+            let ind = induce_with(&streams, &interner).0;
+            assert_valid_embedding(&ind, &streams, &format!("{} {perm:?}", spec.name));
+            let texts = template_texts(&ind, &interner);
             match &baseline {
                 None => baseline = Some(texts),
                 Some(base) => assert_eq!(
@@ -124,15 +122,10 @@ fn quality_is_monotone_non_degrading_from_2_to_10_pages() {
         let mut per_site = Vec::new();
         for n in [2usize, 6, 10] {
             let site = generate(&spec.with_page_count(n));
-            let pages: Vec<Vec<Token>> = site
-                .pages
-                .iter()
-                .map(|p| tokenize_bytes(p.list_html.as_bytes()))
-                .collect();
-            let (streams, num_symbols) = intern_pages(&pages);
-            let ind = induce_with(&pages, &streams, num_symbols).0;
-            assert_valid_embedding(&ind, &pages, &format!("{} at {n} pages", spec.name));
-            let q = assess(&ind, &pages);
+            let (streams, interner) = intern_pages(&site.list_htmls());
+            let ind = induce_with(&streams, &interner).0;
+            assert_valid_embedding(&ind, &streams, &format!("{} at {n} pages", spec.name));
+            let q = assess(&ind, &streams, &interner);
             per_site.push((n, q));
         }
         let (_, first) = per_site[0];
@@ -171,7 +164,7 @@ fn quality_is_monotone_non_degrading_from_2_to_10_pages() {
     );
 }
 
-/// Seeded fuzz: chaos-mutated pages through `tokenize_bytes`, then both
+/// Seeded fuzz: chaos-mutated pages through the scanner, then both
 /// LCS cores and the induction. Nothing may panic; traces must stay valid
 /// common subsequences; the cores must agree on LCS length on every
 /// window shape the mutations produce.
@@ -189,12 +182,7 @@ fn chaos_mutated_pages_drive_both_lcs_paths_safely() {
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(round * 31 + si as u64);
             let (site, _log) = apply_chaos(&generate(spec), &ChaosConfig::uniform(0.4, seed));
-            let pages: Vec<Vec<Token>> = site
-                .pages
-                .iter()
-                .map(|p| tokenize_bytes(p.list_html.as_bytes()))
-                .collect();
-            let (streams, num_symbols) = intern_pages(&pages);
+            let (streams, interner) = intern_pages(&site.list_htmls());
             let ctx = format!("{} seed {seed:#x}", spec.name);
 
             // Full raw streams (truncated for the quadratic oracle):
@@ -205,15 +193,15 @@ fn chaos_mutated_pages_drive_both_lcs_paths_safely() {
             check_cores_agree(&a, &b, &format!("{ctx} raw"));
 
             // Candidate streams: the unique-per-page fast path.
-            let filtered = candidate_streams(&streams, num_symbols);
+            let filtered = candidate_streams(&streams, interner.len());
             let fa: Vec<Symbol> = filtered[0].iter().map(|&(s, _)| s).collect();
             let fb: Vec<Symbol> = filtered[1].iter().map(|&(s, _)| s).collect();
             check_cores_agree(&fa, &fb, &format!("{ctx} filtered"));
 
             // The induction over the damaged site: a valid embedding, no
             // panics.
-            let ind = induce_with(&pages, &streams, num_symbols).0;
-            assert_valid_embedding(&ind, &pages, &format!("{ctx} histogram"));
+            let ind = induce_with(&streams, &interner).0;
+            assert_valid_embedding(&ind, &streams, &format!("{ctx} histogram"));
         }
     }
 }

@@ -295,16 +295,13 @@ mod tests {
     #[test]
     fn column_majority_vote() {
         use tableseg_extract::build_observations;
-        use tableseg_html::Token;
-        let list = tokenize(
-            "<td>John Smith</td><td>(740) 335-5555</td>\
-             <td>Jane Doe</td><td>(614) 222-1111</td>",
-        );
-        let d1 = tokenize("<p>John Smith</p><p>(740) 335-5555</p>");
-        let d2 = tokenize("<p>Jane Doe</p><p>(614) 222-1111</p>");
-        let d3 = tokenize("<p>z</p>");
-        let refs: Vec<&[Token]> = vec![&d1, &d2, &d3];
-        let obs = build_observations(&list, &[], &refs);
+        let list = "<td>John Smith</td><td>(740) 335-5555</td>\
+             <td>Jane Doe</td><td>(614) 222-1111</td>";
+        let d1 = "<p>John Smith</p><p>(740) 335-5555</p>";
+        let d2 = "<p>Jane Doe</p><p>(614) 222-1111</p>";
+        let d3 = "<p>z</p>";
+        let refs = [d1, d2, d3];
+        let obs = build_observations(list, &[], &refs);
         let columns = vec![0, 1, 0, 1];
         let ann = annotate_columns(&obs, &columns);
         assert_eq!(ann.len(), 2);

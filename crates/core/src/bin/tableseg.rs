@@ -196,7 +196,7 @@ fn run(args: &Args) -> Result<(), String> {
         }
 
         if args.wrapper {
-            match induce_wrapper(prepared, &outcome.segmentation) {
+            match induce_wrapper(&template, args.target, prepared, &outcome.segmentation) {
                 Some(w) => {
                     eprintln!("induced row wrapper:");
                     eprintln!("  head: {:?}", w.head);

@@ -1,4 +1,4 @@
-//! Table-region detection: partitioning a tokenized list page into
+//! Table-region detection: partitioning an interned list page into
 //! candidate table regions and non-table regions before segmentation.
 //!
 //! The paper's corpus is flat single-table list pages, but real result
@@ -9,8 +9,10 @@
 //! blocks first so each can be fed through the prepare/segment pipeline
 //! independently ([`crate::run_page`] with detection on).
 //!
-//! Detection works on the already-tokenized page — the same token stream
-//! template induction uses — with purely structural features:
+//! Detection works on the page's interned symbol stream — the same
+//! stream template induction uses, with tag texts read back through the
+//! site interner — and its token byte ranges, with purely structural
+//! features:
 //!
 //! * **candidate blocks** are the outermost container elements
 //!   (`<table>`, `<ul>`, `<ol>`, `<dl>`, `<div>`) in document order;
@@ -36,7 +38,7 @@
 
 use std::ops::Range;
 
-use tableseg_html::Token;
+use tableseg_html::{Interner, Symbol, TokenType, TypeSet};
 
 /// Thresholds for classifying candidate blocks. The defaults are tuned so
 /// the whole paper corpus (grid, free-form and numbered layouts, promo
@@ -78,12 +80,13 @@ pub enum RegionKind {
     Other,
 }
 
-/// One detected region of a tokenized page.
+/// One detected region of an interned page.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Region {
     /// The region's token range in the page's token stream.
     pub tokens: Range<usize>,
-    /// The region's byte range in the page's HTML source.
+    /// The region's byte range in the page's HTML source: from the start
+    /// of its first token to the source end of its last.
     pub bytes: Range<usize>,
     /// The region's classification.
     pub kind: RegionKind,
@@ -113,13 +116,15 @@ impl Detection {
 const CONTAINER_TAGS: [&str; 5] = ["table", "ul", "ol", "dl", "div"];
 const ROW_TAGS: [&str; 4] = ["tr", "li", "p", "dt"];
 
-/// The element name of an HTML token plus whether it is a closing tag.
-/// `None` for text/punctuation tokens.
-fn tag_name(token: &Token) -> Option<(&str, bool)> {
-    if !token.is_html() {
+/// What detection reads of a token: a tag's element name and whether it
+/// closes, or `None` for visible text and punctuation.
+type Tag<'a> = Option<(&'a str, bool)>;
+
+fn tag(text: &str, types: TypeSet) -> Tag<'_> {
+    if !types.contains(TokenType::Html) {
         return None;
     }
-    let inner = token.text.strip_prefix('<')?;
+    let inner = text.strip_prefix('<').unwrap_or_default();
     let inner = inner.strip_suffix('>').unwrap_or(inner);
     let (closing, inner) = match inner.strip_prefix('/') {
         Some(rest) => (true, rest),
@@ -131,7 +136,11 @@ fn tag_name(token: &Token) -> Option<(&str, bool)> {
     Some((&inner[..name_end], closing))
 }
 
-/// Partitions a tokenized page into table and non-table regions.
+/// Partitions an interned page into table and non-table regions.
+///
+/// `syms` is the page's symbol stream under `interner`, and `spans[i]`
+/// the byte range of token `i` in the page (see
+/// [`Interner::intern_page`]).
 ///
 /// Returns the classified outermost container blocks in document order —
 /// unless at most one of them is a table, in which case the whole page is
@@ -144,7 +153,7 @@ fn tag_name(token: &Token) -> Option<(&str, bool)> {
 ///
 /// ```
 /// use tableseg::detect::{detect_regions, DetectOptions, RegionKind};
-/// use tableseg::html::lexer::tokenize;
+/// use tableseg::html::Interner;
 ///
 /// let page = "<html><body>\
 ///   <table><tr><td><a href=\"/d/0\">Ada</a></td><td>555-0001</td></tr>\
@@ -153,8 +162,9 @@ fn tag_name(token: &Token) -> Option<(&str, bool)> {
 ///   <table><tr><td><a href=\"/d/2\">Grace</a></td><td>555-0003</td></tr>\
 ///           <tr><td><a href=\"/d/3\">Kurt</a></td><td>555-0004</td></tr></table>\
 ///   </body></html>";
-/// let tokens = tokenize(page);
-/// let detection = detect_regions(&tokens, &DetectOptions::default());
+/// let mut interner = Interner::new();
+/// let (syms, spans) = interner.intern_page(page);
+/// let detection = detect_regions(&syms, &spans, &interner, &DetectOptions::default());
 /// assert!(!detection.pass_through);
 /// assert_eq!(detection.table_regions().count(), 2);
 /// assert!(detection
@@ -168,26 +178,43 @@ fn tag_name(token: &Token) -> Option<(&str, bool)> {
 ///
 /// ```
 /// use tableseg::detect::{detect_regions, DetectOptions};
-/// use tableseg::html::lexer::tokenize;
+/// use tableseg::html::Interner;
 ///
 /// let page = "<html><h1>Results</h1><table>\
 ///   <tr><td><a href=\"/d/0\">Ada Lovelace</a></td></tr>\
 ///   <tr><td><a href=\"/d/1\">Alan Turing</a></td></tr>\
 ///   </table><p>Copyright 2004</p></html>";
-/// let tokens = tokenize(page);
-/// let detection = detect_regions(&tokens, &DetectOptions::default());
+/// let mut interner = Interner::new();
+/// let (syms, spans) = interner.intern_page(page);
+/// let detection = detect_regions(&syms, &spans, &interner, &DetectOptions::default());
 /// assert!(detection.pass_through);
 /// assert_eq!(detection.regions.len(), 1);
-/// assert_eq!(detection.regions[0].tokens, 0..tokens.len());
+/// assert_eq!(detection.regions[0].tokens, 0..syms.len());
+/// assert_eq!(detection.regions[0].bytes, 0..page.len());
 /// ```
-pub fn detect_regions(tokens: &[Token], opts: &DetectOptions) -> Detection {
+pub fn detect_regions(
+    syms: &[Symbol],
+    spans: &[Range<u32>],
+    interner: &Interner,
+    opts: &DetectOptions,
+) -> Detection {
+    let tags: Vec<Tag> = syms
+        .iter()
+        .map(|&s| tag(interner.text(s), interner.types(s)))
+        .collect();
     let mut regions = Vec::new();
     let mut i = 0;
-    while i < tokens.len() {
-        match tag_name(&tokens[i]) {
+    while i < tags.len() {
+        match tags[i] {
             Some((name, false)) if CONTAINER_TAGS.contains(&name) => {
-                let end = matching_close(tokens, i, name);
-                regions.push(classify_block(tokens, i..end, opts));
+                let end = matching_close(&tags, i, name);
+                let (kind, rows) = classify_block(&tags[i..end], opts);
+                regions.push(Region {
+                    tokens: i..end,
+                    bytes: spans[i].start as usize..spans[end - 1].end as usize,
+                    kind,
+                    rows,
+                });
                 i = end;
             }
             _ => i += 1,
@@ -198,9 +225,13 @@ pub fn detect_regions(tokens: &[Token], opts: &DetectOptions) -> Detection {
         .filter(|r| r.kind == RegionKind::Table)
         .count();
     if tables <= 1 {
-        let total_rows = regions.iter().map(|r| r.rows).sum();
         return Detection {
-            regions: vec![whole_page_region(tokens, total_rows)],
+            regions: vec![Region {
+                tokens: 0..syms.len(),
+                bytes: 0..spans.last().map_or(0, |s| s.end as usize),
+                kind: RegionKind::Table,
+                rows: regions.iter().map(|r| r.rows).sum(),
+            }],
             pass_through: true,
         };
     }
@@ -210,24 +241,13 @@ pub fn detect_regions(tokens: &[Token], opts: &DetectOptions) -> Detection {
     }
 }
 
-/// The single whole-page region of a pass-through page.
-fn whole_page_region(tokens: &[Token], rows: usize) -> Region {
-    let bytes_end = tokens.last().map(|t| t.offset + t.text.len()).unwrap_or(0);
-    Region {
-        tokens: 0..tokens.len(),
-        bytes: 0..bytes_end,
-        kind: RegionKind::Table,
-        rows,
-    }
-}
-
 /// Index one past the close tag matching the container opened at `open`
 /// (balanced same-name counting; an unclosed container runs to the end of
 /// the stream, which is how damaged chaos pages stay total).
-fn matching_close(tokens: &[Token], open: usize, name: &str) -> usize {
+fn matching_close(tags: &[Tag], open: usize, name: &str) -> usize {
     let mut depth = 0usize;
-    for (j, t) in tokens.iter().enumerate().skip(open) {
-        match tag_name(t) {
+    for (j, t) in tags.iter().enumerate().skip(open) {
+        match *t {
             Some((n, false)) if n == name => depth += 1,
             Some((n, true)) if n == name => {
                 depth -= 1;
@@ -238,13 +258,11 @@ fn matching_close(tokens: &[Token], open: usize, name: &str) -> usize {
             _ => {}
         }
     }
-    tokens.len()
+    tags.len()
 }
 
-/// Scores one candidate block and classifies it.
-fn classify_block(tokens: &[Token], range: Range<usize>, opts: &DetectOptions) -> Region {
-    let start = range.start;
-    let end = range.end;
+/// Scores one candidate block and classifies it, counting its rows.
+fn classify_block(tags: &[Tag], opts: &DetectOptions) -> (RegionKind, usize) {
     let mut rows = 0usize;
     let mut linked_rows = 0usize;
     let mut text_tokens = 0usize;
@@ -253,8 +271,8 @@ fn classify_block(tokens: &[Token], range: Range<usize>, opts: &DetectOptions) -
     // Visible-token size of each row, for the regularity feature.
     let mut row_sizes: Vec<usize> = Vec::new();
     let mut row_linked = false;
-    for t in &tokens[range.clone()] {
-        match tag_name(t) {
+    for t in tags {
+        match *t {
             Some(("a", true)) => {
                 link_depth = link_depth.saturating_sub(1);
             }
@@ -272,7 +290,7 @@ fn classify_block(tokens: &[Token], range: Range<usize>, opts: &DetectOptions) -
                 row_sizes.push(0);
                 row_linked = false;
             }
-            None if t.is_text() || t.is_punctuation() => {
+            None => {
                 text_tokens += 1;
                 if link_depth > 0 {
                     link_text_tokens += 1;
@@ -309,35 +327,17 @@ fn classify_block(tokens: &[Token], range: Range<usize>, opts: &DetectOptions) -
     } else {
         RegionKind::Other
     };
-    let bytes_start = tokens[start].offset;
-    let last = &tokens[end - 1];
-    let bytes_end = if last.is_html() {
-        last.offset + last.text.len()
-    } else {
-        // The block ran off the end of a damaged page mid-text; the
-        // decoded text length may not equal the source length, so fall
-        // back to the start of the following token (or the token's own
-        // offset span, whichever is known exactly).
-        tokens
-            .get(end)
-            .map(|t| t.offset)
-            .unwrap_or(last.offset + last.text.len())
-    };
-    Region {
-        tokens: range,
-        bytes: bytes_start..bytes_end,
-        kind,
-        rows,
-    }
+    (kind, rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tableseg_html::lexer::tokenize;
 
     fn detect(html: &str) -> Detection {
-        detect_regions(&tokenize(html), &DetectOptions::default())
+        let mut interner = Interner::new();
+        let (syms, spans) = interner.intern_page(html);
+        detect_regions(&syms, &spans, &interner, &DetectOptions::default())
     }
 
     fn table_block(ids: Range<usize>) -> String {
@@ -420,6 +420,19 @@ mod tests {
             assert!(slice.starts_with("<table>"), "{slice:?}");
             assert!(slice.ends_with("</table>"), "{slice:?}");
         }
+    }
+
+    /// A region ends at the source end of its closing tag, however the
+    /// tag is spelled: the tag's normalized text (`</table>`) is shorter
+    /// than its source.
+    #[test]
+    fn region_bytes_end_at_a_normalized_closing_tag() {
+        let first = table_block(0..2).replace("</table>", "</table  >");
+        let second = table_block(2..4).replace("</table>", "</TABLE\n>");
+        let html = format!("<html>{first}<p>between</p>{second}</html>");
+        let d = detect(&html);
+        let tables: Vec<&str> = d.table_regions().map(|r| &html[r.bytes.clone()]).collect();
+        assert_eq!(tables, [first.as_str(), second.as_str()]);
     }
 
     #[test]

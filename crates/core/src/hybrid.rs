@@ -65,13 +65,9 @@ impl Segmenter for HybridSegmenter {
 mod tests {
     use super::*;
     use tableseg_extract::build_observations;
-    use tableseg_html::{lexer::tokenize, Token};
 
     fn obs(list: &str, details: &[&str]) -> Observations {
-        let list = tokenize(list);
-        let detail_toks: Vec<Vec<Token>> = details.iter().map(|d| tokenize(d)).collect();
-        let refs: Vec<&[Token]> = detail_toks.iter().map(Vec::as_slice).collect();
-        build_observations(&list, &[], &refs)
+        build_observations(list, &[], details)
     }
 
     #[test]

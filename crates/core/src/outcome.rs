@@ -164,11 +164,7 @@ pub(crate) fn classify(
     regions: &[PreparedPage],
 ) -> PageOutcome {
     let mut warnings = Vec::new();
-    if template
-        .pages
-        .get(target)
-        .is_some_and(|toks| toks.is_empty())
-    {
+    if template.streams.get(target).is_some_and(Vec::is_empty) {
         warnings.push(Warning::EmptyListPage);
     }
     if detail_pages.is_empty() {

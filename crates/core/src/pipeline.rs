@@ -4,8 +4,12 @@
 //!
 //! Template induction is the front end's most expensive step and depends
 //! only on the site's sample list pages — not on which page is being
-//! segmented. [`SiteTemplate`] owns that per-site work (tokenization +
-//! induction + quality assessment) so every driver does it once per site.
+//! segmented. [`SiteTemplate`] owns that per-site work (scanning and
+//! interning, induction, quality assessment and the table-slot choice)
+//! so every driver does it once per site. A list page lives there as
+//! its interned symbol stream plus each token's byte range; the stages
+//! read texts and types back through the site interner, and owned tokens
+//! are built only for the extracts.
 //! [`run_page`] then runs one list page end to end against the cached
 //! template: optional region detection, the per-page front end
 //! ([`try_prepare_with_template`]), the page's outcome classification,
@@ -14,12 +18,14 @@
 //! runs pages through it. [`prepare`] remains the one-shot convenience
 //! wrapper.
 
+use std::ops::Range;
+
 use tableseg_extract::{derive_extracts, match_extracts_indexed, Observations};
 use tableseg_extract::{PageIndex, SeparatorMask};
 use tableseg_html::scan::{scan, ScanTokens};
-use tableseg_html::{Interner, SegError, Symbol, Token};
+use tableseg_html::{Interner, SegError, Symbol};
 use tableseg_obs::{Counter, Hist, Recorder};
-use tableseg_template::{assess, induce_with, Induction, TemplateQuality};
+use tableseg_template::{assess, induce_with, Induction, Slot, TemplateQuality};
 
 use crate::detect::{detect_regions, DetectOptions, Detection};
 use crate::outcome::{caught, classify, PageOutcome};
@@ -57,10 +63,10 @@ pub struct PreparedPage {
     pub used_whole_page: bool,
     /// The template diagnostics that drove the decision.
     pub template_quality: TemplateQuality,
-    /// The tokens of the table slot the extracts were derived from.
-    /// `Extract::start` indexes into this stream; wrapper induction
-    /// ([`crate::wrapper`]) consumes it.
-    pub slot_tokens: Vec<Token>,
+    /// The token range, in the target list page's stream, of the table
+    /// slot the extracts were derived from. `Extract::start` counts from
+    /// its start; wrapper induction ([`crate::wrapper`]) reads it.
+    pub slot: Range<usize>,
     /// Wall-clock time of the per-page stages (detail tokenization,
     /// extraction, matching). [`prepare`] additionally merges in the
     /// per-site stages; [`try_prepare_with_template`] does not — the
@@ -78,24 +84,25 @@ pub struct PreparedPage {
     pub metrics: Recorder,
 }
 
-/// The per-site front-end state: tokenized sample list pages plus the
-/// induced template and its quality verdict. Build it once per site with
-/// [`SiteTemplate::build`], then call [`run_page`] for each page —
-/// template induction runs exactly once no matter how many pages are
-/// segmented.
+/// The per-site front-end state: the interned sample list pages plus the
+/// induced template, its quality verdict and the table slot. Build it
+/// once per site with [`SiteTemplate::build`], then call [`run_page`] for
+/// each page — template induction runs exactly once no matter how many
+/// pages are segmented.
 #[derive(Debug, Clone)]
 pub struct SiteTemplate {
-    /// Token streams of the sample list pages, in input order.
-    pub pages: Vec<Vec<Token>>,
     /// The site's token-text interner: every list-page token text, with its
     /// [`tableseg_html::TypeSet`]. Detail pages are projected through it
     /// read-only, so the template stays shareable across batch workers.
     pub interner: Interner,
-    /// Interned symbol streams, aligned token-for-token with `pages`.
+    /// Symbol stream of each sample list page, in input order.
     pub streams: Vec<Vec<Symbol>>,
+    /// Byte range of each token in its list page's HTML, aligned token
+    /// for token with `streams`.
+    pub spans: Vec<Vec<Range<u32>>>,
     /// The per-symbol separator classification, computed once per site.
     pub separators: SeparatorMask,
-    /// Reduced occurrence index of each list page, aligned with `pages`.
+    /// Reduced occurrence index of each list page, aligned with `streams`.
     /// [`try_prepare_with_template`] probes the indexes of the *other* list
     /// pages for the all-list-pages filter, so they are built once here
     /// rather than once per segmented page.
@@ -104,6 +111,10 @@ pub struct SiteTemplate {
     pub induction: Induction,
     /// The template diagnostics driving the slot-vs-whole-page decision.
     pub quality: TemplateQuality,
+    /// The table slot — per list page, the token range of the slot with
+    /// the most text tokens — or `None` when the template is unusable or
+    /// no slot holds text, and each page is used whole.
+    pub table_slot: Option<Slot>,
     /// Wall-clock time of the per-site stages (list-page tokenization +
     /// interning, template induction, list-page index construction).
     pub timings: StageTimes,
@@ -113,42 +124,31 @@ pub struct SiteTemplate {
 }
 
 impl SiteTemplate {
-    /// Tokenizes and interns the sample list pages, induces the site's
-    /// template, and indexes each list page for extract matching.
+    /// Scans and interns the sample list pages, induces the site's
+    /// template, chooses its table slot, and indexes each list page for
+    /// extract matching.
     pub fn build(list_pages: &[&str]) -> SiteTemplate {
         let mut timings = StageTimes::new();
-        // Zero-copy front end: each list page is scanned into span tokens
-        // and interned in one pass; the owned token stream (template
-        // induction compares token texts across pages) is materialized
-        // from the same scan, so the page text is traversed exactly once.
-        let (pages, interner, streams) = timings.time(Stage::Tokenize, || {
+        // Zero-copy front end: each list page is scanned and interned in
+        // one pass, keeping only its symbols and token byte ranges.
+        let (interner, streams, spans) = timings.time(Stage::Tokenize, || {
             let mut interner = Interner::new();
-            let mut pages: Vec<Vec<Token>> = Vec::with_capacity(list_pages.len());
-            let mut streams: Vec<Vec<Symbol>> = Vec::with_capacity(list_pages.len());
-            for p in list_pages {
-                let scanned = scan(p);
-                streams.push(interner.intern_scanned(&scanned, p));
-                pages.push(scanned.to_tokens(p));
-            }
-            (pages, interner, streams)
+            let (streams, spans): (Vec<_>, Vec<_>) =
+                list_pages.iter().map(|p| interner.intern_page(p)).unzip();
+            (interner, streams, spans)
         });
-        let (induction, quality, stats, fold_elapsed) =
+        let (induction, quality, table_slot, stats, fold_elapsed) =
             timings.time(Stage::TemplateInduction, || {
                 let fold_start = std::time::Instant::now();
-                let (induction, stats) = induce_with(&pages, &streams, interner.len());
+                let (induction, stats) = induce_with(&streams, &interner);
                 let fold_elapsed = fold_start.elapsed();
-                let quality = assess(&induction, &pages);
-                (induction, quality, stats, fold_elapsed)
+                let quality = assess(&induction, &streams, &interner);
+                let table_slot = table_slot(&induction, &quality, &streams, &interner);
+                (induction, quality, table_slot, stats, fold_elapsed)
             });
         timings.add(Stage::InduceHistogram, fold_elapsed);
-        let (separators, page_indexes) = timings.time(Stage::Matching, || {
-            let separators = SeparatorMask::build(&interner);
-            let page_indexes: Vec<PageIndex> = streams
-                .iter()
-                .map(|s| PageIndex::from_interned(s, &separators))
-                .collect();
-            (separators, page_indexes)
-        });
+        let (separators, page_indexes) =
+            timings.time(Stage::Matching, || index_lists(&interner, &streams));
         let mut metrics = Recorder::new();
         metrics.incr(Counter::SitesProcessed);
         metrics.bump(Counter::FrontendPages, list_pages.len() as u64);
@@ -170,13 +170,14 @@ impl SiteTemplate {
             stats.lcs.fallback_windows as u64,
         );
         SiteTemplate {
-            pages,
             interner,
             streams,
+            spans,
             separators,
             page_indexes,
             induction,
             quality,
+            table_slot,
             timings,
             metrics,
         }
@@ -220,40 +221,30 @@ impl SiteTemplate {
     /// staleness/latency trade documented in DESIGN.md's serving-layer
     /// section.
     pub fn try_refresh(&self, list_pages: &[&str], changed: &[bool]) -> Option<SiteTemplate> {
-        if list_pages.len() != self.pages.len() || changed.len() != list_pages.len() {
+        if list_pages.len() != self.streams.len() || changed.len() != list_pages.len() {
             return None;
         }
         let mut timings = StageTimes::new();
         let mut interner = self.interner.clone();
         let mut changed_bytes = 0usize;
-        let (pages, streams) = timings.time(Stage::Tokenize, || {
-            let mut pages: Vec<Vec<Token>> = Vec::with_capacity(list_pages.len());
-            let mut streams: Vec<Vec<Symbol>> = Vec::with_capacity(list_pages.len());
-            for (i, p) in list_pages.iter().enumerate() {
-                if changed[i] {
-                    changed_bytes += p.len();
-                    let scanned = scan(p);
-                    streams.push(interner.intern_scanned(&scanned, p));
-                    pages.push(scanned.to_tokens(p));
-                } else {
-                    pages.push(self.pages[i].clone());
-                    streams.push(self.streams[i].clone());
-                }
-            }
-            (pages, streams)
+        let (streams, spans): (Vec<_>, Vec<_>) = timings.time(Stage::Tokenize, || {
+            (0..list_pages.len())
+                .map(|i| {
+                    if changed[i] {
+                        changed_bytes += list_pages[i].len();
+                        interner.intern_page(list_pages[i])
+                    } else {
+                        (self.streams[i].clone(), self.spans[i].clone())
+                    }
+                })
+                .unzip()
         });
 
         let refreshed = timings.time(Stage::TemplateInduction, || {
-            // The cached template's tokens all exist in the cached
-            // interner, so interning them back is a pure lookup.
-            let tpl_syms: Vec<Symbol> = self
-                .induction
-                .template
-                .tokens
-                .iter()
-                .map(|t| interner.intern_token(t))
-                .collect();
-            let mut anchors: Vec<Vec<usize>> = Vec::with_capacity(pages.len());
+            // The cached template's symbols are valid in the extended
+            // interner, which only ever appends.
+            let tpl_syms = &self.induction.template.symbols;
+            let mut anchors: Vec<Vec<usize>> = Vec::with_capacity(streams.len());
             for (i, stream) in streams.iter().enumerate() {
                 if !changed[i] {
                     anchors.push(self.induction.anchors[i].clone());
@@ -268,8 +259,8 @@ impl SiteTemplate {
                     e.0 += 1;
                 }
                 let mut anchor = Vec::with_capacity(tpl_syms.len());
-                for &sym in &tpl_syms {
-                    match occurrences.get(&sym) {
+                for sym in tpl_syms {
+                    match occurrences.get(sym) {
                         Some(&(1, pos)) => anchor.push(pos),
                         _ => return None,
                     }
@@ -283,9 +274,8 @@ impl SiteTemplate {
                 template: self.induction.template.clone(),
                 anchors,
             };
-            let lens: Vec<usize> = pages.iter().map(Vec::len).collect();
-            let dropped = tableseg_template::restabilize(&mut induction, &lens);
-            let quality = assess(&induction, &pages);
+            let dropped = tableseg_template::restabilize(&mut induction, &interner);
+            let quality = assess(&induction, &streams, &interner);
             // Fall back to full re-induction when slot stability degrades:
             // the stability pass gutted the template, or a usable template
             // went unusable under the new sample.
@@ -295,18 +285,13 @@ impl SiteTemplate {
             if self.quality.is_usable() && !quality.is_usable() {
                 return None;
             }
-            Some((induction, quality, dropped))
+            let table_slot = table_slot(&induction, &quality, &streams, &interner);
+            Some((induction, quality, table_slot, dropped))
         });
-        let (induction, quality, dropped) = refreshed?;
+        let (induction, quality, table_slot, dropped) = refreshed?;
 
-        let (separators, page_indexes) = timings.time(Stage::Matching, || {
-            let separators = SeparatorMask::build(&interner);
-            let page_indexes: Vec<PageIndex> = streams
-                .iter()
-                .map(|s| PageIndex::from_interned(s, &separators))
-                .collect();
-            (separators, page_indexes)
-        });
+        let (separators, page_indexes) =
+            timings.time(Stage::Matching, || index_lists(&interner, &streams));
 
         let mut metrics = Recorder::new();
         let changed_pages = changed.iter().filter(|&&c| c).count();
@@ -321,17 +306,48 @@ impl SiteTemplate {
         }
         metrics.bump(Counter::TemplateAnchorsDropped, dropped as u64);
         Some(SiteTemplate {
-            pages,
             interner,
             streams,
+            spans,
             separators,
             page_indexes,
             induction,
             quality,
+            table_slot,
             timings,
             metrics,
         })
     }
+}
+
+/// The site's table slot: the slot holding the most text tokens, unless
+/// the template is degenerate or no slot holds text — then `None`, and
+/// each page is used whole (Section 6.2: "In cases where the template
+/// finding algorithm could not find a good page template, we have taken
+/// the entire text of the list page").
+fn table_slot(
+    induction: &Induction,
+    quality: &TemplateQuality,
+    streams: &[Vec<Symbol>],
+    interner: &Interner,
+) -> Option<Slot> {
+    if !quality.is_usable() {
+        return None;
+    }
+    let mut slots = induction.slots(streams);
+    let idx = slots.table_slot(streams, interner)?;
+    Some(slots.slots.swap_remove(idx))
+}
+
+/// Classifies every symbol as separator or not, and indexes each list
+/// page's reduced stream for the all-list-pages filter.
+fn index_lists(interner: &Interner, streams: &[Vec<Symbol>]) -> (SeparatorMask, Vec<PageIndex>) {
+    let separators = SeparatorMask::build(interner);
+    let page_indexes = streams
+        .iter()
+        .map(|s| PageIndex::from_interned(s, &separators))
+        .collect();
+    (separators, page_indexes)
 }
 
 /// Runs the shared front end on a site's pages.
@@ -393,12 +409,12 @@ pub fn try_prepare_with_template(
 
 /// Reports a `target` past the site's sample list pages.
 fn check_target(template: &SiteTemplate, target: usize) -> Result<(), SegError> {
-    if target < template.pages.len() {
+    if target < template.streams.len() {
         Ok(())
     } else {
         Err(SegError::TargetOutOfBounds {
             target,
-            pages: template.pages.len(),
+            pages: template.streams.len(),
         })
     }
 }
@@ -406,8 +422,8 @@ fn check_target(template: &SiteTemplate, target: usize) -> Result<(), SegError> 
 /// Indexes a list page's detail pages once, for every table region the
 /// page is prepared for: each page is scanned into span tokens and
 /// projected straight into a [`PageIndex`] through the site interner,
-/// read-only — detail pages are only ever matched against, so no owned
-/// `Token` stream and no per-token strings are built. Scanning is timed
+/// read-only — detail pages are only ever matched against, so no
+/// per-token strings are built. Scanning is timed
 /// as tokenize, indexing as matching; the pages and bytes are counted.
 fn index_details(
     template: &SiteTemplate,
@@ -443,8 +459,8 @@ fn index_details(
 /// The per-region front end: table-slot selection, extraction, and
 /// matching against the already indexed detail pages. With
 /// `slot_override` the supplied token range is the table slot (the detect
-/// stage's region path); without it the template picks the slot, falling
-/// back to the whole page. `target` must be in bounds.
+/// stage's region path); without it the site's table slot is used, or
+/// else the whole page. `target` must be in bounds.
 fn try_prepare_slot(
     template: &SiteTemplate,
     target: usize,
@@ -452,40 +468,26 @@ fn try_prepare_slot(
     slot_override: Option<std::ops::Range<usize>>,
 ) -> Result<PreparedPage, SegError> {
     let mut timings = StageTimes::new();
-    // Table slot: the slot with the most text tokens, unless the template
-    // is degenerate — then the entire page (Section 6.2: "In cases where
-    // the template finding algorithm could not find a good page template,
-    // we have taken the entire text of the list page").
-    let pages = &template.pages;
-    let target_tokens = &pages[target];
     let target_syms = &template.streams[target];
-    let (slot_range, used_whole_page) = caught("template", || {
-        if let Some(region) = slot_override {
-            (region, false)
-        } else if template.quality.is_usable() {
-            let slots = template.induction.slots(pages);
-            match slots.table_slot(pages) {
-                Some(idx) => (slots.slots[idx].ranges[target].clone(), false),
-                None => (0..target_tokens.len(), true),
-            }
-        } else {
-            (0..target_tokens.len(), true)
-        }
-    })?;
-    if slot_range.end > target_tokens.len() || slot_range.start > slot_range.end {
+    let (slot, used_whole_page) = match (slot_override, &template.table_slot) {
+        (Some(region), _) => (region, false),
+        (None, Some(table)) => (table.ranges[target].clone(), false),
+        (None, None) => (0..target_syms.len(), true),
+    };
+    if slot.end > target_syms.len() || slot.start > slot.end {
         return Err(SegError::StreamMisaligned {
             what: "table-slot range",
-            expected: target_tokens.len(),
-            got: slot_range.end,
+            expected: target_syms.len(),
+            got: slot.end,
         });
     }
-    let slot_tokens = &target_tokens[slot_range.clone()];
-    // Streams align token-for-token with pages, so the slot's symbols are
-    // the same range of the target's interned stream.
-    let slot_syms = &target_syms[slot_range];
+    let slot_syms = &target_syms[slot.clone()];
+    let slot_spans = &template.spans[target][slot.clone()];
 
     let extracts = caught("extract", || {
-        timings.time(Stage::Extraction, || derive_extracts(slot_tokens))
+        timings.time(Stage::Extraction, || {
+            derive_extracts(slot_syms, slot_spans, &template.interner)
+        })
     })?;
     let observations = caught("match", || {
         timings.time(Stage::Matching, || {
@@ -541,7 +543,7 @@ fn try_prepare_slot(
         skipped_offsets,
         used_whole_page,
         template_quality: template.quality,
-        slot_tokens: slot_tokens.to_vec(),
+        slot,
         timings,
         metrics,
     })
@@ -685,7 +687,14 @@ fn front_end(
         None => vec![None],
         Some(opts) => {
             let start = std::time::Instant::now();
-            let detection = caught("detect", || detect_regions(&template.pages[target], opts))?;
+            let detection = caught("detect", || {
+                detect_regions(
+                    &template.streams[target],
+                    &template.spans[target],
+                    &template.interner,
+                    opts,
+                )
+            })?;
             // Detection overlaps the extraction stage; `detect.regions`
             // re-attributes that time, mirroring the solve sub-stages.
             let elapsed = start.elapsed();
@@ -800,6 +809,7 @@ mod tests {
         };
         let prep = prepare(&input);
         assert!(!prep.used_whole_page, "{:?}", prep.template_quality);
+        assert!(prep.slot.start > 0, "the slot leaves out the page header");
         // Only the four record values are kept extracts.
         assert_eq!(prep.observations.len(), 4);
         assert_eq!(prep.extract_offsets.len(), 4);
@@ -887,11 +897,13 @@ mod tests {
             "refresh must not re-induce"
         );
         assert_eq!(
-            refreshed.induction.template.tokens, cached.induction.template.tokens,
+            refreshed.induction.template, cached.induction.template,
             "refresh of unchanged pages must keep the template"
         );
         assert_eq!(refreshed.induction.anchors, cached.induction.anchors);
         assert_eq!(refreshed.streams, cached.streams);
+        assert_eq!(refreshed.spans, cached.spans);
+        assert_eq!(refreshed.table_slot, cached.table_slot);
         assert_eq!(refreshed.quality.template_len, cached.quality.template_len);
     }
 
@@ -904,10 +916,7 @@ mod tests {
         let refreshed = cached
             .try_refresh(&[&a, &b2], &[false, true])
             .expect("a data-only change must refresh");
-        assert_eq!(
-            refreshed.induction.template.tokens,
-            cached.induction.template.tokens
-        );
+        assert_eq!(refreshed.induction.template, cached.induction.template);
         // Unchanged page keeps its anchors verbatim.
         assert_eq!(refreshed.induction.anchors[0], cached.induction.anchors[0]);
         // The refreshed template segments the new sample like a full build.

@@ -186,15 +186,14 @@ impl Segmenter for ProbSegmenter {
 mod tests {
     use super::*;
     use tableseg_extract::build_observations;
-    use tableseg_html::{lexer::tokenize, Token};
 
     fn obs() -> Observations {
-        let list = tokenize("<td>Ada Lovelace</td><td>100</td><td>Alan Turing</td><td>200</td>");
-        let d1 = tokenize("<p>Ada Lovelace</p><p>100</p>");
-        let d2 = tokenize("<p>Alan Turing</p><p>200</p>");
-        let d3 = tokenize("<p>nothing</p>");
-        let details: Vec<&[Token]> = vec![&d1, &d2, &d3];
-        build_observations(&list, &[], &details)
+        let list = "<td>Ada Lovelace</td><td>100</td><td>Alan Turing</td><td>200</td>";
+        let d1 = "<p>Ada Lovelace</p><p>100</p>";
+        let d2 = "<p>Alan Turing</p><p>200</p>";
+        let d3 = "<p>nothing</p>";
+        let details = [d1, d2, d3];
+        build_observations(list, &[], &details)
     }
 
     #[test]

@@ -12,13 +12,13 @@
 //! each record's first field, one *separator* between each pair of
 //! adjacent fields, and a *tail* following the last field. Induction takes
 //! the records that display the full field count (the paper's period π)
-//! and intersects their delimiter contexts; application scans a token
-//! stream for head occurrences and reads fields up to each separator.
+//! and intersects their delimiter contexts; application scans a page's
+//! token texts for head occurrences and reads fields up to each separator.
 
 use tableseg_extract::Segmentation;
-use tableseg_html::Token;
+use tableseg_html::scan;
 
-use crate::pipeline::PreparedPage;
+use crate::pipeline::{PreparedPage, SiteTemplate};
 
 /// Maximum delimiter length learned, in tokens.
 const MAX_DELIM: usize = 8;
@@ -44,13 +44,13 @@ impl RowWrapper {
         self.seps.len() + 1
     }
 
-    /// Extracts records from a token stream (e.g. a *new* list page from
-    /// the same site, tokenized with
-    /// [`tokenize`](tableseg_html::lexer::tokenize)).
+    /// Extracts records from the HTML of a page (e.g. a *new* list page
+    /// from the same site).
     ///
     /// Returns one `Vec<String>` of field texts per detected record.
-    pub fn extract(&self, tokens: &[Token]) -> Vec<Vec<String>> {
-        let texts: Vec<&str> = tokens.iter().map(|t| t.text.as_str()).collect();
+    pub fn extract(&self, html: &str) -> Vec<Vec<String>> {
+        let scanned = scan(html);
+        let texts: Vec<&str> = scanned.iter(html).map(|(text, _, _)| text).collect();
         let mut records = Vec::new();
         let mut i = 0;
         while i + self.head.len() <= texts.len() {
@@ -126,12 +126,22 @@ fn read_field(texts: &[&str], pos: usize, delim: &[String]) -> Option<(String, u
 }
 
 /// Induces a row wrapper from a prepared page and its segmentation.
+/// `prepared` is list page `target` of `template`, whose slot texts give
+/// the delimiters.
 ///
 /// Returns `None` when the page offers no consistent delimiters — fewer
 /// than two full records, records with differing field counts only, or
 /// empty common contexts.
-pub fn induce_wrapper(prepared: &PreparedPage, seg: &Segmentation) -> Option<RowWrapper> {
-    let tokens = &prepared.slot_tokens;
+pub fn induce_wrapper(
+    template: &SiteTemplate,
+    target: usize,
+    prepared: &PreparedPage,
+    seg: &Segmentation,
+) -> Option<RowWrapper> {
+    let tokens: Vec<&str> = template.streams[target][prepared.slot.clone()]
+        .iter()
+        .map(|&s| template.interner.text(s))
+        .collect();
     let obs = &prepared.observations;
 
     // Field spans per record: (start, end) token ranges of each assigned
@@ -170,7 +180,7 @@ pub fn induce_wrapper(prepared: &PreparedPage, seg: &Segmentation) -> Option<Row
     // record's first field.
     let head = common_suffix(
         rows.iter()
-            .map(|r| preceding(tokens, r[0].0))
+            .map(|r| preceding(&tokens, r[0].0))
             .collect::<Vec<_>>(),
     );
     if head.is_empty() {
@@ -186,10 +196,7 @@ pub fn induce_wrapper(prepared: &PreparedPage, seg: &Segmentation) -> Option<Row
                 .map(|r| {
                     let (_, end) = r[f];
                     let (next_start, _) = r[f + 1];
-                    tokens[end..next_start]
-                        .iter()
-                        .map(|t| t.text.clone())
-                        .collect::<Vec<_>>()
+                    texts(&tokens[end..next_start])
                 })
                 .collect::<Vec<_>>(),
         );
@@ -203,7 +210,7 @@ pub fn induce_wrapper(prepared: &PreparedPage, seg: &Segmentation) -> Option<Row
     // last field.
     let tail = common_prefix(
         rows.iter()
-            .map(|r| following(tokens, r[modal - 1].1))
+            .map(|r| following(&tokens, r[modal - 1].1))
             .collect::<Vec<_>>(),
     );
     if tail.is_empty() {
@@ -213,16 +220,19 @@ pub fn induce_wrapper(prepared: &PreparedPage, seg: &Segmentation) -> Option<Row
     Some(RowWrapper { head, seps, tail })
 }
 
+/// Owned copies of token texts.
+fn texts(tokens: &[&str]) -> Vec<String> {
+    tokens.iter().map(|t| t.to_string()).collect()
+}
+
 /// Up to [`MAX_DELIM`] token texts preceding `pos`.
-fn preceding(tokens: &[Token], pos: usize) -> Vec<String> {
-    let start = pos.saturating_sub(MAX_DELIM);
-    tokens[start..pos].iter().map(|t| t.text.clone()).collect()
+fn preceding(tokens: &[&str], pos: usize) -> Vec<String> {
+    texts(&tokens[pos.saturating_sub(MAX_DELIM)..pos])
 }
 
 /// Up to [`MAX_DELIM`] token texts following `pos`.
-fn following(tokens: &[Token], pos: usize) -> Vec<String> {
-    let end = (pos + MAX_DELIM).min(tokens.len());
-    tokens[pos..end].iter().map(|t| t.text.clone()).collect()
+fn following(tokens: &[&str], pos: usize) -> Vec<String> {
+    texts(&tokens[pos..(pos + MAX_DELIM).min(tokens.len())])
 }
 
 /// Longest common suffix of several sequences.
@@ -261,9 +271,8 @@ fn common_prefix(seqs: Vec<Vec<String>>) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{prepare, SitePages};
+    use crate::pipeline::try_prepare_with_template;
     use crate::segmenter::{CspSegmenter, Segmenter};
-    use tableseg_html::lexer::tokenize;
 
     fn page(rows: &[(&str, &str)]) -> String {
         let body: String = rows
@@ -276,35 +285,34 @@ mod tests {
         )
     }
 
-    fn prepared_and_seg() -> (PreparedPage, Segmentation) {
+    /// The wrapper induced from page 0 of a two-page site, if any.
+    fn wrapper_of(a: &str, b: &str, details: &[&str]) -> Option<RowWrapper> {
+        let template = SiteTemplate::build(&[a, b]);
+        let prepared = try_prepare_with_template(&template, 0, details).expect("prepared");
+        let seg = CspSegmenter::default()
+            .segment(&prepared.observations)
+            .segmentation;
+        induce_wrapper(&template, 0, &prepared, &seg)
+    }
+
+    fn wrapper() -> RowWrapper {
         let a = page(&[
             ("Ada Lovelace", "(555) 100-0001"),
             ("Alan Turing", "(555) 100-0002"),
             ("Grace Hopper", "(555) 100-0003"),
         ]);
         let b = page(&[("Donald Knuth", "(555) 100-0004")]);
-        let details = vec![
+        let details = [
             "<html><h2>Ada Lovelace</h2><p>(555) 100-0001</p></html>",
             "<html><h2>Alan Turing</h2><p>(555) 100-0002</p></html>",
             "<html><h2>Grace Hopper</h2><p>(555) 100-0003</p></html>",
         ];
-        let a: &'static str = Box::leak(a.into_boxed_str());
-        let b: &'static str = Box::leak(b.into_boxed_str());
-        let prepared = prepare(&SitePages {
-            list_pages: vec![a, b],
-            target: 0,
-            detail_pages: details,
-        });
-        let seg = CspSegmenter::default()
-            .segment(&prepared.observations)
-            .segmentation;
-        (prepared, seg)
+        wrapper_of(&a, &b, &details).expect("wrapper")
     }
 
     #[test]
     fn induces_row_delimiters() {
-        let (prepared, seg) = prepared_and_seg();
-        let w = induce_wrapper(&prepared, &seg).expect("wrapper");
+        let w = wrapper();
         assert_eq!(w.num_fields(), 2);
         assert_eq!(w.head.last().map(String::as_str), Some("<td>"));
         assert_eq!(w.seps[0].last().map(String::as_str), Some("<td>"));
@@ -313,14 +321,13 @@ mod tests {
 
     #[test]
     fn wrapper_extracts_from_a_new_page_without_detail_pages() {
-        let (prepared, seg) = prepared_and_seg();
-        let w = induce_wrapper(&prepared, &seg).expect("wrapper");
+        let w = wrapper();
         // A brand-new page from the same site.
         let new_page = page(&[
             ("Edsger Dijkstra", "(555) 100-0009"),
             ("Tony Hoare", "(555) 100-0010"),
         ]);
-        let records = w.extract(&tokenize(&new_page));
+        let records = w.extract(&new_page);
         assert_eq!(records.len(), 2, "{records:?}");
         assert_eq!(records[0][0], "Edsger Dijkstra");
         assert!(records[0][1].contains("100 - 0009"));
@@ -331,18 +338,8 @@ mod tests {
     fn too_few_records_yield_no_wrapper() {
         let a = page(&[("Ada Lovelace", "(555) 100-0001")]);
         let b = page(&[("Donald Knuth", "(555) 100-0004")]);
-        let details = vec!["<html><h2>Ada Lovelace</h2><p>(555) 100-0001</p></html>"];
-        let a: &'static str = Box::leak(a.into_boxed_str());
-        let b: &'static str = Box::leak(b.into_boxed_str());
-        let prepared = prepare(&SitePages {
-            list_pages: vec![a, b],
-            target: 0,
-            detail_pages: details,
-        });
-        let seg = CspSegmenter::default()
-            .segment(&prepared.observations)
-            .segmentation;
-        assert!(induce_wrapper(&prepared, &seg).is_none());
+        let details = ["<html><h2>Ada Lovelace</h2><p>(555) 100-0001</p></html>"];
+        assert!(wrapper_of(&a, &b, &details).is_none());
     }
 
     #[test]
@@ -362,13 +359,12 @@ mod tests {
 
     #[test]
     fn extract_resyncs_after_damage() {
-        let (prepared, seg) = prepared_and_seg();
-        let w = induce_wrapper(&prepared, &seg).expect("wrapper");
+        let w = wrapper();
         // A page with one malformed row between two good ones.
         let html = "<tr><td>Edsger Dijkstra</td><td>(555) 100-0009</td></tr>\
                     <tr><td>broken row no second cell</tr>\
                     <tr><td>Tony Hoare</td><td>(555) 100-0010</td></tr>";
-        let records = w.extract(&tokenize(html));
+        let records = w.extract(html);
         assert!(records.iter().any(|r| r[0] == "Edsger Dijkstra"));
         assert!(records.iter().any(|r| r[0] == "Tony Hoare"));
     }

@@ -150,24 +150,17 @@ pub fn encode(obs: &Observations, opts: &EncodeOptions) -> Encoding {
 pub(crate) mod tests {
     use super::*;
     use tableseg_extract::build_observations;
-    use tableseg_html::{lexer::tokenize, Token};
 
     /// The paper's Superpages example (Tables 1-3).
     pub(crate) fn superpages_obs() -> Observations {
-        let list = tokenize(
-            "<tr><td>John Smith</td><td>221 Washington</td><td>New Holland</td><td>(740) 335-5555</td></tr>\
+        let list = "<tr><td>John Smith</td><td>221 Washington</td><td>New Holland</td><td>(740) 335-5555</td></tr>\
              <tr><td>John Smith</td><td>221R Washington St</td><td>Wash CH</td><td>(740) 335-5555</td></tr>\
-             <tr><td>George W. Smith</td><td>Findlay, OH</td><td>(419) 423-1212</td></tr>",
-        );
-        let d1 = tokenize(
-            "<h1>John Smith</h1><p>221 Washington</p><p>New Holland</p><p>(740) 335-5555</p>",
-        );
-        let d2 = tokenize(
-            "<h1>John Smith</h1><p>221R Washington St</p><p>Wash CH</p><p>(740) 335-5555</p>",
-        );
-        let d3 = tokenize("<h1>George W. Smith</h1><p>Findlay, OH</p><p>(419) 423-1212</p>");
-        let details: Vec<&[Token]> = vec![&d1, &d2, &d3];
-        build_observations(&list, &[], &details)
+             <tr><td>George W. Smith</td><td>Findlay, OH</td><td>(419) 423-1212</td></tr>";
+        let d1 = "<h1>John Smith</h1><p>221 Washington</p><p>New Holland</p><p>(740) 335-5555</p>";
+        let d2 = "<h1>John Smith</h1><p>221R Washington St</p><p>Wash CH</p><p>(740) 335-5555</p>";
+        let d3 = "<h1>George W. Smith</h1><p>Findlay, OH</p><p>(419) 423-1212</p>";
+        let details = [d1, d2, d3];
+        build_observations(list, &[], &details)
     }
 
     #[test]
@@ -253,7 +246,7 @@ pub(crate) mod tests {
 
     #[test]
     fn empty_observations_empty_model() {
-        let obs = build_observations(&[], &[], &[]);
+        let obs = build_observations("", &[], &[]);
         let enc = encode(&obs, &EncodeOptions::default());
         assert_eq!(enc.model.num_vars, 0);
         assert_eq!(enc.model.num_rows(), 0);

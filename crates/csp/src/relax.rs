@@ -258,13 +258,9 @@ pub fn segment_csp(obs: &Observations, opts: &CspOptions) -> CspOutcome {
 mod tests {
     use super::*;
     use tableseg_extract::build_observations;
-    use tableseg_html::{lexer::tokenize, Token};
 
     fn observations(list: &str, details: &[&str]) -> Observations {
-        let list_toks = tokenize(list);
-        let detail_toks: Vec<Vec<Token>> = details.iter().map(|d| tokenize(d)).collect();
-        let refs: Vec<&[Token]> = detail_toks.iter().map(Vec::as_slice).collect();
-        build_observations(&list_toks, &[], &refs)
+        build_observations(list, &[], details)
     }
 
     fn segment(list: &str, details: &[&str]) -> (Observations, CspOutcome) {
@@ -476,7 +472,7 @@ mod tests {
 
     #[test]
     fn empty_observation_table() {
-        let obs = build_observations(&[], &[], &[]);
+        let obs = build_observations("", &[], &[]);
         let out = segment_csp(&obs, &CspOptions::default());
         assert_eq!(out.status, CspStatus::Solved);
         assert!(out.segmentation.assignments.is_empty());

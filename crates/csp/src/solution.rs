@@ -26,15 +26,14 @@ mod tests {
     use super::*;
     use crate::encoder::{encode, EncodeOptions};
     use tableseg_extract::build_observations;
-    use tableseg_html::{lexer::tokenize, Token};
 
     #[test]
     fn decode_roundtrip() {
-        let list = tokenize("<td>A</td><td>B</td>");
-        let d1 = tokenize("<p>A</p>");
-        let d2 = tokenize("<p>B</p>");
-        let details: Vec<&[Token]> = vec![&d1, &d2];
-        let obs = build_observations(&list, &[], &details);
+        let list = "<td>A</td><td>B</td>";
+        let d1 = "<p>A</p>";
+        let d2 = "<p>B</p>";
+        let details = [d1, d2];
+        let obs = build_observations(list, &[], &details);
         let enc = encode(&obs, &EncodeOptions::default());
         // A → r1, B → r2.
         let mut assignment = vec![false; enc.model.num_vars];
@@ -47,11 +46,11 @@ mod tests {
 
     #[test]
     fn decode_partial() {
-        let list = tokenize("<td>A</td><td>B</td>");
-        let d1 = tokenize("<p>A</p>");
-        let d2 = tokenize("<p>B</p>");
-        let details: Vec<&[Token]> = vec![&d1, &d2];
-        let obs = build_observations(&list, &[], &details);
+        let list = "<td>A</td><td>B</td>";
+        let d1 = "<p>A</p>";
+        let d2 = "<p>B</p>";
+        let details = [d1, d2];
+        let obs = build_observations(list, &[], &details);
         let mut enc = encode(&obs, &EncodeOptions::default());
         enc.relax();
         let mut assignment = vec![false; enc.model.num_vars];
@@ -63,12 +62,12 @@ mod tests {
 
     #[test]
     fn decode_conflict_takes_lowest_record() {
-        let list = tokenize("<td>X</td><td>Y</td><td>Z</td>");
-        let d1 = tokenize("<p>X</p>");
-        let d2 = tokenize("<p>X</p><p>Y</p>");
-        let d3 = tokenize("<p>Z</p>");
-        let details: Vec<&[Token]> = vec![&d1, &d2, &d3];
-        let obs = build_observations(&list, &[], &details);
+        let list = "<td>X</td><td>Y</td><td>Z</td>";
+        let d1 = "<p>X</p>";
+        let d2 = "<p>X</p><p>Y</p>";
+        let d3 = "<p>Z</p>";
+        let details = [d1, d2, d3];
+        let obs = build_observations(list, &[], &details);
         let enc = encode(&obs, &EncodeOptions::default());
         let mut assignment = vec![false; enc.model.num_vars];
         assignment[enc.var(0, 0).unwrap()] = true;

@@ -1,8 +1,10 @@
 //! Extracts: maximal separator-free token runs — "all visible strings in
 //! the table".
 
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
-use tableseg_html::Token;
+use tableseg_html::{Interner, Symbol, Token};
 
 use crate::separator::is_separator;
 
@@ -17,8 +19,8 @@ pub struct Extract {
     pub index: usize,
     /// The tokens making up the extract.
     pub tokens: Vec<Token>,
-    /// Index of the first token of this extract within the token slice the
-    /// extracts were derived from.
+    /// Index of the first token of this extract within the symbol slice
+    /// the extracts were derived from.
     pub start: usize,
 }
 
@@ -45,43 +47,50 @@ impl Extract {
     }
 }
 
-/// Splits a token stream (the table slot contents) into extracts: maximal
-/// runs of non-separator tokens.
-pub fn derive_extracts(tokens: &[Token]) -> Vec<Extract> {
+/// Splits a symbol stream (the table slot of an interned page) into
+/// extracts: maximal runs of non-separator tokens.
+///
+/// `spans[i]` is the byte range of token `i` in the page (see
+/// [`Interner::intern_page`]); texts and types are read through
+/// `interner`. Only the extracts' own tokens are materialized.
+pub fn derive_extracts(syms: &[Symbol], spans: &[Range<u32>], interner: &Interner) -> Vec<Extract> {
+    debug_assert_eq!(syms.len(), spans.len(), "one span per symbol");
+    let separator = |s: Symbol| is_separator(interner.text(s), interner.types(s));
     let mut out = Vec::new();
-    let mut run: Vec<Token> = Vec::new();
-    let mut run_start = 0;
-    for (i, tok) in tokens.iter().enumerate() {
-        if is_separator(tok) {
-            flush(&mut out, &mut run, run_start);
-        } else {
-            if run.is_empty() {
-                run_start = i;
-            }
-            run.push(tok.clone());
+    let mut i = 0;
+    while i < syms.len() {
+        if separator(syms[i]) {
+            i += 1;
+            continue;
         }
-    }
-    flush(&mut out, &mut run, run_start);
-    out
-}
-
-fn flush(out: &mut Vec<Extract>, run: &mut Vec<Token>, start: usize) {
-    if !run.is_empty() {
+        let start = i;
+        while i < syms.len() && !separator(syms[i]) {
+            i += 1;
+        }
+        let tokens = (start..i)
+            .map(|j| Token {
+                text: interner.text(syms[j]).to_owned(),
+                types: interner.types(syms[j]),
+                offset: spans[j].start as usize,
+            })
+            .collect();
         out.push(Extract {
             index: out.len(),
-            tokens: std::mem::take(run),
+            tokens,
             start,
         });
     }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tableseg_html::lexer::tokenize;
 
     fn derive(html: &str) -> Vec<Extract> {
-        derive_extracts(&tokenize(html))
+        let mut interner = Interner::new();
+        let (syms, spans) = interner.intern_page(html);
+        derive_extracts(&syms, &spans, &interner)
     }
 
     #[test]
@@ -119,11 +128,12 @@ mod tests {
 
     #[test]
     fn starts_record_token_positions() {
-        let toks = tokenize("<td>A</td><td>B C</td>");
-        let ex = derive_extracts(&toks);
+        let html = "<td>A</td><td>B C</td>";
+        let ex = derive(html);
         assert_eq!(ex[0].start, 1);
         assert_eq!(ex[1].start, 4);
-        assert_eq!(toks[ex[1].start].text, "B");
+        assert_eq!(ex[1].tokens[0].text, "B");
+        assert_eq!(&html[ex[1].tokens[0].offset..], "B C</td>");
     }
 
     #[test]

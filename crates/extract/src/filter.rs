@@ -63,18 +63,17 @@ pub fn decide(
 mod tests {
     use super::*;
     use crate::matcher::PageIndex;
-    use tableseg_html::lexer::tokenize;
-    use tableseg_html::Interner;
+    use tableseg_html::{scan, Interner};
 
     /// The closure production callers build over the other list pages:
     /// the needle's words are interned, and each page is indexed
     /// read-only through the same interner.
     fn on_all(needle: &str, others: &[&str]) -> bool {
         let mut interner = Interner::new();
-        let needle = interner.intern_tokens(&tokenize(needle));
+        let (needle, _) = interner.intern_page(needle);
         let others: Vec<PageIndex> = others
             .iter()
-            .map(|p| PageIndex::build(&tokenize(p), &interner))
+            .map(|p| PageIndex::from_scanned(&scan(p), p, &interner))
             .collect();
         !others.is_empty() && others.iter().all(|idx| idx.contains(&needle))
     }

@@ -18,7 +18,7 @@
 //! matcher is kept in the test suite (`tests/oracle`) as its differential
 //! oracle and reference semantics.
 
-use tableseg_html::{Interner, Symbol, Token, UNKNOWN_SYMBOL};
+use tableseg_html::{Interner, ScanTokens, Symbol, UNKNOWN_SYMBOL};
 
 use crate::separator::{is_separator, SeparatorMask};
 
@@ -40,32 +40,17 @@ pub struct PageIndex {
 }
 
 impl PageIndex {
-    /// Builds the index of a page by reducing its token stream and mapping
-    /// each text through `interner` **read-only** (texts the interner has
-    /// never seen become [`UNKNOWN_SYMBOL`], which matches nothing).
-    pub fn build(tokens: &[Token], interner: &Interner) -> PageIndex {
-        let mut syms = Vec::with_capacity(tokens.len());
-        for t in tokens {
-            if !is_separator(t) {
-                syms.push(interner.lookup(&t.text).unwrap_or(UNKNOWN_SYMBOL));
-            }
-        }
-        PageIndex::from_symbols(syms)
-    }
-
     /// Builds the index of a zero-copy scanned page in one pass: each
-    /// span is resolved against the page, separator-reduced, and
-    /// projected read-only through `interner` — no owned token stream is
-    /// ever materialized. Equivalent to
-    /// `PageIndex::build(&scanned.to_tokens(input), interner)`.
-    pub fn from_scanned(
-        scanned: &tableseg_html::ScanTokens,
-        input: &str,
-        interner: &Interner,
-    ) -> PageIndex {
+    /// span is resolved against the page, separator-reduced, and mapped
+    /// through `interner` **read-only** — texts the interner has never
+    /// seen become [`UNKNOWN_SYMBOL`], which matches nothing. This is how
+    /// detail pages enter the symbol domain: extract needles always come
+    /// from interned list pages, so the site interner stays immutable
+    /// and shareable across batch workers.
+    pub fn from_scanned(scanned: &ScanTokens, input: &str, interner: &Interner) -> PageIndex {
         let mut syms = Vec::with_capacity(scanned.len());
         for (text, types, _) in scanned.iter(input) {
-            if !crate::separator::is_separator_parts(text, types) {
+            if !is_separator(text, types) {
                 syms.push(interner.lookup(text).unwrap_or(UNKNOWN_SYMBOL));
             }
         }
@@ -163,17 +148,19 @@ impl PageIndex {
 mod tests {
     use super::*;
     use tableseg_html::lexer::tokenize;
+    use tableseg_html::scan;
 
     /// Interner over the needle + index over the page, the way production
-    /// code pairs them.
+    /// code pairs them: the needle is interned, the page projected.
     fn indexed(needle_html: &str, page_html: &str) -> (Vec<Symbol>, PageIndex) {
         let mut interner = Interner::new();
-        let needle: Vec<Symbol> = tokenize(needle_html)
-            .iter()
-            .filter(|t| !is_separator(t))
-            .map(|t| interner.intern_token(t))
+        let (syms, _) = interner.intern_page(needle_html);
+        let mask = SeparatorMask::build(&interner);
+        let needle = syms
+            .into_iter()
+            .filter(|&s| !mask.is_separator(s))
             .collect();
-        let index = PageIndex::build(&tokenize(page_html), &interner);
+        let index = PageIndex::from_scanned(&scan(page_html), page_html, &interner);
         (needle, index)
     }
 
@@ -243,7 +230,8 @@ mod tests {
         let mut interner = Interner::new();
         let needle = vec![interner.intern("known")];
         // Page tokens were never interned → all UNKNOWN_SYMBOL.
-        let index = PageIndex::build(&tokenize("mystery words here"), &interner);
+        let page = "mystery words here";
+        let index = PageIndex::from_scanned(&scan(page), page, &interner);
         assert_eq!(index.len(), 3, "unknown tokens still occupy positions");
         assert!(index.find_all(&needle).is_empty());
         // A needle containing the sentinel matches nothing either, even if
@@ -254,11 +242,10 @@ mod tests {
     #[test]
     fn from_interned_equals_build() {
         let html = "<td>John (740) 335-5555</td> ~ stuff";
-        let toks = tokenize(html);
         let mut interner = Interner::new();
-        let syms = interner.intern_tokens(&toks);
+        let (syms, _) = interner.intern_page(html);
         let mask = SeparatorMask::build(&interner);
-        let a = PageIndex::build(&toks, &interner);
+        let a = crate::oracle::index_tokens(&tokenize(html), &interner);
         let b = PageIndex::from_interned(&syms, &mask);
         assert_eq!(a.symbols(), b.symbols());
     }
@@ -267,19 +254,16 @@ mod tests {
     fn from_scanned_equals_build() {
         // Known words come from the "list page"; the "detail page" mixes
         // known and unknown texts, separators, and an entity decode.
-        let list = "<td>John (740) 335-5555</td>";
         let mut interner = Interner::new();
-        interner.intern_tokens(&tokenize(list));
+        interner.intern_page("<td>John (740) 335-5555</td>");
         for detail in [
             "<td>John AT&amp;T (740) 335-5555</td> ~ stuff",
             "unseen <TR>John</TR> 5555 | words",
             "",
             "~ | only separators <br>",
         ] {
-            let toks = tokenize(detail);
-            let a = PageIndex::build(&toks, &interner);
-            let scanned = tableseg_html::scan(detail);
-            let b = PageIndex::from_scanned(&scanned, detail, &interner);
+            let a = crate::oracle::index_tokens(&tokenize(detail), &interner);
+            let b = PageIndex::from_scanned(&scan(detail), detail, &interner);
             assert_eq!(a.symbols(), b.symbols(), "{detail:?}");
         }
     }

@@ -9,7 +9,7 @@
 //! (`tests/oracle`) as the differential oracle.
 
 use serde::{Deserialize, Serialize};
-use tableseg_html::{FastMap, Interner, Symbol, Token, TypeSet};
+use tableseg_html::{scan, FastMap, Interner, Symbol, TypeSet};
 
 use crate::extracts::{derive_extracts, Extract};
 use crate::filter::{decide, Decision, SkipReason};
@@ -109,52 +109,61 @@ impl Observations {
     }
 }
 
-/// Builds the observation table for the table-slot tokens of one list page.
+/// Builds the observation table of one list page, the whole page taken
+/// as the table slot.
 ///
-/// * `slot_tokens` — the tokens of the slot believed to contain the table
-///   (or the whole page under the fallback);
-/// * `other_list_pages` — full token streams of the *other* sample list
-///   pages, used by the all-list-pages filter;
-/// * `detail_pages` — full token streams of the detail pages, in record
-///   order (`detail_pages[j]` is the page reached from record `r_{j+1}`).
+/// * `list_page` — HTML of the list page;
+/// * `other_list_pages` — HTML of the *other* sample list pages, used by
+///   the all-list-pages filter;
+/// * `detail_pages` — HTML of the detail pages, in record order
+///   (`detail_pages[j]` is the page reached from record `r_{j+1}`).
+///
+/// One-shot form of the pipeline's front end: the list page is scanned
+/// and interned, its extracts derived from the symbol stream, and
+/// [`match_extracts`] matches them.
 pub fn build_observations(
-    slot_tokens: &[Token],
-    other_list_pages: &[&[Token]],
-    detail_pages: &[&[Token]],
+    list_page: &str,
+    other_list_pages: &[&str],
+    detail_pages: &[&str],
 ) -> Observations {
-    let extracts = derive_extracts(slot_tokens);
+    let mut interner = Interner::new();
+    let (syms, spans) = interner.intern_page(list_page);
+    let extracts = derive_extracts(&syms, &spans, &interner);
     match_extracts(extracts, other_list_pages, detail_pages)
 }
 
 /// The matching half of [`build_observations`]: observes already-derived
 /// extracts on the detail pages (and filters against the other list
-/// pages). Split out so callers can time extraction and matching as
-/// separate stages.
+/// pages), all given as HTML.
 ///
-/// One-shot symbol front end: interns the extract tokens, reduces and
-/// indexes every page against that interner, and runs the indexed match.
-/// Batch callers that already interned the site's pages should build the
-/// needles and [`PageIndex`]es themselves (once per site) and call
-/// [`match_extracts_indexed`].
+/// Interns the extract tokens, scans every page and indexes it through
+/// that interner read-only ([`PageIndex::from_scanned`]), and runs the
+/// indexed match. Batch callers that already interned the site's pages
+/// should build the needles and [`PageIndex`]es themselves (once per
+/// site) and call [`match_extracts_indexed`].
 pub fn match_extracts(
     extracts: Vec<Extract>,
-    other_list_pages: &[&[Token]],
-    detail_pages: &[&[Token]],
+    other_list_pages: &[&str],
+    detail_pages: &[&str],
 ) -> Observations {
     let mut interner = Interner::new();
     let needles: Vec<Vec<Symbol>> = extracts
         .iter()
-        .map(|e| interner.intern_tokens(&e.tokens))
+        .map(|e| {
+            e.tokens
+                .iter()
+                .map(|t| interner.intern_typed(&t.text, t.types))
+                .collect()
+        })
         .collect();
     let needle_refs: Vec<&[Symbol]> = needles.iter().map(Vec::as_slice).collect();
-    let details: Vec<PageIndex> = detail_pages
-        .iter()
-        .map(|p| PageIndex::build(p, &interner))
-        .collect();
-    let others: Vec<PageIndex> = other_list_pages
-        .iter()
-        .map(|p| PageIndex::build(p, &interner))
-        .collect();
+    let index = |pages: &[&str]| -> Vec<PageIndex> {
+        pages
+            .iter()
+            .map(|p| PageIndex::from_scanned(&scan(p), p, &interner))
+            .collect()
+    };
+    let (details, others) = (index(detail_pages), index(other_list_pages));
     let detail_refs: Vec<&PageIndex> = details.iter().collect();
     let other_refs: Vec<&PageIndex> = others.iter().collect();
     match_extracts_indexed(extracts, &needle_refs, &other_refs, &detail_refs)
@@ -240,20 +249,14 @@ mod tests {
 
     /// A miniature of the paper's Superpages example (Table 1): two records
     /// sharing a name and a phone number, plus a third record.
-    fn superpages_fixture() -> (Vec<Token>, Vec<Vec<Token>>) {
-        let list = tokenize(
-            "<tr><td>John Smith</td><td>221 Washington</td><td>New Holland</td><td>(740) 335-5555</td></tr>\
+    fn superpages_fixture() -> (&'static str, Vec<&'static str>) {
+        let list = "<tr><td>John Smith</td><td>221 Washington</td><td>New Holland</td><td>(740) 335-5555</td></tr>\
              <tr><td>John Smith</td><td>221R Washington</td><td>Washington</td><td>(740) 335-5555</td></tr>\
-             <tr><td>George W. Smith</td><td>Findlay, OH</td><td>(419) 423-1212</td></tr>",
-        );
+             <tr><td>George W. Smith</td><td>Findlay, OH</td><td>(419) 423-1212</td></tr>";
         let details = vec![
-            tokenize(
-                "<h1>John Smith</h1><p>221 Washington</p><p>New Holland</p><p>(740) 335-5555</p>",
-            ),
-            tokenize(
-                "<h1>John Smith</h1><p>221R Washington</p><p>Washington</p><p>(740) 335-5555</p>",
-            ),
-            tokenize("<h1>George W. Smith</h1><p>Findlay, OH</p><p>(419) 423-1212</p>"),
+            "<h1>John Smith</h1><p>221 Washington</p><p>New Holland</p><p>(740) 335-5555</p>",
+            "<h1>John Smith</h1><p>221R Washington</p><p>Washington</p><p>(740) 335-5555</p>",
+            "<h1>George W. Smith</h1><p>Findlay, OH</p><p>(419) 423-1212</p>",
         ];
         (list, details)
     }
@@ -261,8 +264,7 @@ mod tests {
     #[test]
     fn paper_table_1_shape() {
         let (list, details) = superpages_fixture();
-        let detail_refs: Vec<&[Token]> = details.iter().map(Vec::as_slice).collect();
-        let obs = build_observations(&list, &[], &detail_refs);
+        let obs = build_observations(list, &[], &details);
         assert_eq!(obs.num_records, 3);
         // 11 extracts kept, as in Table 1 of the paper.
         assert_eq!(obs.len(), 11);
@@ -285,8 +287,7 @@ mod tests {
     #[test]
     fn shared_extracts_have_multiple_positions() {
         let (list, details) = superpages_fixture();
-        let detail_refs: Vec<&[Token]> = details.iter().map(Vec::as_slice).collect();
-        let obs = build_observations(&list, &[], &detail_refs);
+        let obs = build_observations(list, &[], &details);
         // "John Smith" occurs once on r1 and once on r2: 2 observations.
         assert_eq!(obs.items[0].positions.len(), 2);
         let pages: Vec<u32> = obs.items[0].positions.iter().map(|p| p.page).collect();
@@ -298,9 +299,11 @@ mod tests {
     #[test]
     fn indexed_agrees_with_naive_on_superpages() {
         let (list, details) = superpages_fixture();
-        let detail_refs: Vec<&[Token]> = details.iter().map(Vec::as_slice).collect();
-        let fast = match_extracts(derive_extracts(&list), &[], &detail_refs);
-        let naive = crate::oracle::match_extracts_naive(derive_extracts(&list), &[], &detail_refs);
+        let extracts = crate::oracle::derive_extracts_tokens(&tokenize(list));
+        let fast = match_extracts(extracts.clone(), &[], &details);
+        let detail_tokens: Vec<_> = details.iter().map(|d| tokenize(d)).collect();
+        let detail_refs: Vec<&[_]> = detail_tokens.iter().map(Vec::as_slice).collect();
+        let naive = crate::oracle::match_extracts_naive(extracts, &[], &detail_refs);
         assert_eq!(fast.items, naive.items);
         assert_eq!(fast.skipped, naive.skipped);
         assert_eq!(fast.num_records, naive.num_records);
@@ -308,11 +311,10 @@ mod tests {
 
     #[test]
     fn extraneous_strings_are_skipped() {
-        let list = tokenize("<td>John Smith</td><td>More Info</td>");
-        let d1 = tokenize("<h1>John Smith</h1>");
-        let d2 = tokenize("<h1>Jane Doe</h1>");
-        let details: Vec<&[Token]> = vec![&d1, &d2];
-        let obs = build_observations(&list, &[], &details);
+        let list = "<td>John Smith</td><td>More Info</td>";
+        let d1 = "<h1>John Smith</h1>";
+        let d2 = "<h1>Jane Doe</h1>";
+        let obs = build_observations(list, &[], &[d1, d2]);
         assert_eq!(obs.len(), 1);
         assert_eq!(obs.skipped.len(), 1);
         assert_eq!(obs.skipped[0].extract.text(), "More Info");
@@ -321,11 +323,10 @@ mod tests {
 
     #[test]
     fn value_on_every_detail_page_is_skipped() {
-        let list = tokenize("<td>Springfield</td><td>John</td>");
-        let d1 = tokenize("<p>John</p><p>Springfield</p>");
-        let d2 = tokenize("<p>Jane</p><p>Springfield</p>");
-        let details: Vec<&[Token]> = vec![&d1, &d2];
-        let obs = build_observations(&list, &[], &details);
+        let list = "<td>Springfield</td><td>John</td>";
+        let d1 = "<p>John</p><p>Springfield</p>";
+        let d2 = "<p>Jane</p><p>Springfield</p>";
+        let obs = build_observations(list, &[], &[d1, d2]);
         assert_eq!(obs.len(), 1);
         assert_eq!(obs.items[0].extract.text(), "John");
         assert_eq!(obs.skipped[0].reason, SkipReason::OnAllDetailPages);
@@ -333,14 +334,12 @@ mod tests {
 
     #[test]
     fn extract_on_every_list_page_is_skipped() {
-        let list = tokenize("<td>Search Again</td><td>John</td>");
-        let other1 = tokenize("<p>Search Again</p><p>Alice</p>");
-        let other2 = tokenize("<p>x</p><p>Search Again</p>");
-        let others: Vec<&[Token]> = vec![&other1, &other2];
-        let d1 = tokenize("<p>John</p><p>Search Again</p>");
-        let d2 = tokenize("<p>Jane</p>");
-        let details: Vec<&[Token]> = vec![&d1, &d2];
-        let obs = build_observations(&list, &others, &details);
+        let list = "<td>Search Again</td><td>John</td>";
+        let other1 = "<p>Search Again</p><p>Alice</p>";
+        let other2 = "<p>x</p><p>Search Again</p>";
+        let d1 = "<p>John</p><p>Search Again</p>";
+        let d2 = "<p>Jane</p>";
+        let obs = build_observations(list, &[other1, other2], &[d1, d2]);
         assert_eq!(obs.len(), 1);
         assert_eq!(obs.items[0].extract.text(), "John");
         assert_eq!(obs.skipped[0].reason, SkipReason::OnAllListPages);
@@ -349,11 +348,10 @@ mod tests {
     #[test]
     fn types_are_precomputed_union() {
         use tableseg_html::TokenType;
-        let list = tokenize("<td>John 42</td>");
-        let d1 = tokenize("<p>John 42</p>");
-        let d2 = tokenize("<p>other</p>");
-        let details: Vec<&[Token]> = vec![&d1, &d2];
-        let obs = build_observations(&list, &[], &details);
+        let list = "<td>John 42</td>";
+        let d1 = "<p>John 42</p>";
+        let d2 = "<p>other</p>";
+        let obs = build_observations(list, &[], &[d1, d2]);
         assert_eq!(obs.len(), 1);
         let types = obs.items[0].types;
         assert!(types.contains(TokenType::Capitalized));
@@ -364,7 +362,7 @@ mod tests {
     #[test]
     fn on_page_lookup() {
         let item = ObsItem::new(
-            crate::extracts::derive_extracts(&tokenize("x")).remove(0),
+            crate::oracle::derive_extracts_tokens(&tokenize("x")).remove(0),
             vec![0, 2, 5],
             vec![],
         );
@@ -376,8 +374,7 @@ mod tests {
     #[test]
     fn render_table_mentions_extracts_and_pages() {
         let (list, details) = superpages_fixture();
-        let detail_refs: Vec<&[Token]> = details.iter().map(Vec::as_slice).collect();
-        let obs = build_observations(&list, &[], &detail_refs);
+        let obs = build_observations(list, &[], &details);
         let table = obs.render_table();
         assert!(table.contains("John Smith"));
         assert!(table.contains("r1,r2"));
@@ -386,7 +383,7 @@ mod tests {
 
     #[test]
     fn empty_slot_yields_empty_observations() {
-        let obs = build_observations(&[], &[], &[]);
+        let obs = build_observations("", &[], &[]);
         assert!(obs.is_empty());
         assert_eq!(obs.num_records, 0);
     }

@@ -99,21 +99,18 @@ pub fn render_table(obs: &Observations) -> String {
 mod tests {
     use super::*;
     use crate::observations::build_observations;
-    use tableseg_html::{lexer::tokenize, Token};
 
     fn fixture() -> Observations {
         // Three records so that values shared by the first two records are
         // not on *all* detail pages (which would filter them out).
-        let list = tokenize(
-            "<td>John Smith</td><td>221 Washington</td><td>(740) 335-5555</td>\
+        let list = "<td>John Smith</td><td>221 Washington</td><td>(740) 335-5555</td>\
              <td>John Smith</td><td>221R Washington</td><td>(740) 335-5555</td>\
-             <td>George Major</td><td>Findlay, OH</td><td>(419) 423-1212</td>",
-        );
-        let d1 = tokenize("<h1>John Smith</h1><p>221 Washington</p><p>(740) 335-5555</p>");
-        let d2 = tokenize("<h1>John Smith</h1><p>221R Washington</p><p>(740) 335-5555</p>");
-        let d3 = tokenize("<h1>George Major</h1><p>Findlay, OH</p><p>(419) 423-1212</p>");
-        let details: Vec<&[Token]> = vec![&d1, &d2, &d3];
-        build_observations(&list, &[], &details)
+             <td>George Major</td><td>Findlay, OH</td><td>(419) 423-1212</td>";
+        let d1 = "<h1>John Smith</h1><p>221 Washington</p><p>(740) 335-5555</p>";
+        let d2 = "<h1>John Smith</h1><p>221R Washington</p><p>(740) 335-5555</p>";
+        let d3 = "<h1>George Major</h1><p>Findlay, OH</p><p>(419) 423-1212</p>";
+        let details = [d1, d2, d3];
+        build_observations(list, &[], &details)
     }
 
     #[test]
@@ -139,11 +136,11 @@ mod tests {
 
     #[test]
     fn unique_positions_form_no_group() {
-        let list = tokenize("<td>Alpha</td><td>Beta</td>");
-        let d1 = tokenize("<p>Alpha</p>");
-        let d2 = tokenize("<p>Beta</p>");
-        let details: Vec<&[Token]> = vec![&d1, &d2];
-        let obs = build_observations(&list, &[], &details);
+        let list = "<td>Alpha</td><td>Beta</td>";
+        let d1 = "<p>Alpha</p>";
+        let d2 = "<p>Beta</p>";
+        let details = [d1, d2];
+        let obs = build_observations(list, &[], &details);
         assert!(position_groups(&obs).is_empty());
     }
 

@@ -107,15 +107,14 @@ impl Segmentation {
 mod tests {
     use super::*;
     use crate::observations::build_observations;
-    use tableseg_html::{lexer::tokenize, Token};
 
     fn obs() -> Observations {
-        let list = tokenize("<td>A</td><td>B</td><td>C</td><td>D</td>");
-        let d1 = tokenize("<p>A</p><p>B</p>");
-        let d2 = tokenize("<p>C</p><p>D</p>");
-        let d3 = tokenize("<p>unrelated</p>");
-        let details: Vec<&[Token]> = vec![&d1, &d2, &d3];
-        build_observations(&list, &[], &details)
+        let list = "<td>A</td><td>B</td><td>C</td><td>D</td>";
+        let d1 = "<p>A</p><p>B</p>";
+        let d2 = "<p>C</p><p>D</p>";
+        let d3 = "<p>unrelated</p>";
+        let details = [d1, d2, d3];
+        build_observations(list, &[], &details)
     }
 
     #[test]

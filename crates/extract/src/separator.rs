@@ -3,7 +3,6 @@
 //! "Separators are HTML tags and special punctuation characters (any
 //! character that is not in the set `.,()-`)."
 
-use tableseg_html::Token;
 use tableseg_html::{Interner, Symbol, TokenType, TypeSet, UNKNOWN_SYMBOL};
 
 /// Punctuation characters that are **not** separators — they may appear
@@ -17,12 +16,12 @@ pub fn is_separator_char(ch: char) -> bool {
     !NON_SEPARATOR_PUNCT.contains(&ch)
 }
 
-/// The separator decision on a token's raw parts: the [`Token`]-level
-/// test, the per-symbol [`SeparatorMask`], and the zero-copy scan path
-/// (which has a resolved `&str` and a `TypeSet` but no owned [`Token`])
-/// all share this.
+/// Returns `true` if a token — its text and syntactic types — is a
+/// separator: an HTML tag, or a punctuation token whose character is
+/// outside `.,()-`. The per-symbol [`SeparatorMask`], extract derivation
+/// and the zero-copy scan path all share this.
 #[inline]
-pub fn is_separator_parts(text: &str, types: TypeSet) -> bool {
+pub fn is_separator(text: &str, types: TypeSet) -> bool {
     if types.contains(TokenType::Html) {
         return true;
     }
@@ -35,12 +34,6 @@ pub fn is_separator_parts(text: &str, types: TypeSet) -> bool {
         };
     }
     false
-}
-
-/// Returns `true` if a token is a separator: an HTML tag, or a punctuation
-/// token whose character is outside `.,()-`.
-pub fn is_separator(token: &Token) -> bool {
-    is_separator_parts(&token.text, token.types)
 }
 
 /// The separator decision precomputed for every symbol of an interner.
@@ -57,7 +50,7 @@ impl SeparatorMask {
     /// Classifies every symbol of `interner`.
     pub fn build(interner: &Interner) -> SeparatorMask {
         let flags = (0..interner.len() as Symbol)
-            .map(|sym| is_separator_parts(interner.text(sym), interner.types(sym)))
+            .map(|sym| is_separator(interner.text(sym), interner.types(sym)))
             .collect();
         SeparatorMask { flags }
     }
@@ -85,48 +78,51 @@ impl SeparatorMask {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tableseg_html::lexer::tokenize;
+    use tableseg_html::scan;
+
+    /// The separator verdict of each token of `html`.
+    fn verdicts(html: &str) -> Vec<bool> {
+        scan(html)
+            .iter(html)
+            .map(|(text, types, _)| is_separator(text, types))
+            .collect()
+    }
 
     #[test]
     fn tags_are_separators() {
-        let toks = tokenize("<br><td align=x></table>");
-        assert!(toks.iter().all(is_separator));
+        assert_eq!(verdicts("<br><td align=x></table>"), [true; 3]);
     }
 
     #[test]
     fn allowed_punctuation_is_not_a_separator() {
         for p in [".", ",", "(", ")", "-"] {
-            let toks = tokenize(p);
-            assert!(!is_separator(&toks[0]), "{p}");
+            assert_eq!(verdicts(p), [false], "{p}");
         }
     }
 
     #[test]
     fn special_punctuation_is_a_separator() {
         for p in ["~", "|", ":", ";", "$", "&", "*", "#", "/", "!"] {
-            let toks = tokenize(p);
-            assert!(is_separator(&toks[0]), "{p}");
+            assert_eq!(verdicts(p), [true], "{p}");
         }
     }
 
     #[test]
     fn words_are_not_separators() {
         for w in ["John", "5555", "221R", "oh"] {
-            let toks = tokenize(w);
-            assert!(!is_separator(&toks[0]), "{w}");
+            assert_eq!(verdicts(w), [false], "{w}");
         }
     }
 
     #[test]
     fn mask_agrees_with_token_classification() {
-        let toks = tokenize("<td>John (740) 335-5555</td> ~ | more");
+        let html = "<td>John (740) 335-5555</td> ~ | more";
         let mut interner = Interner::new();
-        let syms = interner.intern_tokens(&toks);
+        let (syms, _) = interner.intern_page(html);
         let mask = SeparatorMask::build(&interner);
         assert_eq!(mask.len(), interner.len());
-        for (tok, &sym) in toks.iter().zip(&syms) {
-            assert_eq!(mask.is_separator(sym), is_separator(tok), "{:?}", tok.text);
-        }
+        let by_token: Vec<bool> = syms.iter().map(|&s| mask.is_separator(s)).collect();
+        assert_eq!(by_token, verdicts(html));
     }
 
     #[test]

@@ -8,11 +8,15 @@ mod oracle;
 
 use proptest::prelude::*;
 
-use oracle::{match_extracts_naive, MatchStream};
+use oracle::{
+    derive_extracts_tokens, index_tokens, is_separator, match_extracts_naive, MatchStream,
+};
 use tableseg_extract::extracts::derive_extracts;
 use tableseg_extract::matcher::PageIndex;
-use tableseg_extract::observations::{match_extracts, match_extracts_indexed, Observations};
-use tableseg_extract::separator::{is_separator, SeparatorMask};
+use tableseg_extract::observations::{
+    build_observations, match_extracts, match_extracts_indexed, Observations,
+};
+use tableseg_extract::separator::SeparatorMask;
 use tableseg_html::lexer::tokenize;
 use tableseg_html::{scan, Interner, Symbol, Token};
 use tableseg_sitegen::paper_sites;
@@ -42,11 +46,15 @@ fn arb_html() -> impl Strategy<Value = String> {
 
 proptest! {
     /// Extracts cover exactly the non-separator tokens, in order, and are
-    /// maximal runs.
+    /// maximal runs; the symbol path derives the owned-token oracle's
+    /// extracts (index, start, texts, types, offsets).
     #[test]
     fn extracts_partition_non_separator_tokens(html in arb_html()) {
         let tokens = tokenize(&html);
-        let extracts = derive_extracts(&tokens);
+        let mut interner = Interner::new();
+        let (syms, spans) = interner.intern_page(&html);
+        let extracts = derive_extracts(&syms, &spans, &interner);
+        prop_assert_eq!(&extracts, &derive_extracts_tokens(&tokens));
 
         // Flattened extract tokens = the non-separator subsequence.
         let flattened: Vec<&str> = extracts
@@ -127,7 +135,10 @@ proptest! {
         let page_tokens = tokenize(&page_html);
 
         let mut interner = Interner::new();
-        let needle_syms = interner.intern_tokens(&needle_tokens);
+        let needle_syms: Vec<Symbol> = needle_tokens
+            .iter()
+            .map(|t| interner.intern_typed(&t.text, t.types))
+            .collect();
         let reduced: Vec<_> = needle_tokens
             .iter()
             .zip(&needle_syms)
@@ -138,8 +149,9 @@ proptest! {
         let needle: Vec<u32> = reduced.iter().map(|(_, &s)| s).collect();
 
         let stream = MatchStream::new(&page_tokens);
-        let index = PageIndex::build(&page_tokens, &interner);
+        let index = PageIndex::from_scanned(&scan(&page_html), &page_html, &interner);
         prop_assert_eq!(index.len(), stream.len());
+        prop_assert_eq!(index.symbols(), index_tokens(&page_tokens, &interner).symbols());
 
         let naive: Vec<u32> =
             stream.find_all(&needle_texts).into_iter().map(|p| p as u32).collect();
@@ -161,7 +173,7 @@ proptest! {
         long_texts.push("overflow".to_owned());
         let long_syms: Vec<u32> =
             long_texts.iter().map(|t| interner.intern(t)).collect();
-        let index = PageIndex::build(&page_tokens, &interner);
+        let index = PageIndex::from_scanned(&scan(&page_html), &page_html, &interner);
 
         let long_refs: Vec<&str> = long_texts.iter().map(String::as_str).collect();
         prop_assert!(stream.find_all(&long_refs).is_empty());
@@ -171,23 +183,26 @@ proptest! {
         prop_assert!(!index.contains(&[]));
     }
 
-    /// End-to-end differential: the production `match_extracts` (interned,
-    /// indexed, memoized) builds the same observation table as the naive
-    /// oracle for random list/detail/other-list page sets.
+    /// End-to-end differential: the production `build_observations`
+    /// (scanned, interned, indexed, memoized) builds the same observation
+    /// table as the owned-token oracle for random list/detail/other-list
+    /// page sets.
     #[test]
     fn indexed_observations_equal_naive(
         list_html in arb_html(),
         detail_htmls in proptest::collection::vec(arb_html(), 0..4),
         other_htmls in proptest::collection::vec(arb_html(), 0..3),
     ) {
-        let list = tokenize(&list_html);
         let details: Vec<Vec<_>> = detail_htmls.iter().map(|h| tokenize(h)).collect();
         let others: Vec<Vec<_>> = other_htmls.iter().map(|h| tokenize(h)).collect();
         let detail_refs: Vec<&[_]> = details.iter().map(Vec::as_slice).collect();
         let other_refs: Vec<&[_]> = others.iter().map(Vec::as_slice).collect();
+        let detail_html: Vec<&str> = detail_htmls.iter().map(String::as_str).collect();
+        let other_html: Vec<&str> = other_htmls.iter().map(String::as_str).collect();
 
-        let fast = match_extracts(derive_extracts(&list), &other_refs, &detail_refs);
-        let naive = match_extracts_naive(derive_extracts(&list), &other_refs, &detail_refs);
+        let fast = build_observations(&list_html, &other_html, &detail_html);
+        let extracts = derive_extracts_tokens(&tokenize(&list_html));
+        let naive = match_extracts_naive(extracts, &other_refs, &detail_refs);
 
         prop_assert_eq!(fast.num_records, naive.num_records);
         prop_assert_eq!(fast.items, naive.items);
@@ -218,17 +233,20 @@ fn indexed_observations_equal_naive_on_the_paper_corpus() {
     let mut pages = 0usize;
     for spec in paper_sites::all() {
         let site = generate(&spec);
-        let lists: Vec<Vec<Token>> = site.pages.iter().map(|p| tokenize(&p.list_html)).collect();
+        let htmls = site.list_htmls();
+        let lists: Vec<Vec<Token>> = htmls.iter().map(|p| tokenize(p)).collect();
         let mut interner = Interner::new();
-        let streams: Vec<Vec<Symbol>> = lists.iter().map(|p| interner.intern_tokens(p)).collect();
+        let interned: Vec<_> = htmls.iter().map(|p| interner.intern_page(p)).collect();
         let mask = SeparatorMask::build(&interner);
-        let list_indexes: Vec<PageIndex> = streams
+        let list_indexes: Vec<PageIndex> = interned
             .iter()
-            .map(|s| PageIndex::from_interned(s, &mask))
+            .map(|(s, _)| PageIndex::from_interned(s, &mask))
             .collect();
         for (target, gp) in site.pages.iter().enumerate() {
             let ctx = format!("{} page {target}", spec.name);
-            let extracts = derive_extracts(&lists[target]);
+            let (syms, spans) = &interned[target];
+            let extracts = derive_extracts(syms, spans, &interner);
+            assert_eq!(extracts, derive_extracts_tokens(&lists[target]), "{ctx}");
             let details: Vec<Vec<Token>> = gp.detail_html.iter().map(|d| tokenize(d)).collect();
             let detail_refs: Vec<&[Token]> = details.iter().map(Vec::as_slice).collect();
             let others: Vec<&[Token]> = (0..lists.len())
@@ -240,7 +258,7 @@ fn indexed_observations_equal_naive_on_the_paper_corpus() {
 
             let needles: Vec<&[Symbol]> = extracts
                 .iter()
-                .map(|e| &streams[target][e.start..e.start + e.len()])
+                .map(|e| &syms[e.start..e.start + e.len()])
                 .collect();
             let other_indexes: Vec<&PageIndex> = (0..lists.len())
                 .filter(|&i| i != target)
@@ -259,7 +277,11 @@ fn indexed_observations_equal_naive_on_the_paper_corpus() {
                 &detail_index_refs,
             );
             assert_same_observations(&site_path, &naive, &ctx);
-            let one_shot = match_extracts(extracts, &others, &detail_refs);
+            let other_html: Vec<&str> = (0..htmls.len())
+                .filter(|&i| i != target)
+                .map(|i| htmls[i])
+                .collect();
+            let one_shot = match_extracts(extracts, &other_html, &gp.detail_htmls());
             assert_same_observations(&one_shot, &naive, &ctx);
             pages += 1;
         }

@@ -1,11 +1,19 @@
-//! The naive extract matcher: the differential oracle for the indexed
-//! production matcher ([`PageIndex`], [`match_extracts_indexed`]).
+//! The owned-[`Token`] extraction front end: the differential oracle for
+//! the production symbol path ([`derive_extracts`], [`PageIndex`],
+//! [`match_extracts_indexed`]).
 //!
-//! The original clone-and-scan string matcher: each page is reduced to
-//! its non-separator token texts and every extract is scanned over every
-//! page. Test binaries include it with `mod oracle;`; the crate's unit
-//! tests include the same file.
+//! * [`derive_extracts_tokens`] and [`index_tokens`] are extract
+//!   derivation and page indexing over owned token streams — how the
+//!   pipeline ran before list pages became symbol streams;
+//! * [`MatchStream`] and [`match_extracts_naive`] are the original
+//!   clone-and-scan string matcher: each page is reduced to its
+//!   non-separator token texts and every extract is scanned over every
+//!   page.
 //!
+//! Test binaries include it with `mod oracle;` (or a `#[path]`); the
+//! crate's unit tests include the same file.
+//!
+//! [`derive_extracts`]: tableseg_extract::derive_extracts
 //! [`PageIndex`]: tableseg_extract::PageIndex
 //! [`match_extracts_indexed`]: tableseg_extract::match_extracts_indexed
 
@@ -13,9 +21,55 @@
 
 use tableseg_extract::filter::{decide, Decision};
 use tableseg_extract::observations::{ObsItem, Observations, PagePos, SkippedExtract};
-use tableseg_extract::separator::is_separator;
-use tableseg_extract::Extract;
-use tableseg_html::Token;
+use tableseg_extract::separator::is_separator as is_separator_parts;
+use tableseg_extract::{Extract, PageIndex};
+use tableseg_html::{Interner, Token, UNKNOWN_SYMBOL};
+
+/// The separator test on an owned token.
+pub fn is_separator(token: &Token) -> bool {
+    is_separator_parts(&token.text, token.types)
+}
+
+/// Splits a token stream into extracts: maximal runs of non-separator
+/// tokens, `start` indexing the stream.
+pub fn derive_extracts_tokens(tokens: &[Token]) -> Vec<Extract> {
+    let mut out: Vec<Extract> = Vec::new();
+    let mut run: Vec<Token> = Vec::new();
+    let mut run_start = 0;
+    for (i, tok) in tokens
+        .iter()
+        .chain(std::iter::once(&Token::tag("<end>", 0)))
+        .enumerate()
+    {
+        if is_separator(tok) {
+            if !run.is_empty() {
+                out.push(Extract {
+                    index: out.len(),
+                    tokens: std::mem::take(&mut run),
+                    start: run_start,
+                });
+            }
+        } else {
+            if run.is_empty() {
+                run_start = i;
+            }
+            run.push(tok.clone());
+        }
+    }
+    out
+}
+
+/// Indexes a token stream: the non-separator texts, each looked up in
+/// `interner` read-only (unseen texts become [`UNKNOWN_SYMBOL`]).
+pub fn index_tokens(tokens: &[Token], interner: &Interner) -> PageIndex {
+    PageIndex::from_symbols(
+        tokens
+            .iter()
+            .filter(|t| !is_separator(t))
+            .map(|t| interner.lookup(&t.text).unwrap_or(UNKNOWN_SYMBOL))
+            .collect(),
+    )
+}
 
 /// A page reduced to its non-separator tokens, the form in which extract
 /// matching is performed. Construction is O(page length); each match query

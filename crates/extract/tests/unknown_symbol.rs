@@ -6,18 +6,16 @@
 
 use tableseg_extract::filter::SkipReason;
 use tableseg_extract::{derive_extracts, match_extracts_indexed, PageIndex};
-use tableseg_html::lexer::tokenize;
-use tableseg_html::{Interner, Symbol, UNKNOWN_SYMBOL};
+use tableseg_html::{scan, Interner, Symbol, UNKNOWN_SYMBOL};
 
 #[test]
 fn all_unknown_detail_page_yields_empty_occurrence_sets() {
     // Intern only the list page; the detail page shares no token with it
     // (not even tags), so its whole stream projects to UNKNOWN_SYMBOL.
-    let list = tokenize("<td>Ada Lovelace</td><td>Alan Turing</td>");
     let mut interner = Interner::new();
-    let list_syms = interner.intern_tokens(&list);
-    let detail = tokenize("<div>completely disjoint vocabulary 404</div>");
-    let index = PageIndex::build(&detail, &interner);
+    let (list_syms, list_spans) = interner.intern_page("<td>Ada Lovelace</td><td>Alan Turing</td>");
+    let detail = "<div>completely disjoint vocabulary 404</div>";
+    let index = PageIndex::from_scanned(&scan(detail), detail, &interner);
 
     // The projected stream is all-UNKNOWN, and the index keeps UNKNOWN out
     // of its occurrence lists entirely.
@@ -25,7 +23,7 @@ fn all_unknown_detail_page_yields_empty_occurrence_sets() {
     assert!(!index.contains(&[UNKNOWN_SYMBOL]));
 
     // Probing with every real extract of the list page: no hit, no panic.
-    let extracts = derive_extracts(&list);
+    let extracts = derive_extracts(&list_syms, &list_spans, &interner);
     assert!(!extracts.is_empty());
     let needles: Vec<&[Symbol]> = extracts
         .iter()
@@ -51,13 +49,12 @@ fn all_unknown_detail_page_yields_empty_occurrence_sets() {
 #[test]
 fn empty_detail_page_index_is_probe_safe() {
     // The fully blank variant: zero tokens at all.
-    let list = tokenize("<td>Ada Lovelace</td>");
     let mut interner = Interner::new();
-    let list_syms = interner.intern_tokens(&list);
-    let index = PageIndex::build(&[], &interner);
+    let (list_syms, list_spans) = interner.intern_page("<td>Ada Lovelace</td>");
+    let index = PageIndex::from_scanned(&scan(""), "", &interner);
     assert!(index.is_empty());
 
-    let extracts = derive_extracts(&list);
+    let extracts = derive_extracts(&list_syms, &list_spans, &interner);
     let needles: Vec<&[Symbol]> = extracts
         .iter()
         .map(|e| &list_syms[e.start..e.start + e.tokens.len()])

@@ -8,12 +8,13 @@
 //!   `<table>`-based record-boundary detection the paper argues against, and
 //! * round-trip tests for the site simulator.
 //!
-//! The parser accepts the token stream from [`crate::lexer`] and builds a
-//! tree, handling void elements and recovering from mismatched close tags by
+//! The parser reads the page's token stream from [`crate::scan()`] and
+//! builds a tree, handling void elements and recovering from mismatched close tags by
 //! popping to the nearest matching open element (or ignoring the close tag).
 
-use crate::lexer::{is_closing, tag_name, tokenize};
-use crate::token::Token;
+use crate::lexer::{is_closing, tag_name};
+use crate::scan::scan;
+use crate::token::TokenType;
 
 /// A DOM node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,20 +128,14 @@ pub fn is_void(name: &str) -> bool {
 
 /// Parses a document into a virtual root element named `#root`.
 pub fn parse(input: &str) -> Node {
-    parse_tokens(&tokenize(input))
-}
-
-/// Parses an already-tokenized document.
-pub fn parse_tokens(tokens: &[Token]) -> Node {
     let mut stack: Vec<Node> = vec![Node::Element {
         name: "#root".to_owned(),
         open_tag: String::new(),
         children: Vec::new(),
     }];
 
-    for tok in tokens {
-        if tok.is_html() {
-            let raw = &tok.text;
+    for (raw, types, _) in scan(input).iter(input) {
+        if types.contains(TokenType::Html) {
             let name = tag_name(raw).to_owned();
             if is_closing(raw) {
                 close_element(&mut stack, &name);
@@ -148,7 +143,7 @@ pub fn parse_tokens(tokens: &[Token]) -> Node {
                 let self_closing = raw.ends_with("/>") || is_void(&name);
                 let node = Node::Element {
                     name: name.clone(),
-                    open_tag: raw.clone(),
+                    open_tag: raw.to_owned(),
                     children: Vec::new(),
                 };
                 if self_closing {
@@ -158,7 +153,7 @@ pub fn parse_tokens(tokens: &[Token]) -> Node {
                 }
             }
         } else {
-            append_child(&mut stack, Node::Text(tok.text.clone()));
+            append_child(&mut stack, Node::Text(raw.to_owned()));
         }
     }
 

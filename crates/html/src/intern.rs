@@ -17,8 +17,10 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
-use crate::token::{Token, TypeSet};
+use crate::scan::scan;
+use crate::token::TypeSet;
 
 /// A symbol id for an interned token text.
 pub type Symbol = u32;
@@ -82,7 +84,8 @@ impl Hasher for FastHasher {
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
 /// The sentinel symbol for a text that is *not* in an interner, produced
-/// by the read-only [`Interner::project_tokens`]. Never allocated by
+/// when a detail page is projected through the site interner read-only
+/// (`PageIndex::from_scanned` in `tableseg-extract`). Never allocated by
 /// [`Interner::intern`], so it compares unequal to every real symbol.
 pub const UNKNOWN_SYMBOL: Symbol = Symbol::MAX;
 
@@ -134,49 +137,27 @@ impl Interner {
         self.intern_typed(text, types)
     }
 
-    /// Interns one token, taking the types the lexer assigned.
-    pub fn intern_token(&mut self, token: &Token) -> Symbol {
-        self.intern_typed(&token.text, token.types)
-    }
-
-    /// Interns a whole token stream.
-    pub fn intern_tokens(&mut self, tokens: &[Token]) -> Vec<Symbol> {
-        tokens.iter().map(|t| self.intern_token(t)).collect()
-    }
-
     /// Looks up a text without interning it.
     pub fn lookup(&self, text: &str) -> Option<Symbol> {
         self.map.get(text).copied()
     }
 
-    /// Maps a token stream through the interner **read-only**: tokens
-    /// whose text is not interned become [`UNKNOWN_SYMBOL`].
-    ///
-    /// This is how detail pages enter the symbol domain: extract needles
-    /// always come from already-interned list pages, so a detail token
-    /// that misses the interner cannot equal any needle token — one
-    /// shared sentinel loses nothing, and the site interner stays
-    /// immutable (and freely shared across batch worker threads).
-    pub fn project_tokens(&self, tokens: &[Token]) -> Vec<Symbol> {
-        tokens
-            .iter()
-            .map(|t| self.lookup(&t.text).unwrap_or(UNKNOWN_SYMBOL))
-            .collect()
-    }
-
-    /// Interns a zero-copy scanned stream (see [`crate::scan()`]) without
-    /// materializing owned [`Token`]s: each span is resolved against the
-    /// page it was scanned from and interned with its lexer-assigned
-    /// types. Equivalent to `intern_tokens(&scanned.to_tokens(input))`.
-    pub fn intern_scanned(
-        &mut self,
-        scanned: &crate::scan::ScanTokens,
-        input: &str,
-    ) -> Vec<Symbol> {
+    /// Scans and interns a page without materializing owned
+    /// [`Token`](crate::Token)s: its symbol stream plus each token's byte
+    /// range in `html`, aligned token for token. This is the form a list
+    /// page takes in the pipeline.
+    pub fn intern_page(&mut self, html: &str) -> (Vec<Symbol>, Vec<Range<u32>>) {
+        let scanned = scan(html);
         scanned
-            .iter(input)
-            .map(|(text, types, _)| self.intern_typed(text, types))
-            .collect()
+            .tokens()
+            .iter()
+            .map(|t| {
+                (
+                    self.intern_typed(scanned.text(html, t), t.types),
+                    t.offset..t.end,
+                )
+            })
+            .unzip()
     }
 
     /// Looks up the text of a symbol.
@@ -203,7 +184,6 @@ impl Interner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::tokenize;
     use crate::token::TokenType;
 
     #[test]
@@ -221,19 +201,21 @@ mod tests {
 
     #[test]
     fn intern_tokens_maps_stream() {
-        let toks = tokenize("<td>a</td><td>a</td>");
+        let page = "<td>a</td><TD >a</td>";
         let mut i = Interner::new();
-        let syms = i.intern_tokens(&toks);
+        let (syms, spans) = i.intern_page(page);
         assert_eq!(syms.len(), 6);
         assert_eq!(syms[0], syms[3], "<td> interned identically");
         assert_eq!(syms[1], syms[4], "'a' interned identically");
+        assert_eq!(i.text(syms[3]), "<td>");
+        assert_eq!(spans[3], 10..15, "the span covers the source tag");
+        assert_eq!(spans.len(), syms.len());
     }
 
     #[test]
     fn symbols_carry_token_types() {
-        let toks = tokenize("<td>John 42</td>");
         let mut i = Interner::new();
-        let syms = i.intern_tokens(&toks);
+        let (syms, _) = i.intern_page("<td>John 42</td>");
         assert!(i.types(syms[0]).contains(TokenType::Html));
         assert!(i.types(syms[1]).contains(TokenType::Capitalized));
         assert!(i.types(syms[2]).contains(TokenType::Numeric));
@@ -257,12 +239,13 @@ mod tests {
 
     #[test]
     fn projection_is_read_only() {
-        let list = tokenize("<td>John</td>");
-        let detail = tokenize("<p>John Doe</p>");
         let mut i = Interner::new();
-        let list_syms = i.intern_tokens(&list);
+        let (list_syms, _) = i.intern_page("<td>John</td>");
         let before = i.len();
-        let detail_syms = i.project_tokens(&detail);
+        let detail_syms: Vec<Symbol> = ["<p>", "John", "Doe"]
+            .iter()
+            .map(|t| i.lookup(t).unwrap_or(UNKNOWN_SYMBOL))
+            .collect();
         assert_eq!(i.len(), before, "projection never interns");
         // "John" resolves to its list symbol; unseen texts to the sentinel.
         assert_eq!(detail_syms[1], list_syms[1]);

@@ -26,7 +26,14 @@ use crate::token::Token;
 /// Tokenizes an HTML document into the paper's token stream: the owned
 /// form of [`scan`]'s span tokens.
 pub fn tokenize(input: &str) -> Vec<Token> {
-    scan(input).to_tokens(input)
+    scan(input)
+        .iter(input)
+        .map(|(text, types, offset)| Token {
+            text: text.to_owned(),
+            types,
+            offset,
+        })
+        .collect()
 }
 
 /// Tokenizes an arbitrary byte string — the form pages arrive in off the

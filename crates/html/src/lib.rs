@@ -17,11 +17,15 @@
 //! This crate provides:
 //!
 //! * [`scan()`] — the page tokenizer: one zero-copy pass producing span
-//!   tokens with source offsets; [`lexer::tokenize`] materializes them as
-//!   owned [`Token`]s,
+//!   tokens with their source byte ranges,
 //! * [`intern`] — token-text interning: pages are mapped once to dense
 //!   `u32` [`Symbol`]s so that every downstream comparison (template LCS,
-//!   extract matching, separator tests) is an integer compare,
+//!   extract matching, separator tests) is an integer compare. A list
+//!   page lives in the pipeline as its symbol stream plus each token's
+//!   byte range ([`Interner::intern_page`]); texts and types are read
+//!   back through the interner,
+//! * [`lexer::tokenize`] — the same stream as owned [`Token`]s, for the
+//!   baselines and the differential tests,
 //! * [`entities`] — HTML entity decoding (escape sequences → ASCII),
 //! * [`dom`] — a small, forgiving DOM parser used by the DOM-heuristic
 //!   baseline and by the site simulator's round-trip tests,
@@ -30,17 +34,20 @@
 //! # Example
 //!
 //! ```
-//! use tableseg_html::{lexer::tokenize, TokenType};
+//! use tableseg_html::{Interner, TokenType};
 //!
-//! let toks = tokenize("<tr><td>John Smith</td><td>(740) 335-5555</td></tr>");
-//! let texts: Vec<&str> = toks.iter().map(|t| t.text.as_str()).collect();
+//! let page = "<tr><td>John Smith</td><td>(740) 335-5555</td></tr>";
+//! let mut interner = Interner::new();
+//! let (symbols, spans) = interner.intern_page(page);
+//! let texts: Vec<&str> = symbols.iter().map(|&s| interner.text(s)).collect();
 //! assert_eq!(
 //!     texts,
 //!     ["<tr>", "<td>", "John", "Smith", "</td>", "<td>", "(", "740", ")",
 //!      "335", "-", "5555", "</td>", "</tr>"]
 //! );
-//! assert!(toks[2].types.contains(TokenType::Capitalized));
-//! assert!(toks[7].types.contains(TokenType::Numeric));
+//! assert!(interner.types(symbols[2]).contains(TokenType::Capitalized));
+//! assert!(interner.types(symbols[7]).contains(TokenType::Numeric));
+//! assert_eq!(&page[spans[2].start as usize..spans[2].end as usize], "John");
 //! ```
 
 #![forbid(unsafe_code)]

@@ -2,7 +2,10 @@
 //!
 //! [`scan`] is the one implementation of the page tokenizer's rules
 //! ([`crate::lexer`]): it produces the paper's token stream (texts,
-//! [`TypeSet`]s, byte offsets) without allocating a `String` per token. Tokens are [`SpanToken`]s: small fixed-size records
+//! [`TypeSet`]s, source byte ranges) without allocating a `String` per
+//! token. The pipeline interns it straight into symbols plus byte ranges
+//! ([`crate::Interner::intern_page`]); only [`crate::lexer::tokenize`]
+//! builds owned tokens. Tokens are [`SpanToken`]s: small fixed-size records
 //! whose text is a byte range into either the page itself (the common
 //! case — words, punctuation, already-normalized tags) or a per-page
 //! append-only *arena* holding the few texts that cannot be borrowed
@@ -26,9 +29,11 @@
 //! re-supply the page text to resolve a span ([`ScanTokens::text`]); the
 //! pipeline owns the page for the duration of a site anyway.
 
+use std::ops::Range;
+
 use crate::entities::decode_entity;
 use crate::lexer::{is_closing, normalize_tag, tag_name};
-use crate::token::{Token, TypeSet};
+use crate::token::TypeSet;
 
 /// Byte classes driving the scanner's dispatch loop.
 const CL_PUNCT: u8 = 0;
@@ -104,14 +109,18 @@ enum SpanKind {
 }
 
 /// One scanned token: a text span, its syntactic types, and its byte
-/// offset in the page — 16 bytes, no heap.
+/// range in the page — 20 bytes, no heap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanToken {
     start: u32,
     len: u32,
     /// Byte offset of the token in the scanned page, identical to the
-    /// oracle lexer's [`Token::offset`].
+    /// oracle lexer's [`Token::offset`](crate::Token::offset).
     pub offset: u32,
+    /// Byte offset one past the token's source in the page. It differs
+    /// from `offset` plus the text length where the text was decoded or
+    /// normalized (`&amp;`, `</TABLE >`).
+    pub end: u32,
     /// The token's syntactic types, identical to the oracle lexer's.
     pub types: TypeSet,
     kind: SpanKind,
@@ -131,7 +140,7 @@ impl SpanToken {
 ///
 /// Resolving a span needs the page the tokens were scanned from; callers
 /// pass the *same* `&str` back to [`ScanTokens::text`] /
-/// [`ScanTokens::to_tokens`]. (Ranges were validated against that input
+/// [`ScanTokens::iter`]. (Ranges were validated against that input
 /// during the scan; a different string is caught by a length debug
 /// assertion at best and produces garbage text at worst, exactly like
 /// indexing with offsets from another page.)
@@ -190,19 +199,6 @@ impl ScanTokens {
         self.tokens
             .iter()
             .map(move |t| (self.text(input, t), t.types, t.offset as usize))
-    }
-
-    /// Materializes the owned [`Token`] stream ([`crate::lexer::tokenize`]).
-    /// Used where token texts must outlive the page (list pages feeding
-    /// template induction) and by the differential tests.
-    pub fn to_tokens(&self, input: &str) -> Vec<Token> {
-        self.iter(input)
-            .map(|(text, types, offset)| Token {
-                text: text.to_owned(),
-                types,
-                offset,
-            })
-            .collect()
     }
 }
 
@@ -281,23 +277,28 @@ impl<'a> Scanner<'a> {
         }
     }
 
+    /// Pushes a token borrowed from the page: its text is its source.
     #[inline]
-    fn push_input(&mut self, start: usize, end: usize, types: TypeSet, offset: usize) {
+    fn push_input(&mut self, start: usize, end: usize, types: TypeSet) {
         self.out.push(SpanToken {
             start: start as u32,
             len: (end - start) as u32,
-            offset: offset as u32,
+            offset: start as u32,
+            end: end as u32,
             types,
             kind: SpanKind::Input,
         });
     }
 
+    /// Pushes a token whose text is arena bytes `start..`, scanned from
+    /// page bytes `source`.
     #[inline]
-    fn push_arena(&mut self, start: usize, types: TypeSet, offset: usize) {
+    fn push_arena(&mut self, start: usize, types: TypeSet, source: Range<usize>) {
         self.out.push(SpanToken {
             start: start as u32,
             len: (self.arena.len() - start) as u32,
-            offset: offset as u32,
+            offset: source.start as u32,
+            end: source.end as u32,
             types,
             kind: SpanKind::Arena,
         });
@@ -359,7 +360,7 @@ impl<'a> Scanner<'a> {
             .get(1)
             .is_some_and(|&b| b.is_ascii_alphabetic() || b == b'/' || b == b'!');
         if !is_tag_start {
-            self.push_input(start, start + 1, TypeSet::classify_text("<"), start);
+            self.push_input(start, start + 1, TypeSet::classify_text("<"));
             self.pos += 1;
             return;
         }
@@ -368,7 +369,7 @@ impl<'a> Scanner<'a> {
                 let raw_bytes = &rest[..=end];
                 self.pos = start + end + 1;
                 if tag_is_normalized(raw_bytes) {
-                    self.push_input(start, start + end + 1, TypeSet::html(), start);
+                    self.push_input(start, start + end + 1, TypeSet::html());
                     let closing = raw_bytes[1] == b'/';
                     if !closing {
                         // Name bytes are already lowercase here.
@@ -385,13 +386,13 @@ impl<'a> Scanner<'a> {
                     };
                     let astart = self.arena.len();
                     self.arena.push_str(&normalized);
-                    self.push_arena(astart, TypeSet::html(), start);
+                    self.push_arena(astart, TypeSet::html(), start..self.pos);
                     self.skip_until = skip;
                 }
             }
             None => {
                 // Unterminated tag: treat the '<' as text and continue.
-                self.push_input(start, start + 1, TypeSet::classify_text("<"), start);
+                self.push_input(start, start + 1, TypeSet::classify_text("<"));
                 self.pos += 1;
             }
         }
@@ -448,7 +449,7 @@ impl<'a> Scanner<'a> {
                 CL_PUNCT => {
                     self.flush_word(&mut word);
                     let p = self.pos;
-                    self.push_input(p, p + 1, TypeSet::classify_text(&self.input[p..p + 1]), p);
+                    self.push_input(p, p + 1, TypeSet::classify_text(&self.input[p..p + 1]));
                     self.pos = p + 1;
                 }
                 CL_AMP => match decode_entity(self.input, self.pos) {
@@ -483,7 +484,7 @@ impl<'a> Scanner<'a> {
                             let astart = self.arena.len();
                             self.arena.push(ch);
                             let types = TypeSet::classify_text(&self.arena[astart..]);
-                            self.push_arena(astart, types, self.pos);
+                            self.push_arena(astart, types, self.pos..self.pos + used);
                             self.pos += used;
                         }
                     }
@@ -491,7 +492,7 @@ impl<'a> Scanner<'a> {
                         // Not an entity: '&' is an ordinary punctuation char.
                         self.flush_word(&mut word);
                         let p = self.pos;
-                        self.push_input(p, p + 1, TypeSet::classify_text("&"), p);
+                        self.push_input(p, p + 1, TypeSet::classify_text("&"));
                         self.pos = p + 1;
                     }
                 },
@@ -528,7 +529,7 @@ impl<'a> Scanner<'a> {
                         self.flush_word(&mut word);
                         let p = self.pos;
                         let types = TypeSet::classify_text(&self.input[p..p + used]);
-                        self.push_input(p, p + used, types, p);
+                        self.push_input(p, p + used, types);
                     }
                     self.pos += used;
                 }
@@ -542,11 +543,13 @@ impl<'a> Scanner<'a> {
             Word::None => {}
             Word::Borrowed { start, end } => {
                 let types = TypeSet::classify_text(&self.input[start..end]);
-                self.push_input(start, end, types, start);
+                self.push_input(start, end, types);
             }
             Word::Arena { start, offset } => {
+                // A word ends where the scan stands: at the byte that
+                // flushed it.
                 let types = TypeSet::classify_text(&self.arena[start..]);
-                self.push_arena(start, types, offset);
+                self.push_arena(start, types, offset..self.pos);
             }
         }
         *word = Word::None;
@@ -597,8 +600,7 @@ mod tests {
     /// The workhorse assertion: scan ≡ the oracle lexer, token for token.
     fn assert_equiv(input: &str) {
         let oracle = crate::oracle::tokenize(input);
-        let scanned = scan(input);
-        let got = scanned.to_tokens(input);
+        let got = crate::lexer::tokenize(input);
         assert_eq!(got, oracle, "scan ≢ oracle lexer on {input:?}");
     }
 
@@ -677,7 +679,8 @@ mod tests {
         // Borrowed run, entity, another run: converts mid-word.
         assert_equiv("Bo&#98;by");
         let scanned = scan("Bo&#98;by");
-        let toks = scanned.to_tokens("Bo&#98;by");
+        assert!(!scanned.tokens()[0].is_borrowed());
+        let toks = crate::lexer::tokenize("Bo&#98;by");
         assert_eq!(toks.len(), 1);
         assert_eq!(toks[0].text, "Bobby");
         assert_eq!(toks[0].offset, 0);
@@ -720,6 +723,38 @@ mod tests {
             let clean = tag_is_normalized(raw.as_bytes());
             let expect = normalize_tag(raw) == raw;
             assert_eq!(clean, expect, "{raw:?}");
+        }
+    }
+
+    #[test]
+    fn sources_span_each_tokens_page_bytes() {
+        let page = "<TD >Bo&#98;by &amp; caf&#233;</table  >\u{a0}x&lt;</TABLE\n>";
+        let scanned = scan(page);
+        let sources: Vec<(&str, &str)> = scanned
+            .tokens()
+            .iter()
+            .map(|t| {
+                (
+                    scanned.text(page, t),
+                    &page[t.offset as usize..t.end as usize],
+                )
+            })
+            .collect();
+        assert_eq!(
+            sources,
+            [
+                ("<td>", "<TD >"),
+                ("Bobby", "Bo&#98;by"),
+                ("&", "&amp;"),
+                ("café", "caf&#233;"),
+                ("</table>", "</table  >"),
+                ("x", "x"),
+                ("<", "&lt;"),
+                ("</table>", "</TABLE\n>"),
+            ]
+        );
+        for t in scanned.tokens().iter().filter(|t| t.is_borrowed()) {
+            assert_eq!((t.end - t.offset) as usize, scanned.text(page, t).len());
         }
     }
 

@@ -8,7 +8,6 @@ use proptest::prelude::*;
 
 use tableseg_html::dom::parse;
 use tableseg_html::lexer::tokenize;
-use tableseg_html::scan::scan;
 use tableseg_html::writer::{render_tokens, HtmlWriter};
 use tableseg_html::{Interner, TypeSet};
 
@@ -16,14 +15,20 @@ use tableseg_html::{Interner, TypeSet};
 /// texts, types, offsets — and that both interning paths agree.
 fn assert_scan_equiv(input: &str) -> Result<(), TestCaseError> {
     let oracle = oracle::tokenize(input);
-    let scanned = scan(input);
-    let got = scanned.to_tokens(input);
+    let got = tokenize(input);
     prop_assert_eq!(&got, &oracle, "scan ≢ tokenize on {:?}", input);
     let mut a = Interner::new();
     let mut b = Interner::new();
+    let (syms, spans) = a.intern_page(input);
+    let starts: Vec<usize> = spans.iter().map(|s| s.start as usize).collect();
+    let offsets: Vec<usize> = oracle.iter().map(|t| t.offset).collect();
+    prop_assert_eq!(starts, offsets, "span starts ≢ offsets on {:?}", input);
     prop_assert_eq!(
-        a.intern_scanned(&scanned, input),
-        b.intern_tokens(&oracle),
+        syms,
+        oracle
+            .iter()
+            .map(|t| b.intern_typed(&t.text, t.types))
+            .collect::<Vec<_>>(),
         "interned streams diverged on {:?}",
         input
     );

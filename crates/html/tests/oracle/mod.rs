@@ -4,7 +4,7 @@
 //! This is the original tokenizer state machine, one owned `String` per
 //! token. It implements the tokenization rules of `tableseg_html::lexer`
 //! independently of the scanner — including its own tag normalization —
-//! so `scan(p).to_tokens(p) == oracle::tokenize(p)` checks the scanner
+//! so `lexer::tokenize(p) == oracle::tokenize(p)` checks the scanner
 //! against a second, simple implementation. Test binaries include it
 //! with `mod oracle;`.
 

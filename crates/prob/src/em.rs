@@ -135,14 +135,9 @@ mod tests {
     use super::*;
     use crate::oracle::{build_chain, em_run, log_emissions, path_score, viterbi};
     use tableseg_extract::build_observations;
-    use tableseg_html::{lexer::tokenize, Token};
 
     fn run_on(list: &str, details: &[&str]) -> (Observations, ProbOutcome) {
-        let list_toks = tokenize(list);
-        let detail_toks: Vec<Vec<tableseg_html::Token>> =
-            details.iter().map(|d| tokenize(d)).collect();
-        let refs: Vec<&[Token]> = detail_toks.iter().map(Vec::as_slice).collect();
-        let obs = build_observations(&list_toks, &[], &refs);
+        let obs = build_observations(list, &[], details);
         let out = run(&obs, &ProbOptions::default());
         (obs, out)
     }
@@ -214,7 +209,7 @@ mod tests {
 
     #[test]
     fn empty_observations() {
-        let obs = build_observations(&[], &[], &[]);
+        let obs = build_observations("", &[], &[]);
         let out = run(&obs, &ProbOptions::default());
         assert!(out.segmentation.assignments.is_empty());
         assert_eq!(out.iterations, 0);
@@ -226,17 +221,14 @@ mod tests {
         // first delta is infinite): the decode must then use the
         // parameters of the single M-step that ran, matching the
         // log-space oracle's early exit.
-        let list_toks =
-            tokenize("<td>Alpha One</td><td>100 Main</td><td>Beta Two</td><td>200 Oak</td>");
-        let d: Vec<Vec<tableseg_html::Token>> = [
-            "<p>Alpha One</p><p>100 Main</p>",
-            "<p>Beta Two</p><p>200 Oak</p>",
-        ]
-        .iter()
-        .map(|s| tokenize(s))
-        .collect();
-        let refs: Vec<&[Token]> = d.iter().map(Vec::as_slice).collect();
-        let obs = build_observations(&list_toks, &[], &refs);
+        let obs = build_observations(
+            "<td>Alpha One</td><td>100 Main</td><td>Beta Two</td><td>200 Oak</td>",
+            &[],
+            &[
+                "<p>Alpha One</p><p>100 Main</p>",
+                "<p>Beta Two</p><p>200 Oak</p>",
+            ],
+        );
         let opts = ProbOptions {
             tolerance: 1e300,
             ..ProbOptions::default()
@@ -267,19 +259,13 @@ mod tests {
 
     #[test]
     fn period_model_ablation_still_segments_clean_data() {
-        let list = tokenize(
-            "<td>Alpha One</td><td>100 Main</td><td>Beta Two</td><td>200 Oak</td><td>Gamma Three</td><td>300 Pine</td>",
-        );
-        let d: Vec<Vec<tableseg_html::Token>> = [
+        let list = "<td>Alpha One</td><td>100 Main</td><td>Beta Two</td><td>200 Oak</td><td>Gamma Three</td><td>300 Pine</td>";
+        let details = [
             "<p>Alpha One</p><p>100 Main</p>",
             "<p>Beta Two</p><p>200 Oak</p>",
             "<p>Gamma Three</p><p>300 Pine</p>",
-        ]
-        .iter()
-        .map(|s| tokenize(s))
-        .collect();
-        let refs: Vec<&[Token]> = d.iter().map(Vec::as_slice).collect();
-        let obs = build_observations(&list, &[], &refs);
+        ];
+        let obs = build_observations(list, &[], &details);
         let out = run(
             &obs,
             &ProbOptions {

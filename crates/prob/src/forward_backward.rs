@@ -579,15 +579,14 @@ mod tests {
         build_chain, forward_backward, log_add, log_emissions, log_sum, on_page, state, EdgeKind,
     };
     use tableseg_extract::build_observations;
-    use tableseg_html::{lexer::tokenize, Token};
 
     fn small_setup() -> (Vec<Evidence>, Dims, Params, ProbOptions) {
-        let list = tokenize("<td>Alpha One</td><td>100</td><td>Beta Two</td><td>200</td>");
-        let d1 = tokenize("<p>Alpha One</p><p>100</p>");
-        let d2 = tokenize("<p>Beta Two</p><p>200</p>");
-        let d3 = tokenize("<p>x</p>");
-        let details: Vec<&[Token]> = vec![&d1, &d2, &d3];
-        let obs = build_observations(&list, &[], &details);
+        let list = "<td>Alpha One</td><td>100</td><td>Beta Two</td><td>200</td>";
+        let d1 = "<p>Alpha One</p><p>100</p>";
+        let d2 = "<p>Beta Two</p><p>200</p>";
+        let d3 = "<p>x</p>";
+        let details = [d1, d2, d3];
+        let obs = build_observations(list, &[], &details);
         let ev = evidence(&obs);
         let dims = Dims {
             num_records: 3,

@@ -110,8 +110,6 @@ mod tests {
     use super::*;
     use crate::oracle::{on_page, state};
     use tableseg_extract::build_observations;
-    use tableseg_html::lexer::tokenize;
-    use tableseg_html::Token;
 
     #[test]
     fn dims_pack_unpack() {
@@ -130,12 +128,12 @@ mod tests {
 
     #[test]
     fn evidence_unions_token_types() {
-        let list = tokenize("<td>John Smith</td><td>(740) 335-5555</td>");
-        let d1 = tokenize("<p>John Smith</p>");
-        let d2 = tokenize("<p>(740) 335-5555</p>");
-        let d3 = tokenize("<p>other</p>");
-        let details: Vec<&[Token]> = vec![&d1, &d2, &d3];
-        let obs = build_observations(&list, &[], &details);
+        let list = "<td>John Smith</td><td>(740) 335-5555</td>";
+        let d1 = "<p>John Smith</p>";
+        let d2 = "<p>(740) 335-5555</p>";
+        let d3 = "<p>other</p>";
+        let details = [d1, d2, d3];
+        let obs = build_observations(list, &[], &details);
         let ev = evidence(&obs);
         assert_eq!(ev.len(), 2);
         // "John Smith": capitalized alphabetic.

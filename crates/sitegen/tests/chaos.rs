@@ -13,7 +13,6 @@ mod oracle;
 use proptest::prelude::*;
 
 use tableseg_html::lexer::{tokenize, tokenize_bytes, tokenize_bytes_flagged};
-use tableseg_html::scan;
 use tableseg_sitegen::chaos::{apply_chaos, generate_chaotic, ChaosConfig, FaultKind};
 use tableseg_sitegen::paper_sites;
 use tableseg_sitegen::site::generate;
@@ -77,7 +76,7 @@ fn zero_copy_scan_matches_lexer_on_every_fault_kind() {
             let (site, _) = generate_chaotic(spec, &ChaosConfig::only(kind, 1.0, 0xFEED));
             for html in all_pages(&site) {
                 assert_eq!(
-                    scan(html).to_tokens(html),
+                    tokenize(html),
                     oracle::tokenize(html),
                     "{kind:?} on {}",
                     spec.name
@@ -89,11 +88,7 @@ fn zero_copy_scan_matches_lexer_on_every_fault_kind() {
     for seed in 0..4u64 {
         let (site, _) = apply_chaos(&clean, &ChaosConfig::uniform(0.7, seed));
         for html in all_pages(&site) {
-            assert_eq!(
-                scan(html).to_tokens(html),
-                oracle::tokenize(html),
-                "seed {seed}"
-            );
+            assert_eq!(tokenize(html), oracle::tokenize(html), "seed {seed}");
         }
     }
 }
@@ -109,7 +104,7 @@ fn zero_copy_scan_matches_lexer_on_universe_sites() {
     });
     for site in u.sites() {
         for html in all_pages(&site) {
-            assert_eq!(scan(html).to_tokens(html), oracle::tokenize(html));
+            assert_eq!(tokenize(html), oracle::tokenize(html));
         }
     }
 }
@@ -127,12 +122,7 @@ fn zero_copy_scan_matches_lexer_on_paper_corpus_and_universe_sample() {
     let mut pages = 0usize;
     for site in paper.into_iter().chain(universe.sites()) {
         for html in all_pages(&site) {
-            assert_eq!(
-                scan(html).to_tokens(html),
-                oracle::tokenize(html),
-                "{}",
-                site.spec.name
-            );
+            assert_eq!(tokenize(html), oracle::tokenize(html), "{}", site.spec.name);
             pages += 1;
         }
     }

@@ -9,8 +9,8 @@
 
 use proptest::prelude::*;
 
-use tableseg::html::lexer::tokenize;
-use tableseg::{detect_regions, DetectOptions, RegionKind};
+use tableseg::html::Interner;
+use tableseg::{detect_regions, DetectOptions, Detection, RegionKind};
 use tableseg_eval::classify::classify_spans;
 use tableseg_sitegen::chaos::{apply_chaos, ChaosConfig, FaultKind};
 use tableseg_sitegen::scenario::{
@@ -40,6 +40,12 @@ fn all_pages(site: &GeneratedSite) -> Vec<&str> {
         .collect()
 }
 
+/// Detects the regions of one list page, interned on its own.
+fn detect(list_html: &str, opts: &DetectOptions) -> Detection {
+    let mut interner = Interner::new();
+    let (syms, spans) = interner.intern_page(list_html);
+    detect_regions(&syms, &spans, &interner, opts)
+}
 #[test]
 fn detection_recovers_every_truth_table_region() {
     // On clean multi-table pages the detector must find exactly the truth
@@ -49,7 +55,7 @@ fn detection_recovers_every_truth_table_region() {
     let opts = DetectOptions::default();
     for site in multi_table_sites(0x5EED) {
         for (p, page) in site.pages.iter().enumerate() {
-            let detection = detect_regions(&tokenize(&page.list_html), &opts);
+            let detection = detect(&page.list_html, &opts);
             let truth = page.table_region_spans();
             let pred: Vec<_> = detection.table_regions().map(|r| r.bytes.clone()).collect();
             let counts = classify_spans(&pred, &truth);
@@ -77,7 +83,7 @@ fn noise_regions_are_never_classified_as_tables() {
     let opts = DetectOptions::default();
     for site in multi_table_sites(0xA5) {
         for page in &site.pages {
-            let detection = detect_regions(&tokenize(&page.list_html), &opts);
+            let detection = detect(&page.list_html, &opts);
             if detection.pass_through {
                 continue; // whole-page region, noise not individually classified
             }
@@ -125,12 +131,16 @@ fn chaos_interaction_matrix_keeps_scenarios_processable() {
             let (site, log) = apply_chaos(clean, &ChaosConfig::only(kind, 1.0, 0xFEED));
             assert!(!log.is_empty(), "{shape}/{kind:?} must fire at p=1");
             for html in all_pages(&site) {
-                let tokens = tokenize(html);
-                for t in &tokens {
-                    assert!(t.offset < html.len().max(1), "{shape}/{kind:?}: {t:?}");
+                let mut interner = Interner::new();
+                let (syms, spans) = interner.intern_page(html);
+                for span in &spans {
+                    assert!(
+                        span.start < span.end && span.end as usize <= html.len(),
+                        "{shape}/{kind:?}: {span:?}"
+                    );
                 }
-                let detection = detect_regions(&tokens, &opts);
-                assert!(!detection.regions.is_empty() || tokens.is_empty());
+                let detection = detect_regions(&syms, &spans, &interner, &opts);
+                assert!(!detection.regions.is_empty() || syms.is_empty());
             }
             for page in &site.pages {
                 for span in &page.truth.records {
@@ -224,7 +234,7 @@ proptest! {
         let opts = DetectOptions::default();
         for site in multi_table_sites(seed) {
             for page in &site.pages {
-                let detection = detect_regions(&tokenize(&page.list_html), &opts);
+                let detection = detect(&page.list_html, &opts);
                 let tables = detection.table_regions().count();
                 let expected = if page.table_region_spans().len() <= 1 {
                     1 // pass-through: one whole-page region

@@ -1,7 +1,9 @@
 //! The template-finding algorithm.
 //!
-//! The template is computed as the progressive LCS of the pages' token
-//! streams: `T₁ = page₁`, `Tᵢ = LCS(Tᵢ₋₁, pageᵢ)`. Every token of the final
+//! The template is computed as the progressive LCS of the pages' interned
+//! symbol streams: `T₁ = page₁`, `Tᵢ = LCS(Tᵢ₋₁, pageᵢ)`; texts are read
+//! back through the [`Interner`] only to order the fold and to spot entry
+//! numbering, so a [`Template`] is a symbol sequence. Every token of the final
 //! template appears on every page in template order, which is precisely the
 //! paper's definition of the page template ("data that is shared by all
 //! list pages and is invariant from page to page"). Everything between
@@ -15,12 +17,12 @@
 //! invariant under permutations of the sample pages — the property that
 //! makes multi-page rolling merges (10–100 pages per site) well-defined.
 //! The test-only `oracle` module holds a progressive Hirschberg fold, the
-//! fold's differential oracle.
+//! fold's differential oracle; the owned-token induction this replaced is
+//! the oracle of `tests/frontend_oracle.rs`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use serde::{Deserialize, Serialize};
-use tableseg_html::Token;
 
 use crate::histogram::{lcs_indices_histogram_stats, LcsStats};
 use crate::intern::{Interner, Symbol};
@@ -57,22 +59,23 @@ pub struct InduceStats {
     pub lcs: LcsStats,
 }
 
-/// The induced page template: a sequence of tokens common to all pages.
+/// The induced page template: a sequence of tokens common to all pages,
+/// as symbols of the interner the pages were interned with.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Template {
-    /// Representative template tokens (taken from the first page).
-    pub tokens: Vec<Token>,
+    /// The template's token symbols, in page order.
+    pub symbols: Vec<Symbol>,
 }
 
 impl Template {
     /// Template length in tokens.
     pub fn len(&self) -> usize {
-        self.tokens.len()
+        self.symbols.len()
     }
 
     /// Returns `true` if the template is empty.
     pub fn is_empty(&self) -> bool {
-        self.tokens.is_empty()
+        self.symbols.is_empty()
     }
 }
 
@@ -87,16 +90,17 @@ pub struct Induction {
 }
 
 impl Induction {
-    /// Derives the slot set: slot `k` is the per-page gap before template
-    /// token `k`; the final slot is the gap after the last template token.
-    pub fn slots(&self, pages: &[Vec<Token>]) -> SlotSet {
+    /// Derives the slot set over the pages' symbol streams: slot `k` is
+    /// the per-page gap before template token `k`; the final slot is the
+    /// gap after the last template token.
+    pub fn slots(&self, streams: &[Vec<Symbol>]) -> SlotSet {
         let t = self.template.len();
         let mut slots = Vec::with_capacity(t + 1);
         for k in 0..=t {
             let ranges = self
                 .anchors
                 .iter()
-                .zip(pages)
+                .zip(streams)
                 .map(|(anchor, page)| {
                     let start = if k == 0 { 0 } else { anchor[k - 1] + 1 };
                     let end = if k == t { page.len() } else { anchor[k] };
@@ -107,40 +111,9 @@ impl Induction {
         }
         SlotSet { slots }
     }
-
-    /// Per-slot width stability across the sample pages: for each of the
-    /// `template_len + 1` slots, the minimum and maximum token width over
-    /// all pages. Template chrome produces narrow, near-constant slots;
-    /// the table slot is the wide, variable one. Multi-page merge tests
-    /// use this to show that folding more pages tightens the template
-    /// (chrome slots stay narrow) instead of degrading it.
-    ///
-    /// `page_lens[p]` must be the token length of page `p` (the slots
-    /// beyond the last anchor need it).
-    pub fn slot_stability(&self, page_lens: &[usize]) -> Vec<(usize, usize)> {
-        let t = self.template.len();
-        (0..=t)
-            .map(|k| {
-                let mut min = usize::MAX;
-                let mut max = 0usize;
-                for (anchor, &len) in self.anchors.iter().zip(page_lens) {
-                    let start = if k == 0 { 0 } else { anchor[k - 1] + 1 };
-                    let end = if k == t { len } else { anchor[k] };
-                    let width = end.saturating_sub(start);
-                    min = min.min(width);
-                    max = max.max(width);
-                }
-                if min == usize::MAX {
-                    (0, 0)
-                } else {
-                    (min, max)
-                }
-            })
-            .collect()
-    }
 }
 
-/// Induces the page template from example pages.
+/// Induces the page template from the example pages' symbol streams.
 ///
 /// Template tokens must be *invariant from page to page*: they must appear
 /// on every page, in the same relative order, **exactly once per page**.
@@ -155,40 +128,21 @@ impl Induction {
 /// empty template and a single slot covering each whole page, which makes
 /// the downstream pipeline equivalent to the paper's whole-page fallback.
 ///
-/// Convenience wrapper over [`induce_with`] with an internal interner.
-/// Pipeline callers that already interned the site's pages should call
-/// [`induce_with`] directly.
-pub fn induce(pages: &[Vec<Token>]) -> Induction {
-    let mut interner = Interner::new();
-    let streams: Vec<Vec<Symbol>> = pages.iter().map(|p| interner.intern_tokens(p)).collect();
-    induce_with(pages, &streams, interner.len()).0
-}
-
-/// [`induce`](fn@induce) over pre-interned symbol streams, reporting what
-/// the induction did.
-///
-/// `streams[p]` must be the symbol stream of `pages[p]` (same length, same
-/// order) and `num_symbols` an upper bound on the symbol ids appearing in
-/// the streams (typically `Interner::len`). The interner itself is not
-/// needed: induction compares symbols and takes representative tokens from
-/// the first page.
-pub fn induce_with(
-    pages: &[Vec<Token>],
-    streams: &[Vec<Symbol>],
-    num_symbols: usize,
-) -> (Induction, InduceStats) {
+/// `streams[p]` is page `p` interned through `interner`; the fold compares
+/// symbols and reads texts back only for its canonical page order and the
+/// enumeration rule of the stability pass.
+pub fn induce_with(streams: &[Vec<Symbol>], interner: &Interner) -> (Induction, InduceStats) {
     INDUCTIONS.fetch_add(1, Ordering::Relaxed);
-    debug_assert_eq!(pages.len(), streams.len());
     let mut stats = InduceStats {
-        pages: pages.len(),
+        pages: streams.len(),
         ..InduceStats::default()
     };
-    if pages.len() < 2 {
-        return (empty_induction(pages.len()), stats);
+    if streams.len() < 2 {
+        return (empty_induction(streams.len()), stats);
     }
-    let filtered = candidate_streams(streams, num_symbols);
-    let template = fold(pages, &filtered, &mut stats);
-    let induction = finish(pages, &filtered, template, &mut stats);
+    let filtered = candidate_streams(streams, interner.len());
+    let template = fold(&filtered, interner, &mut stats);
+    let induction = finish(&filtered, template, interner, &mut stats);
     (induction, stats)
 }
 
@@ -196,7 +150,9 @@ pub fn induce_with(
 /// covering each whole page.
 fn empty_induction(pages: usize) -> Induction {
     Induction {
-        template: Template { tokens: Vec::new() },
+        template: Template {
+            symbols: Vec::new(),
+        },
         anchors: vec![Vec::new(); pages],
     }
 }
@@ -244,18 +200,14 @@ pub fn candidate_streams(streams: &[Vec<Symbol>], num_symbols: usize) -> Vec<Vec
 /// which is what lets a site's template be maintained incrementally as
 /// more pages are crawled.
 fn fold(
-    pages: &[Vec<Token>],
     filtered: &[Vec<(Symbol, usize)>],
+    interner: &Interner,
     stats: &mut InduceStats,
 ) -> Vec<Symbol> {
     let mut order: Vec<usize> = (0..filtered.len()).collect();
     order.sort_by(|&p, &q| {
         filtered[p].len().cmp(&filtered[q].len()).then_with(|| {
-            let texts = |page: usize| {
-                filtered[page]
-                    .iter()
-                    .map(move |&(_, i)| pages[page][i].text.as_str())
-            };
+            let texts = |page: usize| filtered[page].iter().map(|&(s, _)| interner.text(s));
             texts(p).cmp(texts(q))
         })
     });
@@ -275,12 +227,12 @@ fn fold(
     template
 }
 
-/// Embeds the folded template into every page, takes representative
-/// tokens from the first page, and applies the anchor-stability pass.
+/// Embeds the folded template into every page and applies the
+/// anchor-stability pass.
 fn finish(
-    pages: &[Vec<Token>],
     filtered: &[Vec<(Symbol, usize)>],
     template: Vec<Symbol>,
+    interner: &Interner,
     stats: &mut InduceStats,
 ) -> Induction {
     // Embed the template into every page. Every template symbol occurs
@@ -306,28 +258,17 @@ fn finish(
         .map(|e| kept.iter().map(|&col| e[col].unwrap_or_default()).collect())
         .collect();
 
-    let template_tokens: Vec<Token> = kept
-        .iter()
-        .map(|&col| {
-            let first_idx = embeddings[0][col].unwrap_or_default();
-            pages[0][first_idx].clone()
-        })
-        .collect();
-
     // Anchor positions are increasing on every page because the template is
     // an LCS of every filtered stream and each symbol is unique per page.
     debug_assert!(anchors.iter().all(|a| a.windows(2).all(|w| w[0] < w[1])));
 
     let mut induction = Induction {
         template: Template {
-            tokens: template_tokens,
+            symbols: kept.iter().map(|&col| template[col]).collect(),
         },
         anchors,
     };
-    stats.unstable_dropped = drop_unstable_anchors(
-        &mut induction,
-        &pages.iter().map(Vec::len).collect::<Vec<_>>(),
-    );
+    stats.unstable_dropped = drop_unstable_anchors(&mut induction, interner);
     induction
 }
 
@@ -342,10 +283,9 @@ fn finish(
 /// a re-induction; on an induction whose anchors are already stable it is
 /// a no-op (the pass iterates to a fixpoint and the fixpoint is reached).
 ///
-/// `page_lens[p]` must be the token length of page `p`, as for
-/// [`Induction::slot_stability`].
-pub fn restabilize(induction: &mut Induction, page_lens: &[usize]) -> usize {
-    drop_unstable_anchors(induction, page_lens)
+/// `interner` must be the one the template's symbols come from.
+pub fn restabilize(induction: &mut Induction, interner: &Interner) -> usize {
+    drop_unstable_anchors(induction, interner)
 }
 
 /// Two consecutive anchors are *linked* when they are at most this many
@@ -371,8 +311,8 @@ const MIN_RUN: usize = 3;
 /// every page"); this reproduction preserves that failure mode. (The paper
 /// suggests an enumeration heuristic as *future work*, i.e. the 2004
 /// algorithm did not have one.)
-fn drop_unstable_anchors(induction: &mut Induction, _page_lens: &[usize]) -> usize {
-    let enumeration = enumeration_members(&induction.template.tokens);
+fn drop_unstable_anchors(induction: &mut Induction, interner: &Interner) -> usize {
+    let enumeration = enumeration_members(&induction.template.symbols, interner);
     let mut dropped = 0;
     loop {
         let t = induction.template.len();
@@ -407,7 +347,7 @@ fn drop_unstable_anchors(induction: &mut Induction, _page_lens: &[usize]) -> usi
         for (k, d) in drop.iter_mut().enumerate() {
             if *d
                 && enumeration
-                    .binary_search(&induction.template.tokens[k].text)
+                    .binary_search(&induction.template.symbols[k])
                     .is_ok()
             {
                 *d = false;
@@ -418,9 +358,9 @@ fn drop_unstable_anchors(induction: &mut Induction, _page_lens: &[usize]) -> usi
         }
         let keep: Vec<usize> = (0..t).filter(|&k| !drop[k]).collect();
         dropped += t - keep.len();
-        induction.template.tokens = keep
+        induction.template.symbols = keep
             .iter()
-            .map(|&k| induction.template.tokens[k].clone())
+            .map(|&k| induction.template.symbols[k])
             .collect();
         for anchor in &mut induction.anchors {
             *anchor = keep.iter().map(|&k| anchor[k]).collect();
@@ -428,19 +368,20 @@ fn drop_unstable_anchors(induction: &mut Induction, _page_lens: &[usize]) -> usi
     }
 }
 
-/// Texts of template tokens that belong to an ascending `+1` integer chain
+/// Template symbols whose texts belong to an ascending `+1` integer chain
 /// of length ≥ 3 starting at 1 or 2 (entry numbering), sorted for lookup.
-fn enumeration_members(tokens: &[Token]) -> Vec<String> {
-    let values: Vec<Option<u64>> = tokens.iter().map(|t| t.text.parse::<u64>().ok()).collect();
+fn enumeration_members(symbols: &[Symbol], interner: &Interner) -> Vec<Symbol> {
+    let values: Vec<Option<u64>> = symbols
+        .iter()
+        .map(|&s| interner.text(s).parse::<u64>().ok())
+        .collect();
     let mut members = Vec::new();
     let mut chain: Vec<usize> = Vec::new();
-    let flush = |chain: &mut Vec<usize>, members: &mut Vec<String>, values: &[Option<u64>]| {
+    let flush = |chain: &mut Vec<usize>, members: &mut Vec<Symbol>, values: &[Option<u64>]| {
         if chain.len() >= 3 {
             let first = values[chain[0]].expect("chain holds numerics");
             if first <= 2 {
-                for &k in chain.iter() {
-                    members.push(tokens[k].text.clone());
-                }
+                members.extend(chain.iter().map(|&k| symbols[k]));
             }
         }
         chain.clear();
@@ -483,28 +424,25 @@ pub(crate) mod oracle {
     //! Both folds share the candidate filter and the finish step
     //! (embedding plus anchor stability), so a divergence is the fold's.
 
-    use tableseg_html::Token;
-
     use super::{candidate_streams, empty_induction, finish, InduceStats, Induction};
-    use crate::intern::Symbol;
+    use crate::intern::{Interner, Symbol};
     use crate::lcs::lcs_indices;
 
     /// [`crate::induce_with`] with the Hirschberg fold.
     pub(crate) fn induce_hirschberg(
-        pages: &[Vec<Token>],
         streams: &[Vec<Symbol>],
-        num_symbols: usize,
+        interner: &Interner,
     ) -> (Induction, InduceStats) {
         let mut stats = InduceStats {
-            pages: pages.len(),
+            pages: streams.len(),
             ..InduceStats::default()
         };
-        if pages.len() < 2 {
-            return (empty_induction(pages.len()), stats);
+        if streams.len() < 2 {
+            return (empty_induction(streams.len()), stats);
         }
-        let filtered = candidate_streams(streams, num_symbols);
+        let filtered = candidate_streams(streams, interner.len());
         let template = fold_hirschberg(&filtered, &mut stats);
-        let induction = finish(pages, &filtered, template, &mut stats);
+        let induction = finish(&filtered, template, interner, &mut stats);
         (induction, stats)
     }
 
@@ -528,16 +466,18 @@ pub(crate) mod oracle {
     #[cfg(test)]
     mod tests {
         use super::*;
-        use crate::{assess, induce_with, Interner};
-        use tableseg_html::lexer::{tokenize, tokenize_bytes};
+        use crate::{assess, induce_with};
         use tableseg_sitegen::chaos::{apply_chaos, ChaosConfig};
         use tableseg_sitegen::paper_sites;
         use tableseg_sitegen::site::generate;
 
-        fn intern_pages(pages: &[Vec<Token>]) -> (Vec<Vec<Symbol>>, usize) {
+        fn intern_pages<S: AsRef<str>>(pages: &[S]) -> (Vec<Vec<Symbol>>, Interner) {
             let mut interner = Interner::new();
-            let streams = pages.iter().map(|p| interner.intern_tokens(p)).collect();
-            (streams, interner.len())
+            let streams = pages
+                .iter()
+                .map(|p| interner.intern_page(p.as_ref()).0)
+                .collect();
+            (streams, interner)
         }
 
         /// On a two-page sample the fold *is* one pair LCS, so both folds
@@ -550,11 +490,9 @@ pub(crate) mod oracle {
         fn paper_site_two_page_folds_agree_with_the_oracle() {
             for spec in paper_sites::all() {
                 let site = generate(&spec.with_page_count(2));
-                let pages: Vec<Vec<Token>> =
-                    site.pages.iter().map(|p| tokenize(&p.list_html)).collect();
-                let (streams, num_symbols) = intern_pages(&pages);
-                let (fast, fast_stats) = induce_with(&pages, &streams, num_symbols);
-                let (oracle, oracle_stats) = induce_hirschberg(&pages, &streams, num_symbols);
+                let (streams, interner) = intern_pages(&site.list_htmls());
+                let (fast, fast_stats) = induce_with(&streams, &interner);
+                let (oracle, oracle_stats) = induce_hirschberg(&streams, &interner);
                 assert_eq!(
                     fast.template.len() + fast_stats.unstable_dropped,
                     oracle.template.len() + oracle_stats.unstable_dropped,
@@ -562,8 +500,8 @@ pub(crate) mod oracle {
                     spec.name
                 );
                 assert_eq!(
-                    assess(&fast, &pages).is_usable(),
-                    assess(&oracle, &pages).is_usable(),
+                    assess(&fast, &streams, &interner).is_usable(),
+                    assess(&oracle, &streams, &interner).is_usable(),
                     "{}: usability verdict diverged from the oracle",
                     spec.name
                 );
@@ -585,7 +523,7 @@ pub(crate) mod oracle {
 
         /// Seeded fuzz: the oracle fold over chaos-mutated sites (the corpus
         /// of `tableseg-bench`'s induction fuzz) never panics and embeds its
-        /// template validly, with strictly increasing anchors whose texts
+        /// template validly, with strictly increasing anchors whose symbols
         /// match the template on every page.
         #[test]
         fn oracle_fold_embeds_validly_on_chaos_mutated_pages() {
@@ -602,15 +540,10 @@ pub(crate) mod oracle {
                         .wrapping_add(round * 31 + si as u64);
                     let (site, _log) =
                         apply_chaos(&generate(spec), &ChaosConfig::uniform(0.4, seed));
-                    let pages: Vec<Vec<Token>> = site
-                        .pages
-                        .iter()
-                        .map(|p| tokenize_bytes(p.list_html.as_bytes()))
-                        .collect();
-                    let (streams, num_symbols) = intern_pages(&pages);
-                    let (ind, _) = induce_hirschberg(&pages, &streams, num_symbols);
+                    let (streams, interner) = intern_pages(&site.list_htmls());
+                    let (ind, _) = induce_hirschberg(&streams, &interner);
                     let ctx = format!("{} seed {seed:#x}", spec.name);
-                    assert_eq!(ind.anchors.len(), pages.len(), "{ctx}");
+                    assert_eq!(ind.anchors.len(), streams.len(), "{ctx}");
                     for (p, anchor) in ind.anchors.iter().enumerate() {
                         assert_eq!(anchor.len(), ind.template.len(), "{ctx}: page {p}");
                         assert!(
@@ -619,7 +552,7 @@ pub(crate) mod oracle {
                         );
                         for (k, &pos) in anchor.iter().enumerate() {
                             assert_eq!(
-                                pages[p][pos].text, ind.template.tokens[k].text,
+                                streams[p][pos], ind.template.symbols[k],
                                 "{ctx}: page {p} anchor {k}"
                             );
                         }
@@ -633,37 +566,55 @@ pub(crate) mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tableseg_html::lexer::tokenize;
 
-    fn page(body: &str) -> Vec<Token> {
-        tokenize(&format!(
+    fn page(body: &str) -> String {
+        format!(
             "<html><body><h1>Results</h1><table>{body}</table><p>Copyright 2004</p></body></html>"
-        ))
+        )
+    }
+
+    /// The pages' symbol streams under one interner.
+    fn intern<S: AsRef<str>>(pages: &[S]) -> (Vec<Vec<Symbol>>, Interner) {
+        let mut interner = Interner::new();
+        let streams = pages
+            .iter()
+            .map(|p| interner.intern_page(p.as_ref()).0)
+            .collect();
+        (streams, interner)
+    }
+
+    /// Interns the pages and induces their template.
+    fn induce<S: AsRef<str>>(pages: &[S]) -> (Induction, Vec<Vec<Symbol>>, Interner) {
+        let (streams, interner) = intern(pages);
+        let induction = induce_with(&streams, &interner).0;
+        (induction, streams, interner)
+    }
+
+    fn texts<'a>(ind: &Induction, interner: &'a Interner) -> Vec<&'a str> {
+        ind.template
+            .symbols
+            .iter()
+            .map(|&s| interner.text(s))
+            .collect()
     }
 
     /// Runs the fold and the Hirschberg oracle fold over the same pages
     /// and returns (histogram, hirschberg) inductions.
-    fn both_paths(pages: &[Vec<Token>]) -> (Induction, Induction) {
-        let mut interner = Interner::new();
-        let streams: Vec<Vec<Symbol>> = pages.iter().map(|p| interner.intern_tokens(p)).collect();
-        let hist = induce_with(pages, &streams, interner.len()).0;
-        let hirsch = oracle::induce_hirschberg(pages, &streams, interner.len()).0;
+    fn both_paths(pages: &[String]) -> (Induction, Induction) {
+        let (streams, interner) = intern(pages);
+        let hist = induce_with(&streams, &interner).0;
+        let hirsch = oracle::induce_hirschberg(&streams, &interner).0;
         (hist, hirsch)
     }
 
     #[test]
     fn template_is_shared_structure() {
-        let pages = vec![
+        let pages = [
             page("<tr><td>John Smith</td></tr><tr><td>Jane Doe</td></tr>"),
             page("<tr><td>Bob Jones</td></tr>"),
         ];
-        let ind = induce(&pages);
-        let tpl: Vec<&str> = ind
-            .template
-            .tokens
-            .iter()
-            .map(|t| t.text.as_str())
-            .collect();
+        let (ind, _, interner) = induce(&pages);
+        let tpl = texts(&ind, &interner);
         // Header and footer must be in the template.
         assert!(tpl.contains(&"Results"));
         assert!(tpl.contains(&"Copyright"));
@@ -674,16 +625,16 @@ mod tests {
 
     #[test]
     fn anchors_are_valid_embeddings() {
-        let pages = vec![
+        let pages = [
             page("<tr><td>A B</td></tr>"),
             page("<tr><td>C D E</td></tr>"),
         ];
-        let ind = induce(&pages);
+        let (ind, streams, _) = induce(&pages);
         for (p, anchor) in ind.anchors.iter().enumerate() {
             assert_eq!(anchor.len(), ind.template.len());
             for (k, &pos) in anchor.iter().enumerate() {
                 assert_eq!(
-                    pages[p][pos].text, ind.template.tokens[k].text,
+                    streams[p][pos], ind.template.symbols[k],
                     "anchor {k} of page {p}"
                 );
             }
@@ -696,26 +647,26 @@ mod tests {
 
     #[test]
     fn table_found_in_largest_text_slot() {
-        let pages = vec![
+        let pages = [
             page("<tr><td>John Smith</td><td>New Holland</td></tr><tr><td>Mary Major</td><td>Springfield</td></tr>"),
             page("<tr><td>Bob Jones</td><td>Columbus</td></tr><tr><td>Ann Fuller</td><td>Dayton</td></tr><tr><td>Tom Tailor</td><td>Akron</td></tr>"),
         ];
-        let ind = induce(&pages);
-        let slots = ind.slots(&pages);
-        let table = slots.table_slot(&pages).expect("a table slot");
+        let (ind, streams, interner) = induce(&pages);
+        let slots = ind.slots(&streams);
+        let table = slots.table_slot(&streams, &interner).expect("a table slot");
         let slot = &slots.slots[table];
         // The table slot must contain the record data on both pages.
         for (p, r) in slot.ranges.iter().enumerate() {
-            let texts: Vec<&str> = pages[p][r.clone()]
+            let texts: Vec<&str> = streams[p][r.clone()]
                 .iter()
-                .filter(|t| t.is_text())
-                .map(|t| t.text.as_str())
+                .filter(|&&s| !interner.types(s).contains(tableseg_html::TokenType::Html))
+                .map(|&s| interner.text(s))
                 .collect();
             assert!(texts.len() >= 4, "page {p} table slot has data: {texts:?}");
         }
-        let texts0: String = pages[0][slot.ranges[0].clone()]
+        let texts0: String = streams[0][slot.ranges[0].clone()]
             .iter()
-            .map(|t| t.text.clone())
+            .map(|&s| interner.text(s))
             .collect::<Vec<_>>()
             .join(" ");
         assert!(texts0.contains("John"));
@@ -725,31 +676,28 @@ mod tests {
 
     #[test]
     fn fewer_than_two_pages_falls_back_to_whole_page() {
-        let pages = vec![page("<tr><td>A</td></tr>")];
-        let ind = induce(&pages);
+        let (ind, streams, _) = induce(&[page("<tr><td>A</td></tr>")]);
         assert!(ind.template.is_empty());
-        let slots = ind.slots(&pages);
+        let slots = ind.slots(&streams);
         assert_eq!(slots.slots.len(), 1);
-        assert_eq!(slots.slots[0].ranges[0], 0..pages[0].len());
+        assert_eq!(slots.slots[0].ranges[0], 0..streams[0].len());
     }
 
     #[test]
     fn identical_pages_yield_full_template() {
         let p = page("<tr><td>Same</td></tr>");
-        let pages = vec![p.clone(), p.clone()];
-        let ind = induce(&pages);
-        assert_eq!(ind.template.len(), p.len());
-        let slots = ind.slots(&pages);
+        let (ind, streams, interner) = induce(&[p.clone(), p]);
+        assert_eq!(ind.template.len(), streams[0].len());
+        let slots = ind.slots(&streams);
         assert!(slots.slots.iter().all(Slot::is_empty));
-        assert_eq!(slots.table_slot(&pages), None);
+        assert_eq!(slots.table_slot(&streams, &interner), None);
     }
 
     #[test]
     fn disjoint_pages_yield_empty_template() {
-        let pages = vec![tokenize("alpha beta"), tokenize("gamma delta")];
-        let ind = induce(&pages);
+        let (ind, streams, _) = induce(&["alpha beta", "gamma delta"]);
         assert!(ind.template.is_empty());
-        let slots = ind.slots(&pages);
+        let slots = ind.slots(&streams);
         assert_eq!(slots.slots.len(), 1);
         // The single slot covers both whole pages.
         assert_eq!(slots.slots[0].ranges[0], 0..2);
@@ -758,18 +706,13 @@ mod tests {
 
     #[test]
     fn three_pages_progressive() {
-        let pages = vec![
+        let pages = [
             page("<tr><td>A1 A2</td></tr>"),
             page("<tr><td>B1</td></tr>"),
             page("<tr><td>C1 C2 C3</td></tr>"),
         ];
-        let ind = induce(&pages);
-        let tpl: Vec<&str> = ind
-            .template
-            .tokens
-            .iter()
-            .map(|t| t.text.as_str())
-            .collect();
+        let (ind, _, interner) = induce(&pages);
+        let tpl = texts(&ind, &interner);
         assert!(tpl.contains(&"Results"));
         assert!(!tpl.contains(&"A1"));
         assert!(!tpl.contains(&"B1"));
@@ -779,9 +722,9 @@ mod tests {
 
     #[test]
     fn slot_count_is_template_len_plus_one() {
-        let pages = vec![page("<tr><td>X</td></tr>"), page("<tr><td>Y</td></tr>")];
-        let ind = induce(&pages);
-        let slots = ind.slots(&pages);
+        let pages = [page("<tr><td>X</td></tr>"), page("<tr><td>Y</td></tr>")];
+        let (ind, streams, _) = induce(&pages);
+        let slots = ind.slots(&streams);
         assert_eq!(slots.slots.len(), ind.template.len() + 1);
     }
 
@@ -792,27 +735,19 @@ mod tests {
             page("<tr><td>Bob Jones</td><td>Columbus</td></tr><tr><td>Ann Fuller</td><td>Dayton</td></tr>"),
         ];
         let (hist, hirsch) = both_paths(&pages);
-        let texts = |i: &Induction| {
-            i.template
-                .tokens
-                .iter()
-                .map(|t| t.text.clone())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(texts(&hist), texts(&hirsch));
+        assert_eq!(hist.template, hirsch.template);
         assert_eq!(hist.anchors, hirsch.anchors);
     }
 
     #[test]
     fn induce_with_reports_stats() {
-        let pages = vec![
+        let pages = [
             page("<tr><td>Alpha Beta</td></tr>"),
             page("<tr><td>Gamma Delta</td></tr>"),
             page("<tr><td>Epsilon Zeta</td></tr>"),
         ];
-        let mut interner = Interner::new();
-        let streams: Vec<Vec<Symbol>> = pages.iter().map(|p| interner.intern_tokens(p)).collect();
-        let (ind, stats) = induce_with(&pages, &streams, interner.len());
+        let (streams, interner) = intern(&pages);
+        let (ind, stats) = induce_with(&streams, &interner);
         assert_eq!(stats.pages, 3);
         assert_eq!(stats.folds, 2, "{stats:?}");
         assert!(!ind.template.is_empty());
@@ -824,88 +759,57 @@ mod tests {
 
     #[test]
     fn histogram_fold_is_page_order_invariant() {
-        let pages = vec![
+        let pages = [
             page("<tr><td>Alpha One</td></tr><tr><td>Beta Two</td></tr>"),
             page("<tr><td>Gamma Three</td></tr>"),
             page("<tr><td>Delta Four</td></tr><tr><td>Epsilon Five</td></tr><tr><td>Zeta Six</td></tr>"),
         ];
-        let texts = |i: &Induction| {
-            i.template
-                .tokens
-                .iter()
-                .map(|t| t.text.clone())
-                .collect::<Vec<_>>()
-        };
-        let mut interner = Interner::new();
-        let streams: Vec<Vec<Symbol>> = pages.iter().map(|p| interner.intern_tokens(p)).collect();
-        let baseline = texts(&induce_with(&pages, &streams, interner.len()).0);
+        let (ind, _, interner) = induce(&pages);
+        let baseline = texts(&ind, &interner);
         for perm in [[1, 0, 2], [2, 1, 0], [0, 2, 1], [2, 0, 1], [1, 2, 0]] {
-            let p: Vec<Vec<Token>> = perm.iter().map(|&i| pages[i].clone()).collect();
-            let mut interner = Interner::new();
-            let s: Vec<Vec<Symbol>> = p.iter().map(|pg| interner.intern_tokens(pg)).collect();
-            let ind = induce_with(&p, &s, interner.len()).0;
-            assert_eq!(texts(&ind), baseline, "permutation {perm:?}");
+            let p: Vec<&String> = perm.iter().map(|&i| &pages[i]).collect();
+            let (ind, _, interner) = induce(&p);
+            assert_eq!(texts(&ind, &interner), baseline, "permutation {perm:?}");
         }
     }
 
     #[test]
     fn restabilize_is_a_noop_on_fresh_inductions() {
-        // induce() already ran the stability pass to a fixpoint, so the
+        // induce_with already ran the stability pass to a fixpoint, so the
         // public re-entry must drop nothing and change nothing.
-        let pages = vec![
+        let pages = [
             page("<tr><td>John Smith</td><td>New Holland</td></tr>"),
             page("<tr><td>Bob Jones</td><td>Columbus</td></tr><tr><td>Ann Fuller</td><td>Dayton</td></tr>"),
         ];
-        let mut ind = induce(&pages);
-        let before_tokens = ind.template.tokens.clone();
-        let before_anchors = ind.anchors.clone();
-        let lens: Vec<usize> = pages.iter().map(Vec::len).collect();
-        assert_eq!(restabilize(&mut ind, &lens), 0);
-        assert_eq!(ind.template.tokens, before_tokens);
-        assert_eq!(ind.anchors, before_anchors);
+        let (mut ind, _, interner) = induce(&pages);
+        let before = ind.clone();
+        assert_eq!(restabilize(&mut ind, &interner), 0);
+        assert_eq!(ind.template, before.template);
+        assert_eq!(ind.anchors, before.anchors);
     }
 
     #[test]
     fn restabilize_drops_stretched_singletons() {
         // A hand-built induction with one isolated anchor far from the
         // rest on one page: the linked-run rule must remove it.
-        let pages = vec![
+        let pages = [
             page("<tr><td>Alpha Beta Gamma</td></tr>"),
             page("<tr><td>Delta Epsilon</td></tr>"),
         ];
-        let mut ind = induce(&pages);
+        let (mut ind, streams, interner) = induce(&pages);
         let t = ind.template.len();
         assert!(t >= MIN_RUN, "fixture template too small: {t}");
         // Stretch the final anchor of page 0 to the page end, breaking
         // its link to the previous anchor.
+        let len0 = streams[0].len();
         let last = ind.anchors[0][t - 1];
-        let stretched = (pages[0].len() - 1).max(last + LINK_GAP + 1);
-        ind.anchors[0][t - 1] = stretched.min(pages[0].len() - 1);
+        let stretched = (len0 - 1).max(last + LINK_GAP + 1);
+        ind.anchors[0][t - 1] = stretched.min(len0 - 1);
         if ind.anchors[0][t - 1] - ind.anchors[0][t - 2] <= LINK_GAP {
             return; // page too short to stretch; nothing to assert
         }
-        let lens: Vec<usize> = pages.iter().map(Vec::len).collect();
-        let dropped = restabilize(&mut ind, &lens);
+        let dropped = restabilize(&mut ind, &interner);
         assert!(dropped >= 1, "stretched anchor must be dropped");
         assert_eq!(ind.template.len(), t - dropped);
-    }
-
-    #[test]
-    fn slot_stability_widths() {
-        let pages = vec![
-            page("<tr><td>John Smith</td><td>New Holland</td></tr><tr><td>Mary Major</td><td>Springfield</td></tr>"),
-            page("<tr><td>Bob Jones</td><td>Columbus</td></tr>"),
-        ];
-        let ind = induce(&pages);
-        let lens: Vec<usize> = pages.iter().map(Vec::len).collect();
-        let stability = ind.slot_stability(&lens);
-        assert_eq!(stability.len(), ind.template.len() + 1);
-        for &(min, max) in &stability {
-            assert!(min <= max);
-        }
-        // The table slot (widest max) must vary: page 0 has two records,
-        // page 1 has one.
-        let widest = stability.iter().max_by_key(|&&(_, max)| max).unwrap();
-        assert!(widest.1 > widest.0, "{stability:?}");
     }
 }

@@ -16,7 +16,9 @@
 //! common subsequence (LCS) of the pages' token streams, using the
 //! histogram-LCS core ([`histogram`], which falls back to exact dynamic
 //! programming in [`lcs`] on small windows) over interned token symbols
-//! ([`intern`]). [`induce`](fn@induce) derives the template and per-page slots;
+//! ([`intern`]). Pages enter as symbol streams only; texts and types are
+//! read back through the [`Interner`]. [`induce_with`] derives the
+//! template and per-page anchors, [`Induction::slots`] the slots;
 //! [`quality`] diagnoses degenerate templates (e.g. sites with numbered
 //! entries, where sequences like `1.` appear on every page and chop the
 //! table into fragments — the failure mode the paper reports for Amazon,
@@ -35,8 +37,7 @@ pub mod slot;
 
 pub use histogram::{lcs_indices_histogram, lcs_indices_histogram_stats, LcsStats};
 pub use induce::{
-    candidate_streams, induce, induce_with, induction_count, restabilize, InduceStats, Induction,
-    Template,
+    candidate_streams, induce_with, induction_count, restabilize, InduceStats, Induction, Template,
 };
 pub use intern::{Interner, Symbol};
 pub use quality::{assess, TemplateQuality};

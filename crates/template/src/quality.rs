@@ -13,9 +13,8 @@
 //! dominates the text mass. The pipeline uses [`TemplateQuality::is_usable`]
 //! to decide between the induced table slot and the whole-page fallback.
 
-use tableseg_html::Token;
-
 use crate::induce::Induction;
+use crate::intern::{Interner, Symbol};
 
 /// Diagnostics for an induced template over its example pages.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,13 +67,18 @@ impl TemplateQuality {
     }
 }
 
-/// Assesses an induction result against its example pages.
-pub fn assess(induction: &Induction, pages: &[Vec<Token>]) -> TemplateQuality {
-    let slots = induction.slots(pages);
+/// Assesses an induction result against its example pages' symbol
+/// streams, interned through `interner`.
+pub fn assess(
+    induction: &Induction,
+    streams: &[Vec<Symbol>],
+    interner: &Interner,
+) -> TemplateQuality {
+    let slots = induction.slots(streams);
     let per_slot: Vec<usize> = slots
         .slots
         .iter()
-        .map(|s| s.text_token_count(pages))
+        .map(|s| s.text_token_count(streams, interner))
         .collect();
     let total: usize = per_slot.iter().sum();
     let largest = per_slot.iter().copied().max().unwrap_or(0);
@@ -103,23 +107,32 @@ pub fn assess(induction: &Induction, pages: &[Vec<Token>]) -> TemplateQuality {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::induce::induce;
-    use tableseg_html::lexer::tokenize;
+    use crate::induce::induce_with;
 
-    fn page(body: &str) -> Vec<Token> {
-        tokenize(&format!(
+    fn page(body: &str) -> String {
+        format!(
             "<html><h1>Search Results Page</h1><table>{body}</table><p>Copyright Notice Text Here</p></html>"
-        ))
+        )
+    }
+
+    /// Interns the pages, induces their template and assesses it.
+    fn assess_pages<S: AsRef<str>>(pages: &[S]) -> (Induction, TemplateQuality, Interner) {
+        let mut interner = Interner::new();
+        let streams: Vec<Vec<Symbol>> = pages
+            .iter()
+            .map(|p| interner.intern_page(p.as_ref()).0)
+            .collect();
+        let ind = induce_with(&streams, &interner).0;
+        let q = assess(&ind, &streams, &interner);
+        (ind, q, interner)
     }
 
     #[test]
     fn clean_site_template_is_usable() {
-        let pages = vec![
+        let (_, q, _) = assess_pages(&[
             page("<tr><td>John Smith</td><td>New Holland</td></tr><tr><td>Mary Major</td><td>Springfield</td></tr>"),
             page("<tr><td>Bob Jones</td><td>Columbus</td></tr><tr><td>Ann Fuller</td><td>Dayton</td></tr>"),
-        ];
-        let ind = induce(&pages);
-        let q = assess(&ind, &pages);
+        ]);
         assert!(q.is_usable(), "{q:?}");
         assert!(q.largest_slot_fraction >= 0.5);
     }
@@ -128,18 +141,16 @@ mod tests {
     fn numbered_entries_break_the_template() {
         // Numbered entries: "1 ." / "2 ." etc. appear on both pages, so they
         // become template anchors and chop the data into many small slots.
-        let pages = vec![
+        let (ind, q, interner) = assess_pages(&[
             page("<li>1. Alpha Author One</li><li>2. Beta Author Two</li><li>3. Gamma Author Three</li>"),
             page("<li>1. Delta Other Name</li><li>2. Epsilon More Words</li><li>3. Zeta Third Entry</li>"),
-        ];
-        let ind = induce(&pages);
-        let q = assess(&ind, &pages);
+        ]);
         // The entry numbers are anchors...
         let tpl: Vec<&str> = ind
             .template
-            .tokens
+            .symbols
             .iter()
-            .map(|t| t.text.as_str())
+            .map(|&s| interner.text(s))
             .collect();
         assert!(tpl.contains(&"1"), "{tpl:?}");
         assert!(tpl.contains(&"2"), "{tpl:?}");
@@ -151,18 +162,14 @@ mod tests {
     #[test]
     fn identical_pages_are_unusable() {
         let p = page("<tr><td>Same Data</td></tr>");
-        let pages = vec![p.clone(), p];
-        let ind = induce(&pages);
-        let q = assess(&ind, &pages);
+        let (_, q, _) = assess_pages(&[p.clone(), p]);
         assert_eq!(q.total_slot_text, 0);
         assert!(!q.is_usable());
     }
 
     #[test]
     fn tiny_template_is_unusable() {
-        let pages = vec![tokenize("x a b c d e"), tokenize("x p q r s t")];
-        let ind = induce(&pages);
-        let q = assess(&ind, &pages);
+        let (_, q, _) = assess_pages(&["x a b c d e", "x p q r s t"]);
         assert!(q.template_len < MIN_TEMPLATE_LEN);
         assert!(!q.is_usable());
     }

@@ -2,7 +2,9 @@
 
 use std::ops::Range;
 
-use tableseg_html::Token;
+use tableseg_html::TokenType;
+
+use crate::intern::{Interner, Symbol};
 
 /// One slot: for each example page, the token range that fills the gap
 /// between two consecutive template anchors (or before the first / after
@@ -17,17 +19,18 @@ pub struct Slot {
 }
 
 impl Slot {
-    /// Total number of tokens across all pages in this slot.
-    pub fn token_count(&self) -> usize {
-        self.ranges.iter().map(Range::len).sum()
-    }
-
-    /// Total number of visible-text tokens across all pages in this slot.
-    pub fn text_token_count(&self, pages: &[Vec<Token>]) -> usize {
+    /// Total number of visible-text (non-tag) tokens across all pages in
+    /// this slot, reading each symbol's types through `interner`.
+    pub fn text_token_count(&self, streams: &[Vec<Symbol>], interner: &Interner) -> usize {
         self.ranges
             .iter()
-            .zip(pages)
-            .map(|(r, page)| page[r.clone()].iter().filter(|t| t.is_text()).count())
+            .zip(streams)
+            .map(|(r, page)| {
+                page[r.clone()]
+                    .iter()
+                    .filter(|&&s| !interner.types(s).contains(TokenType::Html))
+                    .count()
+            })
             .sum()
     }
 
@@ -50,19 +53,14 @@ impl SlotSet {
     /// found in the slot that contains the largest number of text tokens").
     ///
     /// Returns `None` if every slot is empty of text.
-    pub fn table_slot(&self, pages: &[Vec<Token>]) -> Option<usize> {
+    pub fn table_slot(&self, streams: &[Vec<Symbol>], interner: &Interner) -> Option<usize> {
         self.slots
             .iter()
-            .map(|s| s.text_token_count(pages))
+            .map(|s| s.text_token_count(streams, interner))
             .enumerate()
             .filter(|&(_, n)| n > 0)
             .max_by_key(|&(_, n)| n)
             .map(|(i, _)| i)
-    }
-
-    /// Sum of text tokens over all slots.
-    pub fn total_text_tokens(&self, pages: &[Vec<Token>]) -> usize {
-        self.slots.iter().map(|s| s.text_token_count(pages)).sum()
     }
 
     /// Number of slots that are non-empty on at least one page.
@@ -74,17 +72,21 @@ impl SlotSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tableseg_html::lexer::tokenize;
+
+    fn intern(pages: &[&str]) -> (Vec<Vec<Symbol>>, Interner) {
+        let mut interner = Interner::new();
+        let streams = pages.iter().map(|p| interner.intern_page(p).0).collect();
+        (streams, interner)
+    }
 
     #[test]
     fn token_counts() {
-        let pages = vec![tokenize("<b>a b c</b>"), tokenize("<b>x</b>")];
+        let (pages, interner) = intern(&["<b>a b c</b>", "<b>x</b>"]);
         let slot = Slot {
             index: 0,
             ranges: vec![1..4, 1..2],
         };
-        assert_eq!(slot.token_count(), 4);
-        assert_eq!(slot.text_token_count(&pages), 4);
+        assert_eq!(slot.text_token_count(&pages, &interner), 4);
         assert!(!slot.is_empty());
     }
 
@@ -95,15 +97,11 @@ mod tests {
             ranges: vec![2..2, 5..5],
         };
         assert!(slot.is_empty());
-        assert_eq!(slot.token_count(), 0);
     }
 
     #[test]
     fn table_slot_picks_largest_text_slot() {
-        let pages = vec![
-            tokenize("h <td>one two three</td> f"),
-            tokenize("h <td>x y</td> f"),
-        ];
+        let (pages, interner) = intern(&["h <td>one two three</td> f", "h <td>x y</td> f"]);
         // Construct a slot set manually: slot 0 = header word, slot 1 = cell
         // contents, slot 2 = footer word.
         let set = SlotSet {
@@ -122,20 +120,19 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(set.table_slot(&pages), Some(1));
-        assert_eq!(set.total_text_tokens(&pages), 1 + 1 + 5 + 1 + 1);
+        assert_eq!(set.table_slot(&pages, &interner), Some(1));
         assert_eq!(set.non_empty_count(), 3);
     }
 
     #[test]
     fn table_slot_none_when_all_empty() {
-        let pages: Vec<Vec<tableseg_html::Token>> = vec![vec![], vec![]];
+        let pages: Vec<Vec<Symbol>> = vec![vec![], vec![]];
         let set = SlotSet {
             slots: vec![Slot {
                 index: 0,
                 ranges: vec![0..0, 0..0],
             }],
         };
-        assert_eq!(set.table_slot(&pages), None);
+        assert_eq!(set.table_slot(&pages, &Interner::new()), None);
     }
 }

@@ -12,9 +12,9 @@
 //! ```
 
 use tableseg::{
-    annotate_columns, induce_wrapper, prepare, CspSegmenter, ProbSegmenter, Segmenter, SitePages,
+    annotate_columns, induce_wrapper, try_prepare_with_template, CspSegmenter, ProbSegmenter,
+    Segmenter, SiteTemplate,
 };
-use tableseg_html::lexer::tokenize;
 use tableseg_sitegen::paper_sites;
 use tableseg_sitegen::site::generate;
 
@@ -23,16 +23,9 @@ fn main() {
     let site = generate(&spec);
 
     // Step 1: segment page 1 with detail pages.
-    let details: Vec<&str> = site.pages[0]
-        .detail_html
-        .iter()
-        .map(String::as_str)
-        .collect();
-    let prepared = prepare(&SitePages {
-        list_pages: site.list_htmls(),
-        target: 0,
-        detail_pages: details,
-    });
+    let template = SiteTemplate::build(&site.list_htmls());
+    let prepared = try_prepare_with_template(&template, 0, &site.pages[0].detail_htmls())
+        .expect("page 1 prepares");
     let seg = CspSegmenter::default()
         .segment(&prepared.observations)
         .segmentation;
@@ -57,14 +50,14 @@ fn main() {
     }
 
     // Step 3: induce the row wrapper.
-    let wrapper = induce_wrapper(&prepared, &seg).expect("wrapper induced");
+    let wrapper = induce_wrapper(&template, 0, &prepared, &seg).expect("wrapper induced");
     println!(
         "\ninduced wrapper: head={:?} seps={:?} tail={:?}",
         wrapper.head, wrapper.seps, wrapper.tail
     );
 
     // Step 4: extract page 2 without touching its detail pages.
-    let records = wrapper.extract(&tokenize(&site.pages[1].list_html));
+    let records = wrapper.extract(&site.pages[1].list_html);
     println!(
         "\nextracted {} records from page 2 (no detail pages used):",
         records.len()

@@ -10,7 +10,6 @@
 
 use std::path::PathBuf;
 
-use tableseg::html::lexer::tokenize;
 use tableseg::timing::Stage;
 use tableseg::{
     detect_regions, run_page, CspSegmenter, DetectOptions, ProbSegmenter, RegionKind, Segmenter,
@@ -36,9 +35,10 @@ fn every_paper_corpus_page_is_one_whole_page_region() {
     let opts = DetectOptions::default();
     for spec in paper_sites::all() {
         let site = generate(&spec);
+        let template = SiteTemplate::build(&site.list_htmls());
         for (p, page) in site.pages.iter().enumerate() {
-            let tokens = tokenize(&page.list_html);
-            let detection = detect_regions(&tokens, &opts);
+            let (syms, spans) = (&template.streams[p], &template.spans[p]);
+            let detection = detect_regions(syms, spans, &template.interner, &opts);
             assert!(
                 detection.pass_through,
                 "{} page {p}: single-table page must pass through",
@@ -54,8 +54,14 @@ fn every_paper_corpus_page_is_one_whole_page_region() {
             assert_eq!(region.kind, RegionKind::Table);
             assert_eq!(
                 region.tokens,
-                0..tokens.len(),
+                0..syms.len(),
                 "{} page {p}: the region must cover the whole page",
+                spec.name
+            );
+            assert_eq!(
+                region.bytes,
+                0..page.list_html.len(),
+                "{} page {p}: the region must span the whole source",
                 spec.name
             );
         }
@@ -89,7 +95,7 @@ fn pass_through_preparation_matches_classic_path() {
             assert_eq!(a.extract_offsets, b.extract_offsets, "{at}");
             assert_eq!(a.skipped_offsets, b.skipped_offsets, "{at}");
             assert_eq!(a.used_whole_page, b.used_whole_page, "{at}");
-            assert_eq!(a.slot_tokens, b.slot_tokens, "{at}");
+            assert_eq!(a.slot, b.slot, "{at}");
             assert_eq!(
                 a.observations.num_records, b.observations.num_records,
                 "{at}"

@@ -4,21 +4,17 @@
 use tableseg::{prepare, CspSegmenter, ProbSegmenter, Segmenter, SitePages};
 use tableseg_extract::build_observations;
 use tableseg_extract::positions::position_groups;
-use tableseg_html::lexer::tokenize;
-use tableseg_html::Token;
 
 /// The Superpages running example of the paper (Figure 1, Tables 1–3):
 /// three listings, the first two sharing a name and a phone number.
-fn superpages_example() -> (Vec<Token>, Vec<Vec<Token>>) {
-    let list = tokenize(
-        "<tr><td>John Smith</td><td>221 Washington</td><td>New Holland</td><td>(740) 335-5555</td></tr>\
+fn superpages_example() -> (&'static str, Vec<&'static str>) {
+    let list = "<tr><td>John Smith</td><td>221 Washington</td><td>New Holland</td><td>(740) 335-5555</td></tr>\
          <tr><td>John Smith</td><td>221R Washington St</td><td>Wash CH</td><td>(740) 335-5555</td></tr>\
-         <tr><td>George W. Smith</td><td>Findlay, OH</td><td>(419) 423-1212</td></tr>",
-    );
+         <tr><td>George W. Smith</td><td>Findlay, OH</td><td>(419) 423-1212</td></tr>";
     let details = vec![
-        tokenize("<h1>John Smith</h1><p>221 Washington</p><p>New Holland</p><p>(740) 335-5555</p>"),
-        tokenize("<h1>John Smith</h1><p>221R Washington St</p><p>Wash CH</p><p>(740) 335-5555</p>"),
-        tokenize("<h1>George W. Smith</h1><p>Findlay, OH</p><p>(419) 423-1212</p>"),
+        "<h1>John Smith</h1><p>221 Washington</p><p>New Holland</p><p>(740) 335-5555</p>",
+        "<h1>John Smith</h1><p>221R Washington St</p><p>Wash CH</p><p>(740) 335-5555</p>",
+        "<h1>George W. Smith</h1><p>Findlay, OH</p><p>(419) 423-1212</p>",
     ];
     (list, details)
 }
@@ -26,8 +22,7 @@ fn superpages_example() -> (Vec<Token>, Vec<Vec<Token>>) {
 #[test]
 fn table1_observation_sets() {
     let (list, details) = superpages_example();
-    let refs: Vec<&[Token]> = details.iter().map(Vec::as_slice).collect();
-    let obs = build_observations(&list, &[], &refs);
+    let obs = build_observations(list, &[], &details);
     // Table 1 of the paper: eleven extracts.
     assert_eq!(obs.len(), 11);
     let expected_pages: Vec<Vec<u32>> = vec![
@@ -51,8 +46,7 @@ fn table1_observation_sets() {
 #[test]
 fn table2_csp_assignment() {
     let (list, details) = superpages_example();
-    let refs: Vec<&[Token]> = details.iter().map(Vec::as_slice).collect();
-    let obs = build_observations(&list, &[], &refs);
+    let obs = build_observations(list, &[], &details);
     let outcome = CspSegmenter::default().segment(&obs);
     assert!(!outcome.relaxed);
     // Table 2: E1-E4 → r1, E5-E8 → r2, E9-E11 → r3.
@@ -66,8 +60,7 @@ fn table2_csp_assignment() {
 #[test]
 fn table2_probabilistic_assignment_matches() {
     let (list, details) = superpages_example();
-    let refs: Vec<&[Token]> = details.iter().map(Vec::as_slice).collect();
-    let obs = build_observations(&list, &[], &refs);
+    let obs = build_observations(list, &[], &details);
     let outcome = ProbSegmenter::default().segment(&obs);
     let expected: Vec<Option<u32>> = [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2]
         .into_iter()
@@ -79,8 +72,7 @@ fn table2_probabilistic_assignment_matches() {
 #[test]
 fn table3_shared_positions() {
     let (list, details) = superpages_example();
-    let refs: Vec<&[Token]> = details.iter().map(Vec::as_slice).collect();
-    let obs = build_observations(&list, &[], &refs);
+    let obs = build_observations(list, &[], &details);
     let groups = position_groups(&obs);
     // "John Smith" (E1/E5) at position 0 of pages r1 and r2; the shared
     // phone (E4/E8) at the tail position of both pages: 4 groups.
@@ -100,11 +92,11 @@ fn table3_shared_positions() {
 fn footnote1_matching_ignores_separators() {
     // "a string 'FirstName LastName' on list page will be matched to
     // 'FirstName <br>LastName' on the detail page".
-    let list = tokenize("<td>Jane Q Doe</td>");
-    let detail = tokenize("<p>Jane <br>Q <b>Doe</b></p>");
-    let d2 = tokenize("<p>other</p>");
-    let refs: Vec<&[Token]> = vec![&detail, &d2];
-    let obs = build_observations(&list, &[], &refs);
+    let list = "<td>Jane Q Doe</td>";
+    let detail = "<p>Jane <br>Q <b>Doe</b></p>";
+    let d2 = "<p>other</p>";
+    let refs = [detail, d2];
+    let obs = build_observations(list, &[], &refs);
     assert_eq!(obs.len(), 1);
     assert_eq!(obs.items[0].pages, vec![0]);
 }
@@ -112,11 +104,11 @@ fn footnote1_matching_ignores_separators() {
 #[test]
 fn section4_relaxation_produces_partial_assignment() {
     // The Michigan-style inconsistency in miniature.
-    let list = tokenize("<td>Alpha One</td><td>Parole</td><td>Beta Two</td><td>Parole</td>");
-    let d1 = tokenize("<p>Alpha One</p><p>Parole</p>");
-    let d2 = tokenize("<p>Beta Two</p><p>Parolee</p>");
-    let refs: Vec<&[Token]> = vec![&d1, &d2];
-    let obs = build_observations(&list, &[], &refs);
+    let list = "<td>Alpha One</td><td>Parole</td><td>Beta Two</td><td>Parole</td>";
+    let d1 = "<p>Alpha One</p><p>Parole</p>";
+    let d2 = "<p>Beta Two</p><p>Parolee</p>";
+    let refs = [d1, d2];
+    let obs = build_observations(list, &[], &refs);
 
     let csp = CspSegmenter::default().segment(&obs);
     assert!(csp.relaxed, "strict constraints are unsatisfiable");
