@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use tableseg::{prepare, CspSegmenter, ProbSegmenter, Segmenter, SitePages};
+use tableseg::{try_prepare_with_template, CspSegmenter, ProbSegmenter, Segmenter, SiteTemplate};
 use tableseg_sitegen::paper_sites;
 use tableseg_sitegen::site::generate;
 
@@ -34,11 +34,10 @@ fn bench_pipeline(c: &mut Criterion) {
                     b.iter(|| {
                         let list_refs: Vec<&str> = lists.iter().map(String::as_str).collect();
                         let detail_refs: Vec<&str> = details.iter().map(String::as_str).collect();
-                        let prepared = prepare(&SitePages {
-                            list_pages: list_refs,
-                            target: 0,
-                            detail_pages: detail_refs,
-                        });
+                        // The whole front end, template induction included.
+                        let template = SiteTemplate::build(&list_refs);
+                        let prepared = try_prepare_with_template(&template, 0, &detail_refs)
+                            .expect("page 1 prepares");
                         segmenter.segment(black_box(&prepared.observations))
                     })
                 },

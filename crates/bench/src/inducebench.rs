@@ -20,9 +20,8 @@
 
 use std::time::Instant;
 
-use tableseg::template::{
-    assess, candidate_streams, induce_with, lcs_indices_histogram_stats, Interner, Symbol,
-};
+use tableseg::html::{Interner, Symbol};
+use tableseg::template::{assess, candidate_streams, induce_with, lcs_indices_histogram_stats};
 
 use crate::corpus::{paper_generated_scaled, BenchJson};
 

@@ -35,8 +35,8 @@ use tableseg::outcome::PageOutcome;
 use tableseg::robustness::RobustnessReport;
 use tableseg::timing::{self, Stage, StageTimes};
 use tableseg::{
-    batch, run_page, CspSegmenter, DetectOptions, PageResult, ProbSegmenter, Segmenter,
-    SiteTemplate,
+    batch, run_page, try_prepare_with_template, CspSegmenter, DetectOptions, PageResult,
+    ProbSegmenter, Segmenter, SiteTemplate,
 };
 use tableseg_eval::classify::{classify, truth_of_extracts, PageCounts};
 use tableseg_eval::report::{render_aggregate, render_table4, Row};
@@ -357,7 +357,6 @@ pub fn table4_report(runs: &[PageRun], clean_only: bool) -> String {
 /// deterministic; shared by `bench tables123` and the determinism
 /// tests.
 pub fn tables123_report() -> String {
-    use tableseg_extract::build_observations;
     use tableseg_extract::positions::render_table;
 
     // The paper's Figure 1 / Table 1 example: two "John Smith" listings
@@ -370,20 +369,26 @@ pub fn tables123_report() -> String {
         "<h1>John Smith</h1><p>221R Washington St</p><p>Wash CH</p><p>(740) 335-5555</p>",
         "<h1>George W. Smith</h1><p>Findlay, OH</p><p>(419) 423-1212</p>",
     ];
-    let obs = build_observations(list, &[], &details);
+    // One sample list page: the template is the page itself, so the
+    // whole page is the table slot.
+    let template = SiteTemplate::build(&[list]);
+    let prepared =
+        try_prepare_with_template(&template, 0, &details).expect("the example page prepares");
+    let (obs, interner) = (&prepared.observations, &template.interner);
+    let slot = &template.streams[0][prepared.slot.clone()];
 
     let mut out = String::new();
     out.push_str("Table 1: observations of extracts on detail pages D_i\n\n");
-    out.push_str(&obs.render_table());
+    out.push_str(&obs.render_table(slot, interner));
     out.push('\n');
 
-    let outcome = CspSegmenter::default().segment(&obs);
+    let outcome = CspSegmenter::default().segment(obs);
     out.push_str("Table 2: assignment of extracts to records (CSP solution)\n\n");
-    out.push_str(&outcome.segmentation.render_table(&obs));
+    out.push_str(&outcome.segmentation.render_table(obs, slot, interner));
     out.push('\n');
 
     out.push_str("Table 3: positions of extracts on detail pages\n\n");
-    out.push_str(&render_table(&obs));
+    out.push_str(&render_table(obs));
     out
 }
 
@@ -470,29 +475,6 @@ mod tests {
             assert_eq!(outcome.runs.len(), r.ok + r.degraded);
             let injected: usize = outcome.fault_counts.iter().map(|&(_, n)| n).sum();
             assert!(injected > 0, "50% chaos must fire");
-        }
-    }
-
-    /// The cached-template page run reproduces the one-shot front end.
-    #[test]
-    fn cached_prepare_matches_one_shot() {
-        let site = generate(&paper_sites::butler());
-        let template = SiteTemplate::build(&site.list_htmls());
-        for (page, gp) in site.pages.iter().enumerate() {
-            let details = gp.detail_htmls();
-            let cached = run_page(&template, page, &details, None, &[]);
-            let oneshot = tableseg::prepare(&tableseg::SitePages {
-                list_pages: site.list_htmls(),
-                target: page,
-                detail_pages: details.clone(),
-            });
-            assert_eq!(cached.regions.len(), 1);
-            assert_eq!(cached.used_whole_page(), oneshot.used_whole_page);
-            assert_eq!(cached.extract_offsets(), oneshot.extract_offsets);
-            assert_eq!(
-                cached.regions[0].observations.len(),
-                oneshot.observations.len()
-            );
         }
     }
 }

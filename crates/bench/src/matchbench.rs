@@ -16,7 +16,7 @@ use std::time::Instant;
 use crate::corpus::{paper_prepared, site_count, BenchJson};
 use tableseg::SiteTemplate;
 use tableseg_extract::{derive_extracts, match_extracts_indexed, Extract, Observations, PageIndex};
-use tableseg_html::{scan, ScanTokens, Symbol};
+use tableseg_html::{scan, ScanTokens};
 
 /// One page of the benchmark corpus, prepared for matching.
 ///
@@ -46,14 +46,9 @@ impl MatchFixture {
     }
 
     /// [`MatchFixture::run_indexed`] on pre-cloned extracts, so timed
-    /// loops can keep the deep `Extract` clone (which production never
+    /// loops can keep the `Extract` vector copy (which production never
     /// performs — matching takes ownership) out of the measurement.
     pub fn run_indexed_with(&self, extracts: Vec<Extract>) -> Observations {
-        let syms = &self.template.streams[self.page];
-        let needles: Vec<&[Symbol]> = extracts
-            .iter()
-            .map(|e| &syms[e.start..e.start + e.len()])
-            .collect();
         let other_indexes: Vec<&PageIndex> = self
             .template
             .page_indexes
@@ -68,7 +63,8 @@ impl MatchFixture {
             .map(|(html, scanned)| PageIndex::from_scanned(scanned, html, &self.template.interner))
             .collect();
         let detail_refs: Vec<&PageIndex> = detail_indexes.iter().collect();
-        match_extracts_indexed(extracts, &needles, &other_indexes, &detail_refs)
+        let syms = &self.template.streams[self.page];
+        match_extracts_indexed(extracts, syms, &other_indexes, &detail_refs)
     }
 }
 

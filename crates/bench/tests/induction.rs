@@ -10,9 +10,10 @@
 //! (The Hirschberg oracle *fold* is test code inside `tableseg-template`,
 //! which runs it over the same chaos corpus.)
 
+use tableseg::html::{Interner, Symbol};
 use tableseg::template::lcs::lcs_indices;
 use tableseg::template::{
-    assess, candidate_streams, induce_with, lcs_indices_histogram, Induction, Interner, Symbol,
+    assess, candidate_streams, induce_with, lcs_indices_histogram, Induction,
 };
 use tableseg_sitegen::chaos::{apply_chaos, ChaosConfig};
 use tableseg_sitegen::paper_sites;

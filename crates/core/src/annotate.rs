@@ -13,8 +13,9 @@
 
 use std::fmt;
 
-use tableseg_extract::Observations;
-use tableseg_html::{Token, TokenType};
+use tableseg_html::{Interner, Symbol, TokenType, TypeSet};
+
+use crate::pipeline::{PreparedPage, SiteTemplate};
 
 /// A recognized semantic field type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,21 +66,35 @@ impl fmt::Display for SemanticLabel {
     }
 }
 
-fn is_num(t: &Token) -> bool {
+/// One token of an extract, read through the interner.
+struct Tok<'a> {
+    text: &'a str,
+    types: TypeSet,
+}
+
+fn is_num(t: &Tok<'_>) -> bool {
     t.types.contains(TokenType::Numeric)
 }
 
-fn is_cap(t: &Token) -> bool {
+fn is_cap(t: &Tok<'_>) -> bool {
     t.types.contains(TokenType::Capitalized)
 }
 
-fn digits(t: &Token) -> usize {
+fn digits(t: &Tok<'_>) -> usize {
     t.text.chars().filter(char::is_ascii_digit).count()
 }
 
-/// Recognizes the semantic type of one extract from its token sequence.
-pub fn recognize(tokens: &[Token]) -> SemanticLabel {
-    let texts: Vec<&str> = tokens.iter().map(|t| t.text.as_str()).collect();
+/// Recognizes the semantic type of one extract from its symbols, whose
+/// texts and types `interner` holds.
+pub fn recognize(syms: &[Symbol], interner: &Interner) -> SemanticLabel {
+    let tokens: Vec<Tok<'_>> = syms
+        .iter()
+        .map(|&s| Tok {
+            text: interner.text(s),
+            types: interner.types(s),
+        })
+        .collect();
+    let texts: Vec<&str> = tokens.iter().map(|t| t.text).collect();
     let n = tokens.len();
     if n == 0 {
         return SemanticLabel::Text;
@@ -210,15 +225,23 @@ pub struct ColumnAnnotation {
 /// Annotates the columns of a probabilistic segmentation: for each column
 /// label, the majority [`SemanticLabel`] over its extracts.
 ///
-/// `columns[i]` is the learned column of `obs.items[i]` (from
+/// `prepared` is list page `target` of `template`, and `columns[i]` is the
+/// learned column of `prepared.observations.items[i]` (from
 /// [`crate::ProbSegmenter`]).
-pub fn annotate_columns(obs: &Observations, columns: &[u32]) -> Vec<ColumnAnnotation> {
+pub fn annotate_columns(
+    template: &SiteTemplate,
+    target: usize,
+    prepared: &PreparedPage,
+    columns: &[u32],
+) -> Vec<ColumnAnnotation> {
+    let obs = &prepared.observations;
     assert_eq!(obs.items.len(), columns.len());
+    let slot = &template.streams[target][prepared.slot.clone()];
     let num_columns = columns.iter().max().map_or(0, |&c| c as usize + 1);
     let mut votes: Vec<std::collections::HashMap<SemanticLabel, usize>> =
         vec![std::collections::HashMap::new(); num_columns];
     for (item, &c) in obs.items.iter().zip(columns) {
-        let label = recognize(&item.extract.tokens);
+        let label = recognize(item.extract.symbols(slot), &template.interner);
         *votes[c as usize].entry(label).or_default() += 1;
     }
     votes
@@ -242,10 +265,11 @@ pub fn annotate_columns(obs: &Observations, columns: &[u32]) -> Vec<ColumnAnnota
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tableseg_html::lexer::tokenize;
 
     fn rec(s: &str) -> SemanticLabel {
-        recognize(&tokenize(s))
+        let mut interner = Interner::new();
+        let (syms, _) = interner.intern_page(s);
+        recognize(&syms, &interner)
     }
 
     #[test]
@@ -294,16 +318,17 @@ mod tests {
 
     #[test]
     fn column_majority_vote() {
-        use tableseg_extract::build_observations;
+        use crate::pipeline::try_prepare_with_template;
         let list = "<td>John Smith</td><td>(740) 335-5555</td>\
              <td>Jane Doe</td><td>(614) 222-1111</td>";
         let d1 = "<p>John Smith</p><p>(740) 335-5555</p>";
         let d2 = "<p>Jane Doe</p><p>(614) 222-1111</p>";
         let d3 = "<p>z</p>";
-        let refs = [d1, d2, d3];
-        let obs = build_observations(list, &[], &refs);
+        let template = SiteTemplate::build(&[list]);
+        let prepared = try_prepare_with_template(&template, 0, &[d1, d2, d3]).expect("prepared");
+        assert_eq!(prepared.observations.len(), 4);
         let columns = vec![0, 1, 0, 1];
-        let ann = annotate_columns(&obs, &columns);
+        let ann = annotate_columns(&template, 0, &prepared, &columns);
         assert_eq!(ann.len(), 2);
         assert_eq!(ann[0].label, SemanticLabel::PersonName);
         assert_eq!(ann[1].label, SemanticLabel::PhoneNumber);

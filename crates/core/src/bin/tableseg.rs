@@ -171,7 +171,7 @@ fn run(args: &Args) -> Result<(), String> {
 
         let mut times = StageTimes::new();
         let records = times.time(Stage::Decode, || {
-            assemble_records(prepared, &outcome.segmentation)
+            assemble_records(&template, args.target, prepared, &outcome.segmentation)
         });
         for record in &records {
             println!("{}\t{}", record.index + 1, record.fields.join(" | "));
@@ -181,7 +181,7 @@ fn run(args: &Args) -> Result<(), String> {
             match &outcome.columns {
                 Some(columns) => {
                     eprintln!("column annotation:");
-                    for ann in annotate_columns(&prepared.observations, columns) {
+                    for ann in annotate_columns(&template, args.target, prepared, columns) {
                         eprintln!(
                             "  L{} -> {} ({:.0}%, n={})",
                             ann.column + 1,

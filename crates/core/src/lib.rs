@@ -33,11 +33,14 @@
 //! degraded or failed ([`PageOutcome`]), and solves with every segmenter
 //! it is given. Every driver in the workspace — the batch harness, the
 //! `tablesegd` daemon, the scale benchmark and the `tableseg` CLI — runs
-//! pages through it. [`prepare`] is the one-shot front end for a single
-//! page, shown here:
+//! pages through it. [`try_prepare_with_template`] is step 2 alone, shown
+//! here:
 //!
 //! ```
-//! use tableseg::{prepare, CspSegmenter, ProbSegmenter, Segmenter, SitePages};
+//! use tableseg::{
+//!     assemble_records, try_prepare_with_template, CspSegmenter, ProbSegmenter, Segmenter,
+//!     SiteTemplate,
+//! };
 //!
 //! let list_a = "<html><h1>Results Page</h1><table>\
 //!   <tr><td>Ada Lovelace</td><td>(555) 100-0001</td></tr>\
@@ -51,16 +54,16 @@
 //!     "<html><h2>Alan Turing</h2><p>Phone: (555) 100-0002</p></html>",
 //! ];
 //!
-//! let input = SitePages {
-//!     list_pages: vec![list_a, list_b],
-//!     target: 0,
-//!     detail_pages: details.to_vec(),
-//! };
-//! let prepared = prepare(&input);
+//! let template = SiteTemplate::build(&[list_a, list_b]);
+//! let prepared = try_prepare_with_template(&template, 0, &details).unwrap();
 //! let outcome = CspSegmenter::default().segment(&prepared.observations);
 //! let records = outcome.segmentation.records();
 //! assert_eq!(records.len(), 2);
 //! assert!(!records[0].is_empty());
+//!
+//! // Fields are read through the site's interner.
+//! let rows = assemble_records(&template, 0, &prepared, &outcome.segmentation);
+//! assert_eq!(rows[0].fields[0], "Ada Lovelace");
 //!
 //! // The probabilistic approach also assigns columns.
 //! let outcome = ProbSegmenter::default().segment(&prepared.observations);
@@ -88,9 +91,7 @@ pub use detect::{detect_regions, DetectOptions, Detection, Region, RegionKind};
 pub use hybrid::HybridSegmenter;
 pub use nested::{parent_spans_from_groups, try_segment_nested, NestedParentResult, NestedRun};
 pub use outcome::{caught, PageOutcome, Warning};
-pub use pipeline::{
-    prepare, run_page, try_prepare_with_template, PageResult, PreparedPage, SitePages, SiteTemplate,
-};
+pub use pipeline::{run_page, try_prepare_with_template, PageResult, PreparedPage, SiteTemplate};
 pub use record::{assemble_records, AssembledRecord};
 pub use robustness::RobustnessReport;
 pub use segmenter::{CspSegmenter, ProbSegmenter, Segmenter, SegmenterOutcome};

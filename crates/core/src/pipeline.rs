@@ -7,16 +7,15 @@
 //! segmented. [`SiteTemplate`] owns that per-site work (scanning and
 //! interning, induction, quality assessment and the table-slot choice)
 //! so every driver does it once per site. A list page lives there as
-//! its interned symbol stream plus each token's byte range; the stages
-//! read texts and types back through the site interner, and owned tokens
-//! are built only for the extracts.
+//! its interned symbol stream plus each token's byte range; an extract is
+//! a token range of its page's table slot, and every stage reads texts
+//! and types back through the site interner.
 //! [`run_page`] then runs one list page end to end against the cached
 //! template: optional region detection, the per-page front end
 //! ([`try_prepare_with_template`]), the page's outcome classification,
 //! and every segmenter through its fallible entry point. Every driver —
 //! the batch harness, `tablesegd`, the scale benchmark and the CLI —
-//! runs pages through it. [`prepare`] remains the one-shot convenience
-//! wrapper.
+//! runs pages through it.
 
 use std::ops::Range;
 
@@ -32,21 +31,6 @@ use crate::outcome::{caught, classify, PageOutcome};
 use crate::segmenter::{Segmenter, SegmenterOutcome};
 use crate::timing::{Stage, StageTimes};
 
-/// The input: sample list pages plus the detail pages of the page to
-/// segment.
-#[derive(Debug, Clone)]
-pub struct SitePages<'a> {
-    /// HTML of the sample list pages from the site ("Given two, or
-    /// preferably more, example list pages"). One page is allowed; the
-    /// pipeline then behaves as the whole-page fallback.
-    pub list_pages: Vec<&'a str>,
-    /// Index into `list_pages` of the page to segment.
-    pub target: usize,
-    /// HTML of the detail pages linked from the target page's records, in
-    /// row order (`detail_pages[j]` belongs to record `r_{j+1}`).
-    pub detail_pages: Vec<&'a str>,
-}
-
 /// The observation table for the target page, plus provenance data.
 #[derive(Debug, Clone)]
 pub struct PreparedPage {
@@ -55,32 +39,27 @@ pub struct PreparedPage {
     /// Byte offset in the target page's HTML of each kept extract
     /// (aligned with `observations.items`). Used by evaluation.
     pub extract_offsets: Vec<usize>,
-    /// Byte offsets of the skipped extracts (aligned with
-    /// `observations.skipped`).
-    pub skipped_offsets: Vec<usize>,
     /// `true` if the induced template was unusable and the whole page was
     /// used as the table slot (the paper's notes `a`/`b`).
     pub used_whole_page: bool,
     /// The template diagnostics that drove the decision.
     pub template_quality: TemplateQuality,
     /// The token range, in the target list page's stream, of the table
-    /// slot the extracts were derived from. `Extract::start` counts from
-    /// its start; wrapper induction ([`crate::wrapper`]) reads it.
+    /// slot the extracts were derived from: an extract is a range of
+    /// `template.streams[target][slot]`, whose texts the site interner
+    /// holds ([`tableseg_extract::Extract::text`]).
     pub slot: Range<usize>,
     /// Wall-clock time of the per-page stages (detail tokenization,
-    /// extraction, matching). [`prepare`] additionally merges in the
-    /// per-site stages; [`try_prepare_with_template`] does not — the
-    /// caller owns the site-level [`SiteTemplate::timings`]. The regions
-    /// of a [`PageResult`] leave out the detail-page scanning and
-    /// indexing they share; [`run_page`] counts it once, in
-    /// [`PageResult::timings`].
+    /// extraction, matching). The site-level stages stay with the
+    /// template's owner ([`SiteTemplate::timings`]). The regions of a
+    /// [`PageResult`] leave out the detail-page scanning and indexing they
+    /// share; [`run_page`] counts it once, in [`PageResult::timings`].
     pub timings: StageTimes,
     /// Per-page observability metrics (extracts kept/skipped/matched,
     /// whole-page fallbacks, per-page histograms). Empty unless
-    /// [`tableseg_obs::set_enabled`] is on. Mirrors `timings`: [`prepare`]
-    /// merges in the site-level metrics, [`try_prepare_with_template`]
-    /// leaves them with the template's owner, and a [`PageResult`]'s
-    /// regions leave the detail-page counters to the page.
+    /// [`tableseg_obs::set_enabled`] is on. Mirrors `timings`: the
+    /// site-level metrics stay with the template's owner, and a
+    /// [`PageResult`]'s regions leave the detail-page counters to the page.
     pub metrics: Recorder,
 }
 
@@ -350,25 +329,6 @@ fn index_lists(interner: &Interner, streams: &[Vec<Symbol>]) -> (SeparatorMask, 
     (separators, page_indexes)
 }
 
-/// Runs the shared front end on a site's pages.
-///
-/// Convenience wrapper over [`SiteTemplate::build`] +
-/// [`try_prepare_with_template`]; the returned page's `timings` include
-/// the site-level stages. Callers segmenting several pages of one site
-/// should build the [`SiteTemplate`] once and call [`run_page`] instead.
-///
-/// # Panics
-///
-/// Panics if `target` is out of bounds — the caller controls both fields.
-pub fn prepare(input: &SitePages<'_>) -> PreparedPage {
-    let template = SiteTemplate::build(&input.list_pages);
-    let mut prepared = try_prepare_with_template(&template, input.target, &input.detail_pages)
-        .unwrap_or_else(|e| panic!("{e}"));
-    prepared.timings.merge(&template.timings);
-    prepared.metrics.merge(&template.metrics);
-    prepared
-}
-
 /// Runs the per-page front end against a prebuilt [`SiteTemplate`]:
 /// table-slot selection, extraction, and detail-page matching for the
 /// list page at index `target`. An out-of-bounds target is reported as
@@ -491,13 +451,6 @@ fn try_prepare_slot(
     })?;
     let observations = caught("match", || {
         timings.time(Stage::Matching, || {
-            // Needles are symbol slices of the slot stream: an extract is a
-            // contiguous separator-free token run, so its reduced form is the
-            // run itself.
-            let needles: Vec<&[Symbol]> = extracts
-                .iter()
-                .map(|e| &slot_syms[e.start..e.start + e.tokens.len()])
-                .collect();
             // Other list pages come from the site-level index cache.
             let other_indexes: Vec<&PageIndex> = template
                 .page_indexes
@@ -507,18 +460,13 @@ fn try_prepare_slot(
                 .map(|(_, idx)| idx)
                 .collect();
             let detail_refs: Vec<&PageIndex> = details.iter().collect();
-            match_extracts_indexed(extracts, &needles, &other_indexes, &detail_refs)
+            match_extracts_indexed(extracts, slot_syms, &other_indexes, &detail_refs)
         })
     })?;
     let extract_offsets = observations
         .items
         .iter()
-        .map(|it| it.extract.tokens[0].offset)
-        .collect();
-    let skipped_offsets = observations
-        .skipped
-        .iter()
-        .map(|s| s.extract.tokens[0].offset)
+        .map(|it| it.extract.offset)
         .collect();
 
     let mut metrics = Recorder::new();
@@ -540,7 +488,6 @@ fn try_prepare_slot(
     Ok(PreparedPage {
         observations,
         extract_offsets,
-        skipped_offsets,
         used_whole_page,
         template_quality: template.quality,
         slot,
@@ -799,15 +746,16 @@ mod tests {
         (a, b, details)
     }
 
+    /// The front end on list page `target` of the site `lists`.
+    fn prepare_page(lists: &[&str], target: usize, details: &[&str]) -> PreparedPage {
+        let template = SiteTemplate::build(lists);
+        try_prepare_with_template(&template, target, details).expect("prepared")
+    }
+
     #[test]
     fn uses_table_slot_on_clean_site() {
         let (a, b, details) = two_page_site();
-        let input = SitePages {
-            list_pages: vec![&a, &b],
-            target: 0,
-            detail_pages: details,
-        };
-        let prep = prepare(&input);
+        let prep = prepare_page(&[&a, &b], 0, &details);
         assert!(!prep.used_whole_page, "{:?}", prep.template_quality);
         assert!(prep.slot.start > 0, "the slot leaves out the page header");
         // Only the four record values are kept extracts.
@@ -820,12 +768,7 @@ mod tests {
     #[test]
     fn whole_page_fallback_on_single_page() {
         let (a, _, details) = two_page_site();
-        let input = SitePages {
-            list_pages: vec![&a],
-            target: 0,
-            detail_pages: details,
-        };
-        let prep = prepare(&input);
+        let prep = prepare_page(&[&a], 0, &details);
         assert!(prep.used_whole_page);
         // Record extracts still observed.
         assert!(prep.observations.len() >= 4);
@@ -841,43 +784,48 @@ mod tests {
             "<tr><td>1. Barbara Liskov</td></tr><tr><td>2. Edsger Dijkstra</td></tr>\
              <tr><td>3. Tony Hoare</td></tr><tr><td>4. Niklaus Wirth</td></tr>",
         );
-        let details = vec![
+        let details = [
             "<html><h2>Ada Lovelace</h2></html>",
             "<html><h2>Alan Turing</h2></html>",
             "<html><h2>Grace Hopper</h2></html>",
             "<html><h2>Donald Knuth</h2></html>",
         ];
-        let input = SitePages {
-            list_pages: vec![&a, &b],
-            target: 0,
-            detail_pages: details,
-        };
-        let prep = prepare(&input);
+        let prep = prepare_page(&[&a, &b], 0, &details);
         assert!(prep.used_whole_page, "{:?}", prep.template_quality);
     }
 
     #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn bad_target_panics() {
+    fn bad_target_is_an_error() {
         let (a, _, details) = two_page_site();
-        let input = SitePages {
-            list_pages: vec![&a],
-            target: 3,
-            detail_pages: details,
-        };
-        let _ = prepare(&input);
+        let template = SiteTemplate::build(&[&a]);
+        let error = try_prepare_with_template(&template, 3, &details).unwrap_err();
+        assert_eq!(
+            error,
+            SegError::TargetOutOfBounds {
+                target: 3,
+                pages: 1
+            }
+        );
     }
 
     #[test]
     fn skipped_extracts_tracked() {
-        let (a, b, details) = two_page_site();
-        let input = SitePages {
-            list_pages: vec![&a, &b],
-            target: 0,
-            detail_pages: details,
-        };
-        let prep = prepare(&input);
-        assert_eq!(prep.skipped_offsets.len(), prep.observations.skipped.len());
+        // "More Info" is on no detail page: skipped, with its source offset.
+        let a = page(
+            "<tr><td>Ada Lovelace</td><td>More Info A</td></tr>\
+             <tr><td>Alan Turing</td><td>More Info B</td></tr>",
+        );
+        let b = page("<tr><td>Grace Hopper</td><td>More Info C</td></tr>");
+        let (_, _, details) = two_page_site();
+        let template = SiteTemplate::build(&[&a, &b]);
+        let prep = try_prepare_with_template(&template, 0, &details).expect("prepared");
+        let slot = &template.streams[0][prep.slot.clone()];
+        let skipped = &prep.observations.skipped;
+        assert_eq!(skipped.len(), 2, "{skipped:?}");
+        for (s, row) in skipped.iter().zip(["More Info A", "More Info B"]) {
+            assert_eq!(s.extract.text(slot, &template.interner), row);
+            assert!(a[s.extract.offset..].starts_with(row));
+        }
     }
 
     #[test]

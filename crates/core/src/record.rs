@@ -4,9 +4,9 @@
 //! in record segmentation. The rest of the table data are assumed to
 //! belong to the same record as the last assigned extract." (Section 6.2)
 
-use tableseg_extract::Segmentation;
+use tableseg_extract::{Extract, Segmentation};
 
-use crate::pipeline::PreparedPage;
+use crate::pipeline::{PreparedPage, SiteTemplate};
 
 /// One assembled record: the extracts assigned to it, in stream order,
 /// including the unmatched remainder data attached per the paper's rule.
@@ -21,22 +21,31 @@ pub struct AssembledRecord {
 /// Assembles records from a segmentation: kept extracts go to their
 /// assigned records; skipped extracts (not observed on detail pages)
 /// attach to the record of the last assigned extract before them.
-pub fn assemble_records(prepared: &PreparedPage, seg: &Segmentation) -> Vec<AssembledRecord> {
+/// `prepared` is list page `target` of `template`, whose slot texts give
+/// the fields.
+pub fn assemble_records(
+    template: &SiteTemplate,
+    target: usize,
+    prepared: &PreparedPage,
+    seg: &Segmentation,
+) -> Vec<AssembledRecord> {
     // Merge kept and skipped extracts back into stream order; the
     // derivation index on each extract gives the order.
-    enum Item<'a> {
-        Kept(usize, &'a tableseg_extract::Extract),
-        Skipped(&'a tableseg_extract::Extract),
+    enum Item {
+        Kept(usize, Extract),
+        Skipped(Extract),
     }
     let obs = &prepared.observations;
-    let mut items: Vec<(usize, Item<'_>)> = Vec::with_capacity(obs.items.len() + obs.skipped.len());
+    let mut items: Vec<(usize, Item)> = Vec::with_capacity(obs.items.len() + obs.skipped.len());
     for (i, it) in obs.items.iter().enumerate() {
-        items.push((it.extract.index, Item::Kept(i, &it.extract)));
+        items.push((it.extract.index, Item::Kept(i, it.extract)));
     }
     for s in &obs.skipped {
-        items.push((s.extract.index, Item::Skipped(&s.extract)));
+        items.push((s.extract.index, Item::Skipped(s.extract)));
     }
     items.sort_by_key(|&(idx, _)| idx);
+    let slot = &template.streams[target][prepared.slot.clone()];
+    let text = |e: Extract| e.text(slot, &template.interner);
 
     let mut fields: Vec<Vec<String>> = vec![Vec::new(); seg.num_records];
     let mut current: Option<u32> = None;
@@ -45,14 +54,14 @@ pub fn assemble_records(prepared: &PreparedPage, seg: &Segmentation) -> Vec<Asse
             Item::Kept(i, extract) => {
                 if let Some(r) = seg.assignments.get(i).copied().flatten() {
                     current = Some(r);
-                    fields[r as usize].push(extract.text());
+                    fields[r as usize].push(text(extract));
                 }
                 // An unassigned kept extract does not change the current
                 // record and is dropped (partial CSP solutions).
             }
             Item::Skipped(extract) => {
                 if let Some(r) = current {
-                    fields[r as usize].push(extract.text());
+                    fields[r as usize].push(text(extract));
                 }
                 // Remainder data before any assigned extract is page
                 // furniture; it belongs to no record.
@@ -71,41 +80,36 @@ pub fn assemble_records(prepared: &PreparedPage, seg: &Segmentation) -> Vec<Asse
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{prepare, SitePages};
+    use crate::pipeline::try_prepare_with_template;
 
-    fn prepared() -> PreparedPage {
+    /// A two-page site and list page 0 prepared against it.
+    fn prepared() -> (SiteTemplate, PreparedPage) {
         // "More Info" appears in each row but on no detail page: it is
         // skipped, and must be re-attached to the preceding record.
         let a = "<html><h1>Example Results Here</h1><table>\
                  <tr><td>Ada Lovelace</td><td>(555) 100-0001</td><td>More Info A</td></tr>\
                  <tr><td>Alan Turing</td><td>(555) 100-0002</td><td>More Info B</td></tr>\
-                 </table><p>Copyright 2004 Example Inc Notice</p></html>"
-            .to_owned();
+                 </table><p>Copyright 2004 Example Inc Notice</p></html>";
         let b = "<html><h1>Example Results Here</h1><table>\
                  <tr><td>Grace Hopper</td><td>(555) 100-0003</td><td>More Info C</td></tr>\
-                 </table><p>Copyright 2004 Example Inc Notice</p></html>"
-            .to_owned();
-        let details = vec![
+                 </table><p>Copyright 2004 Example Inc Notice</p></html>";
+        let details = [
             "<html><h2>Ada Lovelace</h2><p>(555) 100-0001</p></html>",
             "<html><h2>Alan Turing</h2><p>(555) 100-0002</p></html>",
         ];
-        let a: &'static str = Box::leak(a.into_boxed_str());
-        let b: &'static str = Box::leak(b.into_boxed_str());
-        prepare(&SitePages {
-            list_pages: vec![a, b],
-            target: 0,
-            detail_pages: details,
-        })
+        let template = SiteTemplate::build(&[a, b]);
+        let prepared = try_prepare_with_template(&template, 0, &details).expect("prepared");
+        (template, prepared)
     }
 
     #[test]
     fn remainder_attaches_to_preceding_record() {
-        let prep = prepared();
+        let (template, prep) = prepared();
         let seg = Segmentation {
             num_records: 2,
             assignments: vec![Some(0), Some(0), Some(1), Some(1)],
         };
-        let records = assemble_records(&prep, &seg);
+        let records = assemble_records(&template, 0, &prep, &seg);
         assert_eq!(records.len(), 2);
         assert!(records[0].fields.iter().any(|f| f.contains("Ada")));
         assert!(
@@ -117,24 +121,24 @@ mod tests {
 
     #[test]
     fn unassigned_extracts_are_dropped() {
-        let prep = prepared();
+        let (template, prep) = prepared();
         let seg = Segmentation {
             num_records: 2,
             assignments: vec![Some(0), None, Some(1), Some(1)],
         };
-        let records = assemble_records(&prep, &seg);
+        let records = assemble_records(&template, 0, &prep, &seg);
         let all: Vec<&String> = records.iter().flat_map(|r| r.fields.iter()).collect();
         assert!(!all.iter().any(|f| f.contains("100-0001")), "{all:?}");
     }
 
     #[test]
     fn empty_records_are_omitted() {
-        let prep = prepared();
+        let (template, prep) = prepared();
         let seg = Segmentation {
             num_records: 2,
             assignments: vec![Some(0), Some(0), Some(0), Some(0)],
         };
-        let records = assemble_records(&prep, &seg);
+        let records = assemble_records(&template, 0, &prep, &seg);
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].index, 0);
     }

@@ -51,16 +51,14 @@ pub trait Segmenter: Send + Sync {
     /// # Example
     ///
     /// ```
-    /// use tableseg::{prepare, CspSegmenter, Segmenter, SitePages};
+    /// use tableseg::{try_prepare_with_template, CspSegmenter, Segmenter, SiteTemplate};
     ///
     /// let page = "<html><h1>Results</h1><table>\
     ///             <tr><td>Ada Lovelace</td></tr>\
     ///             <tr><td>Alan Turing</td></tr></table></html>";
-    /// let prepared = prepare(&SitePages {
-    ///     list_pages: vec![page],
-    ///     target: 0,
-    ///     detail_pages: vec!["<html><h2>Ada Lovelace</h2></html>"],
-    /// });
+    /// let template = SiteTemplate::build(&[page]);
+    /// let details = ["<html><h2>Ada Lovelace</h2></html>"];
+    /// let prepared = try_prepare_with_template(&template, 0, &details).unwrap();
     /// let outcome = CspSegmenter::default()
     ///     .try_segment(&prepared.observations)
     ///     .expect("clean input cannot fail the solver");

@@ -14,8 +14,13 @@
 //! the records that display the full field count (the paper's period π)
 //! and intersects their delimiter contexts; application scans a page's
 //! token texts for head occurrences and reads fields up to each separator.
+//! Delimiters hold a tag by its name alone (`<a href="/detail/3">` is
+//! `<a>`), so rows that link to their own detail pages still share them.
+
+use std::borrow::Cow;
 
 use tableseg_extract::Segmentation;
+use tableseg_html::lexer::{is_closing, tag_name};
 use tableseg_html::scan;
 
 use crate::pipeline::{PreparedPage, SiteTemplate};
@@ -27,7 +32,7 @@ const MAX_DELIM: usize = 8;
 const MAX_FIELD: usize = 40;
 
 /// An HLRT-style row wrapper: token-text delimiters around and between
-/// the fields of one record row.
+/// the fields of one record row, each tag reduced to its name.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowWrapper {
     /// Tokens immediately preceding a record's first field.
@@ -50,7 +55,7 @@ impl RowWrapper {
     /// Returns one `Vec<String>` of field texts per detected record.
     pub fn extract(&self, html: &str) -> Vec<Vec<String>> {
         let scanned = scan(html);
-        let texts: Vec<&str> = scanned.iter(html).map(|(text, _, _)| text).collect();
+        let texts: Vec<Cow<'_, str>> = scanned.iter(html).map(|(text, _, _)| delim(text)).collect();
         let mut records = Vec::new();
         let mut i = 0;
         while i + self.head.len() <= texts.len() {
@@ -96,7 +101,18 @@ impl RowWrapper {
     }
 }
 
-fn matches_at(texts: &[&str], pos: usize, delim: &[String]) -> bool {
+/// The form a token takes in a delimiter: a (normalized) tag by its name
+/// alone (`<a href="/detail/3">` is `<a>`), any other token by its text.
+fn delim(text: &str) -> Cow<'_, str> {
+    if text.len() > 1 && text.starts_with('<') {
+        let slash = if is_closing(text) { "/" } else { "" };
+        Cow::Owned(format!("<{slash}{}>", tag_name(text)))
+    } else {
+        Cow::Borrowed(text)
+    }
+}
+
+fn matches_at(texts: &[Cow<'_, str>], pos: usize, delim: &[String]) -> bool {
     pos + delim.len() <= texts.len() && delim.iter().zip(&texts[pos..]).all(|(d, t)| d == t)
 }
 
@@ -108,7 +124,7 @@ fn matches_at(texts: &[&str], pos: usize, delim: &[String]) -> bool {
 /// delimiter means the row does not fit the wrapper, so the read fails
 /// and the caller resynchronizes. This is what keeps a malformed row from
 /// swallowing its successors.
-fn read_field(texts: &[&str], pos: usize, delim: &[String]) -> Option<(String, usize)> {
+fn read_field(texts: &[Cow<'_, str>], pos: usize, delim: &[String]) -> Option<(String, usize)> {
     for len in 1..=MAX_FIELD {
         let end = pos + len;
         if end > texts.len() {
@@ -138,9 +154,9 @@ pub fn induce_wrapper(
     prepared: &PreparedPage,
     seg: &Segmentation,
 ) -> Option<RowWrapper> {
-    let tokens: Vec<&str> = template.streams[target][prepared.slot.clone()]
+    let tokens: Vec<Cow<'_, str>> = template.streams[target][prepared.slot.clone()]
         .iter()
-        .map(|&s| template.interner.text(s))
+        .map(|&s| delim(template.interner.text(s)))
         .collect();
     let obs = &prepared.observations;
 
@@ -155,7 +171,7 @@ pub fn induce_wrapper(
             .iter()
             .map(|&i| {
                 let e = &obs.items[i].extract;
-                (e.start, e.start + e.len())
+                (e.start, e.start + e.len)
             })
             .collect();
         rows.push(spans);
@@ -221,17 +237,17 @@ pub fn induce_wrapper(
 }
 
 /// Owned copies of token texts.
-fn texts(tokens: &[&str]) -> Vec<String> {
+fn texts(tokens: &[Cow<'_, str>]) -> Vec<String> {
     tokens.iter().map(|t| t.to_string()).collect()
 }
 
 /// Up to [`MAX_DELIM`] token texts preceding `pos`.
-fn preceding(tokens: &[&str], pos: usize) -> Vec<String> {
+fn preceding(tokens: &[Cow<'_, str>], pos: usize) -> Vec<String> {
     texts(&tokens[pos.saturating_sub(MAX_DELIM)..pos])
 }
 
 /// Up to [`MAX_DELIM`] token texts following `pos`.
-fn following(tokens: &[&str], pos: usize) -> Vec<String> {
+fn following(tokens: &[Cow<'_, str>], pos: usize) -> Vec<String> {
     texts(&tokens[pos..(pos + MAX_DELIM).min(tokens.len())])
 }
 
@@ -332,6 +348,57 @@ mod tests {
         assert_eq!(records[0][0], "Edsger Dijkstra");
         assert!(records[0][1].contains("100 - 0009"));
         assert_eq!(records[1][0], "Tony Hoare");
+    }
+
+    /// Rows whose first field links to its own detail page: the context
+    /// before each record ends in a distinct `<a href=...>`, so only the
+    /// tag name is common to all rows.
+    #[test]
+    fn rows_linking_to_distinct_detail_pages_share_a_head() {
+        let linked = |rows: &[(usize, &str, &str)]| {
+            let body: String = rows
+                .iter()
+                .map(|(id, a, b)| {
+                    format!("<tr><td><a href=\"/detail/{id}\">{a}</a></td><td>{b}</td></tr>")
+                })
+                .collect();
+            format!(
+                "<html><h1>Example Results Page</h1><table>{body}</table>\
+                 <p>Copyright 2004 Example Inc Footer</p></html>"
+            )
+        };
+        let a = linked(&[
+            (0, "Ada Lovelace", "(555) 100-0001"),
+            (1, "Alan Turing", "(555) 100-0002"),
+            (2, "Grace Hopper", "(555) 100-0003"),
+        ]);
+        let b = linked(&[(3, "Donald Knuth", "(555) 100-0004")]);
+        let details = [
+            "<html><h2>Ada Lovelace</h2><p>(555) 100-0001</p></html>",
+            "<html><h2>Alan Turing</h2><p>(555) 100-0002</p></html>",
+            "<html><h2>Grace Hopper</h2><p>(555) 100-0003</p></html>",
+        ];
+        let w = wrapper_of(&a, &b, &details).expect("wrapper despite distinct hrefs");
+        assert_eq!(w.head.last().map(String::as_str), Some("<a>"));
+        assert_eq!(w.seps[0].first().map(String::as_str), Some("</a>"));
+        let new_page = linked(&[
+            (7, "Edsger Dijkstra", "(555) 100-0009"),
+            (8, "Tony Hoare", "(555) 100-0010"),
+        ]);
+        let records = w.extract(&new_page);
+        assert_eq!(records.len(), 2, "{records:?}");
+        assert_eq!(records[0][0], "Edsger Dijkstra");
+        assert_eq!(records[1][0], "Tony Hoare");
+        assert!(records[1][1].contains("100 - 0010"));
+    }
+
+    #[test]
+    fn delimiters_hold_tags_by_name() {
+        assert_eq!(delim("<a href=\"/detail/3\">"), "<a>");
+        assert_eq!(delim("</td>"), "</td>");
+        assert_eq!(delim("<br/>"), "<br>");
+        assert_eq!(delim("Smith"), "Smith");
+        assert_eq!(delim("<"), "<");
     }
 
     #[test]

@@ -182,10 +182,16 @@ fn arb_observations() -> impl Strategy<Value = Observations> {
                         .collect();
                     let extract = Extract {
                         index,
-                        tokens: Vec::new(),
                         start: index,
+                        len: 0,
+                        offset: 0,
+                        types: Default::default(),
                     };
-                    ObsItem::new(extract, pages, positions)
+                    ObsItem {
+                        extract,
+                        pages,
+                        positions,
+                    }
                 })
                 .collect(),
             skipped: Vec::new(),

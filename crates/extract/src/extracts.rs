@@ -4,46 +4,47 @@
 use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
-use tableseg_html::{Interner, Symbol, Token};
+use tableseg_html::{Interner, Symbol, TypeSet};
 
 use crate::separator::is_separator;
 
-/// One extract: a contiguous sequence of non-separator tokens from the list
-/// page's table slot. Extracts are *occurrences* — the same string appearing
-/// twice in the stream yields two distinct extracts (E₁ and E₅ in the
-/// paper's Superpages example are both "John Smith").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// One extract: a contiguous run of non-separator tokens of the list
+/// page's table slot, held as its token range of the slot's symbol stream.
+/// Extracts are *occurrences* — the same string appearing twice in the
+/// stream yields two distinct extracts (E₁ and E₅ in the paper's
+/// Superpages example are both "John Smith").
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Extract {
     /// Index of the extract in stream order (0-based; the paper's `E₁` is
     /// index 0).
     pub index: usize,
-    /// The tokens making up the extract.
-    pub tokens: Vec<Token>,
-    /// Index of the first token of this extract within the symbol slice
-    /// the extracts were derived from.
+    /// Index of the first token of this extract within the slot's symbol
+    /// stream.
     pub start: usize,
+    /// Number of tokens; the extract is `slot[start..start + len]`.
+    pub len: usize,
+    /// Byte offset of the first token in the list page's source.
+    pub offset: usize,
+    /// `T_i`: the union of the extract's token types.
+    pub types: TypeSet,
 }
 
 impl Extract {
-    /// The token texts, used as the match key against detail pages.
-    pub fn token_texts(&self) -> Vec<&str> {
-        self.tokens.iter().map(|t| t.text.as_str()).collect()
+    /// The extract's symbols: its range of the slot stream it was derived
+    /// from.
+    pub fn symbols<'s>(&self, slot: &'s [Symbol]) -> &'s [Symbol] {
+        &slot[self.start..self.start + self.len]
     }
 
-    /// A human-readable rendering: tokens joined with single spaces.
-    pub fn text(&self) -> String {
-        self.token_texts().join(" ")
-    }
-
-    /// Number of tokens.
-    pub fn len(&self) -> usize {
-        self.tokens.len()
-    }
-
-    /// True if the extract has no tokens (never produced by
-    /// [`derive_extracts`]).
-    pub fn is_empty(&self) -> bool {
-        self.tokens.is_empty()
+    /// A human-readable rendering: the token texts, read through the
+    /// interner of `slot`, joined with single spaces.
+    pub fn text(&self, slot: &[Symbol], interner: &Interner) -> String {
+        let texts: Vec<&str> = self
+            .symbols(slot)
+            .iter()
+            .map(|&s| interner.text(s))
+            .collect();
+        texts.join(" ")
     }
 }
 
@@ -52,7 +53,7 @@ impl Extract {
 ///
 /// `spans[i]` is the byte range of token `i` in the page (see
 /// [`Interner::intern_page`]); texts and types are read through
-/// `interner`. Only the extracts' own tokens are materialized.
+/// `interner`.
 pub fn derive_extracts(syms: &[Symbol], spans: &[Range<u32>], interner: &Interner) -> Vec<Extract> {
     debug_assert_eq!(syms.len(), spans.len(), "one span per symbol");
     let separator = |s: Symbol| is_separator(interner.text(s), interner.types(s));
@@ -64,20 +65,17 @@ pub fn derive_extracts(syms: &[Symbol], spans: &[Range<u32>], interner: &Interne
             continue;
         }
         let start = i;
+        let mut types = TypeSet::EMPTY;
         while i < syms.len() && !separator(syms[i]) {
+            types = types.union(interner.types(syms[i]));
             i += 1;
         }
-        let tokens = (start..i)
-            .map(|j| Token {
-                text: interner.text(syms[j]).to_owned(),
-                types: interner.types(syms[j]),
-                offset: spans[j].start as usize,
-            })
-            .collect();
         out.push(Extract {
             index: out.len(),
-            tokens,
             start,
+            len: i - start,
+            offset: spans[start].start as usize,
+            types,
         });
     }
     out
@@ -86,54 +84,66 @@ pub fn derive_extracts(syms: &[Symbol], spans: &[Range<u32>], interner: &Interne
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tableseg_html::TokenType;
 
-    fn derive(html: &str) -> Vec<Extract> {
+    /// The extracts of a whole page, with their texts.
+    fn derive(html: &str) -> Vec<(Extract, String)> {
         let mut interner = Interner::new();
         let (syms, spans) = interner.intern_page(html);
         derive_extracts(&syms, &spans, &interner)
+            .into_iter()
+            .map(|e| (e, e.text(&syms, &interner)))
+            .collect()
+    }
+
+    fn texts(ex: &[(Extract, String)]) -> Vec<&str> {
+        ex.iter().map(|(_, t)| t.as_str()).collect()
     }
 
     #[test]
     fn tags_split_extracts() {
         let ex = derive("<td>John Smith</td><td>New Holland</td>");
-        assert_eq!(ex.len(), 2);
-        assert_eq!(ex[0].text(), "John Smith");
-        assert_eq!(ex[1].text(), "New Holland");
-        assert_eq!(ex[0].index, 0);
-        assert_eq!(ex[1].index, 1);
+        assert_eq!(texts(&ex), ["John Smith", "New Holland"]);
+        assert_eq!(ex[0].0.index, 0);
+        assert_eq!(ex[1].0.index, 1);
     }
 
     #[test]
     fn allowed_punctuation_stays_inside() {
         let ex = derive("<td>(740) 335-5555</td>");
-        assert_eq!(ex.len(), 1);
-        assert_eq!(ex[0].text(), "( 740 ) 335 - 5555");
-        assert_eq!(ex[0].len(), 6);
+        assert_eq!(texts(&ex), ["( 740 ) 335 - 5555"]);
+        assert_eq!(ex[0].0.len, 6);
     }
 
     #[test]
     fn special_punctuation_splits() {
         let ex = derive("John Smith ~ New Holland");
-        assert_eq!(ex.len(), 2);
-        assert_eq!(ex[0].text(), "John Smith");
-        assert_eq!(ex[1].text(), "New Holland");
+        assert_eq!(texts(&ex), ["John Smith", "New Holland"]);
     }
 
     #[test]
     fn city_state_zip_is_one_extract() {
         let ex = derive("<td>Findlay, OH 45840</td>");
-        assert_eq!(ex.len(), 1);
-        assert_eq!(ex[0].text(), "Findlay , OH 45840");
+        assert_eq!(texts(&ex), ["Findlay , OH 45840"]);
+        let types = ex[0].0.types;
+        for t in [
+            TokenType::Capitalized,
+            TokenType::Allcaps,
+            TokenType::Numeric,
+        ] {
+            assert!(types.contains(t), "{t:?}");
+        }
+        assert!(!types.contains(TokenType::Html));
     }
 
     #[test]
     fn starts_record_token_positions() {
         let html = "<td>A</td><td>B C</td>";
         let ex = derive(html);
-        assert_eq!(ex[0].start, 1);
-        assert_eq!(ex[1].start, 4);
-        assert_eq!(ex[1].tokens[0].text, "B");
-        assert_eq!(&html[ex[1].tokens[0].offset..], "B C</td>");
+        assert_eq!(ex[0].0.start, 1);
+        assert_eq!(ex[1].0.start, 4);
+        assert_eq!(ex[1].1, "B C");
+        assert_eq!(&html[ex[1].0.offset..], "B C</td>");
     }
 
     #[test]
@@ -146,13 +156,20 @@ mod tests {
     #[test]
     fn br_separates_fields() {
         let ex = derive("FirstName LastName<br>221 Washington St");
-        assert_eq!(ex.len(), 2);
-        assert_eq!(ex[0].text(), "FirstName LastName");
+        assert_eq!(texts(&ex), ["FirstName LastName", "221 Washington St"]);
     }
 
     #[test]
-    fn token_texts_borrows() {
-        let ex = derive("<td>a b</td>");
-        assert_eq!(ex[0].token_texts(), vec!["a", "b"]);
+    fn symbols_borrow_the_slot_range() {
+        let mut interner = Interner::new();
+        let (syms, spans) = interner.intern_page("<td>a b</td>");
+        let ex = derive_extracts(&syms, &spans, &interner);
+        assert_eq!(ex[0].symbols(&syms), &syms[1..3]);
+        let texts: Vec<&str> = ex[0]
+            .symbols(&syms)
+            .iter()
+            .map(|&s| interner.text(s))
+            .collect();
+        assert_eq!(texts, ["a", "b"]);
     }
 }

@@ -29,7 +29,7 @@ pub mod separator;
 pub use extracts::{derive_extracts, Extract};
 pub use matcher::PageIndex;
 pub use observations::{
-    build_observations, match_extracts, match_extracts_indexed, ObsItem, Observations, PagePos,
+    build_observations, match_extracts_indexed, ObsItem, Observations, PagePos,
 };
 pub use segmentation::Segmentation;
 pub use separator::{is_separator, SeparatorMask};

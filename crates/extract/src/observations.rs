@@ -1,15 +1,15 @@
 //! The observation table: `D_i` and positions for every kept extract
 //! (the paper's Table 1 and Table 3).
 //!
-//! Matching runs in the interned-symbol domain ([`match_extracts`] /
-//! [`match_extracts_indexed`]): each page is reduced and indexed once
-//! ([`PageIndex`]), needles are symbol slices, and repeated extracts (the
-//! paper's E₁/E₅ "John Smith") are matched once and memoized. The original
-//! string-scanning implementation is kept in the test suite
-//! (`tests/oracle`) as the differential oracle.
+//! Matching runs in the interned-symbol domain
+//! ([`match_extracts_indexed`]): each page is reduced and indexed once
+//! ([`PageIndex`]), needles are the extracts' ranges of the slot stream,
+//! and repeated extracts (the paper's E₁/E₅ "John Smith") are matched once
+//! and memoized. The original string-scanning implementation is kept in
+//! the test suite (`tests/oracle`) as the differential oracle.
 
 use serde::{Deserialize, Serialize};
-use tableseg_html::{scan, FastMap, Interner, Symbol, TypeSet};
+use tableseg_html::{scan, FastMap, Interner, Symbol};
 
 use crate::extracts::{derive_extracts, Extract};
 use crate::filter::{decide, Decision, SkipReason};
@@ -31,9 +31,6 @@ pub struct PagePos {
 pub struct ObsItem {
     /// The extract.
     pub extract: Extract,
-    /// `T_i`: the union of the extract's token types, precomputed at match
-    /// time so that evidence building never revisits the tokens.
-    pub types: TypeSet,
     /// `D_i`: sorted, deduplicated indices of the detail pages on which the
     /// extract occurs. Never empty for a kept extract.
     pub pages: Vec<u32>,
@@ -42,20 +39,6 @@ pub struct ObsItem {
 }
 
 impl ObsItem {
-    /// Builds a row, deriving `T_i` from the extract's tokens.
-    pub fn new(extract: Extract, pages: Vec<u32>, positions: Vec<PagePos>) -> ObsItem {
-        let types = extract
-            .tokens
-            .iter()
-            .fold(TypeSet::EMPTY, |acc, t| acc.union(t.types));
-        ObsItem {
-            extract,
-            types,
-            pages,
-            positions,
-        }
-    }
-
     /// Returns `true` if the extract was observed on detail page `page`.
     pub fn on_page(&self, page: u32) -> bool {
         self.pages.binary_search(&page).is_ok()
@@ -96,12 +79,15 @@ impl Observations {
     }
 
     /// Renders the observation table in the format of the paper's Table 1
-    /// (columns = extracts in stream order, row = `D_i`).
-    pub fn render_table(&self) -> String {
+    /// (columns = extracts in stream order, row = `D_i`). `slot` is the
+    /// symbol stream the extracts were derived from, read through
+    /// `interner`.
+    pub fn render_table(&self, slot: &[Symbol], interner: &Interner) -> String {
         let mut header = String::from("|    |");
         let mut row = String::from("| D_i |");
         for (i, item) in self.items.iter().enumerate() {
-            header.push_str(&format!(" E{}: {} |", i + 1, item.extract.text()));
+            let text = item.extract.text(slot, interner);
+            header.push_str(&format!(" E{}: {text} |", i + 1));
             let pages: Vec<String> = item.pages.iter().map(|p| format!("r{}", p + 1)).collect();
             row.push_str(&format!(" {} |", pages.join(",")));
         }
@@ -119,44 +105,19 @@ impl Observations {
 ///   (`detail_pages[j]` is the page reached from record `r_{j+1}`).
 ///
 /// One-shot form of the pipeline's front end: the list page is scanned
-/// and interned, its extracts derived from the symbol stream, and
-/// [`match_extracts`] matches them.
+/// and interned, its extracts derived from the symbol stream, the other
+/// pages scanned and indexed through that interner read-only
+/// ([`PageIndex::from_scanned`]), and [`match_extracts_indexed`] matches
+/// them. Batch callers that already interned the site's pages index them
+/// once per site and call [`match_extracts_indexed`] themselves.
 pub fn build_observations(
     list_page: &str,
     other_list_pages: &[&str],
     detail_pages: &[&str],
 ) -> Observations {
     let mut interner = Interner::new();
-    let (syms, spans) = interner.intern_page(list_page);
-    let extracts = derive_extracts(&syms, &spans, &interner);
-    match_extracts(extracts, other_list_pages, detail_pages)
-}
-
-/// The matching half of [`build_observations`]: observes already-derived
-/// extracts on the detail pages (and filters against the other list
-/// pages), all given as HTML.
-///
-/// Interns the extract tokens, scans every page and indexes it through
-/// that interner read-only ([`PageIndex::from_scanned`]), and runs the
-/// indexed match. Batch callers that already interned the site's pages
-/// should build the needles and [`PageIndex`]es themselves (once per
-/// site) and call [`match_extracts_indexed`].
-pub fn match_extracts(
-    extracts: Vec<Extract>,
-    other_list_pages: &[&str],
-    detail_pages: &[&str],
-) -> Observations {
-    let mut interner = Interner::new();
-    let needles: Vec<Vec<Symbol>> = extracts
-        .iter()
-        .map(|e| {
-            e.tokens
-                .iter()
-                .map(|t| interner.intern_typed(&t.text, t.types))
-                .collect()
-        })
-        .collect();
-    let needle_refs: Vec<&[Symbol]> = needles.iter().map(Vec::as_slice).collect();
+    let (slot, spans) = interner.intern_page(list_page);
+    let extracts = derive_extracts(&slot, &spans, &interner);
     let index = |pages: &[&str]| -> Vec<PageIndex> {
         pages
             .iter()
@@ -166,7 +127,7 @@ pub fn match_extracts(
     let (details, others) = (index(detail_pages), index(other_list_pages));
     let detail_refs: Vec<&PageIndex> = details.iter().collect();
     let other_refs: Vec<&PageIndex> = others.iter().collect();
-    match_extracts_indexed(extracts, &needle_refs, &other_refs, &detail_refs)
+    match_extracts_indexed(extracts, &slot, &other_refs, &detail_refs)
 }
 
 /// The match outcome of one distinct needle, memoized across duplicate
@@ -182,25 +143,27 @@ struct NeedleMatch {
 /// The indexed matcher core: observes extracts on the pre-indexed detail
 /// pages and filters against the pre-indexed other list pages.
 ///
-/// `needles[i]` must be the symbol stream of `extracts[i]`'s tokens, under
-/// the same interner the [`PageIndex`]es were built against. Every page is
+/// `slot` is the symbol stream the extracts were derived from, under the
+/// same interner the [`PageIndex`]es were built against; each extract's
+/// range of it is its needle (an extract is a separator-free run, so its
+/// reduced form is the run itself). Every page is
 /// scanned only at index-construction time; per extract, matching probes
 /// the first-symbol bucket of each page. Results — `D_i` ascending,
 /// positions in `(page, pos)` order — are byte-identical to the naive
 /// per-extract string scan the test suite keeps as its oracle.
 pub fn match_extracts_indexed(
     extracts: Vec<Extract>,
-    needles: &[&[Symbol]],
+    slot: &[Symbol],
     other_list_pages: &[&PageIndex],
     detail_pages: &[&PageIndex],
 ) -> Observations {
-    assert_eq!(extracts.len(), needles.len(), "one needle per extract");
     let num_details = detail_pages.len();
     let mut memo: FastMap<&[Symbol], NeedleMatch> = FastMap::default();
 
     let mut items = Vec::new();
     let mut skipped = Vec::new();
-    for (extract, &needle) in extracts.into_iter().zip(needles) {
+    for extract in extracts {
+        let needle = extract.symbols(slot);
         let m = memo.entry(needle).or_insert_with(|| {
             let mut pages = Vec::new();
             let mut positions = Vec::new();
@@ -228,9 +191,11 @@ pub fn match_extracts_indexed(
             }
         });
         match m.decision {
-            Decision::Keep => {
-                items.push(ObsItem::new(extract, m.pages.clone(), m.positions.clone()))
-            }
+            Decision::Keep => items.push(ObsItem {
+                extract,
+                pages: m.pages.clone(),
+                positions: m.positions.clone(),
+            }),
             Decision::Skip(reason) => skipped.push(SkippedExtract { extract, reason }),
         }
     }
@@ -246,6 +211,15 @@ pub fn match_extracts_indexed(
 mod tests {
     use super::*;
     use tableseg_html::lexer::tokenize;
+
+    /// The text of an extract of the whole page `list`, read through a
+    /// fresh interning of the page (interning is deterministic, so the
+    /// symbols are those `build_observations` derived it from).
+    fn text(list: &str, e: &Extract) -> String {
+        let mut interner = Interner::new();
+        let (slot, _) = interner.intern_page(list);
+        e.text(&slot, &interner)
+    }
 
     /// A miniature of the paper's Superpages example (Table 1): two records
     /// sharing a name and a phone number, plus a third record.
@@ -269,14 +243,14 @@ mod tests {
         // 11 extracts kept, as in Table 1 of the paper.
         assert_eq!(obs.len(), 11);
         // E1 = "John Smith" observed on r1 and r2.
-        assert_eq!(obs.items[0].extract.text(), "John Smith");
+        assert_eq!(text(list, &obs.items[0].extract), "John Smith");
         assert_eq!(obs.items[0].pages, vec![0, 1]);
         // E2 = "221 Washington" observed only on r1.
         assert_eq!(obs.items[1].pages, vec![0]);
         // E4 = phone number observed on r1 and r2.
         assert_eq!(obs.items[3].pages, vec![0, 1]);
         // E5 = second "John Smith" occurrence, same D_i as E1.
-        assert_eq!(obs.items[4].extract.text(), "John Smith");
+        assert_eq!(text(list, &obs.items[4].extract), "John Smith");
         assert_eq!(obs.items[4].pages, vec![0, 1]);
         // E9..E11 observed only on r3.
         for item in &obs.items[8..] {
@@ -299,11 +273,12 @@ mod tests {
     #[test]
     fn indexed_agrees_with_naive_on_superpages() {
         let (list, details) = superpages_fixture();
-        let extracts = crate::oracle::derive_extracts_tokens(&tokenize(list));
-        let fast = match_extracts(extracts.clone(), &[], &details);
+        let fast = build_observations(list, &[], &details);
+        let tokens = tokenize(list);
+        let extracts = crate::oracle::derive_extracts_tokens(&tokens);
         let detail_tokens: Vec<_> = details.iter().map(|d| tokenize(d)).collect();
         let detail_refs: Vec<&[_]> = detail_tokens.iter().map(Vec::as_slice).collect();
-        let naive = crate::oracle::match_extracts_naive(extracts, &[], &detail_refs);
+        let naive = crate::oracle::match_extracts_naive(extracts, &tokens, &[], &detail_refs);
         assert_eq!(fast.items, naive.items);
         assert_eq!(fast.skipped, naive.skipped);
         assert_eq!(fast.num_records, naive.num_records);
@@ -317,7 +292,7 @@ mod tests {
         let obs = build_observations(list, &[], &[d1, d2]);
         assert_eq!(obs.len(), 1);
         assert_eq!(obs.skipped.len(), 1);
-        assert_eq!(obs.skipped[0].extract.text(), "More Info");
+        assert_eq!(text(list, &obs.skipped[0].extract), "More Info");
         assert_eq!(obs.skipped[0].reason, SkipReason::OnNoDetailPage);
     }
 
@@ -328,7 +303,7 @@ mod tests {
         let d2 = "<p>Jane</p><p>Springfield</p>";
         let obs = build_observations(list, &[], &[d1, d2]);
         assert_eq!(obs.len(), 1);
-        assert_eq!(obs.items[0].extract.text(), "John");
+        assert_eq!(text(list, &obs.items[0].extract), "John");
         assert_eq!(obs.skipped[0].reason, SkipReason::OnAllDetailPages);
     }
 
@@ -341,7 +316,7 @@ mod tests {
         let d2 = "<p>Jane</p>";
         let obs = build_observations(list, &[other1, other2], &[d1, d2]);
         assert_eq!(obs.len(), 1);
-        assert_eq!(obs.items[0].extract.text(), "John");
+        assert_eq!(text(list, &obs.items[0].extract), "John");
         assert_eq!(obs.skipped[0].reason, SkipReason::OnAllListPages);
     }
 
@@ -353,7 +328,7 @@ mod tests {
         let d2 = "<p>other</p>";
         let obs = build_observations(list, &[], &[d1, d2]);
         assert_eq!(obs.len(), 1);
-        let types = obs.items[0].types;
+        let types = obs.items[0].extract.types;
         assert!(types.contains(TokenType::Capitalized));
         assert!(types.contains(TokenType::Numeric));
         assert!(!types.contains(TokenType::Html));
@@ -361,11 +336,11 @@ mod tests {
 
     #[test]
     fn on_page_lookup() {
-        let item = ObsItem::new(
-            crate::oracle::derive_extracts_tokens(&tokenize("x")).remove(0),
-            vec![0, 2, 5],
-            vec![],
-        );
+        let item = ObsItem {
+            extract: crate::oracle::derive_extracts_tokens(&tokenize("x"))[0],
+            pages: vec![0, 2, 5],
+            positions: vec![],
+        };
         assert!(item.on_page(0));
         assert!(!item.on_page(1));
         assert!(item.on_page(5));
@@ -375,7 +350,9 @@ mod tests {
     fn render_table_mentions_extracts_and_pages() {
         let (list, details) = superpages_fixture();
         let obs = build_observations(list, &[], &details);
-        let table = obs.render_table();
+        let mut interner = Interner::new();
+        let (slot, _) = interner.intern_page(list);
+        let table = obs.render_table(&slot, &interner);
         assert!(table.contains("John Smith"));
         assert!(table.contains("r1,r2"));
         assert!(table.contains("r3"));

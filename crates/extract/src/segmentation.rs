@@ -2,6 +2,7 @@
 //! of extracts to records (the paper's Table 2).
 
 use serde::{Deserialize, Serialize};
+use tableseg_html::{Interner, Symbol};
 
 use crate::observations::Observations;
 
@@ -78,11 +79,14 @@ impl Segmentation {
         violations
     }
 
-    /// Renders the assignment in the format of the paper's Table 2.
-    pub fn render_table(&self, obs: &Observations) -> String {
+    /// Renders the assignment in the format of the paper's Table 2. `slot`
+    /// is the symbol stream `obs`'s extracts were derived from, read
+    /// through `interner`.
+    pub fn render_table(&self, obs: &Observations, slot: &[Symbol], interner: &Interner) -> String {
         let mut out = String::from("|    |");
         for (i, item) in obs.items.iter().enumerate() {
-            out.push_str(&format!(" E{}: {} |", i + 1, item.extract.text()));
+            let text = item.extract.text(slot, interner);
+            out.push_str(&format!(" E{}: {text} |", i + 1));
         }
         out.push('\n');
         for (r, extracts) in self.records().iter().enumerate() {
@@ -108,8 +112,10 @@ mod tests {
     use super::*;
     use crate::observations::build_observations;
 
+    const LIST: &str = "<td>A</td><td>B</td><td>C</td><td>D</td>";
+
     fn obs() -> Observations {
-        let list = "<td>A</td><td>B</td><td>C</td><td>D</td>";
+        let list = LIST;
         let d1 = "<p>A</p><p>B</p>";
         let d2 = "<p>C</p><p>D</p>";
         let d3 = "<p>unrelated</p>";
@@ -182,7 +188,10 @@ mod tests {
             num_records: 3,
             assignments: vec![Some(0), Some(0), Some(1), Some(1)],
         };
-        let t = seg.render_table(&obs());
+        let mut interner = Interner::new();
+        let (slot, _) = interner.intern_page(LIST);
+        let t = seg.render_table(&obs(), &slot, &interner);
+        assert!(t.contains("| E1: A | E2: B |"), "{t}");
         assert!(t.contains("| r1 | 1 | 1 |"));
         assert!(t.contains("r2"));
         assert!(!t.contains("r3"), "empty records are omitted");

@@ -9,16 +9,15 @@ mod oracle;
 use proptest::prelude::*;
 
 use oracle::{
-    derive_extracts_tokens, index_tokens, is_separator, match_extracts_naive, MatchStream,
+    derive_extracts_tokens, extract_texts, index_tokens, is_separator, match_extracts_naive,
+    MatchStream,
 };
 use tableseg_extract::extracts::derive_extracts;
 use tableseg_extract::matcher::PageIndex;
-use tableseg_extract::observations::{
-    build_observations, match_extracts, match_extracts_indexed, Observations,
-};
+use tableseg_extract::observations::{build_observations, match_extracts_indexed, Observations};
 use tableseg_extract::separator::SeparatorMask;
 use tableseg_html::lexer::tokenize;
-use tableseg_html::{scan, Interner, Symbol, Token};
+use tableseg_html::{scan, Interner, Symbol, Token, TypeSet};
 use tableseg_sitegen::paper_sites;
 use tableseg_sitegen::site::generate;
 
@@ -47,7 +46,8 @@ fn arb_html() -> impl Strategy<Value = String> {
 proptest! {
     /// Extracts cover exactly the non-separator tokens, in order, and are
     /// maximal runs; the symbol path derives the owned-token oracle's
-    /// extracts (index, start, texts, types, offsets).
+    /// extracts (index, range, types, offsets), and their texts read
+    /// through the interner are the oracle's token texts.
     #[test]
     fn extracts_partition_non_separator_tokens(html in arb_html()) {
         let tokens = tokenize(&html);
@@ -55,11 +55,14 @@ proptest! {
         let (syms, spans) = interner.intern_page(&html);
         let extracts = derive_extracts(&syms, &spans, &interner);
         prop_assert_eq!(&extracts, &derive_extracts_tokens(&tokens));
+        for e in &extracts {
+            prop_assert_eq!(e.text(&syms, &interner), extract_texts(e, &tokens).join(" "));
+        }
 
         // Flattened extract tokens = the non-separator subsequence.
         let flattened: Vec<&str> = extracts
             .iter()
-            .flat_map(|e| e.tokens.iter().map(|t| t.text.as_str()))
+            .flat_map(|e| extract_texts(e, &tokens))
             .collect();
         let expected: Vec<&str> = tokens
             .iter()
@@ -69,19 +72,22 @@ proptest! {
         prop_assert_eq!(flattened, expected);
 
         for e in &extracts {
-            prop_assert!(!e.is_empty());
+            prop_assert!(e.len > 0);
             // Separator-free.
-            prop_assert!(e.tokens.iter().all(|t| !is_separator(t)));
+            let run = &tokens[e.start..e.start + e.len];
+            prop_assert!(run.iter().all(|t| !is_separator(t)));
             // Maximal: the token before `start` (if any) is a separator.
             if e.start > 0 {
                 prop_assert!(is_separator(&tokens[e.start - 1]));
             }
-            let end = e.start + e.len();
+            let end = e.start + e.len;
             if end < tokens.len() {
                 prop_assert!(is_separator(&tokens[end]));
             }
-            // start indexes the first token.
-            prop_assert_eq!(&tokens[e.start].text, &e.tokens[0].text);
+            // offset is the first token's, types the run's union.
+            prop_assert_eq!(e.offset, tokens[e.start].offset);
+            let types = run.iter().fold(TypeSet::EMPTY, |acc, t| acc.union(t.types));
+            prop_assert_eq!(e.types, types);
         }
 
         // Indices are consecutive from zero.
@@ -201,8 +207,8 @@ proptest! {
         let other_html: Vec<&str> = other_htmls.iter().map(String::as_str).collect();
 
         let fast = build_observations(&list_html, &other_html, &detail_html);
-        let extracts = derive_extracts_tokens(&tokenize(&list_html));
-        let naive = match_extracts_naive(extracts, &other_refs, &detail_refs);
+        let list = tokenize(&list_html);
+        let naive = match_extracts_naive(derive_extracts_tokens(&list), &list, &other_refs, &detail_refs);
 
         prop_assert_eq!(fast.num_records, naive.num_records);
         prop_assert_eq!(fast.items, naive.items);
@@ -227,7 +233,7 @@ fn assert_same_observations(fast: &Observations, naive: &Observations, ctx: &str
 /// targets — the indexed matcher builds the naive oracle's observation
 /// table. Both production shapes are checked: the site-interned path the
 /// pipeline runs (list pages interned once, detail pages scanned and
-/// projected read-only) and the one-shot [`match_extracts`].
+/// projected read-only) and the one-shot [`build_observations`].
 #[test]
 fn indexed_observations_equal_naive_on_the_paper_corpus() {
     let mut pages = 0usize;
@@ -253,13 +259,10 @@ fn indexed_observations_equal_naive_on_the_paper_corpus() {
                 .filter(|&i| i != target)
                 .map(|i| lists[i].as_slice())
                 .collect();
-            let naive = match_extracts_naive(extracts.clone(), &others, &detail_refs);
+            let naive =
+                match_extracts_naive(extracts.clone(), &lists[target], &others, &detail_refs);
             assert!(!naive.items.is_empty(), "{ctx}: no kept extracts");
 
-            let needles: Vec<&[Symbol]> = extracts
-                .iter()
-                .map(|e| &syms[e.start..e.start + e.len()])
-                .collect();
             let other_indexes: Vec<&PageIndex> = (0..lists.len())
                 .filter(|&i| i != target)
                 .map(|i| &list_indexes[i])
@@ -270,18 +273,14 @@ fn indexed_observations_equal_naive_on_the_paper_corpus() {
                 .map(|d| PageIndex::from_scanned(&scan(d), d, &interner))
                 .collect();
             let detail_index_refs: Vec<&PageIndex> = detail_indexes.iter().collect();
-            let site_path = match_extracts_indexed(
-                extracts.clone(),
-                &needles,
-                &other_indexes,
-                &detail_index_refs,
-            );
+            let site_path =
+                match_extracts_indexed(extracts, syms, &other_indexes, &detail_index_refs);
             assert_same_observations(&site_path, &naive, &ctx);
             let other_html: Vec<&str> = (0..htmls.len())
                 .filter(|&i| i != target)
                 .map(|i| htmls[i])
                 .collect();
-            let one_shot = match_extracts(extracts, &other_html, &gp.detail_htmls());
+            let one_shot = build_observations(htmls[target], &other_html, &gp.detail_htmls());
             assert_same_observations(&one_shot, &naive, &ctx);
             pages += 1;
         }

@@ -23,7 +23,7 @@ use tableseg_extract::filter::{decide, Decision};
 use tableseg_extract::observations::{ObsItem, Observations, PagePos, SkippedExtract};
 use tableseg_extract::separator::is_separator as is_separator_parts;
 use tableseg_extract::{Extract, PageIndex};
-use tableseg_html::{Interner, Token, UNKNOWN_SYMBOL};
+use tableseg_html::{Interner, Token, TypeSet, UNKNOWN_SYMBOL};
 
 /// The separator test on an owned token.
 pub fn is_separator(token: &Token) -> bool {
@@ -31,32 +31,36 @@ pub fn is_separator(token: &Token) -> bool {
 }
 
 /// Splits a token stream into extracts: maximal runs of non-separator
-/// tokens, `start` indexing the stream.
+/// tokens, `start..start + len` indexing the stream.
 pub fn derive_extracts_tokens(tokens: &[Token]) -> Vec<Extract> {
     let mut out: Vec<Extract> = Vec::new();
-    let mut run: Vec<Token> = Vec::new();
-    let mut run_start = 0;
-    for (i, tok) in tokens
-        .iter()
-        .chain(std::iter::once(&Token::tag("<end>", 0)))
-        .enumerate()
-    {
+    let mut run: Option<Extract> = None;
+    for (i, tok) in tokens.iter().enumerate() {
         if is_separator(tok) {
-            if !run.is_empty() {
-                out.push(Extract {
-                    index: out.len(),
-                    tokens: std::mem::take(&mut run),
-                    start: run_start,
-                });
-            }
-        } else {
-            if run.is_empty() {
-                run_start = i;
-            }
-            run.push(tok.clone());
+            out.extend(run.take());
+            continue;
         }
+        let e = run.get_or_insert(Extract {
+            index: out.len(),
+            start: i,
+            len: 0,
+            offset: tok.offset,
+            types: TypeSet::EMPTY,
+        });
+        e.len += 1;
+        e.types = e.types.union(tok.types);
     }
+    out.extend(run);
     out
+}
+
+/// The texts of an extract's tokens, `slot` being the token stream it was
+/// derived from.
+pub fn extract_texts<'t>(extract: &Extract, slot: &'t [Token]) -> Vec<&'t str> {
+    slot[extract.start..extract.start + extract.len]
+        .iter()
+        .map(|t| t.text.as_str())
+        .collect()
 }
 
 /// Indexes a token stream: the non-separator texts, each looked up in
@@ -135,9 +139,11 @@ impl MatchStream {
 
 /// The per-extract string scan over [`MatchStream`]s — the oracle for
 /// `match_extracts_indexed`: trivially correct, no interning, no index,
-/// no memoization.
+/// no memoization. `slot` is the token stream the extracts were derived
+/// from.
 pub fn match_extracts_naive(
     extracts: Vec<Extract>,
+    slot: &[Token],
     other_list_pages: &[&[Token]],
     detail_pages: &[&[Token]],
 ) -> Observations {
@@ -152,7 +158,7 @@ pub fn match_extracts_naive(
     let mut skipped = Vec::new();
 
     for extract in extracts {
-        let texts = extract.token_texts();
+        let texts = extract_texts(&extract, slot);
         let mut pages = Vec::new();
         let mut positions = Vec::new();
         for (j, stream) in detail_streams.iter().enumerate() {
@@ -171,7 +177,11 @@ pub fn match_extracts_naive(
             !other_streams.is_empty() && other_streams.iter().all(|s| s.contains(&texts))
         });
         match decision {
-            Decision::Keep => items.push(ObsItem::new(extract, pages, positions)),
+            Decision::Keep => items.push(ObsItem {
+                extract,
+                pages,
+                positions,
+            }),
             Decision::Skip(reason) => skipped.push(SkippedExtract { extract, reason }),
         }
     }

@@ -6,7 +6,7 @@
 
 use tableseg_extract::filter::SkipReason;
 use tableseg_extract::{derive_extracts, match_extracts_indexed, PageIndex};
-use tableseg_html::{scan, Interner, Symbol, UNKNOWN_SYMBOL};
+use tableseg_html::{scan, Interner, UNKNOWN_SYMBOL};
 
 #[test]
 fn all_unknown_detail_page_yields_empty_occurrence_sets() {
@@ -25,11 +25,8 @@ fn all_unknown_detail_page_yields_empty_occurrence_sets() {
     // Probing with every real extract of the list page: no hit, no panic.
     let extracts = derive_extracts(&list_syms, &list_spans, &interner);
     assert!(!extracts.is_empty());
-    let needles: Vec<&[Symbol]> = extracts
-        .iter()
-        .map(|e| &list_syms[e.start..e.start + e.tokens.len()])
-        .collect();
-    for needle in &needles {
+    for e in &extracts {
+        let needle = e.symbols(&list_syms);
         assert!(index.find_all(needle).is_empty());
         assert!(!index.contains(needle));
     }
@@ -37,7 +34,7 @@ fn all_unknown_detail_page_yields_empty_occurrence_sets() {
     // Through the production matcher: every extract's D_i is empty, so
     // every extract is skipped (observed on no detail page) and the
     // observation table is empty — degraded, not crashed.
-    let obs = match_extracts_indexed(extracts, &needles, &[], &[&index]);
+    let obs = match_extracts_indexed(extracts, &list_syms, &[], &[&index]);
     assert!(obs.items.is_empty());
     assert!(!obs.skipped.is_empty());
     assert!(obs
@@ -55,10 +52,6 @@ fn empty_detail_page_index_is_probe_safe() {
     assert!(index.is_empty());
 
     let extracts = derive_extracts(&list_syms, &list_spans, &interner);
-    let needles: Vec<&[Symbol]> = extracts
-        .iter()
-        .map(|e| &list_syms[e.start..e.start + e.tokens.len()])
-        .collect();
-    let obs = match_extracts_indexed(extracts, &needles, &[], &[&index]);
+    let obs = match_extracts_indexed(extracts, &list_syms, &[], &[&index]);
     assert!(obs.items.is_empty());
 }

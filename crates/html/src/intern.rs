@@ -14,7 +14,6 @@
 //! [`TypeSet::classify_text`]), so two tokens with equal text always have
 //! equal types and the set can be stored per symbol.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
@@ -110,19 +109,17 @@ impl Interner {
     /// text-to-types mapping is deterministic, so later internings of the
     /// same text always carry the same set.
     pub fn intern_typed(&mut self, text: &str, types: TypeSet) -> Symbol {
-        // Single owned key, allocated only on a miss (the seed version
-        // called `to_owned()` twice per new text).
-        match self.map.entry(text.to_owned()) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                let sym = Symbol::try_from(self.texts.len()).expect("fewer than 2^32 tokens");
-                assert!(sym != UNKNOWN_SYMBOL, "interner full");
-                self.texts.push(e.key().clone());
-                self.types.push(types);
-                e.insert(sym);
-                sym
-            }
+        // A hit is a borrowed lookup and allocates nothing; only a miss
+        // copies the text, once for the map key and once for the text table.
+        if let Some(&sym) = self.map.get(text) {
+            return sym;
         }
+        let sym = Symbol::try_from(self.texts.len()).expect("fewer than 2^32 tokens");
+        assert!(sym != UNKNOWN_SYMBOL, "interner full");
+        self.texts.push(text.to_owned());
+        self.types.push(types);
+        self.map.insert(text.to_owned(), sym);
+        sym
     }
 
     /// Interns one bare text, classifying its types from the text alone

@@ -76,8 +76,8 @@ pub fn evidence(obs: &Observations) -> Vec<Evidence> {
     obs.items
         .iter()
         .map(|item| Evidence {
-            // `T_i` was unioned once at match time; no token walk here.
-            types: item.types,
+            // `T_i` was unioned once at extraction; no token walk here.
+            types: item.extract.types,
             pages: item.pages.clone(),
         })
         .collect()

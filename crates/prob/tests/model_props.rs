@@ -87,20 +87,22 @@ proptest! {
     #[test]
     fn segment_prob_invariants(ev_spec in arb_evidence(4)) {
         use tableseg_extract::{ObsItem, Observations, Extract};
-        use tableseg_html::Token;
+        use tableseg_html::TypeSet;
         // Build a synthetic observation table carrying the evidence.
         let items: Vec<ObsItem> = ev_spec
             .iter()
             .enumerate()
-            .map(|(i, ev)| ObsItem::new(
-                Extract {
+            .map(|(i, ev)| ObsItem {
+                extract: Extract {
                     index: i,
-                    tokens: vec![Token::text(format!("w{i}"), i)],
                     start: i,
+                    len: 1,
+                    offset: i,
+                    types: TypeSet::classify_text(&format!("w{i}")),
                 },
-                ev.pages.clone(),
-                vec![],
-            ))
+                pages: ev.pages.clone(),
+                positions: vec![],
+            })
             .collect();
         let obs = Observations { num_records: 4, items, skipped: vec![] };
         let opts = ProbOptions::default();

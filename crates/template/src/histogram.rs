@@ -36,8 +36,8 @@
 //!    quadratic DP, which is faster than further bookkeeping.
 
 use tableseg_html::intern::FastMap;
+use tableseg_html::Symbol;
 
-use crate::intern::Symbol;
 use crate::lcs::{backward_row, forward_row, lcs_indices};
 
 /// Mixed windows (repeated symbols on both sides) at or below this size

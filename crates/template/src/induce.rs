@@ -23,9 +23,9 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use serde::{Deserialize, Serialize};
+use tableseg_html::{Interner, Symbol};
 
 use crate::histogram::{lcs_indices_histogram_stats, LcsStats};
-use crate::intern::{Interner, Symbol};
 use crate::slot::{Slot, SlotSet};
 
 /// Process-wide count of template inductions (any entry point).
@@ -424,8 +424,9 @@ pub(crate) mod oracle {
     //! Both folds share the candidate filter and the finish step
     //! (embedding plus anchor stability), so a divergence is the fold's.
 
+    use tableseg_html::{Interner, Symbol};
+
     use super::{candidate_streams, empty_induction, finish, InduceStats, Induction};
-    use crate::intern::{Interner, Symbol};
     use crate::lcs::lcs_indices;
 
     /// [`crate::induce_with`] with the Hirschberg fold.

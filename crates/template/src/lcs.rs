@@ -4,7 +4,7 @@
 //! table would need `O(n·m)` memory, so we use Hirschberg's divide-and-
 //! conquer formulation: `O(n·m)` time but `O(min(n, m))` space.
 
-use crate::intern::Symbol;
+use tableseg_html::Symbol;
 
 /// Computes the matched index pairs of one longest common subsequence of
 /// `a` and `b`. Pairs are returned in increasing order of both indices.

@@ -16,8 +16,9 @@
 //! common subsequence (LCS) of the pages' token streams, using the
 //! histogram-LCS core ([`histogram`], which falls back to exact dynamic
 //! programming in [`lcs`] on small windows) over interned token symbols
-//! ([`intern`]). Pages enter as symbol streams only; texts and types are
-//! read back through the [`Interner`]. [`induce_with`] derives the
+//! ([`tableseg_html::intern`]). Pages enter as symbol streams only; texts
+//! and types are read back through the
+//! [`Interner`](tableseg_html::Interner). [`induce_with`] derives the
 //! template and per-page anchors, [`Induction::slots`] the slots;
 //! [`quality`] diagnoses degenerate templates (e.g. sites with numbered
 //! entries, where sequences like `1.` appear on every page and chop the
@@ -30,7 +31,6 @@
 
 pub mod histogram;
 pub mod induce;
-pub mod intern;
 pub mod lcs;
 pub mod quality;
 pub mod slot;
@@ -39,6 +39,5 @@ pub use histogram::{lcs_indices_histogram, lcs_indices_histogram_stats, LcsStats
 pub use induce::{
     candidate_streams, induce_with, induction_count, restabilize, InduceStats, Induction, Template,
 };
-pub use intern::{Interner, Symbol};
 pub use quality::{assess, TemplateQuality};
 pub use slot::{Slot, SlotSet};

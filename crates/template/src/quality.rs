@@ -13,8 +13,9 @@
 //! dominates the text mass. The pipeline uses [`TemplateQuality::is_usable`]
 //! to decide between the induced table slot and the whole-page fallback.
 
+use tableseg_html::{Interner, Symbol};
+
 use crate::induce::Induction;
-use crate::intern::{Interner, Symbol};
 
 /// Diagnostics for an induced template over its example pages.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -2,9 +2,7 @@
 
 use std::ops::Range;
 
-use tableseg_html::TokenType;
-
-use crate::intern::{Interner, Symbol};
+use tableseg_html::{Interner, Symbol, TokenType};
 
 /// One slot: for each example page, the token range that fills the gap
 /// between two consecutive template anchors (or before the first / after

@@ -11,7 +11,7 @@
 //! cargo run --example baseline_comparison
 //! ```
 
-use tableseg::{prepare, CspSegmenter, Segmenter, SitePages};
+use tableseg::{try_prepare_with_template, CspSegmenter, Segmenter, SiteTemplate};
 use tableseg_baselines::{domtable, iepad, roadrunner};
 use tableseg_sitegen::paper_sites;
 use tableseg_sitegen::site::generate;
@@ -49,12 +49,9 @@ fn main() {
         }
 
         // The paper's CSP approach.
-        let details: Vec<&str> = page.detail_html.iter().map(String::as_str).collect();
-        let prepared = prepare(&SitePages {
-            list_pages: site.list_htmls(),
-            target: 0,
-            detail_pages: details,
-        });
+        let template = SiteTemplate::build(&site.list_htmls());
+        let prepared =
+            try_prepare_with_template(&template, 0, &page.detail_htmls()).expect("page 1 prepares");
         let outcome = CspSegmenter::default().segment(&prepared.observations);
         let non_empty = outcome
             .segmentation

@@ -11,7 +11,7 @@
 //! ```
 
 use tableseg::prob::{segment_prob, ProbOptions};
-use tableseg::{prepare, SitePages};
+use tableseg::{try_prepare_with_template, SiteTemplate};
 use tableseg_sitegen::paper_sites;
 use tableseg_sitegen::site::generate;
 
@@ -19,12 +19,10 @@ fn main() {
     let spec = paper_sites::butler();
     let site = generate(&spec);
     let page = &site.pages[1]; // the smaller page, for a readable printout
-    let details: Vec<&str> = page.detail_html.iter().map(String::as_str).collect();
-    let prepared = prepare(&SitePages {
-        list_pages: site.list_htmls(),
-        target: 1,
-        detail_pages: details,
-    });
+    let template = SiteTemplate::build(&site.list_htmls());
+    let prepared =
+        try_prepare_with_template(&template, 1, &page.detail_htmls()).expect("page 2 prepares");
+    let slot = &template.streams[1][prepared.slot.clone()];
 
     let outcome = segment_prob(&prepared.observations, &ProbOptions::default());
     let columns = &outcome.columns;
@@ -41,7 +39,9 @@ fn main() {
         .zip(columns)
         .enumerate()
     {
-        relation[record as usize][column as usize] = prepared.observations.items[i].extract.text();
+        relation[record as usize][column as usize] = prepared.observations.items[i]
+            .extract
+            .text(slot, &template.interner);
     }
 
     println!("reconstructed relation from {} (page 2):\n", spec.name);

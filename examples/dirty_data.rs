@@ -9,7 +9,7 @@
 //! cargo run --example dirty_data
 //! ```
 
-use tableseg::{prepare, CspSegmenter, ProbSegmenter, Segmenter, SitePages};
+use tableseg::{try_prepare_with_template, CspSegmenter, ProbSegmenter, Segmenter, SiteTemplate};
 use tableseg_sitegen::paper_sites;
 use tableseg_sitegen::site::generate;
 
@@ -17,16 +17,14 @@ fn main() {
     let spec = paper_sites::michigan();
     let site = generate(&spec);
     let page = &site.pages[0];
-    let details: Vec<&str> = page.detail_html.iter().map(String::as_str).collect();
-    let prepared = prepare(&SitePages {
-        list_pages: site.list_htmls(),
-        target: 0,
-        detail_pages: details,
-    });
+    let template = SiteTemplate::build(&site.list_htmls());
+    let prepared =
+        try_prepare_with_template(&template, 0, &page.detail_htmls()).expect("page 1 prepares");
+    let slot = &template.streams[0][prepared.slot.clone()];
 
     // Find the troublesome extract.
     for (i, item) in prepared.observations.items.iter().enumerate() {
-        if item.extract.text() == "Parole" {
+        if item.extract.text(slot, &template.interner) == "Parole" {
             let pages: Vec<String> = item.pages.iter().map(|p| format!("r{}", p + 1)).collect();
             println!(
                 "extract E{} = \"Parole\" was observed on detail pages {{{}}} — \

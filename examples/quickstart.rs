@@ -5,7 +5,10 @@
 //! cargo run --example quickstart
 //! ```
 
-use tableseg::{assemble_records, prepare, CspSegmenter, ProbSegmenter, Segmenter, SitePages};
+use tableseg::{
+    assemble_records, try_prepare_with_template, CspSegmenter, ProbSegmenter, Segmenter,
+    SiteTemplate,
+};
 
 fn main() {
     // Two sample list pages from the same (imaginary) site...
@@ -19,19 +22,17 @@ fn main() {
         </table><p>Copyright 2004 Example Inc All rights reserved</p></html>";
 
     // ...and the detail pages linked from the first page's rows.
-    let details = vec![
+    let details = [
         "<html><h2>Ada Lovelace</h2><p>Dept: Analytical Engines</p><p>Tel: (555) 100-0001</p></html>",
         "<html><h2>Alan Turing</h2><p>Dept: Universal Machines</p><p>Tel: (555) 100-0002</p></html>",
         "<html><h2>Grace Hopper</h2><p>Dept: Compiler Construction</p><p>Tel: (555) 100-0003</p></html>",
     ];
 
-    // Shared front end: template induction, table-slot detection,
-    // extraction, detail-page matching.
-    let prepared = prepare(&SitePages {
-        list_pages: vec![list_a, list_b],
-        target: 0,
-        detail_pages: details,
-    });
+    // Shared front end: template induction once per site, then per page
+    // table-slot detection, extraction and detail-page matching.
+    let template = SiteTemplate::build(&[list_a, list_b]);
+    let prepared =
+        try_prepare_with_template(&template, 0, &details).expect("page 1 is in the sample");
     println!(
         "front end: {} extracts kept, {} skipped, whole-page fallback: {}\n",
         prepared.observations.len(),
@@ -45,7 +46,7 @@ fn main() {
     ] {
         let outcome = segmenter.segment(&prepared.observations);
         println!("== {} approach ==", segmenter.name());
-        for record in assemble_records(&prepared, &outcome.segmentation) {
+        for record in assemble_records(&template, 0, &prepared, &outcome.segmentation) {
             println!("  record {}: {:?}", record.index + 1, record.fields);
         }
         if let Some(columns) = &outcome.columns {

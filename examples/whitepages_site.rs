@@ -6,7 +6,10 @@
 //! cargo run --example whitepages_site
 //! ```
 
-use tableseg::{assemble_records, prepare, CspSegmenter, ProbSegmenter, Segmenter, SitePages};
+use tableseg::{
+    assemble_records, try_prepare_with_template, CspSegmenter, ProbSegmenter, Segmenter,
+    SiteTemplate,
+};
 use tableseg_eval::classify::{classify, truth_of_extracts};
 use tableseg_eval::Metrics;
 use tableseg_sitegen::paper_sites;
@@ -17,13 +20,11 @@ fn main() {
     let site = generate(&spec);
     println!("site: {} ({} list pages)\n", spec.name, site.pages.len());
 
+    // Template induction runs once for the site, not once per page.
+    let template = SiteTemplate::build(&site.list_htmls());
     for (page_idx, page) in site.pages.iter().enumerate() {
-        let details: Vec<&str> = page.detail_html.iter().map(String::as_str).collect();
-        let prepared = prepare(&SitePages {
-            list_pages: site.list_htmls(),
-            target: page_idx,
-            detail_pages: details,
-        });
+        let prepared = try_prepare_with_template(&template, page_idx, &page.detail_htmls())
+            .expect("every sample page prepares");
         println!(
             "list page {}: {} records, {} extracts kept, whole-page fallback: {}",
             page_idx + 1,
@@ -57,7 +58,9 @@ fn main() {
 
         // Show the first assembled record from the CSP segmentation.
         let outcome = CspSegmenter::default().segment(&prepared.observations);
-        if let Some(rec) = assemble_records(&prepared, &outcome.segmentation).first() {
+        if let Some(rec) =
+            assemble_records(&template, page_idx, &prepared, &outcome.segmentation).first()
+        {
             println!("  first record: {:?}", rec.fields);
         }
         println!();

@@ -39,7 +39,7 @@ fn main() {
     let prob = ProbSegmenter::default().segment(&prepared.observations);
     let columns = prob.columns.expect("prob yields columns");
     println!("\ncolumn annotation:");
-    for ann in annotate_columns(&prepared.observations, &columns) {
+    for ann in annotate_columns(&template, 0, &prepared, &columns) {
         println!(
             "  L{} -> {:<15} (confidence {:.0}%, {} extracts)",
             ann.column + 1,

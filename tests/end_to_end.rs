@@ -1,12 +1,24 @@
 //! End-to-end integration tests: simulator → pipeline → both segmenters →
 //! evaluation, across all four information domains.
 
-use tableseg::{assemble_records, prepare, CspSegmenter, ProbSegmenter, Segmenter, SitePages};
+use tableseg::{
+    assemble_records, try_prepare_with_template, CspSegmenter, PreparedPage, ProbSegmenter,
+    Segmenter, SiteTemplate,
+};
 use tableseg_eval::classify::{classify, truth_of_extracts};
 use tableseg_eval::Metrics;
 use tableseg_sitegen::domains::Domain;
 use tableseg_sitegen::paper_sites;
 use tableseg_sitegen::site::{generate, GeneratedSite, LayoutStyle, SiteSpec};
+
+/// The site's template and list page `target` prepared against it.
+fn prepare_page(site: &GeneratedSite, target: usize) -> (SiteTemplate, PreparedPage) {
+    let template = SiteTemplate::build(&site.list_htmls());
+    let details = site.pages[target].detail_htmls();
+    let prepared =
+        try_prepare_with_template(&template, target, &details).expect("sample page prepares");
+    (template, prepared)
+}
 
 fn run_page(
     site: &GeneratedSite,
@@ -14,12 +26,7 @@ fn run_page(
     segmenter: &dyn Segmenter,
 ) -> (tableseg_eval::classify::PageCounts, bool) {
     let page = &site.pages[page_idx];
-    let details: Vec<&str> = page.detail_html.iter().map(String::as_str).collect();
-    let prepared = prepare(&SitePages {
-        list_pages: site.list_htmls(),
-        target: page_idx,
-        detail_pages: details,
-    });
+    let (_, prepared) = prepare_page(site, page_idx);
     let spans: Vec<std::ops::Range<usize>> =
         page.truth.records.iter().map(|r| r.start..r.end).collect();
     let truth = truth_of_extracts(&prepared.extract_offsets, &spans);
@@ -115,16 +122,7 @@ fn numbered_sites_trigger_whole_page_fallback() {
         paper_sites::minnesota(),
     ] {
         let site = generate(&spec);
-        let details: Vec<&str> = site.pages[0]
-            .detail_html
-            .iter()
-            .map(String::as_str)
-            .collect();
-        let prepared = prepare(&SitePages {
-            list_pages: site.list_htmls(),
-            target: 0,
-            detail_pages: details,
-        });
+        let (_, prepared) = prepare_page(&site, 0);
         assert!(
             prepared.used_whole_page,
             "{}: numbered entries must break the template ({:?})",
@@ -137,16 +135,7 @@ fn numbered_sites_trigger_whole_page_fallback() {
 fn grid_sites_use_the_table_slot() {
     for spec in [paper_sites::allegheny(), paper_sites::ohio()] {
         let site = generate(&spec);
-        let details: Vec<&str> = site.pages[0]
-            .detail_html
-            .iter()
-            .map(String::as_str)
-            .collect();
-        let prepared = prepare(&SitePages {
-            list_pages: site.list_htmls(),
-            target: 0,
-            detail_pages: details,
-        });
+        let (_, prepared) = prepare_page(&site, 0);
         assert!(
             !prepared.used_whole_page,
             "{}: clean grid site should keep its template ({:?})",
@@ -183,14 +172,9 @@ fn assembled_records_contain_row_values() {
     let spec = paper_sites::butler();
     let site = generate(&spec);
     let page = &site.pages[0];
-    let details: Vec<&str> = page.detail_html.iter().map(String::as_str).collect();
-    let prepared = prepare(&SitePages {
-        list_pages: site.list_htmls(),
-        target: 0,
-        detail_pages: details,
-    });
+    let (template, prepared) = prepare_page(&site, 0);
     let outcome = CspSegmenter::default().segment(&prepared.observations);
-    let records = assemble_records(&prepared, &outcome.segmentation);
+    let records = assemble_records(&template, 0, &prepared, &outcome.segmentation);
     assert_eq!(records.len(), page.truth.len());
     for (rec, truth) in records.iter().zip(&page.truth.records) {
         // The salient identifier must be in the assembled record. Extract
@@ -210,13 +194,7 @@ fn assembled_records_contain_row_values() {
 fn column_labels_are_consistent_within_clean_sites() {
     let spec = paper_sites::allegheny();
     let site = generate(&spec);
-    let page = &site.pages[0];
-    let details: Vec<&str> = page.detail_html.iter().map(String::as_str).collect();
-    let prepared = prepare(&SitePages {
-        list_pages: site.list_htmls(),
-        target: 0,
-        detail_pages: details,
-    });
+    let (_, prepared) = prepare_page(&site, 0);
     let outcome = ProbSegmenter::default().segment(&prepared.observations);
     let columns = outcome.columns.expect("prob yields columns");
     // The first extract of every record must carry the same column label
@@ -244,16 +222,7 @@ fn continued_numbering_repairs_the_template() {
     let mut spec = paper_sites::bn_books();
     spec.continuous_numbering = true;
     let site = generate(&spec);
-    let details: Vec<&str> = site.pages[0]
-        .detail_html
-        .iter()
-        .map(String::as_str)
-        .collect();
-    let prepared = prepare(&SitePages {
-        list_pages: site.list_htmls(),
-        target: 0,
-        detail_pages: details,
-    });
+    let (_, prepared) = prepare_page(&site, 0);
     assert!(
         !prepared.used_whole_page,
         "continued numbering should restore the template: {:?}",

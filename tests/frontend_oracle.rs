@@ -8,8 +8,9 @@
 //! (`oracle/mod.rs`, plus the naive matcher and token extraction of
 //! `tableseg-extract`'s oracle): the template texts and anchors, the
 //! [`TemplateQuality`](tableseg::template::TemplateQuality), the
-//! table-slot ranges, the extracts (index, start, texts, types,
-//! offsets), the observation table and the detected regions. Region byte
+//! table-slot ranges, the extracts (token range, offset, types, and
+//! texts read through the site interner), the observation table and the
+//! detected regions. Region byte
 //! ranges may end later than the oracle's: a region now ends at its last
 //! token's source end, where the oracle stopped at the token's
 //! normalized text. Chaos seeds mix in `PROPTEST_SEED` when set.
@@ -86,9 +87,19 @@ fn assert_site_matches_oracle(site: &GeneratedSite, ctx: &str) -> (usize, usize)
         let slot = table_slot
             .as_ref()
             .map_or(0..syms.len(), |ranges| ranges[target].clone());
-        let extracts = derive_extracts(&syms[slot.clone()], &spans[slot.clone()], interner);
-        let oracle_extracts = extract_oracle::derive_extracts_tokens(&tokens[target][slot.clone()]);
+        let slot_syms = &syms[slot.clone()];
+        let slot_tokens = &tokens[target][slot.clone()];
+        let extracts = derive_extracts(slot_syms, &spans[slot.clone()], interner);
+        let oracle_extracts = extract_oracle::derive_extracts_tokens(slot_tokens);
         assert_eq!(extracts, oracle_extracts, "{at}: extracts");
+        for e in &extracts {
+            assert_eq!(
+                e.text(slot_syms, interner),
+                extract_oracle::extract_texts(e, slot_tokens).join(" "),
+                "{at}: extract {}",
+                e.index
+            );
+        }
 
         // The observation table the pipeline builds.
         let details = page.detail_htmls();
@@ -102,7 +113,12 @@ fn assert_site_matches_oracle(site: &GeneratedSite, ctx: &str) -> (usize, usize)
             .filter(|&i| i != target)
             .map(|i| tokens[i].as_slice())
             .collect();
-        let naive = extract_oracle::match_extracts_naive(oracle_extracts, &others, &detail_refs);
+        let naive = extract_oracle::match_extracts_naive(
+            oracle_extracts,
+            slot_tokens,
+            &others,
+            &detail_refs,
+        );
         let obs = &prepared.observations;
         assert_eq!(obs.num_records, naive.num_records, "{at}");
         assert_eq!(obs.items, naive.items, "{at}: kept extracts");

@@ -1,7 +1,7 @@
 //! Integration tests pinning the paper's worked examples (Tables 1–3) and
 //! the qualitative claims of Sections 4–6.
 
-use tableseg::{prepare, CspSegmenter, ProbSegmenter, Segmenter, SitePages};
+use tableseg::{try_prepare_with_template, CspSegmenter, ProbSegmenter, Segmenter, SiteTemplate};
 use tableseg_extract::build_observations;
 use tableseg_extract::positions::position_groups;
 
@@ -39,7 +39,7 @@ fn table1_observation_sets() {
         vec![2],    // E11
     ];
     for (item, expected) in obs.items.iter().zip(&expected_pages) {
-        assert_eq!(&item.pages, expected, "{}", item.extract.text());
+        assert_eq!(&item.pages, expected, "E{}", item.extract.index + 1);
     }
 }
 
@@ -128,16 +128,9 @@ fn section5_prob_runs_in_a_few_seconds_even_on_the_largest_page() {
     use std::time::Instant;
     let spec = tableseg_sitegen::paper_sites::canada411(); // 25 records
     let site = tableseg_sitegen::site::generate(&spec);
-    let details: Vec<&str> = site.pages[0]
-        .detail_html
-        .iter()
-        .map(String::as_str)
-        .collect();
-    let prepared = prepare(&SitePages {
-        list_pages: site.list_htmls(),
-        target: 0,
-        detail_pages: details,
-    });
+    let template = SiteTemplate::build(&site.list_htmls());
+    let prepared = try_prepare_with_template(&template, 0, &site.pages[0].detail_htmls())
+        .expect("page 1 prepares");
     for segmenter in [
         &CspSegmenter::default() as &dyn Segmenter,
         &ProbSegmenter::default(),

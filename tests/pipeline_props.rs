@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use tableseg::{prepare, CspSegmenter, ProbSegmenter, Segmenter, SitePages};
+use tableseg::{try_prepare_with_template, CspSegmenter, ProbSegmenter, Segmenter, SiteTemplate};
 use tableseg_sitegen::domains::Domain;
 use tableseg_sitegen::site::{generate, LayoutStyle, SiteSpec};
 
@@ -45,17 +45,10 @@ proptest! {
     #[test]
     fn pipeline_invariants_hold_on_random_sites(spec in arb_spec()) {
         let site = generate(&spec);
-        let details: Vec<&str> = site.pages[0]
-            .detail_html
-            .iter()
-            .map(String::as_str)
-            .collect();
+        let details = site.pages[0].detail_htmls();
         let num_records = details.len();
-        let prepared = prepare(&SitePages {
-            list_pages: site.list_htmls(),
-            target: 0,
-            detail_pages: details,
-        });
+        let template = SiteTemplate::build(&site.list_htmls());
+        let prepared = try_prepare_with_template(&template, 0, &details).expect("page 1 prepares");
         let obs = &prepared.observations;
         prop_assert_eq!(obs.num_records, num_records);
         prop_assert_eq!(prepared.extract_offsets.len(), obs.items.len());
