@@ -66,6 +66,8 @@ impl SolveBench {
             ("prob.em_iters", self.prob.work_units),
             ("reduction.components", self.reduction.components),
             ("reduction.pruned_vars", self.reduction.pruned_vars),
+            ("encoding.rows", self.encoding.rows),
+            ("encoding.terms", self.encoding.terms),
         ]
         .map(|(path, n)| (path.to_string(), n as f64))
         .to_vec()
@@ -90,6 +92,16 @@ pub struct ReductionStats {
     pub reduce_ns: u64,
 }
 
+/// The size of the strict CSP encodings of the corpus, summed over its
+/// pages: the work every encode, index and reduce pass scales with.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EncodingStats {
+    /// Constraint rows.
+    pub rows: u64,
+    /// Terms over all rows.
+    pub terms: u64,
+}
+
 /// The corpus-level result of the solver benchmark.
 #[derive(Debug, Clone, Copy)]
 pub struct SolveBench {
@@ -105,6 +117,8 @@ pub struct SolveBench {
     pub prob: MethodBench,
     /// Reduction-layer totals of one CSP pass.
     pub reduction: ReductionStats,
+    /// Strict encoding sizes of one CSP pass.
+    pub encoding: EncodingStats,
     /// Corpus passes each method ran; the reported time is the fastest
     /// pass, which is robust to interference from other load.
     pub iters: usize,
@@ -112,7 +126,7 @@ pub struct SolveBench {
 
 /// Times the production CSP and probabilistic solvers over the full
 /// corpus, `iters` passes each. A first untimed pass collects the CSP
-/// reduction totals.
+/// reduction totals and encoding sizes.
 pub fn run_solve_bench(iters: usize) -> SolveBench {
     let fixtures = corpus();
     let sites = site_count(fixtures.iter().map(|f| f.site.as_str()));
@@ -121,11 +135,15 @@ pub fn run_solve_bench(iters: usize) -> SolveBench {
     let prob_opts = ProbOptions::default();
 
     let mut reduction = ReductionStats::default();
+    let mut encoding = EncodingStats::default();
     for f in &fixtures {
         let out = segment_csp(&f.observations, &csp_opts);
         reduction.components += out.components as u64;
         reduction.pruned_vars += out.pruned_vars as u64;
         reduction.reduce_ns += out.reduce_ns;
+        let model = encode(&f.observations, &EncodeOptions::default()).model;
+        encoding.rows += model.num_rows() as u64;
+        encoding.terms += model.rows().map(|r| r.terms.len() as u64).sum::<u64>();
     }
 
     let blank = MethodBench {
@@ -160,6 +178,7 @@ pub fn run_solve_bench(iters: usize) -> SolveBench {
         csp,
         prob,
         reduction,
+        encoding,
         iters,
     }
 }
@@ -248,6 +267,13 @@ pub fn render_json(
             ),
         )
         .raw(
+            "encoding",
+            format!(
+                "{{ \"rows\": {}, \"terms\": {} }}",
+                bench.encoding.rows, bench.encoding.terms
+            ),
+        )
+        .raw(
             "component_profile",
             format!(
                 "{{ \"strict\": {}, \"relaxed\": {} }}",
@@ -294,6 +320,10 @@ mod tests {
                 pruned_vars: 321,
                 reduce_ns: 1234,
             },
+            encoding: EncodingStats {
+                rows: 600,
+                terms: 1500,
+            },
             iters: 2,
         }
     }
@@ -310,15 +340,17 @@ mod tests {
         drifted.prob.work_units = 41;
         drifted.csp.work_units = 91;
         drifted.reduction.pruned_vars = 320;
+        drifted.encoding.terms = 1501;
         assert_eq!(
             count_mismatches(&committed, &drifted.work_counts()),
             [
                 "csp.bnb_nodes: 91 vs committed 90",
                 "prob.em_iters: 41 vs committed 40",
-                "reduction.pruned_vars: 320 vs committed 321"
+                "reduction.pruned_vars: 320 vs committed 321",
+                "encoding.terms: 1501 vs committed 1500"
             ]
         );
-        assert_eq!(count_mismatches("{ }", &bench.work_counts()).len(), 4);
+        assert_eq!(count_mismatches("{ }", &bench.work_counts()).len(), 6);
     }
 
     #[test]
@@ -337,6 +369,7 @@ mod tests {
         assert!(json.contains("\"em_iters\": 40"));
         assert!(json.contains("\"components\": 7"));
         assert!(json.contains("\"pruned_vars\": 321"));
+        assert!(json.contains("\"encoding\": { \"rows\": 600, \"terms\": 1500 }"));
         assert!(!json.contains("warm_start_hits"));
         assert!(json.contains("\"solve.csp\": 42"));
         assert!(json.contains("\"component_profile\": { \"strict\": [], \"relaxed\": [] }"));

@@ -87,9 +87,9 @@ impl RowWrapper {
             }
             if ok {
                 records.push(fields);
-                // The tail of one row often overlaps the head of the next
-                // (e.g. tail `</td></tr>`, head `</tr><tr><td>` sharing
-                // `</tr>`), so rewind by the tail length before scanning
+                // The tail of one row may overlap the head of the next
+                // (a tail that runs into the next row's opening tags), so
+                // rewind by the tail length before scanning
                 // for the next head. The record body itself is consumed,
                 // so no row can match twice.
                 i = pos.saturating_sub(self.tail.len());
@@ -193,12 +193,16 @@ pub fn induce_wrapper(
     }
 
     // Head: longest common suffix of the token texts preceding each
-    // record's first field.
-    let head = common_suffix(
+    // record's first field, less the closing tags that lead it. Those end
+    // the previous row (`</td></tr>`), and a page's first record follows a
+    // header row (`</th></tr>`) or none at all.
+    let mut head = common_suffix(
         rows.iter()
             .map(|r| preceding(&tokens, r[0].0))
             .collect::<Vec<_>>(),
     );
+    let closing = head.iter().take_while(|t| is_closing(t)).count();
+    head.drain(..closing);
     if head.is_empty() {
         return None;
     }
@@ -390,6 +394,45 @@ mod tests {
         assert_eq!(records[0][0], "Edsger Dijkstra");
         assert_eq!(records[1][0], "Tony Hoare");
         assert!(records[1][1].contains("100 - 0010"));
+    }
+
+    /// A header row of `<th>` cells sits in the template. Page 0's first
+    /// record has no phone, so every full record that the head is induced
+    /// from follows a data row's `</td>`; the first record of a new page
+    /// follows the header's `</th>` instead.
+    #[test]
+    fn first_record_after_a_header_row_is_extracted() {
+        let headed = |rows: &[(&str, &str)]| {
+            let body: String = rows
+                .iter()
+                .map(|(a, b)| format!("<tr><td>{a}</td><td>{b}</td></tr>"))
+                .collect();
+            format!(
+                "<html><h1>Example Results Page</h1><table>\
+                 <tr><th>Name</th><th>Phone</th></tr>{body}</table>\
+                 <p>Copyright 2004 Example Inc Footer</p></html>"
+            )
+        };
+        let a = headed(&[
+            ("Ada Lovelace", ""),
+            ("Alan Turing", "(555) 100-0002"),
+            ("Grace Hopper", "(555) 100-0003"),
+        ]);
+        let b = headed(&[("Donald Knuth", "(555) 100-0004")]);
+        let details = [
+            "<html><h2>Ada Lovelace</h2></html>",
+            "<html><h2>Alan Turing</h2><p>(555) 100-0002</p></html>",
+            "<html><h2>Grace Hopper</h2><p>(555) 100-0003</p></html>",
+        ];
+        let w = wrapper_of(&a, &b, &details).expect("wrapper");
+        let new_page = headed(&[
+            ("Edsger Dijkstra", "(555) 100-0009"),
+            ("Tony Hoare", "(555) 100-0010"),
+        ]);
+        let records = w.extract(&new_page);
+        assert_eq!(records.len(), 2, "{records:?}");
+        assert_eq!(records[0][0], "Edsger Dijkstra");
+        assert_eq!(records[1][0], "Tony Hoare");
     }
 
     #[test]

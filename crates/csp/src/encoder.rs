@@ -8,9 +8,16 @@
 //! * **Uniqueness** — "Every extract `E_i` belongs to exactly one record
 //!   `r_j`": `Σ_j x_ij = 1`, relaxable to `Σ_j x_ij ≤ 1`.
 //! * **Consecutiveness** — "only contiguous blocks of extracts can be
-//!   assigned to the same record": `x_ij + x_kj ≤ 1` when some extract
-//!   between `k` and `i` cannot be in `r_j` at all, and
-//!   `x_kj + x_ij − x_nj ≤ 1` for every in-between candidate `n`.
+//!   assigned to the same record". Record `j`'s candidates fall into runs
+//!   of consecutive extracts. Within a run, `x_kj + x_ij − x_nj ≤ 1` for
+//!   every middle `n`. Across runs some extract between `k` and `i` cannot
+//!   be in `r_j`, and the paper writes `x_kj + x_ij ≤ 1` for each such
+//!   pair. Those pairs are gathered into at-most-one rows: with `S` the
+//!   single-extract runs, one row over `S` if no run is longer, else
+//!   `S ∪ {u}` per member `u` of a longer run, plus pairs between longer
+//!   runs. Over 0-1 variables a row holds exactly when each of its pairs
+//!   does, so the feasible set is the paper's, from fewer rows and terms;
+//!   a row with `m` variables set is violated by `m − 1`.
 //! * **Position** — extracts observed at the same position of detail page
 //!   `j` compete for one field occurrence: exactly one of them may be
 //!   assigned to `r_j` (`Σ x_ij = 1`, relaxable to `≤ 1`).
@@ -107,25 +114,46 @@ pub fn encode(obs: &Observations, opts: &EncodeOptions) -> Encoding {
         model.add_sum(w[0]..w[1], Relation::Eq, 1);
     }
 
-    // Consecutiveness, per record.
+    // Consecutiveness, per record, over the runs of consecutive extracts
+    // among its candidates.
     for members in &members {
-        for (a, &(k, xk)) in members.iter().enumerate() {
-            for (b, &(i, xi)) in members.iter().enumerate().skip(a + 1) {
-                if i - k != b - a {
-                    // Fewer candidates than extracts lie between the two:
-                    // an in-between extract cannot be in r_j, which makes
-                    // the pair mutually exclusive.
-                    model.add_sum([xk, xi], Relation::Le, 1);
-                } else {
-                    // Every in-between extract is a candidate: the pair may
-                    // co-exist only if each middle is also assigned to r_j.
-                    for &(_, xn) in &members[a + 1..b] {
+        let runs = || members.chunk_by(|a, b| b.0 == a.0 + 1);
+        let singles = || runs().filter(|run| run.len() == 1).map(|run| run[0].1);
+        let multi = || runs().filter(|run| run.len() > 1);
+        // Within a run every middle is a candidate: a pair may co-exist
+        // only if each middle is also assigned to r_j.
+        for run in multi() {
+            for (a, &(_, xk)) in run.iter().enumerate() {
+                for (b, &(_, xi)) in run.iter().enumerate().skip(a + 2) {
+                    for &(_, xn) in &run[a + 1..b] {
                         let triple = [(xk, 1), (xi, 1), (xn, -1)];
                         model.add(
                             triple.map(|(var, coef)| Term { var, coef }),
                             Relation::Le,
                             1,
                         );
+                    }
+                }
+            }
+        }
+        // Across runs some extract between two members cannot be in r_j,
+        // so they exclude each other: at-most-one rows over the single
+        // runs and each member of a longer run, pairs between longer runs.
+        if multi().next().is_none() && singles().nth(1).is_some() {
+            model.add_sum(singles(), Relation::Le, 1);
+        }
+        for (p, run) in multi().enumerate() {
+            if singles().next().is_some() {
+                for &(_, xu) in run {
+                    let below = singles().take_while(|&xs| xs < xu);
+                    let row = below.chain([xu]).chain(singles().skip_while(|&xs| xs < xu));
+                    model.add_sum(row, Relation::Le, 1);
+                }
+            }
+            for later in multi().skip(p + 1) {
+                for &(_, xu) in run {
+                    for &(_, xv) in later {
+                        model.add_sum([xu, xv], Relation::Le, 1);
                     }
                 }
             }
@@ -242,6 +270,38 @@ pub(crate) mod tests {
         let consec = || enc.model.rows().skip(obs.items.len());
         assert!(consec().any(|c| c.terms.len() == 2));
         assert!(consec().any(|c| c.terms.len() == 3));
+    }
+
+    #[test]
+    fn single_extract_runs_share_one_at_most_one_row() {
+        // r1's candidates E1, E3, E5 and r2's E2, E4 alternate, so every
+        // run is one extract long: one row per record, no pairs.
+        let obs = build_observations(
+            "<td>Alpha</td><td>Xray</td><td>Bravo</td><td>Yankee</td><td>Charlie</td>",
+            &[],
+            &[
+                "<p>Alpha</p><p>Bravo</p><p>Charlie</p>",
+                "<p>Xray</p><p>Yankee</p>",
+            ],
+        );
+        let enc = encode(
+            &obs,
+            &EncodeOptions {
+                position_constraints: false,
+            },
+        );
+        let x = |i: usize, j: u32| enc.var(i, j).expect("candidate");
+        let consec: Vec<Vec<usize>> = enc
+            .model
+            .rows()
+            .skip(obs.items.len())
+            .inspect(|c| assert_eq!((c.rel, c.rhs), (Relation::Le, 1)))
+            .map(|c| c.terms.iter().map(|t| t.var).collect())
+            .collect();
+        assert_eq!(
+            consec,
+            [vec![x(0, 0), x(2, 0), x(4, 0)], vec![x(1, 1), x(3, 1)]]
+        );
     }
 
     #[test]

@@ -89,7 +89,9 @@ pub struct CspOutcome {
     pub status: CspStatus,
     /// Residual violation of the *strict* encoding by the best strict
     /// assignment found (0 when `status == Solved`). A diagnostic for how
-    /// inconsistent the site data is.
+    /// inconsistent the site data is. Each row counts its distance to
+    /// feasibility, so a consecutiveness at-most-one row with `m` of its
+    /// variables set counts `m − 1`.
     pub strict_violation: i64,
     /// Total branch-and-bound nodes explored across both rungs.
     pub bnb_nodes: u64,
@@ -110,13 +112,6 @@ pub struct CspOutcome {
     /// Wall-clock nanoseconds spent in [`reduce_model`] — the
     /// `solve.reduce` timing sub-stage.
     pub reduce_ns: u64,
-}
-
-impl CspOutcome {
-    /// Convenience: `true` when constraints had to be relaxed (or failed).
-    pub fn relaxed(&self) -> bool {
-        self.status != CspStatus::Solved
-    }
 }
 
 /// Running totals across the two rungs of the ladder.

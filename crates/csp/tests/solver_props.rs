@@ -7,7 +7,7 @@
 mod oracle;
 mod reduce_oracle;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 
@@ -103,9 +103,85 @@ fn oracle_encode(
     (vars, rows, objective)
 }
 
-/// Asserts that `encode` (strict) and `encode` + `relax` (relaxed) match
-/// the oracle row for row.
+/// Asserts that `encode` (strict) and `encode` + `relax` (relaxed) are the
+/// oracle with its pairwise exclusions gathered into at-most-one rows:
+/// - the same variables, uniqueness, triple and position rows, and
+///   objective;
+/// - every other row is a unit `≤ 1` row over ascending variables, each
+///   two of which the oracle excludes by a pair row;
+/// - every oracle pair row lies inside some such row;
+/// - the encoding has no more terms than the oracle.
 fn assert_encoder_matches_oracle(obs: &Observations, position_constraints: bool) {
+    let mut enc = encode(
+        obs,
+        &EncodeOptions {
+            position_constraints,
+        },
+    );
+    let positions = if position_constraints {
+        position_groups(obs).len()
+    } else {
+        0
+    };
+    for relaxed in [false, true] {
+        if relaxed {
+            enc.relax();
+        }
+        let (vars, rows, objective) = oracle_encode(obs, relaxed, position_constraints);
+        assert_eq!(enc.vars, vars, "relaxed={relaxed}");
+        assert_eq!(enc.model.num_vars, vars.len());
+        assert_eq!(enc.model.objective, objective, "relaxed={relaxed}");
+        let got: Vec<Row> = enc
+            .model
+            .rows()
+            .map(|c| (c.terms.to_vec(), c.rel, c.rhs))
+            .collect();
+        let (n, g) = (obs.items.len(), positions);
+        assert!(got.len() >= n + g, "relaxed={relaxed}");
+        assert_eq!(got[..n], rows[..n], "uniqueness, relaxed={relaxed}");
+        assert_eq!(
+            got[got.len() - g..],
+            rows[rows.len() - g..],
+            "position, relaxed={relaxed}"
+        );
+        let is_triple = |row: &Row| row.0.len() == 3 && row.0[2].coef == -1;
+        let consec = |rows: &[Row]| -> (Vec<Row>, Vec<Row>) {
+            rows[n..rows.len() - g].iter().cloned().partition(is_triple)
+        };
+        let (got_triples, cliques) = consec(&got);
+        let (triples, oracle_pairs) = consec(&rows);
+        assert_eq!(got_triples, triples, "triples, relaxed={relaxed}");
+        let pair = |a: &Term, b: &Term| (a.var.min(b.var), a.var.max(b.var));
+        let excluded: HashSet<(usize, usize)> = oracle_pairs
+            .iter()
+            .map(|(t, _, _)| pair(&t[0], &t[1]))
+            .collect();
+        let mut covered = HashSet::new();
+        for (terms, rel, rhs) in &cliques {
+            assert_eq!((*rel, *rhs), (Relation::Le, 1), "{terms:?}");
+            assert!(terms.iter().all(|t| t.coef == 1), "{terms:?}");
+            assert!(terms.windows(2).all(|w| w[0].var < w[1].var), "{terms:?}");
+            for (a, t) in terms.iter().enumerate() {
+                for u in &terms[a + 1..] {
+                    assert!(
+                        excluded.contains(&pair(t, u)),
+                        "{terms:?} joins {t:?}, {u:?}"
+                    );
+                    covered.insert(pair(t, u));
+                }
+            }
+        }
+        assert_eq!(covered, excluded, "relaxed={relaxed}");
+        let terms = |rows: &[Row]| rows.iter().map(|r| r.0.len()).sum::<usize>();
+        assert!(terms(&got) <= terms(&rows), "relaxed={relaxed}");
+    }
+}
+
+/// Asserts that [`solve_bnb`] finds the encoding and its oracle alike
+/// strictly feasible or infeasible, and gives their relaxations the same
+/// optimum.
+fn assert_encoder_solves_like_oracle(obs: &Observations, position_constraints: bool) {
+    const BUDGET: u64 = 1_000_000;
     let mut enc = encode(
         obs,
         &EncodeOptions {
@@ -117,18 +193,17 @@ fn assert_encoder_matches_oracle(obs: &Observations, position_constraints: bool)
             enc.relax();
         }
         let (vars, rows, objective) = oracle_encode(obs, relaxed, position_constraints);
-        assert_eq!(enc.vars, vars, "relaxed={relaxed}");
-        assert_eq!(enc.model.num_vars, vars.len());
-        let got: Vec<Row> = enc
-            .model
-            .rows()
-            .map(|c| (c.terms.to_vec(), c.rel, c.rhs))
-            .collect();
-        assert_eq!(got.len(), rows.len(), "relaxed={relaxed}");
-        for (r, (g, o)) in got.iter().zip(&rows).enumerate() {
-            assert_eq!(g, o, "row {r}, relaxed={relaxed}");
+        let mut oracle = Model::new(vars.len());
+        for (terms, rel, rhs) in rows {
+            oracle.add(terms, rel, rhs);
         }
-        assert_eq!(enc.model.objective, objective, "relaxed={relaxed}");
+        oracle.objective = objective;
+        let value = |model: &Model| match solve_bnb(model, BUDGET) {
+            BnbOutcome::Optimal { objective, .. } => Some(objective),
+            BnbOutcome::Infeasible => None,
+            BnbOutcome::Unknown { .. } => panic!("budget is ample for small tables"),
+        };
+        assert_eq!(value(&enc.model), value(&oracle), "relaxed={relaxed}");
     }
 }
 
@@ -216,8 +291,8 @@ fn paper_pages() -> Vec<Observations> {
     pages
 }
 
-/// The encoder matches its oracle on every list page of the twelve
-/// simulated paper sites.
+/// The encoder is its oracle with the pair rows gathered into at-most-one
+/// rows on every list page of the twelve simulated paper sites.
 #[test]
 fn encoder_matches_oracle_on_paper_pages() {
     let pages = paper_pages();
@@ -593,14 +668,25 @@ proptest! {
         prop_assert_eq!(&assignment, seed, "{} optima", optima.len());
     }
 
-    /// The encoder matches its oracle row for row on random observation
-    /// tables, strict and relaxed, with and without position constraints.
+    /// The encoder is its oracle with the pair rows gathered into
+    /// at-most-one rows on random observation tables, strict and relaxed,
+    /// with and without position constraints.
     #[test]
     fn encoder_matches_oracle_on_random_tables(
         obs in arb_observations(),
         position_constraints in any::<bool>(),
     ) {
         assert_encoder_matches_oracle(&obs, position_constraints);
+    }
+
+    /// The encoding and its oracle agree under the exact solver: both
+    /// strictly feasible or both not, and the same relaxed optimum.
+    #[test]
+    fn encoder_solves_like_oracle_on_random_tables(
+        obs in arb_observations(),
+        position_constraints in any::<bool>(),
+    ) {
+        assert_encoder_solves_like_oracle(&obs, position_constraints);
     }
 
     /// The reduction matches its per-row oracle on random models of every
