@@ -55,8 +55,8 @@ pub mod recorder;
 pub mod span;
 
 pub use manifest::{
-    deterministic_requested, git_describe, json_str, Manifest, RobustnessRollup, Volatile,
-    DETERMINISTIC_ENV, SCHEMA,
+    deterministic_requested, git_describe, json_str, push_json_str, push_u64, Manifest,
+    RobustnessRollup, Volatile, DETERMINISTIC_ENV, SCHEMA,
 };
 pub use metric::{
     bucket_of, bucket_upper, Counter, CounterSet, Hist, Histogram, HistogramSet, NUM_BUCKETS,

@@ -24,7 +24,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::metric::{bucket_upper, Histogram, NUM_BUCKETS};
+use crate::metric::{bucket_upper, Histogram};
 use crate::recorder::Recorder;
 use crate::span::{SpanKind, SpanNode};
 
@@ -169,79 +169,63 @@ impl Manifest {
     /// goldens.
     pub fn render_json(&self, redact: bool) -> String {
         let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": {},", json_str(SCHEMA));
-        let _ = writeln!(out, "  \"tool\": {},", json_str(&self.tool));
-        let _ = writeln!(out, "  \"config\": {{");
-        for (i, (k, v)) in self.config.iter().enumerate() {
-            let comma = if i + 1 < self.config.len() { "," } else { "" };
-            let _ = writeln!(out, "    {}: {}{comma}", json_str(k), json_str(v));
+        out.push_str("{\n  \"schema\": ");
+        push_json_str(&mut out, SCHEMA);
+        out.push_str(",\n  \"tool\": ");
+        push_json_str(&mut out, &self.tool);
+        out.push_str(",\n  \"config\": {\n");
+        push_members(&mut out, &self.config, |out, (k, v)| {
+            push_json_str(out, k);
+            out.push_str(": ");
+            push_json_str(out, v);
+        });
+        out.push_str("  },\n  \"seeds\": [");
+        for (i, &seed) in self.seeds.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            push_u64(&mut out, seed);
         }
-        out.push_str("  },\n");
-        let seeds: Vec<String> = self.seeds.iter().map(u64::to_string).collect();
-        let _ = writeln!(out, "  \"seeds\": [{}],", seeds.join(", "));
-
-        out.push_str("  \"counters\": {\n");
-        let counters: Vec<(&str, u64)> = self.metrics.counters.iter().collect();
-        for (i, (label, total)) in counters.iter().enumerate() {
-            let comma = if i + 1 < counters.len() { "," } else { "" };
-            let _ = writeln!(out, "    {}: {total}{comma}", json_str(label));
-        }
-        out.push_str("  },\n");
-
-        out.push_str("  \"histograms\": {\n");
-        let hists: Vec<(&str, &Histogram)> = self.metrics.hists.iter().collect();
-        for (i, (label, h)) in hists.iter().enumerate() {
-            let comma = if i + 1 < hists.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {}: {{\"count\": {}, \"sum\": {}, \"buckets\": {}}}{comma}",
-                json_str(label),
-                h.count,
-                h.sum,
-                buckets_json(h),
-            );
-        }
+        out.push_str("],\n  \"counters\": {\n");
+        push_members(
+            &mut out,
+            self.metrics.counters.iter(),
+            |out, (label, total)| {
+                push_json_str(out, label);
+                out.push_str(": ");
+                push_u64(out, total);
+            },
+        );
+        out.push_str("  },\n  \"histograms\": {\n");
+        push_members(&mut out, self.metrics.hists.iter(), |out, (label, h)| {
+            push_json_str(out, label);
+            out.push_str(": {");
+            push_hist_fields(out, h);
+            out.push('}');
+        });
         out.push_str("  },\n");
 
         match &self.robustness {
             Some(r) => {
-                out.push_str("  \"robustness\": {\n");
-                let _ = writeln!(out, "    \"pages\": {},", r.pages);
-                let _ = writeln!(out, "    \"ok\": {},", r.ok);
-                let _ = writeln!(out, "    \"degraded\": {},", r.degraded);
-                let _ = writeln!(out, "    \"failed\": {},", r.failed);
-                let _ = writeln!(out, "    \"warnings\": {},", pairs_json(&r.warnings));
-                let _ = writeln!(
-                    out,
-                    "    \"failures_by_stage\": {}",
-                    pairs_json(&r.failures_by_stage)
-                );
-                out.push_str("  },\n");
+                out.push_str("  \"robustness\": {\n    ");
+                push_rollup(&mut out, r, ",\n    ");
+                out.push_str("\n  },\n");
             }
             None => out.push_str("  \"robustness\": null,\n"),
         }
 
         out.push_str("  \"spans\": ");
-        let root = if redact {
-            self.root.redacted()
-        } else {
-            self.root.clone()
-        };
-        span_json(&root, 1, &mut out);
+        span_json(&self.root, 1, redact, &mut out);
         out.push_str(",\n");
 
         if redact {
             out.push_str("  \"volatile\": {\"redacted\": true}\n");
         } else {
-            out.push_str("  \"volatile\": {\n");
-            let _ = writeln!(
-                out,
-                "    \"git_describe\": {},",
-                json_str(&self.volatile.git_describe)
-            );
-            let _ = writeln!(out, "    \"threads\": {}", self.volatile.threads);
-            out.push_str("  }\n");
+            out.push_str("  \"volatile\": {\n    \"git_describe\": ");
+            push_json_str(&mut out, &self.volatile.git_describe);
+            out.push_str(",\n    \"threads\": ");
+            push_u64(&mut out, self.volatile.threads as u64);
+            out.push_str("\n  }\n");
         }
         out.push_str("}\n");
         out
@@ -252,56 +236,42 @@ impl Manifest {
     /// rollup (if any) and a trailing `end` event.
     pub fn render_jsonl(&self, redact: bool) -> String {
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{{\"event\": \"manifest\", \"schema\": {}, \"tool\": {}}}",
-            json_str(SCHEMA),
-            json_str(&self.tool)
-        );
-        let root = if redact {
-            self.root.redacted()
-        } else {
-            self.root.clone()
-        };
-        root.walk(&mut |depth, node| {
-            let _ = writeln!(
-                out,
-                "{{\"event\": \"span\", \"kind\": {}, \"name\": {}, \"depth\": {depth}, \"nanos\": {}}}",
-                json_str(node.kind.label()),
-                json_str(&node.name),
-                node.nanos
-            );
+        out.push_str("{\"event\": \"manifest\", \"schema\": ");
+        push_json_str(&mut out, SCHEMA);
+        out.push_str(", \"tool\": ");
+        push_json_str(&mut out, &self.tool);
+        out.push_str("}\n");
+        self.root.walk(&mut |depth, node| {
+            out.push_str("{\"event\": \"span\", \"kind\": ");
+            push_json_str(&mut out, node.kind.label());
+            out.push_str(", \"name\": ");
+            push_json_str(&mut out, &node.name);
+            out.push_str(", \"depth\": ");
+            push_u64(&mut out, depth as u64);
+            out.push_str(", \"nanos\": ");
+            push_u128(&mut out, if redact { 0 } else { node.nanos });
+            out.push_str("}\n");
         });
         for (label, total) in self.metrics.counters.iter() {
-            let _ = writeln!(
-                out,
-                "{{\"event\": \"counter\", \"name\": {}, \"value\": {total}}}",
-                json_str(label)
-            );
+            out.push_str("{\"event\": \"counter\", \"name\": ");
+            push_json_str(&mut out, label);
+            out.push_str(", \"value\": ");
+            push_u64(&mut out, total);
+            out.push_str("}\n");
         }
         for (label, h) in self.metrics.hists.iter() {
-            let _ = writeln!(
-                out,
-                "{{\"event\": \"hist\", \"name\": {}, \"count\": {}, \"sum\": {}, \"buckets\": {}}}",
-                json_str(label),
-                h.count,
-                h.sum,
-                buckets_json(h)
-            );
+            out.push_str("{\"event\": \"hist\", \"name\": ");
+            push_json_str(&mut out, label);
+            out.push_str(", ");
+            push_hist_fields(&mut out, h);
+            out.push_str("}\n");
         }
         if let Some(r) = &self.robustness {
-            let _ = writeln!(
-                out,
-                "{{\"event\": \"robustness\", \"pages\": {}, \"ok\": {}, \"degraded\": {}, \"failed\": {}, \"warnings\": {}, \"failures_by_stage\": {}}}",
-                r.pages,
-                r.ok,
-                r.degraded,
-                r.failed,
-                pairs_json(&r.warnings),
-                pairs_json(&r.failures_by_stage)
-            );
+            out.push_str("{\"event\": \"robustness\", ");
+            push_rollup(&mut out, r, ", ");
+            out.push_str("}\n");
         }
-        let _ = writeln!(out, "{{\"event\": \"end\"}}");
+        out.push_str("{\"event\": \"end\"}\n");
         out
     }
 
@@ -314,29 +284,36 @@ impl Manifest {
     pub fn render_prometheus(&self, redact: bool) -> String {
         let mut out = String::new();
         for (label, total) in self.metrics.counters.iter() {
-            let name = format!("tableseg_{}_total", metric_name(label));
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {total}");
+            out.push_str("# TYPE ");
+            push_metric_name(&mut out, label, "_total");
+            out.push_str(" counter\n");
+            push_metric_name(&mut out, label, "_total");
+            out.push(' ');
+            push_u64(&mut out, total);
+            out.push('\n');
         }
         for (label, h) in self.metrics.hists.iter() {
-            let name = format!("tableseg_{}", metric_name(label));
-            let _ = writeln!(out, "# TYPE {name} histogram");
+            out.push_str("# TYPE ");
+            push_metric_name(&mut out, label, "");
+            out.push_str(" histogram\n");
             let mut cumulative = 0u64;
-            for b in 0..NUM_BUCKETS {
-                let n = h.bucket(b);
-                if n == 0 {
-                    continue;
-                }
+            for (b, n) in h.nonzero_buckets() {
                 cumulative += n;
-                let _ = writeln!(
-                    out,
-                    "{name}_bucket{{le=\"{}\"}} {cumulative}",
-                    bucket_upper(b)
-                );
+                push_metric_name(&mut out, label, "_bucket{le=\"");
+                push_u64(&mut out, bucket_upper(b));
+                out.push_str("\"} ");
+                push_u64(&mut out, cumulative);
+                out.push('\n');
             }
-            let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count);
-            let _ = writeln!(out, "{name}_sum {}", h.sum);
-            let _ = writeln!(out, "{name}_count {}", h.count);
+            push_metric_name(&mut out, label, "_bucket{le=\"+Inf\"} ");
+            push_u64(&mut out, h.count);
+            out.push('\n');
+            push_metric_name(&mut out, label, "_sum ");
+            push_u128(&mut out, h.sum);
+            out.push('\n');
+            push_metric_name(&mut out, label, "_count ");
+            push_u64(&mut out, h.count);
+            out.push('\n');
         }
         let stages = self.stage_totals();
         if !stages.is_empty() {
@@ -407,83 +384,183 @@ fn sibling(path: &Path, ext: &str) -> PathBuf {
 /// A JSON string literal with the characters JSON requires escaped.
 pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    push_json_str(&mut out, s);
     out
 }
 
-/// Non-empty buckets as `[[bucket, count], ...]`.
-fn buckets_json(h: &Histogram) -> String {
-    let parts: Vec<String> = h
-        .nonzero_buckets()
-        .into_iter()
-        .map(|(b, n)| format!("[{b}, {n}]"))
-        .collect();
-    format!("[{}]", parts.join(", "))
+/// Appends `s` to `out` as a JSON string literal: quotes, backslashes
+/// and control characters escaped, every other run of bytes copied
+/// whole.
+pub fn push_json_str(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        out.push_str(&s[start..i]);
+        start = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xf)] as char);
+            }
+        }
+    }
+    out.push_str(&s[start..]);
+    out.push('"');
+}
+
+/// Appends the decimal digits of `n` to `out`.
+pub fn push_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[i..]).expect("ascii digits"));
+}
+
+/// [`push_u64`] for the `u128` span nanos and histogram sums.
+fn push_u128(out: &mut String, n: u128) {
+    match u64::try_from(n) {
+        Ok(n) => push_u64(out, n),
+        Err(_) => {
+            let _ = write!(out, "{n}");
+        }
+    }
+}
+
+/// One `    <member>` line per item of a JSON object, comma-separated,
+/// each ending in a newline.
+fn push_members<I: IntoIterator>(
+    out: &mut String,
+    items: I,
+    mut member: impl FnMut(&mut String, I::Item),
+) {
+    let mut any = false;
+    for item in items {
+        out.push_str(if any { ",\n    " } else { "    " });
+        member(out, item);
+        any = true;
+    }
+    if any {
+        out.push('\n');
+    }
+}
+
+/// `"count": c, "sum": s, "buckets": [[bucket, count], ...]`, with only
+/// the non-empty buckets listed.
+fn push_hist_fields(out: &mut String, h: &Histogram) {
+    out.push_str("\"count\": ");
+    push_u64(out, h.count);
+    out.push_str(", \"sum\": ");
+    push_u128(out, h.sum);
+    out.push_str(", \"buckets\": [");
+    for (i, (b, n)) in h.nonzero_buckets().enumerate() {
+        out.push_str(if i == 0 { "[" } else { ", [" });
+        push_u64(out, b as u64);
+        out.push_str(", ");
+        push_u64(out, n);
+        out.push(']');
+    }
+    out.push(']');
+}
+
+/// The rollup's fields as `"pages": n` members, `sep` between them.
+fn push_rollup(out: &mut String, r: &RobustnessRollup, sep: &str) {
+    for (key, n) in [
+        ("\"pages\": ", r.pages),
+        ("\"ok\": ", r.ok),
+        ("\"degraded\": ", r.degraded),
+        ("\"failed\": ", r.failed),
+    ] {
+        out.push_str(key);
+        push_u64(out, n);
+        out.push_str(sep);
+    }
+    out.push_str("\"warnings\": ");
+    push_pairs(out, &r.warnings);
+    out.push_str(sep);
+    out.push_str("\"failures_by_stage\": ");
+    push_pairs(out, &r.failures_by_stage);
 }
 
 /// Label/count pairs as `[["label", count], ...]`.
-fn pairs_json(pairs: &[(String, u64)]) -> String {
-    let parts: Vec<String> = pairs
-        .iter()
-        .map(|(label, n)| format!("[{}, {n}]", json_str(label)))
-        .collect();
-    format!("[{}]", parts.join(", "))
+fn push_pairs(out: &mut String, pairs: &[(String, u64)]) {
+    out.push('[');
+    for (i, (label, n)) in pairs.iter().enumerate() {
+        out.push_str(if i == 0 { "[" } else { ", [" });
+        push_json_str(out, label);
+        out.push_str(", ");
+        push_u64(out, *n);
+        out.push(']');
+    }
+    out.push(']');
 }
 
-/// `label` with non-alphanumeric characters mapped to `_` (Prometheus
-/// metric-name charset).
-fn metric_name(label: &str) -> String {
-    label
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect()
-}
-
-fn span_json(node: &SpanNode, indent: usize, out: &mut String) {
-    let pad = "  ".repeat(indent);
-    let _ = write!(
-        out,
-        "{{\"kind\": {}, \"name\": {}, \"nanos\": {}, \"children\": [",
-        json_str(node.kind.label()),
-        json_str(&node.name),
-        node.nanos
+/// `tableseg_<label><suffix>`, with the label's non-alphanumeric
+/// characters mapped to `_` (Prometheus metric-name charset).
+fn push_metric_name(out: &mut String, label: &str, suffix: &str) {
+    out.push_str("tableseg_");
+    out.extend(
+        label
+            .chars()
+            .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }),
     );
+    out.push_str(suffix);
+}
+
+/// One span and its subtree as a JSON object, children one per line at
+/// `indent + 1`; with `redact` every `nanos` reads 0.
+fn span_json(node: &SpanNode, indent: usize, redact: bool, out: &mut String) {
+    out.push_str("{\"kind\": ");
+    push_json_str(out, node.kind.label());
+    out.push_str(", \"name\": ");
+    push_json_str(out, &node.name);
+    out.push_str(", \"nanos\": ");
+    push_u128(out, if redact { 0 } else { node.nanos });
+    out.push_str(", \"children\": [");
     if node.children.is_empty() {
         out.push_str("]}");
         return;
     }
     for (i, child) in node.children.iter().enumerate() {
         out.push('\n');
-        out.push_str(&pad);
-        out.push_str("  ");
-        span_json(child, indent + 1, out);
+        push_indent(out, indent + 1);
+        span_json(child, indent + 1, redact, out);
         if i + 1 < node.children.len() {
             out.push(',');
         }
     }
     out.push('\n');
-    out.push_str(&pad);
+    push_indent(out, indent);
     out.push_str("]}");
+}
+
+fn push_indent(out: &mut String, indent: usize) {
+    for _ in 0..indent {
+        out.push_str("  ");
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metric::{Counter, Hist};
+    use crate::metric::{Counter, Hist, NUM_BUCKETS};
 
     fn manifest() -> Manifest {
         let mut m = Manifest::new("test-tool")

@@ -455,13 +455,12 @@ impl Histogram {
     }
 
     /// `(bucket, count)` for every non-empty bucket, ascending.
-    pub fn nonzero_buckets(&self) -> Vec<(usize, u64)> {
+    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.buckets
             .iter()
             .enumerate()
             .filter(|&(_, &n)| n > 0)
             .map(|(b, &n)| (b, n))
-            .collect()
     }
 }
 
@@ -597,7 +596,10 @@ mod tests {
         assert_eq!(h.sum, 2 * u128::from(u64::MAX));
         assert_eq!(h.bucket(0), 1);
         assert_eq!(h.bucket(NUM_BUCKETS - 1), 2);
-        assert_eq!(h.nonzero_buckets(), vec![(0, 1), (NUM_BUCKETS - 1, 2)]);
+        assert_eq!(
+            h.nonzero_buckets().collect::<Vec<_>>(),
+            vec![(0, 1), (NUM_BUCKETS - 1, 2)]
+        );
     }
 
     #[test]

@@ -18,16 +18,56 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-/// FNV-1a 64-bit hash — the fingerprint for page bytes and the shard
-/// selector for site names. Stable across runs and platforms (unlike
-/// `std`'s `RandomState`), which keeps cache behaviour reproducible.
+/// A stable 64-bit hash of page bytes — the cache fingerprint of list
+/// and detail pages and the shard selector for site names. Stable across
+/// runs and platforms (unlike `std`'s `RandomState`), which keeps cache
+/// behaviour reproducible.
+///
+/// It reads one little-endian 8-byte word per step (the last, partial
+/// word zero-padded) into a state seeded with the length. Each step
+/// (`mix_word`) is a bijection of the state for a fixed word and of the
+/// word for a fixed state, so two inputs of one length that differ in a
+/// single word always hash apart. The finalizer is a bijection too and
+/// folds the high bits into the low ones, which [`SiteCache::shard_of`]
+/// takes modulo the shard count.
 pub fn fingerprint(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = SEED ^ bytes.len() as u64;
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        h = mix_word(
+            h,
+            u64::from_le_bytes(word.try_into().expect("8-byte chunk")),
+        );
     }
-    h
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = mix_word(h, u64::from_le_bytes(last));
+    }
+    finish(h)
+}
+
+/// The state a [`fingerprint`] starts from, before the length is folded in.
+const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One fingerprint step: xor, an odd multiply and a rotation, each a
+/// bijection. The rotation carries the product's well-mixed high bits
+/// down, so the next multiply spreads them again.
+pub(crate) fn mix_word(h: u64, word: u64) -> u64 {
+    (h ^ word)
+        .wrapping_mul(0xff51_afd7_ed55_8ccd)
+        .rotate_left(29)
+}
+
+/// The fingerprint finalizer (MurmurHash3's `fmix64`): every output bit
+/// depends on every state bit.
+pub(crate) fn finish(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
 struct Entry<V> {
@@ -218,6 +258,66 @@ mod tests {
             2,
             "generation continues after eviction"
         );
+    }
+
+    /// Known answers pin the documented stability across runs and
+    /// platforms: the empty input, every tail length (1–7), one full
+    /// word, a word plus a tail, and one 4 KB page.
+    #[test]
+    fn fingerprint_known_answers() {
+        assert_eq!(fingerprint(b""), 0x9ca0_66f1_a4ab_2eea);
+        let expected: [u64; 9] = [
+            0x57cf_ded2_c94b_b256,
+            0x9903_5fc6_8eaa_a6d7,
+            0xb6c9_453e_2f2e_dc75,
+            0x4304_222e_cb07_df1e,
+            0xb9b7_5a1f_6fa9_e0e8,
+            0xab2a_c85a_0c3c_64a8,
+            0x8c21_6a04_5c77_8889,
+            0x0b05_a35b_b3bc_7b4f,
+            0x00c5_9020_9ded_ae9d,
+        ];
+        for (len, want) in (1..=9).zip(expected) {
+            assert_eq!(fingerprint(&b"abcdefghi"[..len]), want, "length {len}");
+        }
+        let page: Vec<u8> = b"<tr><td>Ada Lovelace</td><td>555-0100</td></tr>\n"
+            .iter()
+            .copied()
+            .cycle()
+            .take(4096)
+            .collect();
+        assert_eq!(fingerprint(&page), 0xcb89_3ab3_2989_ff11);
+    }
+
+    /// Zero padding of the last word never aliases a shorter input: the
+    /// length seeds the state.
+    #[test]
+    fn trailing_zero_bytes_change_the_fingerprint() {
+        let mut bytes = b"abc".to_vec();
+        let mut seen = vec![fingerprint(&bytes)];
+        for _ in 0..9 {
+            bytes.push(0);
+            seen.push(fingerprint(&bytes));
+        }
+        let mut unique = seen.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), seen.len());
+    }
+
+    /// `shard_of` takes the fingerprint modulo the shard count, so its
+    /// low bits must be mixed: keys that differ only in their last bytes
+    /// spread evenly over the shards.
+    #[test]
+    fn similar_keys_spread_over_the_shards() {
+        let cache: SiteCache<u32> = SiteCache::new(64, 8);
+        let mut per_shard = [0usize; 8];
+        for i in 0..4096 {
+            per_shard[cache.shard_of(&format!("site-{i:04}"))] += 1;
+        }
+        for (shard, &n) in per_shard.iter().enumerate() {
+            assert!((410..=614).contains(&n), "shard {shard} holds {n} of 4096");
+        }
     }
 
     #[test]

@@ -91,25 +91,33 @@ fn io_error(e: &std::io::Error) -> HttpError {
     }
 }
 
+/// Bytes asked of the socket per `read`. The buffer grows only by what
+/// arrives, so a declared `Content-Length` reserves nothing up front.
+const READ_CHUNK: usize = 16 * 1024;
+
 /// Reads one HTTP/1.1 request from `stream`, rejecting bodies larger
 /// than `max_body` *before* reading them.
 pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<HttpRequest, HttpError> {
-    // Head: everything up to the blank line, capped at MAX_HEAD.
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 1024];
+    // Head: everything up to the blank line, capped at MAX_HEAD. Each
+    // pass searches only the new bytes, plus the 3 before them that a
+    // terminator split across reads may start in.
+    let mut buf: Vec<u8> = Vec::new();
+    let mut chunk = [0u8; READ_CHUNK];
+    let mut scanned = 0usize;
     let head_end = loop {
-        if let Some(pos) = find_head_end(&buf) {
-            break pos;
+        let from = scanned.saturating_sub(3);
+        if let Some(pos) = find_head_end(&buf[from..]) {
+            break from + pos;
         }
         if buf.len() > MAX_HEAD {
             return Err(HttpError::Malformed("request head too large"));
         }
-        let n = stream.read(&mut chunk).map_err(|e| io_error(&e))?;
-        if n == 0 {
-            return Err(HttpError::Truncated);
-        }
-        buf.extend_from_slice(&chunk[..n]);
+        scanned = buf.len();
+        read_some(stream, &mut chunk, &mut buf)?;
     };
+    if head_end > MAX_HEAD {
+        return Err(HttpError::Malformed("request head too large"));
+    }
     let head = std::str::from_utf8(&buf[..head_end])
         .map_err(|_| HttpError::Malformed("head not utf-8"))?;
     let mut lines = head.split("\r\n");
@@ -141,19 +149,16 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<HttpReque
         return Err(HttpError::TooLarge { limit: max_body });
     }
     // Body: whatever followed the head in the buffer, then the rest.
-    let mut body: Vec<u8> = buf[head_end + 4..].to_vec();
-    if body.len() > content_length {
-        return Err(HttpError::Malformed("body longer than content-length"));
-    }
-    while body.len() < content_length {
-        let n = stream.read(&mut chunk).map_err(|e| io_error(&e))?;
-        if n == 0 {
-            return Err(HttpError::Truncated);
-        }
-        body.extend_from_slice(&chunk[..n]);
+    buf.drain(..head_end + 4);
+    let mut body = buf;
+    loop {
         if body.len() > content_length {
             return Err(HttpError::Malformed("body longer than content-length"));
         }
+        if body.len() == content_length {
+            break;
+        }
+        read_some(stream, &mut chunk, &mut body)?;
     }
     Ok(HttpRequest {
         method,
@@ -161,6 +166,17 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<HttpReque
         headers,
         body,
     })
+}
+
+/// One `read` into `chunk`, appended to `buf`; end of stream before the
+/// request is complete is [`HttpError::Truncated`].
+fn read_some(stream: &mut TcpStream, chunk: &mut [u8], buf: &mut Vec<u8>) -> Result<(), HttpError> {
+    let n = stream.read(chunk).map_err(|e| io_error(&e))?;
+    if n == 0 {
+        return Err(HttpError::Truncated);
+    }
+    buf.extend_from_slice(&chunk[..n]);
+    Ok(())
 }
 
 fn find_head_end(buf: &[u8]) -> Option<usize> {
@@ -218,6 +234,48 @@ mod tests {
         assert_eq!(req.path, "/segment");
         assert_eq!(req.header("x-deadline-ms"), Some("250"));
         assert_eq!(req.body, b"hello");
+    }
+
+    #[test]
+    fn a_request_written_byte_by_byte_parses_like_one_written_whole() {
+        let raw: &[u8] =
+            b"POST /segment HTTP/1.1\r\nContent-Length: 12\r\nX-Deadline-Ms: 250\r\n\r\nhello\r\n\r\nyou";
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let writer = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.set_nodelay(true).unwrap();
+            // A pause per byte, so the reader sees the request a byte
+            // per read and the head terminator split across reads.
+            for byte in raw {
+                s.write_all(std::slice::from_ref(byte)).unwrap();
+                s.flush().unwrap();
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        });
+        let (mut stream, _) = listener.accept().unwrap();
+        let trickled = read_request(&mut stream, 1024);
+        writer.join().unwrap();
+        let whole = roundtrip(raw, 1024).unwrap();
+        assert_eq!(whole.body, b"hello\r\n\r\nyou");
+        assert_eq!(trickled, Ok(whole));
+    }
+
+    #[test]
+    fn rejects_a_body_longer_than_its_content_length() {
+        let raw = b"POST /x HTTP/1.1\r\nContent-Length: 2\r\n\r\nhello";
+        assert!(matches!(roundtrip(raw, 1024), Err(HttpError::Malformed(_))));
+    }
+
+    #[test]
+    fn rejects_an_oversized_head() {
+        let mut raw = b"GET / HTTP/1.1\r\nx-pad: ".to_vec();
+        raw.resize(MAX_HEAD + 10, b'a');
+        raw.extend_from_slice(b"\r\n\r\n");
+        assert_eq!(
+            roundtrip(&raw, 1024),
+            Err(HttpError::Malformed("request head too large"))
+        );
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! ([`crate::client`]) and the black-box test suites reuse this module,
 //! so a codec bug fails loudly on both ends.
 
+use tableseg_obs::push_u64;
+
 /// One target to segment: a list-page index plus its detail pages.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TargetSpec {
@@ -122,6 +124,10 @@ pub fn encode_request(req: &SegmentRequest) -> String {
     out
 }
 
+fn push_usize(out: &mut String, n: usize) {
+    push_u64(out, n as u64);
+}
+
 /// A cursor over the line-oriented body. Tracks a byte offset so
 /// length-prefixed blocks can be sliced without scanning.
 struct Cursor<'a> {
@@ -215,15 +221,21 @@ pub fn parse_request(body: &str) -> Result<SegmentRequest, String> {
     })
 }
 
-fn encode_list(values: &[usize]) -> String {
+/// `values` comma-separated, or `-` when empty.
+fn push_list(out: &mut String, values: &[usize]) {
     if values.is_empty() {
-        return "-".to_string();
+        out.push('-');
     }
-    values
-        .iter()
-        .map(usize::to_string)
-        .collect::<Vec<_>>()
-        .join(",")
+    push_joined(out, values, ',');
+}
+
+fn push_joined(out: &mut String, values: &[usize], sep: char) {
+    for (i, &v) in values.iter().enumerate() {
+        if i > 0 {
+            out.push(sep);
+        }
+        push_usize(out, v);
+    }
 }
 
 fn parse_list(s: &str) -> Result<Vec<usize>, String> {
@@ -233,15 +245,18 @@ fn parse_list(s: &str) -> Result<Vec<usize>, String> {
     s.split(',').map(|v| parse_usize(v, "list item")).collect()
 }
 
-fn encode_groups(groups: &[Vec<usize>]) -> String {
+/// Groups `|`-separated, their members space-separated, or `-` when
+/// there are no groups.
+fn push_groups(out: &mut String, groups: &[Vec<usize>]) {
     if groups.is_empty() {
-        return "-".to_string();
+        out.push('-');
     }
-    groups
-        .iter()
-        .map(|g| g.iter().map(usize::to_string).collect::<Vec<_>>().join(" "))
-        .collect::<Vec<_>>()
-        .join("|")
+    for (i, group) in groups.iter().enumerate() {
+        if i > 0 {
+            out.push('|');
+        }
+        push_joined(out, group, ' ');
+    }
 }
 
 fn parse_groups(s: &str) -> Result<Vec<Vec<usize>>, String> {
@@ -258,12 +273,15 @@ fn parse_groups(s: &str) -> Result<Vec<Vec<usize>>, String> {
         .collect()
 }
 
-fn encode_segmenter(out: &mut String, name: &str, m: &SegmenterMsg) {
-    out.push_str(&format!(
-        "{name} relaxed {} groups {}\n",
-        m.relaxed as u8,
-        encode_groups(&m.groups)
-    ));
+fn push_segmenter(out: &mut String, name: &str, m: &SegmenterMsg) {
+    out.push_str(name);
+    out.push_str(if m.relaxed {
+        " relaxed 1 groups "
+    } else {
+        " relaxed 0 groups "
+    });
+    push_groups(out, &m.groups);
+    out.push('\n');
 }
 
 fn parse_segmenter(rest: &str) -> Result<SegmenterMsg, String> {
@@ -275,48 +293,75 @@ fn parse_segmenter(rest: &str) -> Result<SegmenterMsg, String> {
     })
 }
 
-/// Encodes a response body.
+/// Encodes a response body, writing every field straight into one
+/// buffer.
 pub fn encode_response(resp: &SegmentResponse) -> String {
     let mut out = String::new();
     out.push_str(MAGIC_RESPONSE);
+    out.push_str("\nsite ");
+    out.push_str(&resp.site);
+    out.push_str("\ncache ");
+    out.push_str(&resp.cache);
+    out.push_str("\ngeneration ");
+    push_u64(&mut out, resp.generation);
+    out.push_str("\npages ");
+    push_usize(&mut out, resp.pages);
+    out.push_str(" ok ");
+    push_usize(&mut out, resp.ok);
+    out.push_str(" degraded ");
+    push_usize(&mut out, resp.degraded);
+    out.push_str(" failed ");
+    push_usize(&mut out, resp.failed);
     out.push('\n');
-    out.push_str(&format!("site {}\n", resp.site));
-    out.push_str(&format!("cache {}\n", resp.cache));
-    out.push_str(&format!("generation {}\n", resp.generation));
-    out.push_str(&format!(
-        "pages {} ok {} degraded {} failed {}\n",
-        resp.pages, resp.ok, resp.degraded, resp.failed
-    ));
     for p in &resp.page_results {
-        out.push_str(&format!(
-            "page {} {} {}\n",
-            p.target,
-            p.status,
-            if p.cached { "cached" } else { "computed" }
-        ));
-        out.push_str(&format!("whole_page {}\n", p.whole_page as u8));
-        let warnings = if p.warnings.is_empty() {
-            "-".to_string()
+        out.push_str("page ");
+        push_usize(&mut out, p.target);
+        out.push(' ');
+        out.push_str(&p.status);
+        out.push_str(if p.cached { " cached" } else { " computed" });
+        out.push_str(if p.whole_page {
+            "\nwhole_page 1\nwarnings "
         } else {
-            p.warnings.join(",")
-        };
-        out.push_str(&format!("warnings {warnings}\n"));
-        out.push_str(&format!("offsets {}\n", encode_list(&p.offsets)));
+            "\nwhole_page 0\nwarnings "
+        });
+        if p.warnings.is_empty() {
+            out.push('-');
+        }
+        for (i, w) in p.warnings.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(w);
+        }
+        out.push_str("\noffsets ");
+        push_list(&mut out, &p.offsets);
+        out.push('\n');
         if let Some(prob) = &p.prob {
-            encode_segmenter(&mut out, "prob", prob);
+            push_segmenter(&mut out, "prob", prob);
         }
         if let Some(csp) = &p.csp {
-            encode_segmenter(&mut out, "csp", csp);
+            push_segmenter(&mut out, "csp", csp);
         }
         if let Some((stage, message)) = &p.error {
-            out.push_str(&format!("error {stage} {}\n", message.replace('\n', " ")));
+            // The error travels on one line: newlines become spaces.
+            out.push_str("error ");
+            out.push_str(stage);
+            out.push(' ');
+            for (i, line) in message.split('\n').enumerate() {
+                if i > 0 {
+                    out.push(' ');
+                }
+                out.push_str(line);
+            }
+            out.push('\n');
         }
         out.push_str("endpage\n");
     }
-    out.push_str(&format!("manifest {}\n", resp.manifest.len()));
-    out.push_str(&resp.manifest);
+    out.push_str("manifest ");
+    push_usize(&mut out, resp.manifest.len());
     out.push('\n');
-    out.push_str("end\n");
+    out.push_str(&resp.manifest);
+    out.push_str("\nend\n");
     out
 }
 
