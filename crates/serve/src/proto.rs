@@ -33,6 +33,27 @@ pub struct SegmentRequest {
     pub targets: Vec<TargetSpec>,
 }
 
+/// A parsed request. It borrows its site name and page blocks from the
+/// body it was read from, so parsing copies no page.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SegmentRequestRef<'a> {
+    /// Site name — the cache key.
+    pub site: &'a str,
+    /// Sample list-page HTML.
+    pub list_pages: Vec<&'a str>,
+    /// The pages to segment.
+    pub targets: Vec<TargetSpecRef<'a>>,
+}
+
+/// A parsed target: a list-page index plus its borrowed detail pages.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TargetSpecRef<'a> {
+    /// Index into the request's list pages of the page to segment.
+    pub target: usize,
+    /// Detail-page HTML, in record order.
+    pub details: Vec<&'a str>,
+}
+
 /// One segmenter's verdict on one page.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmenterMsg {
@@ -94,38 +115,22 @@ const MAGIC_REQUEST: &str = "tablesegd/v1 segment";
 const MAGIC_RESPONSE: &str = "tablesegd/v1 result";
 
 fn push_block(out: &mut String, html: &str) {
-    out.push_str(&format!("page {}\n", html.len()));
-    out.push_str(html);
-    out.push('\n');
+    out.push_str(&format!("page {}\n{html}\n", html.len()));
 }
 
 /// Encodes a request body.
 pub fn encode_request(req: &SegmentRequest) -> String {
-    let mut out = String::new();
-    out.push_str(MAGIC_REQUEST);
-    out.push('\n');
-    out.push_str(&format!("site {}\n", req.site));
+    let mut out = format!("{MAGIC_REQUEST}\nsite {}\n", req.site);
     out.push_str(&format!("lists {}\n", req.list_pages.len()));
-    for p in &req.list_pages {
-        push_block(&mut out, p);
-    }
+    req.list_pages.iter().for_each(|p| push_block(&mut out, p));
     out.push_str(&format!("targets {}\n", req.targets.len()));
     for t in &req.targets {
-        out.push_str(&format!(
-            "target {} details {}\n",
-            t.target,
-            t.details.len()
-        ));
-        for d in &t.details {
-            push_block(&mut out, d);
-        }
+        let (target, details) = (t.target, t.details.len());
+        out.push_str(&format!("target {target} details {details}\n"));
+        t.details.iter().for_each(|d| push_block(&mut out, d));
     }
     out.push_str("end\n");
     out
-}
-
-fn push_usize(out: &mut String, n: usize) {
-    push_u64(out, n as u64);
 }
 
 /// A cursor over the line-oriented body. Tracks a byte offset so
@@ -146,25 +151,19 @@ impl<'a> Cursor<'a> {
         Ok(&rest[..end])
     }
 
-    /// Reads a `page <len>` line plus the block it announces.
-    fn block(&mut self) -> Result<&'a str, String> {
-        let line = self.line()?;
-        let len: usize = line
-            .strip_prefix("page ")
-            .ok_or_else(|| format!("expected page block, got {line:?}"))?
-            .parse()
-            .map_err(|_| "bad page length".to_string())?;
+    /// Reads a `<word> <len>` line plus the block it announces.
+    fn block(&mut self, word: &str) -> Result<&'a str, String> {
+        let len = parse_usize(self.keyword(word)?, "block length")?;
         if self.pos + len + 1 > self.text.len() {
-            return Err("page block truncated".to_string());
+            return Err(format!("{word} block truncated"));
         }
         if !self.text.is_char_boundary(self.pos + len) {
-            return Err("page length splits a utf-8 sequence".to_string());
+            return Err(format!("{word} length splits a utf-8 sequence"));
         }
         let block = &self.text[self.pos..self.pos + len];
         self.pos += len;
-        let nl = self.line()?;
-        if !nl.is_empty() {
-            return Err("page block not newline-terminated".to_string());
+        if !self.line()?.is_empty() {
+            return Err(format!("{word} block not newline-terminated"));
         }
         Ok(block)
     }
@@ -183,20 +182,20 @@ fn parse_usize(s: &str, what: &str) -> Result<usize, String> {
     s.trim().parse().map_err(|_| format!("bad {what}: {s:?}"))
 }
 
-/// Parses a request body.
-pub fn parse_request(body: &str) -> Result<SegmentRequest, String> {
+/// Parses a request body. The pages stay in `body`.
+pub fn parse_request(body: &str) -> Result<SegmentRequestRef<'_>, String> {
     let mut c = Cursor { text: body, pos: 0 };
     if c.line()? != MAGIC_REQUEST {
         return Err("not a tablesegd/v1 segment request".to_string());
     }
-    let site = c.keyword("site")?.to_string();
+    let site = c.keyword("site")?;
     if site.is_empty() {
         return Err("empty site name".to_string());
     }
     let lists = parse_usize(c.keyword("lists")?, "list count")?;
     let mut list_pages = Vec::with_capacity(lists.min(64));
     for _ in 0..lists {
-        list_pages.push(c.block()?.to_string());
+        list_pages.push(c.block("page")?);
     }
     let targets = parse_usize(c.keyword("targets")?, "target count")?;
     let mut target_specs = Vec::with_capacity(targets.min(64));
@@ -207,14 +206,14 @@ pub fn parse_request(body: &str) -> Result<SegmentRequest, String> {
         let details_n = parse_usize(det, "detail count")?;
         let mut details = Vec::with_capacity(details_n.min(64));
         for _ in 0..details_n {
-            details.push(c.block()?.to_string());
+            details.push(c.block("page")?);
         }
-        target_specs.push(TargetSpec { target, details });
+        target_specs.push(TargetSpecRef { target, details });
     }
     if c.line()? != "end" {
         return Err("missing end marker".to_string());
     }
-    Ok(SegmentRequest {
+    Ok(SegmentRequestRef {
         site,
         list_pages,
         targets: target_specs,
@@ -234,7 +233,7 @@ fn push_joined(out: &mut String, values: &[usize], sep: char) {
         if i > 0 {
             out.push(sep);
         }
-        push_usize(out, v);
+        push_u64(out, v as u64);
     }
 }
 
@@ -297,72 +296,98 @@ fn parse_segmenter(rest: &str) -> Result<SegmenterMsg, String> {
 /// buffer.
 pub fn encode_response(resp: &SegmentResponse) -> String {
     let mut out = String::new();
+    let counts = [resp.pages, resp.ok, resp.degraded, resp.failed];
+    push_response_head(&mut out, &resp.site, &resp.cache, resp.generation, counts);
+    for p in &resp.page_results {
+        push_page_head(&mut out, p.target, &p.status, p.cached);
+        push_page_section(&mut out, p);
+    }
+    push_manifest(&mut out, &resp.manifest);
+    out
+}
+
+/// Writes a response's lines up to its first page block; `counts` are
+/// its pages, ok, degraded and failed.
+pub(crate) fn push_response_head(
+    out: &mut String,
+    site: &str,
+    cache: &str,
+    generation: u64,
+    counts: [usize; 4],
+) {
     out.push_str(MAGIC_RESPONSE);
     out.push_str("\nsite ");
-    out.push_str(&resp.site);
+    out.push_str(site);
     out.push_str("\ncache ");
-    out.push_str(&resp.cache);
+    out.push_str(cache);
     out.push_str("\ngeneration ");
-    push_u64(&mut out, resp.generation);
-    out.push_str("\npages ");
-    push_usize(&mut out, resp.pages);
-    out.push_str(" ok ");
-    push_usize(&mut out, resp.ok);
-    out.push_str(" degraded ");
-    push_usize(&mut out, resp.degraded);
-    out.push_str(" failed ");
-    push_usize(&mut out, resp.failed);
-    out.push('\n');
-    for p in &resp.page_results {
-        out.push_str("page ");
-        push_usize(&mut out, p.target);
-        out.push(' ');
-        out.push_str(&p.status);
-        out.push_str(if p.cached { " cached" } else { " computed" });
-        out.push_str(if p.whole_page {
-            "\nwhole_page 1\nwarnings "
-        } else {
-            "\nwhole_page 0\nwarnings "
-        });
-        if p.warnings.is_empty() {
-            out.push('-');
-        }
-        for (i, w) in p.warnings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(w);
-        }
-        out.push_str("\noffsets ");
-        push_list(&mut out, &p.offsets);
-        out.push('\n');
-        if let Some(prob) = &p.prob {
-            push_segmenter(&mut out, "prob", prob);
-        }
-        if let Some(csp) = &p.csp {
-            push_segmenter(&mut out, "csp", csp);
-        }
-        if let Some((stage, message)) = &p.error {
-            // The error travels on one line: newlines become spaces.
-            out.push_str("error ");
-            out.push_str(stage);
-            out.push(' ');
-            for (i, line) in message.split('\n').enumerate() {
-                if i > 0 {
-                    out.push(' ');
-                }
-                out.push_str(line);
-            }
-            out.push('\n');
-        }
-        out.push_str("endpage\n");
+    push_u64(out, generation);
+    let labels = ["\npages ", " ok ", " degraded ", " failed "];
+    for (label, n) in labels.into_iter().zip(counts) {
+        out.push_str(label);
+        push_u64(out, n as u64);
     }
-    out.push_str("manifest ");
-    push_usize(&mut out, resp.manifest.len());
     out.push('\n');
-    out.push_str(&resp.manifest);
+}
+
+/// Writes a page block's first line, the only one that says whether the
+/// block was cached.
+pub(crate) fn push_page_head(out: &mut String, target: usize, status: &str, cached: bool) {
+    out.push_str("page ");
+    push_u64(out, target as u64);
+    out.push(' ');
+    out.push_str(status);
+    out.push_str(if cached { " cached\n" } else { " computed\n" });
+}
+
+/// Writes the rest of `p`'s page block, through its `endpage` line.
+pub(crate) fn push_page_section(out: &mut String, p: &PageResultMsg) {
+    out.push_str(if p.whole_page {
+        "whole_page 1\nwarnings "
+    } else {
+        "whole_page 0\nwarnings "
+    });
+    if p.warnings.is_empty() {
+        out.push('-');
+    }
+    for (i, w) in p.warnings.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(w);
+    }
+    out.push_str("\noffsets ");
+    push_list(out, &p.offsets);
+    out.push('\n');
+    if let Some(prob) = &p.prob {
+        push_segmenter(out, "prob", prob);
+    }
+    if let Some(csp) = &p.csp {
+        push_segmenter(out, "csp", csp);
+    }
+    if let Some((stage, message)) = &p.error {
+        // The error travels on one line: newlines become spaces.
+        out.push_str("error ");
+        out.push_str(stage);
+        out.push(' ');
+        for (i, line) in message.split('\n').enumerate() {
+            if i > 0 {
+                out.push(' ');
+            }
+            out.push_str(line);
+        }
+        out.push('\n');
+    }
+    out.push_str("endpage\n");
+}
+
+/// Writes the length-prefixed manifest and the end marker.
+pub(crate) fn push_manifest(out: &mut String, manifest: &str) {
+    out.push_str("manifest ");
+    push_u64(out, manifest.len() as u64);
+    out.push('\n');
+    out.push_str(manifest);
     out.push_str("\nend\n");
-    out
 }
 
 /// Parses a response body.
@@ -438,15 +463,7 @@ pub fn parse_response(body: &str) -> Result<SegmentResponse, String> {
             error,
         });
     }
-    let manifest_len = parse_usize(c.keyword("manifest")?, "manifest length")?;
-    if c.pos + manifest_len + 1 > body.len() {
-        return Err("manifest truncated".to_string());
-    }
-    let manifest = body[c.pos..c.pos + manifest_len].to_string();
-    c.pos += manifest_len;
-    if !c.line()?.is_empty() {
-        return Err("manifest not newline-terminated".to_string());
-    }
+    let manifest = c.block("manifest")?.to_string();
     if c.line()? != "end" {
         return Err("missing end marker".to_string());
     }
@@ -466,6 +483,22 @@ pub fn parse_response(body: &str) -> Result<SegmentResponse, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The owned request whose pages a parsed one borrows.
+    fn owned(req: SegmentRequestRef<'_>) -> SegmentRequest {
+        SegmentRequest {
+            site: req.site.to_string(),
+            list_pages: req.list_pages.iter().map(|p| p.to_string()).collect(),
+            targets: req
+                .targets
+                .iter()
+                .map(|t| TargetSpec {
+                    target: t.target,
+                    details: t.details.iter().map(|d| d.to_string()).collect(),
+                })
+                .collect(),
+        }
+    }
 
     fn sample_request() -> SegmentRequest {
         SegmentRequest {
@@ -490,8 +523,8 @@ mod tests {
     #[test]
     fn request_roundtrips() {
         let req = sample_request();
-        let parsed = parse_request(&encode_request(&req)).unwrap();
-        assert_eq!(parsed, req);
+        let body = encode_request(&req);
+        assert_eq!(owned(parse_request(&body).unwrap()), req);
     }
 
     #[test]
@@ -500,8 +533,8 @@ mod tests {
         // parser — blocks are length-prefixed, never scanned.
         let mut req = sample_request();
         req.list_pages[0] = "end\ntargets 9\npage 3\nxyz\n".to_string();
-        let parsed = parse_request(&encode_request(&req)).unwrap();
-        assert_eq!(parsed, req);
+        let body = encode_request(&req);
+        assert_eq!(owned(parse_request(&body).unwrap()), req);
     }
 
     #[test]

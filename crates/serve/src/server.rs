@@ -22,19 +22,13 @@
 //!   returns `None` and the state is **rebuilt** by full induction.
 //! * anything else → **cold**: full build.
 //!
-//! **What a warm request still costs.** No pipeline stage runs, but the
-//! handler still validates the body as UTF-8 and parses it into an
-//! owned [`SegmentRequest`] (the paper corpus averages 20 KB a request),
-//! fingerprints every list and detail page a word at a time, looks the
-//! site and each target up in the cache, copies the cached result
-//! blocks into the response, builds the per-request manifest, and
-//! writes the manifest and the reply straight into one buffer each. On
-//! a 2-CPU x86-64 host that is about 35–45 µs of handler time per
-//! paper-corpus request (the `serve_request_micros` sum over count for
-//! 3,000 sequential warm requests): parse ~5 µs, fingerprints ~4 µs,
-//! reply ~5 µs, manifest ~2–3 µs, the rest cache lookups, copies and
-//! the metrics merge. A byte-at-a-time hash and per-field strings made
-//! it about 130 µs.
+//! **What a warm request costs.** No pipeline stage runs. The handler
+//! checks that the body is UTF-8, parses it into page slices that borrow
+//! the body, fingerprints every list and detail page a word at a time,
+//! looks the site and each target up in the cache, renders the manifest,
+//! and writes the reply around the targets' page sections, which each
+//! block wrote once, in wire form, when it was computed. No page is
+//! copied and no cached result is re-encoded.
 //!
 //! Endpoints: `POST /segment`, `POST /invalidate`, `GET /metrics`
 //! (Prometheus), `GET /healthz`.
@@ -50,16 +44,17 @@ use tableseg::obs::{
     self, git_describe, Counter, Hist, Manifest, Recorder, SpanKind, SpanNode, Volatile,
 };
 use tableseg::robustness::RobustnessReport;
+use tableseg::timing::StageTimes;
 use tableseg::{
-    batch, caught, run_page, CspSegmenter, PageOutcome, ProbSegmenter, SegmenterOutcome,
-    SiteTemplate,
+    batch, caught, run_page, CspSegmenter, PageOutcome, PageResult, ProbSegmenter, SiteTemplate,
 };
 use tableseg_html::SegError;
 
 use crate::cache::{fingerprint, finish, mix_word, SiteCache};
 use crate::http::{read_request, write_response, HttpRequest};
 use crate::proto::{
-    encode_response, parse_request, PageResultMsg, SegmentRequest, SegmentResponse, SegmenterMsg,
+    parse_request, push_manifest, push_page_head, push_page_section, push_response_head,
+    PageResultMsg, SegmentRequestRef, SegmenterMsg, TargetSpecRef,
 };
 
 /// Daemon configuration. [`ServerConfig::default`] is sized for tests
@@ -111,40 +106,44 @@ struct SiteState {
     results: Mutex<HashMap<(usize, u64), Arc<PageBlock>>>,
 }
 
-/// The per-target result in wire-independent form; rendered into the
-/// response by [`PageBlock::to_msg`]. It keeps only what the response
-/// needs, never the prepared page.
+/// The per-target result, its reply page section written once, when the
+/// block is computed. It keeps only what replies need, never the page.
 struct PageBlock {
     outcome: PageOutcome,
-    whole_page: bool,
-    offsets: Vec<usize>,
-    prob: Option<SegmenterMsg>,
-    csp: Option<SegmenterMsg>,
     /// Deterministic pipeline metrics recorded while computing this
     /// block (merged into manifests of requests that *computed* it).
     metrics: Recorder,
+    /// Everything after the block's `page` line ([`push_page_section`]).
+    section: String,
 }
 
 impl PageBlock {
-    fn to_msg(&self, target: usize, cached: bool) -> PageResultMsg {
-        PageResultMsg {
+    /// Writes `page`'s block for `target` once, as its reply section.
+    fn new(target: usize, page: PageResult) -> PageBlock {
+        let mut solved = page.solved.iter().map(|solved| {
+            solved.as_ref().ok().map(|o| SegmenterMsg {
+                relaxed: o.relaxed,
+                groups: o.segmentation.records(),
+            })
+        });
+        let o = &page.outcome;
+        let msg = PageResultMsg {
             target,
-            status: self.outcome.label().to_string(),
-            cached,
-            whole_page: self.whole_page,
-            warnings: self
-                .outcome
-                .warnings()
-                .iter()
-                .map(|w| w.label().to_string())
-                .collect(),
-            offsets: self.offsets.clone(),
-            prob: self.prob.clone(),
-            csp: self.csp.clone(),
-            error: self
-                .outcome
-                .error()
-                .map(|e| (e.stage().to_string(), e.to_string())),
+            status: o.label().to_string(),
+            cached: false,
+            whole_page: page.used_whole_page(),
+            warnings: o.warnings().iter().map(|w| w.label().to_string()).collect(),
+            offsets: page.extract_offsets(),
+            prob: solved.next().flatten(),
+            csp: solved.next().flatten(),
+            error: o.error().map(|e| (e.stage().to_string(), e.to_string())),
+        };
+        let mut section = String::new();
+        push_page_section(&mut section, &msg);
+        PageBlock {
+            outcome: page.outcome,
+            metrics: page.metrics,
+            section,
         }
     }
 
@@ -440,7 +439,7 @@ fn dispatch(inner: &Inner, request: &HttpRequest) -> (u16, &'static str, String)
                 .map(|ms| Instant::now() + Duration::from_millis(ms));
             let redact = request.header("x-tableseg-redact") == Some("1");
             match segment(inner, &job, deadline, redact) {
-                Ok(resp) => (200, "OK", encode_response(&resp)),
+                Ok(reply) => (200, "OK", reply),
                 Err(e) => (422, "Unprocessable Entity", format!("{e}\n")),
             }
         }
@@ -475,19 +474,19 @@ impl CacheKind {
 
 fn segment(
     inner: &Inner,
-    job: &SegmentRequest,
+    job: &SegmentRequestRef<'_>,
     deadline: Option<Instant>,
     redact: bool,
-) -> Result<SegmentResponse, SegError> {
+) -> Result<String, SegError> {
     let mut request_rec = Recorder::always_on();
     request_rec.incr(Counter::ServeRequests);
     request_rec.observe(Hist::ServePagesPerRequest, job.targets.len() as u64);
 
-    let lists: Vec<&str> = job.list_pages.iter().map(String::as_str).collect();
+    let lists = &job.list_pages;
     let fps: Vec<u64> = lists.iter().map(|p| fingerprint(p.as_bytes())).collect();
 
     // Resolve site state: warm hit, incremental refresh, or (re)build.
-    let (kind, state, generation) = match inner.cache.get(&job.site) {
+    let (kind, state, generation) = match inner.cache.get(job.site) {
         Some((state, generation)) if state.fingerprints == fps => {
             request_rec.incr(Counter::ServeCacheHits);
             (CacheKind::Warm, state, generation)
@@ -499,7 +498,7 @@ fn segment(
                 .zip(&fps)
                 .map(|(old, new)| old != new)
                 .collect();
-            match stale.template.try_refresh(&lists, &changed) {
+            match stale.template.try_refresh(lists, &changed) {
                 Some(template) => {
                     request_rec.incr(Counter::ServeCacheRefreshes);
                     request_rec.merge(&template.metrics);
@@ -508,19 +507,19 @@ fn segment(
                         template: Arc::new(template),
                         results: Mutex::new(HashMap::new()),
                     });
-                    let generation = inner.cache.insert(&job.site, Arc::clone(&state));
+                    let generation = inner.cache.insert(job.site, Arc::clone(&state));
                     (CacheKind::Refresh, state, generation)
                 }
                 None => {
                     request_rec.incr(Counter::ServeCacheMisses);
-                    let (state, generation) = build_state(inner, &job.site, &lists, &fps)?;
+                    let (state, generation) = build_state(inner, job.site, lists, &fps)?;
                     (CacheKind::Rebuild, state, generation)
                 }
             }
         }
         Some(_) | None => {
             request_rec.incr(Counter::ServeCacheMisses);
-            let (state, generation) = build_state(inner, &job.site, &lists, &fps)?;
+            let (state, generation) = build_state(inner, job.site, lists, &fps)?;
             (CacheKind::Cold, state, generation)
         }
     };
@@ -532,9 +531,9 @@ fn segment(
 
     // Per-target fan-out over the batch engine. Cached targets are
     // answered from the result cache without re-running any stage.
-    let jobs: Vec<(usize, &crate::proto::TargetSpec)> = job.targets.iter().enumerate().collect();
+    let jobs: Vec<_> = job.targets.iter().collect();
     let blocks: Vec<(Arc<PageBlock>, bool)> =
-        batch::execute(inner.config.batch_threads, jobs, |_, (_, spec)| {
+        batch::execute(inner.config.batch_threads, jobs, |_, spec| {
             let key = (spec.target, details_fingerprint(&spec.details));
             if let Some(block) = state.results.lock().unwrap().get(&key) {
                 return (Arc::clone(block), true);
@@ -553,11 +552,11 @@ fn segment(
             (block, false)
         });
 
-    // Roll the per-target outcomes into the response and manifest.
+    // Roll the per-target outcomes into the manifest, then write the
+    // reply around the blocks' stored sections.
     let mut report = RobustnessReport::default();
-    let mut page_results = Vec::with_capacity(blocks.len());
     let mut metrics = request_rec;
-    for ((block, cached), spec) in blocks.iter().zip(&job.targets) {
+    for (block, cached) in &blocks {
         report.record(&block.outcome);
         if block.deadline_exceeded() {
             metrics.incr(Counter::ServeDeadlineExceeded);
@@ -569,14 +568,13 @@ fn segment(
         } else {
             metrics.merge(&block.metrics);
         }
-        page_results.push(block.to_msg(spec.target, *cached));
     }
 
     inner.global.lock().unwrap().merge(&metrics);
     let manifest = Manifest {
         tool: "tablesegd".to_string(),
         config: vec![
-            ("site".to_string(), job.site.clone()),
+            ("site".to_string(), job.site.to_string()),
             ("cache".to_string(), kind.label().to_string()),
             ("targets".to_string(), job.targets.len().to_string()),
         ],
@@ -590,20 +588,18 @@ fn segment(
         },
     };
 
-    Ok(SegmentResponse {
-        site: job.site.clone(),
-        cache: kind.label().to_string(),
-        generation,
-        pages: report.pages,
-        ok: report.ok,
-        degraded: report.degraded,
-        failed: report.failed,
-        page_results,
-        manifest: manifest.render_json(redact),
-    })
+    let mut reply = String::new();
+    let counts = [report.pages, report.ok, report.degraded, report.failed];
+    push_response_head(&mut reply, job.site, kind.label(), generation, counts);
+    for ((block, cached), spec) in blocks.iter().zip(&job.targets) {
+        push_page_head(&mut reply, spec.target, block.outcome.label(), *cached);
+        reply.push_str(&block.section);
+    }
+    push_manifest(&mut reply, &manifest.render_json(redact));
+    Ok(reply)
 }
 
-fn details_fingerprint(details: &[String]) -> u64 {
+fn details_fingerprint(details: &[&str]) -> u64 {
     finish(details.iter().fold(details.len() as u64, |h, d| {
         mix_word(h, fingerprint(d.as_bytes()))
     }))
@@ -627,47 +623,32 @@ fn build_state(
 
 fn compute_block(
     template: &SiteTemplate,
-    spec: &crate::proto::TargetSpec,
+    spec: &TargetSpecRef<'_>,
     deadline: Option<Instant>,
 ) -> PageBlock {
     // Graceful cancellation: a request past its deadline fails its
     // remaining targets through the fallible pipeline's error type
     // instead of computing them.
     if deadline.is_some_and(|d| Instant::now() >= d) {
-        let outcome = PageOutcome::Failed {
-            error: SegError::Internal {
-                stage: "serve",
-                detail: "deadline exceeded".to_string(),
+        let mut page = PageResult {
+            outcome: PageOutcome::Failed {
+                error: SegError::Internal {
+                    stage: "serve",
+                    detail: "deadline exceeded".to_string(),
+                },
             },
+            detection: None,
+            regions: Vec::new(),
+            solved: Vec::new(),
+            timings: StageTimes::new(),
+            metrics: Recorder::new(),
         };
-        let mut metrics = Recorder::new();
-        outcome.count(&mut metrics);
-        return PageBlock {
-            outcome,
-            whole_page: false,
-            offsets: Vec::new(),
-            prob: None,
-            csp: None,
-            metrics,
-        };
+        page.outcome.count(&mut page.metrics);
+        return PageBlock::new(spec.target, page);
     }
-    let details: Vec<&str> = spec.details.iter().map(String::as_str).collect();
     let (prob, csp) = (ProbSegmenter::default(), CspSegmenter::default());
-    let page = run_page(template, spec.target, &details, None, &[&prob, &csp]);
-    let msg = |solved: &Result<SegmenterOutcome, SegError>| {
-        solved.as_ref().ok().map(|o| SegmenterMsg {
-            relaxed: o.relaxed,
-            groups: o.segmentation.records(),
-        })
-    };
-    PageBlock {
-        whole_page: page.used_whole_page(),
-        offsets: page.extract_offsets(),
-        prob: msg(&page.solved[0]),
-        csp: msg(&page.solved[1]),
-        outcome: page.outcome,
-        metrics: page.metrics,
-    }
+    let page = run_page(template, spec.target, &spec.details, None, &[&prob, &csp]);
+    PageBlock::new(spec.target, page)
 }
 
 #[cfg(test)]
@@ -693,13 +674,16 @@ mod tests {
 
     #[test]
     fn blocks_render_their_page_outcome() {
-        let block = |outcome| PageBlock {
-            outcome,
-            whole_page: false,
-            offsets: Vec::new(),
-            prob: None,
-            csp: None,
-            metrics: Recorder::new(),
+        let block = |outcome| {
+            let page = PageResult {
+                outcome,
+                detection: None,
+                regions: Vec::new(),
+                solved: Vec::new(),
+                timings: StageTimes::new(),
+                metrics: Recorder::new(),
+            };
+            PageBlock::new(3, page)
         };
         let solver = block(PageOutcome::Failed {
             error: SegError::SolverFailed {
@@ -707,25 +691,32 @@ mod tests {
                 detail: "boom".to_string(),
             },
         });
-        let msg = solver.to_msg(3, false);
-        assert_eq!((msg.target, msg.status.as_str()), (3, "failed"));
-        assert_eq!(msg.error.map(|(stage, _)| stage), Some("solve".to_string()));
+        assert_eq!(solver.outcome.label(), "failed");
+        assert!(solver
+            .section
+            .starts_with("whole_page 0\nwarnings -\noffsets -\nerror solve "));
+        assert!(solver.section.ends_with("boom\nendpage\n"));
         assert!(!solver.deadline_exceeded());
 
         let degraded = block(PageOutcome::Degraded {
             warnings: vec![tableseg::Warning::NoDetailPages],
         });
-        let msg = degraded.to_msg(0, true);
-        assert_eq!(msg.status, "degraded");
-        assert_eq!(msg.warnings, vec!["no_detail_pages".to_string()]);
-        assert!(msg.error.is_none());
+        assert_eq!(degraded.outcome.label(), "degraded");
+        assert_eq!(
+            degraded.section,
+            "whole_page 0\nwarnings no_detail_pages\noffsets -\nendpage\n"
+        );
 
-        let late = block(PageOutcome::Failed {
-            error: SegError::Internal {
-                stage: "serve",
-                detail: "deadline exceeded".to_string(),
+        let late = compute_block(
+            &SiteTemplate::try_build(&["<table><tr><td>a</td></tr></table>"; 2]).unwrap(),
+            &TargetSpecRef {
+                target: 0,
+                details: Vec::new(),
             },
-        });
+            Some(Instant::now()),
+        );
         assert!(late.deadline_exceeded());
+        assert!(late.section.contains("\nerror serve "), "{}", late.section);
+        assert!(late.section.ends_with("deadline exceeded\nendpage\n"));
     }
 }
