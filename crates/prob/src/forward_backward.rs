@@ -394,8 +394,13 @@ fn forward_kernel<W: Width>(
 /// edges go through the suffix recurrence
 /// `T(r) = tmp(r+1, 0) + q · T(r+1)`, which also collapses the per-state
 /// boundary ξ sum (all targets share `from_c`, so only the total ever
-/// reaches the M-step counts). Cells below `NEGLIGIBLE` are flushed to
-/// zero and the trailing records a flush has emptied are skipped. Like
+/// reaches the M-step counts). Per record, the loop runs over target
+/// columns outside and source columns inside, over transposed continue
+/// weights and transposed `trans` sums, so each accumulator still takes
+/// the same terms in the same order. Cells below `NEGLIGIBLE` are flushed
+/// to zero and the trailing records a flush has emptied are skipped;
+/// records before an extract's first live α̂ record compute only their
+/// β̂, since each of their ξ, end and posterior terms is +0.0. Like
 /// the forward sweep, it runs at the page's width through
 /// [`with_width!`](crate::width).
 ///
@@ -450,12 +455,23 @@ fn backward_kernel<W: Width>(
     col_post.clear();
     col_post.resize(n * k, 0.0);
     let Structure { hz, cont } = Structure::new(w, params, opts);
-    // The count accumulators: `trans[c][c′]`, continues and ends out of
-    // each column, extracts per column and `types[c][t]`.
-    let mut trans = w.table(0.0);
+    // Continue weights transposed, so the sweep over source columns for
+    // one target column reads one row.
+    let mut cont_t = w.table(0.0);
+    for c in 0..k {
+        for cp in c + 1..k {
+            cont_t[cp][c] = cont[c][cp];
+        }
+    }
+    // The count accumulators: `trans[c′][c]` (transposed, like the
+    // continue weights), continues and ends out of each column, extracts
+    // per column and `types[c][t]`.
+    let mut trans_t = w.table(0.0);
     let (mut xi_cont, mut xi_end) = (w.row(0.0), w.row(0.0));
     let mut col = w.row(0.0);
     let mut types = vec![[0.0f64; TokenType::COUNT]; k];
+    // Per record, its β̂ sums; per extract, its column posteriors.
+    let (mut b, mut post) = (w.row(0.0), w.row(0.0));
 
     // With tmp[t] = b_{i+1}(t) · β̂_{i+1}(t) / c_{i+1}, both
     // β̂_i(s) = Σ_e p_e · tmp[e.to] and ξ_i(s, e.to) = α̂_i(s) · p_e · tmp[e.to];
@@ -489,27 +505,43 @@ fn backward_kernel<W: Width>(
             t_flow = tmp[r * k] + q * t_flow;
         }
         let a_row = &alpha[i * ns..(i + 1) * ns];
-        let mut post = w.row(0.0);
+        // Records before `lo` have all-zero α̂ cells, so their ξ, end and
+        // posterior terms are all +0.0: they need only their β̂.
+        let lo = first_live_record(a_row, k, nk).min(hi);
+        post.as_mut().fill(0.0);
         for r in 0..hi {
             let boundary = rec_flow[r];
             let a = &a_row[r * k..(r + 1) * k];
             let t_row = &tmp[r * k..(r + 1) * k];
             let beta = &mut beta_row[r * k..(r + 1) * k];
-            for c in 0..k {
-                let (x, h) = (a[c], hz[c]);
-                let mut b = 0.0;
-                for cp in c + 1..k {
-                    let (wt, t) = (cont[c][cp], t_row[cp]);
-                    b += wt * t;
-                    let xi = x * wt * t;
-                    trans[c][cp] += xi;
+            // Target column outside, source column inside: each sum still
+            // takes its terms in ascending target column.
+            b.as_mut().fill(0.0);
+            for cp in 1..k {
+                let (t, wts) = (t_row[cp], &cont_t[cp]);
+                if r < lo {
+                    for c in 0..cp {
+                        b[c] += wts[c] * t;
+                    }
+                    continue;
+                }
+                let tr = &mut trans_t[cp];
+                for c in 0..cp {
+                    let wt = wts[c];
+                    b[c] += wt * t;
+                    let xi = a[c] * wt * t;
+                    tr[c] += xi;
                     xi_cont[c] += xi;
                 }
-                b += h * boundary;
-                b += fb * t_row[c];
-                beta[c] = b;
-                xi_end[c] += x * h * boundary;
-                post[c] += x * b;
+            }
+            for c in 0..k {
+                let h = hz[c];
+                beta[c] = b[c] + h * boundary + fb * t_row[c];
+                if r >= lo {
+                    let x = a[c];
+                    xi_end[c] += x * h * boundary;
+                    post[c] += x * beta[c];
+                }
             }
         }
         col_post[i * k..(i + 1) * k].copy_from_slice(post.as_ref());
@@ -518,7 +550,7 @@ fn backward_kernel<W: Width>(
     // The last extract's β̂ is 1, so its posteriors are its α̂ row; it
     // ends its record at its column.
     let last = &alpha[(n - 1) * ns..];
-    let mut post = w.row(0.0);
+    post.as_mut().fill(0.0);
     for r in 0..nk {
         let a = &last[r * k..(r + 1) * k];
         for c in 0..k {
@@ -545,7 +577,9 @@ fn backward_kernel<W: Width>(
     *counts = Counts {
         col: col.as_ref().to_vec(),
         types: types.iter().map(|t| t.to_vec()).collect(),
-        trans: (0..k).map(|c| trans[c].as_ref().to_vec()).collect(),
+        trans: (0..k)
+            .map(|c| (0..k).map(|cp| trans_t[cp][c]).collect())
+            .collect(),
         end: xi_end.as_ref().to_vec(),
         cont: xi_cont.as_ref().to_vec(),
     };
