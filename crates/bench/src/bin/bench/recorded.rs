@@ -179,39 +179,55 @@ pub fn serve(f: &Flags) -> Result<(), String> {
     )
 }
 
+/// The obs layer's acceptance bar: enabled costs at most this much more
+/// than disabled, in percent.
+const OBS_BAR_PCT: f64 = 2.0;
+
 /// `BENCH_obs.json`: the full batch pipeline with metrics collection
-/// disabled and enabled, fastest of `--iters` passes per leg, and the
-/// counters the enabled leg collected, each gated.
+/// disabled and enabled, `--iters` alternated pairs of passes, the median
+/// and quartiles of the per-pair overheads, and the counters the enabled
+/// leg collected, each gated.
 pub fn obs(f: &Flags) -> Result<(), String> {
-    let (specs, iters, threads) = (paper_sites::all(), f.iters.unwrap_or(5), f.threads());
+    let (specs, iters, threads) = (paper_sites::all(), f.iters.unwrap_or(5).max(1), f.threads());
     eprintln!(
         "obs overhead: {} sites, {iters} pass(es) per leg, {threads} thread(s)",
         specs.len()
     );
-    // Fastest-of-N per leg: the minimum is the least-noisy estimator for
-    // a deterministic workload under scheduler jitter. The legs alternate
-    // pass by pass (disabled, enabled, disabled, ...), so a change in the
-    // host's speed during the run reaches both legs alike. One warmup
-    // pass (disabled) pre-faults the generated corpus and code paths.
-    let time_pass = |enabled: bool| -> u128 {
+    // The legs alternate pass by pass (disabled, enabled, disabled, ...),
+    // so a change in the host's speed during the run reaches both legs of
+    // a pair alike; each pair gives one overhead, and the report takes
+    // their median and quartiles. One warmup pass (disabled) pre-faults
+    // the generated corpus and code paths.
+    let time_pass = |enabled: bool| -> f64 {
         obs::set_enabled(enabled);
         let start = Instant::now();
         std::hint::black_box(run_sites(&specs, threads));
-        start.elapsed().as_nanos()
+        start.elapsed().as_nanos() as f64
     };
     obs::set_enabled(false);
     run_sites(&specs, threads);
-    let (mut disabled_ns, mut enabled_ns) = (u128::MAX, u128::MAX);
+    let (mut disabled, mut enabled, mut overhead) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..iters {
-        disabled_ns = disabled_ns.min(time_pass(false));
-        enabled_ns = enabled_ns.min(time_pass(true));
+        let (off, on) = (time_pass(false), time_pass(true));
+        disabled.push(off);
+        enabled.push(on);
+        overhead.push((on - off) / off * 100.0);
     }
     // A final enabled pass snapshots the counter totals, so the report
     // shows what the enabled leg collected.
     obs::set_enabled(true);
     let outcome = run_sites(&specs, threads);
     obs::set_enabled(false);
-    let overhead_pct = (enabled_ns as f64 - disabled_ns as f64) / disabled_ns as f64 * 100.0;
+    let [q1, median, q3] = [25.0, 50.0, 75.0].map(|p| quantile(&mut overhead, p));
+    let resolved = q3 - q1 <= OBS_BAR_PCT;
+    eprintln!(
+        "overhead {median:+.3}% (quartiles {q1:+.3}% to {q3:+.3}%, {iters} pairs){}",
+        if resolved {
+            String::new()
+        } else {
+            format!(": the quartile spread is wider than the {OBS_BAR_PCT}% bar, so this run cannot tell whether the bar holds")
+        }
+    );
 
     let counters: Vec<(&str, u64)> = outcome.metrics.counters.iter().collect();
     let rows: Vec<String> = counters
@@ -222,9 +238,13 @@ pub fn obs(f: &Flags) -> Result<(), String> {
     j.field("sites", specs.len())
         .field("iters", iters)
         .field("threads", threads)
-        .field("disabled_ns", disabled_ns)
-        .field("enabled_ns", enabled_ns)
-        .raw("overhead_pct", format!("{overhead_pct:.3}"))
+        .field("disabled_ns", quantile(&mut disabled, 50.0) as u64)
+        .field("enabled_ns", quantile(&mut enabled, 50.0) as u64)
+        .raw("overhead_pct", format!("{median:.3}"))
+        .raw("overhead_q1_pct", format!("{q1:.3}"))
+        .raw("overhead_q3_pct", format!("{q3:.3}"))
+        .raw("bar_pct", format!("{OBS_BAR_PCT:.1}"))
+        .field("spread_within_bar", resolved)
         .raw("counters", format!("{{\n{}\n  }}", rows.join(",\n")));
     record(
         f,
@@ -238,6 +258,12 @@ pub fn obs(f: &Flags) -> Result<(), String> {
             failures: vec![],
         },
     )
+}
+
+/// Nearest-rank quantile `p` (0–100) of a non-empty sample; sorts it.
+fn quantile(sample: &mut [f64], p: f64) -> f64 {
+    sample.sort_by(f64::total_cmp);
+    sample[((sample.len() - 1) as f64 * p / 100.0).round() as usize]
 }
 
 /// The swept per-fault probabilities.

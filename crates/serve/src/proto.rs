@@ -589,5 +589,10 @@ mod tests {
         assert!(parse_request("tablesegd/v1 segment\nsite x\nlists 1\npage 99\nshort\n").is_err());
         assert!(parse_request("GET / HTTP/1.1").is_err());
         assert!(parse_response("tablesegd/v1 result\nsite x\n").is_err());
+        // A manifest length that splits a UTF-8 sequence is an error, not
+        // a panic on the slice.
+        let head = "tablesegd/v1 result\nsite x\ncache warm\ngeneration 1\n";
+        let split = format!("{head}pages 0 ok 0 degraded 0 failed 0\nmanifest 1\né\nend\n");
+        assert!(parse_response(&split).is_err());
     }
 }
