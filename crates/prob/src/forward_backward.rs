@@ -199,28 +199,28 @@ pub(crate) fn row_pair(emit_rows: &[f64], i: usize, k: usize) -> (&[f64], &[f64]
 const NEGLIGIBLE: f64 = 1e-150;
 
 /// The per-iteration transition structure the three kernels read from
-/// the parameters: one row per source column, `[f64; K]` at a fixed
-/// width.
+/// the parameters, in rows of `[f64; K]` at a fixed width.
 pub(crate) struct Structure<W: Width> {
     /// Record-end hazards `hz(c)`.
     pub(crate) hz: W::Row,
-    /// Continue weights `cont[c][c′] = (1 − hz(c)) · trans[c][c′]` for
-    /// `c′ > c`, zero elsewhere.
-    pub(crate) cont: W::Table,
+    /// Continue weights, transposed so that one target column's sources
+    /// are one row: `cont_t[c′][c] = (1 − hz(c)) · trans[c][c′]` for
+    /// `c < c′`, zero elsewhere.
+    pub(crate) cont_t: W::Table,
 }
 
 impl<W: Width> Structure<W> {
     pub(crate) fn new(w: W, params: &Params, opts: &ProbOptions) -> Structure<W> {
         let k = w.k();
         let mut hz = w.row(0.0);
-        let mut cont = w.table(0.0);
+        let mut cont_t = w.table(0.0);
         for c in 0..k {
             hz[c] = params.hazard_for(c, opts.period_model);
             for cp in c + 1..k {
-                cont[c][cp] = (1.0 - hz[c]) * params.trans[c][cp];
+                cont_t[cp][c] = (1.0 - hz[c]) * params.trans[c][cp];
             }
         }
-        Structure { hz, cont }
+        Structure { hz, cont_t }
     }
 }
 
@@ -299,16 +299,9 @@ fn forward_kernel<W: Width>(
         ..
     } = ws;
 
-    // Per-iteration structure tables: hazards, continue weights transposed
-    // (so the pull over source columns reads one row), inverse skip
-    // normalizers.
-    let Structure { hz, cont } = Structure::new(w, params, opts);
-    let mut cont_t = w.table(0.0);
-    for c in 0..k {
-        for cp in c + 1..k {
-            cont_t[cp][c] = cont[c][cp];
-        }
-    }
+    // Per-iteration structure tables: hazards, continue weights (read one
+    // target column's row at a time), inverse skip normalizers.
+    let Structure { hz, cont_t } = Structure::new(w, params, opts);
     skip_inv.clear();
     skip_inv.resize(nk, 0.0);
     // skip_total(r) = Σ_{j=0}^{nk−r−2} q^j by suffix recurrence.
@@ -454,15 +447,7 @@ fn backward_kernel<W: Width>(
     beta_row.resize(ns, 1.0);
     col_post.clear();
     col_post.resize(n * k, 0.0);
-    let Structure { hz, cont } = Structure::new(w, params, opts);
-    // Continue weights transposed, so the sweep over source columns for
-    // one target column reads one row.
-    let mut cont_t = w.table(0.0);
-    for c in 0..k {
-        for cp in c + 1..k {
-            cont_t[cp][c] = cont[c][cp];
-        }
-    }
+    let Structure { hz, cont_t } = Structure::new(w, params, opts);
     // The count accumulators: `trans[c′][c]` (transposed, like the
     // continue weights), continues and ends out of each column, extracts
     // per column and `types[c][t]`.

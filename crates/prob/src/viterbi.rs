@@ -76,13 +76,13 @@ fn decode_kernel<W: Width>(
     // Log structure tables: hazards, continue weights transposed for the
     // pull over source columns, and boundary normalizers
     // `total[m] = Σ_{j<m} q^j`, accumulated in ascending `j`.
-    let Structure { hz, cont } = Structure::new(w, params, opts);
+    // Cells that are no edge hold 0.0, whose `ln` is −∞.
+    let Structure { hz, mut cont_t } = Structure::new(w, params, opts);
     let mut hz_log = w.row(0.0);
-    let mut cont_t = w.table(f64::NEG_INFINITY);
     for c in 0..k {
         hz_log[c] = hz[c].ln();
-        for cp in c + 1..k {
-            cont_t[cp][c] = cont[c][cp].ln();
+        for x in cont_t[c].as_mut() {
+            *x = x.ln();
         }
     }
     let q = opts.skip_penalty;
