@@ -443,17 +443,15 @@ fn json_map<'a>(pairs: impl IntoIterator<Item = (&'a str, usize)>) -> String {
 /// Renders one rate's row of the `rates` object, keyed by the rate.
 fn render_rate(rate: f64, outcome: &RunOutcome, prob: &PageCounts, csp: &PageCounts) -> String {
     let r = &outcome.report;
-    // Corpus-wide solve total split by solver method and EM phase
-    // (nanoseconds; varies run to run, unlike every other field).
-    let rows = outcome.timing.rows();
-    let total_ns = |stage: Stage| -> u128 {
-        rows.iter()
-            .map(|(_, times)| times.get(stage).as_nanos())
-            .sum()
-    };
-    let solve: Vec<String> = std::iter::once(("total", Stage::Solve))
-        .chain(Stage::SOLVE_SPLIT.map(|stage| (stage.label(), stage)))
-        .map(|(label, stage)| format!("\"{label}\": {}", total_ns(stage)))
+    // Corpus-wide solve total and its sub-stages (nanoseconds; varies
+    // run to run, unlike every other field).
+    let total = outcome.timing.total();
+    let solve: Vec<String> = Stage::Solve
+        .subtree()
+        .map(|stage| match stage {
+            Stage::Solve => format!("\"total\": {}", total.get(stage).as_nanos()),
+            _ => format!("\"{}\": {}", stage.label(), total.get(stage).as_nanos()),
+        })
         .collect();
     format!(
         "    \"{rate:.1}\": {{ \"pages\": {}, \"ok\": {}, \"degraded\": {}, \"failed\": {}, \"bnb_exhausted\": {},\n      \

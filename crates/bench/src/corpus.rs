@@ -75,20 +75,13 @@ pub fn site_count<'a>(names: impl IntoIterator<Item = &'a str>) -> usize {
     names.len()
 }
 
-/// Sums a batch run's per-site stage times into corpus-wide totals, in
-/// report order: the six pipeline stages, then the solve split.
+/// A batch run's corpus-wide time per stage, for every stage in
+/// [`Stage::EVERY`] (tree) order.
 pub fn stage_totals(timing: &Registry) -> Vec<(String, u128)> {
-    let rows = timing.rows();
-    Stage::ALL
+    let total = timing.total();
+    Stage::EVERY
         .into_iter()
-        .chain(Stage::SOLVE_SPLIT)
-        .map(|stage| {
-            let total: u128 = rows
-                .iter()
-                .map(|(_, times)| times.get(stage).as_nanos())
-                .sum();
-            (stage.label().to_owned(), total)
-        })
+        .map(|stage| (stage.label().to_owned(), total.get(stage).as_nanos()))
         .collect()
 }
 
@@ -447,8 +440,8 @@ mod tests {
     #[test]
     fn stage_totals_cover_all_stages_and_solve_split() {
         let totals = stage_totals(&Registry::new());
-        assert_eq!(totals.len(), Stage::ALL.len() + Stage::SOLVE_SPLIT.len());
-        assert_eq!(totals[0].0, Stage::ALL[0].label());
+        assert_eq!(totals.len(), Stage::EVERY.len());
+        assert_eq!(totals[0].0, Stage::EVERY[0].label());
         assert!(totals.iter().all(|&(_, ns)| ns == 0));
     }
 

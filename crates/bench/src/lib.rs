@@ -271,23 +271,12 @@ pub fn run_corpus(
             metrics.merge(&t.metrics);
         }
         let name = &site.spec.name;
-        let mut site_span =
-            SpanNode::new(SpanKind::Site, name.clone(), site_times.total().as_nanos());
-        for span in timing::stage_spans(&site_times) {
-            site_span.push(span);
-        }
+        let mut site_span = site_times.span(SpanKind::Site, name.clone());
         for (page, job) in pages.by_ref().take(site.pages.len()).enumerate() {
             report.record(&job.outcome);
             metrics.merge(&job.metrics);
             site_times.merge(&job.times);
-            let mut page_span = SpanNode::new(
-                SpanKind::Page,
-                format!("page#{page}"),
-                job.times.total().as_nanos(),
-            );
-            for span in timing::stage_spans(&job.times) {
-                page_span.push(span);
-            }
+            let page_span = job.times.span(SpanKind::Page, format!("page#{page}"));
             site_span.nanos += page_span.nanos;
             site_span.push(page_span);
             runs.extend(job.run);

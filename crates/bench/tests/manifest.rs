@@ -3,7 +3,7 @@
 //! and the full (unredacted) manifest must reproduce the `--rt` timing
 //! registry's per-stage totals exactly — span trees and registry rows
 //! sum the same `StageTimes` integers, so equality is integer-exact,
-//! not approximate.
+//! not approximate. Every span's children sum to at most the span.
 //!
 //! One test function (not several): the metrics enable flag is process
 //! global, and the parallel test harness within a binary would otherwise
@@ -65,24 +65,28 @@ fn manifests_are_deterministic_and_reproduce_registry_totals() {
     assert!(first[0].contains("\"volatile\": {\"redacted\": true}"));
 
     // The full manifest's span tree reproduces the timing registry's
-    // per-stage totals exactly, for every stage and solver substage, at
-    // every thread count.
+    // per-stage totals exactly, for every stage and sub-stage, at every
+    // thread count; and no span's children sum to more than the span.
     for (threads, outcome) in &outcomes {
         let m = outcome.manifest("table4", *threads);
-        for stage in Stage::ALL.into_iter().chain(Stage::SOLVE_SPLIT) {
-            let registry_total: u128 = outcome
-                .timing
-                .rows()
-                .iter()
-                .map(|(_, times)| times.get(stage).as_nanos())
-                .sum();
+        let registry_total = outcome.timing.total();
+        for stage in Stage::EVERY {
             assert_eq!(
                 m.stage_total_nanos(stage.label()),
-                registry_total,
+                registry_total.get(stage).as_nanos(),
                 "span total != registry total for {} at {threads} threads",
                 stage.label()
             );
         }
+        m.root.walk(&mut |_, span| {
+            let children: u128 = span.children.iter().map(|c| c.nanos).sum();
+            assert!(
+                children <= span.nanos,
+                "children of {} sum to {children} ns > its {} ns at {threads} threads",
+                span.name,
+                span.nanos
+            );
+        });
         // Counter sanity: the clean corpus is 24 pages over 12 sites, and
         // every processed page is counted clean, degraded or failed.
         let counter = |name: &str| {

@@ -84,16 +84,38 @@ fn digits(t: &Tok<'_>) -> usize {
     t.text.chars().filter(char::is_ascii_digit).count()
 }
 
-/// Recognizes the semantic type of one extract from its symbols, whose
-/// texts and types `interner` holds.
-pub fn recognize(syms: &[Symbol], interner: &Interner) -> SemanticLabel {
-    let tokens: Vec<Tok<'_>> = syms
-        .iter()
+fn toks<'a>(syms: &[Symbol], interner: &'a Interner) -> Vec<Tok<'a>> {
+    syms.iter()
         .map(|&s| Tok {
             text: interner.text(s),
             types: interner.types(s),
         })
-        .collect();
+        .collect()
+}
+
+/// `true` for a dashed `ddd-ddd-dddd` value.
+fn is_dashed_3_3_4(tokens: &[Tok<'_>]) -> bool {
+    matches!(tokens, [a, d1, b, d2, c]
+        if d1.text == "-"
+            && d2.text == "-"
+            && [(a, 3), (b, 3), (c, 4)]
+                .iter()
+                .all(|&(t, n)| is_num(t) && digits(t) == n))
+}
+
+/// `true` for a dashed `ddd-ddd-dddd` value that starts with 0 or 1:
+/// North American area codes never do, so it is a parcel-style id.
+fn is_dashed_id(tokens: &[Tok<'_>]) -> bool {
+    is_dashed_3_3_4(tokens) && tokens[0].text.starts_with(['0', '1'])
+}
+
+/// Recognizes the semantic type of one extract from its symbols, whose
+/// texts and types `interner` holds.
+pub fn recognize(syms: &[Symbol], interner: &Interner) -> SemanticLabel {
+    label_of(&toks(syms, interner))
+}
+
+fn label_of(tokens: &[Tok<'_>]) -> SemanticLabel {
     let texts: Vec<&str> = tokens.iter().map(|t| t.text).collect();
     let n = tokens.len();
     if n == 0 {
@@ -112,18 +134,7 @@ pub fn recognize(syms: &[Symbol], interner: &Interner) -> SemanticLabel {
     {
         return SemanticLabel::PhoneNumber;
     }
-    if n == 5
-        && is_num(&tokens[0])
-        && texts[1] == "-"
-        && is_num(&tokens[2])
-        && texts[3] == "-"
-        && is_num(&tokens[4])
-        && digits(&tokens[0]) == 3
-        && digits(&tokens[4]) == 4
-        // North American area codes never start with 0 or 1 — this is
-        // what separates dashed phone numbers from parcel-id-style codes.
-        && !texts[0].starts_with(['0', '1'])
-    {
+    if is_dashed_3_3_4(tokens) && !is_dashed_id(tokens) {
         return SemanticLabel::PhoneNumber;
     }
 
@@ -223,7 +234,10 @@ pub struct ColumnAnnotation {
 }
 
 /// Annotates the columns of a probabilistic segmentation: for each column
-/// label, the majority [`SemanticLabel`] over its extracts.
+/// label, the majority [`SemanticLabel`] over its extracts. A column
+/// holding any dashed `ddd-ddd-dddd` value that starts with 0 or 1 is a
+/// column of parcel-style ids, not phone numbers, so its phone votes
+/// count as [`SemanticLabel::Identifier`].
 ///
 /// `prepared` is list page `target` of `template`, and `columns[i]` is the
 /// learned column of `prepared.observations.items[i]` (from
@@ -240,14 +254,22 @@ pub fn annotate_columns(
     let num_columns = columns.iter().max().map_or(0, |&c| c as usize + 1);
     let mut votes: Vec<std::collections::HashMap<SemanticLabel, usize>> =
         vec![std::collections::HashMap::new(); num_columns];
+    let mut id_columns = vec![false; num_columns];
     for (item, &c) in obs.items.iter().zip(columns) {
-        let label = recognize(item.extract.symbols(slot), &template.interner);
-        *votes[c as usize].entry(label).or_default() += 1;
+        let tokens = toks(item.extract.symbols(slot), &template.interner);
+        id_columns[c as usize] |= is_dashed_id(&tokens);
+        *votes[c as usize].entry(label_of(&tokens)).or_default() += 1;
     }
     votes
         .into_iter()
+        .zip(id_columns)
         .enumerate()
-        .filter_map(|(c, v)| {
+        .filter_map(|(c, (mut v, id_column))| {
+            if id_column {
+                if let Some(phones) = v.remove(&SemanticLabel::PhoneNumber) {
+                    *v.entry(SemanticLabel::Identifier).or_default() += phones;
+                }
+            }
             let support: usize = v.values().sum();
             // An unvoted column yields no max and drops out here.
             v.into_iter()
@@ -334,5 +356,36 @@ mod tests {
         assert_eq!(ann[1].label, SemanticLabel::PhoneNumber);
         assert_eq!(ann[0].confidence, 1.0);
         assert_eq!(ann[0].support, 2);
+    }
+
+    /// Annotates a one-column list of dashed values.
+    fn annotate_dashed(values: &[&str]) -> ColumnAnnotation {
+        use crate::pipeline::try_prepare_with_template;
+        let list: String = values.iter().map(|v| format!("<td>{v}</td>")).collect();
+        let details: Vec<String> = values.iter().map(|v| format!("<p>{v}</p>")).collect();
+        let details: Vec<&str> = details.iter().map(String::as_str).collect();
+        let template = SiteTemplate::build(&[list.as_str()]);
+        let prepared = try_prepare_with_template(&template, 0, &details).expect("prepared");
+        assert_eq!(prepared.observations.len(), values.len());
+        let columns = vec![0; values.len()];
+        let ann = annotate_columns(&template, 0, &prepared, &columns);
+        assert_eq!(ann.len(), 1);
+        ann[0].clone()
+    }
+
+    #[test]
+    fn parcel_ids_outvote_phone_shaped_ids_in_their_column() {
+        // Two of the three ids look like phone numbers on their own.
+        assert_eq!(rec("399-932-1160"), SemanticLabel::PhoneNumber);
+        let ann = annotate_dashed(&["399-932-1160", "032-004-1150", "412-555-0199"]);
+        assert_eq!(ann.label, SemanticLabel::Identifier);
+        assert_eq!(ann.confidence, 1.0);
+    }
+
+    #[test]
+    fn dashed_phone_column_stays_phone() {
+        let ann = annotate_dashed(&["740-335-5555", "614-222-1111", "419-422-0000"]);
+        assert_eq!(ann.label, SemanticLabel::PhoneNumber);
+        assert_eq!(ann.confidence, 1.0);
     }
 }

@@ -21,7 +21,7 @@
 use std::process::ExitCode;
 
 use tableseg::obs;
-use tableseg::timing::{stage_spans, Stage, StageTimes};
+use tableseg::timing::{Stage, StageTimes};
 use tableseg::{
     annotate_columns, assemble_records, induce_wrapper, run_page, CspSegmenter, HybridSegmenter,
     ProbSegmenter, Segmenter, SiteTemplate,
@@ -214,10 +214,7 @@ fn run(args: &Args) -> Result<(), String> {
         row.merge(&times);
         registry.record(method, &row);
 
-        let mut span = obs::SpanNode::new(obs::SpanKind::Site, method, row.total().as_nanos());
-        for child in stage_spans(&row) {
-            span.push(child);
-        }
+        let span = row.span(obs::SpanKind::Site, method);
         root.nanos += span.nanos;
         root.push(span);
     }

@@ -90,11 +90,6 @@ impl RobustnessReport {
         }
     }
 
-    /// `true` if every recorded page was clean.
-    pub fn all_clean(&self) -> bool {
-        self.degraded == 0 && self.failed == 0
-    }
-
     /// Converts the report into the manifest's robustness section, with
     /// warning and failure rows sorted by label (the report's own
     /// first-seen order is already deterministic — reports are assembled
@@ -169,7 +164,6 @@ mod tests {
             vec![("whole_page_fallback", 1), ("no_detail_pages", 1)]
         );
         assert_eq!(r.failures_by_stage, vec![("extract", 1)]);
-        assert!(!r.all_clean());
 
         let mut other = RobustnessReport::new();
         other.record(&PageOutcome::Ok);
@@ -200,6 +194,5 @@ mod tests {
         let text = r.render();
         assert!(text.contains("failed 1"), "{text}");
         assert!(text.contains("extract"), "{text}");
-        assert!(RobustnessReport::new().all_clean());
     }
 }

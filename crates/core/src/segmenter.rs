@@ -21,8 +21,8 @@ pub struct SegmenterOutcome {
     /// Column labels per extract, if the approach produces them (the
     /// probabilistic approach does; the CSP does not — Section 3.4).
     pub columns: Option<Vec<u32>>,
-    /// The solver's own time, split into the [`Stage::SOLVE_SPLIT`]
-    /// sub-stages. Harnesses merge this into their per-site
+    /// The solver's own time, under the sub-stages of [`Stage::Solve`]
+    /// (see [`Stage::parent`]). Harnesses merge this into their per-site
     /// [`StageTimes`] so reports can break the `solve` total down by
     /// method.
     pub solver_times: StageTimes,

@@ -3,46 +3,54 @@
 //! The pipeline decomposes into six stages (tokenization, template
 //! induction, extraction, detail-page matching, solving, decoding); each
 //! job records a [`StageTimes`] and a [`Registry`] aggregates them per
-//! label (typically per site) into the RT experiment report.
+//! label (typically per site) into the RT experiment report. Some stages
+//! are *sub-stages*: [`Stage::parent`] names the stage whose time they
+//! re-attribute, and that one declaration is the stage tree behind the
+//! RT tables, the span trees and the bench totals.
 //!
 //! Timing is collected unconditionally — the cost is a handful of
 //! `Instant::now()` calls per page — but it is kept out of the default
 //! report output so that result tables stay byte-identical across thread
 //! counts and machines.
 
-use std::fmt;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use tableseg_obs::{SpanKind, SpanNode};
 
-/// A pipeline stage, in execution order. The first six are the disjoint
-/// top-level stages; the rest are *sub-stages* (they overlap a top-level
-/// stage, attributing its time to one solver method, EM phase, or the
-/// template fold) and are excluded from [`StageTimes::total`].
+/// A pipeline stage. Variants are declared in [`Stage::EVERY`] order:
+/// depth first, each stage before its sub-stages. The six top-level
+/// stages run one after the other; a sub-stage overlaps its
+/// [`Stage::parent`], attributing part of its time to one solver method,
+/// EM phase, the template fold or region detection, and is excluded from
+/// [`StageTimes::total`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Lexing list and detail pages into token streams.
     Tokenize,
     /// Page-template induction and quality assessment (once per site).
     TemplateInduction,
+    /// Sub-stage of `TemplateInduction`: the histogram-LCS rolling merge
+    /// (the fold itself, without quality assessment).
+    InduceHistogram,
     /// Deriving extracts from the table slot.
     Extraction,
+    /// Sub-stage of `Extraction`: table-region detection ahead of the
+    /// per-region front end (zero on the classic, detect-disabled path).
+    Detect,
     /// Matching extracts against the detail pages.
     Matching,
     /// Running a segmenter (CSP / probabilistic / hybrid).
     Solve,
-    /// Decoding the solution: truth alignment, classification, assembly.
-    Decode,
-    /// Sub-stage of `Solve`: building the CSP encoding and deriving its
-    /// relaxation.
-    SolveEncode,
-    /// Sub-stage of `Solve`: instance reduction (propagation, entailment
-    /// elimination, component split) ahead of the CSP search.
-    SolveReduce,
     /// Sub-stage of `Solve`: the whole CSP solve (encode, reduce and the
     /// branch-and-bound).
     SolveCsp,
+    /// Sub-stage of `SolveCsp`: building the CSP encoding and deriving
+    /// its relaxation.
+    SolveEncode,
+    /// Sub-stage of `SolveCsp`: instance reduction (propagation,
+    /// entailment elimination, component split) ahead of the search.
+    SolveReduce,
     /// Sub-stage of `Solve`: the whole probabilistic (EM) solve.
     SolveProb,
     /// Sub-stage of `SolveProb`: emissions + forward–backward.
@@ -51,20 +59,37 @@ pub enum Stage {
     SolveEmMStep,
     /// Sub-stage of `SolveProb`: the final MAP decode.
     SolveViterbi,
-    /// Sub-stage of `TemplateInduction`: the histogram-LCS rolling merge
-    /// (the fold itself, without quality assessment).
-    InduceHistogram,
-    /// Sub-stage of `Extraction`: table-region detection ahead of the
-    /// per-region front end (zero on the classic, detect-disabled path).
-    Detect,
     /// Sub-stage of `Solve`: the recursive nested-record pass (template
     /// re-induction plus sub-segmentation inside each parent slot).
     SolveNested,
+    /// Decoding the solution: truth alignment, classification, assembly.
+    Decode,
 }
 
 impl Stage {
-    /// Every *top-level* stage, in execution order. Sub-stages of `Solve`
-    /// are listed in [`Stage::SOLVE_SPLIT`] instead.
+    /// Every stage in declaration order: depth first, parents before
+    /// their sub-stages. This is the report order of every stage list.
+    pub const EVERY: [Stage; 16] = [
+        Stage::Tokenize,
+        Stage::TemplateInduction,
+        Stage::InduceHistogram,
+        Stage::Extraction,
+        Stage::Detect,
+        Stage::Matching,
+        Stage::Solve,
+        Stage::SolveCsp,
+        Stage::SolveEncode,
+        Stage::SolveReduce,
+        Stage::SolveProb,
+        Stage::SolveEmEStep,
+        Stage::SolveEmMStep,
+        Stage::SolveViterbi,
+        Stage::SolveNested,
+        Stage::Decode,
+    ];
+
+    /// The top-level stages, in execution order: the stages without a
+    /// [`Stage::parent`].
     pub const ALL: [Stage; 6] = [
         Stage::Tokenize,
         Stage::TemplateInduction,
@@ -74,7 +99,9 @@ impl Stage {
         Stage::Decode,
     ];
 
-    /// The sub-stages splitting `Solve` by method, in report order.
+    /// The sub-stages of `Solve` other than `solve.nested`. Kept for
+    /// readers outside the workspace; the library derives every stage
+    /// list from [`Stage::parent`].
     pub const SOLVE_SPLIT: [Stage; 7] = [
         Stage::SolveEncode,
         Stage::SolveReduce,
@@ -85,68 +112,75 @@ impl Stage {
         Stage::SolveViterbi,
     ];
 
-    /// The sub-stages splitting `TemplateInduction`.
+    /// The sub-stages of `TemplateInduction`.
     pub const TEMPLATE_SPLIT: [Stage; 1] = [Stage::InduceHistogram];
 
-    /// The sub-stages added by the scenario-diversity layer: region
-    /// detection (under `extract`) and the recursive nested pass (under
-    /// `solve`).
+    /// Region detection (under `extract`) and the recursive nested pass
+    /// (under `solve`).
     pub const DETECT_SPLIT: [Stage; 2] = [Stage::Detect, Stage::SolveNested];
+
+    /// The stage whose time this sub-stage re-attributes, or `None` for a
+    /// top-level stage. The one declaration of the stage tree.
+    pub fn parent(self) -> Option<Stage> {
+        match self {
+            Stage::Tokenize
+            | Stage::TemplateInduction
+            | Stage::Extraction
+            | Stage::Matching
+            | Stage::Solve
+            | Stage::Decode => None,
+            Stage::InduceHistogram => Some(Stage::TemplateInduction),
+            Stage::Detect => Some(Stage::Extraction),
+            Stage::SolveCsp | Stage::SolveProb | Stage::SolveNested => Some(Stage::Solve),
+            Stage::SolveEncode | Stage::SolveReduce => Some(Stage::SolveCsp),
+            Stage::SolveEmEStep | Stage::SolveEmMStep | Stage::SolveViterbi => {
+                Some(Stage::SolveProb)
+            }
+        }
+    }
+
+    /// The stages directly under `parent` (the top-level stages for
+    /// `None`), in [`Stage::EVERY`] order.
+    fn children_of(parent: Option<Stage>) -> impl Iterator<Item = Stage> {
+        Stage::EVERY
+            .into_iter()
+            .filter(move |s| s.parent() == parent)
+    }
+
+    /// This stage and every stage under it, in [`Stage::EVERY`] order.
+    pub fn subtree(self) -> impl Iterator<Item = Stage> {
+        Stage::EVERY
+            .into_iter()
+            .filter(move |&s| std::iter::successors(Some(s), |s| s.parent()).any(|s| s == self))
+    }
 
     /// Short column label for reports.
     pub fn label(self) -> &'static str {
         match self {
             Stage::Tokenize => "tokenize",
             Stage::TemplateInduction => "template",
+            Stage::InduceHistogram => "induce.histogram",
             Stage::Extraction => "extract",
+            Stage::Detect => "detect.regions",
             Stage::Matching => "match",
             Stage::Solve => "solve",
-            Stage::Decode => "decode",
+            Stage::SolveCsp => "solve.csp",
             Stage::SolveEncode => "solve.encode",
             Stage::SolveReduce => "solve.reduce",
-            Stage::SolveCsp => "solve.csp",
             Stage::SolveProb => "solve.prob",
             Stage::SolveEmEStep => "solve.em.e_step",
             Stage::SolveEmMStep => "solve.em.m_step",
             Stage::SolveViterbi => "solve.viterbi",
-            Stage::InduceHistogram => "induce.histogram",
-            Stage::Detect => "detect.regions",
             Stage::SolveNested => "solve.nested",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            Stage::Tokenize => 0,
-            Stage::TemplateInduction => 1,
-            Stage::Extraction => 2,
-            Stage::Matching => 3,
-            Stage::Solve => 4,
-            Stage::Decode => 5,
-            Stage::SolveEncode => 6,
-            Stage::SolveReduce => 7,
-            Stage::SolveCsp => 8,
-            Stage::SolveProb => 9,
-            Stage::SolveEmEStep => 10,
-            Stage::SolveEmMStep => 11,
-            Stage::SolveViterbi => 12,
-            Stage::InduceHistogram => 13,
-            Stage::Detect => 14,
-            Stage::SolveNested => 15,
+            Stage::Decode => "decode",
         }
     }
 }
 
-/// Number of tracked stages (top-level + sub-stages).
-const NUM_STAGES: usize = Stage::ALL.len()
-    + Stage::SOLVE_SPLIT.len()
-    + Stage::TEMPLATE_SPLIT.len()
-    + Stage::DETECT_SPLIT.len();
-
 /// Wall-clock time spent per stage by one job (or merged over many).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimes {
-    nanos: [u128; NUM_STAGES],
+    nanos: [u128; Stage::EVERY.len()],
 }
 
 impl StageTimes {
@@ -157,7 +191,7 @@ impl StageTimes {
 
     /// Adds `elapsed` to one stage.
     pub fn add(&mut self, stage: Stage, elapsed: Duration) {
-        self.nanos[stage.index()] += elapsed.as_nanos();
+        self.nanos[stage as usize] += elapsed.as_nanos();
     }
 
     /// Runs `f`, charging its wall-clock time to `stage`.
@@ -170,7 +204,7 @@ impl StageTimes {
 
     /// Time recorded for one stage.
     pub fn get(&self, stage: Stage) -> Duration {
-        nanos_to_duration(self.nanos[stage.index()])
+        nanos_to_duration(self.nanos[stage as usize])
     }
 
     /// Sums another record into this one.
@@ -180,10 +214,22 @@ impl StageTimes {
         }
     }
 
-    /// Total time across the top-level stages. Solve sub-stages are
-    /// excluded: they re-attribute time already counted under `Solve`.
+    /// Total time across the top-level stages. Sub-stages are excluded:
+    /// they re-attribute time already counted under their parent.
     pub fn total(&self) -> Duration {
-        nanos_to_duration(self.nanos[..Stage::ALL.len()].iter().sum())
+        nanos_to_duration(
+            Stage::children_of(None)
+                .map(|s| self.nanos[s as usize])
+                .sum(),
+        )
+    }
+
+    /// This record as one span named `name`: its [`StageTimes::total`],
+    /// with the [`stage_spans`] as children.
+    pub fn span(&self, kind: SpanKind, name: impl Into<String>) -> SpanNode {
+        let mut node = SpanNode::new(kind, name, self.total().as_nanos());
+        node.children = stage_spans(self);
+        node
     }
 }
 
@@ -192,60 +238,26 @@ fn nanos_to_duration(n: u128) -> Duration {
 }
 
 /// Converts one scope's [`StageTimes`] into observability stage spans:
-/// the six top-level stages in execution order, with the solver
-/// sub-stages nested under `solve` (`solve.encode`, `solve.reduce`,
-/// `solve.csp`, `solve.prob`, the recursive `solve.nested` pass), the EM
-/// phases under `solve.prob`, the histogram fold (`induce.histogram`)
-/// under `template`, and region detection (`detect.regions`) under
-/// `extract`. Every stage is always emitted
-/// — zeros included — so the span-tree *shape* depends only on the
-/// corpus, never on what happened to take measurable time.
+/// the top-level stages in execution order, each with its sub-stages
+/// nested as [`Stage::parent`] declares them. Every stage is always
+/// emitted — zeros included — so the span-tree *shape* depends only on
+/// the corpus, never on what happened to take measurable time.
 pub fn stage_spans(times: &StageTimes) -> Vec<SpanNode> {
-    let span = |stage: Stage, kind: SpanKind| {
-        SpanNode::new(kind, stage.label(), times.get(stage).as_nanos())
+    spans_under(times, None)
+}
+
+fn spans_under(times: &StageTimes, parent: Option<Stage>) -> Vec<SpanNode> {
+    let kind = match parent {
+        None => SpanKind::Stage,
+        Some(_) => SpanKind::SolverSubstage,
     };
-    Stage::ALL
-        .into_iter()
+    Stage::children_of(parent)
         .map(|stage| {
-            let mut node = span(stage, SpanKind::Stage);
-            if stage == Stage::TemplateInduction {
-                node.push(span(Stage::InduceHistogram, SpanKind::SolverSubstage));
-            }
-            if stage == Stage::Extraction {
-                node.push(span(Stage::Detect, SpanKind::SolverSubstage));
-            }
-            if stage == Stage::Solve {
-                node.push(span(Stage::SolveEncode, SpanKind::SolverSubstage));
-                node.push(span(Stage::SolveReduce, SpanKind::SolverSubstage));
-                node.push(span(Stage::SolveCsp, SpanKind::SolverSubstage));
-                let mut prob = span(Stage::SolveProb, SpanKind::SolverSubstage);
-                for sub in [
-                    Stage::SolveEmEStep,
-                    Stage::SolveEmMStep,
-                    Stage::SolveViterbi,
-                ] {
-                    prob.push(span(sub, SpanKind::SolverSubstage));
-                }
-                node.push(prob);
-                node.push(span(Stage::SolveNested, SpanKind::SolverSubstage));
-            }
+            let mut node = SpanNode::new(kind, stage.label(), times.get(stage).as_nanos());
+            node.children = spans_under(times, Some(stage));
             node
         })
         .collect()
-}
-
-impl fmt::Display for StageTimes {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut first = true;
-        for stage in Stage::ALL {
-            if !first {
-                write!(f, "  ")?;
-            }
-            first = false;
-            write!(f, "{} {}", stage.label(), human(self.get(stage)))?;
-        }
-        Ok(())
-    }
 }
 
 /// Thread-safe aggregation of [`StageTimes`] keyed by label, preserving
@@ -283,66 +295,64 @@ impl Registry {
             .clone()
     }
 
-    /// Renders the per-stage wall-clock report (the RT table).
-    pub fn render(&self) -> String {
-        let rows = self.rows();
-        let mut out = String::new();
-        out.push_str(&format!("{:<24}", "site"));
-        for stage in Stage::ALL {
-            out.push_str(&format!(" | {:>9}", stage.label()));
-        }
-        out.push_str(&format!(" | {:>9}\n", "total"));
-        let mut grand = StageTimes::new();
-        for (label, times) in &rows {
-            grand.merge(times);
-            out.push_str(&format!("{label:<24}"));
-            for stage in Stage::ALL {
-                out.push_str(&format!(" | {:>9}", human(times.get(stage))));
-            }
-            out.push_str(&format!(" | {:>9}\n", human(times.total())));
-        }
-        if rows.len() > 1 {
-            out.push_str(&format!("{:<24}", "TOTAL"));
-            for stage in Stage::ALL {
-                out.push_str(&format!(" | {:>9}", human(grand.get(stage))));
-            }
-            out.push_str(&format!(" | {:>9}\n", human(grand.total())));
-        }
-        out
+    /// Every entry merged: the run-wide time per stage.
+    pub fn total(&self) -> StageTimes {
+        merged(&self.rows())
     }
 
-    /// Renders the `solve` stage split by solver method and EM phase
-    /// (the [`Stage::SOLVE_SPLIT`] columns), as a separate table so the
-    /// main report keeps its golden shape.
+    /// Renders the per-stage wall-clock report (the RT table): the
+    /// top-level stages and their total.
+    pub fn render(&self) -> String {
+        let stages: Vec<Stage> = Stage::children_of(None).collect();
+        self.table(&stages, true)
+    }
+
+    /// Renders `solve` and its sub-stages (by solver method and EM
+    /// phase) as a separate table, so the main report keeps its shape.
     pub fn render_solve_split(&self) -> String {
+        let stages: Vec<Stage> = Stage::Solve.subtree().collect();
+        self.table(&stages, false)
+    }
+
+    /// One RT table: a row per entry with a column per stage (plus the
+    /// entry's total when `with_total`), and a `TOTAL` row when there are
+    /// several entries.
+    fn table(&self, stages: &[Stage], with_total: bool) -> String {
         let rows = self.rows();
-        let mut out = String::new();
-        out.push_str(&format!("{:<24}", "site"));
-        out.push_str(&format!(" | {:>9}", Stage::Solve.label()));
-        for stage in Stage::SOLVE_SPLIT {
-            out.push_str(&format!(" | {:>15}", stage.label()));
+        let mut header: Vec<&str> = stages.iter().map(|s| s.label()).collect();
+        if with_total {
+            header.push("total");
+        }
+        let mut out = format!("{:<24}", "site");
+        for label in &header {
+            out.push_str(&format!(" | {label:>9}"));
         }
         out.push('\n');
-        let mut grand = StageTimes::new();
-        for (label, times) in &rows {
-            grand.merge(times);
+        let mut line = |label: &str, times: &StageTimes| {
             out.push_str(&format!("{label:<24}"));
-            out.push_str(&format!(" | {:>9}", human(times.get(Stage::Solve))));
-            for stage in Stage::SOLVE_SPLIT {
-                out.push_str(&format!(" | {:>15}", human(times.get(stage))));
+            let cells = stages.iter().map(|&s| times.get(s));
+            for (head, cell) in header.iter().zip(cells.chain(Some(times.total()))) {
+                out.push_str(&format!(" | {:>w$}", human(cell), w = head.len().max(9)));
             }
             out.push('\n');
+        };
+        for (label, times) in &rows {
+            line(label, times);
         }
         if rows.len() > 1 {
-            out.push_str(&format!("{:<24}", "TOTAL"));
-            out.push_str(&format!(" | {:>9}", human(grand.get(Stage::Solve))));
-            for stage in Stage::SOLVE_SPLIT {
-                out.push_str(&format!(" | {:>15}", human(grand.get(stage))));
-            }
-            out.push('\n');
+            line("TOTAL", &merged(&rows));
         }
         out
     }
+}
+
+/// The sum of every row's stage times.
+fn merged(rows: &[(String, StageTimes)]) -> StageTimes {
+    let mut total = StageTimes::new();
+    for (_, times) in rows {
+        total.merge(times);
+    }
+    total
 }
 
 /// Compact human-readable duration (`12.3µs`, `4.56ms`, `1.23s`).
@@ -398,31 +408,42 @@ mod tests {
         assert_eq!(rows[0].0, "b");
         assert_eq!(rows[0].1.get(Stage::Solve), Duration::from_micros(6));
         assert_eq!(rows[1].0, "a");
+        assert_eq!(reg.total().get(Stage::Solve), Duration::from_micros(9));
         let report = reg.render();
         assert!(report.contains("solve"), "{report}");
         assert!(report.contains("TOTAL"), "{report}");
     }
 
     #[test]
-    fn stage_indices_match_all_order() {
-        for (i, stage) in Stage::ALL.iter().enumerate() {
-            assert_eq!(stage.index(), i);
-        }
-        for (i, stage) in Stage::SOLVE_SPLIT.iter().enumerate() {
-            assert_eq!(stage.index(), Stage::ALL.len() + i);
-        }
-        for (i, stage) in Stage::TEMPLATE_SPLIT.iter().enumerate() {
+    fn every_lists_each_stage_once_parents_first() {
+        for (i, stage) in Stage::EVERY.into_iter().enumerate() {
             assert_eq!(
-                stage.index(),
-                Stage::ALL.len() + Stage::SOLVE_SPLIT.len() + i
+                stage as usize,
+                i,
+                "{} out of declaration order",
+                stage.label()
             );
+            if let Some(parent) = stage.parent() {
+                assert!(
+                    (parent as usize) < i,
+                    "{} listed before its parent",
+                    stage.label()
+                );
+            }
         }
-        for (i, stage) in Stage::DETECT_SPLIT.iter().enumerate() {
-            assert_eq!(
-                stage.index(),
-                Stage::ALL.len() + Stage::SOLVE_SPLIT.len() + Stage::TEMPLATE_SPLIT.len() + i
-            );
-        }
+        let top: Vec<Stage> = Stage::children_of(None).collect();
+        assert_eq!(top, Stage::ALL);
+        let mut rest: Vec<Stage> = Stage::SOLVE_SPLIT
+            .into_iter()
+            .chain(Stage::TEMPLATE_SPLIT)
+            .chain(Stage::DETECT_SPLIT)
+            .collect();
+        rest.sort_by_key(|&s| s as usize);
+        let sub: Vec<Stage> = Stage::EVERY
+            .into_iter()
+            .filter(|s| s.parent().is_some())
+            .collect();
+        assert_eq!(rest, sub);
     }
 
     #[test]
@@ -453,7 +474,14 @@ mod tests {
         assert_eq!(extract.children[0].name, "detect.regions");
         assert_eq!(extract.children[0].nanos, 2_000);
         let solve = spans.iter().find(|s| s.name == "solve").expect("solve");
-        assert!(solve.children.iter().any(|c| c.name == "solve.nested"));
+        let names: Vec<&str> = solve.children.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["solve.csp", "solve.prob", "solve.nested"]);
+        let csp: Vec<&str> = solve.children[0]
+            .children
+            .iter()
+            .map(|c| c.name.as_str())
+            .collect();
+        assert_eq!(csp, ["solve.encode", "solve.reduce"]);
     }
 
     #[test]
@@ -483,5 +511,7 @@ mod tests {
         assert!(report.contains("solve.csp"), "{report}");
         assert!(report.contains("solve.em.m_step"), "{report}");
         assert!(report.contains("solve.viterbi"), "{report}");
+        assert!(report.contains("solve.nested"), "{report}");
+        assert!(!report.contains("decode"), "{report}");
     }
 }

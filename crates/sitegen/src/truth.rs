@@ -20,13 +20,6 @@ pub struct RecordSpan {
     pub values: Vec<String>,
 }
 
-impl RecordSpan {
-    /// Returns `true` if `offset` falls inside this record's row.
-    pub fn contains(&self, offset: usize) -> bool {
-        (self.start..self.end).contains(&offset)
-    }
-}
-
 /// Ground truth for one list page.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct GroundTruth {
@@ -35,11 +28,6 @@ pub struct GroundTruth {
 }
 
 impl GroundTruth {
-    /// The record index containing a byte offset, if any.
-    pub fn record_at(&self, offset: usize) -> Option<usize> {
-        self.records.iter().position(|r| r.contains(offset))
-    }
-
     /// Number of records on the page.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -73,27 +61,10 @@ mod tests {
     }
 
     #[test]
-    fn record_lookup() {
+    fn len_counts_records() {
         let t = truth();
-        assert_eq!(t.record_at(100), Some(0));
-        assert_eq!(t.record_at(199), Some(0));
-        assert_eq!(t.record_at(200), Some(1));
-        assert_eq!(t.record_at(319), Some(1));
-        assert_eq!(t.record_at(320), None);
-        assert_eq!(t.record_at(0), None);
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn spans_do_not_need_to_be_adjacent() {
-        let t = GroundTruth {
-            records: vec![RecordSpan {
-                start: 10,
-                end: 20,
-                values: vec![],
-            }],
-        };
-        assert_eq!(t.record_at(25), None);
+        assert!(GroundTruth::default().is_empty());
     }
 }
